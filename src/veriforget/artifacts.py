@@ -3,11 +3,13 @@
 Vectors and block matrices use the .pvec container (JSON manifest plus
 a little-endian f64 sidecar blob).  Every derived artifact embeds the
 digests of the artifacts it was computed from, so downstream stages can
-refuse mismatched inputs.
+refuse mismatched inputs.  Every reader raises IntegrityError when an
+artifact is missing, truncated or malformed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -15,9 +17,8 @@ import numpy as np
 
 from .curvature import BlockFisher
 from .masking import MaskArtifact
-from .model import Dataset, MlpModel, mlp_layout
+from .model import Dataset, MlpModel
 from .numkit import (
-    ParamVector,
     StructuralError,
     canonical_json,
     load_blockdiag,
@@ -31,7 +32,26 @@ from .zkp import Proof, PublicInputs
 
 
 class IntegrityError(ValueError):
-    """An artifact references an input whose digest does not match."""
+    """An artifact is unreadable, or references an input whose digest does
+    not match."""
+
+
+def _reader(fn):
+    """Report a missing file, unparsable JSON, a missing key or a short
+    blob in the artifact at ``path`` as an IntegrityError."""
+
+    @functools.wraps(fn)
+    def wrapper(path: str):
+        try:
+            return fn(path)
+        except (IntegrityError, StructuralError):
+            raise
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise IntegrityError(
+                f"cannot read artifact {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return wrapper
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -44,6 +64,7 @@ def _read_json(path: str) -> dict:
         return json.loads(fh.read())
 
 
+@_reader
 def file_digest(path: str) -> str:
     with open(path, "rb") as fh:
         return sha256_hex(fh.read())
@@ -75,6 +96,7 @@ def save_model(path: str, model: MlpModel, inputs: dict | None = None) -> None:
     )
 
 
+@_reader
 def load_model(path: str) -> MlpModel:
     arch = _read_json(path + ".arch.json")
     params = load_pvec(path + ".pvec")
@@ -112,6 +134,7 @@ def save_dataset(path: str, data: Dataset) -> None:
         fh.write(yblob)
 
 
+@_reader
 def load_dataset(path: str) -> Dataset:
     manifest = _read_json(path)
     with open(path + ".x.bin", "rb") as fh:
@@ -136,6 +159,7 @@ def save_mask(path: str, mask: MaskArtifact, inputs: dict | None = None) -> None
     _write_json(path, obj)
 
 
+@_reader
 def load_mask(path: str) -> MaskArtifact:
     return MaskArtifact.from_json(_read_json(path))
 
@@ -156,6 +180,7 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> N
     )
 
 
+@_reader
 def load_fisher(path: str) -> BlockFisher:
     meta = _read_json(path)
     mat = load_blockdiag(path + ".mat")
@@ -183,6 +208,7 @@ def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -
     )
 
 
+@_reader
 def load_comp(path: str) -> CompensationResult:
     meta = _read_json(path)
     dw = load_pvec(path + ".pvec")
@@ -194,6 +220,7 @@ def load_comp(path: str) -> CompensationResult:
     )
 
 
+@_reader
 def comp_inputs(path: str) -> dict:
     return _read_json(path).get("inputs", {})
 
@@ -207,6 +234,7 @@ def save_public(path: str, public: PublicInputs, inputs: dict | None = None) -> 
     _write_json(path, obj)
 
 
+@_reader
 def load_public(path: str) -> PublicInputs:
     return PublicInputs.from_json(_read_json(path))
 
@@ -222,6 +250,7 @@ def save_proof(path: str, proof: Proof) -> None:
     )
 
 
+@_reader
 def load_proof(path: str) -> Proof:
     obj = _read_json(path)
     return Proof(

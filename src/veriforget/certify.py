@@ -20,6 +20,7 @@ from .numkit import ParamVector, StructuralError
 from .obs import CompensationResult
 
 DEFAULT_TAU_REAL = 1e-6
+DEFAULT_LAM_Q = 1e-3
 MAX_EXACT_HESSIAN_DIM = 2000
 
 
@@ -67,8 +68,7 @@ def check_kkt(
     r_stat = np.zeros(theta_p.dim)
     lam_full = np.zeros(theta_p.dim)
     lam_full[mask.support] = comp.multipliers
-    for arr, (sl, _) in zip(c_p.fisher.blocks, c_p.layout.slices()):
-        damped = arr + c_p.lam * np.eye(arr.shape[0])
+    for damped, (sl, _) in zip(c_p.damped_blocks(), c_p.layout.slices()):
         r_stat[sl] = damped @ dw[sl] + lam_full[sl]
     norms = (_inf(r_asm), _inf(r_feas), _inf(r_stat))
     return KktCertificate(
@@ -167,7 +167,7 @@ def forget_gain_report(
     comp: CompensationResult,
     d_f: Dataset,
     template: MlpModel,
-    lam_q: float = 1e-3,
+    lam_q: float = DEFAULT_LAM_Q,
     hessian_mode: str = "exact",
 ) -> ForgetBudget:
     """Compute the mask gain, compensation contribution, and its bounds."""

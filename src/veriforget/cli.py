@@ -12,11 +12,12 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import artifacts as art
 from . import zkp
 from .certify import (
+    DEFAULT_LAM_Q,
+    DEFAULT_TAU_REAL,
     CurvatureNotSPDError,
     check_kkt,
     forget_gain_report,
@@ -26,25 +27,31 @@ from .curvature import (
     ConvergenceError,
     DEFAULT_BLOCK_CAP,
     DEFAULT_DAMPING,
-    curvature_layout,
-    diag_curvature,
-    empirical_fisher_blockwise,
+    DEFAULT_MAX_SAMPLES,
 )
 from .evals import evaluate, gold_standard
-from .masking import hidden_weight_eligible, saliency_scores, select_topk
+from .masking import DEFAULT_BUDGET_FRACTION
 from .model import (
     TrainConfig,
     TrainingError,
-    batch_grad,
     init_mlp,
-    make_synthetic_task,
     personalize as personalize_model,
-    stream_rng,
     train_sgd,
 )
 from .numkit import FactorizationError, RangeError, StructuralError, canonical_json
-from .obs import FeasibilityError, NumericError, apply_unlearn, group_obs_solve
-from .pipeline import demo_config, run_pipeline
+from .obs import FeasibilityError, NumericError
+from .pipeline import (
+    DEFAULT_LAYERS,
+    DEFAULT_PERSONALIZE,
+    DEFAULT_PRETRAIN,
+    compensate,
+    demo_config,
+    estimate_fisher,
+    run_pipeline,
+    run_zk_layer,
+    select_mask,
+    synthetic_task,
+)
 
 NUMERIC_ERRORS = (
     NumericError,
@@ -81,6 +88,16 @@ def emit(obj: dict, as_json: bool) -> None:
             click.echo(f"{key}: {val}")
 
 
+def _save_splits(out_dir: str, task) -> None:
+    """The six dataset splits of a synthetic task, as ``<split>.dset``."""
+    for name in (
+        "train", "forget", "retain", "personal",
+        "holdout_forget", "holdout_personal",
+    ):
+        art.save_dataset(os.path.join(out_dir, name + ".dset"),
+                         getattr(task, name))
+
+
 def _parse_layers(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(t) for t in text.split(","))
@@ -102,12 +119,13 @@ def main():
 @main.command()
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--seed", default=0, show_default=True)
-@click.option("--layers", default="8,32,4", show_default=True)
+@click.option("--layers", default=",".join(map(str, DEFAULT_LAYERS)),
+              show_default=True)
 @click.option("--data", default=None, type=click.Path(exists=True),
               help="Train on this .dset instead of generating a synthetic task.")
-@click.option("--lr", default=0.05, show_default=True)
-@click.option("--epochs", default=40, show_default=True)
-@click.option("--batch", default=32, show_default=True)
+@click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True)
+@click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True)
+@click.option("--batch", default=DEFAULT_PRETRAIN.batch_size, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
@@ -116,15 +134,8 @@ def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
     os.makedirs(out_dir, exist_ok=True)
     dims = _parse_layers(layers)
     if data is None:
-        task = make_synthetic_task(
-            seed, dim=dims[0], n_classes=dims[-1], forget_class=dims[-1] - 1
-        )
-        for name in (
-            "train", "forget", "retain", "personal",
-            "holdout_forget", "holdout_personal",
-        ):
-            art.save_dataset(os.path.join(out_dir, name + ".dset"),
-                             getattr(task, name))
+        task = synthetic_task(seed, dims)
+        _save_splits(out_dir, task)
         train_set = task.train
         data_path = os.path.join(out_dir, "train.dset")
     else:
@@ -147,9 +158,9 @@ def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
 @click.option("--data", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--lr", default=0.03, show_default=True)
-@click.option("--epochs", default=12, show_default=True)
-@click.option("--batch", default=32, show_default=True)
+@click.option("--lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True)
+@click.option("--epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True)
+@click.option("--batch", default=DEFAULT_PERSONALIZE.batch_size, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
@@ -174,7 +185,7 @@ def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
 @click.option("--data", required=True, type=click.Path(exists=True),
               help="Forget-set .dset.")
 @click.option("--k", default=None, type=int, help="Mask budget (coordinates).")
-@click.option("--frac", default=0.04, show_default=True,
+@click.option("--frac", default=DEFAULT_BUDGET_FRACTION, show_default=True,
               help="Budget as a fraction of eligible coordinates.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
@@ -184,12 +195,7 @@ def mask(model_path, data, k, frac, seed, out, as_json):
     """Provider step: top-k saliency mask over hidden-layer weights."""
     model = art.load_model(model_path)
     d_f = art.load_dataset(data)
-    g_f = batch_grad(model, d_f)
-    c_f = diag_curvature(model, d_f, seed=seed)
-    scores = saliency_scores(model.params, g_f, c_f, anchor="pretrained")
-    eligible = hidden_weight_eligible(model.params.layout)
-    budget = k if k is not None else max(1, int(round(frac * eligible.size)))
-    m = select_topk(scores, budget, eligible)
+    m, _ = select_mask(model, d_f, seed, k=k, frac=frac)
     art.save_mask(out, m, inputs={
         "model": art.model_digest(model_path),
         "data": art.file_digest(data),
@@ -205,7 +211,7 @@ def mask(model_path, data, k, frac, seed, out, as_json):
 @click.option("--lambda", "lam", default=DEFAULT_DAMPING, show_default=True)
 @click.option("--block-cap", default=DEFAULT_BLOCK_CAP, show_default=True,
               type=click.Choice(["256", "512"]))
-@click.option("--max-samples", default=1024, show_default=True)
+@click.option("--max-samples", default=DEFAULT_MAX_SAMPLES, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
 @click.option("--json", "as_json", is_flag=True)
@@ -214,10 +220,8 @@ def fisher(model_path, data, lam, block_cap, max_samples, seed, out, as_json):
     """Client step: damped block-wise empirical Fisher curvature."""
     model = art.load_model(model_path)
     d_p = art.load_dataset(data)
-    layout = curvature_layout(model.params.layout, int(block_cap))
-    f = empirical_fisher_blockwise(
-        model, d_p, layout, lam=lam, max_samples=max_samples, seed=seed
-    )
+    f = estimate_fisher(model, d_p, seed, lam=lam, block_cap=int(block_cap),
+                        max_samples=max_samples)
     art.save_fisher(out, f, inputs={
         "model": art.model_digest(model_path),
         "data": art.file_digest(data),
@@ -239,19 +243,14 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
     theta_p = art.load_model(model_path)
     m = art.load_mask(mask_path)
     f = art.load_fisher(fisher_path)
-    comp = group_obs_solve(f, theta_p.params, m)
-    out = apply_unlearn(theta_p.params, comp, m)
+    comp, theta_u = compensate(theta_p, m, f)
     inputs = {
         "model": art.model_digest(model_path),
         "mask": art.file_digest(mask_path),
         "fisher": art.file_digest(fisher_path),
     }
     art.save_comp(os.path.join(out_dir, "comp"), comp, inputs=inputs)
-    art.save_model(
-        os.path.join(out_dir, "theta_u"),
-        theta_p.with_params(out.theta_u.values),
-        inputs=inputs,
-    )
+    art.save_model(os.path.join(out_dir, "theta_u"), theta_u, inputs=inputs)
     emit({
         "comp": os.path.join(out_dir, "comp"),
         "theta_u": os.path.join(out_dir, "theta_u"),
@@ -269,7 +268,7 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
 @click.option("--comp", "comp_path", required=True)
 @click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
 @click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
-@click.option("--tau", default=1e-6, show_default=True)
+@click.option("--tau", default=DEFAULT_TAU_REAL, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
@@ -296,7 +295,7 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
 @click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
 @click.option("--data", required=True, type=click.Path(exists=True),
               help="Forget-set .dset.")
-@click.option("--lambda-q", default=1e-3, show_default=True)
+@click.option("--lambda-q", default=DEFAULT_LAM_Q, show_default=True)
 @click.option("--hessian", default="exact", show_default=True,
               type=click.Choice(["exact", "fisher"]))
 @click.option("--json", "as_json", is_flag=True)
@@ -336,7 +335,8 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
               show_default=True, help="Fractional bits: weights, curvature.")
 @click.option("--seed", default=0, show_default=True,
               help="Seed for the commitment blinding randomness.")
-@click.option("--backend", default="mock", show_default=True)
+@click.option("--backend", default="mock", show_default=True,
+              type=click.Choice(sorted(zkp.BACKENDS)))
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
@@ -350,26 +350,10 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
     m = art.load_mask(mask_path)
     f = art.load_fisher(fisher_path)
     f_w, f_c = frac_bits
-    witness = zkp.encode_fixed_witness(
-        theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
-        f, m, f_w=f_w, f_c=f_c,
-    )
-    t_int = zkp.default_t_int(witness, f, m, comp.kkt_residual_inf)
-    circuit = zkp.synthesize(f.layout, m, t_int, f_w, f_c)
-    rng = stream_rng(seed, "commit")
-    randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
-    c_flat = np.concatenate([b.ravel() for b in witness.c_blocks])
-    public = zkp.PublicInputs(
-        mask_digest=m.digest,
-        com_theta_p=zkp.commit_vector(witness.theta_p.ints, randomness[0]).digest,
-        com_theta_u=zkp.commit_vector(witness.theta_u.ints, randomness[1]).digest,
-        com_c_p=zkp.commit_vector(c_flat, randomness[2]).digest,
-        t_int=t_int,
-        f_w=f_w,
-        f_c=f_c,
-    )
     try:
-        proof = zkp.get_backend(backend).prove(circuit, witness, public, randomness)
+        _, circuit, public, proof, _ = run_zk_layer(
+            theta_p, theta_u, comp, f, m, seed, f_w, f_c, backend
+        )
     except zkp.UnsatisfiableWitnessError as exc:
         click.echo(f"witness unsatisfiable: {exc}", err=True)
         sys.exit(1)
@@ -384,7 +368,7 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
     emit({
         "public": os.path.join(out_dir, "public.pub"),
         "proof": os.path.join(out_dir, "proof.prf"),
-        "t_int": t_int,
+        "t_int": public.t_int,
         "constraints": sum(circuit.counts.values()),
     }, as_json)
 
@@ -392,8 +376,10 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
 @main.command()
 @click.option("--proof", "proof_path", required=True, type=click.Path(exists=True))
 @click.option("--public", "public_path", required=True, type=click.Path(exists=True))
-@click.option("--backend", default="mock", show_default=True)
+@click.option("--backend", default="mock", show_default=True,
+              type=click.Choice(sorted(zkp.BACKENDS)))
 @click.option("--json", "as_json", is_flag=True)
+@numeric_guard
 def verify(proof_path, public_path, backend, as_json):
     """Check a proof against public inputs; exit 1 when rejected."""
     proof = art.load_proof(proof_path)
@@ -413,10 +399,10 @@ def verify(proof_path, public_path, backend, as_json):
 @click.option("--personal", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--lr", default=0.05, show_default=True)
-@click.option("--epochs", default=40, show_default=True)
-@click.option("--p-lr", default=0.03, show_default=True)
-@click.option("--p-epochs", default=12, show_default=True)
+@click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True)
+@click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True)
+@click.option("--p-lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True)
+@click.option("--p-epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def gold(init_path, retain, personal, out, seed, lr, epochs, p_lr, p_epochs,
@@ -478,12 +464,7 @@ def demo(seed, out_dir, skip_gold, as_json):
     cfg = demo_config(run_gold=not skip_gold)
     result = run_pipeline(seed, cfg)
 
-    for name in (
-        "train", "forget", "retain", "personal",
-        "holdout_forget", "holdout_personal",
-    ):
-        art.save_dataset(os.path.join(out_dir, name + ".dset"),
-                         getattr(result.task, name))
+    _save_splits(out_dir, result.task)
     art.save_model(os.path.join(out_dir, "theta0_init"), result.theta0_init)
     art.save_model(os.path.join(out_dir, "theta0"), result.theta0)
     art.save_model(os.path.join(out_dir, "theta_p"), result.theta_p)

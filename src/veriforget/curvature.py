@@ -186,8 +186,7 @@ def cg_solve(
         raise StructuralError("fisher and vector layouts differ")
     out = np.empty(y.dim)
     iters = []
-    for arr, (sl, _) in zip(C.fisher.blocks, C.layout.slices()):
-        damped = arr + C.lam * np.eye(arr.shape[0])
+    for damped, (sl, _) in zip(C.damped_blocks(), C.layout.slices()):
         x, it = _cg(lambda v: damped @ v, y.values[sl], tol, max_iter)
         out[sl] = x
         iters.append(it)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -158,9 +158,6 @@ class BlockDiagMatrix:
             out[sl, sl] = arr
         return out
 
-    def max_abs(self) -> float:
-        return max((np.abs(b).max() if b.size else 0.0) for b in self.blocks)
-
 
 def blockdiag_matvec(A: BlockDiagMatrix, x: ParamVector) -> ParamVector:
     """y with y^(b) = A^(b) x^(b), concatenated in layout order."""
@@ -224,12 +221,6 @@ def quantize(x: np.ndarray, frac_bits: int, bound: float) -> FixedVector:
         raise RangeError(f"|x[{idx}]| = {abs(x[idx])} exceeds bound {bound}")
     ints = np.rint(x * 2.0**frac_bits).astype(np.int64)
     return FixedVector(ints=ints, frac_bits=frac_bits, bound=bound)
-
-
-def fixed_point_codec(
-    x: ParamVector, frac_bits: int, bound: float
-) -> FixedVector:
-    return quantize(x.values, frac_bits, bound)
 
 
 def dequantize(fv: FixedVector, layout: BlockLayout) -> ParamVector:

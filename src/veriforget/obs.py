@@ -70,12 +70,11 @@ def group_obs_solve(
     multipliers = np.empty(mask.budget)
     resid = 0.0
     used_cg = False
-    for arr, (sl, label) in zip(c_p.fisher.blocks, c_p.layout.slices()):
+    for damped, (sl, label) in zip(c_p.damped_blocks(), c_p.layout.slices()):
         mloc = np.flatnonzero(masked[sl])
         if mloc.size == 0:
             continue
-        d_b = arr.shape[0]
-        damped = arr + c_p.lam * np.eye(d_b)
+        d_b = damped.shape[0]
         rhs = np.zeros((d_b, mloc.size))
         rhs[mloc, np.arange(mloc.size)] = 1.0
         use_direct = method == "schur" or (

@@ -1,7 +1,9 @@
-"""End-to-end orchestration of the unlearning protocol on the built-in
-synthetic task: pretrain, personalize, provider-side mask, client-side
+"""The protocol's stages, shared by the staged CLI commands and
+``run_pipeline``: pretrain, personalize, provider-side mask, client-side
 Fisher + compensation, certificate checks, the ZK layer, and evaluation
-against the retrain-then-personalize gold standard."""
+against the retrain-then-personalize gold standard.  Each stage is one
+function here; a CLI command loads its artifacts, calls the stage and
+saves the result, while ``run_pipeline`` chains the stages in memory."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .evals import EvalReport, evaluate, gold_standard
 from .masking import (
     DEFAULT_BUDGET_FRACTION,
     MaskArtifact,
+    SaliencyScores,
     hidden_weight_eligible,
     saliency_drift_report,
     saliency_scores,
@@ -42,38 +45,22 @@ from .model import (
     stream_rng,
     train_sgd,
 )
-from .numkit import ParamVector
-from .obs import CompensationResult, UnlearnOutput, apply_unlearn, group_obs_solve
+from .obs import CompensationResult, apply_unlearn, group_obs_solve
+
+# Defaults of the demo pipeline, which the CLI options share.
+DEFAULT_LAYERS = (8, 32, 4)
+DEFAULT_PRETRAIN = TrainConfig(learning_rate=0.05, epochs=40, batch_size=32)
+DEFAULT_PERSONALIZE = TrainConfig(learning_rate=0.03, epochs=12, batch_size=32)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    layer_dims: tuple[int, ...] = (8, 32, 4)
-    pretrain: TrainConfig = field(
-        default_factory=lambda: TrainConfig(
-            learning_rate=0.05, epochs=40, batch_size=32
-        )
-    )
-    personalize: TrainConfig = field(
-        default_factory=lambda: TrainConfig(
-            learning_rate=0.03, epochs=12, batch_size=32
-        )
-    )
-    mask_fraction: float = DEFAULT_BUDGET_FRACTION
-    mask_k: int | None = None  # overrides mask_fraction when set
-    fisher_lam: float = DEFAULT_DAMPING
-    fisher_max_samples: int = DEFAULT_MAX_SAMPLES
-    block_cap: int = DEFAULT_BLOCK_CAP
-    f_w: int = zkp.DEFAULT_FRAC_BITS_W
-    f_c: int = zkp.DEFAULT_FRAC_BITS_C
-    bound_w: float = zkp.DEFAULT_BOUND_W
-    bound_c: float = zkp.DEFAULT_BOUND_C
-    bound_lam: float = zkp.DEFAULT_BOUND_LAM
-    tau_real: float = 1e-6
+    layer_dims: tuple[int, ...] = DEFAULT_LAYERS
+    pretrain: TrainConfig = DEFAULT_PRETRAIN
+    personalize: TrainConfig = DEFAULT_PERSONALIZE
+    mask_k: int | None = None  # None: DEFAULT_BUDGET_FRACTION of eligible
     run_zk: bool = True
     run_gold: bool = True
-    forget_class: int = 3
-    shift: float = 4.0
 
 
 def demo_config(**overrides) -> PipelineConfig:
@@ -89,10 +76,9 @@ def tiny_config(**overrides) -> PipelineConfig:
     """Small fast pipeline (4-8-3 MLP) for high-repetition ZK checks."""
     base = dict(
         layer_dims=(4, 8, 3),
-        forget_class=2,
         mask_k=12,
-        pretrain=TrainConfig(learning_rate=0.05, epochs=15, batch_size=32),
-        personalize=TrainConfig(learning_rate=0.03, epochs=6, batch_size=32),
+        pretrain=replace(DEFAULT_PRETRAIN, epochs=15),
+        personalize=replace(DEFAULT_PERSONALIZE, epochs=6),
         run_gold=False,
     )
     base.update(overrides)
@@ -110,7 +96,6 @@ class PipelineResult:
     mask: MaskArtifact
     fisher: BlockFisher
     comp: CompensationResult
-    unlearned: UnlearnOutput
     theta_u: MlpModel
     mask_only: MlpModel
     certificate: KktCertificate
@@ -125,21 +110,64 @@ class PipelineResult:
     randomness: tuple[int, int, int] | None = None
 
 
+def synthetic_task(seed: int, layer_dims: tuple[int, ...]) -> SyntheticTask:
+    """The built-in task for a model shape: forget the last class."""
+    return make_synthetic_task(
+        seed,
+        dim=layer_dims[0],
+        n_classes=layer_dims[-1],
+        forget_class=layer_dims[-1] - 1,
+    )
+
+
+def saliency_at(
+    model: MlpModel, data: Dataset, seed: int, anchor: str
+) -> SaliencyScores:
+    """Saliency of ``model``'s weights from its gradient and diagonal
+    Fisher on ``data``."""
+    g = batch_grad(model, data)
+    c = diag_curvature(model, data, seed=seed)
+    return saliency_scores(model.params, g, c, anchor=anchor)
+
+
 def select_mask(
     theta0: MlpModel,
     d_f: Dataset,
-    cfg: PipelineConfig,
     seed: int,
-) -> tuple[MaskArtifact, np.ndarray]:
-    """Provider step: saliency at the pretrained weights, top-k support."""
-    g_f = batch_grad(theta0, d_f)
-    c_f = diag_curvature(theta0, d_f, seed=seed)
-    scores = saliency_scores(theta0.params, g_f, c_f, anchor="pretrained")
+    k: int | None = None,
+    frac: float = DEFAULT_BUDGET_FRACTION,
+) -> tuple[MaskArtifact, SaliencyScores]:
+    """Provider step: saliency at the pretrained weights, top-k support.
+    Without ``k`` the budget is ``frac`` of the eligible coordinates."""
+    scores = saliency_at(theta0, d_f, seed, "pretrained")
     eligible = hidden_weight_eligible(theta0.params.layout)
-    k = cfg.mask_k if cfg.mask_k is not None else max(
-        1, int(round(cfg.mask_fraction * eligible.size))
+    if k is None:
+        k = max(1, int(round(frac * eligible.size)))
+    return select_topk(scores, k, eligible), scores
+
+
+def estimate_fisher(
+    theta_p: MlpModel,
+    d_p: Dataset,
+    seed: int,
+    lam: float = DEFAULT_DAMPING,
+    block_cap: int = DEFAULT_BLOCK_CAP,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
+) -> BlockFisher:
+    """Client step: damped block-wise empirical Fisher at theta_p."""
+    layout = curvature_layout(theta_p.params.layout, block_cap)
+    return empirical_fisher_blockwise(
+        theta_p, d_p, layout, lam=lam, max_samples=max_samples, seed=seed
     )
-    return select_topk(scores, k, eligible), eligible
+
+
+def compensate(
+    theta_p: MlpModel, mask: MaskArtifact, fisher: BlockFisher
+) -> tuple[CompensationResult, MlpModel]:
+    """Client step: Group-OBS compensation; returns it and theta_u."""
+    comp = group_obs_solve(fisher, theta_p.params, mask)
+    theta_u = apply_unlearn(theta_p.params, comp, mask).theta_u
+    return comp, theta_p.with_params(theta_u.values)
 
 
 def mask_only_model(theta_p: MlpModel, mask: MaskArtifact) -> MlpModel:
@@ -149,59 +177,50 @@ def mask_only_model(theta_p: MlpModel, mask: MaskArtifact) -> MlpModel:
 
 
 def run_zk_layer(
-    result: PipelineResult, cfg: PipelineConfig, seed: int
-) -> None:
-    """Encode the fixed-point witness, synthesize, prove, and verify."""
+    theta_p: MlpModel,
+    theta_u: MlpModel,
+    comp: CompensationResult,
+    fisher: BlockFisher,
+    mask: MaskArtifact,
+    seed: int,
+    f_w: int = zkp.DEFAULT_FRAC_BITS_W,
+    f_c: int = zkp.DEFAULT_FRAC_BITS_C,
+    backend: str = "mock",
+):
+    """Encode the fixed-point witness, synthesize, commit, and prove.
+
+    Returns (witness, circuit, public inputs, proof, randomness); raises
+    ``zkp.UnsatisfiableWitnessError`` when the prover rejects the witness.
+    """
     witness = zkp.encode_fixed_witness(
-        result.theta_p.params,
-        result.theta_u.params,
-        result.comp.delta_w,
-        result.comp.multipliers,
-        result.fisher,
-        result.mask,
-        f_w=cfg.f_w,
-        f_c=cfg.f_c,
-        bound_w=cfg.bound_w,
-        bound_c=cfg.bound_c,
-        bound_lam=cfg.bound_lam,
+        theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
+        fisher, mask, f_w=f_w, f_c=f_c,
     )
-    t_int = zkp.default_t_int(
-        witness, result.fisher, result.mask, result.comp.kkt_residual_inf
-    )
-    circuit = zkp.synthesize(
-        result.fisher.layout, result.mask, t_int, cfg.f_w, cfg.f_c
-    )
+    t_int = zkp.default_t_int(witness, fisher, mask, comp.kkt_residual_inf)
+    circuit = zkp.synthesize(fisher.layout, mask, t_int, f_w, f_c)
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
     c_flat = np.concatenate([b.ravel() for b in witness.c_blocks])
-    public = zkp.PublicInputs(
-        mask_digest=result.mask.digest,
-        com_theta_p=zkp.commit_vector(witness.theta_p.ints, randomness[0]).digest,
-        com_theta_u=zkp.commit_vector(witness.theta_u.ints, randomness[1]).digest,
-        com_c_p=zkp.commit_vector(c_flat, randomness[2]).digest,
-        t_int=t_int,
-        f_w=cfg.f_w,
-        f_c=cfg.f_c,
+    vectors = (witness.theta_p.ints, witness.theta_u.ints, c_flat)
+    com_theta_p, com_theta_u, com_c_p = (
+        zkp.commit_vector(v, r).digest for v, r in zip(vectors, randomness)
     )
-    backend = zkp.get_backend("mock")
-    proof = backend.prove(circuit, witness, public, randomness)
-    result.witness = witness
-    result.circuit = circuit
-    result.public = public
-    result.proof = proof
-    result.verified = backend.verify(proof.payload, public)
-    result.randomness = randomness
+    public = zkp.PublicInputs(
+        mask_digest=mask.digest,
+        com_theta_p=com_theta_p,
+        com_theta_u=com_theta_u,
+        com_c_p=com_c_p,
+        t_int=t_int,
+        f_w=f_w,
+        f_c=f_c,
+    )
+    proof = zkp.get_backend(backend).prove(circuit, witness, public, randomness)
+    return witness, circuit, public, proof, randomness
 
 
 def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult:
     cfg = cfg or PipelineConfig()
-    task = make_synthetic_task(
-        seed,
-        dim=cfg.layer_dims[0],
-        n_classes=cfg.layer_dims[-1],
-        forget_class=cfg.forget_class,
-        shift=cfg.shift,
-    )
+    task = synthetic_task(seed, cfg.layer_dims)
 
     theta0_init = init_mlp(list(cfg.layer_dims), seed)
     theta0 = train_sgd(theta0_init, task.train, replace(cfg.pretrain, seed=seed))
@@ -210,42 +229,18 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
         theta0, task.personal, replace(cfg.personalize, seed=seed), trace=trace
     )
 
-    mask, eligible = select_mask(theta0, task.forget, cfg, seed)
+    mask, s0 = select_mask(theta0, task.forget, seed, k=cfg.mask_k)
 
     # diagnostic: how stable is the provider-side saliency under drift
-    g0 = batch_grad(theta0, task.forget)
-    gp = batch_grad(theta_p, task.forget)
-    c0 = diag_curvature(theta0, task.forget, seed=seed)
-    cp_diag = diag_curvature(theta_p, task.forget, seed=seed)
-    s0 = saliency_scores(theta0.params, g0, c0, anchor="pretrained")
-    sp = saliency_scores(theta_p.params, gp, cp_diag, anchor="personalized")
+    sp = saliency_at(theta_p, task.forget, seed, "personalized")
     drift = saliency_drift_report(
-        s0, sp, mask.budget, eligible, theta_drift_l2=trace.drift_l2
+        s0, sp, mask.budget, mask.eligible, theta_drift_l2=trace.drift_l2
     )
 
-    layout = curvature_layout(theta_p.params.layout, cfg.block_cap)
-    fisher = empirical_fisher_blockwise(
-        theta_p,
-        task.personal,
-        layout,
-        lam=cfg.fisher_lam,
-        max_samples=cfg.fisher_max_samples,
-        seed=seed,
-    )
-
-    comp = group_obs_solve(fisher, theta_p.params, mask)
-    unlearned = apply_unlearn(theta_p.params, comp, mask)
-    theta_u = theta_p.with_params(unlearned.theta_u.values)
+    fisher = estimate_fisher(theta_p, task.personal, seed)
+    comp, theta_u = compensate(theta_p, mask, fisher)
     masked = mask_only_model(theta_p, mask)
-
-    certificate = check_kkt(
-        theta_p.params,
-        unlearned.theta_u,
-        comp,
-        fisher,
-        mask,
-        tau_real=cfg.tau_real,
-    )
+    certificate = check_kkt(theta_p.params, theta_u.params, comp, fisher, mask)
 
     result = PipelineResult(
         seed=seed,
@@ -257,7 +252,6 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
         mask=mask,
         fisher=fisher,
         comp=comp,
-        unlearned=unlearned,
         theta_u=theta_u,
         mask_only=masked,
         certificate=certificate,
@@ -265,7 +259,13 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
     )
 
     if cfg.run_zk:
-        run_zk_layer(result, cfg, seed)
+        (result.witness, result.circuit, result.public, result.proof,
+         result.randomness) = run_zk_layer(
+            theta_p, theta_u, comp, fisher, mask, seed
+        )
+        result.verified = zkp.get_backend("mock").verify(
+            result.proof.payload, result.public
+        )
 
     if cfg.run_gold:
         gold = gold_standard(

@@ -78,15 +78,11 @@ class MockBackend:
             return False
 
 
-_BACKENDS = {"mock": MockBackend()}
+BACKENDS = {"mock": MockBackend()}
 
 
 def get_backend(name: str = "mock"):
     try:
-        return _BACKENDS[name]
+        return BACKENDS[name]
     except KeyError:
         raise ValueError(f"unknown proof backend {name!r}") from None
-
-
-def register_backend(backend) -> None:
-    _BACKENDS[backend.name] = backend

@@ -88,33 +88,15 @@ def permute(state: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def sponge(elements, domain: str) -> int:
     """Absorb field elements at rate 2; squeeze one element."""
-    cap = _nums_constant(f"veriforget/sponge/{domain}/{len(elements)}")
-    a, b, c = mpz(0), mpz(0), mpz(cap)
-    p = _P
-    half = FULL_ROUNDS // 2
-    total = FULL_ROUNDS + PARTIAL_ROUNDS
-    m0, m1, m2 = _MDS
+    a, b = 0, 0
+    c = _nums_constant(f"veriforget/sponge/{domain}/{len(elements)}")
     n = len(elements)
     for i in range(0, n, 2):
-        a = (a + elements[i]) % p
+        a = (a + elements[i]) % MODULUS
         if i + 1 < n:
-            b = (b + elements[i + 1]) % p
-        # inlined permutation; keeping state as mpz across absorptions
-        for r in range(total):
-            rc = _RC[r]
-            a = (a + rc[0]) % p
-            b = (b + rc[1]) % p
-            c = (c + rc[2]) % p
-            a = pow(a, 5, p)
-            if r < half or r >= total - half:
-                b = pow(b, 5, p)
-                c = pow(c, 5, p)
-            a, b, c = (
-                (a * m0[0] + b * m0[1] + c * m0[2]) % p,
-                (a * m1[0] + b * m1[1] + c * m1[2]) % p,
-                (a * m2[0] + b * m2[1] + c * m2[2]) % p,
-            )
-    return int(a)
+            b = (b + elements[i + 1]) % MODULUS
+        a, b, c = permute((a, b, c))
+    return a
 
 
 def _blinding(randomness: int, index: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 
 from veriforget import artifacts as art
 from veriforget.cli import main
+from veriforget.pipeline import run_pipeline, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +129,36 @@ def test_idempotent_artifacts(workdir, tmp_path):
     assert art.out_digests(out1) == art.out_digests(out2)
 
 
+def _unknown_backend(w, tmp):
+    return ("verify", "--proof", f"{w}/proof.prf", "--public",
+            f"{w}/public.pub", "--backend", "halo2")
+
+
+def _truncated_public(w, tmp):
+    with open(f"{w}/public.pub", "rb") as fh:
+        data = fh.read()
+    with open(f"{tmp}/public.pub", "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    return ("verify", "--proof", f"{w}/proof.prf", "--public",
+            f"{tmp}/public.pub")
+
+
+def _theta_u_without_blob(w, tmp):
+    for ext in (".pvec", ".arch.json"):
+        shutil.copy(f"{w}/theta_u{ext}", f"{tmp}/theta_u{ext}")
+    return ("certify", "--theta-p", f"{w}/theta_p",
+            "--theta-u", f"{tmp}/theta_u", "--comp", f"{w}/comp",
+            "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
+
+
+@pytest.mark.parametrize(
+    "case", [_unknown_backend, _truncated_public, _theta_u_without_blob]
+)
+def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
+    res = invoke(*case(workdir, str(tmp_path)))
+    assert res.exit_code == 2, res.output
+
+
 def test_usage_error_exit_2():
     res = invoke("unlearn", "--model", "nope")
     assert res.exit_code == 2
@@ -183,3 +215,40 @@ def test_dataset_corruption_detected(workdir, tmp_path):
     res = invoke("fisher", "--model", f"{w}/theta_p", "--data", d,
                  "--out", str(tmp_path / "f"))
     assert res.exit_code == 2
+
+
+def test_staged_chain_matches_run_pipeline(tmp_path):
+    """The staged commands a client runs and run_pipeline produce the same
+    theta_u, mask and public inputs at tiny_config's sizes."""
+    seed, cfg = 5, tiny_config()
+    ref = run_pipeline(seed, cfg)
+    w = str(tmp_path)
+
+    def run(*args):
+        res = CliRunner().invoke(main, [str(a) for a in args],
+                                 catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+
+    run("train", "--out-dir", w, "--seed", seed,
+        "--layers", ",".join(map(str, cfg.layer_dims)),
+        "--lr", cfg.pretrain.learning_rate, "--epochs", cfg.pretrain.epochs,
+        "--batch", cfg.pretrain.batch_size)
+    run("personalize", "--model", f"{w}/theta0", "--data", f"{w}/personal.dset",
+        "--out", f"{w}/theta_p", "--seed", seed,
+        "--lr", cfg.personalize.learning_rate,
+        "--epochs", cfg.personalize.epochs,
+        "--batch", cfg.personalize.batch_size)
+    run("mask", "--model", f"{w}/theta0", "--data", f"{w}/forget.dset",
+        "--k", cfg.mask_k, "--seed", seed, "--out", f"{w}/mask.mask")
+    run("fisher", "--model", f"{w}/theta_p", "--data", f"{w}/personal.dset",
+        "--seed", seed, "--out", f"{w}/fisher")
+    run("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+        "--fisher", f"{w}/fisher", "--out-dir", w)
+    run("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{w}/theta_u",
+        "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
+        "--fisher", f"{w}/fisher", "--seed", seed, "--out-dir", w)
+
+    theta_u = art.load_model(f"{w}/theta_u")
+    assert np.array_equal(theta_u.params.values, ref.theta_u.params.values)
+    assert art.load_mask(f"{w}/mask.mask").digest == ref.mask.digest
+    assert art.load_public(f"{w}/public.pub") == ref.public

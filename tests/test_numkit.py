@@ -13,7 +13,6 @@ from veriforget.numkit import (
     blockdiag_solve,
     canonical_json,
     dequantize,
-    fixed_point_codec,
     load_blockdiag,
     load_pvec,
     quantize,
@@ -206,7 +205,7 @@ def test_round_trip_property(xs, f):
 def test_codec_dequantize_pair():
     layout = single_block_layout(3)
     v = ParamVector(values=np.array([0.5, -0.25, 1.0]), layout=layout)
-    fv = fixed_point_codec(v, 10, 2.0)
+    fv = quantize(v.values, 10, 2.0)
     back = dequantize(fv, layout)
     assert np.array_equal(back.values, v.values)
 
