@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import zkp
 from .certify import KktCertificate, check_kkt
 from .curvature import (
@@ -200,21 +198,9 @@ def run_zk_layer(
     circuit = zkp.synthesize(fisher.layout, mask, t_int, f_w, f_c)
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
-    c_flat = np.concatenate([b.ravel() for b in witness.c_blocks])
-    vectors = (witness.theta_p.ints, witness.theta_u.ints, c_flat)
-    com_theta_p, com_theta_u, com_c_p = (
-        zkp.commit_vector(v, r).digest for v, r in zip(vectors, randomness)
+    public, proof = zkp.get_backend(backend).prove(
+        circuit, witness, mask.digest, randomness
     )
-    public = zkp.PublicInputs(
-        mask_digest=mask.digest,
-        com_theta_p=com_theta_p,
-        com_theta_u=com_theta_u,
-        com_c_p=com_c_p,
-        t_int=t_int,
-        f_w=f_w,
-        f_c=f_c,
-    )
-    proof = zkp.get_backend(backend).prove(circuit, witness, public, randomness)
     return witness, circuit, public, proof, randomness
 
 

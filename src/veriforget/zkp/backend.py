@@ -1,7 +1,8 @@
 """Pluggable proof backend behind a prove/verify contract.
 
-The mock backend binds a proof to (circuit, public inputs) after the
-mock prover accepts the witness.  Knowledge soundness and zero
+The mock backend commits to the witness once, builds the public inputs
+from those commitments, and binds a proof to (circuit, public inputs)
+after the mock prover accepts the witness.  Knowledge soundness and zero
 knowledge are properties of a real succinct backend registered under
 the same interface; the mock's satisfiability check is the normative
 semantics either way.
@@ -13,7 +14,13 @@ import json
 from dataclasses import dataclass
 
 from ..numkit import canonical_json, sha256_hex
-from .circuit import CertificateCircuit, MockVerdict, PublicInputs, mock_prove
+from .circuit import (
+    CertificateCircuit,
+    MockVerdict,
+    PublicInputs,
+    commit_witness,
+    mock_prove,
+)
 from .witness import FixedWitness
 
 _PROOF_DOMAIN = "veriforget-mock-proof-v1"
@@ -51,10 +58,24 @@ class MockBackend:
         self,
         circuit: CertificateCircuit,
         witness: FixedWitness,
-        public: PublicInputs,
+        mask_digest: str,
         randomness: tuple[int, int, int],
-    ) -> Proof:
-        verdict = mock_prove(circuit, witness, public, randomness)
+    ) -> tuple[PublicInputs, Proof]:
+        """Commit to the witness once, then check every other constraint
+        family; the commitments open to the witness by construction."""
+        com_theta_p, com_theta_u, com_c_p = commit_witness(witness, randomness)
+        public = PublicInputs(
+            mask_digest=mask_digest,
+            com_theta_p=com_theta_p,
+            com_theta_u=com_theta_u,
+            com_c_p=com_c_p,
+            t_int=circuit.t_int,
+            f_w=circuit.f_w,
+            f_c=circuit.f_c,
+        )
+        verdict = mock_prove(
+            circuit, witness, public, randomness, check_commitments=False
+        )
         if not verdict.ok:
             raise UnsatisfiableWitnessError(verdict)
         payload = canonical_json(
@@ -64,7 +85,7 @@ class MockBackend:
                 "tag": _tag(circuit.circuit_hash, public),
             }
         )
-        return Proof(
+        return public, Proof(
             payload=payload, backend=self.name, circuit_hash=circuit.circuit_hash
         )
 

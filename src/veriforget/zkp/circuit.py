@@ -13,7 +13,7 @@ import numpy as np
 
 from ..masking import MaskArtifact
 from ..numkit import BlockLayout, canonical_json, sha256_hex
-from .field import MODULUS, from_field, to_field, verify_commit
+from .field import MODULUS, commit_vector, from_field, to_field, verify_commit
 from .witness import FixedWitness
 
 
@@ -51,6 +51,10 @@ class PublicInputs:
         )
 
 
+# How com_c_p lays out the curvature blocks (see ``pack_curvature``).
+C_P_PACKING = "upper-triangle-row-major"
+
+
 @dataclass(frozen=True)
 class CertificateCircuit:
     block_sizes: tuple[int, ...]
@@ -78,6 +82,7 @@ def synthesize(
         "assembly": d,
         "feasibility": k,
         "range": 3 * d + k + d,  # theta_p, theta_u, delta_w, lam, residual
+        "symmetry": int(sum(s * (s - 1) // 2 for s in sizes)),
         "commit": 3,
     }
     desc = {
@@ -88,6 +93,7 @@ def synthesize(
         "f_w": f_w,
         "f_c": f_c,
         "counts": counts,
+        "c_p_packing": C_P_PACKING,
     }
     return CertificateCircuit(
         block_sizes=sizes,
@@ -106,6 +112,31 @@ def constraint_report(circuit: CertificateCircuit) -> dict:
     report["total"] = sum(circuit.counts.values())
     report["circuit_hash"] = circuit.circuit_hash
     return report
+
+
+def pack_curvature(c_blocks) -> np.ndarray:
+    """Each block's upper triangle, row-major, in layout order.  The
+    symmetry constraints tie the strict lower triangles to it."""
+    return np.concatenate([b[np.triu_indices(b.shape[0])] for b in c_blocks])
+
+
+def _committed_vectors(witness: FixedWitness) -> tuple[np.ndarray, ...]:
+    """The vectors behind (com_theta_p, com_theta_u, com_c_p)."""
+    return (
+        witness.theta_p.ints,
+        witness.theta_u.ints,
+        pack_curvature(witness.c_blocks),
+    )
+
+
+def commit_witness(
+    witness: FixedWitness, randomness: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """Merkle roots of theta_p, theta_u and the packed curvature."""
+    return tuple(
+        commit_vector(ints, rand).digest
+        for ints, rand in zip(_committed_vectors(witness), randomness)
+    )
 
 
 @dataclass(frozen=True)
@@ -152,6 +183,9 @@ def mock_prove(
     for bi, block in enumerate(witness.c_blocks):
         if block.size and int(np.abs(block).max()) > limit_c:
             return MockVerdict(False, f"range/c_p[block {bi}]")
+    for bi, block in enumerate(witness.c_blocks):
+        if not np.array_equal(block, block.T):
+            return MockVerdict(False, f"symmetry/c_p[block {bi}]")
 
     # assembly: theta_u - theta_p - delta_w == 0 over the field
     tp = _field_vec(witness.theta_p.ints)
@@ -182,13 +216,11 @@ def mock_prove(
         offset += d_b
 
     if check_commitments:
-        c_flat = np.concatenate([b.ravel() for b in witness.c_blocks])
-        checks = (
-            (public.com_theta_p, witness.theta_p.ints, randomness[0], "theta_p"),
-            (public.com_theta_u, witness.theta_u.ints, randomness[1], "theta_u"),
-            (public.com_c_p, c_flat, randomness[2], "c_p"),
-        )
-        for digest, ints, rand, family in checks:
+        digests = (public.com_theta_p, public.com_theta_u, public.com_c_p)
+        for digest, ints, rand, family in zip(
+            digests, _committed_vectors(witness), randomness,
+            ("theta_p", "theta_u", "c_p"),
+        ):
             if not verify_commit(digest, ints, rand):
                 return MockVerdict(False, f"commit/{family}")
 

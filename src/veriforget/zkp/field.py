@@ -61,27 +61,30 @@ _MDS = [
     for xi in (0, 1, 2)
 ]
 _P = mpz(MODULUS)
+# The round constants of round r + 1, added inside round r's MDS
+# reduction; the last round adds nothing.
+_RC_NEXT = _RC[1:] + [[mpz(0)] * 3]
 
 
 def permute(state: tuple[int, int, int]) -> tuple[int, int, int]:
-    a, b, c = mpz(state[0]), mpz(state[1]), mpz(state[2])
     p = _P
+    rc = _RC[0]
+    a = (mpz(state[0]) + rc[0]) % p
+    b = (mpz(state[1]) + rc[1]) % p
+    c = (mpz(state[2]) + rc[2]) % p
     half = FULL_ROUNDS // 2
     total = FULL_ROUNDS + PARTIAL_ROUNDS
     m0, m1, m2 = _MDS
     for r in range(total):
-        rc = _RC[r]
-        a = (a + rc[0]) % p
-        b = (b + rc[1]) % p
-        c = (c + rc[2]) % p
         a = pow(a, 5, p)
         if r < half or r >= total - half:
             b = pow(b, 5, p)
             c = pow(c, 5, p)
+        rc = _RC_NEXT[r]
         a, b, c = (
-            (a * m0[0] + b * m0[1] + c * m0[2]) % p,
-            (a * m1[0] + b * m1[1] + c * m1[2]) % p,
-            (a * m2[0] + b * m2[1] + c * m2[2]) % p,
+            (a * m0[0] + b * m0[1] + c * m0[2] + rc[0]) % p,
+            (a * m1[0] + b * m1[1] + c * m1[2] + rc[1]) % p,
+            (a * m2[0] + b * m2[1] + c * m2[2] + rc[2]) % p,
         )
     return int(a), int(b), int(c)
 
@@ -107,10 +110,6 @@ def _blinding(randomness: int, index: int) -> int:
 class Commitment:
     digest: int  # field element (Merkle root)
     randomness: int
-
-    @property
-    def digest_hex(self) -> str:
-        return f"{self.digest:064x}"
 
 
 def merkle_root(ints, randomness: int) -> int:

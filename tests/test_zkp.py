@@ -12,6 +12,7 @@ from veriforget.zkp import (
     UnsatisfiableWitnessError,
     WraparoundError,
     commit_vector,
+    commit_witness,
     constraint_report,
     default_t_int,
     encode_fixed_witness,
@@ -19,6 +20,7 @@ from veriforget.zkp import (
     get_backend,
     merkle_root,
     mock_prove,
+    pack_curvature,
     permute,
     sponge,
     stationarity_bound_int,
@@ -42,12 +44,12 @@ def honest_zk_instance(seed, f_w=22, f_c=32):
     t_int = default_t_int(w, fisher, mask, comp.kkt_residual_inf)
     circuit = synthesize(fisher.layout, mask, t_int, f_w, f_c)
     randomness = (11, 22, 33)
-    c_flat = np.concatenate([b.ravel() for b in w.c_blocks])
+    com_theta_p, com_theta_u, com_c_p = commit_witness(w, randomness)
     public = PublicInputs(
         mask_digest=mask.digest,
-        com_theta_p=commit_vector(w.theta_p.ints, randomness[0]).digest,
-        com_theta_u=commit_vector(w.theta_u.ints, randomness[1]).digest,
-        com_c_p=commit_vector(c_flat, randomness[2]).digest,
+        com_theta_p=com_theta_p,
+        com_theta_u=com_theta_u,
+        com_c_p=com_c_p,
         t_int=t_int,
         f_w=f_w,
         f_c=f_c,
@@ -108,6 +110,21 @@ def test_sponge_matches_permute_composition():
     assert sponge([5, 7], "x") == permute((5, 7, cap))[0]
 
 
+def test_known_answers():
+    # pinned before the round constants were folded into the MDS step
+    assert permute((0, 1, 2)) == (
+        19785140422513759282627613124295928383683915246854563434950732499495010118751,
+        15506766169187333254738443777187011903144418096234530098558779048727245430660,
+        3245390161249358200552738614242671236545877240580540466832358720729913247823,
+    )
+    assert sponge(range(5), "leaf") == (
+        17528720717860874537268767389095613517573119957523274042998254144061356903447
+    )
+    assert merkle_root(range(3000), 9) == (
+        15658109783776964317420728018405543078597802654730398729018368309240798195223
+    )
+
+
 # -- commitments ------------------------------------------------------------------
 
 
@@ -145,6 +162,29 @@ def test_commit_multi_chunk_tree():
     v2 = v.copy()
     v2[2500] += 1  # tamper in the last chunk
     assert not verify_commit(root, v2, 9)
+
+
+def test_pack_curvature_upper_triangle_row_major():
+    blocks = (np.arange(9).reshape(3, 3), 100 + np.arange(4).reshape(2, 2))
+    assert pack_curvature(blocks).tolist() == [0, 1, 2, 4, 5, 8, 100, 101, 103]
+
+
+def test_run_zk_layer_commits_each_vector_once(monkeypatch):
+    from veriforget import pipeline
+    from veriforget.zkp import field
+    r = pipeline.run_pipeline(3, pipeline.tiny_config(run_zk=False))
+    lengths = []
+    real = field.merkle_root
+
+    def counting(ints, randomness):
+        lengths.append(len(ints))
+        return real(ints, randomness)
+
+    monkeypatch.setattr(field, "merkle_root", counting)
+    pipeline.run_zk_layer(r.theta_p, r.theta_u, r.comp, r.fisher, r.mask, 3)
+    d = r.theta_p.params.dim
+    sizes = [s for _, s, _ in r.fisher.layout.blocks]
+    assert lengths == [d, d, sum(s * (s + 1) // 2 for s in sizes)]
 
 
 def test_verify_commit_wrong_randomness():
@@ -239,6 +279,7 @@ def test_hand_constraint_count():
     assert circ.counts["matvec"] == 64
     assert circ.counts["assembly"] == 8
     assert circ.counts["feasibility"] == 2
+    assert circ.counts["symmetry"] == 28
 
 
 def test_matvec_quadratic_scaling():
@@ -262,6 +303,19 @@ def test_circuit_hash_sensitive_to_t_int():
                      np.array([3], dtype=np.int64))
     a = synthesize(layout, mask, 1 << 20, 22, 32)
     b = synthesize(layout, mask, 1 << 21, 22, 32)
+    assert a.circuit_hash != b.circuit_hash
+
+
+def test_circuit_hash_binds_c_p_packing(monkeypatch):
+    from veriforget.masking import make_mask
+    from veriforget.numkit import BlockLayout
+    from veriforget.zkp import circuit as circuit_module
+    layout = BlockLayout.from_sizes([(8, "b")])
+    mask = make_mask(8, 1, np.arange(8, dtype=np.int64),
+                     np.array([3], dtype=np.int64))
+    a = synthesize(layout, mask, 1 << 20, 22, 32)
+    monkeypatch.setattr(circuit_module, "C_P_PACKING", "full-row-major")
+    b = synthesize(layout, mask, 1 << 20, 22, 32)
     assert a.circuit_hash != b.circuit_hash
 
 
@@ -346,20 +400,50 @@ def test_block_order_independence():
         assert not verdict.ok
 
 
+def test_lower_triangle_tamper_fails_symmetry():
+    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(16)
+    rng = np.random.default_rng(16)
+    for bi, block in enumerate(w.c_blocks):
+        i = int(rng.integers(1, block.shape[0]))
+        j = int(rng.integers(0, i))
+        blocks = [b.copy() for b in w.c_blocks]
+        blocks[bi][i, j] += 1
+        bad = replace_witness(w, c_blocks=tuple(blocks))
+        for check in (True, False):
+            verdict = mock_prove(circuit, bad, public, rnd,
+                                 check_commitments=check)
+            assert verdict.first_violation == f"symmetry/c_p[block {bi}]"
+
+
+def test_symmetric_pair_tamper_fails_commitment():
+    # a +-1 change to C[0,1] and C[1,0] moves the residual by |dw| units,
+    # far inside T_int; only the commitment to the upper triangle sees it
+    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(17)
+    for sign in (1, -1):
+        blocks = [b.copy() for b in w.c_blocks]
+        blocks[0][0, 1] += sign
+        blocks[0][1, 0] += sign
+        bad = replace_witness(w, c_blocks=tuple(blocks))
+        assert mock_prove(circuit, bad, public, rnd, check_commitments=False)
+        verdict = mock_prove(circuit, bad, public, rnd)
+        assert verdict.first_violation == "commit/c_p"
+
+
 # -- backend -----------------------------------------------------------------------
 
 
 def test_backend_prove_verify_round_trip():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(11)
     backend = get_backend("mock")
-    proof = backend.prove(circuit, w, public, rnd)
+    proved, proof = backend.prove(circuit, w, mask.digest, rnd)
+    assert proved == public
     assert backend.verify(proof.payload, public)
 
 
 def test_backend_rejects_mismatched_public():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(12)
     backend = get_backend("mock")
-    proof = backend.prove(circuit, w, public, rnd)
+    _, proof = backend.prove(circuit, w, mask.digest, rnd)
     wrong = PublicInputs(
         mask_digest=public.mask_digest,
         com_theta_p=(public.com_theta_p + 1) % MODULUS,
@@ -375,7 +459,7 @@ def test_backend_rejects_mismatched_public():
 def test_backend_rejects_truncated_proof():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(13)
     backend = get_backend("mock")
-    proof = backend.prove(circuit, w, public, rnd)
+    _, proof = backend.prove(circuit, w, mask.digest, rnd)
     assert not backend.verify(proof.payload[:-7], public)
     assert not backend.verify(b"", public)
     assert not backend.verify(b"not json at all", public)
@@ -387,7 +471,7 @@ def test_backend_refuses_unsatisfiable_witness():
     ints[0] += 12345
     bad = replace_witness(w, theta_u=with_ints(w.theta_u, ints))
     with pytest.raises(UnsatisfiableWitnessError):
-        get_backend("mock").prove(circuit, bad, public, rnd)
+        get_backend("mock").prove(circuit, bad, mask.digest, rnd)
 
 
 def test_unknown_backend():
