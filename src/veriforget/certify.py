@@ -128,7 +128,7 @@ def exact_hessian(model: MlpModel, data: Dataset, h_scale: float = 1e-4) -> np.n
     """Central finite differences of the analytic gradient, symmetrized."""
     d = model.dim
     if d > MAX_EXACT_HESSIAN_DIM:
-        raise ValueError(
+        raise StructuralError(
             f"exact Hessian limited to d <= {MAX_EXACT_HESSIAN_DIM}, got {d}"
         )
     theta = model.params.values

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed,
 2 usage error, 3 numeric failure (ill-conditioned curvature,
-non-convergent solve, fixed-point range overflow).
+fixed-point range overflow).
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from .certify import (
     forget_gain_report,
     measured_forget_gap,
 )
-from .curvature import (
-    ConvergenceError,
-    DEFAULT_BLOCK_CAP,
-    DEFAULT_DAMPING,
-    DEFAULT_MAX_SAMPLES,
-)
+from .curvature import DEFAULT_BLOCK_CAP, DEFAULT_DAMPING, DEFAULT_MAX_SAMPLES
 from .evals import evaluate, gold_standard
 from .masking import DEFAULT_BUDGET_FRACTION
 from .model import (
@@ -38,7 +33,7 @@ from .model import (
     personalize as personalize_model,
     train_sgd,
 )
-from .numkit import FactorizationError, RangeError, StructuralError, canonical_json
+from .numkit import RangeError, StructuralError, canonical_json
 from .obs import FeasibilityError, NumericError
 from .pipeline import (
     DEFAULT_LAYERS,
@@ -55,8 +50,6 @@ from .pipeline import (
 
 NUMERIC_ERRORS = (
     NumericError,
-    FactorizationError,
-    ConvergenceError,
     CurvatureNotSPDError,
     RangeError,
     zkp.WraparoundError,
@@ -208,10 +201,12 @@ def mask(model_path, data, k, frac, seed, out, as_json):
               help="Personalized model prefix.")
 @click.option("--data", required=True, type=click.Path(exists=True),
               help="Client dataset .dset.")
-@click.option("--lambda", "lam", default=DEFAULT_DAMPING, show_default=True)
+@click.option("--lambda", "lam", default=DEFAULT_DAMPING, show_default=True,
+              type=click.FloatRange(min=0.0, min_open=True))
 @click.option("--block-cap", default=DEFAULT_BLOCK_CAP, show_default=True,
               type=click.Choice(["256", "512"]))
-@click.option("--max-samples", default=DEFAULT_MAX_SAMPLES, show_default=True)
+@click.option("--max-samples", default=DEFAULT_MAX_SAMPLES, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
 @click.option("--json", "as_json", is_flag=True)

@@ -1,4 +1,4 @@
-"""Damped block-wise empirical Fisher estimation and CG solves."""
+"""Damped block-wise empirical Fisher estimation and diagonal curvature."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from .model import Dataset, MlpModel, per_example_grads, stream_rng
 from .numkit import (
     BlockDiagMatrix,
     BlockLayout,
-    ParamVector,
     StructuralError,
     canonical_json,
     sha256_hex,
@@ -19,12 +18,6 @@ from .numkit import (
 DEFAULT_DAMPING = 1e-3
 DEFAULT_MAX_SAMPLES = 1024
 DEFAULT_BLOCK_CAP = 256
-
-
-class ConvergenceError(ArithmeticError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -145,49 +138,3 @@ def diag_curvature(
     sub, _ = _subsample(data, max_samples, seed)
     grads = per_example_grads(model, sub)
     return DiagCurvature(diag=(grads**2).mean(axis=0))
-
-
-def _cg(a_mul, b: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """Plain CG for SPD operators; relative residual stopping rule."""
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = r @ r
-    for it in range(1, max_iter + 1):
-        ap = a_mul(p)
-        alpha = rs / (p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = r @ r
-        if np.sqrt(rs_new) <= tol * bnorm:
-            return x, it
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError(
-        f"CG did not converge in {max_iter} iterations "
-        f"(residual {np.sqrt(rs) / bnorm:.3e} relative)",
-        residual=float(np.sqrt(rs) / bnorm),
-    )
-
-
-def cg_solve(
-    C: BlockFisher,
-    y: ParamVector,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-) -> tuple[ParamVector, list[int]]:
-    """Solve (F + lam I) x = y per block; returns x and iteration counts."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if C.layout != y.layout:
-        raise StructuralError("fisher and vector layouts differ")
-    out = np.empty(y.dim)
-    iters = []
-    for damped, (sl, _) in zip(C.damped_blocks(), C.layout.slices()):
-        x, it = _cg(lambda v: damped @ v, y.values[sl], tol, max_iter)
-        out[sl] = x
-        iters.append(it)
-    return y.with_values(out), iters

@@ -166,7 +166,7 @@ def select_topk(S: SaliencyScores, k: int, eligible: np.ndarray) -> MaskArtifact
     """The k eligible indices with the largest scores; ties to lower index."""
     eligible = np.sort(np.asarray(eligible, dtype=np.int64))
     if k > eligible.size:
-        raise ValueError(f"k = {k} exceeds eligible size {eligible.size}")
+        raise StructuralError(f"k = {k} exceeds eligible size {eligible.size}")
     cand = S.scores[eligible]
     # lexsort: primary key last; descending score, ascending index on ties
     order = np.lexsort((eligible, -cand))

@@ -221,13 +221,6 @@ def _backward(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return flat
 
 
-def per_example_grad(model: MlpModel, x: np.ndarray, y: int) -> ParamVector:
-    """Exact reverse-mode gradient of the cross-entropy loss at one example."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    g = _backward(model, x, np.asarray([y], dtype=np.int64))
-    return model.params.with_values(g)
-
-
 def per_example_grads(model: MlpModel, data: Dataset) -> np.ndarray:
     """n x d matrix of per-example gradients (vectorized per layer)."""
     x, y = data.features, data.labels

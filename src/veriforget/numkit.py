@@ -12,15 +12,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 class StructuralError(ValueError):
     """Shape / layout mismatch between structured operands."""
-
-
-class FactorizationError(ArithmeticError):
-    """A block that must be SPD failed its Cholesky factorization."""
 
 
 class RangeError(ValueError):
@@ -159,32 +154,6 @@ class BlockDiagMatrix:
         return out
 
 
-def blockdiag_matvec(A: BlockDiagMatrix, x: ParamVector) -> ParamVector:
-    """y with y^(b) = A^(b) x^(b), concatenated in layout order."""
-    if A.layout != x.layout:
-        raise StructuralError("matrix and vector layouts differ")
-    out = np.empty(x.dim)
-    for arr, (sl, _) in zip(A.blocks, A.layout.slices()):
-        out[sl] = arr @ x.values[sl]
-    return x.with_values(out)
-
-
-def blockdiag_solve(A: BlockDiagMatrix, y: ParamVector) -> ParamVector:
-    """Solve A x = y per block via Cholesky; every block must be SPD."""
-    if A.layout != y.layout:
-        raise StructuralError("matrix and vector layouts differ")
-    out = np.empty(y.dim)
-    for arr, (sl, label) in zip(A.blocks, A.layout.slices()):
-        try:
-            c = cho_factor(arr, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"block {label!r} is not SPD: {exc}"
-            ) from exc
-        out[sl] = cho_solve(c, y.values[sl])
-    return y.with_values(out)
-
-
 # ---------------------------------------------------------------------------
 # fixed point
 # ---------------------------------------------------------------------------
@@ -221,10 +190,6 @@ def quantize(x: np.ndarray, frac_bits: int, bound: float) -> FixedVector:
         raise RangeError(f"|x[{idx}]| = {abs(x[idx])} exceeds bound {bound}")
     ints = np.rint(x * 2.0**frac_bits).astype(np.int64)
     return FixedVector(ints=ints, frac_bits=frac_bits, bound=bound)
-
-
-def dequantize(fv: FixedVector, layout: BlockLayout) -> ParamVector:
-    return ParamVector(values=fv.dequantize(), layout=layout)
 
 
 # ---------------------------------------------------------------------------

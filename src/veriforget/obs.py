@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .curvature import BlockFisher, _cg
+from .curvature import BlockFisher
 from .masking import MaskArtifact
 from .numkit import ParamVector, StructuralError
 
-DIRECT_BLOCK_LIMIT = 512
 FEASIBILITY_TOL = 1e-9
 
 
@@ -33,31 +32,21 @@ class FeasibilityError(ValueError):
 class CompensationResult:
     delta_w: ParamVector  # includes the -theta_M components on M
     multipliers: np.ndarray  # aligned to sorted mask support
-    method: str  # "schur" or "cg"
+    method: str  # always "schur"; kept in the comp artifact format
     kkt_residual_inf: float
 
     def __post_init__(self):
         lam = np.ascontiguousarray(self.multipliers, dtype=np.float64)
         lam.setflags(write=False)
         object.__setattr__(self, "multipliers", lam)
-        if self.method not in ("schur", "cg"):
+        if self.method != "schur":
             raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class UnlearnOutput:
-    theta_u: ParamVector
-    mask: MaskArtifact
-    compensation: CompensationResult
 
 
 def group_obs_solve(
     c_p: BlockFisher,
     theta_p: ParamVector,
     mask: MaskArtifact,
-    method: str = "auto",
-    cg_tol: float = 1e-8,
-    cg_max_iter: int = 5000,
 ) -> CompensationResult:
     """Closed-form KKT solution of the Group-OBS program, block by block."""
     if mask.model_dim != theta_p.dim:
@@ -69,7 +58,6 @@ def group_obs_solve(
     delta = np.zeros(theta_p.dim)
     multipliers = np.empty(mask.budget)
     resid = 0.0
-    used_cg = False
     for damped, (sl, label) in zip(c_p.damped_blocks(), c_p.layout.slices()):
         mloc = np.flatnonzero(masked[sl])
         if mloc.size == 0:
@@ -77,24 +65,11 @@ def group_obs_solve(
         d_b = damped.shape[0]
         rhs = np.zeros((d_b, mloc.size))
         rhs[mloc, np.arange(mloc.size)] = 1.0
-        use_direct = method == "schur" or (
-            method == "auto" and d_b <= DIRECT_BLOCK_LIMIT
-        )
-        if use_direct:
-            try:
-                c = cho_factor(damped, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(
-                    f"block {label!r} is not SPD: {exc}"
-                ) from exc
-            x = cho_solve(c, rhs)  # K E_M per block
-        else:
-            used_cg = True
-            x = np.empty_like(rhs)
-            for j in range(mloc.size):
-                x[:, j], _ = _cg(
-                    lambda v: damped @ v, rhs[:, j], cg_tol, cg_max_iter
-                )
+        try:
+            c = cho_factor(damped, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"block {label!r} is not SPD: {exc}") from exc
+        x = cho_solve(c, rhs)  # K E_M per block
         schur = x[mloc, :]  # E' K E, SPD for SPD C
         schur = 0.5 * (schur + schur.T)
         w_m = theta[sl][mloc]
@@ -124,7 +99,7 @@ def group_obs_solve(
     return CompensationResult(
         delta_w=theta_p.with_values(delta),
         multipliers=multipliers,
-        method="cg" if used_cg else "schur",
+        method="schur",
         kkt_residual_inf=resid,
     )
 
@@ -133,7 +108,7 @@ def apply_unlearn(
     theta_p: ParamVector,
     comp: CompensationResult,
     mask: MaskArtifact,
-) -> UnlearnOutput:
+) -> ParamVector:
     """theta_u = theta_p + delta_w, with the masked coordinates set to 0.
 
     Floating residue up to 1e-9 on M is clamped to an exact zero; a
@@ -150,9 +125,7 @@ def apply_unlearn(
             f"coordinate {idx}; compensation infeasible for this mask"
         )
     out[mask.support] = 0.0
-    return UnlearnOutput(
-        theta_u=theta_p.with_values(out), mask=mask, compensation=comp
-    )
+    return theta_p.with_values(out)
 
 
 def dense_kkt_solve(

@@ -164,7 +164,7 @@ def compensate(
 ) -> tuple[CompensationResult, MlpModel]:
     """Client step: Group-OBS compensation; returns it and theta_u."""
     comp = group_obs_solve(fisher, theta_p.params, mask)
-    theta_u = apply_unlearn(theta_p.params, comp, mask).theta_u
+    theta_u = apply_unlearn(theta_p.params, comp, mask)
     return comp, theta_p.with_params(theta_u.values)
 
 

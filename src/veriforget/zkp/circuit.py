@@ -13,7 +13,7 @@ import numpy as np
 
 from ..masking import MaskArtifact
 from ..numkit import BlockLayout, canonical_json, sha256_hex
-from .field import MODULUS, commit_vector, from_field, to_field, verify_commit
+from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
 from .witness import FixedWitness
 
 
@@ -134,7 +134,7 @@ def commit_witness(
 ) -> tuple[int, int, int]:
     """Merkle roots of theta_p, theta_u and the packed curvature."""
     return tuple(
-        commit_vector(ints, rand).digest
+        merkle_root(ints, rand)
         for ints, rand in zip(_committed_vectors(witness), randomness)
     )
 

@@ -10,7 +10,6 @@ Commitments are arity-2 Merkle trees over blinded leaf chunks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,14 +105,9 @@ def _blinding(randomness: int, index: int) -> int:
     return _nums_constant(f"veriforget/blind/{randomness}/{index}")
 
 
-@dataclass(frozen=True)
-class Commitment:
-    digest: int  # field element (Merkle root)
-    randomness: int
-
-
 def merkle_root(ints, randomness: int) -> int:
-    """Root over blinded leaf chunks of LEAF_CHUNK field elements each."""
+    """Binding, hiding commitment to a vector of signed integers: the
+    Merkle root over blinded leaf chunks of LEAF_CHUNK field elements."""
     if isinstance(ints, np.ndarray):
         ints = [int(x) for x in ints.ravel()]
     leaves = []
@@ -131,11 +125,6 @@ def merkle_root(ints, randomness: int) -> int:
         leaves = nxt
         level += 1
     return leaves[0]
-
-
-def commit_vector(ints, randomness: int) -> Commitment:
-    """Binding, hiding commitment to a vector of signed integers."""
-    return Commitment(digest=merkle_root(ints, randomness), randomness=randomness)
 
 
 def verify_commit(digest: int, ints, randomness: int) -> bool:

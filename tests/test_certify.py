@@ -26,8 +26,7 @@ def honest_instance(seed):
     rng = np.random.default_rng(seed)
     fisher, theta, mask = random_instance(rng)
     comp = group_obs_solve(fisher, theta, mask)
-    out = apply_unlearn(theta, comp, mask)
-    return fisher, theta, mask, comp, out.theta_u
+    return fisher, theta, mask, comp, apply_unlearn(theta, comp, mask)
 
 
 # -- kkt certificate ------------------------------------------------------------

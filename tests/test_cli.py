@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from veriforget import artifacts as art
 from veriforget.cli import main
+from veriforget.model import init_mlp
 from veriforget.pipeline import run_pipeline, tiny_config
 
 
@@ -151,8 +152,44 @@ def _theta_u_without_blob(w, tmp):
             "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
 
 
+def _exact_hessian_too_large(w, tmp):
+    art.save_model(f"{tmp}/big", init_mlp([4, 400, 3], 0))  # d = 3,203
+    for args in (
+        ("mask", "--model", f"{tmp}/big", "--data", f"{w}/forget.dset",
+         "--k", "12", "--out", f"{tmp}/big.mask"),
+        ("fisher", "--model", f"{tmp}/big", "--data", f"{w}/personal.dset",
+         "--out", f"{tmp}/big_fisher"),
+        ("unlearn", "--model", f"{tmp}/big", "--mask", f"{tmp}/big.mask",
+         "--fisher", f"{tmp}/big_fisher", "--out-dir", tmp),
+    ):
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+    return ("report-bounds", "--theta-p", f"{tmp}/big", "--comp",
+            f"{tmp}/comp", "--mask", f"{tmp}/big.mask",
+            "--data", f"{w}/forget.dset")
+
+
+def _mask_k_above_eligible(w, tmp):
+    return ("mask", "--model", f"{w}/theta0", "--data", f"{w}/forget.dset",
+            "--k", "100000", "--out", f"{tmp}/m.mask")
+
+
+def _fisher_zero_damping(w, tmp):
+    return ("fisher", "--model", f"{w}/theta_p", "--data",
+            f"{w}/personal.dset", "--lambda", "0", "--out", f"{tmp}/f")
+
+
+def _fisher_zero_samples(w, tmp):
+    return ("fisher", "--model", f"{w}/theta_p", "--data",
+            f"{w}/personal.dset", "--max-samples", "0", "--out", f"{tmp}/f")
+
+
 @pytest.mark.parametrize(
-    "case", [_unknown_backend, _truncated_public, _theta_u_without_blob]
+    "case", [
+        _unknown_backend, _truncated_public, _theta_u_without_blob,
+        _exact_hessian_too_large, _mask_k_above_eligible,
+        _fisher_zero_damping, _fisher_zero_samples,
+    ]
 )
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
     res = invoke(*case(workdir, str(tmp_path)))

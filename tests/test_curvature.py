@@ -2,23 +2,14 @@ import numpy as np
 import pytest
 
 from veriforget.curvature import (
-    BlockFisher,
-    ConvergenceError,
-    cg_solve,
     curvature_layout,
     diag_curvature,
     empirical_fisher_blockwise,
 )
 from veriforget.model import Dataset, init_mlp, per_example_grads
-from veriforget.numkit import (
-    BlockDiagMatrix,
-    BlockLayout,
-    ParamVector,
-    StructuralError,
-    blockdiag_solve,
-)
+from veriforget.numkit import BlockLayout, StructuralError
 
-from conftest import random_fisher, random_spd_blockdiag, small_dataset
+from conftest import small_dataset
 
 
 def full_layout(model):
@@ -121,58 +112,3 @@ def test_diag_zero_for_zero_gradient_model():
     data = small_dataset(rng, n=5, dim=3, classes=1)
     c = diag_curvature(model, data)
     assert np.abs(c.diag).max() <= 1e-14
-
-
-# -- conjugate gradients -----------------------------------------------------------
-
-
-def test_cg_scaled_identity():
-    layout = BlockLayout.from_sizes([(6, "b")])
-    zero = BlockDiagMatrix(blocks=(np.zeros((6, 6)),), layout=layout)
-    fisher = BlockFisher(fisher=zero, lam=1.0, sample_count=1,
-                         source_digest="t")
-    y = ParamVector(values=np.arange(6.0), layout=layout)
-    x, iters = cg_solve(fisher, y)
-    assert np.abs(x.values - y.values).max() <= 1e-12
-
-
-def test_cg_zero_rhs():
-    rng = np.random.default_rng(7)
-    layout = BlockLayout.from_sizes([(8, "b")])
-    fisher = random_fisher(rng, layout)
-    y = ParamVector(values=np.zeros(8), layout=layout)
-    x, iters = cg_solve(fisher, y)
-    assert (x.values == 0).all()
-    assert iters == [0]
-
-
-def test_cg_matches_direct():
-    rng = np.random.default_rng(8)
-    layout = BlockLayout.from_sizes([(32, "b")])
-    fisher = random_fisher(rng, layout)
-    y = ParamVector(values=rng.normal(size=32), layout=layout)
-    x_cg, _ = cg_solve(fisher, y, tol=1e-12)
-    x_dir = blockdiag_solve(fisher.damped(), y)
-    assert np.abs(x_cg.values - x_dir.values).max() <= 1e-6
-
-
-def test_cg_matches_direct_large_block():
-    rng = np.random.default_rng(9)
-    layout = BlockLayout.from_sizes([(512, "b")])
-    a = random_spd_blockdiag(rng, layout, damping=0.5)
-    fisher = BlockFisher(fisher=a, lam=1e-3, sample_count=1, source_digest="t")
-    y = ParamVector(values=rng.normal(size=512), layout=layout)
-    x_cg, _ = cg_solve(fisher, y, tol=1e-12, max_iter=5000)
-    x_dir = blockdiag_solve(fisher.damped(), y)
-    denom = np.abs(x_dir.values).max()
-    assert np.abs(x_cg.values - x_dir.values).max() / denom <= 1e-6
-
-
-def test_cg_nonconvergence_reports_residual():
-    rng = np.random.default_rng(10)
-    layout = BlockLayout.from_sizes([(32, "b")])
-    fisher = random_fisher(rng, layout)
-    y = ParamVector(values=rng.normal(size=32), layout=layout)
-    with pytest.raises(ConvergenceError) as exc:
-        cg_solve(fisher, y, tol=1e-14, max_iter=1)
-    assert exc.value.residual > 0

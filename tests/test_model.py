@@ -10,7 +10,6 @@ from veriforget.model import (
     make_synthetic_task,
     mean_loss,
     mlp_layout,
-    per_example_grad,
     per_example_grads,
     personalize,
     predictive_dist,
@@ -75,7 +74,8 @@ def test_grad_matches_finite_differences():
     rng = np.random.default_rng(2)
     model = init_mlp([2, 8, 2], 3)
     x = rng.normal(size=2)
-    g = per_example_grad(model, x, 1).values
+    one = Dataset(features=x[None, :], labels=np.array([1]))
+    g = per_example_grads(model, one)[0]
     fd = fd_grad(model, x, 1)
     idx = rng.choice(g.size, size=20, replace=False)
     rel = np.abs(g[idx] - fd[idx]) / (np.abs(fd[idx]) + 1e-8)
@@ -97,9 +97,7 @@ def test_grads_matrix_rows_match_single():
     data = small_dataset(rng, n=5)
     per = per_example_grads(model, data)
     for i in range(len(data)):
-        single = per_example_grad(
-            model, data.features[i], int(data.labels[i])
-        ).values
+        single = batch_grad(model, data.subset(np.array([i]))).values
         assert np.abs(per[i] - single).max() <= 1e-12
 
 

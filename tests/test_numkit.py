@@ -5,14 +5,10 @@ from hypothesis import given, settings, strategies as st
 from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
-    FactorizationError,
     ParamVector,
     RangeError,
     StructuralError,
-    blockdiag_matvec,
-    blockdiag_solve,
     canonical_json,
-    dequantize,
     load_blockdiag,
     load_pvec,
     quantize,
@@ -21,7 +17,7 @@ from veriforget.numkit import (
     tree_sum,
 )
 
-from conftest import random_layout, random_spd_blockdiag
+from conftest import random_spd_blockdiag
 
 
 def single_block_layout(d, label="b"):
@@ -86,78 +82,6 @@ def test_blockdiag_rejects_asymmetric():
                         layout=layout)
 
 
-def test_matvec_identity():
-    rng = np.random.default_rng(0)
-    layout = random_layout(rng)
-    eye = BlockDiagMatrix(
-        blocks=tuple(np.eye(s) for _, s, _ in layout.blocks), layout=layout
-    )
-    v = ParamVector(values=rng.normal(size=layout.total_dim), layout=layout)
-    assert np.array_equal(blockdiag_matvec(eye, v).values, v.values)
-
-
-def test_matvec_hand_case():
-    layout = single_block_layout(2)
-    a = BlockDiagMatrix(blocks=(np.array([[2.0, 1.0], [1.0, 2.0]]),),
-                        layout=layout)
-    x = ParamVector(values=np.array([1.0, 1.0]), layout=layout)
-    assert np.allclose(blockdiag_matvec(a, x).values, [3.0, 3.0])
-
-
-def test_matvec_vs_dense_oracle():
-    rng = np.random.default_rng(1)
-    layout = BlockLayout.from_sizes([(8, "a"), (10, "b"), (6, "c")])
-    a = random_spd_blockdiag(rng, layout)
-    x = ParamVector(values=rng.normal(size=24), layout=layout)
-    got = blockdiag_matvec(a, x).values
-    want = a.dense() @ x.values
-    assert np.abs(got - want).max() <= 1e-12
-
-
-def test_matvec_layout_mismatch():
-    rng = np.random.default_rng(2)
-    a = random_spd_blockdiag(rng, single_block_layout(3))
-    x = ParamVector(values=np.zeros(3), layout=single_block_layout(3, "other"))
-    with pytest.raises(StructuralError):
-        blockdiag_matvec(a, x)
-
-
-def test_solve_identity():
-    layout = single_block_layout(4)
-    eye = BlockDiagMatrix(blocks=(np.eye(4),), layout=layout)
-    v = ParamVector(values=np.arange(4.0), layout=layout)
-    assert np.allclose(blockdiag_solve(eye, v).values, v.values)
-
-
-def test_solve_hand_2x2():
-    layout = single_block_layout(2)
-    a = BlockDiagMatrix(blocks=(np.array([[2.0, 1.0], [1.0, 2.0]]),),
-                        layout=layout)
-    y = ParamVector(values=np.array([1.0, 0.0]), layout=layout)
-    x = blockdiag_solve(a, y)
-    assert np.abs(x.values - np.array([2 / 3, -1 / 3])).max() <= 1e-12
-
-
-def test_solve_residual_random_spd():
-    rng = np.random.default_rng(3)
-    layout = BlockLayout.from_sizes([(32, "w")])
-    a = random_spd_blockdiag(rng, layout)
-    y = ParamVector(values=rng.normal(size=32), layout=layout)
-    x = blockdiag_solve(a, y)
-    resid = np.abs(a.dense() @ x.values - y.values).max()
-    assert resid <= 1e-9 * (1 + np.abs(y.values).max())
-
-
-def test_solve_non_spd_names_block():
-    layout = BlockLayout.from_sizes([(2, "good"), (2, "bad")])
-    a = BlockDiagMatrix(
-        blocks=(np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]])), layout=layout
-    )
-    y = ParamVector(values=np.zeros(4), layout=layout)
-    with pytest.raises(FactorizationError, match="bad"):
-        blockdiag_solve(a, y)
-
-
 # -- fixed point -----------------------------------------------------------------
 
 
@@ -206,7 +130,7 @@ def test_codec_dequantize_pair():
     layout = single_block_layout(3)
     v = ParamVector(values=np.array([0.5, -0.25, 1.0]), layout=layout)
     fv = quantize(v.values, 10, 2.0)
-    back = dequantize(fv, layout)
+    back = v.with_values(fv.dequantize())
     assert np.array_equal(back.values, v.values)
 
 

@@ -3,20 +3,21 @@ import pytest
 
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
-from veriforget.numkit import (
-    BlockDiagMatrix,
-    BlockLayout,
-    ParamVector,
-    blockdiag_matvec,
-)
+from veriforget.numkit import BlockDiagMatrix, BlockLayout, ParamVector
 from veriforget.obs import (
     FeasibilityError,
+    NumericError,
     apply_unlearn,
     dense_kkt_solve,
     group_obs_solve,
 )
 
-from conftest import random_fisher, random_instance, random_mask
+from conftest import (
+    random_fisher,
+    random_instance,
+    random_mask,
+    random_spd_blockdiag,
+)
 
 
 def identity_fisher(layout, lam=0.0):
@@ -72,8 +73,8 @@ def test_empty_mask():
     comp = group_obs_solve(fisher, theta, mask)
     assert (comp.delta_w.values == 0).all()
     assert comp.multipliers.size == 0
-    out = apply_unlearn(theta, comp, mask)
-    assert np.array_equal(out.theta_u.values, theta.values)
+    theta_u = apply_unlearn(theta, comp, mask)
+    assert np.array_equal(theta_u.values, theta.values)
 
 
 def test_hand_2x2_kkt():
@@ -93,9 +94,9 @@ def test_hand_2x2_kkt():
     resid = c @ comp.delta_w.values
     resid[0] += comp.multipliers[0]
     assert np.abs(resid).max() <= 1e-8
-    out = apply_unlearn(theta, comp, mask)
-    assert np.abs(out.theta_u.values - np.array([0.0, 1.5])).max() <= 1e-8
-    assert out.theta_u.values[0] == 0.0
+    theta_u = apply_unlearn(theta, comp, mask)
+    assert np.abs(theta_u.values - np.array([0.0, 1.5])).max() <= 1e-8
+    assert theta_u.values[0] == 0.0
 
 
 # -- oracle equivalence ------------------------------------------------------------
@@ -105,7 +106,7 @@ def test_schur_matches_dense_oracle_random():
     rng = np.random.default_rng(1)
     for trial in range(25):
         fisher, theta, mask = random_instance(rng)
-        comp = group_obs_solve(fisher, theta, mask, method="schur")
+        comp = group_obs_solve(fisher, theta, mask)
         dw_o, lam_o = kkt_oracle(fisher, theta, mask)
         scale = max(np.abs(dw_o).max(), 1e-12)
         assert np.abs(comp.delta_w.values - dw_o).max() / scale <= 1e-8
@@ -113,14 +114,25 @@ def test_schur_matches_dense_oracle_random():
         assert np.abs(comp.multipliers - lam_o).max() / lscale <= 1e-8
 
 
-def test_cg_matches_schur():
+def test_large_block_matches_dense_oracle():
+    # larger than any block --block-cap produces (at most 512)
     rng = np.random.default_rng(2)
-    for trial in range(10):
-        fisher, theta, mask = random_instance(rng)
-        a = group_obs_solve(fisher, theta, mask, method="schur")
-        b = group_obs_solve(fisher, theta, mask, method="cg", cg_tol=1e-12)
-        scale = max(np.abs(a.delta_w.values).max(), 1e-12)
-        assert np.abs(a.delta_w.values - b.delta_w.values).max() / scale <= 1e-6
+    layout = BlockLayout.from_sizes([(600, "b")])
+    fisher = BlockFisher(
+        fisher=random_spd_blockdiag(rng, layout, damping=0.5),
+        lam=1e-3, sample_count=1, source_digest="t",
+    )
+    theta = ParamVector(values=rng.normal(size=600), layout=layout)
+    mask = random_mask(rng, layout, 40)
+    comp = group_obs_solve(fisher, theta, mask)
+    assert comp.method == "schur"
+    dw_o, lam_o = dense_kkt_solve(
+        fisher.damped().dense(), theta.values, mask.support
+    )
+    scale = max(np.abs(dw_o).max(), 1e-12)
+    assert np.abs(comp.delta_w.values - dw_o).max() / scale <= 1e-8
+    lscale = max(np.abs(lam_o).max(), 1e-12)
+    assert np.abs(comp.multipliers - lam_o).max() / lscale <= 1e-8
 
 
 def test_package_dense_oracle_agrees_with_local():
@@ -156,8 +168,8 @@ def test_feasibility_bit_exact():
     for trial in range(20):
         fisher, theta, mask = random_instance(rng)
         comp = group_obs_solve(fisher, theta, mask)
-        out = apply_unlearn(theta, comp, mask)
-        assert (out.theta_u.values[mask.support] == 0.0).all()
+        theta_u = apply_unlearn(theta, comp, mask)
+        assert (theta_u.values[mask.support] == 0.0).all()
 
 
 def test_compensation_never_worse_than_mask_only():
@@ -191,6 +203,21 @@ def test_apply_unlearn_rejects_large_residue():
     )
     with pytest.raises(FeasibilityError):
         apply_unlearn(theta, tampered, mask)
+
+
+def test_non_spd_block_named():
+    layout = BlockLayout.from_sizes([(2, "good"), (2, "bad")])
+    fisher = BlockFisher(
+        fisher=BlockDiagMatrix(
+            blocks=(np.eye(2), np.diag([1.0, -1.0])), layout=layout
+        ),
+        lam=1e-3, sample_count=1, source_digest="t",
+    )
+    theta = ParamVector(values=np.ones(4), layout=layout)
+    mask = make_mask(4, 2, np.arange(4, dtype=np.int64),
+                     np.array([0, 2], dtype=np.int64))
+    with pytest.raises(NumericError, match="bad"):
+        group_obs_solve(fisher, theta, mask)
 
 
 def test_stationarity_residual_reported_small():

@@ -5,13 +5,11 @@ from veriforget import zkp
 from veriforget.numkit import RangeError
 from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.zkp import (
-    Commitment,
     FixedWitness,
     MODULUS,
     PublicInputs,
     UnsatisfiableWitnessError,
     WraparoundError,
-    commit_vector,
     commit_witness,
     constraint_report,
     default_t_int,
@@ -36,9 +34,9 @@ def honest_zk_instance(seed, f_w=22, f_c=32):
     rng = np.random.default_rng(seed)
     fisher, theta, mask = random_instance(rng, max_block=12)
     comp = group_obs_solve(fisher, theta, mask)
-    out = apply_unlearn(theta, comp, mask)
+    theta_u = apply_unlearn(theta, comp, mask)
     w = encode_fixed_witness(
-        theta, out.theta_u, comp.delta_w, comp.multipliers, fisher, mask,
+        theta, theta_u, comp.delta_w, comp.multipliers, fisher, mask,
         f_w=f_w, f_c=f_c,
     )
     t_int = default_t_int(w, fisher, mask, comp.kkt_residual_inf)
@@ -130,19 +128,19 @@ def test_known_answers():
 
 def test_commit_deterministic():
     v = np.arange(10, dtype=np.int64)
-    assert commit_vector(v, 5).digest == commit_vector(v, 5).digest
+    assert merkle_root(v, 5) == merkle_root(v, 5)
 
 
 def test_commit_hiding_randomness_changes_digest():
     v = np.arange(10, dtype=np.int64)
-    assert commit_vector(v, 5).digest != commit_vector(v, 6).digest
+    assert merkle_root(v, 5) != merkle_root(v, 6)
 
 
 def test_commit_avalanche():
     v = np.arange(10, dtype=np.int64)
     w = v.copy()
     w[3] += 1
-    assert commit_vector(v, 5).digest != commit_vector(w, 5).digest
+    assert merkle_root(v, 5) != merkle_root(w, 5)
 
 
 def test_commit_collision_smoke():
@@ -150,7 +148,7 @@ def test_commit_collision_smoke():
     digests = set()
     for _ in range(300):
         v = rng.integers(-(1 << 20), 1 << 20, size=8)
-        digests.add(commit_vector(v, 1).digest)
+        digests.add(merkle_root(v, 1))
     assert len(digests) == 300
 
 
@@ -171,7 +169,7 @@ def test_pack_curvature_upper_triangle_row_major():
 
 def test_run_zk_layer_commits_each_vector_once(monkeypatch):
     from veriforget import pipeline
-    from veriforget.zkp import field
+    from veriforget.zkp import circuit, field
     r = pipeline.run_pipeline(3, pipeline.tiny_config(run_zk=False))
     lengths = []
     real = field.merkle_root
@@ -180,7 +178,8 @@ def test_run_zk_layer_commits_each_vector_once(monkeypatch):
         lengths.append(len(ints))
         return real(ints, randomness)
 
-    monkeypatch.setattr(field, "merkle_root", counting)
+    for module in (field, circuit):
+        monkeypatch.setattr(module, "merkle_root", counting)
     pipeline.run_zk_layer(r.theta_p, r.theta_u, r.comp, r.fisher, r.mask, 3)
     d = r.theta_p.params.dim
     sizes = [s for _, s, _ in r.fisher.layout.blocks]
@@ -189,9 +188,9 @@ def test_run_zk_layer_commits_each_vector_once(monkeypatch):
 
 def test_verify_commit_wrong_randomness():
     v = np.arange(5, dtype=np.int64)
-    c = commit_vector(v, 5)
-    assert verify_commit(c.digest, v, 5)
-    assert not verify_commit(c.digest, v, 6)
+    root = merkle_root(v, 5)
+    assert verify_commit(root, v, 5)
+    assert not verify_commit(root, v, 6)
 
 
 # -- witness encoding ----------------------------------------------------------------
@@ -227,16 +226,16 @@ def test_integer_assembly_and_feasibility_exact():
 
 def test_frac_bits_budget_enforced():
     fisher, theta, mask, comp, *_ = honest_zk_instance(2)
-    out = apply_unlearn(theta, comp, mask)
+    theta_u = apply_unlearn(theta, comp, mask)
     with pytest.raises(ValueError):
-        encode_fixed_witness(theta, out.theta_u, comp.delta_w,
+        encode_fixed_witness(theta, theta_u, comp.delta_w,
                              comp.multipliers, fisher, mask, f_w=30, f_c=31)
 
 
 def test_inconsistent_theta_u_rejected():
     fisher, theta, mask, comp, *_ = honest_zk_instance(3)
-    out = apply_unlearn(theta, comp, mask)
-    bad = out.theta_u.with_values(out.theta_u.values + 0.01)
+    theta_u = apply_unlearn(theta, comp, mask)
+    bad = theta_u.with_values(theta_u.values + 0.01)
     with pytest.raises(RangeError):
         encode_fixed_witness(theta, bad, comp.delta_w, comp.multipliers,
                              fisher, mask)
