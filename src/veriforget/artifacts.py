@@ -1,7 +1,11 @@
 """File formats for every pipeline artifact.
 
-Vectors and block matrices use the .pvec container (JSON manifest plus
-a little-endian f64 sidecar blob).  Every derived artifact embeds the
+An array artifact at ``P`` is two files: ``P``, a canonical-JSON header
+with the artifact's metadata, its ``inputs``, each array's dtype and
+shape, and the sha256 of the blob; and ``P.bin``, the arrays written
+back to back as C-contiguous little-endian f64 or i64.  The header's own
+digest therefore binds the whole artifact.  Masks, public inputs and
+proofs are single JSON files.  Every derived artifact records the
 digests of the artifacts it was computed from, so downstream stages can
 refuse mismatched inputs.  Every reader raises IntegrityError when an
 artifact is missing, truncated or malformed.
@@ -10,25 +14,28 @@ artifact is missing, truncated or malformed.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
 
 from .curvature import BlockFisher
 from .masking import MaskArtifact
-from .model import Dataset, MlpModel
+from .model import Dataset, MlpModel, mlp_layout
 from .numkit import (
+    BlockDiagMatrix,
+    BlockLayout,
+    ParamVector,
     StructuralError,
     canonical_json,
-    load_blockdiag,
-    load_pvec,
-    save_blockdiag,
-    save_pvec,
     sha256_hex,
 )
 from .obs import CompensationResult
 from .zkp import Proof, PublicInputs
+
+_DTYPES = ("<f8", "<i8")
 
 
 class IntegrityError(ValueError):
@@ -64,14 +71,56 @@ def _read_json(path: str) -> dict:
         return json.loads(fh.read())
 
 
+def _save(path: str, header: dict, arrays) -> None:
+    """Stream ``arrays`` into ``path.bin`` and its sha256 at once, then
+    write ``header`` with each array's dtype and shape and that digest."""
+    digest = hashlib.sha256()
+    specs = []
+    with open(path + ".bin", "wb") as fh:
+        for a in arrays:
+            a = np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
+            digest.update(a)
+            fh.write(a)
+            specs.append({"dtype": a.dtype.str, "shape": list(a.shape)})
+    _write_json(path, {**header, "arrays": specs, "sha256": digest.hexdigest()})
+
+
+def _load(path: str) -> tuple[dict, list[np.ndarray]]:
+    """The header at ``path`` and read-only views of its arrays in
+    ``path.bin``, after checking the blob against the header."""
+    header = _read_json(path)
+    with open(path + ".bin", "rb") as fh:
+        blob = fh.read()
+    if sha256_hex(blob) != header["sha256"]:
+        raise IntegrityError(f"blob digest mismatch for {path}")
+    specs = header["arrays"]
+    for spec in specs:
+        if spec["dtype"] not in _DTYPES:
+            raise IntegrityError(f"{path}: dtype {spec['dtype']!r} not in {_DTYPES}")
+    sizes = [8 * math.prod(spec["shape"]) for spec in specs]
+    if sum(sizes) != len(blob):
+        raise IntegrityError(
+            f"{path}: blob holds {len(blob)} bytes, header declares {sum(sizes)}"
+        )
+    arrays, pos = [], 0
+    for spec, size in zip(specs, sizes):
+        arrays.append(
+            np.frombuffer(blob, dtype=spec["dtype"], count=size // 8, offset=pos)
+            .reshape(spec["shape"])
+        )
+        pos += size
+    return header, arrays
+
+
 @_reader
 def file_digest(path: str) -> str:
     with open(path, "rb") as fh:
         return sha256_hex(fh.read())
 
 
-def check_input_digests(obj: dict, **paths: str) -> None:
-    inputs = obj.get("inputs", {})
+def check_input_digests(inputs: dict, **paths: str) -> None:
+    """Each named artifact the ``inputs`` of a derived artifact record must
+    be the file at the given path."""
     for name, path in paths.items():
         if name in inputs and inputs[name] != file_digest(path):
             raise IntegrityError(
@@ -84,70 +133,35 @@ def check_input_digests(obj: dict, **paths: str) -> None:
 
 
 def save_model(path: str, model: MlpModel, inputs: dict | None = None) -> None:
-    """path.pvec(.bin) for the parameters, path.arch.json for the shape."""
-    save_pvec(path + ".pvec", model.params)
-    _write_json(
-        path + ".arch.json",
-        {
-            "layer_dims": list(model.layer_dims),
-            "activation": model.activation,
-            "inputs": inputs or {},
-        },
-    )
+    _save(path, {
+        "layer_dims": list(model.layer_dims),
+        "activation": model.activation,
+        "inputs": inputs or {},
+    }, [model.params.values])
 
 
 @_reader
 def load_model(path: str) -> MlpModel:
-    arch = _read_json(path + ".arch.json")
-    params = load_pvec(path + ".pvec")
+    header, (values,) = _load(path)
+    layer_dims = tuple(header["layer_dims"])
     return MlpModel(
-        layer_dims=tuple(arch["layer_dims"]),
-        params=params,
-        activation=arch["activation"],
+        layer_dims=layer_dims,
+        params=ParamVector(values=values, layout=mlp_layout(list(layer_dims))),
+        activation=header["activation"],
     )
-
-
-def model_digest(path: str) -> str:
-    return file_digest(path + ".pvec")
 
 
 # -- datasets ---------------------------------------------------------------
 
 
 def save_dataset(path: str, data: Dataset) -> None:
-    """path (.dset JSON manifest) + .x.bin f64 features + .y.bin u32 labels."""
-    xblob = data.features.astype("<f8").tobytes()
-    yblob = data.labels.astype("<u4").tobytes()
-    _write_json(
-        path,
-        {
-            "name": data.name,
-            "n": len(data),
-            "m": data.features.shape[1],
-            "features_sha256": sha256_hex(xblob),
-            "labels_sha256": sha256_hex(yblob),
-        },
-    )
-    with open(path + ".x.bin", "wb") as fh:
-        fh.write(xblob)
-    with open(path + ".y.bin", "wb") as fh:
-        fh.write(yblob)
+    _save(path, {"name": data.name}, [data.features, data.labels])
 
 
 @_reader
 def load_dataset(path: str) -> Dataset:
-    manifest = _read_json(path)
-    with open(path + ".x.bin", "rb") as fh:
-        xblob = fh.read()
-    with open(path + ".y.bin", "rb") as fh:
-        yblob = fh.read()
-    if sha256_hex(xblob) != manifest["features_sha256"]:
-        raise StructuralError(f"feature blob digest mismatch for {path}")
-    if sha256_hex(yblob) != manifest["labels_sha256"]:
-        raise StructuralError(f"label blob digest mismatch for {path}")
-    x = np.frombuffer(xblob, dtype="<f8").reshape(manifest["n"], manifest["m"])
-    y = np.frombuffer(yblob, dtype="<u4").astype(np.int64)
-    return Dataset(features=x, labels=y, name=manifest["name"])
+    header, (x, y) = _load(path)
+    return Dataset(features=x, labels=y, name=header["name"])
 
 
 # -- masks ------------------------------------------------------------------
@@ -168,27 +182,25 @@ def load_mask(path: str) -> MaskArtifact:
 
 
 def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> None:
-    save_blockdiag(path + ".mat", fisher.fisher)
-    _write_json(
-        path,
-        {
-            "lambda": fisher.lam,
-            "n": fisher.sample_count,
-            "source_digest": fisher.source_digest,
-            "inputs": inputs or {},
-        },
-    )
+    _save(path, {
+        "lambda": fisher.lam,
+        "n": fisher.sample_count,
+        "source_digest": fisher.source_digest,
+        "layout": fisher.layout.to_json(),
+        "inputs": inputs or {},
+    }, fisher.fisher.blocks)
 
 
 @_reader
 def load_fisher(path: str) -> BlockFisher:
-    meta = _read_json(path)
-    mat = load_blockdiag(path + ".mat")
+    header, blocks = _load(path)
     return BlockFisher(
-        fisher=mat,
-        lam=meta["lambda"],
-        sample_count=meta["n"],
-        source_digest=meta["source_digest"],
+        fisher=BlockDiagMatrix(
+            blocks=tuple(blocks), layout=BlockLayout.from_json(header["layout"])
+        ),
+        lam=header["lambda"],
+        sample_count=header["n"],
+        source_digest=header["source_digest"],
     )
 
 
@@ -196,33 +208,30 @@ def load_fisher(path: str) -> BlockFisher:
 
 
 def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -> None:
-    save_pvec(path + ".pvec", comp.delta_w)
-    _write_json(
-        path,
-        {
-            "lambda_M": [float(x) for x in comp.multipliers],
-            "method": comp.method,
-            "kkt_residual_inf": comp.kkt_residual_inf,
-            "inputs": inputs or {},
-        },
-    )
+    _save(path, {
+        "method": comp.method,
+        "kkt_residual_inf": comp.kkt_residual_inf,
+        "layout": comp.delta_w.layout.to_json(),
+        "inputs": inputs or {},
+    }, [comp.delta_w.values, comp.multipliers])
 
 
 @_reader
 def load_comp(path: str) -> CompensationResult:
-    meta = _read_json(path)
-    dw = load_pvec(path + ".pvec")
+    header, (dw, multipliers) = _load(path)
     return CompensationResult(
-        delta_w=dw,
-        multipliers=np.asarray(meta["lambda_M"], dtype=np.float64),
-        method=meta["method"],
-        kkt_residual_inf=meta["kkt_residual_inf"],
+        delta_w=ParamVector(
+            values=dw, layout=BlockLayout.from_json(header["layout"])
+        ),
+        multipliers=multipliers,
+        method=header["method"],
+        kkt_residual_inf=header["kkt_residual_inf"],
     )
 
 
 @_reader
 def comp_inputs(path: str) -> dict:
-    return _read_json(path).get("inputs", {})
+    return _read_json(path)["inputs"]
 
 
 # -- zk layer ---------------------------------------------------------------

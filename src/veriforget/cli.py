@@ -163,7 +163,7 @@ def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch, seed=seed)
     theta_p = personalize_model(model, d_p, cfg)
     art.save_model(out, theta_p, inputs={
-        "model": art.model_digest(model_path),
+        "model": art.file_digest(model_path),
         "data": art.file_digest(data),
     })
     emit({"model": out}, as_json)
@@ -190,7 +190,7 @@ def mask(model_path, data, k, frac, seed, out, as_json):
     d_f = art.load_dataset(data)
     m, _ = select_mask(model, d_f, seed, k=k, frac=frac)
     art.save_mask(out, m, inputs={
-        "model": art.model_digest(model_path),
+        "model": art.file_digest(model_path),
         "data": art.file_digest(data),
     })
     emit({"mask": out, "k": m.budget, "digest": m.digest}, as_json)
@@ -218,7 +218,7 @@ def fisher(model_path, data, lam, block_cap, max_samples, seed, out, as_json):
     f = estimate_fisher(model, d_p, seed, lam=lam, block_cap=int(block_cap),
                         max_samples=max_samples)
     art.save_fisher(out, f, inputs={
-        "model": art.model_digest(model_path),
+        "model": art.file_digest(model_path),
         "data": art.file_digest(data),
     })
     emit({"fisher": out, "lambda": lam, "n": f.sample_count}, as_json)
@@ -240,7 +240,7 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
     f = art.load_fisher(fisher_path)
     comp, theta_u = compensate(theta_p, m, f)
     inputs = {
-        "model": art.model_digest(model_path),
+        "model": art.file_digest(model_path),
         "mask": art.file_digest(mask_path),
         "fisher": art.file_digest(fisher_path),
     }
@@ -268,13 +268,11 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
 @numeric_guard
 def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
     """Plain-arithmetic first-order certificate; exit 1 on failure."""
+    art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
+                            mask=mask_path, fisher=fisher_path)
     theta_p = art.load_model(tp_path)
     theta_u = art.load_model(tu_path)
     comp = art.load_comp(comp_path)
-    art.check_input_digests(
-        {"inputs": art.comp_inputs(comp_path)},
-        mask=mask_path, fisher=fisher_path,
-    )
     m = art.load_mask(mask_path)
     f = art.load_fisher(fisher_path)
     cert = check_kkt(theta_p.params, theta_u.params, comp, f, m, tau_real=tau)
@@ -325,7 +323,7 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
 @click.option("--comp", "comp_path", required=True)
 @click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
 @click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
-@click.option("--frac-bits", nargs=2, type=int,
+@click.option("--frac-bits", nargs=2, type=click.IntRange(0, 40),
               default=(zkp.DEFAULT_FRAC_BITS_W, zkp.DEFAULT_FRAC_BITS_C),
               show_default=True, help="Fractional bits: weights, curvature.")
 @click.option("--seed", default=0, show_default=True,
@@ -338,6 +336,8 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
 def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
           seed, backend, out_dir, as_json):
     """Encode the fixed-point witness, commit, and produce a proof."""
+    art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
+                            mask=mask_path, fisher=fisher_path)
     os.makedirs(out_dir, exist_ok=True)
     theta_p = art.load_model(tp_path)
     theta_u = art.load_model(tu_path)
@@ -353,8 +353,8 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
         click.echo(f"witness unsatisfiable: {exc}", err=True)
         sys.exit(1)
     inputs = {
-        "theta_p": art.model_digest(tp_path),
-        "theta_u": art.model_digest(tu_path),
+        "theta_p": art.file_digest(tp_path),
+        "theta_u": art.file_digest(tu_path),
         "mask": art.file_digest(mask_path),
         "fisher": art.file_digest(fisher_path),
     }
@@ -412,7 +412,7 @@ def gold(init_path, retain, personal, out, seed, lr, epochs, p_lr, p_epochs,
         TrainConfig(learning_rate=p_lr, epochs=p_epochs, seed=seed),
     )
     art.save_model(out, model, inputs={
-        "init": art.model_digest(init_path),
+        "init": art.file_digest(init_path),
         "retain": art.file_digest(retain),
         "personal": art.file_digest(personal),
     })

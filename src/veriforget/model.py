@@ -250,11 +250,7 @@ def batch_grad(model: MlpModel, data: Dataset) -> ParamVector:
 
 
 def mean_loss(model: MlpModel, data: Dataset) -> float:
-    z = logits(model, data.features)
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    losses = -logp[np.arange(len(data)), data.labels]
-    return float(tree_mean(losses))
+    return float(tree_mean(per_example_losses(model, data)))
 
 
 def per_example_losses(model: MlpModel, data: Dataset) -> np.ndarray:

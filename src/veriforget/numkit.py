@@ -1,8 +1,9 @@
 """Deterministic numerical primitives shared by the whole pipeline.
 
 Block-structured flat vectors, block-diagonal symmetric matrices,
-fixed-point quantization, and reproducible reductions.  Everything here
-is pure and immutable after construction.
+fixed-point quantization, reproducible reductions and digests.
+Everything here is pure and immutable after construction; file formats
+live in ``artifacts``.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def tree_mean(a: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# digests and the .pvec container
+# digests
 # ---------------------------------------------------------------------------
 
 
@@ -238,69 +239,3 @@ def canonical_json(obj) -> bytes:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def save_pvec(path: str, v: ParamVector) -> str:
-    """Write manifest JSON at `path` and the f64 blob at `path + '.bin'`."""
-    blob = v.values.astype("<f8").tobytes()
-    manifest = {
-        "dtype": "f64",
-        "dim": v.dim,
-        "layout": v.layout.to_json(),
-        "sha256": sha256_hex(blob),
-    }
-    with open(path + ".bin", "wb") as fh:
-        fh.write(blob)
-    with open(path, "wb") as fh:
-        fh.write(canonical_json(manifest))
-    return manifest["sha256"]
-
-
-def load_pvec(path: str) -> ParamVector:
-    with open(path, "rb") as fh:
-        manifest = json.loads(fh.read())
-    with open(path + ".bin", "rb") as fh:
-        blob = fh.read()
-    if sha256_hex(blob) != manifest["sha256"]:
-        raise StructuralError(f"blob digest mismatch for {path}")
-    values = np.frombuffer(blob, dtype="<f8")
-    layout = BlockLayout.from_json(manifest["layout"])
-    return ParamVector(values=values, layout=layout)
-
-
-def save_blockdiag(path: str, m: BlockDiagMatrix) -> str:
-    blob = b"".join(b.astype("<f8").tobytes() for b in m.blocks)
-    manifest = {
-        "dtype": "f64",
-        "kind": "blockdiag",
-        "dim": m.layout.total_dim,
-        "layout": m.layout.to_json(),
-        "sha256": sha256_hex(blob),
-    }
-    with open(path + ".bin", "wb") as fh:
-        fh.write(blob)
-    with open(path, "wb") as fh:
-        fh.write(canonical_json(manifest))
-    return manifest["sha256"]
-
-
-def load_blockdiag(path: str) -> BlockDiagMatrix:
-    with open(path, "rb") as fh:
-        manifest = json.loads(fh.read())
-    if manifest.get("kind") != "blockdiag":
-        raise StructuralError(f"{path} is not a blockdiag container")
-    with open(path + ".bin", "rb") as fh:
-        blob = fh.read()
-    if sha256_hex(blob) != manifest["sha256"]:
-        raise StructuralError(f"blob digest mismatch for {path}")
-    layout = BlockLayout.from_json(manifest["layout"])
-    blocks = []
-    pos = 0
-    for _, size, _ in layout.blocks:
-        count = size * size
-        arr = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=pos
-        ).reshape(size, size)
-        blocks.append(arr)
-        pos += count * 8
-    return BlockDiagMatrix(blocks=tuple(blocks), layout=layout)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..curvature import BlockFisher
 from ..masking import MaskArtifact
-from ..numkit import FixedVector, ParamVector, RangeError, quantize
+from ..numkit import FixedVector, ParamVector, RangeError, StructuralError, quantize
 
 # f_c exceeds f_w by more than 4 bits so that the honest stationarity
 # residual window T_int stays below the detectability threshold of a
@@ -68,7 +68,7 @@ def encode_fixed_witness(
     bound_lam: float = DEFAULT_BOUND_LAM,
 ) -> FixedWitness:
     if f_w + f_c > 60:
-        raise ValueError("f_w + f_c must be <= 60")
+        raise StructuralError("f_w + f_c must be <= 60")
     q_tp = quantize(theta_p.values, f_w, bound_w)
     q_dw_raw = quantize(delta_w.values, f_w, bound_w)
     dw_ints = q_dw_raw.ints.copy()
@@ -164,7 +164,7 @@ def default_t_int(
     if t_int >= threshold:
         t_int = threshold >> 1
     if bound >= t_int:
-        raise ValueError(
+        raise RangeError(
             f"honest residual bound {bound} cannot be separated from the "
             f"minimal multiplier tamper at 2^{w.f_c + 4}; widen f_c - f_w"
         )

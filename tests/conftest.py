@@ -5,7 +5,7 @@ import pytest
 
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
-from veriforget.model import Dataset, MlpModel, init_mlp, make_synthetic_task
+from veriforget.model import Dataset, init_mlp, make_synthetic_task
 from veriforget.numkit import BlockDiagMatrix, BlockLayout, ParamVector
 
 

@@ -10,7 +10,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from veriforget import zkp
 from veriforget.certify import check_kkt, exact_hessian, quadratic_gain
@@ -44,7 +43,6 @@ from conftest import (
     random_fisher,
     random_instance,
     random_mask,
-    random_spd_block,
     small_dataset,
 )
 

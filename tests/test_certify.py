@@ -11,8 +11,7 @@ from veriforget.certify import (
     quadratic_gain,
 )
 from veriforget.masking import make_mask
-from veriforget.model import TrainConfig, batch_grad, init_mlp, train_sgd
-from veriforget.numkit import ParamVector
+from veriforget.model import TrainConfig, init_mlp, train_sgd
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (

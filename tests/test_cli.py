@@ -145,11 +145,40 @@ def _truncated_public(w, tmp):
 
 
 def _theta_u_without_blob(w, tmp):
-    for ext in (".pvec", ".arch.json"):
-        shutil.copy(f"{w}/theta_u{ext}", f"{tmp}/theta_u{ext}")
+    shutil.copy(f"{w}/theta_u", f"{tmp}/theta_u")
     return ("certify", "--theta-p", f"{w}/theta_p",
             "--theta-u", f"{tmp}/theta_u", "--comp", f"{w}/comp",
             "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
+
+
+def _certify_theta_p_not_recorded(w, tmp):
+    return ("certify", "--theta-p", f"{w}/theta0",
+            "--theta-u", f"{w}/theta_u", "--comp", f"{w}/comp",
+            "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
+
+
+def _prove_fisher_not_recorded(w, tmp):
+    res = invoke("fisher", "--model", f"{w}/theta_p", "--data",
+                 f"{w}/personal.dset", "--seed", "4", "--out", f"{tmp}/fisher")
+    assert res.exit_code == 0, res.output
+    return ("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{w}/theta_u",
+            "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
+            "--fisher", f"{tmp}/fisher", "--out-dir", tmp)
+
+
+def _prove_args(w, tmp, f_w, f_c):
+    return ("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{w}/theta_u",
+            "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
+            "--fisher", f"{w}/fisher", "--frac-bits", str(f_w), str(f_c),
+            "--out-dir", tmp)
+
+
+def _frac_bits_negative(w, tmp):
+    return _prove_args(w, tmp, -3, 32)
+
+
+def _frac_bits_over_budget(w, tmp):
+    return _prove_args(w, tmp, 30, 40)
 
 
 def _exact_hessian_too_large(w, tmp):
@@ -189,6 +218,8 @@ def _fisher_zero_samples(w, tmp):
         _unknown_backend, _truncated_public, _theta_u_without_blob,
         _exact_hessian_too_large, _mask_k_above_eligible,
         _fisher_zero_damping, _fisher_zero_samples,
+        _certify_theta_p_not_recorded, _prove_fisher_not_recorded,
+        _frac_bits_negative, _frac_bits_over_budget,
     ]
 )
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
@@ -207,6 +238,12 @@ def test_numeric_error_exit_3(workdir):
                  "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
                  "--data", f"{w}/forget.dset", "--lambda-q", "-100")
     assert res.exit_code == 3
+
+
+def test_frac_bits_inseparable_exit_3(workdir, tmp_path):
+    res = invoke(*_prove_args(workdir, str(tmp_path), 22, 20))
+    assert res.exit_code == 3, res.output
+    assert "cannot be separated" in res.output
 
 
 def test_report_bounds_fisher_mode(workdir):
@@ -241,12 +278,10 @@ def test_gold_and_evaluate(workdir, tmp_path):
 
 def test_dataset_corruption_detected(workdir, tmp_path):
     w = workdir
-    import shutil
     d = str(tmp_path / "p.dset")
     shutil.copy(f"{w}/personal.dset", d)
-    shutil.copy(f"{w}/personal.dset.x.bin", d + ".x.bin")
-    shutil.copy(f"{w}/personal.dset.y.bin", d + ".y.bin")
-    with open(d + ".x.bin", "r+b") as fh:
+    shutil.copy(f"{w}/personal.dset.bin", d + ".bin")
+    with open(d + ".bin", "r+b") as fh:
         fh.seek(0)
         fh.write(b"\x11")
     res = invoke("fisher", "--model", f"{w}/theta_p", "--data", d,

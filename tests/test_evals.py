@@ -13,7 +13,6 @@ from veriforget.model import (
     TrainConfig,
     init_mlp,
     personalize,
-    predictive_dist,
     train_sgd,
 )
 from veriforget.numkit import StructuralError

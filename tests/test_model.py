@@ -16,7 +16,7 @@ from veriforget.model import (
     stream_rng,
     train_sgd,
 )
-from veriforget.numkit import ParamVector, StructuralError
+from veriforget.numkit import StructuralError
 
 from conftest import small_dataset
 

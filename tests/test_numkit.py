@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from veriforget.numkit import (
     BlockDiagMatrix,
@@ -9,15 +9,9 @@ from veriforget.numkit import (
     RangeError,
     StructuralError,
     canonical_json,
-    load_blockdiag,
-    load_pvec,
     quantize,
-    save_blockdiag,
-    save_pvec,
     tree_sum,
 )
-
-from conftest import random_spd_blockdiag
 
 
 def single_block_layout(d, label="b"):
@@ -158,37 +152,3 @@ def test_tree_sum_matches_exact():
 
 def test_canonical_json_stable():
     assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
-
-
-def test_pvec_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    layout = BlockLayout.from_sizes([(3, "a"), (2, "b")])
-    v = ParamVector(values=rng.normal(size=5), layout=layout)
-    p = str(tmp_path / "v.pvec")
-    save_pvec(p, v)
-    w = load_pvec(p)
-    assert np.array_equal(w.values, v.values)
-    assert w.layout == v.layout
-
-
-def test_pvec_detects_corruption(tmp_path):
-    layout = single_block_layout(2)
-    v = ParamVector(values=np.array([1.0, 2.0]), layout=layout)
-    p = str(tmp_path / "v.pvec")
-    save_pvec(p, v)
-    with open(p + ".bin", "r+b") as fh:
-        fh.seek(0)
-        fh.write(b"\xff")
-    with pytest.raises(StructuralError):
-        load_pvec(p)
-
-
-def test_blockdiag_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    layout = BlockLayout.from_sizes([(4, "a"), (3, "b")])
-    m = random_spd_blockdiag(rng, layout)
-    p = str(tmp_path / "m.pvec")
-    save_blockdiag(p, m)
-    m2 = load_blockdiag(p)
-    assert all(np.array_equal(x, y) for x, y in zip(m.blocks, m2.blocks))
-    assert m2.layout == layout

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from veriforget import zkp
 from veriforget.numkit import RangeError
 from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.zkp import (
