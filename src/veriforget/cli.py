@@ -296,6 +296,8 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
 def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
                   hessian, as_json):
     """Forget-loss gain bounds for the compensated update."""
+    art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
+                            mask=mask_path)
     theta_p = art.load_model(tp_path)
     comp = art.load_comp(comp_path)
     m = art.load_mask(mask_path)
@@ -364,7 +366,7 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
         "public": os.path.join(out_dir, "public.pub"),
         "proof": os.path.join(out_dir, "proof.prf"),
         "t_int": public.t_int,
-        "constraints": sum(circuit.counts.values()),
+        "constraints": zkp.constraint_report(circuit),
     }, as_json)
 
 
@@ -379,8 +381,9 @@ def verify(proof_path, public_path, backend, as_json):
     """Check a proof against public inputs; exit 1 when rejected."""
     proof = art.load_proof(proof_path)
     public = art.load_public(public_path)
-    ok = zkp.get_backend(backend).verify(proof.payload, public)
-    emit({"verified": ok}, as_json)
+    verifier = zkp.get_backend(backend)
+    ok = verifier.verify(proof.payload, public)
+    emit({"verified": ok, "guarantee": verifier.guarantee}, as_json)
     sys.exit(0 if ok else 1)
 
 

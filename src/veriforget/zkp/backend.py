@@ -53,6 +53,7 @@ def _tag(circuit_hash: str, public: PublicInputs) -> str:
 
 class MockBackend:
     name = "mock"
+    guarantee = "mock: constraint semantics only, no soundness, no zero knowledge"
 
     def prove(
         self,

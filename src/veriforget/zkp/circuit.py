@@ -1,13 +1,17 @@
 """Certificate constraint system and the mock prover.
 
-The mock prover evaluates every constraint directly over the field and
-is the normative semantics of the certificate; succinct backends plug
-in behind the same circuit description.
+Every constraint family is one entry of the ordered table ``FAMILIES``:
+its row count from (block sizes, mask budget) and its check.  The
+circuit description, the mock prover and the constraint report all read
+that table.  The mock prover evaluates every constraint directly over
+the field and is the normative semantics of the certificate; succinct
+backends plug in behind the same circuit description.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -28,27 +32,17 @@ class PublicInputs:
     f_c: int
 
     def to_json(self) -> dict:
-        return {
-            "mask_digest": self.mask_digest,
-            "com_theta_p": f"{self.com_theta_p:064x}",
-            "com_theta_u": f"{self.com_theta_u:064x}",
-            "com_c_p": f"{self.com_c_p:064x}",
-            "t_int": self.t_int,
-            "f_w": self.f_w,
-            "f_c": self.f_c,
-        }
+        obj = asdict(self)
+        for name, _ in COMMITTED:
+            obj[f"com_{name}"] = f"{obj[f'com_{name}']:064x}"
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "PublicInputs":
-        return cls(
-            mask_digest=obj["mask_digest"],
-            com_theta_p=int(obj["com_theta_p"], 16),
-            com_theta_u=int(obj["com_theta_u"], 16),
-            com_c_p=int(obj["com_c_p"], 16),
-            t_int=obj["t_int"],
-            f_w=obj["f_w"],
-            f_c=obj["f_c"],
-        )
+        values = {f.name: obj[f.name] for f in fields(cls)}
+        for name, _ in COMMITTED:
+            values[f"com_{name}"] = int(obj[f"com_{name}"], 16)
+        return cls(**values)
 
 
 # How com_c_p lays out the curvature blocks (see ``pack_curvature``).
@@ -67,78 +61,6 @@ class CertificateCircuit:
     circuit_hash: str
 
 
-def synthesize(
-    layout: BlockLayout,
-    mask: MaskArtifact,
-    t_int: int,
-    f_w: int,
-    f_c: int,
-) -> CertificateCircuit:
-    sizes = tuple(size for _, size, _ in layout.blocks)
-    d = layout.total_dim
-    k = mask.budget
-    counts = {
-        "matvec": int(sum(s * s for s in sizes)),
-        "assembly": d,
-        "feasibility": k,
-        "range": 3 * d + k + d,  # theta_p, theta_u, delta_w, lam, residual
-        "symmetry": int(sum(s * (s - 1) // 2 for s in sizes)),
-        "commit": 3,
-    }
-    desc = {
-        "block_sizes": list(sizes),
-        "support": [int(i) for i in mask.support],
-        "dim": d,
-        "t_int": t_int,
-        "f_w": f_w,
-        "f_c": f_c,
-        "counts": counts,
-        "c_p_packing": C_P_PACKING,
-    }
-    return CertificateCircuit(
-        block_sizes=sizes,
-        support=tuple(int(i) for i in mask.support),
-        dim=d,
-        t_int=t_int,
-        f_w=f_w,
-        f_c=f_c,
-        counts=counts,
-        circuit_hash=sha256_hex(canonical_json(desc)),
-    )
-
-
-def constraint_report(circuit: CertificateCircuit) -> dict:
-    report = dict(circuit.counts)
-    report["total"] = sum(circuit.counts.values())
-    report["circuit_hash"] = circuit.circuit_hash
-    return report
-
-
-def pack_curvature(c_blocks) -> np.ndarray:
-    """Each block's upper triangle, row-major, in layout order.  The
-    symmetry constraints tie the strict lower triangles to it."""
-    return np.concatenate([b[np.triu_indices(b.shape[0])] for b in c_blocks])
-
-
-def _committed_vectors(witness: FixedWitness) -> tuple[np.ndarray, ...]:
-    """The vectors behind (com_theta_p, com_theta_u, com_c_p)."""
-    return (
-        witness.theta_p.ints,
-        witness.theta_u.ints,
-        pack_curvature(witness.c_blocks),
-    )
-
-
-def commit_witness(
-    witness: FixedWitness, randomness: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """Merkle roots of theta_p, theta_u and the packed curvature."""
-    return tuple(
-        merkle_root(ints, rand)
-        for ints, rand in zip(_committed_vectors(witness), randomness)
-    )
-
-
 @dataclass(frozen=True)
 class MockVerdict:
     ok: bool
@@ -148,80 +70,153 @@ class MockVerdict:
         return self.ok
 
 
-def _field_vec(ints: np.ndarray) -> list[int]:
-    return [to_field(int(x)) for x in ints]
+def pack_curvature(c_blocks) -> np.ndarray:
+    """Each block's upper triangle, row-major, in layout order.  The
+    symmetry constraints tie the strict lower triangles to it."""
+    return np.concatenate([b[np.triu_indices(b.shape[0])] for b in c_blocks])
 
 
-def mock_prove(
-    circuit: CertificateCircuit,
-    witness: FixedWitness,
-    public: PublicInputs,
-    randomness: tuple[int, int, int],
-    check_commitments: bool = True,
-) -> MockVerdict:
-    """Evaluate every constraint family; identify the first violation."""
-    f_w, f_c = circuit.f_w, circuit.f_c
-    limit_w = int(witness.bound_w * 2**f_w)
-    limit_lam = int(witness.bound_lam * 2**f_w)
-    limit_c = int(witness.bound_c * 2**f_c)
+# The committed vectors, in public-input order: com_<name> is the Merkle
+# root of get(witness).
+COMMITTED = (
+    ("theta_p", lambda w: w.theta_p.ints),
+    ("theta_u", lambda w: w.theta_u.ints),
+    ("c_p", lambda w: pack_curvature(w.c_blocks)),
+)
 
-    def _range(ints, limit, family):
-        for i, x in enumerate(ints):
-            if abs(int(x)) > limit:
-                return f"range/{family}[{i}]"
-        return None
 
-    for ints, limit, family in (
-        (witness.theta_p.ints, limit_w, "theta_p"),
-        (witness.theta_u.ints, limit_w, "theta_u"),
-        (witness.delta_w.ints, limit_w, "delta_w"),
-        (witness.lam.ints, limit_lam, "lam"),
-    ):
-        v = _range(ints, limit, family)
-        if v:
-            return MockVerdict(False, v)
-    for bi, block in enumerate(witness.c_blocks):
-        if block.size and int(np.abs(block).max()) > limit_c:
-            return MockVerdict(False, f"range/c_p[block {bi}]")
-    for bi, block in enumerate(witness.c_blocks):
-        if not np.array_equal(block, block.T):
-            return MockVerdict(False, f"symmetry/c_p[block {bi}]")
+def commit_witness(
+    witness: FixedWitness, randomness: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """Merkle roots of the ``COMMITTED`` vectors."""
+    return tuple(merkle_root(get(witness), rand)
+                 for (_, get), rand in zip(COMMITTED, randomness))
 
-    # assembly: theta_u - theta_p - delta_w == 0 over the field
-    tp = _field_vec(witness.theta_p.ints)
-    tu = _field_vec(witness.theta_u.ints)
-    dw = _field_vec(witness.delta_w.ints)
-    for i in range(circuit.dim):
-        if (tu[i] - tp[i] - dw[i]) % MODULUS != 0:
-            return MockVerdict(False, f"assembly[{i}]")
 
-    # feasibility: delta_w_M + theta_p_M == 0
+# -- constraint families: each check returns its first violation or None ----
+
+
+def _first(violations) -> str | None:
+    return next(iter(violations), None)
+
+
+def _field(ints, i: int) -> int:
+    return to_field(int(ints[i]))
+
+
+def _range(circuit, w, public, randomness):
+    lim_w, lim_lam = (int(b * 2**circuit.f_w) for b in (w.bound_w, w.bound_lam))
+    vectors = (("theta_p", w.theta_p, lim_w), ("theta_u", w.theta_u, lim_w),
+               ("delta_w", w.delta_w, lim_w), ("lam", w.lam, lim_lam))
+    lim_c = int(w.bound_c * 2**circuit.f_c)
+    return _first(
+        f"range/{name}[{i}]" for name, vec, limit in vectors
+        for i, x in enumerate(vec.ints) if abs(int(x)) > limit
+    ) or _first(
+        f"range/c_p[block {bi}]" for bi, b in enumerate(w.c_blocks)
+        if b.size and (b.max() > lim_c or b.min() < -lim_c)
+    )
+
+
+def _symmetry(circuit, w, public, randomness):
+    return _first(f"symmetry/c_p[block {bi}]" for bi, b in enumerate(w.c_blocks)
+                  if not np.array_equal(b, b.T))
+
+
+def _assembly(circuit, w, public, randomness):
+    """theta_u - theta_p - delta_w == 0 over the field."""
+    tp, tu, dw = w.theta_p.ints, w.theta_u.ints, w.delta_w.ints
+    return _first(f"assembly[{i}]" for i in range(circuit.dim)
+                  if (_field(tu, i) - _field(tp, i) - _field(dw, i)) % MODULUS)
+
+
+def _feasibility(circuit, w, public, randomness):
+    """delta_w + theta_p == 0 on the mask support."""
+    return _first(f"feasibility[{j}]" for j, i in enumerate(circuit.support)
+                  if (_field(w.delta_w.ints, i) + _field(w.theta_p.ints, i)) % MODULUS)
+
+
+def _stationarity(circuit, w, public, randomness):
+    """|C dw + 2^{f_c} E lam| <= T_int per row, over the field."""
+    r = np.zeros(circuit.dim, dtype=object)
     for j, i in enumerate(circuit.support):
-        if (dw[i] + tp[i]) % MODULUS != 0:
-            return MockVerdict(False, f"feasibility[{j}]")
-
-    # stationarity per block: |C dw + 2^{f_c} E lam| <= T_int
-    lam_scaled = np.zeros(circuit.dim, dtype=object)
-    for j, i in enumerate(circuit.support):
-        lam_scaled[i] = int(witness.lam.ints[j]) << f_c
+        r[i] = int(w.lam.ints[j]) << circuit.f_c
+    dw = w.delta_w.ints.astype(object)
     offset = 0
-    for block in witness.c_blocks:
-        d_b = block.shape[0]
-        dw_b = witness.delta_w.ints[offset : offset + d_b].astype(object)
-        r = block.astype(object) @ dw_b + lam_scaled[offset : offset + d_b]
-        for i in range(d_b):
-            val = from_field(to_field(int(r[i])))
-            if abs(val) > circuit.t_int:
-                return MockVerdict(False, f"stationarity[{offset + i}]")
-        offset += d_b
+    for block in w.c_blocks:
+        end = offset + block.shape[0]
+        r[offset:end] += block.astype(object) @ dw[offset:end]
+        offset = end
+    return _first(f"stationarity[{i}]" for i, x in enumerate(r)
+                  if abs(from_field(to_field(int(x)))) > circuit.t_int)
 
-    if check_commitments:
-        digests = (public.com_theta_p, public.com_theta_u, public.com_c_p)
-        for digest, ints, rand, family in zip(
-            digests, _committed_vectors(witness), randomness,
-            ("theta_p", "theta_u", "c_p"),
-        ):
-            if not verify_commit(digest, ints, rand):
-                return MockVerdict(False, f"commit/{family}")
 
+def _commit(circuit, w, public, randomness):
+    return _first(
+        f"commit/{name}" for (name, get), rand in zip(COMMITTED, randomness)
+        if not verify_commit(getattr(public, f"com_{name}"), get(w), rand)
+    )
+
+
+@dataclass(frozen=True)
+class ConstraintFamily:
+    name: str
+    count: Callable[[tuple[int, ...], int], int]  # (block sizes, k) -> rows
+    check: Callable[..., str | None]  # (circuit, witness, public, randomness)
+
+
+def _squares(sizes) -> int:
+    return sum(s * s for s in sizes)
+
+
+# Checked in this order.  range bounds theta_p, theta_u, delta_w (d
+# each), lam (k), every curvature entry and the stationarity residual
+# (d); matvec computes that residual, so its check also bounds it and
+# names the row stationarity[i].
+FAMILIES = (
+    ConstraintFamily("range", lambda s, k: 4 * sum(s) + k + _squares(s), _range),
+    ConstraintFamily("symmetry", lambda s, k: sum(b * (b - 1) // 2 for b in s),
+                     _symmetry),
+    ConstraintFamily("assembly", lambda s, k: sum(s), _assembly),
+    ConstraintFamily("feasibility", lambda s, k: k, _feasibility),
+    ConstraintFamily("matvec", lambda s, k: _squares(s), _stationarity),
+    ConstraintFamily("commit", lambda s, k: len(COMMITTED), _commit),
+)
+
+
+def synthesize(layout: BlockLayout, mask: MaskArtifact, t_int: int,
+               f_w: int, f_c: int) -> CertificateCircuit:
+    sizes = tuple(size for _, size, _ in layout.blocks)
+    desc = dict(
+        block_sizes=sizes,
+        support=tuple(int(i) for i in mask.support),
+        dim=layout.total_dim,
+        t_int=t_int,
+        f_w=f_w,
+        f_c=f_c,
+        counts={f.name: int(f.count(sizes, mask.budget)) for f in FAMILIES},
+    )
+    circuit_hash = sha256_hex(canonical_json({**desc, "c_p_packing": C_P_PACKING}))
+    return CertificateCircuit(**desc, circuit_hash=circuit_hash)
+
+
+def constraint_report(circuit: CertificateCircuit) -> dict:
+    """Rows per family in table order, their total and the circuit hash."""
+    counts = {f.name: circuit.counts[f.name] for f in FAMILIES}
+    return {**counts, "total": sum(counts.values()),
+            "circuit_hash": circuit.circuit_hash}
+
+
+def mock_prove(circuit: CertificateCircuit, witness: FixedWitness,
+               public: PublicInputs, randomness: tuple[int, int, int],
+               check_commitments: bool = True) -> MockVerdict:
+    """Check every family in table order; report the first violation.
+    ``check_commitments=False`` skips the commit family, for a prover
+    whose commitments were just computed from this witness."""
+    for family in FAMILIES:
+        if family.name == "commit" and not check_commitments:
+            continue
+        violation = family.check(circuit, witness, public, randomness)
+        if violation:
+            return MockVerdict(False, violation)
     return MockVerdict(True, None)

@@ -10,6 +10,7 @@ from veriforget import artifacts as art
 from veriforget.cli import main
 from veriforget.model import init_mlp
 from veriforget.pipeline import run_pipeline, tiny_config
+from veriforget.zkp.circuit import FAMILIES
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,10 @@ def test_verify_passes(workdir):
     res = invoke("verify", "--proof", f"{w}/proof.prf",
                  "--public", f"{w}/public.pub", "--json")
     assert res.exit_code == 0
-    assert json.loads(res.output)["verified"] is True
+    obj = json.loads(res.output)
+    assert obj["verified"] is True
+    assert obj["guarantee"] == (
+        "mock: constraint semantics only, no soundness, no zero knowledge")
 
 
 def test_verify_tampered_proof_exit_1(workdir, tmp_path):
@@ -157,6 +161,12 @@ def _certify_theta_p_not_recorded(w, tmp):
             "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
 
 
+def _report_bounds_theta_p_not_recorded(w, tmp):
+    return ("report-bounds", "--theta-p", f"{w}/theta0", "--comp", f"{w}/comp",
+            "--mask", f"{w}/mask.mask", "--data", f"{w}/forget.dset",
+            "--hessian", "fisher")
+
+
 def _prove_fisher_not_recorded(w, tmp):
     res = invoke("fisher", "--model", f"{w}/theta_p", "--data",
                  f"{w}/personal.dset", "--seed", "4", "--out", f"{tmp}/fisher")
@@ -218,7 +228,8 @@ def _fisher_zero_samples(w, tmp):
         _unknown_backend, _truncated_public, _theta_u_without_blob,
         _exact_hessian_too_large, _mask_k_above_eligible,
         _fisher_zero_damping, _fisher_zero_samples,
-        _certify_theta_p_not_recorded, _prove_fisher_not_recorded,
+        _certify_theta_p_not_recorded, _report_bounds_theta_p_not_recorded,
+        _prove_fisher_not_recorded,
         _frac_bits_negative, _frac_bits_over_budget,
     ]
 )
@@ -238,6 +249,18 @@ def test_numeric_error_exit_3(workdir):
                  "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
                  "--data", f"{w}/forget.dset", "--lambda-q", "-100")
     assert res.exit_code == 3
+
+
+def test_prove_json_reports_constraint_table(workdir, tmp_path):
+    res = invoke(*_prove_args(workdir, str(tmp_path), 22, 32), "--json")
+    assert res.exit_code == 0, res.output
+    report = json.loads(res.output)["constraints"]
+    families = {k: v for k, v in report.items()
+                if k not in ("total", "circuit_hash")}
+    assert set(families) == {f.name for f in FAMILIES}
+    assert report["total"] == sum(families.values())
+    with open(tmp_path / "proof.prf") as fh:
+        assert report["circuit_hash"] == json.load(fh)["circuit_hash"]
 
 
 def test_frac_bits_inseparable_exit_3(workdir, tmp_path):

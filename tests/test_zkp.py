@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from veriforget.zkp import (
     to_field,
     verify_commit,
 )
+from veriforget.zkp.circuit import FAMILIES
 
 from conftest import random_instance
 
@@ -274,10 +277,17 @@ def test_hand_constraint_count():
     mask = make_mask(8, 2, np.arange(8, dtype=np.int64),
                      np.array([1, 5], dtype=np.int64))
     circ = synthesize(layout, mask, 1 << 20, 22, 32)
-    assert circ.counts["matvec"] == 64
-    assert circ.counts["assembly"] == 8
-    assert circ.counts["feasibility"] == 2
-    assert circ.counts["symmetry"] == 28
+    # one 8x8 curvature block (d = 8), mask budget k = 2:
+    # range: theta_p, theta_u, delta_w 3 * 8 + lam 2 + curvature entries
+    #   8 * 8 + stationarity residual 8 = 98
+    # symmetry: strict lower triangle 8 * 7 / 2 = 28
+    # assembly: one row per coordinate, 8; feasibility: one per masked, 2
+    # matvec: C dw, 8 * 8 = 64; commit: theta_p, theta_u, c_p = 3
+    assert list(circ.counts.items()) == [
+        ("range", 98), ("symmetry", 28), ("assembly", 8), ("feasibility", 2),
+        ("matvec", 64), ("commit", 3),
+    ]
+    assert constraint_report(circ)["total"] == 203
 
 
 def test_matvec_quadratic_scaling():
@@ -425,6 +435,82 @@ def test_symmetric_pair_tamper_fails_commitment():
         assert mock_prove(circuit, bad, public, rnd, check_commitments=False)
         verdict = mock_prove(circuit, bad, public, rnd)
         assert verdict.first_violation == "commit/c_p"
+
+
+def _tamper_range(w, public, circuit):
+    blocks = [b.copy() for b in w.c_blocks]
+    blocks[0][0, 0] = int(w.bound_c * 2**w.f_c) + 1
+    return replace_witness(w, c_blocks=tuple(blocks)), public
+
+
+def _tamper_symmetry(w, public, circuit):
+    blocks = [b.copy() for b in w.c_blocks]
+    next(b for b in blocks if b.shape[0] > 1)[1, 0] += 1
+    return replace_witness(w, c_blocks=tuple(blocks)), public
+
+
+def _tamper_assembly(w, public, circuit):
+    ints = w.theta_u.ints.copy()
+    ints[0] += 1
+    return replace_witness(w, theta_u=with_ints(w.theta_u, ints)), public
+
+
+def _tamper_feasibility(w, public, circuit):
+    # move delta_w and theta_u together on a masked coordinate, so that
+    # assembly still holds and only feasibility sees it
+    i = circuit.support[0]
+    dw, tu = w.delta_w.ints.copy(), w.theta_u.ints.copy()
+    dw[i] += 1
+    tu[i] += 1
+    return replace_witness(w, delta_w=with_ints(w.delta_w, dw),
+                           theta_u=with_ints(w.theta_u, tu)), public
+
+
+def _tamper_matvec(w, public, circuit):
+    return replace_witness(w, lam=with_ints(w.lam, w.lam.ints * 2)), public
+
+
+def _tamper_commit(w, public, circuit):
+    return w, dataclasses.replace(public, com_c_p=(public.com_c_p + 1) % MODULUS)
+
+
+# family -> (tamper, prefix of the first violation it must produce)
+TAMPERS = {
+    "range": (_tamper_range, "range/"),
+    "symmetry": (_tamper_symmetry, "symmetry/"),
+    "assembly": (_tamper_assembly, "assembly["),
+    "feasibility": (_tamper_feasibility, "feasibility["),
+    "matvec": (_tamper_matvec, "stationarity["),
+    "commit": (_tamper_commit, "commit/"),
+}
+
+
+def test_range_catches_int64_min_curvature():
+    # np.abs(int64 min) is int64 min, which a max-of-abs bound misses
+    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(19)
+    blocks = [b.copy() for b in w.c_blocks]
+    blocks[0][0, 0] = np.iinfo(np.int64).min
+    bad = replace_witness(w, c_blocks=tuple(blocks))
+    verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
+    assert verdict.first_violation == "range/c_p[block 0]"
+
+
+def test_counts_follow_family_table():
+    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(18)
+    names = [f.name for f in FAMILIES]
+    assert list(circuit.counts) == names
+    assert list(constraint_report(circuit))[:-2] == names
+    assert sorted(TAMPERS) == sorted(names)
+
+
+@pytest.mark.parametrize("family", [f.name for f in FAMILIES])
+def test_each_family_catches_its_tamper(family):
+    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(19)
+    tamper, prefix = TAMPERS[family]
+    bad, bad_public = tamper(w, public, circuit)
+    verdict = mock_prove(circuit, bad, bad_public, rnd)
+    assert not verdict.ok
+    assert verdict.first_violation.startswith(prefix), verdict.first_violation
 
 
 # -- backend -----------------------------------------------------------------------
