@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -249,24 +250,16 @@ def load_public(path: str) -> PublicInputs:
 
 
 def save_proof(path: str, proof: Proof) -> None:
-    _write_json(
-        path,
-        {
-            "backend": proof.backend,
-            "circuit_hash": proof.circuit_hash,
-            "proof_hex": proof.payload.hex(),
-        },
-    )
+    _write_json(path, asdict(proof))
 
 
 @_reader
 def load_proof(path: str) -> Proof:
     obj = _read_json(path)
-    return Proof(
-        payload=bytes.fromhex(obj["proof_hex"]),
-        backend=obj["backend"],
-        circuit_hash=obj["circuit_hash"],
-    )
+    proof = Proof(circuit_hash=obj["circuit_hash"], tag=obj["tag"])
+    if not all(isinstance(v, str) for v in (proof.circuit_hash, proof.tag)):
+        raise IntegrityError(f"{path}: proof fields are not strings")
+    return proof
 
 
 def out_digests(out_dir: str) -> dict:

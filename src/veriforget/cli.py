@@ -330,13 +330,11 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
               show_default=True, help="Fractional bits: weights, curvature.")
 @click.option("--seed", default=0, show_default=True,
               help="Seed for the commitment blinding randomness.")
-@click.option("--backend", default="mock", show_default=True,
-              type=click.Choice(sorted(zkp.BACKENDS)))
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
-          seed, backend, out_dir, as_json):
+          seed, out_dir, as_json):
     """Encode the fixed-point witness, commit, and produce a proof."""
     art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
                             mask=mask_path, fisher=fisher_path)
@@ -349,7 +347,7 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
     f_w, f_c = frac_bits
     try:
         _, circuit, public, proof, _ = run_zk_layer(
-            theta_p, theta_u, comp, f, m, seed, f_w, f_c, backend
+            theta_p, theta_u, comp, f, m, seed, f_w, f_c
         )
     except zkp.UnsatisfiableWitnessError as exc:
         click.echo(f"witness unsatisfiable: {exc}", err=True)
@@ -373,17 +371,14 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
 @main.command()
 @click.option("--proof", "proof_path", required=True, type=click.Path(exists=True))
 @click.option("--public", "public_path", required=True, type=click.Path(exists=True))
-@click.option("--backend", default="mock", show_default=True,
-              type=click.Choice(sorted(zkp.BACKENDS)))
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
-def verify(proof_path, public_path, backend, as_json):
+def verify(proof_path, public_path, as_json):
     """Check a proof against public inputs; exit 1 when rejected."""
     proof = art.load_proof(proof_path)
     public = art.load_public(public_path)
-    verifier = zkp.get_backend(backend)
-    ok = verifier.verify(proof.payload, public)
-    emit({"verified": ok, "guarantee": verifier.guarantee}, as_json)
+    ok = zkp.MockBackend().verify(proof, public)
+    emit({"verified": ok, "guarantee": zkp.MockBackend.guarantee}, as_json)
     sys.exit(0 if ok else 1)
 
 

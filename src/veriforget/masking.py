@@ -21,7 +21,6 @@ DEFAULT_BUDGET_FRACTION = 0.04
 @dataclass(frozen=True)
 class SaliencyScores:
     scores: np.ndarray
-    anchor: str  # "pretrained" or "personalized"
 
     def __post_init__(self):
         s = np.ascontiguousarray(self.scores, dtype=np.float64)
@@ -29,8 +28,6 @@ class SaliencyScores:
         object.__setattr__(self, "scores", s)
         if not np.all(np.isfinite(s)):
             raise StructuralError("non-finite saliency scores")
-        if self.anchor not in ("pretrained", "personalized"):
-            raise ValueError(f"unknown anchor {self.anchor!r}")
 
     @property
     def dim(self) -> int:
@@ -149,7 +146,6 @@ def saliency_scores(
     theta: ParamVector,
     g_f: ParamVector,
     c_f: DiagCurvature,
-    anchor: str = "pretrained",
 ) -> SaliencyScores:
     """Per-coordinate predicted forget-loss gain from zeroing each weight.
 
@@ -159,7 +155,7 @@ def saliency_scores(
         raise StructuralError("saliency operand lengths differ")
     t = theta.values
     s = -g_f.values * t + 0.5 * c_f.diag * t * t
-    return SaliencyScores(scores=s, anchor=anchor)
+    return SaliencyScores(scores=s)
 
 
 def select_topk(S: SaliencyScores, k: int, eligible: np.ndarray) -> MaskArtifact:

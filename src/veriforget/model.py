@@ -7,7 +7,7 @@ weight matrix / bias vector ("mlp.{i}.w", "mlp.{i}.b").
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,18 +265,11 @@ def per_example_losses(model: MlpModel, data: Dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrainTrace:
-    epoch_losses: list[float] = field(default_factory=list)
-    drift_l2: float = 0.0
-
-
 def train_sgd(
     init: MlpModel,
     data: Dataset,
     cfg: TrainConfig,
     stream: str = "train",
-    trace: TrainTrace | None = None,
 ) -> MlpModel:
     """Deterministic minibatch SGD with momentum."""
     theta = init.params.values.copy()
@@ -298,24 +291,12 @@ def train_sgd(
         loss = mean_loss(model, data)
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
-        if trace is not None:
-            trace.epoch_losses.append(loss)
     return model
 
 
-def personalize(
-    model: MlpModel,
-    d_p: Dataset,
-    cfg: TrainConfig,
-    trace: TrainTrace | None = None,
-) -> MlpModel:
-    """Short-horizon full-parameter SGD; records the parameter drift norm."""
-    out = train_sgd(model, d_p, cfg, stream="personalize", trace=trace)
-    if trace is not None:
-        trace.drift_l2 = float(
-            np.linalg.norm(out.params.values - model.params.values)
-        )
-    return out
+def personalize(model: MlpModel, d_p: Dataset, cfg: TrainConfig) -> MlpModel:
+    """Short-horizon full-parameter SGD on the client's data."""
+    return train_sgd(model, d_p, cfg, stream="personalize")
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,8 @@ class BlockDiagMatrix:
                     f"({size}, {size})"
                 )
             scale = np.abs(arr).max() if arr.size else 0.0
+            if not np.isfinite(scale):
+                raise StructuralError(f"block {label!r} has non-finite entries")
             if np.abs(arr - arr.T).max() > 1e-12 * max(scale, 1e-300):
                 raise StructuralError(f"block {label!r} is not symmetric")
             frozen.append(arr)
@@ -185,7 +187,7 @@ def quantize(x: np.ndarray, frac_bits: int, bound: float) -> FixedVector:
     if frac_bits > 40:
         raise ValueError("frac_bits must be <= 40")
     x = np.asarray(x, dtype=np.float64).ravel()
-    over = np.abs(x) > bound
+    over = ~(np.abs(x) <= bound)  # NaN is out of range too
     if over.any():
         idx = int(np.argmax(over))
         raise RangeError(f"|x[{idx}]| = {abs(x[idx])} exceeds bound {bound}")

@@ -39,6 +39,8 @@ class CompensationResult:
         lam = np.ascontiguousarray(self.multipliers, dtype=np.float64)
         lam.setflags(write=False)
         object.__setattr__(self, "multipliers", lam)
+        if not (np.all(np.isfinite(lam)) and np.isfinite(self.kkt_residual_inf)):
+            raise StructuralError("non-finite multipliers or KKT residual")
         if self.method != "schur":
             raise ValueError(f"unknown method {self.method!r}")
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import zkp
 from .certify import KktCertificate, check_kkt
 from .curvature import (
@@ -35,7 +37,6 @@ from .model import (
     MlpModel,
     SyntheticTask,
     TrainConfig,
-    TrainTrace,
     batch_grad,
     init_mlp,
     make_synthetic_task,
@@ -118,14 +119,12 @@ def synthetic_task(seed: int, layer_dims: tuple[int, ...]) -> SyntheticTask:
     )
 
 
-def saliency_at(
-    model: MlpModel, data: Dataset, seed: int, anchor: str
-) -> SaliencyScores:
+def saliency_at(model: MlpModel, data: Dataset, seed: int) -> SaliencyScores:
     """Saliency of ``model``'s weights from its gradient and diagonal
     Fisher on ``data``."""
     g = batch_grad(model, data)
     c = diag_curvature(model, data, seed=seed)
-    return saliency_scores(model.params, g, c, anchor=anchor)
+    return saliency_scores(model.params, g, c)
 
 
 def select_mask(
@@ -137,7 +136,7 @@ def select_mask(
 ) -> tuple[MaskArtifact, SaliencyScores]:
     """Provider step: saliency at the pretrained weights, top-k support.
     Without ``k`` the budget is ``frac`` of the eligible coordinates."""
-    scores = saliency_at(theta0, d_f, seed, "pretrained")
+    scores = saliency_at(theta0, d_f, seed)
     eligible = hidden_weight_eligible(theta0.params.layout)
     if k is None:
         k = max(1, int(round(frac * eligible.size)))
@@ -183,7 +182,6 @@ def run_zk_layer(
     seed: int,
     f_w: int = zkp.DEFAULT_FRAC_BITS_W,
     f_c: int = zkp.DEFAULT_FRAC_BITS_C,
-    backend: str = "mock",
 ):
     """Encode the fixed-point witness, synthesize, commit, and prove.
 
@@ -198,7 +196,7 @@ def run_zk_layer(
     circuit = zkp.synthesize(fisher.layout, mask, t_int, f_w, f_c)
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
-    public, proof = zkp.get_backend(backend).prove(
+    public, proof = zkp.MockBackend().prove(
         circuit, witness, mask.digest, randomness
     )
     return witness, circuit, public, proof, randomness
@@ -210,17 +208,15 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
 
     theta0_init = init_mlp(list(cfg.layer_dims), seed)
     theta0 = train_sgd(theta0_init, task.train, replace(cfg.pretrain, seed=seed))
-    trace = TrainTrace()
-    theta_p = personalize(
-        theta0, task.personal, replace(cfg.personalize, seed=seed), trace=trace
-    )
+    theta_p = personalize(theta0, task.personal, replace(cfg.personalize, seed=seed))
 
     mask, s0 = select_mask(theta0, task.forget, seed, k=cfg.mask_k)
 
     # diagnostic: how stable is the provider-side saliency under drift
-    sp = saliency_at(theta_p, task.forget, seed, "personalized")
+    sp = saliency_at(theta_p, task.forget, seed)
+    drift_l2 = float(np.linalg.norm(theta_p.params.values - theta0.params.values))
     drift = saliency_drift_report(
-        s0, sp, mask.budget, mask.eligible, theta_drift_l2=trace.drift_l2
+        s0, sp, mask.budget, mask.eligible, theta_drift_l2=drift_l2
     )
 
     fisher = estimate_fisher(theta_p, task.personal, seed)
@@ -249,9 +245,7 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
          result.randomness) = run_zk_layer(
             theta_p, theta_u, comp, fisher, mask, seed
         )
-        result.verified = zkp.get_backend("mock").verify(
-            result.proof.payload, result.public
-        )
+        result.verified = zkp.MockBackend().verify(result.proof, result.public)
 
     if cfg.run_gold:
         gold = gold_standard(

@@ -1,16 +1,15 @@
-"""Pluggable proof backend behind a prove/verify contract.
+"""The mock proof backend: prove and verify over the certificate circuit.
 
 The mock backend commits to the witness once, builds the public inputs
-from those commitments, and binds a proof to (circuit, public inputs)
-after the mock prover accepts the witness.  Knowledge soundness and zero
-knowledge are properties of a real succinct backend registered under
-the same interface; the mock's satisfiability check is the normative
-semantics either way.
+from those commitments, and binds a proof to (circuit hash, public
+inputs) after the mock prover accepts the witness.  Its proof is a hash
+tag that anyone holding the public data can compute: it checks
+constraint semantics only and gives neither knowledge soundness nor
+zero knowledge.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..numkit import canonical_json, sha256_hex
@@ -34,9 +33,8 @@ class UnsatisfiableWitnessError(ValueError):
 
 @dataclass(frozen=True)
 class Proof:
-    payload: bytes
-    backend: str
     circuit_hash: str
+    tag: str
 
 
 def _tag(circuit_hash: str, public: PublicInputs) -> str:
@@ -52,7 +50,6 @@ def _tag(circuit_hash: str, public: PublicInputs) -> str:
 
 
 class MockBackend:
-    name = "mock"
     guarantee = "mock: constraint semantics only, no soundness, no zero knowledge"
 
     def prove(
@@ -79,32 +76,8 @@ class MockBackend:
         )
         if not verdict.ok:
             raise UnsatisfiableWitnessError(verdict)
-        payload = canonical_json(
-            {
-                "backend": self.name,
-                "circuit_hash": circuit.circuit_hash,
-                "tag": _tag(circuit.circuit_hash, public),
-            }
-        )
-        return public, Proof(
-            payload=payload, backend=self.name, circuit_hash=circuit.circuit_hash
-        )
+        return public, Proof(circuit.circuit_hash,
+                             _tag(circuit.circuit_hash, public))
 
-    def verify(self, payload: bytes, public: PublicInputs) -> bool:
-        try:
-            obj = json.loads(payload)
-            if obj.get("backend") != self.name:
-                return False
-            return obj.get("tag") == _tag(obj["circuit_hash"], public)
-        except (ValueError, KeyError, TypeError):
-            return False
-
-
-BACKENDS = {"mock": MockBackend()}
-
-
-def get_backend(name: str = "mock"):
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown proof backend {name!r}") from None
+    def verify(self, proof: Proof, public: PublicInputs) -> bool:
+        return proof.tag == _tag(proof.circuit_hash, public)

@@ -3,9 +3,11 @@
 Every constraint family is one entry of the ordered table ``FAMILIES``:
 its row count from (block sizes, mask budget) and its check.  The
 circuit description, the mock prover and the constraint report all read
-that table.  The mock prover evaluates every constraint directly over
-the field and is the normative semantics of the certificate; succinct
-backends plug in behind the same circuit description.
+that table.  The description, and so the circuit hash, binds every
+parameter of the statement: the shapes, ``T_int``, the fractional bits,
+the range bounds and the curvature packing.  The mock prover evaluates
+every constraint directly over the field and is the normative semantics
+of the certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from ..masking import MaskArtifact
 from ..numkit import BlockLayout, canonical_json, sha256_hex
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
-from .witness import FixedWitness
+from .witness import BOUND_C, BOUND_LAM, BOUND_W, FixedWitness
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,10 @@ def _field(ints, i: int) -> int:
 
 
 def _range(circuit, w, public, randomness):
-    lim_w, lim_lam = (int(b * 2**circuit.f_w) for b in (w.bound_w, w.bound_lam))
+    lim_w, lim_lam = (int(b * 2**circuit.f_w) for b in (BOUND_W, BOUND_LAM))
     vectors = (("theta_p", w.theta_p, lim_w), ("theta_u", w.theta_u, lim_w),
                ("delta_w", w.delta_w, lim_w), ("lam", w.lam, lim_lam))
-    lim_c = int(w.bound_c * 2**circuit.f_c)
+    lim_c = int(BOUND_C * 2**circuit.f_c)
     return _first(
         f"range/{name}[{i}]" for name, vec, limit in vectors
         for i, x in enumerate(vec.ints) if abs(int(x)) > limit
@@ -196,7 +198,9 @@ def synthesize(layout: BlockLayout, mask: MaskArtifact, t_int: int,
         f_c=f_c,
         counts={f.name: int(f.count(sizes, mask.budget)) for f in FAMILIES},
     )
-    circuit_hash = sha256_hex(canonical_json({**desc, "c_p_packing": C_P_PACKING}))
+    bounds = {"w": BOUND_W, "c": BOUND_C, "lam": BOUND_LAM}
+    circuit_hash = sha256_hex(canonical_json(
+        {**desc, "bounds": bounds, "c_p_packing": C_P_PACKING}))
     return CertificateCircuit(**desc, circuit_hash=circuit_hash)
 
 

@@ -26,9 +26,12 @@ from ..numkit import FixedVector, ParamVector, RangeError, StructuralError, quan
 # the tamper signal while f_w + f_c stays within the 60-bit budget.
 DEFAULT_FRAC_BITS_W = 22
 DEFAULT_FRAC_BITS_C = 32
-DEFAULT_BOUND_W = 64.0
-DEFAULT_BOUND_C = 1024.0
-DEFAULT_BOUND_LAM = 64.0
+# Magnitude limits of the statement: weights (theta_p, theta_u, delta_w),
+# curvature entries and multipliers.  The circuit's range family checks
+# them and its hash binds them, so they are constants, not prover inputs.
+BOUND_W = 64.0
+BOUND_C = 1024.0
+BOUND_LAM = 64.0
 
 # The stationarity identity C dw + E lam = 0 is invariant under a joint
 # scaling of C and lam, so the encoder normalizes both by a power of two
@@ -37,6 +40,9 @@ DEFAULT_BOUND_LAM = 64.0
 # sums at 4 keeps it at 2^{f_c+1}, a factor 8 below the 2^{f_c+4}
 # detectability threshold of the minimal multiplier tamper.
 ROW_SUM_TARGET = 4.0
+
+# default_t_int's factor on the analytic honest residual bound.
+T_INT_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -48,9 +54,6 @@ class FixedWitness:
     c_blocks: tuple[np.ndarray, ...]  # int64 matrices, frac_bits f_c
     f_w: int
     f_c: int
-    bound_w: float
-    bound_c: float
-    bound_lam: float
     scale_log2: int = 0  # C_p and lam are stored scaled by 2^-scale_log2
 
 
@@ -63,19 +66,16 @@ def encode_fixed_witness(
     mask: MaskArtifact,
     f_w: int = DEFAULT_FRAC_BITS_W,
     f_c: int = DEFAULT_FRAC_BITS_C,
-    bound_w: float = DEFAULT_BOUND_W,
-    bound_c: float = DEFAULT_BOUND_C,
-    bound_lam: float = DEFAULT_BOUND_LAM,
 ) -> FixedWitness:
     if f_w + f_c > 60:
         raise StructuralError("f_w + f_c must be <= 60")
-    q_tp = quantize(theta_p.values, f_w, bound_w)
-    q_dw_raw = quantize(delta_w.values, f_w, bound_w)
+    q_tp = quantize(theta_p.values, f_w, BOUND_W)
+    q_dw_raw = quantize(delta_w.values, f_w, BOUND_W)
     dw_ints = q_dw_raw.ints.copy()
     dw_ints[mask.support] = -q_tp.ints[mask.support]
-    q_dw = FixedVector(ints=dw_ints, frac_bits=f_w, bound=bound_w)
+    q_dw = FixedVector(ints=dw_ints, frac_bits=f_w, bound=BOUND_W)
     tu_ints = q_tp.ints + q_dw.ints
-    q_tu = FixedVector(ints=tu_ints, frac_bits=f_w, bound=bound_w)
+    q_tu = FixedVector(ints=tu_ints, frac_bits=f_w, bound=BOUND_W)
     # the float-side theta_u must agree with the constructed integers
     # within quantization error; a mismatch means inconsistent inputs
     recon = q_tu.dequantize()
@@ -86,11 +86,11 @@ def encode_fixed_witness(
     scale_log2 = max(0, math.ceil(math.log2(row_max / ROW_SUM_TARGET))) \
         if row_max > ROW_SUM_TARGET else 0
     scale = 2.0 ** -scale_log2
-    q_lam = quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, bound_lam)
+    q_lam = quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM)
     c_blocks = []
     for arr in damped:
         c_blocks.append(
-            quantize(arr.ravel() * scale, f_c, bound_c).ints.reshape(arr.shape)
+            quantize(arr.ravel() * scale, f_c, BOUND_C).ints.reshape(arr.shape)
         )
     return FixedWitness(
         theta_p=q_tp,
@@ -100,9 +100,6 @@ def encode_fixed_witness(
         c_blocks=tuple(c_blocks),
         f_w=f_w,
         f_c=f_c,
-        bound_w=bound_w,
-        bound_c=bound_c,
-        bound_lam=bound_lam,
         scale_log2=scale_log2,
     )
 
@@ -144,13 +141,12 @@ def default_t_int(
     c_p: BlockFisher,
     mask: MaskArtifact,
     solver_residual_inf: float = 0.0,
-    headroom: int = 2,
 ) -> int:
-    """Smallest power of two >= headroom * analytic honest bound,
+    """Smallest power of two >= T_INT_SLACK * analytic honest bound,
     clamped strictly below the detectability threshold.
 
     The analytic bound already dominates every honestly quantized
-    residual, so the headroom only absorbs slack in the reported solver
+    residual, so the factor only absorbs slack in the reported solver
     residual.  A minimal single-coordinate multiplier tamper of
     2^{-f_w+4} shifts the integer residual by 2^{f_c+4}; T_int must stay
     strictly below that so the tamper is always rejected.  When the
@@ -159,7 +155,7 @@ def default_t_int(
     configuration cannot separate honest noise from tampering.
     """
     bound = stationarity_bound_int(w, c_p, mask, solver_residual_inf)
-    t_int = 1 << max(int(headroom * max(bound, 1)) - 1, 0).bit_length()
+    t_int = 1 << max(int(T_INT_SLACK * max(bound, 1)) - 1, 0).bit_length()
     threshold = 1 << (w.f_c + 4)
     if t_int >= threshold:
         t_int = threshold >> 1

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -266,28 +267,23 @@ def test_criterion_7_zk_smoke():
         if not r.verified:
             ok = False
         runs.append(r)
-    backend = zkp.get_backend("mock")
     for trial in range(50):
         r = runs[trial % len(runs)]
         w, circ, pub, rnd = r.witness, r.circuit, r.public, r.randomness
-        from veriforget.numkit import FixedVector
         kind = trial % 4
         bad = None
         if kind == 0:  # theta_u, one int
             ints = w.theta_u.ints.copy()
             ints[trial % ints.size] += 1
-            bad = dict(theta_u=FixedVector(ints=ints, frac_bits=w.f_w,
-                                           bound=w.bound_w))
+            bad = dict(theta_u=replace(w.theta_u, ints=ints))
         elif kind == 1:  # delta_w, one int
             ints = w.delta_w.ints.copy()
             ints[trial % ints.size] += 1
-            bad = dict(delta_w=FixedVector(ints=ints, frac_bits=w.f_w,
-                                           bound=w.bound_w))
+            bad = dict(delta_w=replace(w.delta_w, ints=ints))
         elif kind == 2:  # lambda: the minimal calibrated tamper 2^{-f_w+4}
             ints = w.lam.ints.copy()
             ints[trial % ints.size] += 16
-            bad = dict(lam=FixedVector(ints=ints, frac_bits=w.f_w,
-                                       bound=w.bound_lam))
+            bad = dict(lam=replace(w.lam, ints=ints))
         else:  # C_p diagonal entry on a block with a masked coordinate
             masked = r.mask.indicator()
             done = False
@@ -310,15 +306,8 @@ def test_criterion_7_zk_smoke():
             if not done:  # degenerate instance: fall back to lambda tamper
                 ints = w.lam.ints.copy()
                 ints[0] += 16
-                bad = dict(lam=FixedVector(ints=ints, frac_bits=w.f_w,
-                                           bound=w.bound_lam))
-        fields = dict(
-            theta_p=w.theta_p, theta_u=w.theta_u, delta_w=w.delta_w,
-            lam=w.lam, c_blocks=w.c_blocks, f_w=w.f_w, f_c=w.f_c,
-            bound_w=w.bound_w, bound_c=w.bound_c, bound_lam=w.bound_lam,
-        )
-        fields.update(bad)
-        tampered = zkp.FixedWitness(**fields)
+                bad = dict(lam=replace(w.lam, ints=ints))
+        tampered = replace(w, **bad)
         verdict = zkp.mock_prove(circ, tampered, pub, rnd,
                                  check_commitments=False)
         if verdict.ok:

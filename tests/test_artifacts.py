@@ -56,8 +56,7 @@ def sample(kind, bump=0.0):
         return random_mask(rng, layout, 3)
     if kind == "public":
         return PublicInputs("cd" * 32, 1, 2, 3, 1 << 30, 22, 32)
-    return Proof(payload=b"\x01\x02\x03", backend="mock",
-                 circuit_hash="ef" * 32)
+    return Proof(circuit_hash="ef" * 32, tag="01" * 32)
 
 
 def save(kind, path, obj):

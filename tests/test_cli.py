@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -82,9 +83,8 @@ def test_verify_tampered_proof_exit_1(workdir, tmp_path):
     w = workdir
     with open(f"{w}/proof.prf") as fh:
         obj = json.load(fh)
-    payload = bytearray.fromhex(obj["proof_hex"])
-    payload[5] ^= 0xFF
-    obj["proof_hex"] = bytes(payload).hex()
+    tag = obj["tag"]
+    obj["tag"] = tag[:5] + format(int(tag[5], 16) ^ 1, "x") + tag[6:]
     bad = tmp_path / "bad.prf"
     bad.write_text(json.dumps(obj))
     res = invoke("verify", "--proof", str(bad), "--public", f"{w}/public.pub")
@@ -134,11 +134,6 @@ def test_idempotent_artifacts(workdir, tmp_path):
     assert art.out_digests(out1) == art.out_digests(out2)
 
 
-def _unknown_backend(w, tmp):
-    return ("verify", "--proof", f"{w}/proof.prf", "--public",
-            f"{w}/public.pub", "--backend", "halo2")
-
-
 def _truncated_public(w, tmp):
     with open(f"{w}/public.pub", "rb") as fh:
         data = fh.read()
@@ -153,6 +148,44 @@ def _theta_u_without_blob(w, tmp):
     return ("certify", "--theta-p", f"{w}/theta_p",
             "--theta-u", f"{tmp}/theta_u", "--comp", f"{w}/comp",
             "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
+
+
+def _with_nan(src, dst, index):
+    """Copy the f64 array artifact at ``src`` to ``dst`` with entry ``index``
+    of its blob set to NaN and the blob checksum renewed."""
+    values = np.fromfile(src + ".bin", dtype="<f8")
+    values[index] = np.nan
+    values.tofile(dst + ".bin")
+    with open(src) as fh:
+        header = json.load(fh)
+    header["sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+    with open(dst, "w") as fh:
+        json.dump(header, fh)
+
+
+def _fisher_nan_entry(w, tmp):
+    _with_nan(f"{w}/fisher", f"{tmp}/fisher", 0)
+    return ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+            "--fisher", f"{tmp}/fisher", "--out-dir", tmp)
+
+
+def _comp_nan_multiplier(w, tmp):
+    _with_nan(f"{w}/comp", f"{tmp}/comp", -1)  # the last multiplier
+    return ("certify", "--theta-p", f"{w}/theta_p",
+            "--theta-u", f"{w}/theta_u", "--comp", f"{tmp}/comp",
+            "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
+
+
+def _comp_nan_residual(w, tmp):
+    with open(f"{w}/comp") as fh:
+        header = json.load(fh)
+    header["kkt_residual_inf"] = float("nan")
+    with open(f"{tmp}/comp", "w") as fh:
+        json.dump(header, fh)
+    shutil.copy(f"{w}/comp.bin", f"{tmp}/comp.bin")
+    return ("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{w}/theta_u",
+            "--comp", f"{tmp}/comp", "--mask", f"{w}/mask.mask",
+            "--fisher", f"{w}/fisher", "--out-dir", tmp)
 
 
 def _certify_theta_p_not_recorded(w, tmp):
@@ -225,11 +258,12 @@ def _fisher_zero_samples(w, tmp):
 
 @pytest.mark.parametrize(
     "case", [
-        _unknown_backend, _truncated_public, _theta_u_without_blob,
+        _truncated_public, _theta_u_without_blob,
         _exact_hessian_too_large, _mask_k_above_eligible,
         _fisher_zero_damping, _fisher_zero_samples,
         _certify_theta_p_not_recorded, _report_bounds_theta_p_not_recorded,
-        _prove_fisher_not_recorded,
+        _prove_fisher_not_recorded, _fisher_nan_entry, _comp_nan_multiplier,
+        _comp_nan_residual,
         _frac_bits_negative, _frac_bits_over_budget,
     ]
 )

@@ -20,7 +20,7 @@ from veriforget.numkit import ParamVector, StructuralError
 
 def scores_from(values):
     v = np.asarray(values, dtype=np.float64)
-    return SaliencyScores(scores=v, anchor="pretrained")
+    return SaliencyScores(scores=v)
 
 
 def all_eligible(d):

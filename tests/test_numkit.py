@@ -91,8 +91,9 @@ def test_quantize_dyadic_exact():
 
 
 def test_quantize_out_of_range_names_index():
-    with pytest.raises(RangeError, match=r"x\[2\]"):
-        quantize(np.array([0.0, 0.5, 3.0]), 8, 1.0)
+    for bad in (3.0, np.nan):
+        with pytest.raises(RangeError, match=r"x\[2\]"):
+            quantize(np.array([0.0, 0.5, bad]), 8, 1.0)
 
 
 def test_round_half_even():

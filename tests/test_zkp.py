@@ -1,4 +1,4 @@
-import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +6,10 @@ import pytest
 from veriforget.numkit import RangeError
 from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.zkp import (
-    FixedWitness,
+    BOUND_C,
+    BOUND_W,
     MODULUS,
+    MockBackend,
     PublicInputs,
     UnsatisfiableWitnessError,
     WraparoundError,
@@ -16,7 +18,6 @@ from veriforget.zkp import (
     default_t_int,
     encode_fixed_witness,
     from_field,
-    get_backend,
     merkle_root,
     mock_prove,
     pack_curvature,
@@ -55,21 +56,6 @@ def honest_zk_instance(seed, f_w=22, f_c=32):
         f_c=f_c,
     )
     return fisher, theta, mask, comp, w, circuit, public, randomness
-
-
-def replace_witness(w, **kw):
-    fields = dict(
-        theta_p=w.theta_p, theta_u=w.theta_u, delta_w=w.delta_w, lam=w.lam,
-        c_blocks=w.c_blocks, f_w=w.f_w, f_c=w.f_c,
-        bound_w=w.bound_w, bound_c=w.bound_c, bound_lam=w.bound_lam,
-    )
-    fields.update(kw)
-    return FixedWitness(**fields)
-
-
-def with_ints(fv, ints):
-    from veriforget.numkit import FixedVector
-    return FixedVector(ints=ints, frac_bits=fv.frac_bits, bound=fv.bound)
 
 
 # -- field / sponge ------------------------------------------------------------
@@ -327,6 +313,19 @@ def test_circuit_hash_binds_c_p_packing(monkeypatch):
     assert a.circuit_hash != b.circuit_hash
 
 
+def test_circuit_hash_binds_range_bounds(monkeypatch):
+    from veriforget.masking import make_mask
+    from veriforget.numkit import BlockLayout
+    from veriforget.zkp import circuit as circuit_module
+    layout = BlockLayout.from_sizes([(8, "b")])
+    mask = make_mask(8, 1, np.arange(8, dtype=np.int64),
+                     np.array([3], dtype=np.int64))
+    a = synthesize(layout, mask, 1 << 20, 22, 32)
+    monkeypatch.setattr(circuit_module, "BOUND_C", 2 * BOUND_C)
+    b = synthesize(layout, mask, 1 << 20, 22, 32)
+    assert a.circuit_hash != b.circuit_hash
+
+
 def test_constraint_report_totals():
     fisher, theta, mask, comp, w, circuit, public, _ = honest_zk_instance(4)
     rep = constraint_report(circuit)
@@ -349,7 +348,7 @@ def test_mock_prove_assembly_tamper_located():
     free = np.setdiff1d(np.arange(theta.dim), mask.support)
     i = int(free[0])
     ints[i] += 1
-    bad = replace_witness(w, theta_u=with_ints(w.theta_u, ints))
+    bad = replace(w, theta_u=replace(w.theta_u, ints=ints))
     verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
     assert not verdict.ok
     assert verdict.first_violation == f"assembly[{i}]"
@@ -360,7 +359,7 @@ def test_mock_prove_feasibility_tamper():
     ints = w.delta_w.ints.copy()
     i = int(mask.support[0])
     ints[i] += 1
-    bad = replace_witness(w, delta_w=with_ints(w.delta_w, ints))
+    bad = replace(w, delta_w=replace(w.delta_w, ints=ints))
     verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
     assert not verdict.ok
     # the broken coordinate shows up in assembly first (theta_u was built
@@ -370,7 +369,7 @@ def test_mock_prove_feasibility_tamper():
 
 def test_mock_prove_lambda_scaling_fails_stationarity():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(8)
-    bad = replace_witness(w, lam=with_ints(w.lam, w.lam.ints * 2))
+    bad = replace(w, lam=replace(w.lam, ints=w.lam.ints * 2))
     verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
     assert not verdict.ok
     assert verdict.first_violation.startswith("stationarity")
@@ -403,7 +402,7 @@ def test_block_order_independence():
         blocks[bi][0, 0] += 1 << (w.f_c + 6)
         sym = blocks[bi]
         sym[0, 0] = sym[0, 0]  # diagonal tamper keeps symmetry
-        bad = replace_witness(w, c_blocks=tuple(blocks))
+        bad = replace(w, c_blocks=tuple(blocks))
         verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
         assert not verdict.ok
 
@@ -416,7 +415,7 @@ def test_lower_triangle_tamper_fails_symmetry():
         j = int(rng.integers(0, i))
         blocks = [b.copy() for b in w.c_blocks]
         blocks[bi][i, j] += 1
-        bad = replace_witness(w, c_blocks=tuple(blocks))
+        bad = replace(w, c_blocks=tuple(blocks))
         for check in (True, False):
             verdict = mock_prove(circuit, bad, public, rnd,
                                  check_commitments=check)
@@ -431,7 +430,7 @@ def test_symmetric_pair_tamper_fails_commitment():
         blocks = [b.copy() for b in w.c_blocks]
         blocks[0][0, 1] += sign
         blocks[0][1, 0] += sign
-        bad = replace_witness(w, c_blocks=tuple(blocks))
+        bad = replace(w, c_blocks=tuple(blocks))
         assert mock_prove(circuit, bad, public, rnd, check_commitments=False)
         verdict = mock_prove(circuit, bad, public, rnd)
         assert verdict.first_violation == "commit/c_p"
@@ -439,20 +438,20 @@ def test_symmetric_pair_tamper_fails_commitment():
 
 def _tamper_range(w, public, circuit):
     blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0, 0] = int(w.bound_c * 2**w.f_c) + 1
-    return replace_witness(w, c_blocks=tuple(blocks)), public
+    blocks[0][0, 0] = int(BOUND_C * 2**w.f_c) + 1
+    return replace(w, c_blocks=tuple(blocks)), public
 
 
 def _tamper_symmetry(w, public, circuit):
     blocks = [b.copy() for b in w.c_blocks]
     next(b for b in blocks if b.shape[0] > 1)[1, 0] += 1
-    return replace_witness(w, c_blocks=tuple(blocks)), public
+    return replace(w, c_blocks=tuple(blocks)), public
 
 
 def _tamper_assembly(w, public, circuit):
     ints = w.theta_u.ints.copy()
     ints[0] += 1
-    return replace_witness(w, theta_u=with_ints(w.theta_u, ints)), public
+    return replace(w, theta_u=replace(w.theta_u, ints=ints)), public
 
 
 def _tamper_feasibility(w, public, circuit):
@@ -462,16 +461,16 @@ def _tamper_feasibility(w, public, circuit):
     dw, tu = w.delta_w.ints.copy(), w.theta_u.ints.copy()
     dw[i] += 1
     tu[i] += 1
-    return replace_witness(w, delta_w=with_ints(w.delta_w, dw),
-                           theta_u=with_ints(w.theta_u, tu)), public
+    return replace(w, delta_w=replace(w.delta_w, ints=dw),
+                   theta_u=replace(w.theta_u, ints=tu)), public
 
 
 def _tamper_matvec(w, public, circuit):
-    return replace_witness(w, lam=with_ints(w.lam, w.lam.ints * 2)), public
+    return replace(w, lam=replace(w.lam, ints=w.lam.ints * 2)), public
 
 
 def _tamper_commit(w, public, circuit):
-    return w, dataclasses.replace(public, com_c_p=(public.com_c_p + 1) % MODULUS)
+    return w, replace(public, com_c_p=(public.com_c_p + 1) % MODULUS)
 
 
 # family -> (tamper, prefix of the first violation it must produce)
@@ -490,9 +489,31 @@ def test_range_catches_int64_min_curvature():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(19)
     blocks = [b.copy() for b in w.c_blocks]
     blocks[0][0, 0] = np.iinfo(np.int64).min
-    bad = replace_witness(w, c_blocks=tuple(blocks))
+    bad = replace(w, c_blocks=tuple(blocks))
     verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
     assert verdict.first_violation == "range/c_p[block 0]"
+
+
+def test_range_bounds_are_circuit_constants():
+    # theta_p[i] and theta_u[i] moved together past the weight bound keep
+    # assembly, and at an unmasked i nothing else reads them; a larger
+    # bound declared on the vectors must not widen the range check
+    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(20)
+    i = next(i for i in range(circuit.dim) if i not in circuit.support)
+    shift = 2 * int(BOUND_W * 2**w.f_w)
+    tp, tu = w.theta_p.ints.copy(), w.theta_u.ints.copy()
+    tp[i] += shift
+    tu[i] += shift
+    bad = replace(w, theta_p=replace(w.theta_p, ints=tp, bound=4 * BOUND_W),
+                  theta_u=replace(w.theta_u, ints=tu, bound=4 * BOUND_W))
+    roots = commit_witness(bad, rnd)
+    bad_public = replace(public, com_theta_p=roots[0], com_theta_u=roots[1],
+                         com_c_p=roots[2])
+    for family in FAMILIES:
+        if family.name != "range":
+            assert family.check(circuit, bad, bad_public, rnd) is None, family.name
+    verdict = mock_prove(circuit, bad, bad_public, rnd)
+    assert verdict.first_violation == f"range/theta_p[{i}]"
 
 
 def test_counts_follow_family_table():
@@ -518,15 +539,16 @@ def test_each_family_catches_its_tamper(family):
 
 def test_backend_prove_verify_round_trip():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(11)
-    backend = get_backend("mock")
+    backend = MockBackend()
     proved, proof = backend.prove(circuit, w, mask.digest, rnd)
     assert proved == public
-    assert backend.verify(proof.payload, public)
+    assert proof.circuit_hash == circuit.circuit_hash
+    assert backend.verify(proof, public)
 
 
 def test_backend_rejects_mismatched_public():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(12)
-    backend = get_backend("mock")
+    backend = MockBackend()
     _, proof = backend.prove(circuit, w, mask.digest, rnd)
     wrong = PublicInputs(
         mask_digest=public.mask_digest,
@@ -537,30 +559,26 @@ def test_backend_rejects_mismatched_public():
         f_w=public.f_w,
         f_c=public.f_c,
     )
-    assert not backend.verify(proof.payload, wrong)
+    assert not backend.verify(proof, wrong)
 
 
-def test_backend_rejects_truncated_proof():
+def test_backend_rejects_changed_tag_or_circuit_hash():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(13)
-    backend = get_backend("mock")
+    backend = MockBackend()
     _, proof = backend.prove(circuit, w, mask.digest, rnd)
-    assert not backend.verify(proof.payload[:-7], public)
-    assert not backend.verify(b"", public)
-    assert not backend.verify(b"not json at all", public)
+    for field in ("tag", "circuit_hash"):
+        value = getattr(proof, field)
+        changed = format(int(value[0], 16) ^ 1, "x") + value[1:]
+        assert not backend.verify(replace(proof, **{field: changed}), public)
 
 
 def test_backend_refuses_unsatisfiable_witness():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(14)
     ints = w.theta_u.ints.copy()
     ints[0] += 12345
-    bad = replace_witness(w, theta_u=with_ints(w.theta_u, ints))
+    bad = replace(w, theta_u=replace(w.theta_u, ints=ints))
     with pytest.raises(UnsatisfiableWitnessError):
-        get_backend("mock").prove(circuit, bad, mask.digest, rnd)
-
-
-def test_unknown_backend():
-    with pytest.raises(ValueError):
-        get_backend("snark9000")
+        MockBackend().prove(circuit, bad, mask.digest, rnd)
 
 
 def test_public_inputs_json_round_trip():
