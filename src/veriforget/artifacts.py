@@ -256,9 +256,9 @@ def save_proof(path: str, proof: Proof) -> None:
 @_reader
 def load_proof(path: str) -> Proof:
     obj = _read_json(path)
-    proof = Proof(circuit_hash=obj["circuit_hash"], tag=obj["tag"])
-    if not all(isinstance(v, str) for v in (proof.circuit_hash, proof.tag)):
-        raise IntegrityError(f"{path}: proof fields are not strings")
+    proof = Proof(tag=obj["tag"])
+    if not isinstance(proof.tag, str):
+        raise IntegrityError(f"{path}: proof tag is not a string")
     return proof
 
 

@@ -116,9 +116,12 @@ def main():
               show_default=True)
 @click.option("--data", default=None, type=click.Path(exists=True),
               help="Train on this .dset instead of generating a synthetic task.")
-@click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True)
-@click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True)
-@click.option("--batch", default=DEFAULT_PRETRAIN.batch_size, show_default=True)
+@click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True,
+              type=click.IntRange(min=0))
+@click.option("--batch", default=DEFAULT_PRETRAIN.batch_size, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
@@ -151,9 +154,12 @@ def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
 @click.option("--data", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True)
-@click.option("--epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True)
-@click.option("--batch", default=DEFAULT_PERSONALIZE.batch_size, show_default=True)
+@click.option("--lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True,
+              type=click.IntRange(min=0))
+@click.option("--batch", default=DEFAULT_PERSONALIZE.batch_size, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
@@ -179,6 +185,7 @@ def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
               help="Forget-set .dset.")
 @click.option("--k", default=None, type=int, help="Mask budget (coordinates).")
 @click.option("--frac", default=DEFAULT_BUDGET_FRACTION, show_default=True,
+              type=click.FloatRange(0, 1, min_open=True),
               help="Budget as a fraction of eligible coordinates.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
@@ -263,7 +270,8 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
 @click.option("--comp", "comp_path", required=True)
 @click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
 @click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
-@click.option("--tau", default=DEFAULT_TAU_REAL, show_default=True)
+@click.option("--tau", default=DEFAULT_TAU_REAL, show_default=True,
+              type=click.FloatRange(min=0))
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
@@ -374,7 +382,8 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def verify(proof_path, public_path, as_json):
-    """Check a proof against public inputs; exit 1 when rejected."""
+    """Check a proof against public inputs and the circuit they
+    determine; exit 1 when rejected."""
     proof = art.load_proof(proof_path)
     public = art.load_public(public_path)
     ok = zkp.MockBackend().verify(proof, public)
@@ -392,10 +401,14 @@ def verify(proof_path, public_path, as_json):
 @click.option("--personal", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True)
-@click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True)
-@click.option("--p-lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True)
-@click.option("--p-epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True)
+@click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True,
+              type=click.IntRange(min=0))
+@click.option("--p-lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--p-epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def gold(init_path, retain, personal, out, seed, lr, epochs, p_lr, p_epochs,

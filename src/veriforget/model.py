@@ -118,10 +118,6 @@ class MlpModel:
             raise StructuralError("params layout does not match layer_dims")
 
     @property
-    def n_classes(self) -> int:
-        return self.layer_dims[-1]
-
-    @property
     def dim(self) -> int:
         return self.params.dim
 
@@ -195,51 +191,41 @@ def predictive_dist(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return p[0] if single else p
 
 
-def _backward(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Summed cross-entropy gradient over the batch, as a flat vector."""
+def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """Yield (layer index, its input activations, dL/dz at its output) for
+    the summed cross-entropy loss, from the last layer to the first."""
     z, acts = _forward(model, x)
     p = _softmax(z)
     n = x.shape[0]
     delta = p.copy()
     delta[np.arange(n), y] -= 1.0  # dL/dz for summed loss
     layers = list(model.weights())
-    grads_w = [None] * len(layers)
-    grads_b = [None] * len(layers)
     for li in range(len(layers) - 1, -1, -1):
-        a_prev = acts[li]
-        grads_w[li] = a_prev.T @ delta
-        grads_b[li] = delta.sum(axis=0)
+        yield li, acts[li], delta
         if li > 0:
             w, _ = layers[li]
-            da = delta @ w.T
-            delta = da * (1.0 - acts[li] ** 2)
+            delta = (delta @ w.T) * (1.0 - acts[li] ** 2)
+
+
+def _backward(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Summed cross-entropy gradient over the batch, as a flat vector."""
     flat = np.empty(model.dim)
     layout = model.params.layout
-    for li in range(len(layers)):
-        flat[layout.block_slice(f"mlp.{li}.w")] = grads_w[li].ravel()
-        flat[layout.block_slice(f"mlp.{li}.b")] = grads_b[li]
+    for li, a_prev, delta in _backprop(model, x, y):
+        flat[layout.block_slice(f"mlp.{li}.w")] = (a_prev.T @ delta).ravel()
+        flat[layout.block_slice(f"mlp.{li}.b")] = delta.sum(axis=0)
     return flat
 
 
 def per_example_grads(model: MlpModel, data: Dataset) -> np.ndarray:
     """n x d matrix of per-example gradients (vectorized per layer)."""
-    x, y = data.features, data.labels
-    z, acts = _forward(model, x)
-    p = _softmax(z)
-    n = x.shape[0]
-    delta = p.copy()
-    delta[np.arange(n), y] -= 1.0
-    layers = list(model.weights())
+    n = len(data)
     out = np.empty((n, model.dim))
     layout = model.params.layout
-    for li in range(len(layers) - 1, -1, -1):
-        a_prev = acts[li]
+    for li, a_prev, delta in _backprop(model, data.features, data.labels):
         gw = np.einsum("ni,nj->nij", a_prev, delta)
         out[:, layout.block_slice(f"mlp.{li}.w")] = gw.reshape(n, -1)
         out[:, layout.block_slice(f"mlp.{li}.b")] = delta
-        if li > 0:
-            w, _ = layers[li]
-            delta = (delta @ w.T) * (1.0 - acts[li] ** 2)
     return out
 
 
@@ -308,7 +294,7 @@ def personalize(model: MlpModel, d_p: Dataset, cfg: TrainConfig) -> MlpModel:
 class SyntheticTask:
     """Gaussian-mixture class-unlearning instance.
 
-    D is the pretraining corpus, D_f all samples of `forget_class`,
+    D is the pretraining corpus, D_f all samples of the forgotten class,
     D_r the rest; D_p draws the retained classes with mean shift
     `shift`.  Held-out twins of each split support evaluation and MIA.
     """
@@ -319,7 +305,6 @@ class SyntheticTask:
     personal: Dataset
     holdout_forget: Dataset
     holdout_personal: Dataset
-    forget_class: int
 
 
 def make_synthetic_task(
@@ -377,5 +362,4 @@ def make_synthetic_task(
         personal=personal,
         holdout_forget=holdout_forget,
         holdout_personal=holdout_personal,
-        forget_class=forget_class,
     )

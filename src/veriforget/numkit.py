@@ -20,7 +20,7 @@ class StructuralError(ValueError):
 
 
 class RangeError(ValueError):
-    """A value fell outside its declared fixed-point magnitude bound."""
+    """A value fell outside its fixed-point magnitude bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +162,9 @@ class BlockDiagMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedVector:
-    """Signed integers with f fractional bits, bounded by |x| <= bound."""
-
-    ints: np.ndarray
-    frac_bits: int
-    bound: float
-
-    def __post_init__(self):
-        ints = np.ascontiguousarray(self.ints, dtype=np.int64)
-        ints.setflags(write=False)
-        object.__setattr__(self, "ints", ints)
-        limit = self.bound * 2.0**self.frac_bits
-        if ints.size and np.abs(ints).max() > limit:
-            raise RangeError("integer magnitude exceeds declared bound")
-
-    def dequantize(self) -> np.ndarray:
-        return self.ints.astype(np.float64) * 2.0 ** (-self.frac_bits)
-
-
-def quantize(x: np.ndarray, frac_bits: int, bound: float) -> FixedVector:
-    """Round-half-to-even quantization of in-range values."""
+def quantize(x: np.ndarray, frac_bits: int, bound: float) -> np.ndarray:
+    """Round-half-to-even quantization of in-range values: the int64
+    integers of ``x`` with ``frac_bits`` fractional bits."""
     if frac_bits > 40:
         raise ValueError("frac_bits must be <= 40")
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -191,8 +172,7 @@ def quantize(x: np.ndarray, frac_bits: int, bound: float) -> FixedVector:
     if over.any():
         idx = int(np.argmax(over))
         raise RangeError(f"|x[{idx}]| = {abs(x[idx])} exceeds bound {bound}")
-    ints = np.rint(x * 2.0**frac_bits).astype(np.int64)
-    return FixedVector(ints=ints, frac_bits=frac_bits, bound=bound)
+    return np.rint(x * 2.0**frac_bits).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

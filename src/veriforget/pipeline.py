@@ -196,9 +196,7 @@ def run_zk_layer(
     circuit = zkp.synthesize(fisher.layout, mask, t_int, f_w, f_c)
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
-    public, proof = zkp.MockBackend().prove(
-        circuit, witness, mask.digest, randomness
-    )
+    public, proof = zkp.MockBackend().prove(circuit, witness, randomness)
     return witness, circuit, public, proof, randomness
 
 

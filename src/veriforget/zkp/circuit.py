@@ -3,11 +3,13 @@
 Every constraint family is one entry of the ordered table ``FAMILIES``:
 its row count from (block sizes, mask budget) and its check.  The
 circuit description, the mock prover and the constraint report all read
-that table.  The description, and so the circuit hash, binds every
-parameter of the statement: the shapes, ``T_int``, the fractional bits,
-the range bounds and the curvature packing.  The mock prover evaluates
-every constraint directly over the field and is the normative semantics
-of the certificate.
+that table.  The circuit hash is a function of the statement the public
+inputs carry (the block sizes, the mask digest, ``T_int`` and the
+fractional bits) and of the circuit's own constants (the family table,
+the range bounds and the curvature packing), so a verifier derives it
+and never reads it from a proof.  The mock prover evaluates every
+constraint directly over the field and is the normative semantics of the
+certificate.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .witness import BOUND_C, BOUND_LAM, BOUND_W, FixedWitness
 @dataclass(frozen=True)
 class PublicInputs:
     mask_digest: str
+    block_sizes: tuple[int, ...]
     com_theta_p: int
     com_theta_u: int
     com_c_p: int
@@ -35,6 +38,7 @@ class PublicInputs:
 
     def to_json(self) -> dict:
         obj = asdict(self)
+        obj["block_sizes"] = list(self.block_sizes)
         for name, _ in COMMITTED:
             obj[f"com_{name}"] = f"{obj[f'com_{name}']:064x}"
         return obj
@@ -42,6 +46,12 @@ class PublicInputs:
     @classmethod
     def from_json(cls, obj: dict) -> "PublicInputs":
         values = {f.name: obj[f.name] for f in fields(cls)}
+        sizes = values["block_sizes"]
+        if not (isinstance(sizes, list) and sizes
+                and all(type(s) is int and s > 0 for s in sizes)):
+            raise ValueError(f"block_sizes {sizes!r} is not a list of "
+                             f"positive ints")
+        values["block_sizes"] = tuple(sizes)
         for name, _ in COMMITTED:
             values[f"com_{name}"] = int(obj[f"com_{name}"], 16)
         return cls(**values)
@@ -55,7 +65,7 @@ C_P_PACKING = "upper-triangle-row-major"
 class CertificateCircuit:
     block_sizes: tuple[int, ...]
     support: tuple[int, ...]
-    dim: int
+    mask_digest: str
     t_int: int
     f_w: int
     f_c: int
@@ -81,8 +91,8 @@ def pack_curvature(c_blocks) -> np.ndarray:
 # The committed vectors, in public-input order: com_<name> is the Merkle
 # root of get(witness).
 COMMITTED = (
-    ("theta_p", lambda w: w.theta_p.ints),
-    ("theta_u", lambda w: w.theta_u.ints),
+    ("theta_p", lambda w: w.theta_p),
+    ("theta_u", lambda w: w.theta_u),
     ("c_p", lambda w: pack_curvature(w.c_blocks)),
 )
 
@@ -113,7 +123,7 @@ def _range(circuit, w, public, randomness):
     lim_c = int(BOUND_C * 2**circuit.f_c)
     return _first(
         f"range/{name}[{i}]" for name, vec, limit in vectors
-        for i, x in enumerate(vec.ints) if abs(int(x)) > limit
+        for i, x in enumerate(vec) if abs(int(x)) > limit
     ) or _first(
         f"range/c_p[block {bi}]" for bi, b in enumerate(w.c_blocks)
         if b.size and (b.max() > lim_c or b.min() < -lim_c)
@@ -127,23 +137,23 @@ def _symmetry(circuit, w, public, randomness):
 
 def _assembly(circuit, w, public, randomness):
     """theta_u - theta_p - delta_w == 0 over the field."""
-    tp, tu, dw = w.theta_p.ints, w.theta_u.ints, w.delta_w.ints
-    return _first(f"assembly[{i}]" for i in range(circuit.dim)
+    tp, tu, dw = w.theta_p, w.theta_u, w.delta_w
+    return _first(f"assembly[{i}]" for i in range(sum(circuit.block_sizes))
                   if (_field(tu, i) - _field(tp, i) - _field(dw, i)) % MODULUS)
 
 
 def _feasibility(circuit, w, public, randomness):
     """delta_w + theta_p == 0 on the mask support."""
     return _first(f"feasibility[{j}]" for j, i in enumerate(circuit.support)
-                  if (_field(w.delta_w.ints, i) + _field(w.theta_p.ints, i)) % MODULUS)
+                  if (_field(w.delta_w, i) + _field(w.theta_p, i)) % MODULUS)
 
 
 def _stationarity(circuit, w, public, randomness):
     """|C dw + 2^{f_c} E lam| <= T_int per row, over the field."""
-    r = np.zeros(circuit.dim, dtype=object)
+    r = np.zeros(sum(circuit.block_sizes), dtype=object)
     for j, i in enumerate(circuit.support):
-        r[i] = int(w.lam.ints[j]) << circuit.f_c
-    dw = w.delta_w.ints.astype(object)
+        r[i] = int(w.lam[j]) << circuit.f_c
+    dw = w.delta_w.astype(object)
     offset = 0
     for block in w.c_blocks:
         end = offset + block.shape[0]
@@ -186,22 +196,35 @@ FAMILIES = (
 )
 
 
+def circuit_hash(block_sizes, mask_digest: str, t_int: int, f_w: int,
+                 f_c: int) -> str:
+    """The hash of the certificate circuit for a statement.  The mask
+    digest binds the model dimension, the budget and the support."""
+    return sha256_hex(canonical_json({
+        "block_sizes": block_sizes,
+        "mask_digest": mask_digest,
+        "t_int": t_int,
+        "f_w": f_w,
+        "f_c": f_c,
+        "families": [f.name for f in FAMILIES],
+        "bounds": {"w": BOUND_W, "c": BOUND_C, "lam": BOUND_LAM},
+        "c_p_packing": C_P_PACKING,
+    }))
+
+
 def synthesize(layout: BlockLayout, mask: MaskArtifact, t_int: int,
                f_w: int, f_c: int) -> CertificateCircuit:
     sizes = tuple(size for _, size, _ in layout.blocks)
-    desc = dict(
+    return CertificateCircuit(
         block_sizes=sizes,
         support=tuple(int(i) for i in mask.support),
-        dim=layout.total_dim,
+        mask_digest=mask.digest,
         t_int=t_int,
         f_w=f_w,
         f_c=f_c,
         counts={f.name: int(f.count(sizes, mask.budget)) for f in FAMILIES},
+        circuit_hash=circuit_hash(sizes, mask.digest, t_int, f_w, f_c),
     )
-    bounds = {"w": BOUND_W, "c": BOUND_C, "lam": BOUND_LAM}
-    circuit_hash = sha256_hex(canonical_json(
-        {**desc, "bounds": bounds, "c_p_packing": C_P_PACKING}))
-    return CertificateCircuit(**desc, circuit_hash=circuit_hash)
 
 
 def constraint_report(circuit: CertificateCircuit) -> dict:

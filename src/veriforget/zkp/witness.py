@@ -16,7 +16,7 @@ import numpy as np
 
 from ..curvature import BlockFisher
 from ..masking import MaskArtifact
-from ..numkit import FixedVector, ParamVector, RangeError, StructuralError, quantize
+from ..numkit import ParamVector, RangeError, StructuralError, quantize
 
 # f_c exceeds f_w by more than 4 bits so that the honest stationarity
 # residual window T_int stays below the detectability threshold of a
@@ -47,14 +47,16 @@ T_INT_SLACK = 2
 
 @dataclass(frozen=True)
 class FixedWitness:
-    theta_p: FixedVector
-    theta_u: FixedVector
-    delta_w: FixedVector
-    lam: FixedVector
-    c_blocks: tuple[np.ndarray, ...]  # int64 matrices, frac_bits f_c
+    """The integer witness: int64 arrays with f_w fractional bits for the
+    weight-side vectors, int64 matrices with f_c for the curvature."""
+
+    theta_p: np.ndarray
+    theta_u: np.ndarray
+    delta_w: np.ndarray
+    lam: np.ndarray  # scaled like c_blocks, see ROW_SUM_TARGET
+    c_blocks: tuple[np.ndarray, ...]
     f_w: int
     f_c: int
-    scale_log2: int = 0  # C_p and lam are stored scaled by 2^-scale_log2
 
 
 def encode_fixed_witness(
@@ -69,38 +71,33 @@ def encode_fixed_witness(
 ) -> FixedWitness:
     if f_w + f_c > 60:
         raise StructuralError("f_w + f_c must be <= 60")
-    q_tp = quantize(theta_p.values, f_w, BOUND_W)
-    q_dw_raw = quantize(delta_w.values, f_w, BOUND_W)
-    dw_ints = q_dw_raw.ints.copy()
-    dw_ints[mask.support] = -q_tp.ints[mask.support]
-    q_dw = FixedVector(ints=dw_ints, frac_bits=f_w, bound=BOUND_W)
-    tu_ints = q_tp.ints + q_dw.ints
-    q_tu = FixedVector(ints=tu_ints, frac_bits=f_w, bound=BOUND_W)
+    tp = quantize(theta_p.values, f_w, BOUND_W)
+    dw = quantize(delta_w.values, f_w, BOUND_W)
+    dw[mask.support] = -tp[mask.support]
+    tu = tp + dw
+    # theta_p and delta_w are each in range, but their sum off the mask
+    # need not be
+    over = np.abs(tu) > BOUND_W * 2.0**f_w
+    if over.any():
+        raise RangeError(f"theta_p + delta_w at [{int(np.argmax(over))}] "
+                         f"exceeds the weight bound {BOUND_W}")
     # the float-side theta_u must agree with the constructed integers
     # within quantization error; a mismatch means inconsistent inputs
-    recon = q_tu.dequantize()
-    if np.abs(recon - theta_u.values).max() > 2.0 ** (-f_w + 1):
+    if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise RangeError("theta_u inconsistent with theta_p + delta_w")
     damped = list(c_p.damped_blocks())
     row_max = max(float(np.abs(b).sum(axis=1).max()) for b in damped)
-    scale_log2 = max(0, math.ceil(math.log2(row_max / ROW_SUM_TARGET))) \
-        if row_max > ROW_SUM_TARGET else 0
-    scale = 2.0 ** -scale_log2
-    q_lam = quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM)
-    c_blocks = []
-    for arr in damped:
-        c_blocks.append(
-            quantize(arr.ravel() * scale, f_c, BOUND_C).ints.reshape(arr.shape)
-        )
+    scale = 2.0 ** -math.ceil(math.log2(row_max / ROW_SUM_TARGET)) \
+        if row_max > ROW_SUM_TARGET else 1.0
     return FixedWitness(
-        theta_p=q_tp,
-        theta_u=q_tu,
-        delta_w=q_dw,
-        lam=q_lam,
-        c_blocks=tuple(c_blocks),
+        theta_p=tp,
+        theta_u=tu,
+        delta_w=dw,
+        lam=quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM),
+        c_blocks=tuple(quantize(arr.ravel() * scale, f_c, BOUND_C).reshape(arr.shape)
+                       for arr in damped),
         f_w=f_w,
         f_c=f_c,
-        scale_log2=scale_log2,
     )
 
 
@@ -125,7 +122,7 @@ def stationarity_bound_int(
     worst = 0.0
     for c_int, (sl, _) in zip(w.c_blocks, c_p.layout.slices()):
         d_b = c_int.shape[0]
-        dw_sum = float(np.abs(w.delta_w.ints[sl].astype(np.float64)).sum())
+        dw_sum = float(np.abs(w.delta_w[sl].astype(np.float64)).sum())
         row_sums = np.abs(c_int.astype(np.float64)).sum(axis=1)
         lam_term = 2.0 ** (w.f_c - 1) if masked[sl].any() else 0.0
         block_worst = (

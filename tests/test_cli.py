@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from veriforget import artifacts as art
+from veriforget import zkp
 from veriforget.cli import main
 from veriforget.model import init_mlp
 from veriforget.pipeline import run_pipeline, tiny_config
@@ -91,6 +92,21 @@ def test_verify_tampered_proof_exit_1(workdir, tmp_path):
     assert res.exit_code == 1
 
 
+def test_verify_foreign_circuit_hash_exit_1(workdir, tmp_path):
+    """A tag computed over a circuit hash that public.pub does not
+    determine is rejected, whatever hash the proof file names."""
+    from veriforget.zkp.backend import _tag
+    w = workdir
+    public = art.load_public(f"{w}/public.pub")
+    for foreign in ("00" * 32, "ef" * 32):
+        bad = tmp_path / "forged.prf"
+        bad.write_text(json.dumps({"circuit_hash": foreign,
+                                   "tag": _tag(foreign, public)}))
+        res = invoke("verify", "--proof", str(bad),
+                     "--public", f"{w}/public.pub")
+        assert res.exit_code == 1, res.output
+
+
 def test_verify_tampered_public_exit_1(workdir, tmp_path):
     w = workdir
     with open(f"{w}/public.pub") as fh:
@@ -141,6 +157,25 @@ def _truncated_public(w, tmp):
         fh.write(data[: len(data) // 2])
     return ("verify", "--proof", f"{w}/proof.prf", "--public",
             f"{tmp}/public.pub")
+
+
+def _public_block_sizes(name, value):
+    """A case that verifies against public.pub with block_sizes set to
+    ``value``, or removed when ``value`` is None."""
+    def case(w, tmp):
+        with open(f"{w}/public.pub") as fh:
+            obj = json.load(fh)
+        if value is None:
+            del obj["block_sizes"]
+        else:
+            obj["block_sizes"] = value
+        with open(f"{tmp}/public.pub", "w") as fh:
+            json.dump(obj, fh)
+        return ("verify", "--proof", f"{w}/proof.prf", "--public",
+                f"{tmp}/public.pub")
+
+    case.__name__ = f"_public_block_sizes_{name}"
+    return case
 
 
 def _theta_u_without_blob(w, tmp):
@@ -216,6 +251,27 @@ def _prove_args(w, tmp, f_w, f_c):
             "--out-dir", tmp)
 
 
+def _option(name, *args):
+    """A case that runs ``args``, with ``{w}`` and ``{tmp}`` filled in."""
+    def case(w, tmp):
+        return tuple(a.format(w=w, tmp=tmp) for a in args)
+
+    case.__name__ = f"_option_{name}"
+    return case
+
+
+_TRAIN = ("train", "--out-dir", "{tmp}")
+_PERSONALIZE = ("personalize", "--model", "{w}/theta0",
+                "--data", "{w}/personal.dset", "--out", "{tmp}/p")
+_MASK = ("mask", "--model", "{w}/theta0", "--data", "{w}/forget.dset",
+         "--out", "{tmp}/m.mask")
+_CERTIFY = ("certify", "--theta-p", "{w}/theta_p", "--theta-u", "{w}/theta_u",
+            "--comp", "{w}/comp", "--mask", "{w}/mask.mask",
+            "--fisher", "{w}/fisher")
+_GOLD = ("gold", "--init", "{w}/theta0_init", "--retain", "{w}/retain.dset",
+         "--personal", "{w}/personal.dset", "--out", "{tmp}/g")
+
+
 def _frac_bits_negative(w, tmp):
     return _prove_args(w, tmp, -3, 32)
 
@@ -265,6 +321,23 @@ def _fisher_zero_samples(w, tmp):
         _prove_fisher_not_recorded, _fisher_nan_entry, _comp_nan_multiplier,
         _comp_nan_residual,
         _frac_bits_negative, _frac_bits_over_budget,
+        _public_block_sizes("missing", None),
+        _public_block_sizes("string", "4,8"),
+        _public_block_sizes("zero", [40, 0]),
+        _public_block_sizes("float", [40, 2.5]),
+        _option("train_lr_zero", *_TRAIN, "--lr", "0"),
+        _option("train_batch_zero", *_TRAIN, "--batch", "0"),
+        _option("train_epochs_negative", *_TRAIN, "--epochs", "-2"),
+        _option("personalize_lr_negative", *_PERSONALIZE, "--lr", "-1"),
+        _option("personalize_epochs_negative", *_PERSONALIZE, "--epochs", "-1"),
+        _option("personalize_batch_zero", *_PERSONALIZE, "--batch", "0"),
+        _option("mask_frac_negative", *_MASK, "--frac", "-1"),
+        _option("mask_frac_above_one", *_MASK, "--frac", "1.5"),
+        _option("certify_tau_negative", *_CERTIFY, "--tau", "-1"),
+        _option("gold_lr_zero", *_GOLD, "--lr", "0"),
+        _option("gold_p_lr_zero", *_GOLD, "--p-lr", "0"),
+        _option("gold_epochs_negative", *_GOLD, "--epochs", "-1"),
+        _option("gold_p_epochs_negative", *_GOLD, "--p-epochs", "-1"),
     ]
 )
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
@@ -293,8 +366,10 @@ def test_prove_json_reports_constraint_table(workdir, tmp_path):
                 if k not in ("total", "circuit_hash")}
     assert set(families) == {f.name for f in FAMILIES}
     assert report["total"] == sum(families.values())
-    with open(tmp_path / "proof.prf") as fh:
-        assert report["circuit_hash"] == json.load(fh)["circuit_hash"]
+    public = art.load_public(str(tmp_path / "public.pub"))
+    assert report["circuit_hash"] == zkp.circuit_hash(
+        public.block_sizes, public.mask_digest, public.t_int, public.f_w,
+        public.f_c)
 
 
 def test_frac_bits_inseparable_exit_3(workdir, tmp_path):

@@ -10,9 +10,11 @@ from veriforget.zkp import (
     BOUND_W,
     MODULUS,
     MockBackend,
+    Proof,
     PublicInputs,
     UnsatisfiableWitnessError,
     WraparoundError,
+    circuit_hash,
     commit_witness,
     constraint_report,
     default_t_int,
@@ -28,6 +30,7 @@ from veriforget.zkp import (
     to_field,
     verify_commit,
 )
+from veriforget.zkp.backend import _tag
 from veriforget.zkp.circuit import FAMILIES
 
 from conftest import random_instance
@@ -48,6 +51,7 @@ def honest_zk_instance(seed, f_w=22, f_c=32):
     com_theta_p, com_theta_u, com_c_p = commit_witness(w, randomness)
     public = PublicInputs(
         mask_digest=mask.digest,
+        block_sizes=circuit.block_sizes,
         com_theta_p=com_theta_p,
         com_theta_u=com_theta_u,
         com_c_p=com_c_p,
@@ -191,25 +195,24 @@ def test_zero_witness():
     empty = make_mask(theta.dim, 0, np.arange(theta.dim, dtype=np.int64),
                       np.zeros(0, dtype=np.int64))
     wz = encode_fixed_witness(zero, zero, zero, np.zeros(0), fisher, empty)
-    assert (wz.theta_p.ints == 0).all()
-    assert (wz.theta_u.ints == 0).all()
-    assert (wz.delta_w.ints == 0).all()
+    assert (wz.theta_p == 0).all()
+    assert (wz.theta_u == 0).all()
+    assert (wz.delta_w == 0).all()
 
 
 def test_forced_masked_coordinate():
     # theta_p = 1.0 on a masked coordinate forces ints(dw) = -2^f_w there
     fisher, theta, mask, comp, w, *_ = honest_zk_instance(1)
     i = mask.support[0]
-    assert w.delta_w.ints[i] == -w.theta_p.ints[i]
-    assert w.theta_u.ints[i] == 0
+    assert w.delta_w[i] == -w.theta_p[i]
+    assert w.theta_u[i] == 0
 
 
 def test_integer_assembly_and_feasibility_exact():
     for seed in range(5):
         _, _, mask, _, w, *_ = honest_zk_instance(seed)
-        assert (w.theta_u.ints == w.theta_p.ints + w.delta_w.ints).all()
-        assert (w.delta_w.ints[mask.support]
-                == -w.theta_p.ints[mask.support]).all()
+        assert (w.theta_u == w.theta_p + w.delta_w).all()
+        assert (w.delta_w[mask.support] == -w.theta_p[mask.support]).all()
 
 
 def test_frac_bits_budget_enforced():
@@ -218,6 +221,21 @@ def test_frac_bits_budget_enforced():
     with pytest.raises(ValueError):
         encode_fixed_witness(theta, theta_u, comp.delta_w,
                              comp.multipliers, fisher, mask, f_w=30, f_c=31)
+
+
+def test_theta_u_beyond_weight_bound_rejected():
+    # theta_p and delta_w each within BOUND_W at an unmasked coordinate,
+    # their sum (and a consistent float theta_u) beyond it
+    fisher, theta, mask, comp, *_ = honest_zk_instance(21)
+    i = next(i for i in range(theta.dim) if i not in mask.support)
+    tp, dw = theta.values.copy(), comp.delta_w.values.copy()
+    tp[i], dw[i] = 0.75 * BOUND_W, 0.5 * BOUND_W
+    tu = tp + dw
+    tu[mask.support] = 0.0
+    with pytest.raises(RangeError, match=rf"\[{i}\] exceeds the weight bound"):
+        encode_fixed_witness(theta.with_values(tp), theta.with_values(tu),
+                             comp.delta_w.with_values(dw), comp.multipliers,
+                             fisher, mask)
 
 
 def test_inconsistent_theta_u_rejected():
@@ -237,10 +255,10 @@ def test_honest_residual_below_analytic_bound_and_t_int():
         assert bound <= t_int
         # recompute the integer residual directly
         lam_full = np.zeros(theta.dim, dtype=object)
-        lam_full[mask.support] = [int(x) << w.f_c for x in w.lam.ints]
+        lam_full[mask.support] = [int(x) << w.f_c for x in w.lam]
         worst = 0
         for c_int, (sl, _) in zip(w.c_blocks, fisher.layout.slices()):
-            r = (c_int.astype(object) @ w.delta_w.ints[sl].astype(object)
+            r = (c_int.astype(object) @ w.delta_w[sl].astype(object)
                  + lam_full[sl])
             worst = max(worst, max(abs(int(x)) for x in r))
         assert worst <= bound
@@ -344,11 +362,11 @@ def test_mock_prove_honest_pass():
 
 def test_mock_prove_assembly_tamper_located():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(6)
-    ints = w.theta_u.ints.copy()
+    ints = w.theta_u.copy()
     free = np.setdiff1d(np.arange(theta.dim), mask.support)
     i = int(free[0])
     ints[i] += 1
-    bad = replace(w, theta_u=replace(w.theta_u, ints=ints))
+    bad = replace(w, theta_u=ints)
     verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
     assert not verdict.ok
     assert verdict.first_violation == f"assembly[{i}]"
@@ -356,10 +374,10 @@ def test_mock_prove_assembly_tamper_located():
 
 def test_mock_prove_feasibility_tamper():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(7)
-    ints = w.delta_w.ints.copy()
+    ints = w.delta_w.copy()
     i = int(mask.support[0])
     ints[i] += 1
-    bad = replace(w, delta_w=replace(w.delta_w, ints=ints))
+    bad = replace(w, delta_w=ints)
     verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
     assert not verdict.ok
     # the broken coordinate shows up in assembly first (theta_u was built
@@ -369,7 +387,7 @@ def test_mock_prove_feasibility_tamper():
 
 def test_mock_prove_lambda_scaling_fails_stationarity():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(8)
-    bad = replace(w, lam=replace(w.lam, ints=w.lam.ints * 2))
+    bad = replace(w, lam=w.lam * 2)
     verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
     assert not verdict.ok
     assert verdict.first_violation.startswith("stationarity")
@@ -379,6 +397,7 @@ def test_mock_prove_commit_mismatch():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(9)
     wrong = PublicInputs(
         mask_digest=public.mask_digest,
+        block_sizes=public.block_sizes,
         com_theta_p=public.com_theta_p,
         com_theta_u=(public.com_theta_u + 1) % MODULUS,
         com_c_p=public.com_c_p,
@@ -449,24 +468,23 @@ def _tamper_symmetry(w, public, circuit):
 
 
 def _tamper_assembly(w, public, circuit):
-    ints = w.theta_u.ints.copy()
+    ints = w.theta_u.copy()
     ints[0] += 1
-    return replace(w, theta_u=replace(w.theta_u, ints=ints)), public
+    return replace(w, theta_u=ints), public
 
 
 def _tamper_feasibility(w, public, circuit):
     # move delta_w and theta_u together on a masked coordinate, so that
     # assembly still holds and only feasibility sees it
     i = circuit.support[0]
-    dw, tu = w.delta_w.ints.copy(), w.theta_u.ints.copy()
+    dw, tu = w.delta_w.copy(), w.theta_u.copy()
     dw[i] += 1
     tu[i] += 1
-    return replace(w, delta_w=replace(w.delta_w, ints=dw),
-                   theta_u=replace(w.theta_u, ints=tu)), public
+    return replace(w, delta_w=dw, theta_u=tu), public
 
 
 def _tamper_matvec(w, public, circuit):
-    return replace(w, lam=replace(w.lam, ints=w.lam.ints * 2)), public
+    return replace(w, lam=w.lam * 2), public
 
 
 def _tamper_commit(w, public, circuit):
@@ -496,16 +514,15 @@ def test_range_catches_int64_min_curvature():
 
 def test_range_bounds_are_circuit_constants():
     # theta_p[i] and theta_u[i] moved together past the weight bound keep
-    # assembly, and at an unmasked i nothing else reads them; a larger
-    # bound declared on the vectors must not widen the range check
+    # assembly, and at an unmasked i nothing else reads them; only the
+    # circuit's own BOUND_W can reject them
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(20)
-    i = next(i for i in range(circuit.dim) if i not in circuit.support)
+    i = next(i for i in range(theta.dim) if i not in circuit.support)
     shift = 2 * int(BOUND_W * 2**w.f_w)
-    tp, tu = w.theta_p.ints.copy(), w.theta_u.ints.copy()
+    tp, tu = w.theta_p.copy(), w.theta_u.copy()
     tp[i] += shift
     tu[i] += shift
-    bad = replace(w, theta_p=replace(w.theta_p, ints=tp, bound=4 * BOUND_W),
-                  theta_u=replace(w.theta_u, ints=tu, bound=4 * BOUND_W))
+    bad = replace(w, theta_p=tp, theta_u=tu)
     roots = commit_witness(bad, rnd)
     bad_public = replace(public, com_theta_p=roots[0], com_theta_u=roots[1],
                          com_c_p=roots[2])
@@ -540,18 +557,21 @@ def test_each_family_catches_its_tamper(family):
 def test_backend_prove_verify_round_trip():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(11)
     backend = MockBackend()
-    proved, proof = backend.prove(circuit, w, mask.digest, rnd)
+    proved, proof = backend.prove(circuit, w, rnd)
     assert proved == public
-    assert proof.circuit_hash == circuit.circuit_hash
+    assert circuit.circuit_hash == circuit_hash(
+        public.block_sizes, public.mask_digest, public.t_int, public.f_w,
+        public.f_c)
     assert backend.verify(proof, public)
 
 
 def test_backend_rejects_mismatched_public():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(12)
     backend = MockBackend()
-    _, proof = backend.prove(circuit, w, mask.digest, rnd)
+    _, proof = backend.prove(circuit, w, rnd)
     wrong = PublicInputs(
         mask_digest=public.mask_digest,
+        block_sizes=public.block_sizes,
         com_theta_p=(public.com_theta_p + 1) % MODULUS,
         com_theta_u=public.com_theta_u,
         com_c_p=public.com_c_p,
@@ -565,20 +585,25 @@ def test_backend_rejects_mismatched_public():
 def test_backend_rejects_changed_tag_or_circuit_hash():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(13)
     backend = MockBackend()
-    _, proof = backend.prove(circuit, w, mask.digest, rnd)
-    for field in ("tag", "circuit_hash"):
-        value = getattr(proof, field)
-        changed = format(int(value[0], 16) ^ 1, "x") + value[1:]
-        assert not backend.verify(replace(proof, **{field: changed}), public)
+    _, proof = backend.prove(circuit, w, rnd)
+    flip = lambda h: format(int(h[0], 16) ^ 1, "x") + h[1:]
+    assert not backend.verify(Proof(flip(proof.tag)), public)
+    # a tag over any circuit hash but the one the public inputs determine:
+    # the hash the prover synthesized must be derived, never declared
+    other_t_int = synthesize(fisher.layout, mask, 2 * public.t_int,
+                             public.f_w, public.f_c).circuit_hash
+    for foreign in ("00" * 32, flip(circuit.circuit_hash), other_t_int):
+        assert not backend.verify(Proof(_tag(foreign, public)), public)
+    assert backend.verify(Proof(_tag(circuit.circuit_hash, public)), public)
 
 
 def test_backend_refuses_unsatisfiable_witness():
     fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(14)
-    ints = w.theta_u.ints.copy()
+    ints = w.theta_u.copy()
     ints[0] += 12345
-    bad = replace(w, theta_u=replace(w.theta_u, ints=ints))
-    with pytest.raises(UnsatisfiableWitnessError):
-        MockBackend().prove(circuit, bad, mask.digest, rnd)
+    bad = replace(w, theta_u=ints)
+    with pytest.raises(UnsatisfiableWitnessError, match="assembly"):
+        MockBackend().prove(circuit, bad, rnd)
 
 
 def test_public_inputs_json_round_trip():
