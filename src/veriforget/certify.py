@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import BlockFisher, empirical_fisher_blockwise
+from .curvature import BlockFisher
 from .masking import MaskArtifact
-from .model import Dataset, MlpModel, batch_grad, mean_loss
+from .model import Dataset, MlpModel, batch_grad, mean_loss, per_example_grads
 from .numkit import ParamVector, StructuralError
 from .obs import CompensationResult
 
 DEFAULT_TAU_REAL = 1e-6
 DEFAULT_LAM_Q = 1e-3
 MAX_EXACT_HESSIAN_DIM = 2000
+FD_STEP = 1e-4  # relative step of exact_hessian's central differences
 
 
 class CurvatureNotSPDError(ArithmeticError):
@@ -124,7 +125,7 @@ class ForgetBudget:
         }
 
 
-def exact_hessian(model: MlpModel, data: Dataset, h_scale: float = 1e-4) -> np.ndarray:
+def exact_hessian(model: MlpModel, data: Dataset) -> np.ndarray:
     """Central finite differences of the analytic gradient, symmetrized."""
     d = model.dim
     if d > MAX_EXACT_HESSIAN_DIM:
@@ -134,7 +135,7 @@ def exact_hessian(model: MlpModel, data: Dataset, h_scale: float = 1e-4) -> np.n
     theta = model.params.values
     cols = np.empty((d, d))
     for i in range(d):
-        h = h_scale * (1.0 + abs(theta[i]))
+        h = FD_STEP * (1.0 + abs(theta[i]))
         tp = theta.copy()
         tp[i] += h
         tm = theta.copy()
@@ -143,17 +144,6 @@ def exact_hessian(model: MlpModel, data: Dataset, h_scale: float = 1e-4) -> np.n
         gm = batch_grad(model.with_params(tm), data).values
         cols[:, i] = (gp - gm) / (2.0 * h)
     return 0.5 * (cols + cols.T)
-
-
-def fisher_hessian_surrogate(model: MlpModel, data: Dataset) -> np.ndarray:
-    """Gauss-Newton-style surrogate: dense empirical Fisher on the data."""
-    from .numkit import BlockLayout
-
-    layout = BlockLayout.from_sizes([(model.dim, "all")])
-    bf = empirical_fisher_blockwise(
-        model, data, layout, lam=1e-12, max_samples=len(data)
-    )
-    return np.array(bf.fisher.blocks[0])
 
 
 def quadratic_gain(b: np.ndarray, q: np.ndarray, dw_c: np.ndarray) -> float:
@@ -170,50 +160,64 @@ def forget_gain_report(
     lam_q: float = DEFAULT_LAM_Q,
     hessian_mode: str = "exact",
 ) -> ForgetBudget:
-    """Compute the mask gain, compensation contribution, and its bounds."""
+    """Compute the mask gain, compensation contribution, and its bounds.
+
+    Each Hessian mode supplies a'H_mm a, H_cm a, a matrix with the 2-norm
+    of H_cm and a spectral pair (w, V) of H_cc; the bounds apply powers of
+    Q = H_cc + lam_q I through that pair and never form Q.
+    """
+    if len(d_f) == 0:
+        raise StructuralError("empty forget set")
     model = template.with_params(theta_p.values)
     g = batch_grad(model, d_f).values
-    if hessian_mode == "exact":
-        h = exact_hessian(model, d_f)
-    elif hessian_mode == "fisher":
-        h = fisher_hessian_surrogate(model, d_f)
-    else:
-        raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
-
     m_idx = mask.support
     c_idx = np.setdiff1d(np.arange(theta_p.dim), m_idx)
     a_m = theta_p.values[m_idx]
-    g_m, g_c = g[m_idx], g[c_idx]
-    h_mm = h[np.ix_(m_idx, m_idx)]
-    h_cm = h[np.ix_(c_idx, m_idx)]
-    h_cc = h[np.ix_(c_idx, c_idx)]
+    if hessian_mode == "exact":
+        h = exact_hessian(model, d_f)
+        h_cm = h[np.ix_(c_idx, m_idx)]
+        a_h_a, h_cm_a = a_m @ (h[np.ix_(m_idx, m_idx)] @ a_m), h_cm @ a_m
+        w, vecs = np.linalg.eigh(h[np.ix_(c_idx, c_idx)])
+    elif hessian_mode == "fisher":
+        # H = G'G, G the per-example gradients over sqrt(n), is never formed:
+        # with the thin SVD G_c = U S V', H_cc = V S^2 V' and H_cm = V S U'G_m
+        grads = per_example_grads(model, d_f) / np.sqrt(len(d_f))
+        g_c, g_m = grads[:, c_idx], grads[:, m_idx]
+        left, s, vt = np.linalg.svd(g_c, full_matrices=False)
+        g_a = g_m @ a_m
+        a_h_a, h_cm_a, w, vecs = g_a @ g_a, g_c.T @ g_a, s**2, vt.T
+        h_cm = s[:, None] * (left.T @ g_m)
+    else:
+        raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
 
-    s_mask = float(-g_m @ a_m + 0.5 * a_m @ (h_mm @ a_m))
-    b = g_c - h_cm @ a_m
-    q = h_cc + lam_q * np.eye(c_idx.size)
-    eigvals, eigvecs = np.linalg.eigh(q)
-    if eigvals.min() <= 0:
+    # Q^p x = V (w + lam_q)^p V'x + lam_q^p (x - VV'x), where the second
+    # term exists only when V leaves a complement of the C block
+    complement = vecs.shape[1] < c_idx.size
+    mu = w + lam_q
+    mu_min = float(min(mu.min(), lam_q) if complement else mu.min())
+    if not mu_min > 0:
         raise CurvatureNotSPDError(
-            f"Q has min eigenvalue {eigvals.min():.3e} <= 0; "
+            f"Q has min eigenvalue {mu_min:.3e} <= 0; "
             f"increase the damping lam_q (currently {lam_q})"
         )
-    sqrt_q = eigvecs @ (np.sqrt(eigvals)[:, None] * eigvecs.T)
-    inv_sqrt_q = eigvecs @ ((1.0 / np.sqrt(eigvals))[:, None] * eigvecs.T)
 
+    def q_pow(p: float, x: np.ndarray) -> np.ndarray:
+        y = vecs.T @ x
+        out = vecs @ (mu**p * y)
+        return out + lam_q**p * (x - vecs @ y) if complement else out
+
+    s_mask = float(-g[m_idx] @ a_m + 0.5 * a_h_a)
+    b = g[c_idx] - h_cm_a
     dw_c = comp.delta_w.values[c_idx]
-    u = inv_sqrt_q @ b
-    v = -sqrt_q @ dw_c  # v = Q^{1/2} A a_M with dw_c = -A a_M
-    f_direct = quadratic_gain(b, q, dw_c)
+    u = q_pow(-0.5, b)
+    v = -q_pow(0.5, dw_c)  # v = Q^{1/2} A a_M with dw_c = -A a_M
+    f_direct = float(b @ dw_c + 0.5 * dw_c @ q_pow(1.0, dw_c))
     u_n = float(np.linalg.norm(u))
     v_n = float(np.linalg.norm(v))
-    f_norm = float(0.5 * np.linalg.norm(v - u) ** 2 - 0.5 * u_n**2)
-    worst = float(-0.5 * u_n**2)
-    mu_min = float(eigvals.min())
     h_cm_norm = float(np.linalg.norm(h_cm, 2)) if m_idx.size else 0.0
     spectral = float(
-        (np.linalg.norm(g_c) + h_cm_norm * np.linalg.norm(a_m)) ** 2 / mu_min
+        (np.linalg.norm(g[c_idx]) + h_cm_norm * np.linalg.norm(a_m)) ** 2 / mu_min
     )
-    upper = float(0.5 * v_n**2 + u_n * v_n)
     return ForgetBudget(
         s_mask=s_mask,
         b=b,
@@ -221,10 +225,10 @@ def forget_gain_report(
         u=u,
         v=v,
         f_obs=f_direct,
-        f_obs_normform=f_norm,
-        worst_case=worst,
+        f_obs_normform=float(0.5 * np.linalg.norm(v - u) ** 2 - 0.5 * u_n**2),
+        worst_case=float(-0.5 * u_n**2),
         spectral_bound=spectral,
-        upper_bound=upper,
+        upper_bound=float(0.5 * v_n**2 + u_n * v_n),
         guarantee_flag=v_n >= 2.0 * u_n,
         predicted_delta_lf=s_mask + f_direct,
     )

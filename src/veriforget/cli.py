@@ -8,6 +8,7 @@ fixed-point range overflow).
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 
@@ -47,6 +48,7 @@ from .pipeline import (
     select_mask,
     synthetic_task,
 )
+from .zkp.witness import MAX_FRAC_BITS
 
 NUMERIC_ERRORS = (
     NumericError,
@@ -56,6 +58,16 @@ NUMERIC_ERRORS = (
     TrainingError,
     FeasibilityError,
 )
+
+
+class FiniteFloat(click.FloatRange):
+    """A FloatRange that also rejects NaN and +-inf."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number", param, ctx)
+        return rv
 
 
 def numeric_guard(fn):
@@ -117,7 +129,7 @@ def main():
 @click.option("--data", default=None, type=click.Path(exists=True),
               help="Train on this .dset instead of generating a synthetic task.")
 @click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True,
-              type=click.FloatRange(min=0, min_open=True))
+              type=FiniteFloat(min=0, min_open=True))
 @click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--batch", default=DEFAULT_PRETRAIN.batch_size, show_default=True,
@@ -155,7 +167,7 @@ def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True,
-              type=click.FloatRange(min=0, min_open=True))
+              type=FiniteFloat(min=0, min_open=True))
 @click.option("--epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--batch", default=DEFAULT_PERSONALIZE.batch_size, show_default=True,
@@ -185,7 +197,7 @@ def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
               help="Forget-set .dset.")
 @click.option("--k", default=None, type=int, help="Mask budget (coordinates).")
 @click.option("--frac", default=DEFAULT_BUDGET_FRACTION, show_default=True,
-              type=click.FloatRange(0, 1, min_open=True),
+              type=FiniteFloat(0, 1, min_open=True),
               help="Budget as a fraction of eligible coordinates.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
@@ -209,7 +221,7 @@ def mask(model_path, data, k, frac, seed, out, as_json):
 @click.option("--data", required=True, type=click.Path(exists=True),
               help="Client dataset .dset.")
 @click.option("--lambda", "lam", default=DEFAULT_DAMPING, show_default=True,
-              type=click.FloatRange(min=0.0, min_open=True))
+              type=FiniteFloat(min=0.0, min_open=True))
 @click.option("--block-cap", default=DEFAULT_BLOCK_CAP, show_default=True,
               type=click.Choice(["256", "512"]))
 @click.option("--max-samples", default=DEFAULT_MAX_SAMPLES, show_default=True,
@@ -271,7 +283,7 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
 @click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
 @click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
 @click.option("--tau", default=DEFAULT_TAU_REAL, show_default=True,
-              type=click.FloatRange(min=0))
+              type=FiniteFloat(min=0))
 @click.option("--json", "as_json", is_flag=True)
 @numeric_guard
 def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
@@ -296,7 +308,7 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
 @click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
 @click.option("--data", required=True, type=click.Path(exists=True),
               help="Forget-set .dset.")
-@click.option("--lambda-q", default=DEFAULT_LAM_Q, show_default=True)
+@click.option("--lambda-q", default=DEFAULT_LAM_Q, show_default=True, type=FiniteFloat())
 @click.option("--hessian", default="exact", show_default=True,
               type=click.Choice(["exact", "fisher"]))
 @click.option("--json", "as_json", is_flag=True)
@@ -333,7 +345,7 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
 @click.option("--comp", "comp_path", required=True)
 @click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
 @click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
-@click.option("--frac-bits", nargs=2, type=click.IntRange(0, 40),
+@click.option("--frac-bits", nargs=2, type=click.IntRange(0, MAX_FRAC_BITS),
               default=(zkp.DEFAULT_FRAC_BITS_W, zkp.DEFAULT_FRAC_BITS_C),
               show_default=True, help="Fractional bits: weights, curvature.")
 @click.option("--seed", default=0, show_default=True,
@@ -402,11 +414,11 @@ def verify(proof_path, public_path, as_json):
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True,
-              type=click.FloatRange(min=0, min_open=True))
+              type=FiniteFloat(min=0, min_open=True))
 @click.option("--epochs", default=DEFAULT_PRETRAIN.epochs, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--p-lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True,
-              type=click.FloatRange(min=0, min_open=True))
+              type=FiniteFloat(min=0, min_open=True))
 @click.option("--p-epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--json", "as_json", is_flag=True)

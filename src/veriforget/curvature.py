@@ -30,8 +30,8 @@ class BlockFisher:
     source_digest: str
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("damping must be > 0")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("damping must be finite and > 0")
 
     @property
     def layout(self) -> BlockLayout:
@@ -94,8 +94,8 @@ def empirical_fisher_blockwise(
     """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over a seeded subsample."""
     if len(data) == 0:
         raise StructuralError("empty dataset")
-    if lam <= 0:
-        raise ValueError("damping must be > 0")
+    if not 0 < lam < np.inf:
+        raise ValueError("damping must be finite and > 0")
     if max_samples < 1:
         raise ValueError("max_samples must be >= 1")
     if layout.total_dim != model.dim:

@@ -75,17 +75,21 @@ class Dataset:
         )
 
 
+MOMENTUM = 0.9  # of train_sgd's updates
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    momentum: float = 0.9
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -269,7 +273,7 @@ def train_sgd(
             idx = order[start : start + cfg.batch_size]
             batch = data.subset(idx)
             g = batch_grad(model, batch).values
-            velocity = cfg.momentum * velocity - cfg.learning_rate * g
+            velocity = MOMENTUM * velocity - cfg.learning_rate * g
             theta = theta + velocity
             if not np.all(np.isfinite(theta)):
                 raise TrainingError(f"parameters diverged at epoch {epoch}")

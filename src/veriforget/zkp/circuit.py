@@ -14,6 +14,7 @@ certificate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -22,7 +23,7 @@ import numpy as np
 from ..masking import MaskArtifact
 from ..numkit import BlockLayout, canonical_json, sha256_hex
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
-from .witness import BOUND_C, BOUND_LAM, BOUND_W, FixedWitness
+from .witness import BOUND_C, BOUND_LAM, BOUND_W, FixedWitness, check_frac_bits
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,17 @@ class PublicInputs:
     @classmethod
     def from_json(cls, obj: dict) -> "PublicInputs":
         values = {f.name: obj[f.name] for f in fields(cls)}
-        sizes = values["block_sizes"]
+        sizes, t_int, digest = (values["block_sizes"], values["t_int"],
+                                values["mask_digest"])
         if not (isinstance(sizes, list) and sizes
                 and all(type(s) is int and s > 0 for s in sizes)):
             raise ValueError(f"block_sizes {sizes!r} is not a list of "
                              f"positive ints")
+        if not (type(t_int) is int and t_int >= 0):
+            raise ValueError(f"t_int {t_int!r} is not a non-negative int")
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise ValueError(f"mask_digest {digest!r} is not 64 lowercase hex digits")
+        check_frac_bits(values["f_w"], values["f_c"])
         values["block_sizes"] = tuple(sizes)
         for name, _ in COMMITTED:
             values[f"com_{name}"] = int(obj[f"com_{name}"], 16)

@@ -26,6 +26,8 @@ from ..numkit import ParamVector, RangeError, StructuralError, quantize
 # the tamper signal while f_w + f_c stays within the 60-bit budget.
 DEFAULT_FRAC_BITS_W = 22
 DEFAULT_FRAC_BITS_C = 32
+MAX_FRAC_BITS = 40  # each of f_w and f_c
+FRAC_BITS_BUDGET = 60  # f_w + f_c
 # Magnitude limits of the statement: weights (theta_p, theta_u, delta_w),
 # curvature entries and multipliers.  The circuit's range family checks
 # them and its hash binds them, so they are constants, not prover inputs.
@@ -59,6 +61,13 @@ class FixedWitness:
     f_c: int
 
 
+def check_frac_bits(f_w, f_c) -> None:
+    """Each an int in [0, MAX_FRAC_BITS], together within FRAC_BITS_BUDGET."""
+    if not (all(type(f) is int and 0 <= f <= MAX_FRAC_BITS for f in (f_w, f_c))
+            and f_w + f_c <= FRAC_BITS_BUDGET):
+        raise StructuralError(f"fractional bits ({f_w!r}, {f_c!r}) out of range")
+
+
 def encode_fixed_witness(
     theta_p: ParamVector,
     theta_u: ParamVector,
@@ -69,8 +78,7 @@ def encode_fixed_witness(
     f_w: int = DEFAULT_FRAC_BITS_W,
     f_c: int = DEFAULT_FRAC_BITS_C,
 ) -> FixedWitness:
-    if f_w + f_c > 60:
-        raise StructuralError("f_w + f_c must be <= 60")
+    check_frac_bits(f_w, f_c)
     tp = quantize(theta_p.values, f_w, BOUND_W)
     dw = quantize(delta_w.values, f_w, BOUND_W)
     dw[mask.support] = -tp[mask.support]

@@ -1,17 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veriforget.certify import (
     CurvatureNotSPDError,
     check_kkt,
     exact_hessian,
-    fisher_hessian_surrogate,
     forget_gain_report,
     measured_forget_gap,
     quadratic_gain,
 )
 from veriforget.masking import make_mask
-from veriforget.model import TrainConfig, init_mlp, train_sgd
+from veriforget.model import (
+    TrainConfig,
+    batch_grad,
+    init_mlp,
+    per_example_grads,
+    train_sgd,
+)
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
@@ -113,12 +121,13 @@ def test_exact_hessian_dim_cap():
         exact_hessian(model, data)
 
 
-def test_fisher_surrogate_psd():
-    rng = np.random.default_rng(2)
-    model = init_mlp([3, 4, 2], 3)
-    data = small_dataset(rng, n=10, dim=3, classes=2)
-    h = fisher_hessian_surrogate(model, data)
-    assert np.linalg.eigvalsh(h).min() >= -1e-10
+def test_fisher_mode_q_min_eig_at_least_lam_q():
+    # H = G'G is PSD by construction, so Q = H_cc + lam_q I has no
+    # eigenvalue below lam_q
+    for seed in range(5):
+        for lam_q in (1e-6, 1e-3, 0.5):
+            rep, *_ = pipeline_report(seed, hessian_mode="fisher", lam_q=lam_q)
+            assert rep.q_min_eig >= lam_q
 
 
 # -- quadratic-model identities ---------------------------------------------------------
@@ -242,3 +251,104 @@ def test_measured_gap_report():
     assert set(out) == {"actual_delta_lf", "predicted_delta_lf",
                         "cubic_remainder_gap"}
     assert out["cubic_remainder_gap"] >= 0
+
+
+# -- the spectral path against dense formulas ------------------------------------
+
+
+def dense_oracle(h, g, theta_p, mask, comp, lam_q):
+    """Every ForgetBudget field from the dense H by the dense formulas:
+    eigh(Q) and the two matrix roots of Q = H_cc + lam_q I."""
+    m_idx = mask.support
+    c_idx = np.setdiff1d(np.arange(theta_p.dim), m_idx)
+    a_m = theta_p.values[m_idx]
+    h_cm = h[np.ix_(c_idx, m_idx)]
+    s_mask = float(-g[m_idx] @ a_m + 0.5 * a_m @ (h[np.ix_(m_idx, m_idx)] @ a_m))
+    b = g[c_idx] - h_cm @ a_m
+    q = h[np.ix_(c_idx, c_idx)] + lam_q * np.eye(c_idx.size)
+    eigvals, eigvecs = np.linalg.eigh(q)
+    sqrt_q = eigvecs @ (np.sqrt(eigvals)[:, None] * eigvecs.T)
+    inv_sqrt_q = eigvecs @ ((1.0 / np.sqrt(eigvals))[:, None] * eigvecs.T)
+    dw_c = comp.delta_w.values[c_idx]
+    u, v = inv_sqrt_q @ b, -sqrt_q @ dw_c
+    u_n, v_n = np.linalg.norm(u), np.linalg.norm(v)
+    f_obs = quadratic_gain(b, q, dw_c)
+    h_cm_norm = np.linalg.norm(h_cm, 2) if m_idx.size else 0.0
+    return {
+        "s_mask": s_mask, "b": b, "q_min_eig": eigvals.min(), "u": u, "v": v,
+        "f_obs": f_obs,
+        "f_obs_normform": 0.5 * np.linalg.norm(v - u) ** 2 - 0.5 * u_n**2,
+        "worst_case": -0.5 * u_n**2,
+        "spectral_bound": (np.linalg.norm(g[c_idx])
+                           + h_cm_norm * np.linalg.norm(a_m)) ** 2 / eigvals.min(),
+        "upper_bound": 0.5 * v_n**2 + u_n * v_n,
+        "guarantee_flag": v_n >= 2.0 * u_n,
+        "predicted_delta_lf": s_mask + f_obs,
+    }
+
+
+@pytest.mark.parametrize("hessian_mode", ["exact", "fisher"])
+@pytest.mark.parametrize("square", [False, True], ids=["complement", "square"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.tuples(st.integers(2, 4), st.integers(2, 6), st.integers(2, 3)),
+       shift=st.floats(1e-3, 2.0))
+def test_spectral_path_matches_dense_oracle(hessian_mode, square, seed, dims,
+                                            shift):
+    """Both modes against the dense oracle.  Fisher mode's V has
+    min(n, d - k) columns, so n < d - k leaves a complement and n >= d - k
+    makes V square; exact mode's V is always square."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(list(dims), seed % 1000)
+    d = model.dim
+    k = int(rng.integers(0, 7))
+    n = int(rng.integers(d - k, d - k + 6)) if square else int(rng.integers(1, d - k))
+    data = small_dataset(rng, n=n, dim=dims[0], classes=dims[-1])
+    support = rng.choice(d, size=k, replace=False)
+    mask = make_mask(d, k, np.arange(d), support)
+    comp = CompensationResult(
+        delta_w=model.params.with_values(rng.normal(size=d)),
+        multipliers=np.zeros(k), method="schur", kkt_residual_inf=0.0,
+    )
+    if hessian_mode == "exact":
+        h = exact_hessian(model, data)
+        c_idx = np.setdiff1d(np.arange(d), mask.support)
+        shift += max(0.0, -np.linalg.eigvalsh(h[np.ix_(c_idx, c_idx)]).min())
+    else:
+        grads = per_example_grads(model, data) / np.sqrt(n)
+        h = grads.T @ grads
+    oracle = dense_oracle(h, batch_grad(model, data).values, model.params, mask,
+                          comp, shift)
+    rep = forget_gain_report(model.params, mask, comp, data, model,
+                             lam_q=shift, hessian_mode=hessian_mode)
+    for name, want in oracle.items():
+        got = getattr(rep, name)
+        if name == "guarantee_flag":
+            assert got == want
+        else:
+            assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want))), name
+
+
+def test_fisher_mode_never_densifies():
+    """At d >= 5,000, fisher mode's traced allocations stay below a tenth of
+    one dense d x d float64 matrix."""
+    rng = np.random.default_rng(8)
+    model = init_mlp([20, 200, 5], 8)
+    d = model.dim
+    assert d >= 5000
+    data = small_dataset(rng, n=40, dim=20, classes=5)
+    support = np.sort(rng.choice(4000, size=200, replace=False))
+    mask = make_mask(d, 200, np.arange(4000), support)
+    comp = CompensationResult(
+        delta_w=model.params.with_values(rng.normal(size=d) * 1e-2),
+        multipliers=np.zeros(200), method="schur", kkt_residual_inf=0.0,
+    )
+    tracemalloc.start()
+    try:
+        rep = forget_gain_report(model.params, mask, comp, data, model,
+                                 hessian_mode="fisher")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(rep.spectral_bound)
+    assert peak < 0.1 * 8 * d * d

@@ -159,22 +159,22 @@ def _truncated_public(w, tmp):
             f"{tmp}/public.pub")
 
 
-def _public_block_sizes(name, value):
-    """A case that verifies against public.pub with block_sizes set to
+def _public_field(field, name, value):
+    """A case that verifies against public.pub with ``field`` set to
     ``value``, or removed when ``value`` is None."""
     def case(w, tmp):
         with open(f"{w}/public.pub") as fh:
             obj = json.load(fh)
         if value is None:
-            del obj["block_sizes"]
+            del obj[field]
         else:
-            obj["block_sizes"] = value
+            obj[field] = value
         with open(f"{tmp}/public.pub", "w") as fh:
             json.dump(obj, fh)
         return ("verify", "--proof", f"{w}/proof.prf", "--public",
                 f"{tmp}/public.pub")
 
-    case.__name__ = f"_public_block_sizes_{name}"
+    case.__name__ = f"_public_{field}_{name}"
     return case
 
 
@@ -223,6 +223,23 @@ def _comp_nan_residual(w, tmp):
             "--fisher", f"{w}/fisher", "--out-dir", tmp)
 
 
+def _fisher_lambda(name, value):
+    """A case that unlearns with a Fisher whose header holds ``lambda``
+    = ``value``."""
+    def case(w, tmp):
+        with open(f"{w}/fisher") as fh:
+            header = json.load(fh)
+        header["lambda"] = value
+        with open(f"{tmp}/fisher", "w") as fh:
+            json.dump(header, fh)
+        shutil.copy(f"{w}/fisher.bin", f"{tmp}/fisher.bin")
+        return ("unlearn", "--model", f"{w}/theta_p", "--mask",
+                f"{w}/mask.mask", "--fisher", f"{tmp}/fisher", "--out-dir", tmp)
+
+    case.__name__ = f"_fisher_lambda_{name}"
+    return case
+
+
 def _certify_theta_p_not_recorded(w, tmp):
     return ("certify", "--theta-p", f"{w}/theta0",
             "--theta-u", f"{w}/theta_u", "--comp", f"{w}/comp",
@@ -268,6 +285,11 @@ _MASK = ("mask", "--model", "{w}/theta0", "--data", "{w}/forget.dset",
 _CERTIFY = ("certify", "--theta-p", "{w}/theta_p", "--theta-u", "{w}/theta_u",
             "--comp", "{w}/comp", "--mask", "{w}/mask.mask",
             "--fisher", "{w}/fisher")
+_FISHER = ("fisher", "--model", "{w}/theta_p", "--data", "{w}/personal.dset",
+           "--out", "{tmp}/f")
+_REPORT_BOUNDS = ("report-bounds", "--theta-p", "{w}/theta_p",
+                  "--comp", "{w}/comp", "--mask", "{w}/mask.mask",
+                  "--data", "{w}/forget.dset")
 _GOLD = ("gold", "--init", "{w}/theta0_init", "--retain", "{w}/retain.dset",
          "--personal", "{w}/personal.dset", "--out", "{tmp}/g")
 
@@ -321,10 +343,10 @@ def _fisher_zero_samples(w, tmp):
         _prove_fisher_not_recorded, _fisher_nan_entry, _comp_nan_multiplier,
         _comp_nan_residual,
         _frac_bits_negative, _frac_bits_over_budget,
-        _public_block_sizes("missing", None),
-        _public_block_sizes("string", "4,8"),
-        _public_block_sizes("zero", [40, 0]),
-        _public_block_sizes("float", [40, 2.5]),
+        _public_field("block_sizes", "missing", None),
+        _public_field("block_sizes", "string", "4,8"),
+        _public_field("block_sizes", "zero", [40, 0]),
+        _public_field("block_sizes", "float", [40, 2.5]),
         _option("train_lr_zero", *_TRAIN, "--lr", "0"),
         _option("train_batch_zero", *_TRAIN, "--batch", "0"),
         _option("train_epochs_negative", *_TRAIN, "--epochs", "-2"),
@@ -338,6 +360,21 @@ def _fisher_zero_samples(w, tmp):
         _option("gold_p_lr_zero", *_GOLD, "--p-lr", "0"),
         _option("gold_epochs_negative", *_GOLD, "--epochs", "-1"),
         _option("gold_p_epochs_negative", *_GOLD, "--p-epochs", "-1"),
+        _public_field("t_int", "string", "abc"),
+        _public_field("t_int", "bool", True),
+        _public_field("f_w", "list", [1]),
+        _public_field("f_c", "negative", -5),
+        _public_field("mask_digest", "number", 7),
+        _fisher_lambda("nan", float("nan")),
+        _fisher_lambda("inf", float("inf")),
+        _option("report_bounds_lambda_q_nan", *_REPORT_BOUNDS, "--lambda-q", "nan"),
+        _option("report_bounds_lambda_q_inf", *_REPORT_BOUNDS, "--lambda-q", "inf"),
+        _option("certify_tau_nan", *_CERTIFY, "--tau", "nan"),
+        _option("certify_tau_inf", *_CERTIFY, "--tau", "inf"),
+        _option("fisher_lambda_nan", *_FISHER, "--lambda", "nan"),
+        _option("mask_frac_nan", *_MASK, "--frac", "nan"),
+        _option("train_lr_nan", *_TRAIN, "--lr", "nan"),
+        _option("gold_p_lr_nan", *_GOLD, "--p-lr", "nan"),
     ]
 )
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):

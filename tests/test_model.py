@@ -112,6 +112,11 @@ def test_epochs_zero_is_identity():
     assert np.array_equal(out.params.values, model.params.values)
 
 
+def test_negative_epochs_rejected():
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=-2)
+
+
 def test_separable_data_trains_to_high_accuracy():
     rng = np.random.default_rng(6)
     n = 100
