@@ -31,6 +31,7 @@ from .numkit import (
     ParamVector,
     StructuralError,
     canonical_json,
+    check_ints,
     sha256_hex,
 )
 from .obs import CompensationResult
@@ -145,6 +146,7 @@ def save_model(path: str, model: MlpModel, inputs: dict | None = None) -> None:
 def load_model(path: str) -> MlpModel:
     header, (values,) = _load(path)
     layer_dims = tuple(header["layer_dims"])
+    check_ints("layer_dims", layer_dims)
     return MlpModel(
         layer_dims=layer_dims,
         params=ParamVector(values=values, layout=mlp_layout(list(layer_dims))),

@@ -31,9 +31,6 @@ class CurvatureNotSPDError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KktCertificate:
-    r_assembly: np.ndarray
-    r_feasibility: np.ndarray
-    r_stationarity: np.ndarray
     inf_norms: tuple[float, float, float]
     tolerance: float
     verdict: bool
@@ -73,9 +70,6 @@ def check_kkt(
         r_stat[sl] = damped @ dw[sl] + lam_full[sl]
     norms = (_inf(r_asm), _inf(r_feas), _inf(r_stat))
     return KktCertificate(
-        r_assembly=r_asm,
-        r_feasibility=r_feas,
-        r_stationarity=r_stat,
         inf_norms=norms,
         tolerance=tau_real,
         verdict=all(n <= tau_real for n in norms),
@@ -152,15 +146,15 @@ def quadratic_gain(b: np.ndarray, q: np.ndarray, dw_c: np.ndarray) -> float:
 
 
 def forget_gain_report(
-    theta_p: ParamVector,
+    model: MlpModel,
     mask: MaskArtifact,
     comp: CompensationResult,
     d_f: Dataset,
-    template: MlpModel,
     lam_q: float = DEFAULT_LAM_Q,
     hessian_mode: str = "exact",
 ) -> ForgetBudget:
-    """Compute the mask gain, compensation contribution, and its bounds.
+    """Compute the mask gain, compensation contribution, and its bounds
+    for the update ``comp`` of the personalized model ``model``.
 
     Each Hessian mode supplies a'H_mm a, H_cm a, a matrix with the 2-norm
     of H_cm and a spectral pair (w, V) of H_cc; the bounds apply powers of
@@ -168,7 +162,7 @@ def forget_gain_report(
     """
     if len(d_f) == 0:
         raise StructuralError("empty forget set")
-    model = template.with_params(theta_p.values)
+    theta_p = model.params
     g = batch_grad(model, d_f).values
     m_idx = mask.support
     c_idx = np.setdiff1d(np.arange(theta_p.dim), m_idx)
@@ -235,16 +229,13 @@ def forget_gain_report(
 
 
 def measured_forget_gap(
-    theta_p: ParamVector,
-    theta_u: ParamVector,
+    theta_p: MlpModel,
+    theta_u: MlpModel,
     d_f: Dataset,
-    template: MlpModel,
     predicted: float,
 ) -> dict:
     """Actual forget-loss change vs. the quadratic-model prediction."""
-    actual = mean_loss(template.with_params(theta_u.values), d_f) - mean_loss(
-        template.with_params(theta_p.values), d_f
-    )
+    actual = mean_loss(theta_u, d_f) - mean_loss(theta_p, d_f)
     return {
         "actual_delta_lf": float(actual),
         "predicted_delta_lf": float(predicted),

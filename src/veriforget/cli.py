@@ -322,16 +322,12 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
     comp = art.load_comp(comp_path)
     m = art.load_mask(mask_path)
     d_f = art.load_dataset(data)
-    budget = forget_gain_report(
-        theta_p.params, m, comp, d_f, theta_p,
-        lam_q=lambda_q, hessian_mode=hessian,
-    )
+    budget = forget_gain_report(theta_p, m, comp, d_f, lam_q=lambda_q,
+                                hessian_mode=hessian)
     obj = budget.to_json()
     if tu_path is not None:
-        theta_u = art.load_model(tu_path)
         obj["measured"] = measured_forget_gap(
-            theta_p.params, theta_u.params, d_f, theta_p,
-            budget.predicted_delta_lf,
+            theta_p, art.load_model(tu_path), d_f, budget.predicted_delta_lf
         )
     emit(obj, as_json)
 
@@ -366,7 +362,7 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
     f = art.load_fisher(fisher_path)
     f_w, f_c = frac_bits
     try:
-        _, circuit, public, proof, _ = run_zk_layer(
+        _, circuit, proof, _ = run_zk_layer(
             theta_p, theta_u, comp, f, m, seed, f_w, f_c
         )
     except zkp.UnsatisfiableWitnessError as exc:
@@ -378,12 +374,13 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
         "mask": art.file_digest(mask_path),
         "fisher": art.file_digest(fisher_path),
     }
-    art.save_public(os.path.join(out_dir, "public.pub"), public, inputs=inputs)
+    art.save_public(os.path.join(out_dir, "public.pub"), circuit.public,
+                    inputs=inputs)
     art.save_proof(os.path.join(out_dir, "proof.prf"), proof)
     emit({
         "public": os.path.join(out_dir, "public.pub"),
         "proof": os.path.join(out_dir, "proof.prf"),
-        "t_int": public.t_int,
+        "t_int": circuit.public.t_int,
         "constraints": zkp.constraint_report(circuit),
     }, as_json)
 
@@ -492,8 +489,9 @@ def demo(seed, out_dir, skip_gold, as_json):
     art.save_comp(os.path.join(out_dir, "comp"), result.comp)
     if result.gold is not None:
         art.save_model(os.path.join(out_dir, "gold"), result.gold)
-    if result.public is not None:
-        art.save_public(os.path.join(out_dir, "public.pub"), result.public)
+    public = result.circuit.public if result.circuit else None
+    if public is not None:
+        art.save_public(os.path.join(out_dir, "public.pub"), public)
         art.save_proof(os.path.join(out_dir, "proof.prf"), result.proof)
 
     summary = {
@@ -502,7 +500,7 @@ def demo(seed, out_dir, skip_gold, as_json):
         "mask": {"k": result.mask.budget, "digest": result.mask.digest},
         "drift": result.drift_report,
         "verified": result.verified,
-        "t_int": result.public.t_int if result.public else None,
+        "t_int": public.t_int if public else None,
         "reports": {k: v.to_json() for k, v in result.reports.items()},
     }
     with open(os.path.join(out_dir, "summary.json"), "wb") as fh:

@@ -12,6 +12,7 @@ from .numkit import (
     ParamVector,
     StructuralError,
     canonical_json,
+    check_ints,
     sha256_hex,
 )
 
@@ -103,6 +104,9 @@ class MaskArtifact:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MaskArtifact":
+        check_ints("mask d, k, support and eligible ranges",
+                   (obj["d"], obj["k"], *obj["support"],
+                    *(x for r in obj["eligible_ranges"] for x in r)))
         eligible = np.concatenate(
             [np.arange(lo, hi) for lo, hi in obj["eligible_ranges"]]
         ) if obj["eligible_ranges"] else np.empty(0, dtype=np.int64)

@@ -23,6 +23,14 @@ class RangeError(ValueError):
     """A value fell outside its fixed-point magnitude bound."""
 
 
+def check_ints(what: str, values) -> None:
+    """Raise StructuralError unless every value is a JSON integer: a float,
+    string or bool read from an artifact header is not."""
+    for v in values:
+        if type(v) is not int:
+            raise StructuralError(f"{what}: {v!r} is not an integer")
+
+
 # ---------------------------------------------------------------------------
 # layouts and vectors
 # ---------------------------------------------------------------------------
@@ -85,6 +93,7 @@ class BlockLayout:
     @classmethod
     def from_json(cls, entries) -> "BlockLayout":
         blocks = tuple((e["offset"], e["size"], e["label"]) for e in entries)
+        check_ints("layout offsets and sizes", (x for b in blocks for x in b[:2]))
         total = blocks[-1][0] + blocks[-1][1] if blocks else 0
         return cls(blocks=blocks, total_dim=total)
 

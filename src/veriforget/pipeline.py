@@ -54,10 +54,10 @@ DEFAULT_PERSONALIZE = TrainConfig(learning_rate=0.03, epochs=12, batch_size=32)
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    mask_k: int
     layer_dims: tuple[int, ...] = DEFAULT_LAYERS
     pretrain: TrainConfig = DEFAULT_PRETRAIN
     personalize: TrainConfig = DEFAULT_PERSONALIZE
-    mask_k: int | None = None  # None: DEFAULT_BUDGET_FRACTION of eligible
     run_zk: bool = True
     run_gold: bool = True
 
@@ -86,8 +86,6 @@ def tiny_config(**overrides) -> PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    seed: int
-    config: PipelineConfig
     task: SyntheticTask
     theta0_init: MlpModel
     theta0: MlpModel
@@ -96,14 +94,12 @@ class PipelineResult:
     fisher: BlockFisher
     comp: CompensationResult
     theta_u: MlpModel
-    mask_only: MlpModel
     certificate: KktCertificate
     drift_report: dict
     gold: MlpModel | None = None
     reports: dict[str, EvalReport] = field(default_factory=dict)
     witness: zkp.FixedWitness | None = None
     circuit: zkp.CertificateCircuit | None = None
-    public: zkp.PublicInputs | None = None
     proof: zkp.Proof | None = None
     verified: bool | None = None
     randomness: tuple[int, int, int] | None = None
@@ -183,25 +179,26 @@ def run_zk_layer(
     f_w: int = zkp.DEFAULT_FRAC_BITS_W,
     f_c: int = zkp.DEFAULT_FRAC_BITS_C,
 ):
-    """Encode the fixed-point witness, synthesize, commit, and prove.
+    """Encode the fixed-point witness, then commit, synthesize and prove.
 
-    Returns (witness, circuit, public inputs, proof, randomness); raises
-    ``zkp.UnsatisfiableWitnessError`` when the prover rejects the witness.
+    Returns (witness, circuit, proof, randomness), the public inputs being
+    ``circuit.public``; raises ``zkp.UnsatisfiableWitnessError`` when the
+    prover rejects the witness.
     """
     witness = zkp.encode_fixed_witness(
         theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
         fisher, mask, f_w=f_w, f_c=f_c,
     )
     t_int = zkp.default_t_int(witness, fisher, mask, comp.kkt_residual_inf)
-    circuit = zkp.synthesize(fisher.layout, mask, t_int, f_w, f_c)
+    sizes = tuple(size for _, size, _ in fisher.layout.blocks)
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
-    public, proof = zkp.MockBackend().prove(circuit, witness, randomness)
-    return witness, circuit, public, proof, randomness
+    circuit, proof = zkp.MockBackend().prove(witness, mask, sizes, t_int,
+                                             randomness)
+    return witness, circuit, proof, randomness
 
 
-def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult:
-    cfg = cfg or PipelineConfig()
+def run_pipeline(seed: int, cfg: PipelineConfig) -> PipelineResult:
     task = synthetic_task(seed, cfg.layer_dims)
 
     theta0_init = init_mlp(list(cfg.layer_dims), seed)
@@ -219,12 +216,9 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
 
     fisher = estimate_fisher(theta_p, task.personal, seed)
     comp, theta_u = compensate(theta_p, mask, fisher)
-    masked = mask_only_model(theta_p, mask)
     certificate = check_kkt(theta_p.params, theta_u.params, comp, fisher, mask)
 
     result = PipelineResult(
-        seed=seed,
-        config=cfg,
         task=task,
         theta0_init=theta0_init,
         theta0=theta0,
@@ -233,17 +227,17 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
         fisher=fisher,
         comp=comp,
         theta_u=theta_u,
-        mask_only=masked,
         certificate=certificate,
         drift_report=drift,
     )
 
     if cfg.run_zk:
-        (result.witness, result.circuit, result.public, result.proof,
+        (result.witness, result.circuit, result.proof,
          result.randomness) = run_zk_layer(
             theta_p, theta_u, comp, fisher, mask, seed
         )
-        result.verified = zkp.MockBackend().verify(result.proof, result.public)
+        result.verified = zkp.MockBackend().verify(result.proof,
+                                                   result.circuit.public)
 
     if cfg.run_gold:
         gold = gold_standard(
@@ -256,7 +250,7 @@ def run_pipeline(seed: int, cfg: PipelineConfig | None = None) -> PipelineResult
         result.gold = gold
         for name, model in (
             ("personalized", theta_p),
-            ("mask_only", masked),
+            ("mask_only", mask_only_model(theta_p, mask)),
             ("unlearned", theta_u),
             ("gold", gold),
         ):

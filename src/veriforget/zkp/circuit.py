@@ -3,13 +3,14 @@
 Every constraint family is one entry of the ordered table ``FAMILIES``:
 its row count from (block sizes, mask budget) and its check.  The
 circuit description, the mock prover and the constraint report all read
-that table.  The circuit hash is a function of the statement the public
-inputs carry (the block sizes, the mask digest, ``T_int`` and the
-fractional bits) and of the circuit's own constants (the family table,
-the range bounds and the curvature packing), so a verifier derives it
-and never reads it from a proof.  The mock prover evaluates every
-constraint directly over the field and is the normative semantics of the
-certificate.
+that table.  The statement lives in one place, ``PublicInputs``; a
+circuit is those public inputs plus the mask support their digest
+binds.  The circuit hash is a function of the public inputs' statement
+(the block sizes, the mask digest, ``T_int`` and the fractional bits)
+and of the circuit's own constants (the family table, the range bounds
+and the curvature packing), so a verifier derives it and never reads it
+from a proof.  The mock prover evaluates every constraint directly over
+the field and is the normative semantics of the certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..masking import MaskArtifact
-from ..numkit import BlockLayout, canonical_json, sha256_hex
+from ..numkit import StructuralError, canonical_json, sha256_hex
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
 from .witness import BOUND_C, BOUND_LAM, BOUND_W, FixedWitness, check_frac_bits
 
@@ -47,20 +48,24 @@ class PublicInputs:
     @classmethod
     def from_json(cls, obj: dict) -> "PublicInputs":
         values = {f.name: obj[f.name] for f in fields(cls)}
-        sizes, t_int, digest = (values["block_sizes"], values["t_int"],
-                                values["mask_digest"])
+        sizes, t_int = values["block_sizes"], values["t_int"]
         if not (isinstance(sizes, list) and sizes
                 and all(type(s) is int and s > 0 for s in sizes)):
             raise ValueError(f"block_sizes {sizes!r} is not a list of "
                              f"positive ints")
         if not (type(t_int) is int and t_int >= 0):
             raise ValueError(f"t_int {t_int!r} is not a non-negative int")
-        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
-            raise ValueError(f"mask_digest {digest!r} is not 64 lowercase hex digits")
         check_frac_bits(values["f_w"], values["f_c"])
-        values["block_sizes"] = tuple(sizes)
+        for key in ("mask_digest", *(f"com_{name}" for name, _ in COMMITTED)):
+            if not (isinstance(values[key], str)
+                    and re.fullmatch("[0-9a-f]{64}", values[key])):
+                raise ValueError(f"{key} {values[key]!r} is not 64 lowercase "
+                                 f"hex digits")
         for name, _ in COMMITTED:
-            values[f"com_{name}"] = int(obj[f"com_{name}"], 16)
+            root = values[f"com_{name}"] = int(values[f"com_{name}"], 16)
+            if root >= MODULUS:
+                raise ValueError(f"com_{name} is not below the field modulus")
+        values["block_sizes"] = tuple(sizes)
         return cls(**values)
 
 
@@ -70,23 +75,17 @@ C_P_PACKING = "upper-triangle-row-major"
 
 @dataclass(frozen=True)
 class CertificateCircuit:
-    block_sizes: tuple[int, ...]
+    """The circuit of a statement: its public inputs and the mask support,
+    which the public inputs bind only through the mask digest."""
+
+    public: PublicInputs
     support: tuple[int, ...]
-    mask_digest: str
-    t_int: int
-    f_w: int
-    f_c: int
-    counts: dict
-    circuit_hash: str
 
-
-@dataclass(frozen=True)
-class MockVerdict:
-    ok: bool
-    first_violation: str | None
-
-    def __bool__(self) -> bool:
-        return self.ok
+    @property
+    def counts(self) -> dict:
+        """Rows per family, in table order."""
+        sizes, k = self.public.block_sizes, len(self.support)
+        return {f.name: int(f.count(sizes, k)) for f in FAMILIES}
 
 
 def pack_curvature(c_blocks) -> np.ndarray:
@@ -123,11 +122,12 @@ def _field(ints, i: int) -> int:
     return to_field(int(ints[i]))
 
 
-def _range(circuit, w, public, randomness):
-    lim_w, lim_lam = (int(b * 2**circuit.f_w) for b in (BOUND_W, BOUND_LAM))
+def _range(circuit, w, randomness):
+    public = circuit.public
+    lim_w, lim_lam = (int(b * 2**public.f_w) for b in (BOUND_W, BOUND_LAM))
     vectors = (("theta_p", w.theta_p, lim_w), ("theta_u", w.theta_u, lim_w),
                ("delta_w", w.delta_w, lim_w), ("lam", w.lam, lim_lam))
-    lim_c = int(BOUND_C * 2**circuit.f_c)
+    lim_c = int(BOUND_C * 2**public.f_c)
     return _first(
         f"range/{name}[{i}]" for name, vec, limit in vectors
         for i, x in enumerate(vec) if abs(int(x)) > limit
@@ -137,29 +137,31 @@ def _range(circuit, w, public, randomness):
     )
 
 
-def _symmetry(circuit, w, public, randomness):
+def _symmetry(circuit, w, randomness):
     return _first(f"symmetry/c_p[block {bi}]" for bi, b in enumerate(w.c_blocks)
                   if not np.array_equal(b, b.T))
 
 
-def _assembly(circuit, w, public, randomness):
+def _assembly(circuit, w, randomness):
     """theta_u - theta_p - delta_w == 0 over the field."""
     tp, tu, dw = w.theta_p, w.theta_u, w.delta_w
-    return _first(f"assembly[{i}]" for i in range(sum(circuit.block_sizes))
+    d = sum(circuit.public.block_sizes)
+    return _first(f"assembly[{i}]" for i in range(d)
                   if (_field(tu, i) - _field(tp, i) - _field(dw, i)) % MODULUS)
 
 
-def _feasibility(circuit, w, public, randomness):
+def _feasibility(circuit, w, randomness):
     """delta_w + theta_p == 0 on the mask support."""
     return _first(f"feasibility[{j}]" for j, i in enumerate(circuit.support)
                   if (_field(w.delta_w, i) + _field(w.theta_p, i)) % MODULUS)
 
 
-def _stationarity(circuit, w, public, randomness):
+def _stationarity(circuit, w, randomness):
     """|C dw + 2^{f_c} E lam| <= T_int per row, over the field."""
-    r = np.zeros(sum(circuit.block_sizes), dtype=object)
+    public = circuit.public
+    r = np.zeros(sum(public.block_sizes), dtype=object)
     for j, i in enumerate(circuit.support):
-        r[i] = int(w.lam[j]) << circuit.f_c
+        r[i] = int(w.lam[j]) << public.f_c
     dw = w.delta_w.astype(object)
     offset = 0
     for block in w.c_blocks:
@@ -167,13 +169,13 @@ def _stationarity(circuit, w, public, randomness):
         r[offset:end] += block.astype(object) @ dw[offset:end]
         offset = end
     return _first(f"stationarity[{i}]" for i, x in enumerate(r)
-                  if abs(from_field(to_field(int(x)))) > circuit.t_int)
+                  if abs(from_field(to_field(int(x)))) > public.t_int)
 
 
-def _commit(circuit, w, public, randomness):
+def _commit(circuit, w, randomness):
     return _first(
         f"commit/{name}" for (name, get), rand in zip(COMMITTED, randomness)
-        if not verify_commit(getattr(public, f"com_{name}"), get(w), rand)
+        if not verify_commit(getattr(circuit.public, f"com_{name}"), get(w), rand)
     )
 
 
@@ -181,7 +183,7 @@ def _commit(circuit, w, public, randomness):
 class ConstraintFamily:
     name: str
     count: Callable[[tuple[int, ...], int], int]  # (block sizes, k) -> rows
-    check: Callable[..., str | None]  # (circuit, witness, public, randomness)
+    check: Callable[..., str | None]  # (circuit, witness, randomness)
 
 
 def _squares(sizes) -> int:
@@ -203,54 +205,50 @@ FAMILIES = (
 )
 
 
-def circuit_hash(block_sizes, mask_digest: str, t_int: int, f_w: int,
-                 f_c: int) -> str:
-    """The hash of the certificate circuit for a statement.  The mask
-    digest binds the model dimension, the budget and the support."""
+def circuit_hash(public: PublicInputs) -> str:
+    """The hash of the certificate circuit for the statement ``public``
+    carries.  The mask digest binds the model dimension, the budget and
+    the support."""
     return sha256_hex(canonical_json({
-        "block_sizes": block_sizes,
-        "mask_digest": mask_digest,
-        "t_int": t_int,
-        "f_w": f_w,
-        "f_c": f_c,
+        "block_sizes": public.block_sizes,
+        "mask_digest": public.mask_digest,
+        "t_int": public.t_int,
+        "f_w": public.f_w,
+        "f_c": public.f_c,
         "families": [f.name for f in FAMILIES],
         "bounds": {"w": BOUND_W, "c": BOUND_C, "lam": BOUND_LAM},
         "c_p_packing": C_P_PACKING,
     }))
 
 
-def synthesize(layout: BlockLayout, mask: MaskArtifact, t_int: int,
-               f_w: int, f_c: int) -> CertificateCircuit:
-    sizes = tuple(size for _, size, _ in layout.blocks)
-    return CertificateCircuit(
-        block_sizes=sizes,
-        support=tuple(int(i) for i in mask.support),
-        mask_digest=mask.digest,
-        t_int=t_int,
-        f_w=f_w,
-        f_c=f_c,
-        counts={f.name: int(f.count(sizes, mask.budget)) for f in FAMILIES},
-        circuit_hash=circuit_hash(sizes, mask.digest, t_int, f_w, f_c),
-    )
+def synthesize(public: PublicInputs, mask: MaskArtifact) -> CertificateCircuit:
+    """The circuit of ``public``, from the mask its digest names: all an
+    auditor holding public.pub and the mask needs."""
+    if mask.digest != public.mask_digest:
+        raise StructuralError("the mask's digest is not the public mask_digest")
+    if sum(public.block_sizes) != mask.model_dim:
+        raise StructuralError(
+            f"block sizes cover {sum(public.block_sizes)} coordinates, "
+            f"the mask {mask.model_dim}"
+        )
+    return CertificateCircuit(public, tuple(int(i) for i in mask.support))
 
 
 def constraint_report(circuit: CertificateCircuit) -> dict:
     """Rows per family in table order, their total and the circuit hash."""
-    counts = {f.name: circuit.counts[f.name] for f in FAMILIES}
+    counts = circuit.counts
     return {**counts, "total": sum(counts.values()),
-            "circuit_hash": circuit.circuit_hash}
+            "circuit_hash": circuit_hash(circuit.public)}
 
 
 def mock_prove(circuit: CertificateCircuit, witness: FixedWitness,
-               public: PublicInputs, randomness: tuple[int, int, int],
-               check_commitments: bool = True) -> MockVerdict:
-    """Check every family in table order; report the first violation.
-    ``check_commitments=False`` skips the commit family, for a prover
-    whose commitments were just computed from this witness."""
-    for family in FAMILIES:
-        if family.name == "commit" and not check_commitments:
-            continue
-        violation = family.check(circuit, witness, public, randomness)
-        if violation:
-            return MockVerdict(False, violation)
-    return MockVerdict(True, None)
+               randomness: tuple[int, int, int],
+               check_commitments: bool = True) -> str | None:
+    """Check every family in table order; return the first violation, or
+    None when the witness satisfies them all.  ``check_commitments=False``
+    skips the commit family, for a prover whose commitments were just
+    computed from this witness."""
+    return _first(filter(None, (
+        family.check(circuit, witness, randomness) for family in FAMILIES
+        if check_commitments or family.name != "commit"
+    )))

@@ -6,7 +6,14 @@ import pytest
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
 from veriforget.model import Dataset, init_mlp, make_synthetic_task
-from veriforget.numkit import BlockDiagMatrix, BlockLayout, ParamVector
+from veriforget.numkit import (
+    BlockDiagMatrix,
+    BlockLayout,
+    ParamVector,
+    canonical_json,
+    sha256_hex,
+)
+from veriforget.zkp import PublicInputs
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -62,6 +69,22 @@ def random_instance(rng, max_block=24, k_cap=None):
     k = int(rng.integers(1, max(2, (k_cap or d // 4) + 1)))
     mask = random_mask(rng, layout, min(k, d - 1))
     return fisher, theta, mask
+
+
+def statement(mask, block_sizes, t_int, f_w=22, f_c=32):
+    """Public inputs for ``mask`` with all-zero commitment roots."""
+    return PublicInputs(mask.digest, tuple(block_sizes), 0, 0, 0, t_int,
+                        f_w, f_c)
+
+
+def tag_over(statement_hash, public):
+    """A mock proof tag by its documented formula: the sha256 of the
+    domain, a circuit hash and the public inputs."""
+    return sha256_hex(canonical_json({
+        "domain": "veriforget-mock-proof-v1",
+        "circuit_hash": statement_hash,
+        "public": public.to_json(),
+    }))
 
 
 def small_dataset(rng, n=12, dim=4, classes=3, name="toy"):

@@ -45,6 +45,7 @@ from conftest import (
     random_instance,
     random_mask,
     small_dataset,
+    statement,
 )
 
 
@@ -269,7 +270,7 @@ def test_criterion_7_zk_smoke():
         runs.append(r)
     for trial in range(50):
         r = runs[trial % len(runs)]
-        w, circ, pub, rnd = r.witness, r.circuit, r.public, r.randomness
+        w, circ, rnd = r.witness, r.circuit, r.randomness
         kind = trial % 4
         bad = None
         if kind == 0:  # theta_u, one int
@@ -297,7 +298,7 @@ def test_criterion_7_zk_smoke():
                 dw_j = int(w.delta_w[sl][j])
                 if dw_j == 0:
                     continue
-                delta = (4 * pub.t_int) // abs(dw_j) + 1
+                delta = (4 * circ.public.t_int) // abs(dw_j) + 1
                 blocks = [b.copy() for b in w.c_blocks]
                 blocks[bi][j, j] += delta
                 bad = dict(c_blocks=tuple(blocks))
@@ -308,18 +309,17 @@ def test_criterion_7_zk_smoke():
                 ints[0] += 16
                 bad = dict(lam=ints)
         tampered = replace(w, **bad)
-        verdict = zkp.mock_prove(circ, tampered, pub, rnd,
-                                 check_commitments=False)
-        if verdict.ok:
+        if zkp.mock_prove(circ, tampered, rnd, check_commitments=False) is None:
             ok = False
     # honest residual vs the analytic bound that calibrated T_int
     for r in runs[:5]:
         bound = zkp.stationarity_bound_int(
             r.witness, r.fisher, r.mask, r.comp.kkt_residual_inf
         )
-        if not bound <= r.public.t_int:
+        t_int = r.circuit.public.t_int
+        if not bound <= t_int:
             ok = False
-        if not r.public.t_int < 1 << (r.witness.f_c + 4):
+        if not t_int < 1 << (r.witness.f_c + 4):
             ok = False
     report(7, "ZK completeness/soundness smoke", ok)
 
@@ -329,11 +329,10 @@ def test_criterion_8_constraint_scaling():
     counts = []
     ok = True
     for db in sizes:
-        layout = BlockLayout.from_sizes([(db, "b")])
         k = 4
         mask = make_mask(db, k, np.arange(db, dtype=np.int64),
                          np.arange(k, dtype=np.int64))
-        circ = zkp.synthesize(layout, mask, 1 << 30, 22, 32)
+        circ = zkp.synthesize(statement(mask, [db], 1 << 30), mask)
         counts.append(circ.counts["matvec"])
         if circ.counts["assembly"] != db or circ.counts["feasibility"] != k:
             ok = False

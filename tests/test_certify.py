@@ -187,10 +187,8 @@ def pipeline_report(seed, hessian_mode="exact", lam_q=0.5):
     support = np.sort(rng.choice(d, size=4, replace=False)).astype(np.int64)
     mask = make_mask(d, 4, elig, support)
     comp = group_obs_solve(fisher, model.params, mask)
-    rep = forget_gain_report(
-        model.params, mask, comp, data, model,
-        lam_q=lam_q, hessian_mode=hessian_mode,
-    )
+    rep = forget_gain_report(model, mask, comp, data, lam_q=lam_q,
+                             hessian_mode=hessian_mode)
     return rep, model, comp, mask, data
 
 
@@ -242,12 +240,11 @@ def test_q_not_spd_raises_with_advice():
 
 def test_measured_gap_report():
     rep, model, comp, mask, data = pipeline_report(1)
-    theta_u = model.params.with_values(
+    theta_u = model.with_params(
         np.where(mask.indicator() == 1, 0.0,
                  model.params.values + comp.delta_w.values)
     )
-    out = measured_forget_gap(model.params, theta_u, data, model,
-                              rep.predicted_delta_lf)
+    out = measured_forget_gap(model, theta_u, data, rep.predicted_delta_lf)
     assert set(out) == {"actual_delta_lf", "predicted_delta_lf",
                         "cubic_remainder_gap"}
     assert out["cubic_remainder_gap"] >= 0
@@ -319,8 +316,8 @@ def test_spectral_path_matches_dense_oracle(hessian_mode, square, seed, dims,
         h = grads.T @ grads
     oracle = dense_oracle(h, batch_grad(model, data).values, model.params, mask,
                           comp, shift)
-    rep = forget_gain_report(model.params, mask, comp, data, model,
-                             lam_q=shift, hessian_mode=hessian_mode)
+    rep = forget_gain_report(model, mask, comp, data, lam_q=shift,
+                             hessian_mode=hessian_mode)
     for name, want in oracle.items():
         got = getattr(rep, name)
         if name == "guarantee_flag":
@@ -345,8 +342,7 @@ def test_fisher_mode_never_densifies():
     )
     tracemalloc.start()
     try:
-        rep = forget_gain_report(model.params, mask, comp, data, model,
-                                 hessian_mode="fisher")
+        rep = forget_gain_report(model, mask, comp, data, hessian_mode="fisher")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

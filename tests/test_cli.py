@@ -14,6 +14,8 @@ from veriforget.model import init_mlp
 from veriforget.pipeline import run_pipeline, tiny_config
 from veriforget.zkp.circuit import FAMILIES
 
+from conftest import tag_over
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -95,13 +97,12 @@ def test_verify_tampered_proof_exit_1(workdir, tmp_path):
 def test_verify_foreign_circuit_hash_exit_1(workdir, tmp_path):
     """A tag computed over a circuit hash that public.pub does not
     determine is rejected, whatever hash the proof file names."""
-    from veriforget.zkp.backend import _tag
     w = workdir
     public = art.load_public(f"{w}/public.pub")
     for foreign in ("00" * 32, "ef" * 32):
         bad = tmp_path / "forged.prf"
         bad.write_text(json.dumps({"circuit_hash": foreign,
-                                   "tag": _tag(foreign, public)}))
+                                   "tag": tag_over(foreign, public)}))
         res = invoke("verify", "--proof", str(bad),
                      "--public", f"{w}/public.pub")
         assert res.exit_code == 1, res.output
@@ -161,14 +162,15 @@ def _truncated_public(w, tmp):
 
 def _public_field(field, name, value):
     """A case that verifies against public.pub with ``field`` set to
-    ``value``, or removed when ``value`` is None."""
+    ``value`` (to ``value(old)`` when it is callable), or removed when
+    ``value`` is None."""
     def case(w, tmp):
         with open(f"{w}/public.pub") as fh:
             obj = json.load(fh)
         if value is None:
             del obj[field]
         else:
-            obj[field] = value
+            obj[field] = value(obj[field]) if callable(value) else value
         with open(f"{tmp}/public.pub", "w") as fh:
             json.dump(obj, fh)
         return ("verify", "--proof", f"{w}/proof.prf", "--public",
@@ -176,6 +178,32 @@ def _public_field(field, name, value):
 
     case.__name__ = f"_public_{field}_{name}"
     return case
+
+
+def _header(name, src, edit, *args):
+    """A case that runs ``args`` after copying the artifact ``src`` of the
+    staged run to ``{tmp}``, with ``edit`` applied to its JSON header;
+    ``{w}`` and ``{tmp}`` in ``args`` are filled in."""
+    def case(w, tmp):
+        with open(f"{w}/{src}") as fh:
+            header = json.load(fh)
+        edit(header)
+        with open(f"{tmp}/{src}", "w") as fh:
+            json.dump(header, fh)
+        if os.path.exists(f"{w}/{src}.bin"):
+            shutil.copy(f"{w}/{src}.bin", f"{tmp}/{src}.bin")
+        return tuple(a.format(w=w, tmp=tmp) for a in args)
+
+    case.__name__ = f"_{name}"
+    return case
+
+
+def _set(key, value):
+    return lambda header: header.update({key: value})
+
+
+def _set_layout(index, key, value):
+    return lambda header: header["layout"][index].update({key: value})
 
 
 def _theta_u_without_blob(w, tmp):
@@ -209,35 +237,6 @@ def _comp_nan_multiplier(w, tmp):
     return ("certify", "--theta-p", f"{w}/theta_p",
             "--theta-u", f"{w}/theta_u", "--comp", f"{tmp}/comp",
             "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
-
-
-def _comp_nan_residual(w, tmp):
-    with open(f"{w}/comp") as fh:
-        header = json.load(fh)
-    header["kkt_residual_inf"] = float("nan")
-    with open(f"{tmp}/comp", "w") as fh:
-        json.dump(header, fh)
-    shutil.copy(f"{w}/comp.bin", f"{tmp}/comp.bin")
-    return ("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{w}/theta_u",
-            "--comp", f"{tmp}/comp", "--mask", f"{w}/mask.mask",
-            "--fisher", f"{w}/fisher", "--out-dir", tmp)
-
-
-def _fisher_lambda(name, value):
-    """A case that unlearns with a Fisher whose header holds ``lambda``
-    = ``value``."""
-    def case(w, tmp):
-        with open(f"{w}/fisher") as fh:
-            header = json.load(fh)
-        header["lambda"] = value
-        with open(f"{tmp}/fisher", "w") as fh:
-            json.dump(header, fh)
-        shutil.copy(f"{w}/fisher.bin", f"{tmp}/fisher.bin")
-        return ("unlearn", "--model", f"{w}/theta_p", "--mask",
-                f"{w}/mask.mask", "--fisher", f"{tmp}/fisher", "--out-dir", tmp)
-
-    case.__name__ = f"_fisher_lambda_{name}"
-    return case
 
 
 def _certify_theta_p_not_recorded(w, tmp):
@@ -290,6 +289,15 @@ _FISHER = ("fisher", "--model", "{w}/theta_p", "--data", "{w}/personal.dset",
 _REPORT_BOUNDS = ("report-bounds", "--theta-p", "{w}/theta_p",
                   "--comp", "{w}/comp", "--mask", "{w}/mask.mask",
                   "--data", "{w}/forget.dset")
+_UNLEARN_TMP_MASK = ("unlearn", "--model", "{w}/theta_p", "--mask",
+                     "{tmp}/mask.mask", "--fisher", "{w}/fisher",
+                     "--out-dir", "{tmp}")
+_UNLEARN_TMP_FISHER = ("unlearn", "--model", "{w}/theta_p", "--mask",
+                       "{w}/mask.mask", "--fisher", "{tmp}/fisher",
+                       "--out-dir", "{tmp}")
+_PROVE_TMP_COMP = ("prove", "--theta-p", "{w}/theta_p", "--theta-u",
+                   "{w}/theta_u", "--comp", "{tmp}/comp", "--mask",
+                   "{w}/mask.mask", "--fisher", "{w}/fisher", "--out-dir", "{tmp}")
 _GOLD = ("gold", "--init", "{w}/theta0_init", "--retain", "{w}/retain.dset",
          "--personal", "{w}/personal.dset", "--out", "{tmp}/g")
 
@@ -341,7 +349,8 @@ def _fisher_zero_samples(w, tmp):
         _fisher_zero_damping, _fisher_zero_samples,
         _certify_theta_p_not_recorded, _report_bounds_theta_p_not_recorded,
         _prove_fisher_not_recorded, _fisher_nan_entry, _comp_nan_multiplier,
-        _comp_nan_residual,
+        _header("comp_nan_residual", "comp",
+                _set("kkt_residual_inf", float("nan")), *_PROVE_TMP_COMP),
         _frac_bits_negative, _frac_bits_over_budget,
         _public_field("block_sizes", "missing", None),
         _public_field("block_sizes", "string", "4,8"),
@@ -365,8 +374,10 @@ def _fisher_zero_samples(w, tmp):
         _public_field("f_w", "list", [1]),
         _public_field("f_c", "negative", -5),
         _public_field("mask_digest", "number", 7),
-        _fisher_lambda("nan", float("nan")),
-        _fisher_lambda("inf", float("inf")),
+        _header("fisher_lambda_nan", "fisher", _set("lambda", float("nan")),
+                *_UNLEARN_TMP_FISHER),
+        _header("fisher_lambda_inf", "fisher", _set("lambda", float("inf")),
+                *_UNLEARN_TMP_FISHER),
         _option("report_bounds_lambda_q_nan", *_REPORT_BOUNDS, "--lambda-q", "nan"),
         _option("report_bounds_lambda_q_inf", *_REPORT_BOUNDS, "--lambda-q", "inf"),
         _option("certify_tau_nan", *_CERTIFY, "--tau", "nan"),
@@ -375,6 +386,28 @@ def _fisher_zero_samples(w, tmp):
         _option("mask_frac_nan", *_MASK, "--frac", "nan"),
         _option("train_lr_nan", *_TRAIN, "--lr", "nan"),
         _option("gold_p_lr_nan", *_GOLD, "--p-lr", "nan"),
+        _header("mask_d_float", "mask.mask", _set("d", 67.0), *_UNLEARN_TMP_MASK),
+        _header("mask_k_float", "mask.mask", _set("k", 12.0), *_UNLEARN_TMP_MASK),
+        _header("mask_support_float", "mask.mask",
+                lambda h: h["support"].__setitem__(0, h["support"][0] + 0.7),
+                *_UNLEARN_TMP_MASK),
+        _header("personalize_layer_dims_float", "theta0",
+                _set("layer_dims", [4.0, 8.0, 3.0]), "personalize", "--model",
+                "{tmp}/theta0", "--data", "{w}/personal.dset",
+                "--out", "{tmp}/p"),
+        _header("fisher_layer_dims_float", "theta_p",
+                _set("layer_dims", [4.0, 8.0, 3.0]), "fisher", "--model",
+                "{tmp}/theta_p", "--data", "{w}/personal.dset",
+                "--out", "{tmp}/f"),
+        _header("layout_size_float", "fisher", _set_layout(-1, "size", 3.0),
+                *_UNLEARN_TMP_FISHER),
+        _header("layout_offset_bool", "fisher", _set_layout(0, "offset", False),
+                *_UNLEARN_TMP_FISHER),
+        _public_field("com_theta_p", "upper_case", str.upper),
+        _public_field("com_theta_u", "0x_prefix", lambda r: "0x" + r),
+        _public_field("com_c_p", "negative", lambda r: "-" + r),
+        _public_field("com_c_p", "above_modulus",
+                      lambda r: f"{int(r, 16) + zkp.MODULUS:064x}"),
     ]
 )
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
@@ -404,9 +437,7 @@ def test_prove_json_reports_constraint_table(workdir, tmp_path):
     assert set(families) == {f.name for f in FAMILIES}
     assert report["total"] == sum(families.values())
     public = art.load_public(str(tmp_path / "public.pub"))
-    assert report["circuit_hash"] == zkp.circuit_hash(
-        public.block_sizes, public.mask_digest, public.t_int, public.f_w,
-        public.f_c)
+    assert report["circuit_hash"] == zkp.circuit_hash(public)
 
 
 def test_frac_bits_inseparable_exit_3(workdir, tmp_path):
@@ -492,4 +523,4 @@ def test_staged_chain_matches_run_pipeline(tmp_path):
     theta_u = art.load_model(f"{w}/theta_u")
     assert np.array_equal(theta_u.params.values, ref.theta_u.params.values)
     assert art.load_mask(f"{w}/mask.mask").digest == ref.mask.digest
-    assert art.load_public(f"{w}/public.pub") == ref.public
+    assert art.load_public(f"{w}/public.pub") == ref.circuit.public

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from veriforget.numkit import RangeError
+from veriforget.masking import make_mask
+from veriforget.numkit import RangeError, StructuralError
 from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.zkp import (
     BOUND_C,
@@ -30,13 +31,14 @@ from veriforget.zkp import (
     to_field,
     verify_commit,
 )
-from veriforget.zkp.backend import _tag
 from veriforget.zkp.circuit import FAMILIES
 
-from conftest import random_instance
+from conftest import random_instance, statement, tag_over
 
 
 def honest_zk_instance(seed, f_w=22, f_c=32):
+    """An honest instance proved by the mock backend; the public inputs
+    are ``circuit.public``."""
     rng = np.random.default_rng(seed)
     fisher, theta, mask = random_instance(rng, max_block=12)
     comp = group_obs_solve(fisher, theta, mask)
@@ -46,20 +48,15 @@ def honest_zk_instance(seed, f_w=22, f_c=32):
         f_w=f_w, f_c=f_c,
     )
     t_int = default_t_int(w, fisher, mask, comp.kkt_residual_inf)
-    circuit = synthesize(fisher.layout, mask, t_int, f_w, f_c)
+    sizes = tuple(size for _, size, _ in fisher.layout.blocks)
     randomness = (11, 22, 33)
-    com_theta_p, com_theta_u, com_c_p = commit_witness(w, randomness)
-    public = PublicInputs(
-        mask_digest=mask.digest,
-        block_sizes=circuit.block_sizes,
-        com_theta_p=com_theta_p,
-        com_theta_u=com_theta_u,
-        com_c_p=com_c_p,
-        t_int=t_int,
-        f_w=f_w,
-        f_c=f_c,
-    )
-    return fisher, theta, mask, comp, w, circuit, public, randomness
+    circuit, proof = MockBackend().prove(w, mask, sizes, t_int, randomness)
+    return fisher, theta, mask, comp, w, circuit, proof, randomness
+
+
+def with_public(circuit, **changes):
+    """``circuit`` with some of its public inputs replaced."""
+    return replace(circuit, public=replace(circuit.public, **changes))
 
 
 # -- field / sponge ------------------------------------------------------------
@@ -191,7 +188,6 @@ def test_verify_commit_wrong_randomness():
 def test_zero_witness():
     fisher, theta, mask, comp, w, *_ = honest_zk_instance(0)
     zero = theta.with_values(np.zeros(theta.dim))
-    from veriforget.masking import make_mask
     empty = make_mask(theta.dim, 0, np.arange(theta.dim, dtype=np.int64),
                       np.zeros(0, dtype=np.int64))
     wz = encode_fixed_witness(zero, zero, zero, np.zeros(0), fisher, empty)
@@ -249,9 +245,9 @@ def test_inconsistent_theta_u_rejected():
 
 def test_honest_residual_below_analytic_bound_and_t_int():
     for seed in range(5):
-        fisher, theta, mask, comp, w, circuit, public, _ = honest_zk_instance(seed)
+        fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(seed)
         bound = stationarity_bound_int(w, fisher, mask, comp.kkt_residual_inf)
-        t_int = public.t_int
+        t_int = circuit.public.t_int
         assert bound <= t_int
         # recompute the integer residual directly
         lam_full = np.zeros(theta.dim, dtype=object)
@@ -267,20 +263,17 @@ def test_honest_residual_below_analytic_bound_and_t_int():
 
 def test_t_int_below_lambda_tamper_threshold():
     for seed in range(5):
-        fisher, theta, mask, comp, w, circuit, public, _ = honest_zk_instance(seed)
-        assert public.t_int < 1 << (w.f_c + 4)
+        fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(seed)
+        assert circuit.public.t_int < 1 << (w.f_c + 4)
 
 
 # -- circuit / constraint counts --------------------------------------------------------
 
 
 def test_hand_constraint_count():
-    from veriforget.masking import make_mask
-    from veriforget.numkit import BlockLayout
-    layout = BlockLayout.from_sizes([(8, "b")])
     mask = make_mask(8, 2, np.arange(8, dtype=np.int64),
                      np.array([1, 5], dtype=np.int64))
-    circ = synthesize(layout, mask, 1 << 20, 22, 32)
+    circ = synthesize(statement(mask, [8], 1 << 20), mask)
     # one 8x8 curvature block (d = 8), mask budget k = 2:
     # range: theta_p, theta_u, delta_w 3 * 8 + lam 2 + curvature entries
     #   8 * 8 + stationarity residual 8 = 98
@@ -295,126 +288,113 @@ def test_hand_constraint_count():
 
 
 def test_matvec_quadratic_scaling():
-    from veriforget.masking import make_mask
-    from veriforget.numkit import BlockLayout
-
     def count(db):
-        layout = BlockLayout.from_sizes([(db, "b")])
         mask = make_mask(db, 2, np.arange(db, dtype=np.int64),
                          np.array([0, 1], dtype=np.int64))
-        return synthesize(layout, mask, 1 << 20, 22, 32).counts["matvec"]
+        return synthesize(statement(mask, [db], 1 << 20), mask).counts["matvec"]
 
     assert count(128) == 4 * count(64)
 
 
-def test_circuit_hash_sensitive_to_t_int():
-    from veriforget.masking import make_mask
-    from veriforget.numkit import BlockLayout
-    layout = BlockLayout.from_sizes([(8, "b")])
+def _one_block_statement(t_int=1 << 20):
     mask = make_mask(8, 1, np.arange(8, dtype=np.int64),
                      np.array([3], dtype=np.int64))
-    a = synthesize(layout, mask, 1 << 20, 22, 32)
-    b = synthesize(layout, mask, 1 << 21, 22, 32)
-    assert a.circuit_hash != b.circuit_hash
+    return statement(mask, [8], t_int)
+
+
+def test_circuit_hash_sensitive_to_t_int():
+    assert (circuit_hash(_one_block_statement(1 << 20))
+            != circuit_hash(_one_block_statement(1 << 21)))
 
 
 def test_circuit_hash_binds_c_p_packing(monkeypatch):
-    from veriforget.masking import make_mask
-    from veriforget.numkit import BlockLayout
     from veriforget.zkp import circuit as circuit_module
-    layout = BlockLayout.from_sizes([(8, "b")])
-    mask = make_mask(8, 1, np.arange(8, dtype=np.int64),
-                     np.array([3], dtype=np.int64))
-    a = synthesize(layout, mask, 1 << 20, 22, 32)
+    a = circuit_hash(_one_block_statement())
     monkeypatch.setattr(circuit_module, "C_P_PACKING", "full-row-major")
-    b = synthesize(layout, mask, 1 << 20, 22, 32)
-    assert a.circuit_hash != b.circuit_hash
+    assert circuit_hash(_one_block_statement()) != a
 
 
 def test_circuit_hash_binds_range_bounds(monkeypatch):
-    from veriforget.masking import make_mask
-    from veriforget.numkit import BlockLayout
     from veriforget.zkp import circuit as circuit_module
-    layout = BlockLayout.from_sizes([(8, "b")])
-    mask = make_mask(8, 1, np.arange(8, dtype=np.int64),
-                     np.array([3], dtype=np.int64))
-    a = synthesize(layout, mask, 1 << 20, 22, 32)
+    a = circuit_hash(_one_block_statement())
     monkeypatch.setattr(circuit_module, "BOUND_C", 2 * BOUND_C)
-    b = synthesize(layout, mask, 1 << 20, 22, 32)
-    assert a.circuit_hash != b.circuit_hash
+    assert circuit_hash(_one_block_statement()) != a
+
+
+def test_synthesize_rejects_mask_of_another_digest():
+    fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(4)
+    other = make_mask(mask.model_dim, mask.budget, mask.eligible,
+                      np.setdiff1d(mask.eligible, mask.support)[:mask.budget])
+    assert other.digest != mask.digest
+    with pytest.raises(StructuralError, match="digest"):
+        synthesize(circuit.public, other)
+    assert synthesize(circuit.public, mask) == circuit
+
+
+def test_synthesize_rejects_block_sizes_not_summing_to_d():
+    fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(4)
+    sizes = circuit.public.block_sizes
+    for bad in ((*sizes, 1), (*sizes[:-1], sizes[-1] - 1)):
+        with pytest.raises(StructuralError, match="block sizes cover"):
+            synthesize(replace(circuit.public, block_sizes=bad), mask)
 
 
 def test_constraint_report_totals():
-    fisher, theta, mask, comp, w, circuit, public, _ = honest_zk_instance(4)
+    fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(4)
     rep = constraint_report(circuit)
     assert rep["total"] == sum(circuit.counts.values())
+    assert rep["circuit_hash"] == circuit_hash(circuit.public)
 
 
 # -- mock prover --------------------------------------------------------------------
 
 
 def test_mock_prove_honest_pass():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(5)
-    verdict = mock_prove(circuit, w, public, rnd)
-    assert verdict.ok
-    assert verdict.first_violation is None
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(5)
+    assert mock_prove(circuit, w, rnd) is None
 
 
 def test_mock_prove_assembly_tamper_located():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(6)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(6)
     ints = w.theta_u.copy()
     free = np.setdiff1d(np.arange(theta.dim), mask.support)
     i = int(free[0])
     ints[i] += 1
     bad = replace(w, theta_u=ints)
-    verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
-    assert not verdict.ok
-    assert verdict.first_violation == f"assembly[{i}]"
+    violation = mock_prove(circuit, bad, rnd, check_commitments=False)
+    assert violation == f"assembly[{i}]"
 
 
 def test_mock_prove_feasibility_tamper():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(7)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(7)
     ints = w.delta_w.copy()
     i = int(mask.support[0])
     ints[i] += 1
     bad = replace(w, delta_w=ints)
-    verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
-    assert not verdict.ok
     # the broken coordinate shows up in assembly first (theta_u was built
     # from the honest delta_w), never silently passes
-    assert verdict.first_violation is not None
+    assert mock_prove(circuit, bad, rnd, check_commitments=False) is not None
 
 
 def test_mock_prove_lambda_scaling_fails_stationarity():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(8)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(8)
     bad = replace(w, lam=w.lam * 2)
-    verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
-    assert not verdict.ok
-    assert verdict.first_violation.startswith("stationarity")
+    violation = mock_prove(circuit, bad, rnd, check_commitments=False)
+    assert violation.startswith("stationarity")
 
 
 def test_mock_prove_commit_mismatch():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(9)
-    wrong = PublicInputs(
-        mask_digest=public.mask_digest,
-        block_sizes=public.block_sizes,
-        com_theta_p=public.com_theta_p,
-        com_theta_u=(public.com_theta_u + 1) % MODULUS,
-        com_c_p=public.com_c_p,
-        t_int=public.t_int,
-        f_w=public.f_w,
-        f_c=public.f_c,
-    )
-    verdict = mock_prove(circuit, w, wrong, rnd)
-    assert not verdict.ok
-    assert verdict.first_violation == "commit/theta_u"
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(9)
+    wrong = with_public(
+        circuit, com_theta_u=(circuit.public.com_theta_u + 1) % MODULUS)
+    assert mock_prove(wrong, w, rnd) == "commit/theta_u"
 
 
 def test_block_order_independence():
     # evaluating with a permuted block order must give the same verdict;
     # mock_prove iterates blocks in layout order, so instead check that
     # tampering any single block is caught regardless of which block
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(10)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(10)
     for bi in range(len(w.c_blocks)):
         blocks = list(np.array(b) for b in w.c_blocks)
         blocks[bi] = blocks[bi].copy()
@@ -422,12 +402,11 @@ def test_block_order_independence():
         sym = blocks[bi]
         sym[0, 0] = sym[0, 0]  # diagonal tamper keeps symmetry
         bad = replace(w, c_blocks=tuple(blocks))
-        verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
-        assert not verdict.ok
+        assert mock_prove(circuit, bad, rnd, check_commitments=False) is not None
 
 
 def test_lower_triangle_tamper_fails_symmetry():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(16)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(16)
     rng = np.random.default_rng(16)
     for bi, block in enumerate(w.c_blocks):
         i = int(rng.integers(1, block.shape[0]))
@@ -436,59 +415,58 @@ def test_lower_triangle_tamper_fails_symmetry():
         blocks[bi][i, j] += 1
         bad = replace(w, c_blocks=tuple(blocks))
         for check in (True, False):
-            verdict = mock_prove(circuit, bad, public, rnd,
-                                 check_commitments=check)
-            assert verdict.first_violation == f"symmetry/c_p[block {bi}]"
+            violation = mock_prove(circuit, bad, rnd, check_commitments=check)
+            assert violation == f"symmetry/c_p[block {bi}]"
 
 
 def test_symmetric_pair_tamper_fails_commitment():
     # a +-1 change to C[0,1] and C[1,0] moves the residual by |dw| units,
     # far inside T_int; only the commitment to the upper triangle sees it
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(17)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(17)
     for sign in (1, -1):
         blocks = [b.copy() for b in w.c_blocks]
         blocks[0][0, 1] += sign
         blocks[0][1, 0] += sign
         bad = replace(w, c_blocks=tuple(blocks))
-        assert mock_prove(circuit, bad, public, rnd, check_commitments=False)
-        verdict = mock_prove(circuit, bad, public, rnd)
-        assert verdict.first_violation == "commit/c_p"
+        assert mock_prove(circuit, bad, rnd, check_commitments=False) is None
+        assert mock_prove(circuit, bad, rnd) == "commit/c_p"
 
 
-def _tamper_range(w, public, circuit):
+def _tamper_range(w, circuit):
     blocks = [b.copy() for b in w.c_blocks]
     blocks[0][0, 0] = int(BOUND_C * 2**w.f_c) + 1
-    return replace(w, c_blocks=tuple(blocks)), public
+    return replace(w, c_blocks=tuple(blocks)), circuit
 
 
-def _tamper_symmetry(w, public, circuit):
+def _tamper_symmetry(w, circuit):
     blocks = [b.copy() for b in w.c_blocks]
     next(b for b in blocks if b.shape[0] > 1)[1, 0] += 1
-    return replace(w, c_blocks=tuple(blocks)), public
+    return replace(w, c_blocks=tuple(blocks)), circuit
 
 
-def _tamper_assembly(w, public, circuit):
+def _tamper_assembly(w, circuit):
     ints = w.theta_u.copy()
     ints[0] += 1
-    return replace(w, theta_u=ints), public
+    return replace(w, theta_u=ints), circuit
 
 
-def _tamper_feasibility(w, public, circuit):
+def _tamper_feasibility(w, circuit):
     # move delta_w and theta_u together on a masked coordinate, so that
     # assembly still holds and only feasibility sees it
     i = circuit.support[0]
     dw, tu = w.delta_w.copy(), w.theta_u.copy()
     dw[i] += 1
     tu[i] += 1
-    return replace(w, delta_w=dw, theta_u=tu), public
+    return replace(w, delta_w=dw, theta_u=tu), circuit
 
 
-def _tamper_matvec(w, public, circuit):
-    return replace(w, lam=w.lam * 2), public
+def _tamper_matvec(w, circuit):
+    return replace(w, lam=w.lam * 2), circuit
 
 
-def _tamper_commit(w, public, circuit):
-    return w, replace(public, com_c_p=(public.com_c_p + 1) % MODULUS)
+def _tamper_commit(w, circuit):
+    return w, with_public(circuit,
+                          com_c_p=(circuit.public.com_c_p + 1) % MODULUS)
 
 
 # family -> (tamper, prefix of the first violation it must produce)
@@ -504,19 +482,19 @@ TAMPERS = {
 
 def test_range_catches_int64_min_curvature():
     # np.abs(int64 min) is int64 min, which a max-of-abs bound misses
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(19)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(19)
     blocks = [b.copy() for b in w.c_blocks]
     blocks[0][0, 0] = np.iinfo(np.int64).min
     bad = replace(w, c_blocks=tuple(blocks))
-    verdict = mock_prove(circuit, bad, public, rnd, check_commitments=False)
-    assert verdict.first_violation == "range/c_p[block 0]"
+    violation = mock_prove(circuit, bad, rnd, check_commitments=False)
+    assert violation == "range/c_p[block 0]"
 
 
 def test_range_bounds_are_circuit_constants():
     # theta_p[i] and theta_u[i] moved together past the weight bound keep
     # assembly, and at an unmasked i nothing else reads them; only the
     # circuit's own BOUND_W can reject them
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(20)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(20)
     i = next(i for i in range(theta.dim) if i not in circuit.support)
     shift = 2 * int(BOUND_W * 2**w.f_w)
     tp, tu = w.theta_p.copy(), w.theta_u.copy()
@@ -524,17 +502,16 @@ def test_range_bounds_are_circuit_constants():
     tu[i] += shift
     bad = replace(w, theta_p=tp, theta_u=tu)
     roots = commit_witness(bad, rnd)
-    bad_public = replace(public, com_theta_p=roots[0], com_theta_u=roots[1],
-                         com_c_p=roots[2])
+    bad_circuit = with_public(circuit, com_theta_p=roots[0],
+                              com_theta_u=roots[1], com_c_p=roots[2])
     for family in FAMILIES:
         if family.name != "range":
-            assert family.check(circuit, bad, bad_public, rnd) is None, family.name
-    verdict = mock_prove(circuit, bad, bad_public, rnd)
-    assert verdict.first_violation == f"range/theta_p[{i}]"
+            assert family.check(bad_circuit, bad, rnd) is None, family.name
+    assert mock_prove(bad_circuit, bad, rnd) == f"range/theta_p[{i}]"
 
 
 def test_counts_follow_family_table():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(18)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(18)
     names = [f.name for f in FAMILIES]
     assert list(circuit.counts) == names
     assert list(constraint_report(circuit))[:-2] == names
@@ -543,69 +520,57 @@ def test_counts_follow_family_table():
 
 @pytest.mark.parametrize("family", [f.name for f in FAMILIES])
 def test_each_family_catches_its_tamper(family):
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(19)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(19)
     tamper, prefix = TAMPERS[family]
-    bad, bad_public = tamper(w, public, circuit)
-    verdict = mock_prove(circuit, bad, bad_public, rnd)
-    assert not verdict.ok
-    assert verdict.first_violation.startswith(prefix), verdict.first_violation
+    bad, bad_circuit = tamper(w, circuit)
+    violation = mock_prove(bad_circuit, bad, rnd)
+    assert violation is not None and violation.startswith(prefix), violation
 
 
 # -- backend -----------------------------------------------------------------------
 
 
 def test_backend_prove_verify_round_trip():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(11)
-    backend = MockBackend()
-    proved, proof = backend.prove(circuit, w, rnd)
-    assert proved == public
-    assert circuit.circuit_hash == circuit_hash(
-        public.block_sizes, public.mask_digest, public.t_int, public.f_w,
-        public.f_c)
-    assert backend.verify(proof, public)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(11)
+    public = circuit.public
+    assert public == PublicInputs(
+        mask.digest, tuple(s for _, s, _ in fisher.layout.blocks),
+        *commit_witness(w, rnd), public.t_int, w.f_w, w.f_c)
+    assert proof.tag == tag_over(circuit_hash(public), public)
+    assert MockBackend().verify(proof, public)
 
 
 def test_backend_rejects_mismatched_public():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(12)
-    backend = MockBackend()
-    _, proof = backend.prove(circuit, w, rnd)
-    wrong = PublicInputs(
-        mask_digest=public.mask_digest,
-        block_sizes=public.block_sizes,
-        com_theta_p=(public.com_theta_p + 1) % MODULUS,
-        com_theta_u=public.com_theta_u,
-        com_c_p=public.com_c_p,
-        t_int=public.t_int,
-        f_w=public.f_w,
-        f_c=public.f_c,
-    )
-    assert not backend.verify(proof, wrong)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(12)
+    public = circuit.public
+    wrong = replace(public, com_theta_p=(public.com_theta_p + 1) % MODULUS)
+    assert not MockBackend().verify(proof, wrong)
 
 
 def test_backend_rejects_changed_tag_or_circuit_hash():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(13)
-    backend = MockBackend()
-    _, proof = backend.prove(circuit, w, rnd)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(13)
+    backend, public = MockBackend(), circuit.public
     flip = lambda h: format(int(h[0], 16) ^ 1, "x") + h[1:]
     assert not backend.verify(Proof(flip(proof.tag)), public)
     # a tag over any circuit hash but the one the public inputs determine:
     # the hash the prover synthesized must be derived, never declared
-    other_t_int = synthesize(fisher.layout, mask, 2 * public.t_int,
-                             public.f_w, public.f_c).circuit_hash
-    for foreign in ("00" * 32, flip(circuit.circuit_hash), other_t_int):
-        assert not backend.verify(Proof(_tag(foreign, public)), public)
-    assert backend.verify(Proof(_tag(circuit.circuit_hash, public)), public)
+    own = circuit_hash(public)
+    other_t_int = circuit_hash(replace(public, t_int=2 * public.t_int))
+    for foreign in ("00" * 32, flip(own), other_t_int):
+        assert not backend.verify(Proof(tag_over(foreign, public)), public)
+    assert backend.verify(Proof(tag_over(own, public)), public)
 
 
 def test_backend_refuses_unsatisfiable_witness():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(14)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(14)
     ints = w.theta_u.copy()
     ints[0] += 12345
     bad = replace(w, theta_u=ints)
     with pytest.raises(UnsatisfiableWitnessError, match="assembly"):
-        MockBackend().prove(circuit, bad, rnd)
+        MockBackend().prove(bad, mask, circuit.public.block_sizes,
+                            circuit.public.t_int, rnd)
 
 
 def test_public_inputs_json_round_trip():
-    fisher, theta, mask, comp, w, circuit, public, rnd = honest_zk_instance(15)
-    assert PublicInputs.from_json(public.to_json()) == public
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(15)
+    assert PublicInputs.from_json(circuit.public.to_json()) == circuit.public
