@@ -140,11 +140,6 @@ def exact_hessian(model: MlpModel, data: Dataset) -> np.ndarray:
     return 0.5 * (cols + cols.T)
 
 
-def quadratic_gain(b: np.ndarray, q: np.ndarray, dw_c: np.ndarray) -> float:
-    """Direct evaluation of f(dw_c) = b'dw_c + 0.5 dw_c' Q dw_c."""
-    return float(b @ dw_c + 0.5 * dw_c @ (q @ dw_c))
-
-
 def forget_gain_report(
     model: MlpModel,
     mask: MaskArtifact,

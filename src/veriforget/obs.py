@@ -129,20 +129,3 @@ def apply_unlearn(
     out[mask.support] = 0.0
     return theta_p.with_values(out)
 
-
-def dense_kkt_solve(
-    c_dense: np.ndarray, theta: np.ndarray, support: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: solve the full (d+k) x (d+k) KKT system densely."""
-    d = theta.size
-    k = support.size
-    e = np.zeros((d, k))
-    e[support, np.arange(k)] = 1.0
-    kkt = np.zeros((d + k, d + k))
-    kkt[:d, :d] = c_dense
-    kkt[:d, d:] = e
-    kkt[d:, :d] = e.T
-    rhs = np.zeros(d + k)
-    rhs[d:] = -theta[support]
-    sol = np.linalg.solve(kkt, rhs)
-    return sol[:d], sol[d:]

@@ -71,19 +71,6 @@ def demo_config(**overrides) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
-def tiny_config(**overrides) -> PipelineConfig:
-    """Small fast pipeline (4-8-3 MLP) for high-repetition ZK checks."""
-    base = dict(
-        layer_dims=(4, 8, 3),
-        mask_k=12,
-        pretrain=replace(DEFAULT_PRETRAIN, epochs=15),
-        personalize=replace(DEFAULT_PERSONALIZE, epochs=6),
-        run_gold=False,
-    )
-    base.update(overrides)
-    return PipelineConfig(**base)
-
-
 @dataclass
 class PipelineResult:
     task: SyntheticTask

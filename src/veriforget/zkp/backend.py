@@ -6,7 +6,10 @@ binds a proof to the public inputs after the mock prover accepts the
 witness.  The verifier derives the circuit hash from the public inputs,
 so a proof carries only its tag.  That tag is a hash anyone holding the
 public data can compute: the backend checks constraint semantics only
-and gives neither knowledge soundness nor zero knowledge.
+and gives neither knowledge soundness nor zero knowledge.  Nor does the
+statement bind the curvature to theta_p or to the client's data: the
+circuit checks only that it is symmetric and in range, so a prover may
+choose it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ def _tag(public: PublicInputs) -> str:
 
 
 class MockBackend:
-    guarantee = "mock: constraint semantics only, no soundness, no zero knowledge"
+    guarantee = ("mock: constraint semantics only, no soundness, no zero "
+                 "knowledge; the curvature is a free witness, bound to "
+                 "neither theta_p nor the data")
 
     def prove(
         self,

@@ -7,10 +7,18 @@ that table.  The statement lives in one place, ``PublicInputs``; a
 circuit is those public inputs plus the mask support their digest
 binds.  The circuit hash is a function of the public inputs' statement
 (the block sizes, the mask digest, ``T_int`` and the fractional bits)
-and of the circuit's own constants (the family table, the range bounds
-and the curvature packing), so a verifier derives it and never reads it
-from a proof.  The mock prover evaluates every constraint directly over
-the field and is the normative semantics of the certificate.
+and of the circuit's own constants (the family table, the range bounds,
+the curvature layout and the limb packing), so a verifier derives it and
+never reads it from a proof.  The mock prover evaluates every constraint
+directly over the field and is the normative semantics of the
+certificate.
+
+Each committed vector is limb-packed before it is hashed: several
+offset fixed-point values share one field element (see ``pack_limbs``).
+Packing adds no constraint family.  Its recomposition is injective
+exactly when every value fits its limb, and that is what the ``range``
+family already proves of every committed value; a packing family would
+only check it again.  So ``commit`` stays one row per committed vector.
 """
 
 from __future__ import annotations
@@ -24,7 +32,14 @@ import numpy as np
 from ..masking import MaskArtifact
 from ..numkit import StructuralError, canonical_json, sha256_hex
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
-from .witness import BOUND_C, BOUND_LAM, BOUND_W, FixedWitness, check_frac_bits
+from .witness import (
+    BOUND_C,
+    BOUND_LAM,
+    BOUND_W,
+    FixedWitness,
+    check_frac_bits,
+    t_int_threshold,
+)
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,9 @@ class PublicInputs:
         if not (type(t_int) is int and t_int >= 0):
             raise ValueError(f"t_int {t_int!r} is not a non-negative int")
         check_frac_bits(values["f_w"], values["f_c"])
+        if t_int >= t_int_threshold(values["f_c"]):
+            raise ValueError(f"t_int {t_int} is not below the multiplier "
+                             f"tamper threshold 2^{values['f_c'] + 4}")
         for key in ("mask_digest", *(f"com_{name}" for name, _ in COMMITTED)):
             if not (isinstance(values[key], str)
                     and re.fullmatch("[0-9a-f]{64}", values[key])):
@@ -94,12 +112,45 @@ def pack_curvature(c_blocks) -> np.ndarray:
     return np.concatenate([b[np.triu_indices(b.shape[0])] for b in c_blocks])
 
 
+# Limb packing of the committed vectors: each element holds
+# ELEMENT_BITS // bits limbs, least-significant first, and is below
+# 2^ELEMENT_BITS < p/2, so merkle_root embeds it without wraparound.
+ELEMENT_BITS = 251
+LIMB_PACKING = "offset-limbs-lsb-first"
+
+
+def limb_bits(bound: float, frac_bits: int) -> int:
+    """Width of a limb that holds any value of magnitude at most
+    bound * 2^frac_bits once offset by 2^(bits - 1)."""
+    return int(bound * 2**frac_bits).bit_length() + 1
+
+
+def pack_limbs(ints, bits: int) -> list[int]:
+    """Field elements of a vector of signed integers: the value plus
+    2^(bits - 1) in each ``bits``-wide limb.  Total on any integers: a
+    carry or borrow out of an element's top limb is dropped, and no
+    vector whose values fit their limbs produces one."""
+    per = ELEMENT_BITS // bits
+    offset, top = 1 << (bits - 1), (1 << (per * bits)) - 1
+    ints = np.asarray(ints)
+    elements = []
+    for start in range(0, ints.size, per):
+        element = 0
+        for v in reversed(ints[start : start + per].tolist()):
+            element = (element << bits) + v + offset
+        elements.append(element & top)
+    return elements
+
+
 # The committed vectors, in public-input order: com_<name> is the Merkle
-# root of get(witness).
+# root of get(witness, s), packed at the limb widths of s.f_w and s.f_c.
+# The prover passes the witness as s; the commit family passes the
+# public inputs, never the witness.
 COMMITTED = (
-    ("theta_p", lambda w: w.theta_p),
-    ("theta_u", lambda w: w.theta_u),
-    ("c_p", lambda w: pack_curvature(w.c_blocks)),
+    ("theta_p", lambda w, s: pack_limbs(w.theta_p, limb_bits(BOUND_W, s.f_w))),
+    ("theta_u", lambda w, s: pack_limbs(w.theta_u, limb_bits(BOUND_W, s.f_w))),
+    ("c_p", lambda w, s: pack_limbs(pack_curvature(w.c_blocks),
+                                    limb_bits(BOUND_C, s.f_c))),
 )
 
 
@@ -107,7 +158,7 @@ def commit_witness(
     witness: FixedWitness, randomness: tuple[int, int, int]
 ) -> tuple[int, int, int]:
     """Merkle roots of the ``COMMITTED`` vectors."""
-    return tuple(merkle_root(get(witness), rand)
+    return tuple(merkle_root(get(witness, witness), rand)
                  for (_, get), rand in zip(COMMITTED, randomness))
 
 
@@ -175,7 +226,8 @@ def _stationarity(circuit, w, randomness):
 def _commit(circuit, w, randomness):
     return _first(
         f"commit/{name}" for (name, get), rand in zip(COMMITTED, randomness)
-        if not verify_commit(getattr(circuit.public, f"com_{name}"), get(w), rand)
+        if not verify_commit(getattr(circuit.public, f"com_{name}"),
+                             get(w, circuit.public), rand)
     )
 
 
@@ -218,6 +270,9 @@ def circuit_hash(public: PublicInputs) -> str:
         "families": [f.name for f in FAMILIES],
         "bounds": {"w": BOUND_W, "c": BOUND_C, "lam": BOUND_LAM},
         "c_p_packing": C_P_PACKING,
+        "limb_packing": {"scheme": LIMB_PACKING, "element_bits": ELEMENT_BITS,
+                         "w": limb_bits(BOUND_W, public.f_w),
+                         "c": limb_bits(BOUND_C, public.f_c)},
     }))
 
 

@@ -68,6 +68,12 @@ def check_frac_bits(f_w, f_c) -> None:
         raise StructuralError(f"fractional bits ({f_w!r}, {f_c!r}) out of range")
 
 
+def t_int_threshold(f_c: int) -> int:
+    """2^(f_c + 4): the residual shift of a minimal single-coordinate
+    multiplier tamper, which T_int must stay strictly below."""
+    return 1 << (f_c + 4)
+
+
 def encode_fixed_witness(
     theta_p: ParamVector,
     theta_u: ParamVector,
@@ -161,7 +167,7 @@ def default_t_int(
     """
     bound = stationarity_bound_int(w, c_p, mask, solver_residual_inf)
     t_int = 1 << max(int(T_INT_SLACK * max(bound, 1)) - 1, 0).bit_length()
-    threshold = 1 << (w.f_c + 4)
+    threshold = t_int_threshold(w.f_c)
     if t_int >= threshold:
         t_int = threshold >> 1
     if bound >= t_int:

@@ -1,4 +1,7 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and the oracles that
+only tests use."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,11 @@ from veriforget.numkit import (
     canonical_json,
     sha256_hex,
 )
+from veriforget.pipeline import (
+    DEFAULT_PERSONALIZE,
+    DEFAULT_PRETRAIN,
+    PipelineConfig,
+)
 from veriforget.zkp import PublicInputs
 
 
@@ -24,6 +32,42 @@ def pytest_terminal_summary(terminalreporter):
         return
     for line in RESULTS:
         terminalreporter.write_line(line)
+
+
+def tiny_config(**overrides) -> PipelineConfig:
+    """Small fast pipeline (4-8-3 MLP) for high-repetition ZK checks."""
+    base = dict(
+        layer_dims=(4, 8, 3),
+        mask_k=12,
+        pretrain=replace(DEFAULT_PRETRAIN, epochs=15),
+        personalize=replace(DEFAULT_PERSONALIZE, epochs=6),
+        run_gold=False,
+    )
+    base.update(overrides)
+    return PipelineConfig(**base)
+
+
+def quadratic_gain(b: np.ndarray, q: np.ndarray, dw_c: np.ndarray) -> float:
+    """Direct evaluation of f(dw_c) = b'dw_c + 0.5 dw_c' Q dw_c."""
+    return float(b @ dw_c + 0.5 * dw_c @ (q @ dw_c))
+
+
+def dense_kkt_solve(
+    c_dense: np.ndarray, theta: np.ndarray, support: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: solve the full (d+k) x (d+k) KKT system densely."""
+    d = theta.size
+    k = support.size
+    e = np.zeros((d, k))
+    e[support, np.arange(k)] = 1.0
+    kkt = np.zeros((d + k, d + k))
+    kkt[:d, :d] = c_dense
+    kkt[:d, d:] = e
+    kkt[d:, :d] = e.T
+    rhs = np.zeros(d + k)
+    rhs[d:] = -theta[support]
+    sol = np.linalg.solve(kkt, rhs)
+    return sol[:d], sol[d:]
 
 
 def random_layout(rng, n_blocks=None, max_block=24):

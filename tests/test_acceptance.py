@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from veriforget import zkp
-from veriforget.certify import check_kkt, exact_hessian, quadratic_gain
+from veriforget.certify import check_kkt, exact_hessian
 from veriforget.curvature import (
     curvature_layout,
     empirical_fisher_blockwise,
@@ -38,14 +38,16 @@ from veriforget.obs import (
     apply_unlearn,
     group_obs_solve,
 )
-from veriforget.pipeline import demo_config, run_pipeline, tiny_config
+from veriforget.pipeline import demo_config, run_pipeline
 
 from conftest import (
+    quadratic_gain,
     random_fisher,
     random_instance,
     random_mask,
     small_dataset,
     statement,
+    tiny_config,
 )
 
 

@@ -10,7 +10,6 @@ from veriforget.certify import (
     exact_hessian,
     forget_gain_report,
     measured_forget_gap,
-    quadratic_gain,
 )
 from veriforget.masking import make_mask
 from veriforget.model import (
@@ -23,6 +22,7 @@ from veriforget.model import (
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
+    quadratic_gain,
     random_instance,
     random_spd_block,
     small_dataset,

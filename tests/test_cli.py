@@ -11,10 +11,10 @@ from veriforget import artifacts as art
 from veriforget import zkp
 from veriforget.cli import main
 from veriforget.model import init_mlp
-from veriforget.pipeline import run_pipeline, tiny_config
+from veriforget.pipeline import run_pipeline
 from veriforget.zkp.circuit import FAMILIES
 
-from conftest import tag_over
+from conftest import tag_over, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,9 @@ def test_verify_passes(workdir):
     obj = json.loads(res.output)
     assert obj["verified"] is True
     assert obj["guarantee"] == (
-        "mock: constraint semantics only, no soundness, no zero knowledge")
+        "mock: constraint semantics only, no soundness, no zero knowledge; "
+        "the curvature is a free witness, bound to neither theta_p nor the "
+        "data")
 
 
 def test_verify_tampered_proof_exit_1(workdir, tmp_path):
@@ -371,6 +373,8 @@ def _fisher_zero_samples(w, tmp):
         _option("gold_p_epochs_negative", *_GOLD, "--p-epochs", "-1"),
         _public_field("t_int", "string", "abc"),
         _public_field("t_int", "bool", True),
+        # 2^(f_c + 4) at f_c = 32, the shift of the smallest multiplier tamper
+        _public_field("t_int", "tamper_threshold", 1 << 36),
         _public_field("f_w", "list", [1]),
         _public_field("f_c", "negative", -5),
         _public_field("mask_digest", "number", 7),

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from veriforget.curvature import DiagCurvature
 from veriforget.masking import (
@@ -116,11 +116,23 @@ def test_topk_brute_force_oracle():
     st.floats(min_value=0.01, max_value=100.0),
 )
 def test_topk_positive_scaling_invariance(vals, c):
+    # a positive scaling never reverses two scores in floating point, but
+    # it can round two of them to one value (-5e-324 * 0.5 is -0.0, equal
+    # to 0.0); the property holds for the scalings that create no tie
     scores = np.asarray(vals)
+    assume(np.unique(scores * c).size == np.unique(scores).size)
     k = len(vals) // 2
     a = select_topk(scores_from(scores), k, all_eligible(len(vals)))
     b = select_topk(scores_from(scores * c), k, all_eligible(len(vals)))
     assert a.support.tolist() == b.support.tolist()
+
+
+def test_topk_scaling_underflow_tie_breaks_to_lower_index():
+    scores = np.array([-5e-324, 0.0])
+    scaled = scores * 0.5
+    assert scaled[0] == scaled[1] == 0.0
+    for s, top in ((scores, [1]), (scaled, [0])):
+        assert select_topk(scores_from(s), 1, all_eligible(2)).support.tolist() == top
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=999))

@@ -8,11 +8,11 @@ from veriforget.obs import (
     FeasibilityError,
     NumericError,
     apply_unlearn,
-    dense_kkt_solve,
     group_obs_solve,
 )
 
 from conftest import (
+    dense_kkt_solve,
     random_fisher,
     random_instance,
     random_mask,

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from veriforget.masking import make_mask
 from veriforget.numkit import RangeError, StructuralError
@@ -31,9 +32,21 @@ from veriforget.zkp import (
     to_field,
     verify_commit,
 )
-from veriforget.zkp.circuit import FAMILIES
+from veriforget.zkp.circuit import (
+    COMMITTED,
+    ELEMENT_BITS,
+    FAMILIES,
+    limb_bits,
+    pack_limbs,
+)
+from veriforget.zkp.witness import (
+    FRAC_BITS_BUDGET,
+    MAX_FRAC_BITS,
+    FixedWitness,
+    t_int_threshold,
+)
 
-from conftest import random_instance, statement, tag_over
+from conftest import random_instance, statement, tag_over, tiny_config
 
 
 def honest_zk_instance(seed, f_w=22, f_c=32):
@@ -159,7 +172,7 @@ def test_pack_curvature_upper_triangle_row_major():
 def test_run_zk_layer_commits_each_vector_once(monkeypatch):
     from veriforget import pipeline
     from veriforget.zkp import circuit, field
-    r = pipeline.run_pipeline(3, pipeline.tiny_config(run_zk=False))
+    r = pipeline.run_pipeline(3, tiny_config(run_zk=False))
     lengths = []
     real = field.merkle_root
 
@@ -172,7 +185,100 @@ def test_run_zk_layer_commits_each_vector_once(monkeypatch):
     pipeline.run_zk_layer(r.theta_p, r.theta_u, r.comp, r.fisher, r.mask, 3)
     d = r.theta_p.params.dim
     sizes = [s for _, s, _ in r.fisher.layout.blocks]
-    assert lengths == [d, d, sum(s * (s + 1) // 2 for s in sizes)]
+    # 30-bit weight limbs, 8 per element; 44-bit curvature limbs, 5
+    packed = sum(s * (s + 1) // 2 for s in sizes)
+    assert lengths == [-(-d // 8), -(-d // 8), -(-packed // 5)]
+
+
+def unpack_limbs(elements, bits, n):
+    """Oracle inverse of ``pack_limbs`` on vectors whose values fit their
+    limbs: the first n limbs, least-significant first, less the offset."""
+    per, mask = ELEMENT_BITS // bits, (1 << bits) - 1
+    return [((e >> (bits * j)) & mask) - (1 << (bits - 1))
+            for e in elements for j in range(per)][:n]
+
+
+def test_default_limb_widths():
+    assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_C, 32)) == (30, 44)
+    assert (ELEMENT_BITS // 30, ELEMENT_BITS // 44) == (8, 5)
+
+
+@st.composite
+def in_range_vectors(draw):
+    """(f_w, f_c) that check_frac_bits accepts, a bound and its frac bits,
+    and a vector within bound * 2^f that includes both extremes."""
+    f_w = draw(st.integers(0, MAX_FRAC_BITS))
+    f_c = draw(st.integers(0, min(MAX_FRAC_BITS, FRAC_BITS_BUDGET - f_w)))
+    bound, frac = draw(st.sampled_from([(BOUND_W, f_w), (BOUND_C, f_c)]))
+    lim = int(bound * 2**frac)
+    values = draw(st.lists(st.integers(-lim, lim), min_size=0, max_size=40))
+    return frac, bound, np.array([-lim, lim, *values], dtype=np.int64)
+
+
+@given(in_range_vectors())
+def test_packing_is_injective_in_range(case):
+    # unpacking inverts packing on in-range vectors of a known length,
+    # so no two of them pack alike
+    frac, bound, vec = case
+    bits = limb_bits(bound, frac)
+    packed = pack_limbs(vec, bits)
+    assert len(packed) == -(-vec.size // (ELEMENT_BITS // bits))
+    assert all(0 <= e < 1 << ELEMENT_BITS for e in packed)
+    assert unpack_limbs(packed, bits, vec.size) == vec.tolist()
+
+
+def test_packing_is_total_on_int64():
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max] * 9)
+    for bits in (limb_bits(BOUND_W, 22), limb_bits(BOUND_C, 32)):
+        assert all(0 <= e < 1 << ELEMENT_BITS
+                   for e in pack_limbs(extremes, bits))
+
+
+def _alias(vec, i, bits):
+    """vec with 2^bits carried into limb i and borrowed from limb i + 1:
+    the same packed element, limb i no longer in range."""
+    out = vec.copy()
+    out[i] += 1 << bits
+    out[i + 1] -= 1
+    return out
+
+
+def test_weight_limb_alias_fails_range():
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(22)
+    bits = limb_bits(BOUND_W, w.f_w)
+    i = 0  # limbs 0 and 1 share the first element
+    bad = replace(w, theta_p=_alias(w.theta_p, i, bits),
+                  theta_u=_alias(w.theta_u, i, bits))
+    public = circuit.public
+    assert commit_witness(bad, rnd) == (public.com_theta_p, public.com_theta_u,
+                                        public.com_c_p)
+    assert mock_prove(circuit, bad, rnd) == f"range/theta_p[{i}]"
+
+
+def test_curvature_limb_alias_fails_range():
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(23)
+    bits = limb_bits(BOUND_C, w.f_c)
+    # packed limbs 0 and 1 are block 0's C[0, 0] and C[0, 1]
+    blocks = [b.copy() for b in w.c_blocks]
+    blocks[0][0, 0] += 1 << bits
+    blocks[0][0, 1] -= 1
+    blocks[0][1, 0] -= 1
+    bad = replace(w, c_blocks=tuple(blocks))
+    assert commit_witness(bad, rnd)[2] == circuit.public.com_c_p
+    assert mock_prove(circuit, bad, rnd) == "range/c_p[block 0]"
+
+
+def test_commit_family_packs_at_public_widths():
+    # the prover packs at the witness's fractional bits, the commit family
+    # at the public ones: a witness naming other bits changes its own
+    # roots and nothing the circuit checks
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(24)
+    wide = replace(w, f_w=w.f_w + 1, f_c=w.f_c + 1)
+    assert all(a != b for a, b in zip(commit_witness(wide, rnd),
+                                      commit_witness(w, rnd)))
+    assert [get(wide, circuit.public) for _, get in COMMITTED] == [
+        get(w, w) for _, get in COMMITTED]
+    assert mock_prove(circuit, wide, rnd) is None
 
 
 def test_verify_commit_wrong_randomness():
@@ -311,6 +417,15 @@ def test_circuit_hash_binds_c_p_packing(monkeypatch):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
     monkeypatch.setattr(circuit_module, "C_P_PACKING", "full-row-major")
+    assert circuit_hash(_one_block_statement()) != a
+
+
+@pytest.mark.parametrize("name, value", [
+    ("LIMB_PACKING", "offset-limbs-msb-first"), ("ELEMENT_BITS", 250)])
+def test_circuit_hash_binds_limb_packing(monkeypatch, name, value):
+    from veriforget.zkp import circuit as circuit_module
+    a = circuit_hash(_one_block_statement())
+    monkeypatch.setattr(circuit_module, name, value)
     assert circuit_hash(_one_block_statement()) != a
 
 
@@ -574,3 +689,45 @@ def test_backend_refuses_unsatisfiable_witness():
 def test_public_inputs_json_round_trip():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(15)
     assert PublicInputs.from_json(circuit.public.to_json()) == circuit.public
+
+
+def test_public_inputs_reject_t_int_at_tamper_threshold():
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(15)
+    obj = circuit.public.to_json()
+    threshold = t_int_threshold(obj["f_c"])
+    for t_int in (threshold - 1, threshold >> 1):
+        assert PublicInputs.from_json({**obj, "t_int": t_int}).t_int == t_int
+    for t_int in (threshold, 1 << 200):
+        with pytest.raises(ValueError, match="tamper threshold"):
+            PublicInputs.from_json({**obj, "t_int": t_int})
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the circuit does not bind the curvature to "
+                          "theta_p or the data")
+def test_free_curvature_witness_rejected():
+    """Any edit of theta_p off the mask, with a curvature chosen to make
+    it stationary, must be rejected.  The forgery keeps theta_p, the mask,
+    the randomness and the honest t_int, sets delta_w off the mask to
+    arbitrary values up to 0.5, and picks each block C_b = I - u u'/|u|^2
+    with u = delta_w_b and lam = 0, so that C delta_w = 0 exactly."""
+    from veriforget import pipeline
+    r = pipeline.run_pipeline(3, tiny_config())
+    w, rnd = r.witness, r.randomness
+    rng = np.random.default_rng(3)
+    dw = np.rint(rng.uniform(-0.5, 0.5, w.theta_p.size) * 2**w.f_w)
+    dw = dw.astype(np.int64)
+    support = list(r.circuit.support)
+    dw[support] = -w.theta_p[support]
+    blocks = []
+    for sl, _ in r.fisher.layout.slices():
+        u = dw[sl].astype(np.float64)
+        c = np.eye(u.size) - np.outer(u, u) / (u @ u)
+        blocks.append(np.rint(c * 2**w.f_c).astype(np.int64))
+    forged = FixedWitness(
+        theta_p=w.theta_p, theta_u=w.theta_p + dw, delta_w=dw,
+        lam=np.zeros_like(w.lam), c_blocks=tuple(blocks), f_w=w.f_w, f_c=w.f_c)
+    roots = commit_witness(forged, rnd)
+    assert roots[0] == r.circuit.public.com_theta_p
+    circuit = with_public(r.circuit, com_theta_u=roots[1], com_c_p=roots[2])
+    assert mock_prove(circuit, forged, rnd) is not None
