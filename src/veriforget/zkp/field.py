@@ -5,11 +5,21 @@ SNARK-friendly curve).  The sponge is a Poseidon-style permutation with
 state width 3, x^5 S-box, 8 full and 56 partial rounds, and
 nothing-up-my-sleeve constants derived by hashing a fixed tag.
 Commitments are arity-2 Merkle trees over blinded leaf chunks.
+
+``permute`` evaluates the permutation on a scaled state.  The Cauchy MDS
+matrix is K / 420 for a small integer matrix K, so the state is carried
+as c_r * v with a per-round scale c_r fixed at import time; every MDS
+step is then a product by small integers, a partial round pays one
+full-width product to align its S-box output with the other lanes, and
+the output is unscaled once.  The constants are derived from the round
+constants and the MDS matrix, and the tests check the result against
+the permutation's defining form.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -55,37 +65,62 @@ _RC = [
 ]
 # Cauchy-style MDS row generators: m[i][j] = 1 / (x_i + y_j) with
 # x = (0,1,2), y = (3,4,5); invertible over a prime field.
+_MDS_X, _MDS_Y = (0, 1, 2), (3, 4, 5)
 _MDS = [
-    [mpz(pow(xi + yj, MODULUS - 2, MODULUS)) for yj in (3, 4, 5)]
-    for xi in (0, 1, 2)
+    [mpz(pow(xi + yj, MODULUS - 2, MODULUS)) for yj in _MDS_Y]
+    for xi in _MDS_X
 ]
 _P = mpz(MODULUS)
-# The round constants of round r + 1, added inside round r's MDS
-# reduction; the last round adds nothing.
-_RC_NEXT = _RC[1:] + [[mpz(0)] * 3]
+
+
+def _scaled_schedule():
+    """The constants of ``permute``'s scaled evaluation.
+
+    The MDS matrix is K / L over the field, with L the least common
+    multiple of the x_i + y_j and K a small integer matrix.  ``permute``
+    carries U = c_r * v, where v is the state entering round r's S-box
+    and c_0 = 1.  After a full round c_{r+1} = L * c_r^5; after a partial
+    round, whose one S-box output is first multiplied by c_r^-4,
+    c_{r+1} = L * c_r.  Returns K, each round's (c_{r+1} * rc_{r+1},
+    c_r^-4 or None for a full round), and c_R^-1 for the output."""
+    den = math.lcm(*(xi + yj for xi in _MDS_X for yj in _MDS_Y))
+    half = FULL_ROUNDS // 2
+    rounds, scale = [], 1
+    for r, rc in enumerate(_RC[1:] + [[0] * 3]):
+        if r < half or r >= half + PARTIAL_ROUNDS:
+            unscale = None
+            scale = den * pow(scale, 5, MODULUS) % MODULUS
+        else:
+            unscale = mpz(pow(scale, -4, MODULUS))
+            scale = den * scale % MODULUS
+        rounds.append(([mpz(scale * int(x) % MODULUS) for x in rc], unscale))
+    k = [[mpz(int(m) * den % MODULUS) for m in row] for row in _MDS]
+    return k, rounds, mpz(pow(scale, -1, MODULUS))
+
+
+_K, _ROUNDS, _UNSCALE = _scaled_schedule()
 
 
 def permute(state: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The permutation on a scaled state (see ``_scaled_schedule``).  A
+    full round leaves the MDS outputs unreduced, since each lane's S-box
+    reduces its input; a partial round reduces the two lanes it does
+    not raise to the fifth power."""
     p = _P
-    rc = _RC[0]
-    a = (mpz(state[0]) + rc[0]) % p
-    b = (mpz(state[1]) + rc[1]) % p
-    c = (mpz(state[2]) + rc[2]) % p
-    half = FULL_ROUNDS // 2
-    total = FULL_ROUNDS + PARTIAL_ROUNDS
-    m0, m1, m2 = _MDS
-    for r in range(total):
-        a = pow(a, 5, p)
-        if r < half or r >= total - half:
-            b = pow(b, 5, p)
-            c = pow(c, 5, p)
-        rc = _RC_NEXT[r]
+    a, b, c = (mpz(x) + rc for x, rc in zip(state, _RC[0]))
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = _K
+    for (r0, r1, r2), unscale in _ROUNDS:
+        if unscale is None:
+            a, b, c = pow(a, 5, p), pow(b, 5, p), pow(c, 5, p)
+        else:
+            a, b, c = pow(a, 5, p) * unscale % p, b % p, c % p
         a, b, c = (
-            (a * m0[0] + b * m0[1] + c * m0[2] + rc[0]) % p,
-            (a * m1[0] + b * m1[1] + c * m1[2] + rc[1]) % p,
-            (a * m2[0] + b * m2[1] + c * m2[2] + rc[2]) % p,
+            k00 * a + k01 * b + k02 * c + r0,
+            k10 * a + k11 * b + k12 * c + r1,
+            k20 * a + k21 * b + k22 * c + r2,
         )
-    return int(a), int(b), int(c)
+    u = _UNSCALE
+    return int(a * u % p), int(b * u % p), int(c * u % p)
 
 
 def sponge(elements, domain: str) -> int:

@@ -32,16 +32,16 @@ FRAC_BITS_BUDGET = 60  # f_w + f_c
 # curvature entries and multipliers.  The circuit's range family checks
 # them and its hash binds them, so they are constants, not prover inputs.
 BOUND_W = 64.0
-BOUND_C = 1024.0
 BOUND_LAM = 64.0
-
 # The stationarity identity C dw + E lam = 0 is invariant under a joint
 # scaling of C and lam, so the encoder normalizes both by a power of two
-# until every curvature row sum is at most this target.  The dominant
-# honest residual term is (row sum)/2 in units of 2^{f_c}; capping row
-# sums at 4 keeps it at 2^{f_c+1}, a factor 8 below the 2^{f_c+4}
-# detectability threshold of the minimal multiplier tamper.
-ROW_SUM_TARGET = 4.0
+# until every curvature row sum is at most BOUND_C; no honest entry then
+# exceeds it.  The dominant honest residual term is (row sum)/2 in units
+# of 2^{f_c}; capping row sums at 2 keeps it at 2^{f_c}, a factor 16
+# below the 2^{f_c+4} detectability threshold of the minimal multiplier
+# tamper.  At f_c = 32 a curvature limb is 35 bits, 7 to a field element;
+# at 4 it would be 36 bits, 6 to an element.
+BOUND_C = 2.0
 
 # default_t_int's factor on the analytic honest residual bound.
 T_INT_SLACK = 2
@@ -55,7 +55,7 @@ class FixedWitness:
     theta_p: np.ndarray
     theta_u: np.ndarray
     delta_w: np.ndarray
-    lam: np.ndarray  # scaled like c_blocks, see ROW_SUM_TARGET
+    lam: np.ndarray  # scaled like c_blocks, see BOUND_C
     c_blocks: tuple[np.ndarray, ...]
     f_w: int
     f_c: int
@@ -101,8 +101,11 @@ def encode_fixed_witness(
         raise RangeError("theta_u inconsistent with theta_p + delta_w")
     damped = list(c_p.damped_blocks())
     row_max = max(float(np.abs(b).sum(axis=1).max()) for b in damped)
-    scale = 2.0 ** -math.ceil(math.log2(row_max / ROW_SUM_TARGET)) \
-        if row_max > ROW_SUM_TARGET else 1.0
+    # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
+    # BOUND_C is a power of two, so the division rounds nothing, and
+    # frexp's mantissa is 0.5 only on a power of two
+    mantissa, exponent = math.frexp(row_max / BOUND_C)
+    scale = 2.0 ** -max(exponent - (mantissa == 0.5), 0)
     return FixedWitness(
         theta_p=tp,
         theta_u=tu,

@@ -22,6 +22,13 @@ from veriforget.pipeline import (
     PipelineConfig,
 )
 from veriforget.zkp import PublicInputs
+from veriforget.zkp.field import (
+    _MDS,
+    _RC,
+    FULL_ROUNDS,
+    MODULUS,
+    PARTIAL_ROUNDS,
+)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -68,6 +75,28 @@ def dense_kkt_solve(
     rhs[d:] = -theta[support]
     sol = np.linalg.solve(kkt, rhs)
     return sol[:d], sol[d:]
+
+
+def reference_permute(state):
+    """Oracle: the sponge permutation in its defining form, with a
+    full-width MDS product and reduction in every round."""
+    p = MODULUS
+    a, b, c = ((int(x) + int(rc)) % p for x, rc in zip(state, _RC[0]))
+    half = FULL_ROUNDS // 2
+    total = FULL_ROUNDS + PARTIAL_ROUNDS
+    m0, m1, m2 = ([int(m) for m in row] for row in _MDS)
+    for r in range(total):
+        a = pow(a, 5, p)
+        if r < half or r >= total - half:
+            b = pow(b, 5, p)
+            c = pow(c, 5, p)
+        rc = [int(x) for x in _RC[r + 1]] if r + 1 < total else [0, 0, 0]
+        a, b, c = (
+            (a * m0[0] + b * m0[1] + c * m0[2] + rc[0]) % p,
+            (a * m1[0] + b * m1[1] + c * m1[2] + rc[1]) % p,
+            (a * m2[0] + b * m2[1] + c * m2[2] + rc[2]) % p,
+        )
+    return a, b, c
 
 
 def random_layout(rng, n_blocks=None, max_block=24):

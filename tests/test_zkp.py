@@ -2,10 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
-from veriforget.numkit import RangeError, StructuralError
+from veriforget.numkit import (
+    BlockDiagMatrix,
+    ParamVector,
+    RangeError,
+    StructuralError,
+)
 from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.zkp import (
     BOUND_C,
@@ -40,13 +46,23 @@ from veriforget.zkp.circuit import (
     pack_limbs,
 )
 from veriforget.zkp.witness import (
+    DEFAULT_FRAC_BITS_C,
     FRAC_BITS_BUDGET,
     MAX_FRAC_BITS,
     FixedWitness,
     t_int_threshold,
 )
 
-from conftest import random_instance, statement, tag_over, tiny_config
+from conftest import (
+    random_fisher,
+    random_instance,
+    random_layout,
+    random_mask,
+    reference_permute,
+    statement,
+    tag_over,
+    tiny_config,
+)
 
 
 def honest_zk_instance(seed, f_w=22, f_c=32):
@@ -93,6 +109,25 @@ def test_permute_deterministic_and_nontrivial():
     assert a == b
     assert a != (1, 2, 3)
     assert all(0 <= x < MODULUS for x in a)
+
+
+_ELEMENT = st.integers(0, MODULUS - 1)
+
+
+@given(st.tuples(_ELEMENT, _ELEMENT, _ELEMENT))
+@example((0, 0, 0))
+@example((MODULUS - 1, MODULUS - 1, MODULUS - 1))
+def test_permute_matches_dense_reference(state):
+    assert permute(state) == reference_permute(state)
+
+
+def test_mds_is_small_integer_matrix_over_its_denominator():
+    from veriforget.zkp.field import _K, _MDS
+    inv = pow(420, -1, MODULUS)
+    assert [[int(k) for k in row] for row in _K] == [
+        [140, 105, 84], [105, 84, 70], [84, 70, 60]]
+    assert all(int(k) * inv % MODULUS == int(m)
+               for krow, mrow in zip(_K, _MDS) for k, m in zip(krow, mrow))
 
 
 def test_sponge_domain_separation():
@@ -185,9 +220,9 @@ def test_run_zk_layer_commits_each_vector_once(monkeypatch):
     pipeline.run_zk_layer(r.theta_p, r.theta_u, r.comp, r.fisher, r.mask, 3)
     d = r.theta_p.params.dim
     sizes = [s for _, s, _ in r.fisher.layout.blocks]
-    # 30-bit weight limbs, 8 per element; 44-bit curvature limbs, 5
+    # 30-bit weight limbs, 8 per element; 35-bit curvature limbs, 7
     packed = sum(s * (s + 1) // 2 for s in sizes)
-    assert lengths == [-(-d // 8), -(-d // 8), -(-packed // 5)]
+    assert lengths == [-(-d // 8), -(-d // 8), -(-packed // 7)]
 
 
 def unpack_limbs(elements, bits, n):
@@ -199,8 +234,8 @@ def unpack_limbs(elements, bits, n):
 
 
 def test_default_limb_widths():
-    assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_C, 32)) == (30, 44)
-    assert (ELEMENT_BITS // 30, ELEMENT_BITS // 44) == (8, 5)
+    assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_C, 32)) == (30, 35)
+    assert (ELEMENT_BITS // 30, ELEMENT_BITS // 35) == (8, 7)
 
 
 @st.composite
@@ -371,6 +406,47 @@ def test_t_int_below_lambda_tamper_threshold():
     for seed in range(5):
         fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(seed)
         assert circuit.public.t_int < 1 << (w.f_c + 4)
+
+
+def encode_curvature(fisher):
+    """The curvature blocks the encoder commits for ``fisher`` at the
+    default fractional bits, with zero weights and multipliers."""
+    zero = ParamVector(values=np.zeros(fisher.layout.total_dim),
+                       layout=fisher.layout)
+    mask = random_mask(np.random.default_rng(0), fisher.layout, 1)
+    return encode_fixed_witness(zero, zero, zero, np.zeros(1), fisher,
+                                mask).c_blocks
+
+
+@pytest.mark.parametrize("e", range(4, 13))
+def test_row_sum_just_above_a_power_of_two_scales_into_bound(e):
+    # a dead unit's damped row holds lambda alone; at BOUND_C * 2^e * (1 +
+    # 2^-52) a log2-derived shift rounded down to e and left the row at
+    # BOUND_C * (1 + 2^-52), beyond the range bound
+    lam = BOUND_C * 2.0**e * (1 + 2.0**-52)
+    layout = random_layout(np.random.default_rng(e), n_blocks=2, max_block=4)
+    fisher = BlockFisher(
+        fisher=BlockDiagMatrix(
+            blocks=tuple(np.zeros((s, s)) for _, s, _ in layout.blocks),
+            layout=layout),
+        lam=lam, sample_count=1, source_digest="test")
+    for c in encode_curvature(fisher):
+        assert (c == np.diag(np.diag(c))).all()
+        assert (np.diag(c) == int(BOUND_C * 2**(DEFAULT_FRAC_BITS_C - 1))).all()
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-20, 30), st.floats(-30, 10))
+def test_honest_curvature_within_bound(seed, log_scale, log_lam):
+    # every honest damped curvature entry, at any magnitude, fits the
+    # range bound and so its limb
+    rng = np.random.default_rng(seed)
+    layout = random_layout(rng, max_block=8)
+    base = random_fisher(rng, layout, lam=2.0**log_lam)
+    fisher = replace(base, fisher=BlockDiagMatrix(
+        blocks=tuple(b * 2.0**log_scale for b in base.fisher.blocks),
+        layout=layout))
+    lim = int(BOUND_C * 2**DEFAULT_FRAC_BITS_C)
+    assert all(np.abs(c).max() <= lim for c in encode_curvature(fisher))
 
 
 # -- circuit / constraint counts --------------------------------------------------------
