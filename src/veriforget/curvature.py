@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, MlpModel, per_example_grads, stream_rng
+from .model import Dataset, MlpModel, grad_columns, per_example_grads, stream_rng
 from .numkit import (
     BlockDiagMatrix,
     BlockLayout,
@@ -61,6 +61,8 @@ class DiagCurvature:
 
 def curvature_layout(model_layout: BlockLayout, cap: int = DEFAULT_BLOCK_CAP) -> BlockLayout:
     """Model layout with oversize blocks split contiguously at `cap`."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     sizes = []
     for _, size, label in model_layout.blocks:
         if size <= cap:
@@ -101,11 +103,16 @@ def empirical_fisher_blockwise(
     if layout.total_dim != model.dim:
         raise StructuralError("curvature layout dim does not match model")
     sub, indices = _subsample(data, max_samples, seed)
-    grads = per_example_grads(model, sub)  # n x d
-    n = grads.shape[0]
+    n = len(sub)
     blocks = []
-    for sl, _ in layout.slices():
-        gb = grads[:, sl]
+    for gb in grad_columns(model, sub, layout):  # n x s each
+        if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
+            # numpy hands an n x 1 product to BLAS dot, whose unit-stride
+            # kernel sums in another order than the strided one that a
+            # column of the n x d matrix always took: keep that order
+            wide = np.empty((n, 2))
+            wide[:, :1] = gb
+            gb = wide[:, :1]
         f = gb.T @ gb / n
         f = 0.5 * (f + f.T)
         blocks.append(f)

@@ -221,15 +221,51 @@ def _backward(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return flat
 
 
+def grad_columns(model: MlpModel, data: Dataset, layout: BlockLayout):
+    """Yield the n x s per-example gradient columns of each block of
+    `layout`, in order, from one backward pass.
+
+    A weight block is formed from the outer products of only the rows of
+    W it touches, so memory is O(n * (s + 2 * dout)) per block and no
+    n x d matrix is built.  Every block of `layout` must lie inside one
+    block of the model's own layout; it may start mid-row.
+    """
+    if layout.total_dim != model.dim:
+        raise StructuralError("curvature layout dim does not match model")
+    factors = {
+        li: (a_prev, delta)
+        for li, a_prev, delta in _backprop(model, data.features, data.labels)
+    }
+    n = len(data)
+    owners = zip(
+        model.params.layout.blocks,
+        [(li, kind) for li in range(len(factors)) for kind in "wb"],
+    )
+    (m_off, m_size, m_label), (li, kind) = next(owners)
+    for offset, size, label in layout.blocks:
+        while offset >= m_off + m_size:
+            (m_off, m_size, m_label), (li, kind) = next(owners)
+        lo, hi = offset - m_off, offset + size - m_off
+        if hi > m_size:
+            raise StructuralError(
+                f"curvature block {label!r} straddles model block {m_label!r}"
+            )
+        a_prev, delta = factors[li]
+        if kind == "b":
+            yield delta[:, lo:hi]
+            continue
+        dout = delta.shape[1]
+        r0, r1 = lo // dout, -(-hi // dout)
+        gw = np.einsum("ni,nj->nij", a_prev[:, r0:r1], delta).reshape(n, -1)
+        yield gw[:, lo - r0 * dout : hi - r0 * dout]
+
+
 def per_example_grads(model: MlpModel, data: Dataset) -> np.ndarray:
     """n x d matrix of per-example gradients (vectorized per layer)."""
-    n = len(data)
-    out = np.empty((n, model.dim))
+    out = np.empty((len(data), model.dim))
     layout = model.params.layout
-    for li, a_prev, delta in _backprop(model, data.features, data.labels):
-        gw = np.einsum("ni,nj->nij", a_prev, delta)
-        out[:, layout.block_slice(f"mlp.{li}.w")] = gw.reshape(n, -1)
-        out[:, layout.block_slice(f"mlp.{li}.b")] = delta
+    for (sl, _), cols in zip(layout.slices(), grad_columns(model, data, layout)):
+        out[:, sl] = cols
     return out
 
 

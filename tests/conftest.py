@@ -6,9 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from veriforget.curvature import BlockFisher
+from veriforget.curvature import (
+    DEFAULT_MAX_SAMPLES,
+    BlockFisher,
+    _subsample,
+)
 from veriforget.masking import make_mask
-from veriforget.model import Dataset, init_mlp, make_synthetic_task
+from veriforget.model import (
+    Dataset,
+    init_mlp,
+    make_synthetic_task,
+    per_example_grads,
+)
 from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
@@ -75,6 +84,21 @@ def dense_kkt_solve(
     rhs[d:] = -theta[support]
     sol = np.linalg.solve(kkt, rhs)
     return sol[:d], sol[d:]
+
+
+def reference_fisher_blocks(model, data, layout, max_samples=DEFAULT_MAX_SAMPLES,
+                            seed=0):
+    """Oracle: the Fisher blocks sliced from the full n x d per-example
+    gradient matrix, over the estimator's own seeded subsample."""
+    sub, _ = _subsample(data, max_samples, seed)
+    grads = per_example_grads(model, sub)
+    n = grads.shape[0]
+    blocks = []
+    for sl, _ in layout.slices():
+        gb = grads[:, sl]
+        f = gb.T @ gb / n
+        blocks.append(0.5 * (f + f.T))
+    return blocks
 
 
 def reference_permute(state):

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veriforget.curvature import (
     curvature_layout,
     diag_curvature,
     empirical_fisher_blockwise,
 )
-from veriforget.model import Dataset, init_mlp, per_example_grads
+from veriforget.model import Dataset, grad_columns, init_mlp, per_example_grads
 from veriforget.numkit import BlockLayout, StructuralError
 
-from conftest import small_dataset
+from conftest import reference_fisher_blocks, small_dataset
 
 
 def full_layout(model):
@@ -80,6 +83,70 @@ def test_curvature_layout_splits_large_blocks():
     sizes = [s for _, s, _ in split.blocks]
     assert max(sizes) <= 256
     assert sum(sizes) == 610
+
+
+def test_curvature_layout_rejects_cap_below_one():
+    # an empty layout splits nothing, so a check that moved into the
+    # splitting loop fails here instead of looping forever
+    empty = BlockLayout.from_sizes([])
+    for cap in (0, -3):
+        with pytest.raises(ValueError):
+            curvature_layout(empty, cap=cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+    n=st.integers(1, 40),
+    cap=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, 0)
+    model = model.with_params(rng.normal(size=model.dim))
+    data = small_dataset(rng, n=n, dim=dims[0], classes=dims[-1])
+    layout = curvature_layout(model.params.layout, cap=cap)
+    fisher = empirical_fisher_blockwise(model, data, layout, seed=seed)
+    want = reference_fisher_blocks(model, data, layout, seed=seed)
+    assert len(fisher.fisher.blocks) == len(want)
+    for got, ref in zip(fisher.fisher.blocks, want):
+        assert np.array_equal(got, ref)
+    # blocks may start mid-row; filled column by column they still give
+    # the per-example gradient matrix exactly
+    filled = np.empty((n, model.dim))
+    for (sl, _), cols in zip(layout.slices(), grad_columns(model, data, layout)):
+        filled[:, sl] = cols
+    assert np.array_equal(filled, per_example_grads(model, data))
+
+
+def test_grad_columns_rejects_block_across_model_blocks():
+    model = init_mlp([3, 4, 2], 0)
+    data = small_dataset(np.random.default_rng(7), n=5, dim=3, classes=2)
+    # mlp.0.w is [0, 12) and mlp.0.b is [12, 16): [10, 14) crosses them
+    layout = BlockLayout.from_sizes([(10, "a"), (4, "across"), (12, "c")])
+    with pytest.raises(StructuralError, match="straddles"):
+        empirical_fisher_blockwise(model, data, layout)
+    with pytest.raises(StructuralError, match="straddles"):
+        list(grad_columns(model, data, layout))
+
+
+def test_fisher_memory_excludes_nxd_gradient_matrix():
+    # staged-wide's shape: an n x d gradient matrix would be 190 MB; the
+    # blockwise estimator may hold a few cap-wide column blocks at a time
+    rng = np.random.default_rng(8)
+    model = init_mlp([32, 256, 128, 8], 0)
+    data = small_dataset(rng, n=560, dim=32, classes=8)
+    layout = curvature_layout(model.params.layout, cap=512)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fisher = empirical_fisher_blockwise(model, data, layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fisher_bytes = sum(b.nbytes for b in fisher.fisher.blocks)
+    assert peak - fisher_bytes <= 32 * 2**20
 
 
 # -- diagonal proxy --------------------------------------------------------------
