@@ -371,6 +371,7 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
     inputs = {
         "theta_p": art.file_digest(tp_path),
         "theta_u": art.file_digest(tu_path),
+        "comp": art.file_digest(comp_path),
         "mask": art.file_digest(mask_path),
         "fisher": art.file_digest(fisher_path),
     }

@@ -14,12 +14,23 @@ full-width product to align its S-box output with the other lanes, and
 the output is unscaled once.  The constants are derived from the round
 constants and the MDS matrix, and the tests check the result against
 the permutation's defining form.
+
+``merkle_root`` hashes the leaves of a vector with more than one leaf
+in worker processes, one per CPU the process may run on, since each
+leaf is an independent sponge; the tree above the leaves is hashed in
+the caller.  Workers are forked: they start at once, without
+re-importing the package, and leave no helper process behind (the
+spawn and forkserver methods each keep one alive until the parent
+exits).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -140,16 +151,39 @@ def _blinding(randomness: int, index: int) -> int:
     return _nums_constant(f"veriforget/blind/{randomness}/{index}")
 
 
+def _hash_leaf(chunk) -> int:
+    """One leaf's sponge, at module level so that a worker finds it by
+    name."""
+    return sponge(chunk, "leaf")
+
+
+def _hash_leaves(chunks) -> list[int]:
+    """The leaf digests of ``chunks``, in order.  They are hashed in
+    min(CPUs available, leaves) forked workers, or in-process when that
+    is one.  A worker's exception reaches the caller with its type, and
+    a worker that dies raises ``BrokenProcessPool`` (where
+    ``multiprocessing.Pool.map`` would wait forever); either way every
+    worker has exited when this returns."""
+    workers = min(len(os.sched_getaffinity(0)), len(chunks))
+    if workers <= 1:
+        return [_hash_leaf(chunk) for chunk in chunks]
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        return list(pool.map(_hash_leaf, chunks, chunksize=1))
+
+
 def merkle_root(ints, randomness: int) -> int:
     """Binding, hiding commitment to a vector of signed integers: the
     Merkle root over blinded leaf chunks of LEAF_CHUNK field elements."""
     if isinstance(ints, np.ndarray):
         ints = [int(x) for x in ints.ravel()]
-    leaves = []
+    chunks = []
     for li in range(0, max(len(ints), 1), LEAF_CHUNK):
         chunk = [to_field(x) for x in ints[li : li + LEAF_CHUNK]]
         chunk.append(_blinding(randomness, li // LEAF_CHUNK))
-        leaves.append(sponge(chunk, "leaf"))
+        chunks.append(chunk)
+    leaves = _hash_leaves(chunks)
     level = 0
     while len(leaves) > 1:
         nxt = []

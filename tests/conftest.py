@@ -35,8 +35,12 @@ from veriforget.zkp.field import (
     _MDS,
     _RC,
     FULL_ROUNDS,
+    LEAF_CHUNK,
     MODULUS,
     PARTIAL_ROUNDS,
+    _blinding,
+    sponge,
+    to_field,
 )
 
 
@@ -121,6 +125,28 @@ def reference_permute(state):
             (a * m2[0] + b * m2[1] + c * m2[2] + rc[2]) % p,
         )
     return a, b, c
+
+
+def reference_merkle_root(ints, randomness):
+    """Oracle: the Merkle root with its leaves hashed one after another
+    in this process."""
+    if isinstance(ints, np.ndarray):
+        ints = [int(x) for x in ints.ravel()]
+    leaves = []
+    for li in range(0, max(len(ints), 1), LEAF_CHUNK):
+        chunk = [to_field(x) for x in ints[li : li + LEAF_CHUNK]]
+        chunk.append(_blinding(randomness, li // LEAF_CHUNK))
+        leaves.append(sponge(chunk, "leaf"))
+    level = 0
+    while len(leaves) > 1:
+        nxt = []
+        for i in range(0, len(leaves) - 1, 2):
+            nxt.append(sponge([leaves[i], leaves[i + 1]], f"node/{level}"))
+        if len(leaves) % 2:
+            nxt.append(leaves[-1])
+        leaves = nxt
+        level += 1
+    return leaves[0]
 
 
 def random_layout(rng, n_blocks=None, max_block=24):

@@ -444,6 +444,15 @@ def test_prove_json_reports_constraint_table(workdir, tmp_path):
     assert report["circuit_hash"] == zkp.circuit_hash(public)
 
 
+def test_prove_records_every_input(workdir):
+    w = workdir
+    with open(f"{w}/public.pub") as fh:
+        inputs = json.load(fh)["inputs"]
+    assert inputs == {name: art.file_digest(f"{w}/{path}") for name, path in (
+        ("theta_p", "theta_p"), ("theta_u", "theta_u"), ("comp", "comp"),
+        ("mask", "mask.mask"), ("fisher", "fisher"))}
+
+
 def test_frac_bits_inseparable_exit_3(workdir, tmp_path):
     res = invoke(*_prove_args(workdir, str(tmp_path), 22, 20))
     assert res.exit_code == 3, res.output

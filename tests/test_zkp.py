@@ -1,9 +1,16 @@
+import multiprocessing
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import veriforget
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
 from veriforget.numkit import (
@@ -38,6 +45,7 @@ from veriforget.zkp import (
     to_field,
     verify_commit,
 )
+from veriforget.zkp import field
 from veriforget.zkp.circuit import (
     COMMITTED,
     ELEMENT_BITS,
@@ -45,6 +53,7 @@ from veriforget.zkp.circuit import (
     limb_bits,
     pack_limbs,
 )
+from veriforget.zkp.field import LEAF_CHUNK
 from veriforget.zkp.witness import (
     DEFAULT_FRAC_BITS_C,
     FRAC_BITS_BUDGET,
@@ -58,6 +67,7 @@ from conftest import (
     random_instance,
     random_layout,
     random_mask,
+    reference_merkle_root,
     reference_permute,
     statement,
     tag_over,
@@ -145,6 +155,12 @@ def test_sponge_matches_permute_composition():
     assert sponge([5, 7], "x") == permute((5, 7, cap))[0]
 
 
+# merkle_root(range(3000), 9): three leaves
+ROOT_3000 = (
+    15658109783776964317420728018405543078597802654730398729018368309240798195223
+)
+
+
 def test_known_answers():
     # pinned before the round constants were folded into the MDS step
     assert permute((0, 1, 2)) == (
@@ -155,9 +171,7 @@ def test_known_answers():
     assert sponge(range(5), "leaf") == (
         17528720717860874537268767389095613517573119957523274042998254144061356903447
     )
-    assert merkle_root(range(3000), 9) == (
-        15658109783776964317420728018405543078597802654730398729018368309240798195223
-    )
+    assert merkle_root(range(3000), 9) == ROOT_3000
 
 
 # -- commitments ------------------------------------------------------------------
@@ -197,6 +211,112 @@ def test_commit_multi_chunk_tree():
     v2 = v.copy()
     v2[2500] += 1  # tamper in the last chunk
     assert not verify_commit(root, v2, 9)
+
+
+# -- leaves hashed in worker processes ---------------------------------------
+
+
+def report_cpus(monkeypatch, n):
+    """Make ``merkle_root`` see n CPUs, so a 1-CPU runner still forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class LeafFault(RuntimeError):
+    """Raised by a sponge that the workers inherit."""
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 3 * LEAF_CHUNK + 1), st.integers(), st.integers(0, 2**32))
+@example(0, 0, 0)
+@example(1, 0, 0)
+@example(LEAF_CHUNK, 0, 0)
+@example(LEAF_CHUNK + 1, 0, 0)
+@example(3 * LEAF_CHUNK + 1, 0, 0)
+def test_merkle_root_matches_in_process_oracle(n, randomness, seed):
+    rng = random.Random(seed)
+    half = MODULUS // 2
+    ints = [rng.randrange(-half + 1, half) for _ in range(n)]
+    with pytest.MonkeyPatch.context() as mp:
+        report_cpus(mp, 3)
+        root = merkle_root(ints, randomness)
+    assert root == reference_merkle_root(ints, randomness)
+
+
+@pytest.mark.parametrize("cpus, leaves, in_parent",
+                         [(1, 3, True), (4, 1, True), (2, 3, False)])
+def test_leaves_hashed_in_process_only_with_one_worker(monkeypatch, cpus,
+                                                       leaves, in_parent):
+    report_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(field, "sponge", lambda elements, domain: os.getpid())
+    pids = set(field._hash_leaves([[i] for i in range(leaves)]))
+    if in_parent:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and len(pids) <= cpus
+
+
+def test_commit_witness_leaves_no_child_process(monkeypatch, tmp_path):
+    rng = np.random.default_rng(0)
+    g = rng.integers(-1000, 1000, size=(150, 150))  # 1,618 packed elements
+    vec = rng.integers(-1000, 1000, size=40)
+    w = FixedWitness(theta_p=vec, theta_u=vec + 1, delta_w=np.ones(40, np.int64),
+                     lam=np.zeros(0, np.int64), c_blocks=(g + g.T,),
+                     f_w=22, f_c=DEFAULT_FRAC_BITS_C)
+    randomness = (4, 5, 6)
+    expected = tuple(reference_merkle_root(get(w, w), r)
+                     for (_, get), r in zip(COMMITTED, randomness))
+    log, real = tmp_path / "leaf-pids", field.sponge
+
+    def logging_sponge(elements, domain):
+        if domain == "leaf":
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return real(elements, domain)
+
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setattr(field, "sponge", logging_sponge)
+    assert commit_witness(w, randomness) == expected
+    assert multiprocessing.active_children() == []
+    assert set(map(int, log.read_text().split())) - {os.getpid()}
+
+
+def test_worker_exception_reaches_caller(monkeypatch):
+    def faulty(elements, domain):
+        raise LeafFault(domain)
+
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setattr(field, "sponge", faulty)
+    with pytest.raises(LeafFault):
+        merkle_root(range(3000), 9)
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_commit_false_on_wraparound_with_workers(monkeypatch):
+    report_cpus(monkeypatch, 2)
+    v = list(range(3000))
+    assert verify_commit(ROOT_3000, v, 9)
+    v[2500] = MODULUS // 2
+    assert not verify_commit(ROOT_3000, v, 9)
+
+
+def test_killed_worker_raises_instead_of_hanging():
+    # A fresh interpreter, so that a hang fails on the timeout.
+    script = textwrap.dedent("""
+        import multiprocessing, os, signal
+        from concurrent.futures.process import BrokenProcessPool
+        from veriforget.zkp import field
+        os.sched_getaffinity = lambda pid: {0, 1}
+        field.sponge = lambda e, d: os.kill(os.getpid(), signal.SIGKILL)
+        try:
+            field.merkle_root(range(3000), 9)
+        except BrokenProcessPool:
+            print("broken", len(multiprocessing.active_children()))
+    """)
+    src = os.path.dirname(os.path.dirname(veriforget.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["broken", "0"], proc.stderr
 
 
 def test_pack_curvature_upper_triangle_row_major():
