@@ -49,6 +49,17 @@ def _inf(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
+def check_shapes(theta_p, theta_u, comp, c_p, mask) -> None:
+    """Raise StructuralError unless the inputs of a certificate share one
+    dimension d and hold one multiplier per masked coordinate."""
+    dims = {theta_p.dim, theta_u.dim, comp.delta_w.dim, c_p.layout.total_dim,
+            mask.model_dim}
+    if len(dims) != 1 or comp.multipliers.shape != (mask.budget,):
+        raise StructuralError(
+            f"dimensions {sorted(dims)} and {comp.multipliers.size} "
+            f"multipliers for a mask of {mask.budget} coordinates")
+
+
 def check_kkt(
     theta_p: ParamVector,
     theta_u: ParamVector,
@@ -58,8 +69,7 @@ def check_kkt(
     tau_real: float = DEFAULT_TAU_REAL,
 ) -> KktCertificate:
     """Evaluate assembly, feasibility, and stationarity residuals."""
-    if not (theta_p.dim == theta_u.dim == comp.delta_w.dim == mask.model_dim):
-        raise StructuralError("dimension mismatch in check_kkt")
+    check_shapes(theta_p, theta_u, comp, c_p, mask)
     dw = comp.delta_w.values
     r_asm = theta_u.values - theta_p.values - dw
     r_feas = dw[mask.support] + theta_p.values[mask.support]

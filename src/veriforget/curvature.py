@@ -12,7 +12,9 @@ from .numkit import (
     BlockLayout,
     StructuralError,
     canonical_json,
+    pack_upper,
     sha256_hex,
+    unpack_upper,
 )
 
 DEFAULT_DAMPING = 1e-3
@@ -38,13 +40,8 @@ class BlockFisher:
         return self.fisher.layout
 
     def damped_blocks(self):
-        for arr in self.fisher.blocks:
-            yield arr + self.lam * np.eye(arr.shape[0])
-
-    def damped(self) -> BlockDiagMatrix:
-        return BlockDiagMatrix(
-            blocks=tuple(self.damped_blocks()), layout=self.layout
-        )
+        for tri, (_, size, _) in zip(self.fisher.blocks, self.layout.blocks):
+            yield unpack_upper(tri, size, diag=self.lam)
 
 
 @dataclass(frozen=True)
@@ -114,8 +111,7 @@ def empirical_fisher_blockwise(
             wide[:, :1] = gb
             gb = wide[:, :1]
         f = gb.T @ gb / n
-        f = 0.5 * (f + f.T)
-        blocks.append(f)
+        blocks.append(pack_upper(0.5 * (f + f.T)))
     digest = sha256_hex(
         canonical_json(
             {

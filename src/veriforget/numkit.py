@@ -1,9 +1,9 @@
 """Deterministic numerical primitives shared by the whole pipeline.
 
-Block-structured flat vectors, block-diagonal symmetric matrices,
-fixed-point quantization, reproducible reductions and digests.
-Everything here is pure and immutable after construction; file formats
-live in ``artifacts``.
+Block-structured flat vectors, block-diagonal symmetric matrices held
+as upper triangles, fixed-point quantization, reproducible reductions
+and digests.  Everything here is pure and immutable after construction;
+file formats live in ``artifacts``.
 """
 
 from __future__ import annotations
@@ -132,38 +132,46 @@ class ParamVector:
         return ParamVector(values=values, layout=self.layout)
 
 
+def pack_upper(block: np.ndarray) -> np.ndarray:
+    """The upper triangle of a square block, row-major: the one form in
+    which the package holds a symmetric block."""
+    return np.concatenate([row[i:] for i, row in enumerate(block)])
+
+
+def unpack_upper(tri: np.ndarray, size: int, diag=0) -> np.ndarray:
+    """The symmetric block B with ``pack_upper(B) == tri``, as B + diag * I
+    bit for bit."""
+    if tri.shape != (size * (size + 1) // 2,):
+        raise StructuralError(f"a triangle of shape {tri.shape} for size {size}")
+    out = np.empty((size, size), dtype=tri.dtype)
+    pos = 0
+    for i in range(size):
+        out[i, i:] = out[i:, i] = tri[pos : pos + size - i]
+        pos += size - i
+    out += 0  # -0.0 becomes +0.0, as the zeros of diag * I make it
+    out.flat[:: size + 1] += diag
+    return out
+
+
 @dataclass(frozen=True)
 class BlockDiagMatrix:
-    """Symmetric block-diagonal matrix stored as dense per-block arrays."""
+    """Symmetric block-diagonal matrix, each block held as its upper
+    triangle (``pack_upper``)."""
 
     blocks: tuple[np.ndarray, ...]
     layout: BlockLayout
 
     def __post_init__(self):
-        frozen = []
-        for arr, (_, size, label) in zip(self.blocks, self.layout.blocks):
-            arr = _freeze(arr)
-            if arr.shape != (size, size):
-                raise StructuralError(
-                    f"block {label!r} has shape {arr.shape}, expected "
-                    f"({size}, {size})"
-                )
-            scale = np.abs(arr).max() if arr.size else 0.0
-            if not np.isfinite(scale):
-                raise StructuralError(f"block {label!r} has non-finite entries")
-            if np.abs(arr - arr.T).max() > 1e-12 * max(scale, 1e-300):
-                raise StructuralError(f"block {label!r} is not symmetric")
-            frozen.append(arr)
-        if len(frozen) != len(self.layout.blocks):
+        if len(self.blocks) != len(self.layout.blocks):
             raise StructuralError("block count does not match layout")
-        object.__setattr__(self, "blocks", tuple(frozen))
-
-    def dense(self) -> np.ndarray:
-        d = self.layout.total_dim
-        out = np.zeros((d, d))
-        for arr, (sl, _) in zip(self.blocks, self.layout.slices()):
-            out[sl, sl] = arr
-        return out
+        frozen = tuple(map(_freeze, self.blocks))
+        for tri, (_, size, label) in zip(frozen, self.layout.blocks):
+            if tri.shape != (size * (size + 1) // 2,):
+                raise StructuralError(f"block {label!r} of shape {tri.shape} is "
+                                      f"not a {size} x {size} upper triangle")
+            if not np.all(np.isfinite(tri)):
+                raise StructuralError(f"block {label!r} has non-finite entries")
+        object.__setattr__(self, "blocks", frozen)
 
 
 # ---------------------------------------------------------------------------

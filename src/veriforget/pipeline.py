@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import zkp
-from .certify import KktCertificate, check_kkt
+from .certify import KktCertificate, check_kkt, check_shapes
 from .curvature import (
     BlockFisher,
     DEFAULT_BLOCK_CAP,
@@ -169,9 +169,10 @@ def run_zk_layer(
     """Encode the fixed-point witness, then commit, synthesize and prove.
 
     Returns (witness, circuit, proof, randomness), the public inputs being
-    ``circuit.public``; raises ``zkp.UnsatisfiableWitnessError`` when the
-    prover rejects the witness.
+    ``circuit.public``; raises StructuralError from ``check_shapes`` and
+    ``zkp.UnsatisfiableWitnessError`` when the prover rejects the witness.
     """
+    check_shapes(theta_p.params, theta_u.params, comp, fisher, mask)
     witness = zkp.encode_fixed_witness(
         theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
         fisher, mask, f_w=f_w, f_c=f_c,

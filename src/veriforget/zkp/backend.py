@@ -8,8 +8,8 @@ so a proof carries only its tag.  That tag is a hash anyone holding the
 public data can compute: the backend checks constraint semantics only
 and gives neither knowledge soundness nor zero knowledge.  Nor does the
 statement bind the curvature to theta_p or to the client's data: the
-circuit checks only that it is symmetric and in range, so a prover may
-choose it.
+circuit checks only that it is in range (it is symmetric by
+construction), so a prover may choose it.
 """
 
 from __future__ import annotations

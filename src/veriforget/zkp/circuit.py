@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ..masking import MaskArtifact
-from ..numkit import StructuralError, canonical_json, sha256_hex
+from ..numkit import StructuralError, canonical_json, sha256_hex, unpack_upper
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
 from .witness import (
     BOUND_C,
@@ -87,7 +87,8 @@ class PublicInputs:
         return cls(**values)
 
 
-# How com_c_p lays out the curvature blocks (see ``pack_curvature``).
+# How com_c_p lays out the curvature: the witness's block triangles (see
+# ``numkit.pack_upper``) in layout order, so C is symmetric by construction.
 C_P_PACKING = "upper-triangle-row-major"
 
 
@@ -104,12 +105,6 @@ class CertificateCircuit:
         """Rows per family, in table order."""
         sizes, k = self.public.block_sizes, len(self.support)
         return {f.name: int(f.count(sizes, k)) for f in FAMILIES}
-
-
-def pack_curvature(c_blocks) -> np.ndarray:
-    """Each block's upper triangle, row-major, in layout order.  The
-    symmetry constraints tie the strict lower triangles to it."""
-    return np.concatenate([b[np.triu_indices(b.shape[0])] for b in c_blocks])
 
 
 # Limb packing of the committed vectors: each element holds
@@ -149,7 +144,7 @@ def pack_limbs(ints, bits: int) -> list[int]:
 COMMITTED = (
     ("theta_p", lambda w, s: pack_limbs(w.theta_p, limb_bits(BOUND_W, s.f_w))),
     ("theta_u", lambda w, s: pack_limbs(w.theta_u, limb_bits(BOUND_W, s.f_w))),
-    ("c_p", lambda w, s: pack_limbs(pack_curvature(w.c_blocks),
+    ("c_p", lambda w, s: pack_limbs(np.concatenate(w.c_blocks),
                                     limb_bits(BOUND_C, s.f_c))),
 )
 
@@ -188,11 +183,6 @@ def _range(circuit, w, randomness):
     )
 
 
-def _symmetry(circuit, w, randomness):
-    return _first(f"symmetry/c_p[block {bi}]" for bi, b in enumerate(w.c_blocks)
-                  if not np.array_equal(b, b.T))
-
-
 def _assembly(circuit, w, randomness):
     """theta_u - theta_p - delta_w == 0 over the field."""
     tp, tu, dw = w.theta_p, w.theta_u, w.delta_w
@@ -215,9 +205,9 @@ def _stationarity(circuit, w, randomness):
         r[i] = int(w.lam[j]) << public.f_c
     dw = w.delta_w.astype(object)
     offset = 0
-    for block in w.c_blocks:
-        end = offset + block.shape[0]
-        r[offset:end] += block.astype(object) @ dw[offset:end]
+    for tri, size in zip(w.c_blocks, public.block_sizes):
+        end = offset + size
+        r[offset:end] += unpack_upper(tri, size).astype(object) @ dw[offset:end]
         offset = end
     return _first(f"stationarity[{i}]" for i, x in enumerate(r)
                   if abs(from_field(to_field(int(x)))) > public.t_int)
@@ -238,21 +228,16 @@ class ConstraintFamily:
     check: Callable[..., str | None]  # (circuit, witness, randomness)
 
 
-def _squares(sizes) -> int:
-    return sum(s * s for s in sizes)
-
-
 # Checked in this order.  range bounds theta_p, theta_u, delta_w (d
-# each), lam (k), every curvature entry and the stationarity residual
-# (d); matvec computes that residual, so its check also bounds it and
-# names the row stationarity[i].
+# each), lam (k), every committed curvature entry and the stationarity
+# residual (d); matvec computes that residual from the full blocks, so
+# its check also bounds it and names the row stationarity[i].
 FAMILIES = (
-    ConstraintFamily("range", lambda s, k: 4 * sum(s) + k + _squares(s), _range),
-    ConstraintFamily("symmetry", lambda s, k: sum(b * (b - 1) // 2 for b in s),
-                     _symmetry),
+    ConstraintFamily("range", lambda s, k: 4 * sum(s) + k
+                     + sum(b * (b + 1) // 2 for b in s), _range),
     ConstraintFamily("assembly", lambda s, k: sum(s), _assembly),
     ConstraintFamily("feasibility", lambda s, k: k, _feasibility),
-    ConstraintFamily("matvec", lambda s, k: _squares(s), _stationarity),
+    ConstraintFamily("matvec", lambda s, k: sum(b * b for b in s), _stationarity),
     ConstraintFamily("commit", lambda s, k: len(COMMITTED), _commit),
 )
 

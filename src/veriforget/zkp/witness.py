@@ -16,7 +16,14 @@ import numpy as np
 
 from ..curvature import BlockFisher
 from ..masking import MaskArtifact
-from ..numkit import ParamVector, RangeError, StructuralError, quantize
+from ..numkit import (
+    ParamVector,
+    RangeError,
+    StructuralError,
+    pack_upper,
+    quantize,
+    unpack_upper,
+)
 
 # f_c exceeds f_w by more than 4 bits so that the honest stationarity
 # residual window T_int stays below the detectability threshold of a
@@ -50,7 +57,7 @@ T_INT_SLACK = 2
 @dataclass(frozen=True)
 class FixedWitness:
     """The integer witness: int64 arrays with f_w fractional bits for the
-    weight-side vectors, int64 matrices with f_c for the curvature."""
+    weight-side vectors, with f_c for the curvature's block triangles."""
 
     theta_p: np.ndarray
     theta_u: np.ndarray
@@ -99,8 +106,10 @@ def encode_fixed_witness(
     # within quantization error; a mismatch means inconsistent inputs
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise RangeError("theta_u inconsistent with theta_p + delta_w")
-    damped = list(c_p.damped_blocks())
-    row_max = max(float(np.abs(b).sum(axis=1).max()) for b in damped)
+    row_max, damped = 0.0, []
+    for block in c_p.damped_blocks():
+        row_max = max(row_max, float(np.abs(block).sum(axis=1).max()))
+        damped.append(pack_upper(block))
     # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
     # BOUND_C is a power of two, so the division rounds nothing, and
     # frexp's mantissa is 0.5 only on a power of two
@@ -111,8 +120,7 @@ def encode_fixed_witness(
         theta_u=tu,
         delta_w=dw,
         lam=quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM),
-        c_blocks=tuple(quantize(arr.ravel() * scale, f_c, BOUND_C).reshape(arr.shape)
-                       for arr in damped),
+        c_blocks=tuple(quantize(tri * scale, f_c, BOUND_C) for tri in damped),
         f_w=f_w,
         f_c=f_c,
     )
@@ -138,9 +146,9 @@ def stationarity_bound_int(
     masked = mask.indicator()
     worst = 0.0
     for c_int, (sl, _) in zip(w.c_blocks, c_p.layout.slices()):
-        d_b = c_int.shape[0]
+        d_b = sl.stop - sl.start
         dw_sum = float(np.abs(w.delta_w[sl].astype(np.float64)).sum())
-        row_sums = np.abs(c_int.astype(np.float64)).sum(axis=1)
+        row_sums = np.abs(unpack_upper(c_int, d_b).astype(np.float64)).sum(axis=1)
         lam_term = 2.0 ** (w.f_c - 1) if masked[sl].any() else 0.0
         block_worst = (
             0.5 * float(row_sums.max()) + 0.5 * dw_sum + 0.25 * d_b + lam_term

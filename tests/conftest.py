@@ -1,11 +1,13 @@
 """Shared builders for randomized test instances, and the oracles that
 only tests use."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from veriforget import artifacts as art
 from veriforget.curvature import (
     DEFAULT_MAX_SAMPLES,
     BlockFisher,
@@ -23,7 +25,9 @@ from veriforget.numkit import (
     BlockLayout,
     ParamVector,
     canonical_json,
+    pack_upper,
     sha256_hex,
+    unpack_upper,
 )
 from veriforget.pipeline import (
     DEFAULT_PERSONALIZE,
@@ -90,10 +94,52 @@ def dense_kkt_solve(
     return sol[:d], sol[d:]
 
 
+def block_matrix(blocks, layout) -> BlockDiagMatrix:
+    """The block-diagonal matrix of square symmetric ``blocks``."""
+    return BlockDiagMatrix(blocks=tuple(pack_upper(b) for b in blocks),
+                           layout=layout)
+
+
+def square_blocks(mat: BlockDiagMatrix) -> list[np.ndarray]:
+    """The blocks of ``mat``, square."""
+    return [unpack_upper(tri, size)
+            for tri, (_, size, _) in zip(mat.blocks, mat.layout.blocks)]
+
+
+def dense(mat: BlockDiagMatrix) -> np.ndarray:
+    """The d x d matrix of ``mat``."""
+    d = mat.layout.total_dim
+    out = np.zeros((d, d))
+    for block, (sl, _) in zip(square_blocks(mat), mat.layout.slices()):
+        out[sl, sl] = block
+    return out
+
+
+def reference_damp(block: np.ndarray, lam: float) -> np.ndarray:
+    """Oracle: a square block damped in its defining form, B + lam * I."""
+    return block + lam * np.eye(block.shape[0])
+
+
+def damped(fisher: BlockFisher) -> BlockDiagMatrix:
+    """Oracle: the damped curvature F + lam * I."""
+    return block_matrix([reference_damp(b, fisher.lam)
+                         for b in square_blocks(fisher.fisher)], fisher.layout)
+
+
+def resave_fisher(src, dst, blocks):
+    """The Fisher artifact at ``src`` written to ``dst`` with ``blocks`` as
+    its arrays, whatever their shapes, and a checksum to match."""
+    with open(src) as fh:
+        header = json.load(fh)
+    del header["arrays"], header["sha256"]
+    art._save(dst, header, blocks)
+
+
 def reference_fisher_blocks(model, data, layout, max_samples=DEFAULT_MAX_SAMPLES,
                             seed=0):
-    """Oracle: the Fisher blocks sliced from the full n x d per-example
-    gradient matrix, over the estimator's own seeded subsample."""
+    """Oracle: the square Fisher blocks sliced from the full n x d
+    per-example gradient matrix, over the estimator's own seeded
+    subsample."""
     sub, _ = _subsample(data, max_samples, seed)
     grads = per_example_grads(model, sub)
     n = grads.shape[0]
@@ -162,10 +208,10 @@ def random_spd_block(rng, size, damping=0.1):
 
 
 def random_spd_blockdiag(rng, layout, damping=0.1):
-    blocks = tuple(
-        random_spd_block(rng, size, damping) for _, size, _ in layout.blocks
+    return block_matrix(
+        [random_spd_block(rng, size, damping) for _, size, _ in layout.blocks],
+        layout,
     )
-    return BlockDiagMatrix(blocks=blocks, layout=layout)
 
 
 def random_fisher(rng, layout, lam=1e-3, damping=0.1):

@@ -31,7 +31,9 @@ from veriforget.model import (
 from veriforget.numkit import (
     BlockLayout,
     ParamVector,
+    pack_upper,
     quantize,
+    unpack_upper,
 )
 from veriforget.obs import (
     CompensationResult,
@@ -41,11 +43,14 @@ from veriforget.obs import (
 from veriforget.pipeline import demo_config, run_pipeline
 
 from conftest import (
+    damped,
+    dense,
     quadratic_gain,
     random_fisher,
     random_instance,
     random_mask,
     small_dataset,
+    square_blocks,
     statement,
     tiny_config,
 )
@@ -82,7 +87,7 @@ def obs_instance(rng):
 
 
 def dense_oracle(fisher, theta, mask):
-    c = fisher.damped().dense()
+    c = dense(damped(fisher))
     d, k = theta.dim, mask.budget
     e = np.zeros((d, k))
     e[mask.support, np.arange(k)] = 1.0
@@ -173,7 +178,7 @@ def test_criterion_4_optimality():
     for _ in range(20):
         fisher, theta, mask = random_instance(rng, max_block=16)
         comp = group_obs_solve(fisher, theta, mask)
-        c = fisher.damped().dense()
+        c = dense(damped(fisher))
         dw = comp.delta_w.values
         obj_star = 0.5 * dw @ c @ dw
         for _ in range(1000):
@@ -301,8 +306,10 @@ def test_criterion_7_zk_smoke():
                 if dw_j == 0:
                     continue
                 delta = (4 * circ.public.t_int) // abs(dw_j) + 1
-                blocks = [b.copy() for b in w.c_blocks]
-                blocks[bi][j, j] += delta
+                blocks = list(w.c_blocks)
+                c = unpack_upper(c_int, sl.stop - sl.start)
+                c[j, j] += delta
+                blocks[bi] = pack_upper(c)
                 bad = dict(c_blocks=tuple(blocks))
                 done = True
                 break
@@ -368,7 +375,7 @@ def test_criterion_9_numerical_hygiene():
     data = small_dataset(rng, n=40)
     layout = curvature_layout(model.params.layout, cap=32)
     fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
-    for blk in fisher.fisher.blocks:
+    for blk in square_blocks(fisher.fisher):
         if np.linalg.eigvalsh(blk).min() < -1e-10:
             ok = False
     # KL(theta, theta) = 0

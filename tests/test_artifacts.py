@@ -14,7 +14,14 @@ from veriforget.numkit import BlockDiagMatrix, ParamVector, StructuralError
 from veriforget.obs import CompensationResult
 from veriforget.zkp import Proof, PublicInputs
 
-from conftest import random_fisher, random_layout, random_mask, small_dataset
+from conftest import (
+    random_fisher,
+    random_layout,
+    random_mask,
+    resave_fisher,
+    small_dataset,
+    square_blocks,
+)
 
 ARRAY_KINDS = ("model", "dataset", "fisher", "comp")
 JSON_KINDS = ("mask", "public", "proof")
@@ -38,7 +45,7 @@ def sample(kind, bump=0.0):
     if kind == "fisher":
         f = random_fisher(rng, layout)
         blocks = [b.copy() for b in f.fisher.blocks]
-        blocks[0][0, 0] += bump
+        blocks[0][0] += bump  # the (0, 0) entry
         return BlockFisher(
             fisher=BlockDiagMatrix(blocks=tuple(blocks), layout=layout),
             lam=f.lam, sample_count=f.sample_count,
@@ -163,6 +170,18 @@ def test_header_must_describe_blob(tmp_path, edit):
     _rewrite_header(p, edit)
     with pytest.raises(art.IntegrityError):
         art.load_comp(p)
+
+
+def test_load_fisher_rejects_blocks_not_upper_triangles(tmp_path):
+    p = str(tmp_path / "fisher")
+    fisher = sample("fisher")
+    art.save_fisher(p, fisher)
+    tri, *rest = fisher.fisher.blocks
+    # one entry short or over, and the full square block of an older format
+    for bad in (tri[:-1], np.append(tri, 0.0), square_blocks(fisher.fisher)[0]):
+        resave_fisher(p, p, [bad, *rest])
+        with pytest.raises((art.IntegrityError, StructuralError)):
+            art.load_fisher(p)
 
 
 def test_check_input_digests(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from veriforget import artifacts as art
 from veriforget import zkp
 from veriforget.cli import main
 from veriforget.model import init_mlp
+from veriforget.numkit import BlockDiagMatrix, BlockLayout
 from veriforget.pipeline import run_pipeline
 from veriforget.zkp.circuit import FAMILIES
 
-from conftest import tag_over, tiny_config
+from conftest import resave_fisher, square_blocks, tag_over, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +264,68 @@ def _prove_fisher_not_recorded(w, tmp):
             "--fisher", f"{tmp}/fisher", "--out-dir", tmp)
 
 
+def _certify_args(w, theta_u=None, comp=None, fisher=None):
+    """certify on the staged run, with theta_u, comp and the Fisher read
+    from the given directories instead of the run's."""
+    return ("certify", "--theta-p", f"{w}/theta_p",
+            "--theta-u", f"{theta_u or w}/theta_u", "--comp", f"{comp or w}/comp",
+            "--mask", f"{w}/mask.mask", "--fisher", f"{fisher or w}/fisher")
+
+
+def _certify_truncated_fisher(w, tmp):
+    # theta_u and comp moved by 0.5 off the mask at the last coordinate,
+    # which a Fisher of the first block alone does not cover; the comp
+    # records no inputs, as the demo writes it
+    comp, theta_u = art.load_comp(f"{w}/comp"), art.load_model(f"{w}/theta_u")
+    i = theta_u.dim - 1
+    dw, tu = comp.delta_w.values.copy(), theta_u.params.values.copy()
+    dw[i] += 0.5
+    tu[i] += 0.5
+    art.save_comp(f"{tmp}/comp", replace(comp, delta_w=comp.delta_w.with_values(dw)))
+    art.save_model(f"{tmp}/theta_u", theta_u.with_params(tu))
+    fisher = art.load_fisher(f"{w}/fisher")
+    _, size, label = fisher.layout.blocks[0]
+    art.save_fisher(f"{tmp}/fisher", replace(fisher, fisher=BlockDiagMatrix(
+        blocks=fisher.fisher.blocks[:1],
+        layout=BlockLayout.from_sizes([(size, label)]))))
+    honest = invoke(*_certify_args(w, theta_u=tmp, comp=tmp))
+    assert honest.exit_code == 1, honest.output
+    return _certify_args(w, theta_u=tmp, comp=tmp, fisher=tmp)
+
+
+def _multipliers(command, extra):
+    """A case that runs ``command`` on a comp with ``extra`` multipliers
+    more than the mask's budget, or fewer when ``extra`` is negative."""
+    def case(w, tmp):
+        comp = art.load_comp(f"{w}/comp")
+        lam = comp.multipliers
+        lam = lam[:extra] if extra < 0 else np.append(lam, np.ones(extra))
+        art.save_comp(f"{tmp}/comp", replace(comp, multipliers=lam),
+                      inputs=art.comp_inputs(f"{w}/comp"))
+        if command == "certify":
+            return _certify_args(w, comp=tmp)
+        return tuple(a.format(w=w, tmp=tmp) for a in _PROVE_TMP_COMP)
+
+    case.__name__ = f"_{command}_multipliers_{extra:+d}"
+    return case
+
+
+def _square_fisher(command):
+    """A case that runs ``command`` on the staged run's Fisher written with
+    full square blocks, as an older format held them; certify gets a comp
+    that records no inputs, so no digest check stands in the way."""
+    def case(w, tmp):
+        resave_fisher(f"{w}/fisher", f"{tmp}/fisher",
+                      square_blocks(art.load_fisher(f"{w}/fisher").fisher))
+        if command == "unlearn":
+            return tuple(a.format(w=w, tmp=tmp) for a in _UNLEARN_TMP_FISHER)
+        art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
+        return _certify_args(w, comp=tmp, fisher=tmp)
+
+    case.__name__ = f"_{command}_square_fisher"
+    return case
+
+
 def _prove_args(w, tmp, f_w, f_c):
     return ("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{w}/theta_u",
             "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
@@ -353,6 +417,10 @@ def _fisher_zero_samples(w, tmp):
         _prove_fisher_not_recorded, _fisher_nan_entry, _comp_nan_multiplier,
         _header("comp_nan_residual", "comp",
                 _set("kkt_residual_inf", float("nan")), *_PROVE_TMP_COMP),
+        _certify_truncated_fisher,
+        _multipliers("certify", -1), _multipliers("certify", 1),
+        _multipliers("prove", -1), _multipliers("prove", 1),
+        _square_fisher("unlearn"), _square_fisher("certify"),
         _frac_bits_negative, _frac_bits_over_budget,
         _public_field("block_sizes", "missing", None),
         _public_field("block_sizes", "string", "4,8"),

@@ -10,9 +10,15 @@ from veriforget.curvature import (
     empirical_fisher_blockwise,
 )
 from veriforget.model import Dataset, grad_columns, init_mlp, per_example_grads
-from veriforget.numkit import BlockLayout, StructuralError
+from veriforget.numkit import BlockLayout, StructuralError, pack_upper
 
-from conftest import reference_fisher_blocks, small_dataset
+from conftest import (
+    dense,
+    reference_damp,
+    reference_fisher_blocks,
+    small_dataset,
+    square_blocks,
+)
 
 
 def full_layout(model):
@@ -29,7 +35,7 @@ def test_single_example_outer_product():
     layout = full_layout(model)
     fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
     g = per_example_grads(model, data)[0]
-    for blk, (sl, _) in zip(fisher.fisher.blocks, layout.slices()):
+    for blk, (sl, _) in zip(square_blocks(fisher.fisher), layout.slices()):
         assert np.abs(blk - np.outer(g[sl], g[sl])).max() <= 1e-14
 
 
@@ -41,7 +47,7 @@ def test_two_example_average():
     fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
     g = per_example_grads(model, data)
     want = (np.outer(g[0], g[0]) + np.outer(g[1], g[1])) / 2.0
-    for blk, (sl, _) in zip(fisher.fisher.blocks, layout.slices()):
+    for blk, (sl, _) in zip(square_blocks(fisher.fisher), layout.slices()):
         assert np.abs(blk - want[sl, sl]).max() <= 1e-13
 
 
@@ -51,7 +57,7 @@ def test_blocks_psd_and_damped_spd():
     data = small_dataset(rng, n=40)
     layout = curvature_layout(model.params.layout, cap=16)
     fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
-    for raw, damped in zip(fisher.fisher.blocks, fisher.damped_blocks()):
+    for raw, damped in zip(square_blocks(fisher.fisher), fisher.damped_blocks()):
         assert np.linalg.eigvalsh(raw).min() >= -1e-10
         assert np.linalg.eigvalsh(damped).min() >= 1e-3 - 1e-10
 
@@ -111,7 +117,10 @@ def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
     want = reference_fisher_blocks(model, data, layout, seed=seed)
     assert len(fisher.fisher.blocks) == len(want)
     for got, ref in zip(fisher.fisher.blocks, want):
-        assert np.array_equal(got, ref)
+        assert np.array_equal(got, pack_upper(ref))
+    # held as triangles, damped as the square blocks were: F + lam*I
+    for got, ref in zip(fisher.damped_blocks(), want):
+        assert got.tobytes() == reference_damp(ref, fisher.lam).tobytes()
     # blocks may start mid-row; filled column by column they still give
     # the per-example gradient matrix exactly
     filled = np.empty((n, model.dim))
@@ -169,7 +178,7 @@ def test_diag_matches_blockwise_diagonal():
     fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3,
                                         max_samples=1024, seed=0)
     c = diag_curvature(model, data, seed=0)
-    assert np.abs(np.diag(fisher.fisher.dense()) - c.diag).max() <= 1e-12
+    assert np.abs(np.diag(dense(fisher.fisher)) - c.diag).max() <= 1e-12
 
 
 def test_diag_zero_for_zero_gradient_model():

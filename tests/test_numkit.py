@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from veriforget.numkit import (
     BlockDiagMatrix,
@@ -9,9 +10,13 @@ from veriforget.numkit import (
     RangeError,
     StructuralError,
     canonical_json,
+    pack_upper,
     quantize,
     tree_sum,
+    unpack_upper,
 )
+
+from conftest import reference_damp
 
 
 def single_block_layout(d, label="b"):
@@ -69,11 +74,44 @@ def test_paramvector_immutable():
         v.values[0] = 2.0
 
 
-def test_blockdiag_rejects_asymmetric():
+def test_blockdiag_holds_upper_triangles():
     layout = single_block_layout(2)
-    with pytest.raises(StructuralError):
-        BlockDiagMatrix(blocks=(np.array([[1.0, 2.0], [0.0, 1.0]]),),
-                        layout=layout)
+    mat = BlockDiagMatrix(blocks=(np.arange(3.0),), layout=layout)
+    assert mat.blocks[0].shape == (3,)
+    # a square block, asymmetric or not, and triangles of other lengths
+    for bad in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), np.ones(2),
+                np.ones(4), np.array([1.0, np.inf, 0.0])):
+        with pytest.raises(StructuralError):
+            BlockDiagMatrix(blocks=(bad,), layout=layout)
+    with pytest.raises(StructuralError, match="block count"):
+        BlockDiagMatrix(blocks=(np.ones(3), np.ones(3)), layout=layout)
+
+
+def test_pack_upper_row_major():
+    block = np.arange(9).reshape(3, 3)
+    assert pack_upper(block).tolist() == [0, 1, 2, 4, 5, 8]
+    assert unpack_upper(pack_upper(block), 3).tolist() == [
+        [0, 1, 2], [1, 4, 5], [2, 5, 8]]
+    for size in (2, 4):
+        with pytest.raises(StructuralError, match="triangle"):
+            unpack_upper(np.arange(6), size)
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 64), st.floats(min_value=0.0, exclude_min=True,
+                                     allow_infinity=False), st.data())
+def test_unpack_upper_damps_as_the_oracle_bit_for_bit(size, lam, data):
+    raw = data.draw(arrays(np.float64, (size, size), elements=_ENTRY))
+    upper = np.triu(np.ones((size, size), dtype=bool))
+    block = np.where(upper, raw, raw.T)  # symmetric, signed zeros kept
+    tri = pack_upper(block)
+    with np.errstate(over="ignore"):  # both sides round alike to +-inf
+        assert unpack_upper(tri, size, lam).tobytes() == (
+            reference_damp(block, lam).tobytes())
+    assert np.array_equal(pack_upper(unpack_upper(tri, size)), tri)
 
 
 # -- fixed point -----------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
-from veriforget.numkit import BlockDiagMatrix, BlockLayout, ParamVector
+from veriforget.numkit import BlockLayout, ParamVector
 from veriforget.obs import (
     FeasibilityError,
     NumericError,
@@ -12,6 +12,9 @@ from veriforget.obs import (
 )
 
 from conftest import (
+    block_matrix,
+    damped,
+    dense,
     dense_kkt_solve,
     random_fisher,
     random_instance,
@@ -26,7 +29,7 @@ def identity_fisher(layout, lam=0.0):
         (1.0 - lam) * np.eye(s) for _, s, _ in layout.blocks
     )
     return BlockFisher(
-        fisher=BlockDiagMatrix(blocks=blocks, layout=layout),
+        fisher=block_matrix(blocks, layout),
         lam=lam if lam > 0 else 1e-12,
         sample_count=1,
         source_digest="t",
@@ -35,7 +38,7 @@ def identity_fisher(layout, lam=0.0):
 
 def kkt_oracle(fisher, theta, mask):
     """Independent dense solve of [[C, E], [E^T, 0]] [dw; lam] = [0; -theta_M]."""
-    c = fisher.damped().dense()
+    c = dense(damped(fisher))
     d = theta.dim
     k = mask.budget
     e = np.zeros((d, k))
@@ -81,7 +84,7 @@ def test_hand_2x2_kkt():
     layout = BlockLayout.from_sizes([(2, "b")])
     c = np.array([[2.0, 1.0], [1.0, 2.0]])
     fisher = BlockFisher(
-        fisher=BlockDiagMatrix(blocks=(c - 1e-9 * np.eye(2),), layout=layout),
+        fisher=block_matrix([c - 1e-9 * np.eye(2)], layout),
         lam=1e-9, sample_count=1, source_digest="t",
     )
     theta = ParamVector(values=np.array([1.0, 1.0]), layout=layout)
@@ -127,7 +130,7 @@ def test_large_block_matches_dense_oracle():
     comp = group_obs_solve(fisher, theta, mask)
     assert comp.method == "schur"
     dw_o, lam_o = dense_kkt_solve(
-        fisher.damped().dense(), theta.values, mask.support
+        dense(damped(fisher)), theta.values, mask.support
     )
     scale = max(np.abs(dw_o).max(), 1e-12)
     assert np.abs(comp.delta_w.values - dw_o).max() / scale <= 1e-8
@@ -139,7 +142,7 @@ def test_package_dense_oracle_agrees_with_local():
     rng = np.random.default_rng(3)
     fisher, theta, mask = random_instance(rng)
     dw_a, lam_a = dense_kkt_solve(
-        fisher.damped().dense(), theta.values, mask.support
+        dense(damped(fisher)), theta.values, mask.support
     )
     dw_b, lam_b = kkt_oracle(fisher, theta, mask)
     assert np.abs(dw_a - dw_b).max() <= 1e-10
@@ -154,7 +157,7 @@ def test_optimality_vs_random_feasible_alternatives():
     for trial in range(5):
         fisher, theta, mask = random_instance(rng)
         comp = group_obs_solve(fisher, theta, mask)
-        c = fisher.damped().dense()
+        c = dense(damped(fisher))
         dw = comp.delta_w.values
         obj_star = 0.5 * dw @ c @ dw
         for _ in range(200):
@@ -177,7 +180,7 @@ def test_compensation_never_worse_than_mask_only():
     for trial in range(10):
         fisher, theta, mask = random_instance(rng)
         comp = group_obs_solve(fisher, theta, mask)
-        c = fisher.damped().dense()
+        c = dense(damped(fisher))
         dw = comp.delta_w.values
         dw_m = np.zeros(theta.dim)
         dw_m[mask.support] = -theta.values[mask.support]
@@ -208,9 +211,7 @@ def test_apply_unlearn_rejects_large_residue():
 def test_non_spd_block_named():
     layout = BlockLayout.from_sizes([(2, "good"), (2, "bad")])
     fisher = BlockFisher(
-        fisher=BlockDiagMatrix(
-            blocks=(np.eye(2), np.diag([1.0, -1.0])), layout=layout
-        ),
+        fisher=block_matrix([np.eye(2), np.diag([1.0, -1.0])], layout),
         lam=1e-3, sample_count=1, source_digest="t",
     )
     theta = ParamVector(values=np.ones(4), layout=layout)

@@ -14,10 +14,11 @@ import veriforget
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
 from veriforget.numkit import (
-    BlockDiagMatrix,
     ParamVector,
     RangeError,
     StructuralError,
+    pack_upper,
+    unpack_upper,
 )
 from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.zkp import (
@@ -37,7 +38,6 @@ from veriforget.zkp import (
     from_field,
     merkle_root,
     mock_prove,
-    pack_curvature,
     permute,
     sponge,
     stationarity_bound_int,
@@ -63,6 +63,7 @@ from veriforget.zkp.witness import (
 )
 
 from conftest import (
+    block_matrix,
     random_fisher,
     random_instance,
     random_layout,
@@ -260,7 +261,7 @@ def test_commit_witness_leaves_no_child_process(monkeypatch, tmp_path):
     g = rng.integers(-1000, 1000, size=(150, 150))  # 1,618 packed elements
     vec = rng.integers(-1000, 1000, size=40)
     w = FixedWitness(theta_p=vec, theta_u=vec + 1, delta_w=np.ones(40, np.int64),
-                     lam=np.zeros(0, np.int64), c_blocks=(g + g.T,),
+                     lam=np.zeros(0, np.int64), c_blocks=(pack_upper(g + g.T),),
                      f_w=22, f_c=DEFAULT_FRAC_BITS_C)
     randomness = (4, 5, 6)
     expected = tuple(reference_merkle_root(get(w, w), r)
@@ -317,11 +318,6 @@ def test_killed_worker_raises_instead_of_hanging():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.split() == ["broken", "0"], proc.stderr
-
-
-def test_pack_curvature_upper_triangle_row_major():
-    blocks = (np.arange(9).reshape(3, 3), 100 + np.arange(4).reshape(2, 2))
-    assert pack_curvature(blocks).tolist() == [0, 1, 2, 4, 5, 8, 100, 101, 103]
 
 
 def test_run_zk_layer_commits_each_vector_once(monkeypatch):
@@ -415,9 +411,8 @@ def test_curvature_limb_alias_fails_range():
     bits = limb_bits(BOUND_C, w.f_c)
     # packed limbs 0 and 1 are block 0's C[0, 0] and C[0, 1]
     blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0, 0] += 1 << bits
-    blocks[0][0, 1] -= 1
-    blocks[0][1, 0] -= 1
+    blocks[0][0] += 1 << bits
+    blocks[0][1] -= 1
     bad = replace(w, c_blocks=tuple(blocks))
     assert commit_witness(bad, rnd)[2] == circuit.public.com_c_p
     assert mock_prove(circuit, bad, rnd) == "range/c_p[block 0]"
@@ -515,8 +510,8 @@ def test_honest_residual_below_analytic_bound_and_t_int():
         lam_full[mask.support] = [int(x) << w.f_c for x in w.lam]
         worst = 0
         for c_int, (sl, _) in zip(w.c_blocks, fisher.layout.slices()):
-            r = (c_int.astype(object) @ w.delta_w[sl].astype(object)
-                 + lam_full[sl])
+            c = unpack_upper(c_int, sl.stop - sl.start)
+            r = c.astype(object) @ w.delta_w[sl].astype(object) + lam_full[sl]
             worst = max(worst, max(abs(int(x)) for x in r))
         assert worst <= bound
         assert worst <= t_int
@@ -530,12 +525,13 @@ def test_t_int_below_lambda_tamper_threshold():
 
 def encode_curvature(fisher):
     """The curvature blocks the encoder commits for ``fisher`` at the
-    default fractional bits, with zero weights and multipliers."""
+    default fractional bits, with zero weights and multipliers, square."""
     zero = ParamVector(values=np.zeros(fisher.layout.total_dim),
                        layout=fisher.layout)
     mask = random_mask(np.random.default_rng(0), fisher.layout, 1)
-    return encode_fixed_witness(zero, zero, zero, np.zeros(1), fisher,
-                                mask).c_blocks
+    w = encode_fixed_witness(zero, zero, zero, np.zeros(1), fisher, mask)
+    return [unpack_upper(tri, size)
+            for tri, (_, size, _) in zip(w.c_blocks, fisher.layout.blocks)]
 
 
 @pytest.mark.parametrize("e", range(4, 13))
@@ -546,9 +542,8 @@ def test_row_sum_just_above_a_power_of_two_scales_into_bound(e):
     lam = BOUND_C * 2.0**e * (1 + 2.0**-52)
     layout = random_layout(np.random.default_rng(e), n_blocks=2, max_block=4)
     fisher = BlockFisher(
-        fisher=BlockDiagMatrix(
-            blocks=tuple(np.zeros((s, s)) for _, s, _ in layout.blocks),
-            layout=layout),
+        fisher=block_matrix([np.zeros((s, s)) for _, s, _ in layout.blocks],
+                            layout),
         lam=lam, sample_count=1, source_digest="test")
     for c in encode_curvature(fisher):
         assert (c == np.diag(np.diag(c))).all()
@@ -562,9 +557,8 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
     rng = np.random.default_rng(seed)
     layout = random_layout(rng, max_block=8)
     base = random_fisher(rng, layout, lam=2.0**log_lam)
-    fisher = replace(base, fisher=BlockDiagMatrix(
-        blocks=tuple(b * 2.0**log_scale for b in base.fisher.blocks),
-        layout=layout))
+    fisher = replace(base, fisher=replace(
+        base.fisher, blocks=tuple(b * 2.0**log_scale for b in base.fisher.blocks)))
     lim = int(BOUND_C * 2**DEFAULT_FRAC_BITS_C)
     assert all(np.abs(c).max() <= lim for c in encode_curvature(fisher))
 
@@ -577,16 +571,15 @@ def test_hand_constraint_count():
                      np.array([1, 5], dtype=np.int64))
     circ = synthesize(statement(mask, [8], 1 << 20), mask)
     # one 8x8 curvature block (d = 8), mask budget k = 2:
-    # range: theta_p, theta_u, delta_w 3 * 8 + lam 2 + curvature entries
-    #   8 * 8 + stationarity residual 8 = 98
-    # symmetry: strict lower triangle 8 * 7 / 2 = 28
+    # range: theta_p, theta_u, delta_w 3 * 8 + lam 2 + the committed upper
+    #   triangle 8 * 9 / 2 + stationarity residual 8 = 70
     # assembly: one row per coordinate, 8; feasibility: one per masked, 2
     # matvec: C dw, 8 * 8 = 64; commit: theta_p, theta_u, c_p = 3
     assert list(circ.counts.items()) == [
-        ("range", 98), ("symmetry", 28), ("assembly", 8), ("feasibility", 2),
-        ("matvec", 64), ("commit", 3),
+        ("range", 70), ("assembly", 8), ("feasibility", 2), ("matvec", 64),
+        ("commit", 3),
     ]
-    assert constraint_report(circ)["total"] == 203
+    assert constraint_report(circ)["total"] == 147
 
 
 def test_matvec_quadratic_scaling():
@@ -706,38 +699,23 @@ def test_block_order_independence():
     # mock_prove iterates blocks in layout order, so instead check that
     # tampering any single block is caught regardless of which block
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(10)
-    for bi in range(len(w.c_blocks)):
-        blocks = list(np.array(b) for b in w.c_blocks)
-        blocks[bi] = blocks[bi].copy()
-        blocks[bi][0, 0] += 1 << (w.f_c + 6)
-        sym = blocks[bi]
-        sym[0, 0] = sym[0, 0]  # diagonal tamper keeps symmetry
+    for bi, size in enumerate(circuit.public.block_sizes):
+        blocks = list(w.c_blocks)
+        c = unpack_upper(blocks[bi], size)
+        c[0, 0] += 1 << (w.f_c + 6)
+        blocks[bi] = pack_upper(c)
         bad = replace(w, c_blocks=tuple(blocks))
         assert mock_prove(circuit, bad, rnd, check_commitments=False) is not None
 
 
-def test_lower_triangle_tamper_fails_symmetry():
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(16)
-    rng = np.random.default_rng(16)
-    for bi, block in enumerate(w.c_blocks):
-        i = int(rng.integers(1, block.shape[0]))
-        j = int(rng.integers(0, i))
-        blocks = [b.copy() for b in w.c_blocks]
-        blocks[bi][i, j] += 1
-        bad = replace(w, c_blocks=tuple(blocks))
-        for check in (True, False):
-            violation = mock_prove(circuit, bad, rnd, check_commitments=check)
-            assert violation == f"symmetry/c_p[block {bi}]"
-
-
 def test_symmetric_pair_tamper_fails_commitment():
-    # a +-1 change to C[0,1] and C[1,0] moves the residual by |dw| units,
-    # far inside T_int; only the commitment to the upper triangle sees it
+    # a +-1 change to the triangle entry C[0,1], which is also C[1,0],
+    # moves the residual by |dw| units, far inside T_int; only the
+    # commitment to the upper triangle sees it
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(17)
     for sign in (1, -1):
         blocks = [b.copy() for b in w.c_blocks]
-        blocks[0][0, 1] += sign
-        blocks[0][1, 0] += sign
+        blocks[0][1] += sign
         bad = replace(w, c_blocks=tuple(blocks))
         assert mock_prove(circuit, bad, rnd, check_commitments=False) is None
         assert mock_prove(circuit, bad, rnd) == "commit/c_p"
@@ -745,13 +723,7 @@ def test_symmetric_pair_tamper_fails_commitment():
 
 def _tamper_range(w, circuit):
     blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0, 0] = int(BOUND_C * 2**w.f_c) + 1
-    return replace(w, c_blocks=tuple(blocks)), circuit
-
-
-def _tamper_symmetry(w, circuit):
-    blocks = [b.copy() for b in w.c_blocks]
-    next(b for b in blocks if b.shape[0] > 1)[1, 0] += 1
+    blocks[0][0] = int(BOUND_C * 2**w.f_c) + 1  # C[0, 0]
     return replace(w, c_blocks=tuple(blocks)), circuit
 
 
@@ -783,7 +755,6 @@ def _tamper_commit(w, circuit):
 # family -> (tamper, prefix of the first violation it must produce)
 TAMPERS = {
     "range": (_tamper_range, "range/"),
-    "symmetry": (_tamper_symmetry, "symmetry/"),
     "assembly": (_tamper_assembly, "assembly["),
     "feasibility": (_tamper_feasibility, "feasibility["),
     "matvec": (_tamper_matvec, "stationarity["),
@@ -795,7 +766,7 @@ def test_range_catches_int64_min_curvature():
     # np.abs(int64 min) is int64 min, which a max-of-abs bound misses
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(19)
     blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0, 0] = np.iinfo(np.int64).min
+    blocks[0][0] = np.iinfo(np.int64).min  # C[0, 0]
     bad = replace(w, c_blocks=tuple(blocks))
     violation = mock_prove(circuit, bad, rnd, check_commitments=False)
     assert violation == "range/c_p[block 0]"
@@ -919,7 +890,7 @@ def test_free_curvature_witness_rejected():
     for sl, _ in r.fisher.layout.slices():
         u = dw[sl].astype(np.float64)
         c = np.eye(u.size) - np.outer(u, u) / (u @ u)
-        blocks.append(np.rint(c * 2**w.f_c).astype(np.int64))
+        blocks.append(pack_upper(np.rint(c * 2**w.f_c).astype(np.int64)))
     forged = FixedWitness(
         theta_p=w.theta_p, theta_u=w.theta_p + dw, delta_w=dw,
         lam=np.zeros_like(w.lam), c_blocks=tuple(blocks), f_w=w.f_w, f_c=w.f_c)
