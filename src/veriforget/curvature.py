@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, MlpModel, grad_columns, per_example_grads, stream_rng
+from .model import Dataset, MlpModel, grad_columns, stream_rng
 from .numkit import (
     BlockDiagMatrix,
     BlockLayout,
@@ -139,5 +139,11 @@ def diag_curvature(
     if len(data) == 0:
         raise StructuralError("empty dataset")
     sub, _ = _subsample(data, max_samples, seed)
-    grads = per_example_grads(model, sub)
-    return DiagCurvature(diag=(grads**2).mean(axis=0))
+    # Capped blocks keep each block's gradient columns at n x 256 at most.
+    layout = curvature_layout(model.params.layout)
+    out = np.empty(model.dim)
+    for (sl, _), cols in zip(layout.slices(), grad_columns(model, sub, layout)):
+        # Summed row after row, as a mean over the rows of an n x d matrix
+        # is; numpy would sum an n x 1 column pairwise, in another order.
+        out[sl] = np.cumsum(cols**2, axis=0)[-1] / len(sub)
+    return DiagCurvature(diag=out)

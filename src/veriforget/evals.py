@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .model import (
     Dataset,
@@ -62,19 +61,20 @@ def evaluate_accuracy(model: MlpModel, data: Dataset) -> float:
 def mia_auc(model: MlpModel, members: Dataset, nonmembers: Dataset) -> float:
     """AUC of per-example loss separating members (lower) from nonmembers.
 
-    Exact rank-based (Mann-Whitney) AUC with midrank tie handling.
+    Exact Mann-Whitney AUC with ties counted one half.  Each nonmember
+    loss scores the members strictly below it plus half those equal to
+    it, so U is a sum of half-integers: exact in floating point, and
+    equal to the midrank formula's value.
     """
     if len(members) == 0 or len(nonmembers) == 0:
         raise StructuralError("both member and nonmember sets must be non-empty")
-    lm = per_example_losses(model, members)
+    lm = np.sort(per_example_losses(model, members))
     ln = per_example_losses(model, nonmembers)
-    scores = np.concatenate([lm, ln])
-    ranks = rankdata(scores)  # midranks
-    n_m, n_n = lm.size, ln.size
+    below = np.searchsorted(lm, ln, side="left")
+    not_above = np.searchsorted(lm, ln, side="right")
     # members score lower -> AUC = P(loss_nonmember > loss_member)
-    rank_sum_nonmembers = ranks[n_m:].sum()
-    u = rank_sum_nonmembers - n_n * (n_n + 1) / 2.0
-    return float(u / (n_m * n_n))
+    u = below.sum() + 0.5 * (not_above - below).sum()
+    return float(u / (lm.size * ln.size))
 
 
 @dataclass

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .curvature import BlockFisher
 from .masking import MaskArtifact
@@ -51,6 +50,9 @@ def group_obs_solve(
     mask: MaskArtifact,
 ) -> CompensationResult:
     """Closed-form KKT solution of the Group-OBS program, block by block."""
+    # Imported on first use: scipy takes longer to load than most commands run.
+    from scipy.linalg import cho_factor, cho_solve
+
     if mask.model_dim != theta_p.dim:
         raise StructuralError("mask dimension does not match parameters")
     if c_p.layout.total_dim != theta_p.dim:

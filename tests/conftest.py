@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from veriforget import artifacts as art
 from veriforget.curvature import (
@@ -149,6 +150,23 @@ def reference_fisher_blocks(model, data, layout, max_samples=DEFAULT_MAX_SAMPLES
         f = gb.T @ gb / n
         blocks.append(0.5 * (f + f.T))
     return blocks
+
+
+def reference_diag_curvature(model, data, max_samples=DEFAULT_MAX_SAMPLES,
+                             seed=0):
+    """Oracle: the mean squared column of the full n x d per-example
+    gradient matrix, over the estimator's own seeded subsample."""
+    sub, _ = _subsample(data, max_samples, seed)
+    return (per_example_grads(model, sub) ** 2).mean(axis=0)
+
+
+def reference_mia_auc(member_losses, nonmember_losses):
+    """Oracle: the Mann-Whitney AUC from the midranks of the pooled
+    losses, P(nonmember loss > member loss) with ties counted one half."""
+    n_m, n_n = len(member_losses), len(nonmember_losses)
+    ranks = rankdata(np.concatenate([member_losses, nonmember_losses]))
+    u = ranks[n_m:].sum() - n_n * (n_n + 1) / 2.0
+    return float(u / (n_m * n_n))
 
 
 def reference_permute(state):

@@ -2,12 +2,15 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import veriforget
 from veriforget import artifacts as art
 from veriforget import zkp
 from veriforget.cli import main
@@ -605,3 +608,18 @@ def test_staged_chain_matches_run_pipeline(tmp_path):
     assert np.array_equal(theta_u.params.values, ref.theta_u.params.values)
     assert art.load_mask(f"{w}/mask.mask").digest == ref.mask.digest
     assert art.load_public(f"{w}/public.pub") == ref.circuit.public
+
+
+def test_no_command_imports_scipy():
+    # scipy takes longer to import than most commands take to run; only
+    # the OBS solve loads it, when it first runs.  A fresh interpreter, so
+    # that no other test has imported it.
+    script = ("import sys, veriforget.cli, veriforget.pipeline, "
+              "veriforget.artifacts; print(sorted({m.split('.')[0] "
+              "for m in sys.modules} & {'scipy'}))")
+    src = os.path.dirname(os.path.dirname(veriforget.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -15,6 +15,7 @@ from veriforget.numkit import BlockLayout, StructuralError, pack_upper
 from conftest import (
     dense,
     reference_damp,
+    reference_diag_curvature,
     reference_fisher_blocks,
     small_dataset,
     square_blocks,
@@ -159,6 +160,35 @@ def test_fisher_memory_excludes_nxd_gradient_matrix():
 
 
 # -- diagonal proxy --------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+    n=st.integers(1, 40),
+    max_samples=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diag_bit_exact_against_nxd_oracle(dims, n, max_samples, seed):
+    # widths of 1 give n x 1 gradient columns, which numpy sums pairwise
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, 0)
+    model = model.with_params(rng.normal(size=model.dim))
+    data = small_dataset(rng, n=n, dim=dims[0], classes=dims[-1])
+    got = diag_curvature(model, data, max_samples=max_samples, seed=seed).diag
+    want = reference_diag_curvature(model, data, max_samples, seed)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_diag_bit_exact_on_capped_blocks():
+    # each 257-wide block is split at 256 into a part that ends mid-row
+    # and a 1-wide part, which numpy would sum pairwise
+    rng = np.random.default_rng(8)
+    model = init_mlp([1, 257, 1, 3], 7)
+    model = model.with_params(rng.normal(size=model.dim))
+    data = small_dataset(rng, n=300, dim=1, classes=3)
+    got = diag_curvature(model, data, seed=3).diag
+    assert got.tobytes() == reference_diag_curvature(model, data, seed=3).tobytes()
 
 
 def test_diag_single_example():

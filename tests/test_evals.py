@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from veriforget import evals
 from veriforget.evals import (
     evaluate,
     evaluate_accuracy,
@@ -17,7 +21,7 @@ from veriforget.model import (
 )
 from veriforget.numkit import StructuralError
 
-from conftest import small_dataset
+from conftest import reference_mia_auc, small_dataset
 
 
 # -- forward KL ---------------------------------------------------------------
@@ -110,6 +114,31 @@ def test_mia_perfect_separation():
     members = train
     nonmembers = Dataset(features=x, labels=1 - y, name="flipped")
     assert mia_auc(model, members, nonmembers) == 1.0
+
+
+# Losses drawn from a few values, so that most of them tie.
+_TIED_LOSSES = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 1.0, 1.5, 3.0]),
+              st.floats(0.0, 4.0).map(lambda x: round(x, 1))),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lm=_TIED_LOSSES, ln=_TIED_LOSSES, dup=st.booleans())
+@example(lm=[1.0], ln=[1.0], dup=False)
+@example(lm=[0.5], ln=[0.5, 0.5, 2.0], dup=False)
+def test_mia_matches_midrank_oracle_exactly(lm, ln, dup):
+    if dup:
+        ln = lm + ln  # every member loss also a nonmember loss
+    lm, ln = np.array(lm), np.array(ln)
+    members = Dataset(features=np.zeros((lm.size, 1)),
+                      labels=np.zeros(lm.size, dtype=np.int64), name="m")
+    nonmembers = Dataset(features=np.zeros((ln.size, 1)),
+                         labels=np.zeros(ln.size, dtype=np.int64), name="n")
+    with mock.patch.object(evals, "per_example_losses", side_effect=[lm, ln]):
+        got = mia_auc(None, members, nonmembers)
+    assert got == reference_mia_auc(lm, ln)
 
 
 def test_mia_in_unit_interval():
