@@ -125,20 +125,44 @@ class MlpModel:
     def dim(self) -> int:
         return self.params.dim
 
-    def weights(self):
-        """Yield (W_i, b_i) views with W_i of shape (din, dout)."""
-        for i, (din, dout) in enumerate(
-            zip(self.layer_dims[:-1], self.layer_dims[1:])
-        ):
-            w = self.params.block(f"mlp.{i}.w").reshape(din, dout)
-            b = self.params.block(f"mlp.{i}.b")
-            yield w, b
+    def weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The per-layer (W_i, b_i) views, W_i of shape (din, dout)."""
+        return _layer_views(self.layer_dims, self.params.values)
 
     def with_params(self, values: np.ndarray) -> "MlpModel":
         return MlpModel(
             layer_dims=self.layer_dims,
             params=self.params.with_values(values),
             activation=self.activation,
+        )
+
+
+def _layer_views(layer_dims, flat: np.ndarray):
+    """Per-layer (W_i, b_i) views into ``flat``, laid out as by
+    ``mlp_layout(layer_dims)``."""
+    views, off = [], 0
+    for din, dout in zip(layer_dims[:-1], layer_dims[1:]):
+        w = flat[off : off + din * dout].reshape(din, dout)
+        off += din * dout
+        views.append((w, flat[off : off + dout]))
+        off += dout
+    return views
+
+
+def check_fits(model: MlpModel, data: Dataset) -> None:
+    """Raise StructuralError unless ``data`` has the model's input width
+    and labels below its number of classes."""
+    width, classes = model.layer_dims[0], model.layer_dims[-1]
+    if data.features.shape[1] != width:
+        raise StructuralError(
+            f"dataset has {data.features.shape[1]} features, model input is "
+            f"{width}"
+        )
+    top = int(data.labels.max())
+    if top >= classes:
+        raise StructuralError(
+            f"dataset label {top} is out of range for a model of {classes} "
+            "classes"
         )
 
 
@@ -156,11 +180,11 @@ def init_mlp(layer_dims: list[int], seed: int) -> MlpModel:
     )
 
 
-def _forward(model: MlpModel, x: np.ndarray):
-    """Forward pass on a batch; returns logits and per-layer activations."""
+def _forward(layers, x: np.ndarray):
+    """Forward pass on a batch through ``layers``, the per-layer (W, b)
+    views; returns logits and per-layer activations."""
     acts = [x]
     h = x
-    layers = list(model.weights())
     for li, (w, b) in enumerate(layers):
         z = h @ w + b
         if li < len(layers) - 1:
@@ -177,7 +201,7 @@ def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise StructuralError(
             f"input dim {x.shape[1]} != model input {model.layer_dims[0]}"
         )
-    z, _ = _forward(model, x)
+    z, _ = _forward(model.weights(), x)
     return z
 
 
@@ -195,15 +219,13 @@ def predictive_dist(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return p[0] if single else p
 
 
-def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray):
+def _backprop(layers, x: np.ndarray, y: np.ndarray):
     """Yield (layer index, its input activations, dL/dz at its output) for
-    the summed cross-entropy loss, from the last layer to the first."""
-    z, acts = _forward(model, x)
-    p = _softmax(z)
-    n = x.shape[0]
-    delta = p.copy()
-    delta[np.arange(n), y] -= 1.0  # dL/dz for summed loss
-    layers = list(model.weights())
+    the summed cross-entropy loss through ``layers``, the per-layer (W, b)
+    views, from the last layer to the first."""
+    z, acts = _forward(layers, x)
+    delta = _softmax(z)
+    delta[np.arange(x.shape[0]), y] -= 1.0  # dL/dz for summed loss
     for li in range(len(layers) - 1, -1, -1):
         yield li, acts[li], delta
         if li > 0:
@@ -211,14 +233,13 @@ def _backprop(model: MlpModel, x: np.ndarray, y: np.ndarray):
             delta = (delta @ w.T) * (1.0 - acts[li] ** 2)
 
 
-def _backward(model: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Summed cross-entropy gradient over the batch, as a flat vector."""
-    flat = np.empty(model.dim)
-    layout = model.params.layout
-    for li, a_prev, delta in _backprop(model, x, y):
-        flat[layout.block_slice(f"mlp.{li}.w")] = (a_prev.T @ delta).ravel()
-        flat[layout.block_slice(f"mlp.{li}.b")] = delta.sum(axis=0)
-    return flat
+def _backward(layers, x: np.ndarray, y: np.ndarray, grads) -> None:
+    """Write the summed cross-entropy gradient over the batch into
+    ``grads``, per-layer (W, b) views shaped as ``layers``."""
+    for li, a_prev, delta in _backprop(layers, x, y):
+        gw, gb = grads[li]
+        np.matmul(a_prev.T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
 
 
 def grad_columns(model: MlpModel, data: Dataset, layout: BlockLayout):
@@ -232,9 +253,12 @@ def grad_columns(model: MlpModel, data: Dataset, layout: BlockLayout):
     """
     if layout.total_dim != model.dim:
         raise StructuralError("curvature layout dim does not match model")
+    check_fits(model, data)
     factors = {
         li: (a_prev, delta)
-        for li, a_prev, delta in _backprop(model, data.features, data.labels)
+        for li, a_prev, delta in _backprop(
+            model.weights(), data.features, data.labels
+        )
     }
     n = len(data)
     owners = zip(
@@ -271,8 +295,11 @@ def per_example_grads(model: MlpModel, data: Dataset) -> np.ndarray:
 
 def batch_grad(model: MlpModel, data: Dataset) -> ParamVector:
     """Gradient of the mean loss over the dataset."""
-    g = _backward(model, data.features, data.labels) / len(data)
-    return model.params.with_values(g)
+    check_fits(model, data)
+    g = np.empty(model.dim)
+    _backward(model.weights(), data.features, data.labels,
+              _layer_views(model.layer_dims, g))
+    return model.params.with_values(g / len(data))
 
 
 def mean_loss(model: MlpModel, data: Dataset) -> float:
@@ -280,6 +307,7 @@ def mean_loss(model: MlpModel, data: Dataset) -> float:
 
 
 def per_example_losses(model: MlpModel, data: Dataset) -> np.ndarray:
+    check_fits(model, data)
     z = logits(model, data.features)
     z = z - z.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -291,33 +319,80 @@ def per_example_losses(model: MlpModel, data: Dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _loss_bounded(layers, x_scale: float, n: int) -> bool:
+    """True when a bound from the weights alone proves that the mean loss
+    over any n examples with max|x| <= ``x_scale`` is finite.
+
+    Let a = ``x_scale`` for the first layer and a = 1 for every later one,
+    whose input is a tanh output in [-1, 1].  For layer (W, b) let
+    B = a * max_j sum_i |W_ij| + max_j |b_j|, and let C be the number of
+    classes.  The test passes when (2B + C) * n < 1e300 for every layer.
+    Then:
+
+    - every pre-activation, and every partial sum formed while computing
+      it, is at most B in magnitude, far below the largest double, so no
+      hidden activation is inf - inf = NaN and every logit is finite and
+      at most B in magnitude;
+    - in each row, z - max z lies in [-2B, 0], so the sum of its
+      exponentials lies in [1, C] and its log is finite;
+    - each example's loss lies in [0, 2B + log C], so the tree sum of n
+      of them stays below 1e300 and their mean is finite.
+
+    The factor 1e8 between 1e300 and the largest double absorbs rounding.
+    If computing B overflows to inf, or gives NaN (0 * inf), the test
+    fails and the caller must compute the loss.  The last layer's bound
+    alone would not do: it assumes |tanh| <= 1, which a NaN from
+    overflowing +inf and -inf partial sums in a hidden layer breaks.
+    """
+    classes = layers[-1][0].shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for li, (w, b) in enumerate(layers):
+            a = x_scale if li == 0 else 1.0
+            bound = a * np.abs(w).sum(axis=0).max() + np.abs(b).max()
+            if not (2.0 * bound + classes) * n < 1e300:
+                return False
+    return True
+
+
 def train_sgd(
     init: MlpModel,
     data: Dataset,
     cfg: TrainConfig,
     stream: str = "train",
 ) -> MlpModel:
-    """Deterministic minibatch SGD with momentum."""
+    """Deterministic minibatch SGD with momentum.
+
+    Steps in place on one parameter buffer, one velocity and one gradient,
+    each allocated once per call; the per-layer (W, b) views into them are
+    built once.  After each epoch the mean loss over ``data`` must be
+    finite.  It is computed only when ``_loss_bounded`` cannot prove it.
+    """
+    check_fits(init, data)
     theta = init.params.values.copy()
     velocity = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    layers = _layer_views(init.layer_dims, theta)
+    grads = _layer_views(init.layer_dims, grad)
+    x, y = data.features, data.labels
+    x_scale = float(np.abs(x).max())
     n = len(data)
-    model = init
     for epoch in range(cfg.epochs):
         rng = stream_rng(cfg.seed, f"{stream}/shuffle/epoch-{epoch}")
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = data.subset(idx)
-            g = batch_grad(model, batch).values
-            velocity = MOMENTUM * velocity - cfg.learning_rate * g
-            theta = theta + velocity
+            _backward(layers, x[idx], y[idx], grads)
+            grad /= len(idx)
+            velocity *= MOMENTUM
+            velocity -= cfg.learning_rate * grad
+            theta += velocity
             if not np.all(np.isfinite(theta)):
                 raise TrainingError(f"parameters diverged at epoch {epoch}")
-            model = init.with_params(theta)
-        loss = mean_loss(model, data)
-        if not np.isfinite(loss):
-            raise TrainingError(f"loss diverged at epoch {epoch}")
-    return model
+        if not _loss_bounded(layers, x_scale, n):
+            loss = mean_loss(init.with_params(theta.copy()), data)
+            if not np.isfinite(loss):
+                raise TrainingError(f"loss diverged at epoch {epoch}")
+    return init.with_params(theta)
 
 
 def personalize(model: MlpModel, d_p: Dataset, cfg: TrainConfig) -> MlpModel:

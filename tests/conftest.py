@@ -16,10 +16,15 @@ from veriforget.curvature import (
 )
 from veriforget.masking import make_mask
 from veriforget.model import (
+    MOMENTUM,
     Dataset,
+    TrainingError,
+    batch_grad,
     init_mlp,
     make_synthetic_task,
+    mean_loss,
     per_example_grads,
+    stream_rng,
 )
 from veriforget.numkit import (
     BlockDiagMatrix,
@@ -158,6 +163,36 @@ def reference_diag_curvature(model, data, max_samples=DEFAULT_MAX_SAMPLES,
     gradient matrix, over the estimator's own seeded subsample."""
     sub, _ = _subsample(data, max_samples, seed)
     return (per_example_grads(model, sub) ** 2).mean(axis=0)
+
+
+def reference_train_sgd(init, data, cfg, stream="train"):
+    """Oracle: momentum SGD as one object-building loop, a Dataset, a
+    gradient ParamVector and a model per step, and the mean loss over all
+    of ``data`` computed after every epoch.
+
+    It raises StructuralError, not TrainingError, when a batch gradient is
+    non-finite: the gradient's ParamVector rejects it before the
+    parameters are checked."""
+    theta = init.params.values.copy()
+    velocity = np.zeros_like(theta)
+    n = len(data)
+    model = init
+    for epoch in range(cfg.epochs):
+        rng = stream_rng(cfg.seed, f"{stream}/shuffle/epoch-{epoch}")
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            batch = data.subset(idx)
+            g = batch_grad(model, batch).values
+            velocity = MOMENTUM * velocity - cfg.learning_rate * g
+            theta = theta + velocity
+            if not np.all(np.isfinite(theta)):
+                raise TrainingError(f"parameters diverged at epoch {epoch}")
+            model = init.with_params(theta)
+        loss = mean_loss(model, data)
+        if not np.isfinite(loss):
+            raise TrainingError(f"loss diverged at epoch {epoch}")
+    return model
 
 
 def reference_mia_auc(member_losses, nonmember_losses):

@@ -371,6 +371,17 @@ _GOLD = ("gold", "--init", "{w}/theta0_init", "--retain", "{w}/retain.dset",
          "--personal", "{w}/personal.dset", "--out", "{tmp}/g")
 
 
+def _misfit(name, dims, *args):
+    """A case that runs ``args`` with ``{model}`` a fresh model of shape
+    ``dims``, which the staged run's 4-feature, 3-class data do not fit."""
+    def case(w, tmp):
+        art.save_model(f"{tmp}/model", init_mlp(list(dims), 0))
+        return tuple(a.format(w=w, tmp=tmp, model=f"{tmp}/model") for a in args)
+
+    case.__name__ = f"_misfit_{name}"
+    return case
+
+
 def _frac_bits_negative(w, tmp):
     return _prove_args(w, tmp, -3, 32)
 
@@ -483,6 +494,24 @@ def _fisher_zero_samples(w, tmp):
         _public_field("com_c_p", "negative", lambda r: "-" + r),
         _public_field("com_c_p", "above_modulus",
                       lambda r: f"{int(r, 16) + zkp.MODULUS:064x}"),
+        _option("misfit_train_width", *_TRAIN, "--data", "{w}/train.dset",
+                "--layers", "5,8,3"),
+        _option("misfit_train_classes", *_TRAIN, "--data", "{w}/train.dset",
+                "--layers", "4,8,2"),
+        _misfit("personalize", (5, 8, 3), "personalize", "--model", "{model}",
+                "--data", "{w}/personal.dset", "--out", "{tmp}/p"),
+        _misfit("gold", (5, 8, 3), "gold", "--init", "{model}",
+                "--retain", "{w}/retain.dset", "--personal",
+                "{w}/personal.dset", "--out", "{tmp}/g"),
+        _misfit("fisher", (5, 8, 3), "fisher", "--model", "{model}",
+                "--data", "{w}/personal.dset", "--out", "{tmp}/f"),
+        _misfit("mask", (5, 8, 3), "mask", "--model", "{model}",
+                "--data", "{w}/forget.dset", "--out", "{tmp}/m.mask"),
+        _misfit("evaluate_classes", (4, 8, 2), "evaluate", "--model", "{model}",
+                "--gold", "{model}", "--forget", "{w}/holdout_forget.dset",
+                "--personal", "{w}/holdout_personal.dset",
+                "--members", "{w}/forget.dset",
+                "--nonmembers", "{w}/holdout_forget.dset"),
     ]
 )
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
@@ -501,6 +530,19 @@ def test_numeric_error_exit_3(workdir):
                  "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
                  "--data", f"{w}/forget.dset", "--lambda-q", "-100")
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("args", [
+    (*_TRAIN, "--seed", "3", "--layers", "4,8,3", "--lr", "1e308"),
+    (*_PERSONALIZE, "--lr", "1e308"),
+    (*_GOLD, "--p-lr", "1e308"),
+], ids=["train", "personalize", "gold"])
+def test_diverged_training_exit_3(workdir, tmp_path, args):
+    # a non-finite batch gradient is divergence too, not a bad artifact
+    with np.errstate(all="ignore"):
+        res = invoke(*(a.format(w=workdir, tmp=tmp_path) for a in args))
+    assert res.exit_code == 3, res.output
+    assert "diverged at epoch" in res.output
 
 
 def test_prove_json_reports_constraint_table(workdir, tmp_path):

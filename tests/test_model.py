@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from veriforget.model import (
+    _loss_bounded,
     Dataset,
     TrainConfig,
     TrainingError,
@@ -18,7 +20,7 @@ from veriforget.model import (
 )
 from veriforget.numkit import StructuralError
 
-from conftest import small_dataset
+from conftest import reference_train_sgd, small_dataset
 
 
 def fd_grad(model, x, y, h=1e-5):
@@ -147,6 +149,131 @@ def test_divergence_raises():
     with np.errstate(over="ignore"), pytest.raises(TrainingError):
         train_sgd(init_mlp([4, 6, 3], 2), data,
                   TrainConfig(learning_rate=1e308, epochs=50, seed=0))
+
+
+def _scaled(rng, size, max_exp):
+    """Uniform draws in (-1, 1), each scaled by 10**e for its own e drawn
+    from [-2, max_exp]: finite, and up to 1e308 in magnitude."""
+    return rng.uniform(-1, 1, size=size) * 10.0 ** rng.uniform(-2, max_exp, size)
+
+
+def _outcome(train, *args):
+    """The trained parameters' bytes, or the type and message of the
+    error training raised."""
+    try:
+        return train(*args).params.values.tobytes()
+    except (TrainingError, StructuralError) as exc:
+        return type(exc), str(exc)
+
+
+_DIMS = st.lists(st.integers(1, 6), min_size=2, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dims=_DIMS,
+    n=st.integers(1, 20),
+    batch_size=st.integers(1, 25),
+    epochs=st.integers(0, 3),
+    lr_exp=st.sampled_from([-2, -1, 0, 2, 10, 100, 300, 307]),
+    w_exp=st.sampled_from([0, 1, 10, 100, 300]),
+    x_exp=st.sampled_from([0, 1, 10, 100, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=[8, 3, 1, 4], n=20, batch_size=6, epochs=3, lr_exp=-1,
+         w_exp=0, x_exp=1, seed=0)
+@example(dims=[5, 3], n=7, batch_size=25, epochs=2, lr_exp=-1,
+         w_exp=0, x_exp=1, seed=1)
+# a non-finite batch gradient in the second epoch
+@example(dims=[4, 8, 3], n=20, batch_size=8, epochs=2, lr_exp=307,
+         w_exp=0, x_exp=10, seed=40)
+def test_train_sgd_bit_exact_against_oracle(dims, n, batch_size, epochs,
+                                            lr_exp, w_exp, x_exp, seed):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, 0)
+    model = model.with_params(_scaled(rng, model.dim, w_exp))
+    data = Dataset(features=_scaled(rng, (n, dims[0]), x_exp),
+                   labels=rng.integers(0, dims[-1], size=n))
+    cfg = TrainConfig(learning_rate=10.0 ** lr_exp, epochs=epochs,
+                      batch_size=batch_size, seed=seed)
+    with np.errstate(all="ignore"):
+        want = _outcome(reference_train_sgd, model, data, cfg)
+        got = _outcome(train_sgd, model, data, cfg)
+    if want == (StructuralError, "non-finite entries in ParamVector"):
+        # the oracle's gradient ParamVector rejects a non-finite gradient
+        # before the parameters are checked; a non-finite gradient always
+        # makes the parameters non-finite
+        assert got[0] is TrainingError
+        assert got[1].startswith("parameters diverged at epoch "), got
+    else:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dims=_DIMS,
+    n=st.integers(1, 12),
+    w_exp=st.floats(0, 308),
+    x_exp=st.floats(0, 308),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_bound_never_passes_a_non_finite_loss(dims, n, w_exp, x_exp,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, 0)
+    model = model.with_params(_scaled(rng, model.dim, w_exp))
+    x = _scaled(rng, (n, dims[0]), x_exp)
+    data = Dataset(features=x, labels=rng.integers(0, dims[-1], size=n))
+    with np.errstate(all="ignore"):
+        if _loss_bounded(model.weights(), float(np.abs(x).max()), n):
+            assert np.isfinite(mean_loss(model, data))
+
+
+def test_loss_bound_passes_ordinary_models():
+    rng = np.random.default_rng(10)
+    for dims in ([4, 3], [4, 8, 3], [8, 3, 1, 4]):
+        data = small_dataset(rng, n=50, dim=dims[0], classes=dims[-1])
+        model = train_sgd(init_mlp(dims, 0), data, TrainConfig(epochs=3))
+        assert _loss_bounded(model.weights(), float(np.abs(data.features).max()),
+                             len(data))
+
+
+def test_loss_bound_covers_hidden_layers():
+    # the logits' own bound holds (|h| <= 1 and unit output weights), but
+    # each hidden pre-activation sums +-1e310 terms that overflow to +inf
+    # and -inf in different accumulators, so tanh gives NaN and so does
+    # the loss
+    din, n = 16, 5
+    model = init_mlp([din, 2, 2], 0)
+    w0 = np.zeros((din, 2))
+    w0[:, 0] = 1e10 * (-1.0) ** np.arange(din)
+    vals = np.zeros(model.dim)
+    layout = model.params.layout
+    vals[layout.block_slice("mlp.0.w")] = w0.ravel()
+    vals[layout.block_slice("mlp.1.w")] = np.eye(2).ravel()
+    model = model.with_params(vals)
+    data = Dataset(features=np.full((n, din), 1e300),
+                   labels=np.zeros(n, dtype=np.int64))
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(mean_loss(model, data))
+        assert not _loss_bounded(model.weights(), 1e300, n)
+
+
+def test_finite_parameters_with_non_finite_loss_diverge():
+    # the initial weights predict class 0 with certainty, so the first
+    # step moves W by about 0.1 * 1e300 towards class 1: every parameter
+    # stays finite, but x * W overflows, so the end-of-epoch loss is NaN
+    # and only the full-data loss can tell
+    data = Dataset(features=np.array([[1e300]]), labels=np.array([1]))
+    cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=1, seed=0)
+    init = init_mlp([1, 2], 0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingError) as ref:
+            reference_train_sgd(init, data, cfg)
+        with pytest.raises(TrainingError) as got:
+            train_sgd(init, data, cfg)
+    assert str(ref.value) == "loss diverged at epoch 0"
+    assert str(got.value) == str(ref.value)
 
 
 def test_personalize_zero_epochs_identity():
