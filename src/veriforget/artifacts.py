@@ -7,8 +7,9 @@ back to back as C-contiguous little-endian f64 or i64.  The header's own
 digest therefore binds the whole artifact.  Masks, public inputs and
 proofs are single JSON files.  Every derived artifact records the
 digests of the artifacts it was computed from, so downstream stages can
-refuse mismatched inputs.  Every reader raises IntegrityError when an
-artifact is missing, truncated or malformed.
+refuse mismatched inputs.  Every reader raises ``numkit.StructuralError``
+when an artifact is missing, truncated or malformed, or does not match
+the digest another artifact records for it.
 """
 
 from __future__ import annotations
@@ -40,23 +41,18 @@ from .zkp import Proof, PublicInputs
 _DTYPES = ("<f8", "<i8")
 
 
-class IntegrityError(ValueError):
-    """An artifact is unreadable, or references an input whose digest does
-    not match."""
-
-
 def _reader(fn):
     """Report a missing file, unparsable JSON, a missing key or a short
-    blob in the artifact at ``path`` as an IntegrityError."""
+    blob in the artifact at ``path`` as a StructuralError."""
 
     @functools.wraps(fn)
     def wrapper(path: str):
         try:
             return fn(path)
-        except (IntegrityError, StructuralError):
+        except StructuralError:
             raise
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise IntegrityError(
+            raise StructuralError(
                 f"cannot read artifact {path}: {type(exc).__name__}: {exc}"
             ) from exc
 
@@ -94,14 +90,14 @@ def _load(path: str) -> tuple[dict, list[np.ndarray]]:
     with open(path + ".bin", "rb") as fh:
         blob = fh.read()
     if sha256_hex(blob) != header["sha256"]:
-        raise IntegrityError(f"blob digest mismatch for {path}")
+        raise StructuralError(f"blob digest mismatch for {path}")
     specs = header["arrays"]
     for spec in specs:
         if spec["dtype"] not in _DTYPES:
-            raise IntegrityError(f"{path}: dtype {spec['dtype']!r} not in {_DTYPES}")
+            raise StructuralError(f"{path}: dtype {spec['dtype']!r} not in {_DTYPES}")
     sizes = [8 * math.prod(spec["shape"]) for spec in specs]
     if sum(sizes) != len(blob):
-        raise IntegrityError(
+        raise StructuralError(
             f"{path}: blob holds {len(blob)} bytes, header declares {sum(sizes)}"
         )
     arrays, pos = [], 0
@@ -120,12 +116,18 @@ def file_digest(path: str) -> str:
         return sha256_hex(fh.read())
 
 
+def input_digests(**paths: str) -> dict:
+    """The ``inputs`` a derived artifact records: each named input's
+    digest."""
+    return {name: file_digest(path) for name, path in paths.items()}
+
+
 def check_input_digests(inputs: dict, **paths: str) -> None:
     """Each named artifact the ``inputs`` of a derived artifact record must
     be the file at the given path."""
     for name, path in paths.items():
         if name in inputs and inputs[name] != file_digest(path):
-            raise IntegrityError(
+            raise StructuralError(
                 f"input {name!r} at {path} does not match the digest "
                 f"recorded in the artifact"
             )
@@ -237,6 +239,16 @@ def comp_inputs(path: str) -> dict:
     return _read_json(path)["inputs"]
 
 
+def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
+                            fisher: str) -> tuple:
+    """theta_p, theta_u, the comp, the mask and the Fisher at these paths,
+    after checking each input the comp records against its file."""
+    check_input_digests(comp_inputs(comp), model=theta_p, mask=mask,
+                        fisher=fisher)
+    return (load_model(theta_p), load_model(theta_u), load_comp(comp),
+            load_mask(mask), load_fisher(fisher))
+
+
 # -- zk layer ---------------------------------------------------------------
 
 
@@ -260,7 +272,7 @@ def load_proof(path: str) -> Proof:
     obj = _read_json(path)
     proof = Proof(tag=obj["tag"])
     if not isinstance(proof.tag, str):
-        raise IntegrityError(f"{path}: proof tag is not a string")
+        raise StructuralError(f"{path}: proof tag is not a string")
     return proof
 
 

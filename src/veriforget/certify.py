@@ -16,17 +16,13 @@ import numpy as np
 from .curvature import BlockFisher
 from .masking import MaskArtifact
 from .model import Dataset, MlpModel, batch_grad, mean_loss, per_example_grads
-from .numkit import ParamVector, StructuralError
+from .numkit import NumericError, ParamVector, StructuralError
 from .obs import CompensationResult
 
 DEFAULT_TAU_REAL = 1e-6
 DEFAULT_LAM_Q = 1e-3
 MAX_EXACT_HESSIAN_DIM = 2000
 FD_STEP = 1e-4  # relative step of exact_hessian's central differences
-
-
-class CurvatureNotSPDError(ArithmeticError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ def forget_gain_report(
     mu = w + lam_q
     mu_min = float(min(mu.min(), lam_q) if complement else mu.min())
     if not mu_min > 0:
-        raise CurvatureNotSPDError(
+        raise NumericError(
             f"Q has min eigenvalue {mu_min:.3e} <= 0; "
             f"increase the damping lam_q (currently {lam_q})"
         )

@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success (or verdict passed), 1 verdict failed,
-2 usage error, 3 numeric failure (ill-conditioned curvature,
-fixed-point range overflow).
+Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
+unsatisfiable, 2 usage error, bad artifact or unwritable output
+(``StructuralError``, ``OSError``), 3 numeric failure (``NumericError``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import zkp
 from .certify import (
     DEFAULT_LAM_Q,
     DEFAULT_TAU_REAL,
-    CurvatureNotSPDError,
     check_kkt,
     forget_gain_report,
     measured_forget_gap,
@@ -29,13 +28,11 @@ from .evals import evaluate, gold_standard
 from .masking import DEFAULT_BUDGET_FRACTION
 from .model import (
     TrainConfig,
-    TrainingError,
     init_mlp,
     personalize as personalize_model,
     train_sgd,
 )
-from .numkit import RangeError, StructuralError, canonical_json
-from .obs import FeasibilityError, NumericError
+from .numkit import NumericError, StructuralError, canonical_json
 from .pipeline import (
     DEFAULT_LAYERS,
     DEFAULT_PERSONALIZE,
@@ -49,16 +46,6 @@ from .pipeline import (
     synthetic_task,
 )
 from .zkp.witness import MAX_FRAC_BITS
-
-NUMERIC_ERRORS = (
-    NumericError,
-    CurvatureNotSPDError,
-    RangeError,
-    zkp.WraparoundError,
-    TrainingError,
-    FeasibilityError,
-)
-
 
 class FiniteFloat(click.FloatRange):
     """A FloatRange that also rejects NaN and +-inf."""
@@ -75,12 +62,15 @@ def numeric_guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except NUMERIC_ERRORS as exc:
+        except NumericError as exc:
             click.echo(f"numeric error: {exc}", err=True)
             sys.exit(3)
-        except (art.IntegrityError, StructuralError) as exc:
+        except (StructuralError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except zkp.UnsatisfiableWitnessError as exc:
+            click.echo(f"witness unsatisfiable: {exc}", err=True)
+            sys.exit(1)
 
     return wrapper
 
@@ -153,11 +143,8 @@ def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
     art.save_model(os.path.join(out_dir, "theta0_init"), init)
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch, seed=seed)
     model = train_sgd(init, train_set, cfg)
-    art.save_model(
-        os.path.join(out_dir, "theta0"),
-        model,
-        inputs={"data": art.file_digest(data_path)},
-    )
+    art.save_model(os.path.join(out_dir, "theta0"), model,
+                   inputs=art.input_digests(data=data_path))
     emit({"model": os.path.join(out_dir, "theta0"), "seed": seed}, as_json)
 
 
@@ -180,10 +167,8 @@ def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
     d_p = art.load_dataset(data)
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch, seed=seed)
     theta_p = personalize_model(model, d_p, cfg)
-    art.save_model(out, theta_p, inputs={
-        "model": art.file_digest(model_path),
-        "data": art.file_digest(data),
-    })
+    art.save_model(out, theta_p,
+                   inputs=art.input_digests(model=model_path, data=data))
     emit({"model": out}, as_json)
 
 
@@ -208,10 +193,7 @@ def mask(model_path, data, k, frac, seed, out, as_json):
     model = art.load_model(model_path)
     d_f = art.load_dataset(data)
     m, _ = select_mask(model, d_f, seed, k=k, frac=frac)
-    art.save_mask(out, m, inputs={
-        "model": art.file_digest(model_path),
-        "data": art.file_digest(data),
-    })
+    art.save_mask(out, m, inputs=art.input_digests(model=model_path, data=data))
     emit({"mask": out, "k": m.budget, "digest": m.digest}, as_json)
 
 
@@ -236,10 +218,8 @@ def fisher(model_path, data, lam, block_cap, max_samples, seed, out, as_json):
     d_p = art.load_dataset(data)
     f = estimate_fisher(model, d_p, seed, lam=lam, block_cap=int(block_cap),
                         max_samples=max_samples)
-    art.save_fisher(out, f, inputs={
-        "model": art.file_digest(model_path),
-        "data": art.file_digest(data),
-    })
+    art.save_fisher(out, f,
+                    inputs=art.input_digests(model=model_path, data=data))
     emit({"fisher": out, "lambda": lam, "n": f.sample_count}, as_json)
 
 
@@ -258,11 +238,8 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
     m = art.load_mask(mask_path)
     f = art.load_fisher(fisher_path)
     comp, theta_u = compensate(theta_p, m, f)
-    inputs = {
-        "model": art.file_digest(model_path),
-        "mask": art.file_digest(mask_path),
-        "fisher": art.file_digest(fisher_path),
-    }
+    inputs = art.input_digests(model=model_path, mask=mask_path,
+                               fisher=fisher_path)
     art.save_comp(os.path.join(out_dir, "comp"), comp, inputs=inputs)
     art.save_model(os.path.join(out_dir, "theta_u"), theta_u, inputs=inputs)
     emit({
@@ -288,13 +265,8 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
 @numeric_guard
 def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
     """Plain-arithmetic first-order certificate; exit 1 on failure."""
-    art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
-                            mask=mask_path, fisher=fisher_path)
-    theta_p = art.load_model(tp_path)
-    theta_u = art.load_model(tu_path)
-    comp = art.load_comp(comp_path)
-    m = art.load_mask(mask_path)
-    f = art.load_fisher(fisher_path)
+    theta_p, theta_u, comp, m, f = art.load_certificate_inputs(
+        tp_path, tu_path, comp_path, mask_path, fisher_path)
     cert = check_kkt(theta_p.params, theta_u.params, comp, f, m, tau_real=tau)
     emit(cert.to_json(), as_json)
     sys.exit(0 if cert.verdict else 1)
@@ -352,31 +324,15 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
 def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
           seed, out_dir, as_json):
     """Encode the fixed-point witness, commit, and produce a proof."""
-    art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
-                            mask=mask_path, fisher=fisher_path)
+    theta_p, theta_u, comp, m, f = art.load_certificate_inputs(
+        tp_path, tu_path, comp_path, mask_path, fisher_path)
     os.makedirs(out_dir, exist_ok=True)
-    theta_p = art.load_model(tp_path)
-    theta_u = art.load_model(tu_path)
-    comp = art.load_comp(comp_path)
-    m = art.load_mask(mask_path)
-    f = art.load_fisher(fisher_path)
-    f_w, f_c = frac_bits
-    try:
-        _, circuit, proof, _ = run_zk_layer(
-            theta_p, theta_u, comp, f, m, seed, f_w, f_c
-        )
-    except zkp.UnsatisfiableWitnessError as exc:
-        click.echo(f"witness unsatisfiable: {exc}", err=True)
-        sys.exit(1)
-    inputs = {
-        "theta_p": art.file_digest(tp_path),
-        "theta_u": art.file_digest(tu_path),
-        "comp": art.file_digest(comp_path),
-        "mask": art.file_digest(mask_path),
-        "fisher": art.file_digest(fisher_path),
-    }
+    _, circuit, proof, _ = run_zk_layer(theta_p, theta_u, comp, f, m, seed,
+                                        *frac_bits)
     art.save_public(os.path.join(out_dir, "public.pub"), circuit.public,
-                    inputs=inputs)
+                    inputs=art.input_digests(theta_p=tp_path, theta_u=tu_path,
+                                             comp=comp_path, mask=mask_path,
+                                             fisher=fisher_path))
     art.save_proof(os.path.join(out_dir, "proof.prf"), proof)
     emit({
         "public": os.path.join(out_dir, "public.pub"),
@@ -432,11 +388,8 @@ def gold(init_path, retain, personal, out, seed, lr, epochs, p_lr, p_epochs,
         TrainConfig(learning_rate=lr, epochs=epochs, seed=seed),
         TrainConfig(learning_rate=p_lr, epochs=p_epochs, seed=seed),
     )
-    art.save_model(out, model, inputs={
-        "init": art.file_digest(init_path),
-        "retain": art.file_digest(retain),
-        "personal": art.file_digest(personal),
-    })
+    art.save_model(out, model, inputs=art.input_digests(
+        init=init_path, retain=retain, personal=personal))
     emit({"model": out}, as_json)
 
 

@@ -13,15 +13,12 @@ import numpy as np
 
 from .numkit import (
     BlockLayout,
+    NumericError,
     ParamVector,
     StructuralError,
     sha256_hex,
     tree_mean,
 )
-
-
-class TrainingError(RuntimeError):
-    """Training loss became non-finite."""
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -376,22 +373,25 @@ def train_sgd(
     x, y = data.features, data.labels
     x_scale = float(np.abs(x).max())
     n = len(data)
-    for epoch in range(cfg.epochs):
-        rng = stream_rng(cfg.seed, f"{stream}/shuffle/epoch-{epoch}")
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _backward(layers, x[idx], y[idx], grads)
-            grad /= len(idx)
-            velocity *= MOMENTUM
-            velocity -= cfg.learning_rate * grad
-            theta += velocity
-            if not np.all(np.isfinite(theta)):
-                raise TrainingError(f"parameters diverged at epoch {epoch}")
-        if not _loss_bounded(layers, x_scale, n):
-            loss = mean_loss(init.with_params(theta.copy()), data)
-            if not np.isfinite(loss):
-                raise TrainingError(f"loss diverged at epoch {epoch}")
+    # overflow and NaN are caught by the checks below, which name the
+    # epoch; numpy's warnings about them would only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            rng = stream_rng(cfg.seed, f"{stream}/shuffle/epoch-{epoch}")
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _backward(layers, x[idx], y[idx], grads)
+                grad /= len(idx)
+                velocity *= MOMENTUM
+                velocity -= cfg.learning_rate * grad
+                theta += velocity
+                if not np.all(np.isfinite(theta)):
+                    raise NumericError(f"parameters diverged at epoch {epoch}")
+            if not _loss_bounded(layers, x_scale, n):
+                loss = mean_loss(init.with_params(theta.copy()), data)
+                if not np.isfinite(loss):
+                    raise NumericError(f"loss diverged at epoch {epoch}")
     return init.with_params(theta)
 
 

@@ -15,12 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The package's two failure types.  A command's exit code is a property
+# of the type (``cli.numeric_guard``): a StructuralError exits 2 and a
+# NumericError 3.  The one other type, ``zkp.UnsatisfiableWitnessError``,
+# is a rejection and exits 1.
+
+
 class StructuralError(ValueError):
-    """Shape / layout mismatch between structured operands."""
+    """A bad input: a shape or layout mismatch between structured
+    operands, or an artifact that is unreadable or references an input
+    whose digest does not match."""
 
 
-class RangeError(ValueError):
-    """A value fell outside its fixed-point magnitude bound."""
+class NumericError(ArithmeticError):
+    """Well-formed inputs on which the arithmetic fails: diverged
+    training, a curvature that is not positive definite, an infeasible
+    compensation or a value out of its fixed-point range."""
 
 
 def check_ints(what: str, values) -> None:
@@ -125,9 +135,6 @@ class ParamVector:
     def dim(self) -> int:
         return self.layout.total_dim
 
-    def block(self, label: str) -> np.ndarray:
-        return self.values[self.layout.block_slice(label)]
-
     def with_values(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values=values, layout=self.layout)
 
@@ -188,7 +195,7 @@ def quantize(x: np.ndarray, frac_bits: int, bound: float) -> np.ndarray:
     over = ~(np.abs(x) <= bound)  # NaN is out of range too
     if over.any():
         idx = int(np.argmax(over))
-        raise RangeError(f"|x[{idx}]| = {abs(x[idx])} exceeds bound {bound}")
+        raise NumericError(f"|x[{idx}]| = {abs(x[idx])} exceeds bound {bound}")
     return np.rint(x * 2.0**frac_bits).astype(np.int64)
 
 

@@ -14,17 +14,9 @@ import numpy as np
 
 from .curvature import BlockFisher
 from .masking import MaskArtifact
-from .numkit import ParamVector, StructuralError
+from .numkit import NumericError, ParamVector, StructuralError
 
 FEASIBILITY_TOL = 1e-9
-
-
-class NumericError(ArithmeticError):
-    pass
-
-
-class FeasibilityError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -124,7 +116,7 @@ def apply_unlearn(
     residue = out[mask.support]
     if residue.size and np.abs(residue).max() > FEASIBILITY_TOL:
         idx = mask.support[int(np.argmax(np.abs(residue)))]
-        raise FeasibilityError(
+        raise NumericError(
             f"|theta_p + delta_w| = {np.abs(residue).max():.3e} at masked "
             f"coordinate {idx}; compensation infeasible for this mask"
         )

@@ -34,6 +34,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from ..numkit import NumericError
+
 try:
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
@@ -49,14 +51,10 @@ PARTIAL_ROUNDS = 56
 LEAF_CHUNK = 1024
 
 
-class WraparoundError(ValueError):
-    """A signed value too large to embed without modular wraparound."""
-
-
 def to_field(x: int) -> int:
     """Signed integer -> field element; magnitude must stay below p/2."""
     if abs(x) >= MODULUS // 2:
-        raise WraparoundError(f"|{x}| >= p/2; cannot encode without wraparound")
+        raise NumericError(f"|{x}| >= p/2; cannot encode without wraparound")
     return x % MODULUS
 
 
@@ -199,5 +197,5 @@ def merkle_root(ints, randomness: int) -> int:
 def verify_commit(digest: int, ints, randomness: int) -> bool:
     try:
         return merkle_root(ints, randomness) == digest
-    except WraparoundError:
+    except NumericError:
         return False

@@ -17,8 +17,8 @@ import numpy as np
 from ..curvature import BlockFisher
 from ..masking import MaskArtifact
 from ..numkit import (
+    NumericError,
     ParamVector,
-    RangeError,
     StructuralError,
     pack_upper,
     quantize,
@@ -100,12 +100,12 @@ def encode_fixed_witness(
     # need not be
     over = np.abs(tu) > BOUND_W * 2.0**f_w
     if over.any():
-        raise RangeError(f"theta_p + delta_w at [{int(np.argmax(over))}] "
-                         f"exceeds the weight bound {BOUND_W}")
+        raise NumericError(f"theta_p + delta_w at [{int(np.argmax(over))}] "
+                           f"exceeds the weight bound {BOUND_W}")
     # the float-side theta_u must agree with the constructed integers
     # within quantization error; a mismatch means inconsistent inputs
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
-        raise RangeError("theta_u inconsistent with theta_p + delta_w")
+        raise NumericError("theta_u inconsistent with theta_p + delta_w")
     row_max, damped = 0.0, []
     for block in c_p.damped_blocks():
         row_max = max(row_max, float(np.abs(block).sum(axis=1).max()))
@@ -182,7 +182,7 @@ def default_t_int(
     if t_int >= threshold:
         t_int = threshold >> 1
     if bound >= t_int:
-        raise RangeError(
+        raise NumericError(
             f"honest residual bound {bound} cannot be separated from the "
             f"minimal multiplier tamper at 2^{w.f_c + 4}; widen f_c - f_w"
         )

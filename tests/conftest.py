@@ -18,7 +18,6 @@ from veriforget.masking import make_mask
 from veriforget.model import (
     MOMENTUM,
     Dataset,
-    TrainingError,
     batch_grad,
     init_mlp,
     make_synthetic_task,
@@ -29,6 +28,7 @@ from veriforget.model import (
 from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
+    NumericError,
     ParamVector,
     canonical_json,
     pack_upper,
@@ -170,7 +170,7 @@ def reference_train_sgd(init, data, cfg, stream="train"):
     gradient ParamVector and a model per step, and the mean loss over all
     of ``data`` computed after every epoch.
 
-    It raises StructuralError, not TrainingError, when a batch gradient is
+    It raises StructuralError, not NumericError, when a batch gradient is
     non-finite: the gradient's ParamVector rejects it before the
     parameters are checked."""
     theta = init.params.values.copy()
@@ -187,11 +187,11 @@ def reference_train_sgd(init, data, cfg, stream="train"):
             velocity = MOMENTUM * velocity - cfg.learning_rate * g
             theta = theta + velocity
             if not np.all(np.isfinite(theta)):
-                raise TrainingError(f"parameters diverged at epoch {epoch}")
+                raise NumericError(f"parameters diverged at epoch {epoch}")
             model = init.with_params(theta)
         loss = mean_loss(model, data)
         if not np.isfinite(loss):
-            raise TrainingError(f"loss diverged at epoch {epoch}")
+            raise NumericError(f"loss diverged at epoch {epoch}")
     return model
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from veriforget.certify import (
-    CurvatureNotSPDError,
     check_kkt,
     exact_hessian,
     forget_gain_report,
@@ -19,6 +18,7 @@ from veriforget.model import (
     per_example_grads,
     train_sgd,
 )
+from veriforget.numkit import NumericError
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
@@ -234,7 +234,7 @@ def test_b_zero_construction():
 
 
 def test_q_not_spd_raises_with_advice():
-    with pytest.raises(CurvatureNotSPDError, match="lam_q"):
+    with pytest.raises(NumericError, match="lam_q"):
         pipeline_report(0, lam_q=-100.0)
 
 

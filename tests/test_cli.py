@@ -1,9 +1,12 @@
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +18,12 @@ from veriforget import artifacts as art
 from veriforget import zkp
 from veriforget.cli import main
 from veriforget.model import init_mlp
-from veriforget.numkit import BlockDiagMatrix, BlockLayout
+from veriforget.numkit import (
+    BlockDiagMatrix,
+    BlockLayout,
+    NumericError,
+    StructuralError,
+)
 from veriforget.pipeline import run_pipeline
 from veriforget.zkp.circuit import FAMILIES
 
@@ -382,6 +390,17 @@ def _misfit(name, dims, *args):
     return case
 
 
+def _on_file(name, *args):
+    """A case that runs ``args`` with ``{file}`` an existing regular file,
+    where a directory is wanted."""
+    def case(w, tmp):
+        open(f"{tmp}/file", "w").close()
+        return tuple(a.format(w=w, tmp=tmp, file=f"{tmp}/file") for a in args)
+
+    case.__name__ = f"_on_file_{name}"
+    return case
+
+
 def _frac_bits_negative(w, tmp):
     return _prove_args(w, tmp, -3, 32)
 
@@ -512,6 +531,18 @@ def _fisher_zero_samples(w, tmp):
                 "--personal", "{w}/holdout_personal.dset",
                 "--members", "{w}/forget.dset",
                 "--nonmembers", "{w}/holdout_forget.dset"),
+        _on_file("train", "train", "--out-dir", "{file}"),
+        _on_file("unlearn", "unlearn", "--model", "{w}/theta_p",
+                 "--mask", "{w}/mask.mask", "--fisher", "{w}/fisher",
+                 "--out-dir", "{file}"),
+        _on_file("prove", "prove", "--theta-p", "{w}/theta_p",
+                 "--theta-u", "{w}/theta_u", "--comp", "{w}/comp",
+                 "--mask", "{w}/mask.mask", "--fisher", "{w}/fisher",
+                 "--out-dir", "{file}"),
+        _on_file("demo", "demo", "--out-dir", "{file}"),
+        _option("personalize_out_missing_dir", "personalize",
+                "--model", "{w}/theta0", "--data", "{w}/personal.dset",
+                "--out", "{tmp}/missing/p"),
     ]
 )
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
@@ -543,6 +574,43 @@ def test_diverged_training_exit_3(workdir, tmp_path, args):
         res = invoke(*(a.format(w=workdir, tmp=tmp_path) for a in args))
     assert res.exit_code == 3, res.output
     assert "diverged at epoch" in res.output
+
+
+def test_diverged_training_warns_nothing(tmp_path):
+    """Divergence reads as one error line, with none of numpy's
+    overflow warnings before it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke("train", "--out-dir", str(tmp_path), "--seed", "3",
+                     "--layers", "4,8,3", "--lr", "1e308")
+    assert res.exit_code == 3, res.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_prove_perturbed_multipliers_exit_1(workdir, tmp_path):
+    """A comp whose multipliers are moved, with their count and recorded
+    inputs kept, is a genuine rejection."""
+    w = workdir
+    comp = art.load_comp(f"{w}/comp")
+    art.save_comp(f"{tmp_path}/comp",
+                  replace(comp, multipliers=comp.multipliers + 1e-3),
+                  inputs=art.comp_inputs(f"{w}/comp"))
+    res = invoke(*(a.format(w=w, tmp=tmp_path) for a in _PROVE_TMP_COMP))
+    assert res.exit_code == 1, res.output
+    assert "witness unsatisfiable" in res.output
+
+
+def test_every_error_type_has_an_exit_code():
+    """The package defines exactly the exception types the commands map to
+    an exit code, so no error of its own reads as a rejection by default."""
+    defined = set()
+    for info in pkgutil.walk_packages(veriforget.__path__, "veriforget."):
+        module = importlib.import_module(info.name)
+        defined |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == info.name}
+    assert defined == {StructuralError, NumericError,
+                       zkp.UnsatisfiableWitnessError}
 
 
 def test_prove_json_reports_constraint_table(workdir, tmp_path):

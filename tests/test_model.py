@@ -6,7 +6,6 @@ from veriforget.model import (
     _loss_bounded,
     Dataset,
     TrainConfig,
-    TrainingError,
     batch_grad,
     init_mlp,
     make_synthetic_task,
@@ -18,7 +17,7 @@ from veriforget.model import (
     stream_rng,
     train_sgd,
 )
-from veriforget.numkit import StructuralError
+from veriforget.numkit import NumericError, StructuralError
 
 from conftest import reference_train_sgd, small_dataset
 
@@ -146,7 +145,8 @@ def test_training_deterministic():
 def test_divergence_raises():
     rng = np.random.default_rng(8)
     data = small_dataset(rng, n=20)
-    with np.errstate(over="ignore"), pytest.raises(TrainingError):
+    with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                   match="diverged at epoch"):
         train_sgd(init_mlp([4, 6, 3], 2), data,
                   TrainConfig(learning_rate=1e308, epochs=50, seed=0))
 
@@ -162,7 +162,7 @@ def _outcome(train, *args):
     error training raised."""
     try:
         return train(*args).params.values.tobytes()
-    except (TrainingError, StructuralError) as exc:
+    except (NumericError, StructuralError) as exc:
         return type(exc), str(exc)
 
 
@@ -203,7 +203,7 @@ def test_train_sgd_bit_exact_against_oracle(dims, n, batch_size, epochs,
         # the oracle's gradient ParamVector rejects a non-finite gradient
         # before the parameters are checked; a non-finite gradient always
         # makes the parameters non-finite
-        assert got[0] is TrainingError
+        assert got[0] is NumericError
         assert got[1].startswith("parameters diverged at epoch "), got
     else:
         assert got == want
@@ -268,9 +268,9 @@ def test_finite_parameters_with_non_finite_loss_diverge():
     cfg = TrainConfig(learning_rate=0.1, epochs=3, batch_size=1, seed=0)
     init = init_mlp([1, 2], 0)
     with np.errstate(all="ignore"):
-        with pytest.raises(TrainingError) as ref:
+        with pytest.raises(NumericError) as ref:
             reference_train_sgd(init, data, cfg)
-        with pytest.raises(TrainingError) as got:
+        with pytest.raises(NumericError) as got:
             train_sgd(init, data, cfg)
     assert str(ref.value) == "loss diverged at epoch 0"
     assert str(got.value) == str(ref.value)

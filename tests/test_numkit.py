@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
+    NumericError,
     ParamVector,
-    RangeError,
     StructuralError,
     canonical_json,
     pack_upper,
@@ -131,7 +131,7 @@ def test_quantize_dyadic_exact():
 
 def test_quantize_out_of_range_names_index():
     for bad in (3.0, np.nan):
-        with pytest.raises(RangeError, match=r"x\[2\]"):
+        with pytest.raises(NumericError, match=r"x\[2\]"):
             quantize(np.array([0.0, 0.5, bad]), 8, 1.0)
 
 

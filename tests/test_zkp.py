@@ -14,8 +14,8 @@ import veriforget
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
 from veriforget.numkit import (
+    NumericError,
     ParamVector,
-    RangeError,
     StructuralError,
     pack_upper,
     unpack_upper,
@@ -29,7 +29,6 @@ from veriforget.zkp import (
     Proof,
     PublicInputs,
     UnsatisfiableWitnessError,
-    WraparoundError,
     circuit_hash,
     commit_witness,
     constraint_report,
@@ -108,9 +107,9 @@ def test_field_round_trip():
 
 
 def test_field_wraparound_guard():
-    with pytest.raises(WraparoundError):
+    with pytest.raises(NumericError, match="wraparound"):
         to_field(MODULUS // 2)
-    with pytest.raises(WraparoundError):
+    with pytest.raises(NumericError, match="wraparound"):
         to_field(-(MODULUS // 2) - 1)
 
 
@@ -484,7 +483,7 @@ def test_theta_u_beyond_weight_bound_rejected():
     tp[i], dw[i] = 0.75 * BOUND_W, 0.5 * BOUND_W
     tu = tp + dw
     tu[mask.support] = 0.0
-    with pytest.raises(RangeError, match=rf"\[{i}\] exceeds the weight bound"):
+    with pytest.raises(NumericError, match=rf"\[{i}\] exceeds the weight bound"):
         encode_fixed_witness(theta.with_values(tp), theta.with_values(tu),
                              comp.delta_w.with_values(dw), comp.multipliers,
                              fisher, mask)
@@ -494,7 +493,7 @@ def test_inconsistent_theta_u_rejected():
     fisher, theta, mask, comp, *_ = honest_zk_instance(3)
     theta_u = apply_unlearn(theta, comp, mask)
     bad = theta_u.with_values(theta_u.values + 0.01)
-    with pytest.raises(RangeError):
+    with pytest.raises(NumericError, match="theta_u inconsistent"):
         encode_fixed_witness(theta, bad, comp.delta_w, comp.multipliers,
                              fisher, mask)
 
