@@ -1,16 +1,21 @@
 """Command line interface.
 
+Every command is a ``ReportCommand``: its callback returns its report
+(with whether the verdict passed, if it gives one) and prints nothing,
+and the command class adds ``--json``, prints the report and sets the
+exit code.  A command reads and checks all its inputs, and computes its
+results, before it creates any output, so one that fails writes nothing.
+
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
-unsatisfiable, 2 usage error, bad artifact or unwritable output
-(``StructuralError``, ``OSError``), 3 numeric failure (``NumericError``).
+unsatisfiable, 2 usage error, bad or missing artifact or unwritable
+output (``StructuralError``, ``OSError``), 3 numeric failure
+(``NumericError``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-import sys
 
 import click
 
@@ -47,6 +52,7 @@ from .pipeline import (
 )
 from .zkp.witness import MAX_FRAC_BITS
 
+
 class FiniteFloat(click.FloatRange):
     """A FloatRange that also rejects NaN and +-inf."""
 
@@ -57,30 +63,42 @@ class FiniteFloat(click.FloatRange):
         return rv
 
 
-def numeric_guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class ReportCommand(click.Command):
+    """A command whose callback returns its report, or ``(report, passed)``
+    when it gives a verdict.  It takes ``--json``, prints the report as
+    canonical JSON or as ``key: value`` lines, and exits 1 on a failed
+    verdict; each error type the package raises is one stderr line and
+    its exit code."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(["--json", "as_json"], is_flag=True))
+
+    def invoke(self, ctx):
+        as_json = ctx.params.pop("as_json")
         try:
-            return fn(*args, **kwargs)
+            out = super().invoke(ctx)
         except NumericError as exc:
             click.echo(f"numeric error: {exc}", err=True)
-            sys.exit(3)
+            ctx.exit(3)
         except (StructuralError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+            ctx.exit(2)
         except zkp.UnsatisfiableWitnessError as exc:
             click.echo(f"witness unsatisfiable: {exc}", err=True)
-            sys.exit(1)
+            ctx.exit(1)
+        report, passed = out if isinstance(out, tuple) else (out, True)
+        if as_json:
+            click.echo(canonical_json(report).decode())
+        else:
+            for key, val in report.items():
+                click.echo(f"{key}: {val}")
+        if not passed:
+            ctx.exit(1)
 
-    return wrapper
 
-
-def emit(obj: dict, as_json: bool) -> None:
-    if as_json:
-        click.echo(canonical_json(obj).decode())
-    else:
-        for key, val in obj.items():
-            click.echo(f"{key}: {val}")
+class ReportGroup(click.Group):
+    command_class = ReportCommand
 
 
 def _save_splits(out_dir: str, task) -> None:
@@ -103,7 +121,7 @@ def _parse_layers(text: str) -> tuple[int, ...]:
     return dims
 
 
-@click.group()
+@click.group(cls=ReportGroup)
 def main():
     """Verifiable approximate unlearning for personalized models."""
 
@@ -116,7 +134,7 @@ def main():
 @click.option("--seed", default=0, show_default=True)
 @click.option("--layers", default=",".join(map(str, DEFAULT_LAYERS)),
               show_default=True)
-@click.option("--data", default=None, type=click.Path(exists=True),
+@click.option("--data", default=None,
               help="Train on this .dset instead of generating a synthetic task.")
 @click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True,
               type=FiniteFloat(min=0, min_open=True))
@@ -124,33 +142,30 @@ def main():
               type=click.IntRange(min=0))
 @click.option("--batch", default=DEFAULT_PRETRAIN.batch_size, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
+def train(out_dir, seed, layers, data, lr, epochs, batch):
     """Pretrain a tanh MLP; without --data, also writes the synthetic
     class-unlearning splits (train/forget/retain/personal + holdouts)."""
-    os.makedirs(out_dir, exist_ok=True)
-    dims = _parse_layers(layers)
+    init = init_mlp(list(_parse_layers(layers)), seed)
     if data is None:
-        task = synthetic_task(seed, dims)
-        _save_splits(out_dir, task)
+        task = synthetic_task(seed, init.layer_dims)
         train_set = task.train
-        data_path = os.path.join(out_dir, "train.dset")
     else:
         train_set = art.load_dataset(data)
-        data_path = data
-    init = init_mlp(list(dims), seed)
-    art.save_model(os.path.join(out_dir, "theta0_init"), init)
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch, seed=seed)
-    model = train_sgd(init, train_set, cfg)
+    model = train_sgd(init, train_set, cfg)  # checks that the data fit
+    os.makedirs(out_dir, exist_ok=True)
+    if data is None:
+        _save_splits(out_dir, task)
+        data = os.path.join(out_dir, "train.dset")
+    art.save_model(os.path.join(out_dir, "theta0_init"), init)
     art.save_model(os.path.join(out_dir, "theta0"), model,
-                   inputs=art.input_digests(data=data_path))
-    emit({"model": os.path.join(out_dir, "theta0"), "seed": seed}, as_json)
+                   inputs=art.input_digests(data=data))
+    return {"model": os.path.join(out_dir, "theta0"), "seed": seed}
 
 
 @main.command("personalize")
 @click.option("--model", "model_path", required=True)
-@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True)
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--lr", default=DEFAULT_PERSONALIZE.learning_rate, show_default=True,
@@ -159,9 +174,7 @@ def train(out_dir, seed, layers, data, lr, epochs, batch, as_json):
               type=click.IntRange(min=0))
 @click.option("--batch", default=DEFAULT_PERSONALIZE.batch_size, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
+def personalize_cmd(model_path, data, out, seed, lr, epochs, batch):
     """Fine-tune a pretrained model on client data."""
     model = art.load_model(model_path)
     d_p = art.load_dataset(data)
@@ -169,7 +182,7 @@ def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
     theta_p = personalize_model(model, d_p, cfg)
     art.save_model(out, theta_p,
                    inputs=art.input_digests(model=model_path, data=data))
-    emit({"model": out}, as_json)
+    return {"model": out}
 
 
 # -- provider / client artifacts ---------------------------------------------
@@ -178,30 +191,27 @@ def personalize_cmd(model_path, data, out, seed, lr, epochs, batch, as_json):
 @main.command()
 @click.option("--model", "model_path", required=True,
               help="Pretrained model prefix (saliency anchor).")
-@click.option("--data", required=True, type=click.Path(exists=True),
-              help="Forget-set .dset.")
-@click.option("--k", default=None, type=int, help="Mask budget (coordinates).")
+@click.option("--data", required=True, help="Forget-set .dset.")
+@click.option("--k", default=None, type=click.IntRange(min=0),
+              help="Mask budget (coordinates).")
 @click.option("--frac", default=DEFAULT_BUDGET_FRACTION, show_default=True,
               type=FiniteFloat(0, 1, min_open=True),
               help="Budget as a fraction of eligible coordinates.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def mask(model_path, data, k, frac, seed, out, as_json):
+def mask(model_path, data, k, frac, seed, out):
     """Provider step: top-k saliency mask over hidden-layer weights."""
     model = art.load_model(model_path)
     d_f = art.load_dataset(data)
     m, _ = select_mask(model, d_f, seed, k=k, frac=frac)
     art.save_mask(out, m, inputs=art.input_digests(model=model_path, data=data))
-    emit({"mask": out, "k": m.budget, "digest": m.digest}, as_json)
+    return {"mask": out, "k": m.budget, "digest": m.digest}
 
 
 @main.command()
 @click.option("--model", "model_path", required=True,
               help="Personalized model prefix.")
-@click.option("--data", required=True, type=click.Path(exists=True),
-              help="Client dataset .dset.")
+@click.option("--data", required=True, help="Client dataset .dset.")
 @click.option("--lambda", "lam", default=DEFAULT_DAMPING, show_default=True,
               type=FiniteFloat(min=0.0, min_open=True))
 @click.option("--block-cap", default=DEFAULT_BLOCK_CAP, show_default=True,
@@ -210,9 +220,7 @@ def mask(model_path, data, k, frac, seed, out, as_json):
               type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def fisher(model_path, data, lam, block_cap, max_samples, seed, out, as_json):
+def fisher(model_path, data, lam, block_cap, max_samples, seed, out):
     """Client step: damped block-wise empirical Fisher curvature."""
     model = art.load_model(model_path)
     d_p = art.load_dataset(data)
@@ -220,34 +228,32 @@ def fisher(model_path, data, lam, block_cap, max_samples, seed, out, as_json):
                         max_samples=max_samples)
     art.save_fisher(out, f,
                     inputs=art.input_digests(model=model_path, data=data))
-    emit({"fisher": out, "lambda": lam, "n": f.sample_count}, as_json)
+    return {"fisher": out, "lambda": lam, "n": f.sample_count}
 
 
 @main.command()
 @click.option("--model", "model_path", required=True,
               help="Personalized model prefix.")
-@click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
-@click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
+@click.option("--mask", "mask_path", required=True)
+@click.option("--fisher", "fisher_path", required=True)
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
+def unlearn(model_path, mask_path, fisher_path, out_dir):
     """Solve the masked compensation problem and assemble theta_u."""
-    os.makedirs(out_dir, exist_ok=True)
     theta_p = art.load_model(model_path)
     m = art.load_mask(mask_path)
     f = art.load_fisher(fisher_path)
     comp, theta_u = compensate(theta_p, m, f)
     inputs = art.input_digests(model=model_path, mask=mask_path,
                                fisher=fisher_path)
+    os.makedirs(out_dir, exist_ok=True)
     art.save_comp(os.path.join(out_dir, "comp"), comp, inputs=inputs)
     art.save_model(os.path.join(out_dir, "theta_u"), theta_u, inputs=inputs)
-    emit({
+    return {
         "comp": os.path.join(out_dir, "comp"),
         "theta_u": os.path.join(out_dir, "theta_u"),
         "method": comp.method,
         "kkt_residual_inf": comp.kkt_residual_inf,
-    }, as_json)
+    }
 
 
 # -- certificates -------------------------------------------------------------
@@ -257,19 +263,16 @@ def unlearn(model_path, mask_path, fisher_path, out_dir, as_json):
 @click.option("--theta-p", "tp_path", required=True)
 @click.option("--theta-u", "tu_path", required=True)
 @click.option("--comp", "comp_path", required=True)
-@click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
-@click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
+@click.option("--mask", "mask_path", required=True)
+@click.option("--fisher", "fisher_path", required=True)
 @click.option("--tau", default=DEFAULT_TAU_REAL, show_default=True,
               type=FiniteFloat(min=0))
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
+def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau):
     """Plain-arithmetic first-order certificate; exit 1 on failure."""
     theta_p, theta_u, comp, m, f = art.load_certificate_inputs(
         tp_path, tu_path, comp_path, mask_path, fisher_path)
     cert = check_kkt(theta_p.params, theta_u.params, comp, f, m, tau_real=tau)
-    emit(cert.to_json(), as_json)
-    sys.exit(0 if cert.verdict else 1)
+    return cert.to_json(), cert.verdict
 
 
 @main.command("report-bounds")
@@ -277,16 +280,13 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau, as_json):
 @click.option("--theta-u", "tu_path", default=None,
               help="Optional: also report the measured forget-loss gap.")
 @click.option("--comp", "comp_path", required=True)
-@click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
-@click.option("--data", required=True, type=click.Path(exists=True),
-              help="Forget-set .dset.")
+@click.option("--mask", "mask_path", required=True)
+@click.option("--data", required=True, help="Forget-set .dset.")
 @click.option("--lambda-q", default=DEFAULT_LAM_Q, show_default=True, type=FiniteFloat())
 @click.option("--hessian", default="exact", show_default=True,
               type=click.Choice(["exact", "fisher"]))
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
 def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
-                  hessian, as_json):
+                  hessian):
     """Forget-loss gain bounds for the compensated update."""
     art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
                             mask=mask_path)
@@ -301,7 +301,7 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
         obj["measured"] = measured_forget_gap(
             theta_p, art.load_model(tu_path), d_f, budget.predicted_delta_lf
         )
-    emit(obj, as_json)
+    return obj
 
 
 # -- zk layer -----------------------------------------------------------------
@@ -311,50 +311,45 @@ def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
 @click.option("--theta-p", "tp_path", required=True)
 @click.option("--theta-u", "tu_path", required=True)
 @click.option("--comp", "comp_path", required=True)
-@click.option("--mask", "mask_path", required=True, type=click.Path(exists=True))
-@click.option("--fisher", "fisher_path", required=True, type=click.Path(exists=True))
+@click.option("--mask", "mask_path", required=True)
+@click.option("--fisher", "fisher_path", required=True)
 @click.option("--frac-bits", nargs=2, type=click.IntRange(0, MAX_FRAC_BITS),
               default=(zkp.DEFAULT_FRAC_BITS_W, zkp.DEFAULT_FRAC_BITS_C),
               show_default=True, help="Fractional bits: weights, curvature.")
 @click.option("--seed", default=0, show_default=True,
               help="Seed for the commitment blinding randomness.")
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
 def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
-          seed, out_dir, as_json):
+          seed, out_dir):
     """Encode the fixed-point witness, commit, and produce a proof."""
     theta_p, theta_u, comp, m, f = art.load_certificate_inputs(
         tp_path, tu_path, comp_path, mask_path, fisher_path)
-    os.makedirs(out_dir, exist_ok=True)
     _, circuit, proof, _ = run_zk_layer(theta_p, theta_u, comp, f, m, seed,
                                         *frac_bits)
+    os.makedirs(out_dir, exist_ok=True)
     art.save_public(os.path.join(out_dir, "public.pub"), circuit.public,
                     inputs=art.input_digests(theta_p=tp_path, theta_u=tu_path,
                                              comp=comp_path, mask=mask_path,
                                              fisher=fisher_path))
     art.save_proof(os.path.join(out_dir, "proof.prf"), proof)
-    emit({
+    return {
         "public": os.path.join(out_dir, "public.pub"),
         "proof": os.path.join(out_dir, "proof.prf"),
         "t_int": circuit.public.t_int,
         "constraints": zkp.constraint_report(circuit),
-    }, as_json)
+    }
 
 
 @main.command()
-@click.option("--proof", "proof_path", required=True, type=click.Path(exists=True))
-@click.option("--public", "public_path", required=True, type=click.Path(exists=True))
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def verify(proof_path, public_path, as_json):
+@click.option("--proof", "proof_path", required=True)
+@click.option("--public", "public_path", required=True)
+def verify(proof_path, public_path):
     """Check a proof against public inputs and the circuit they
     determine; exit 1 when rejected."""
     proof = art.load_proof(proof_path)
     public = art.load_public(public_path)
     ok = zkp.MockBackend().verify(proof, public)
-    emit({"verified": ok, "guarantee": zkp.MockBackend.guarantee}, as_json)
-    sys.exit(0 if ok else 1)
+    return {"verified": ok, "guarantee": zkp.MockBackend.guarantee}, ok
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -363,8 +358,8 @@ def verify(proof_path, public_path, as_json):
 @main.command()
 @click.option("--init", "init_path", required=True,
               help="Initialization model prefix (same seed as pretraining).")
-@click.option("--retain", required=True, type=click.Path(exists=True))
-@click.option("--personal", required=True, type=click.Path(exists=True))
+@click.option("--retain", required=True)
+@click.option("--personal", required=True)
 @click.option("--out", required=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--lr", default=DEFAULT_PRETRAIN.learning_rate, show_default=True,
@@ -375,10 +370,7 @@ def verify(proof_path, public_path, as_json):
               type=FiniteFloat(min=0, min_open=True))
 @click.option("--p-epochs", default=DEFAULT_PERSONALIZE.epochs, show_default=True,
               type=click.IntRange(min=0))
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def gold(init_path, retain, personal, out, seed, lr, epochs, p_lr, p_epochs,
-         as_json):
+def gold(init_path, retain, personal, out, seed, lr, epochs, p_lr, p_epochs):
     """Retrain-then-personalize gold standard."""
     init = art.load_model(init_path)
     d_r = art.load_dataset(retain)
@@ -390,21 +382,18 @@ def gold(init_path, retain, personal, out, seed, lr, epochs, p_lr, p_epochs,
     )
     art.save_model(out, model, inputs=art.input_digests(
         init=init_path, retain=retain, personal=personal))
-    emit({"model": out}, as_json)
+    return {"model": out}
 
 
 @main.command("evaluate")
 @click.option("--model", "model_path", required=True)
 @click.option("--gold", "gold_path", required=True)
-@click.option("--forget", required=True, type=click.Path(exists=True))
-@click.option("--personal", required=True, type=click.Path(exists=True))
-@click.option("--members", required=True, type=click.Path(exists=True),
+@click.option("--forget", required=True)
+@click.option("--personal", required=True)
+@click.option("--members", required=True,
               help="Forget-set members for the membership attack.")
-@click.option("--nonmembers", required=True, type=click.Path(exists=True))
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def evaluate_cmd(model_path, gold_path, forget, personal, members, nonmembers,
-                 as_json):
+@click.option("--nonmembers", required=True)
+def evaluate_cmd(model_path, gold_path, forget, personal, members, nonmembers):
     """Accuracy, predictive alignment to gold, and membership AUC."""
     report = evaluate(
         art.load_model(model_path),
@@ -414,7 +403,7 @@ def evaluate_cmd(model_path, gold_path, forget, personal, members, nonmembers,
         mia_members=art.load_dataset(members),
         mia_nonmembers=art.load_dataset(nonmembers),
     )
-    emit(report.to_json(), as_json)
+    return report.to_json()
 
 
 # -- demo ----------------------------------------------------------------------
@@ -425,14 +414,10 @@ def evaluate_cmd(model_path, gold_path, forget, personal, members, nonmembers,
 @click.option("--out-dir", default="demo_out", show_default=True,
               type=click.Path())
 @click.option("--skip-gold", is_flag=True, help="Skip the retraining baseline.")
-@click.option("--json", "as_json", is_flag=True)
-@numeric_guard
-def demo(seed, out_dir, skip_gold, as_json):
+def demo(seed, out_dir, skip_gold):
     """Full pipeline on the synthetic task; writes every artifact."""
+    result = run_pipeline(seed, demo_config(run_gold=not skip_gold))
     os.makedirs(out_dir, exist_ok=True)
-    cfg = demo_config(run_gold=not skip_gold)
-    result = run_pipeline(seed, cfg)
-
     _save_splits(out_dir, result.task)
     art.save_model(os.path.join(out_dir, "theta0_init"), result.theta0_init)
     art.save_model(os.path.join(out_dir, "theta0"), result.theta0)
@@ -461,9 +446,8 @@ def demo(seed, out_dir, skip_gold, as_json):
         fh.write(canonical_json(summary))
     with open(os.path.join(out_dir, "digests.json"), "wb") as fh:
         fh.write(canonical_json(art.out_digests(out_dir)))
-    emit(summary, as_json)
-    ok = result.certificate.verdict and (result.verified in (True, None))
-    sys.exit(0 if ok else 1)
+    return summary, (result.certificate.verdict
+                     and result.verified in (True, None))
 
 
 if __name__ == "__main__":

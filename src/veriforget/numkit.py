@@ -16,7 +16,7 @@ import numpy as np
 
 
 # The package's two failure types.  A command's exit code is a property
-# of the type (``cli.numeric_guard``): a StructuralError exits 2 and a
+# of the type (``cli.ReportCommand``): a StructuralError exits 2 and a
 # NumericError 3.  The one other type, ``zkp.UnsatisfiableWitnessError``,
 # is a rejection and exits 1.
 

@@ -467,6 +467,7 @@ def _fisher_zero_samples(w, tmp):
         _option("personalize_batch_zero", *_PERSONALIZE, "--batch", "0"),
         _option("mask_frac_negative", *_MASK, "--frac", "-1"),
         _option("mask_frac_above_one", *_MASK, "--frac", "1.5"),
+        _option("mask_k_negative", *_MASK, "--k", "-1"),
         _option("certify_tau_negative", *_CERTIFY, "--tau", "-1"),
         _option("gold_lr_zero", *_GOLD, "--lr", "0"),
         _option("gold_p_lr_zero", *_GOLD, "--p-lr", "0"),
@@ -548,6 +549,63 @@ def _fisher_zero_samples(w, tmp):
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
     res = invoke(*case(workdir, str(tmp_path)))
     assert res.exit_code == 2, res.output
+
+
+# The input-artifact options and the output options of every command but
+# demo, which reads no artifact.
+_ARTIFACT_OPTIONS = {
+    "train": (("--data",), ("--out-dir",)),
+    "personalize": (("--model", "--data"), ("--out",)),
+    "mask": (("--model", "--data"), ("--out",)),
+    "fisher": (("--model", "--data"), ("--out",)),
+    "unlearn": (("--model", "--mask", "--fisher"), ("--out-dir",)),
+    "certify": (("--theta-p", "--theta-u", "--comp", "--mask", "--fisher"), ()),
+    "report-bounds": (("--theta-p", "--theta-u", "--comp", "--mask", "--data"),
+                      ()),
+    "prove": (("--theta-p", "--theta-u", "--comp", "--mask", "--fisher"),
+              ("--out-dir",)),
+    "verify": (("--proof", "--public"), ()),
+    "gold": (("--init", "--retain", "--personal"), ("--out",)),
+    "evaluate": (("--model", "--gold", "--forget", "--personal", "--members",
+                  "--nonmembers"), ()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_missing_inputs_exit_2(tmp_path, command):
+    """Every command takes --json, and one whose input artifacts are all
+    missing exits 2 with one error line and creates no output."""
+    assert set(_ARTIFACT_OPTIONS) == set(main.commands) - {"demo"}
+    res = invoke(command, "--help")
+    assert res.exit_code == 0
+    assert any(line.split()[:1] == ["--json"] for line in res.output.splitlines())
+    if command == "demo":
+        pytest.skip("demo reads no artifact")
+    inputs, outputs = _ARTIFACT_OPTIONS[command]
+    args = [command]
+    for opt in inputs:
+        args += [opt, str(tmp_path / "missing")]
+    for opt in outputs:
+        args += [opt, str(tmp_path / "out" / opt.lstrip("-"))]
+    res = invoke(*args)
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith("error: cannot read artifact "), res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (("--layers", "4,0,3"), 2),
+    (("--data", "{w}/train.dset", "--layers", "5,8,3"), 2),
+    (("--seed", "3", "--layers", "4,8,3", "--lr", "1e308"), 3),
+], ids=["layer_width_zero", "data_misfit", "diverged"])
+def test_failed_train_writes_nothing(workdir, tmp_path, args, code):
+    out = tmp_path / "t"
+    res = invoke("train", "--out-dir", str(out),
+                 *(a.format(w=workdir) for a in args))
+    assert res.exit_code == code, res.output
+    assert not out.exists()
 
 
 def test_usage_error_exit_2():
