@@ -33,6 +33,7 @@ from .numkit import (
     StructuralError,
     canonical_json,
     check_ints,
+    check_number,
     sha256_hex,
 )
 from .obs import CompensationResult
@@ -199,6 +200,7 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> N
 @_reader
 def load_fisher(path: str) -> BlockFisher:
     header, blocks = _load(path)
+    check_number("fisher lambda", header["lambda"])
     return BlockFisher(
         fisher=BlockDiagMatrix(
             blocks=tuple(blocks), layout=BlockLayout.from_json(header["layout"])
@@ -224,6 +226,7 @@ def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -
 @_reader
 def load_comp(path: str) -> CompensationResult:
     header, (dw, multipliers) = _load(path)
+    check_number("comp kkt_residual_inf", header["kkt_residual_inf"])
     return CompensationResult(
         delta_w=ParamVector(
             values=dw, layout=BlockLayout.from_json(header["layout"])

@@ -28,7 +28,12 @@ from .certify import (
     forget_gain_report,
     measured_forget_gap,
 )
-from .curvature import DEFAULT_BLOCK_CAP, DEFAULT_DAMPING, DEFAULT_MAX_SAMPLES
+from .curvature import (
+    DEFAULT_BLOCK_CAP,
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_SAMPLES,
+    empirical_fisher_blockwise,
+)
 from .evals import evaluate, gold_standard
 from .masking import DEFAULT_BUDGET_FRACTION
 from .model import (
@@ -44,7 +49,6 @@ from .pipeline import (
     DEFAULT_PRETRAIN,
     compensate,
     demo_config,
-    estimate_fisher,
     run_pipeline,
     run_zk_layer,
     select_mask,
@@ -224,8 +228,9 @@ def fisher(model_path, data, lam, block_cap, max_samples, seed, out):
     """Client step: damped block-wise empirical Fisher curvature."""
     model = art.load_model(model_path)
     d_p = art.load_dataset(data)
-    f = estimate_fisher(model, d_p, seed, lam=lam, block_cap=int(block_cap),
-                        max_samples=max_samples)
+    f = empirical_fisher_blockwise(model, d_p, lam=lam,
+                                   block_cap=int(block_cap),
+                                   max_samples=max_samples, seed=seed)
     art.save_fisher(out, f,
                     inputs=art.input_digests(model=model_path, data=data))
     return {"fisher": out, "lambda": lam, "n": f.sample_count}

@@ -1,4 +1,11 @@
-"""Damped block-wise empirical Fisher estimation and diagonal curvature."""
+"""Damped block-wise empirical Fisher estimation and diagonal curvature.
+
+The Fisher's blocks are the model's blocks (``mlp.<i>.w``, ``mlp.<i>.b``)
+in layout order, each split contiguously at the block cap (``--block-cap``)
+into parts ``<label>/part<j>`` of ``cap`` coordinates and a shorter last one; a part
+of a weight block may start mid-row.  ``model.grad_columns`` makes the
+split, so the layout of a Fisher is the labels and widths it yields.
+"""
 
 from __future__ import annotations
 
@@ -56,25 +63,6 @@ class DiagCurvature:
             raise ValueError("diagonal curvature must be >= 0")
 
 
-def curvature_layout(model_layout: BlockLayout, cap: int = DEFAULT_BLOCK_CAP) -> BlockLayout:
-    """Model layout with oversize blocks split contiguously at `cap`."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    sizes = []
-    for _, size, label in model_layout.blocks:
-        if size <= cap:
-            sizes.append((size, label))
-        else:
-            part = 0
-            remaining = size
-            while remaining > 0:
-                take = min(cap, remaining)
-                sizes.append((take, f"{label}/part{part}"))
-                remaining -= take
-                part += 1
-    return BlockLayout.from_sizes(sizes)
-
-
 def _subsample(data: Dataset, max_samples: int, seed: int) -> tuple[Dataset, np.ndarray]:
     rng = stream_rng(seed, "fisher/subsample")
     order = rng.permutation(len(data))
@@ -85,24 +73,23 @@ def _subsample(data: Dataset, max_samples: int, seed: int) -> tuple[Dataset, np.
 def empirical_fisher_blockwise(
     model: MlpModel,
     data: Dataset,
-    layout: BlockLayout,
     lam: float = DEFAULT_DAMPING,
+    block_cap: int = DEFAULT_BLOCK_CAP,
     max_samples: int = DEFAULT_MAX_SAMPLES,
     seed: int = 0,
 ) -> BlockFisher:
-    """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over a seeded subsample."""
+    """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over a seeded subsample, one
+    block per ``grad_columns(model, ., block_cap)`` block."""
     if len(data) == 0:
         raise StructuralError("empty dataset")
     if not 0 < lam < np.inf:
         raise ValueError("damping must be finite and > 0")
     if max_samples < 1:
         raise ValueError("max_samples must be >= 1")
-    if layout.total_dim != model.dim:
-        raise StructuralError("curvature layout dim does not match model")
     sub, indices = _subsample(data, max_samples, seed)
     n = len(sub)
-    blocks = []
-    for gb in grad_columns(model, sub, layout):  # n x s each
+    sizes, blocks = [], []
+    for label, gb in grad_columns(model, sub, block_cap):  # n x s each
         if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
             # numpy hands an n x 1 product to BLAS dot, whose unit-stride
             # kernel sums in another order than the strided one that a
@@ -111,6 +98,7 @@ def empirical_fisher_blockwise(
             wide[:, :1] = gb
             gb = wide[:, :1]
         f = gb.T @ gb / n
+        sizes.append((gb.shape[1], label))
         blocks.append(pack_upper(0.5 * (f + f.T)))
     digest = sha256_hex(
         canonical_json(
@@ -122,7 +110,8 @@ def empirical_fisher_blockwise(
         )
     )
     return BlockFisher(
-        fisher=BlockDiagMatrix(blocks=tuple(blocks), layout=layout),
+        fisher=BlockDiagMatrix(blocks=tuple(blocks),
+                               layout=BlockLayout.from_sizes(sizes)),
         lam=lam,
         sample_count=n,
         source_digest=digest,
@@ -140,10 +129,8 @@ def diag_curvature(
         raise StructuralError("empty dataset")
     sub, _ = _subsample(data, max_samples, seed)
     # Capped blocks keep each block's gradient columns at n x 256 at most.
-    layout = curvature_layout(model.params.layout)
-    out = np.empty(model.dim)
-    for (sl, _), cols in zip(layout.slices(), grad_columns(model, sub, layout)):
-        # Summed row after row, as a mean over the rows of an n x d matrix
-        # is; numpy would sum an n x 1 column pairwise, in another order.
-        out[sl] = np.cumsum(cols**2, axis=0)[-1] / len(sub)
-    return DiagCurvature(diag=out)
+    # Summed row after row, as a mean over the rows of an n x d matrix
+    # is; numpy would sum an n x 1 column pairwise, in another order.
+    sums = [np.cumsum(cols**2, axis=0)[-1]
+            for _, cols in grad_columns(model, sub, DEFAULT_BLOCK_CAP)]
+    return DiagCurvature(diag=np.concatenate(sums) / len(sub))

@@ -114,6 +114,11 @@ class MlpModel:
         object.__setattr__(self, "layer_dims", tuple(self.layer_dims))
         if self.activation != "tanh":
             raise ValueError("only tanh activation is supported")
+        if len(self.layer_dims) < 2:
+            raise StructuralError(
+                f"layer_dims {list(self.layer_dims)} needs at least input and "
+                "output dims"
+            )
         expected = mlp_layout(list(self.layer_dims))
         if self.params.layout != expected:
             raise StructuralError("params layout does not match layer_dims")
@@ -181,15 +186,10 @@ def _forward(layers, x: np.ndarray):
     """Forward pass on a batch through ``layers``, the per-layer (W, b)
     views; returns logits and per-layer activations."""
     acts = [x]
-    h = x
-    for li, (w, b) in enumerate(layers):
-        z = h @ w + b
-        if li < len(layers) - 1:
-            h = np.tanh(z)
-            acts.append(h)
-        else:
-            return z, acts
-    raise AssertionError("unreachable")
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ w + b))
+    w, b = layers[-1]
+    return acts[-1] @ w + b, acts
 
 
 def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -239,53 +239,48 @@ def _backward(layers, x: np.ndarray, y: np.ndarray, grads) -> None:
         np.sum(delta, axis=0, out=gb)
 
 
-def grad_columns(model: MlpModel, data: Dataset, layout: BlockLayout):
-    """Yield the n x s per-example gradient columns of each block of
-    `layout`, in order, from one backward pass.
+def _parts(label: str, size: int, cap: int):
+    """(label, lo, hi) of each part of a block of ``size`` split
+    contiguously at ``cap``: the block itself when it fits, else parts
+    ``<label>/part<j>`` of ``cap`` columns and a shorter last one."""
+    if size <= cap:
+        yield label, 0, size
+        return
+    for j, lo in enumerate(range(0, size, cap)):
+        yield f"{label}/part{j}", lo, min(lo + cap, size)
 
-    A weight block is formed from the outer products of only the rows of
-    W it touches, so memory is O(n * (s + 2 * dout)) per block and no
-    n x d matrix is built.  Every block of `layout` must lie inside one
-    block of the model's own layout; it may start mid-row.
+
+def grad_columns(model: MlpModel, data: Dataset, cap: int):
+    """Yield (label, n x s per-example gradient columns) for each block of
+    the model's layout, in order, split at ``cap`` as by ``_parts``, from
+    one backward pass.  A part of a weight block may start mid-row.
+
+    A weight part is formed from the outer products of only the rows of W
+    it touches, so memory is O(n * (cap + 2 * dout)) per part and no n x d
+    matrix is built.
     """
-    if layout.total_dim != model.dim:
-        raise StructuralError("curvature layout dim does not match model")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     check_fits(model, data)
-    factors = {
-        li: (a_prev, delta)
-        for li, a_prev, delta in _backprop(
-            model.weights(), data.features, data.labels
-        )
-    }
-    n = len(data)
-    owners = zip(
-        model.params.layout.blocks,
-        [(li, kind) for li in range(len(factors)) for kind in "wb"],
-    )
-    (m_off, m_size, m_label), (li, kind) = next(owners)
-    for offset, size, label in layout.blocks:
-        while offset >= m_off + m_size:
-            (m_off, m_size, m_label), (li, kind) = next(owners)
-        lo, hi = offset - m_off, offset + size - m_off
-        if hi > m_size:
-            raise StructuralError(
-                f"curvature block {label!r} straddles model block {m_label!r}"
-            )
-        a_prev, delta = factors[li]
-        if kind == "b":
-            yield delta[:, lo:hi]
-            continue
-        dout = delta.shape[1]
-        r0, r1 = lo // dout, -(-hi // dout)
-        gw = np.einsum("ni,nj->nij", a_prev[:, r0:r1], delta).reshape(n, -1)
-        yield gw[:, lo - r0 * dout : hi - r0 * dout]
+    factors = list(_backprop(model.weights(), data.features, data.labels))
+    blocks = model.params.layout.blocks
+    for (_, a_prev, delta), (_, w_size, w_label), (_, b_size, b_label) in zip(
+        reversed(factors), blocks[0::2], blocks[1::2]
+    ):
+        n, dout = delta.shape
+        for label, lo, hi in _parts(w_label, w_size, cap):
+            r0, r1 = lo // dout, -(-hi // dout)
+            gw = np.einsum("ni,nj->nij", a_prev[:, r0:r1], delta).reshape(n, -1)
+            yield label, gw[:, lo - r0 * dout : hi - r0 * dout]
+        for label, lo, hi in _parts(b_label, b_size, cap):
+            yield label, delta[:, lo:hi]
 
 
 def per_example_grads(model: MlpModel, data: Dataset) -> np.ndarray:
     """n x d matrix of per-example gradients (vectorized per layer)."""
     out = np.empty((len(data), model.dim))
-    layout = model.params.layout
-    for (sl, _), cols in zip(layout.slices(), grad_columns(model, data, layout)):
+    for (sl, _), (_, cols) in zip(model.params.layout.slices(),
+                                  grad_columns(model, data, model.dim)):
         out[:, sl] = cols
     return out
 

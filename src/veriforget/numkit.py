@@ -41,6 +41,13 @@ def check_ints(what: str, values) -> None:
             raise StructuralError(f"{what}: {v!r} is not an integer")
 
 
+def check_number(what: str, value) -> None:
+    """Raise StructuralError unless ``value`` is a JSON number: a string,
+    bool, list or null read from an artifact header is not."""
+    if type(value) not in (int, float):
+        raise StructuralError(f"{what}: {value!r} is not a number")
+
+
 # ---------------------------------------------------------------------------
 # layouts and vectors
 # ---------------------------------------------------------------------------

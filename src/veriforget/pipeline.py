@@ -2,8 +2,10 @@
 ``run_pipeline``: pretrain, personalize, provider-side mask, client-side
 Fisher + compensation, certificate checks, the ZK layer, and evaluation
 against the retrain-then-personalize gold standard.  Each stage is one
-function here; a CLI command loads its artifacts, calls the stage and
-saves the result, while ``run_pipeline`` chains the stages in memory."""
+function, here or, when it is one call, in the module that computes it
+(the Fisher is ``curvature.empirical_fisher_blockwise``); a CLI command
+loads its artifacts, calls the stage and saves the result, while
+``run_pipeline`` chains the stages in memory."""
 
 from __future__ import annotations
 
@@ -13,15 +15,7 @@ import numpy as np
 
 from . import zkp
 from .certify import KktCertificate, check_kkt, check_shapes
-from .curvature import (
-    BlockFisher,
-    DEFAULT_BLOCK_CAP,
-    DEFAULT_DAMPING,
-    DEFAULT_MAX_SAMPLES,
-    curvature_layout,
-    diag_curvature,
-    empirical_fisher_blockwise,
-)
+from .curvature import BlockFisher, diag_curvature, empirical_fisher_blockwise
 from .evals import EvalReport, evaluate, gold_standard
 from .masking import (
     DEFAULT_BUDGET_FRACTION,
@@ -44,6 +38,7 @@ from .model import (
     stream_rng,
     train_sgd,
 )
+from .numkit import StructuralError
 from .obs import CompensationResult, apply_unlearn, group_obs_solve
 
 # Defaults of the demo pipeline, which the CLI options share.
@@ -94,6 +89,11 @@ class PipelineResult:
 
 def synthetic_task(seed: int, layer_dims: tuple[int, ...]) -> SyntheticTask:
     """The built-in task for a model shape: forget the last class."""
+    if layer_dims[-1] < 2:
+        raise StructuralError(
+            "the synthetic task forgets the model's last class, so the last "
+            f"layer dim must be at least 2, not {layer_dims[-1]}"
+        )
     return make_synthetic_task(
         seed,
         dim=layer_dims[0],
@@ -124,21 +124,6 @@ def select_mask(
     if k is None:
         k = max(1, int(round(frac * eligible.size)))
     return select_topk(scores, k, eligible), scores
-
-
-def estimate_fisher(
-    theta_p: MlpModel,
-    d_p: Dataset,
-    seed: int,
-    lam: float = DEFAULT_DAMPING,
-    block_cap: int = DEFAULT_BLOCK_CAP,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
-) -> BlockFisher:
-    """Client step: damped block-wise empirical Fisher at theta_p."""
-    layout = curvature_layout(theta_p.params.layout, block_cap)
-    return empirical_fisher_blockwise(
-        theta_p, d_p, layout, lam=lam, max_samples=max_samples, seed=seed
-    )
 
 
 def compensate(
@@ -202,7 +187,7 @@ def run_pipeline(seed: int, cfg: PipelineConfig) -> PipelineResult:
         s0, sp, mask.budget, mask.eligible, theta_drift_l2=drift_l2
     )
 
-    fisher = estimate_fisher(theta_p, task.personal, seed)
+    fisher = empirical_fisher_blockwise(theta_p, task.personal, seed=seed)
     comp, theta_u = compensate(theta_p, mask, fisher)
     certificate = check_kkt(theta_p.params, theta_u.params, comp, fisher, mask)
 

@@ -141,6 +141,25 @@ def resave_fisher(src, dst, blocks):
     art._save(dst, header, blocks)
 
 
+def reference_curvature_layout(model_layout, cap):
+    """Oracle: ``model_layout`` with each block wider than ``cap`` split
+    contiguously into parts of ``cap`` and a shorter last one, labelled
+    ``<label>/part<j>``."""
+    sizes = []
+    for _, size, label in model_layout.blocks:
+        if size <= cap:
+            sizes.append((size, label))
+        else:
+            part = 0
+            remaining = size
+            while remaining > 0:
+                take = min(cap, remaining)
+                sizes.append((take, f"{label}/part{part}"))
+                remaining -= take
+                part += 1
+    return BlockLayout.from_sizes(sizes)
+
+
 def reference_fisher_blocks(model, data, layout, max_samples=DEFAULT_MAX_SAMPLES,
                             seed=0):
     """Oracle: the square Fisher blocks sliced from the full n x d

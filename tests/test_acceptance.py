@@ -14,10 +14,7 @@ import numpy as np
 
 from veriforget import zkp
 from veriforget.certify import check_kkt, exact_hessian
-from veriforget.curvature import (
-    curvature_layout,
-    empirical_fisher_blockwise,
-)
+from veriforget.curvature import empirical_fisher_blockwise
 from veriforget.evals import forward_kl_alignment
 from veriforget.masking import make_mask
 from veriforget.model import (
@@ -373,8 +370,7 @@ def test_criterion_9_numerical_hygiene():
     rng = np.random.default_rng(901)
     model = init_mlp([4, 8, 3], 0)
     data = small_dataset(rng, n=40)
-    layout = curvature_layout(model.params.layout, cap=32)
-    fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
+    fisher = empirical_fisher_blockwise(model, data, lam=1e-3, block_cap=32)
     for blk in square_blocks(fisher.fisher):
         if np.linalg.eigvalsh(blk).min() < -1e-10:
             ok = False

@@ -248,3 +248,27 @@ def test_fuzz_bit_flipped_blob(saved, kind, data):
 def test_fuzz_truncated_json_artifact(saved, kind, data):
     cut = data.draw(st.integers(0, len(saved[1][kind, ""]) - 1))
     _load_mutated(saved, kind, "", lambda b: b[:cut])
+
+
+def _set_header(key, value):
+    def mutate(raw):
+        header = json.loads(raw)
+        header[key] = value
+        return json.dumps(header).encode()
+
+    return mutate
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("fisher", "lambda", True),
+    ("fisher", "lambda", "0.001"),
+    ("fisher", "lambda", [0.001]),
+    ("fisher", "lambda", None),
+    ("comp", "kkt_residual_inf", True),
+    ("comp", "kkt_residual_inf", False),
+    ("comp", "kkt_residual_inf", "0"),
+    ("comp", "kkt_residual_inf", [0.0]),
+])
+def test_header_number_must_be_a_number(saved, kind, key, value):
+    # a bool is an int to Python: damping True would load as 1
+    _load_mutated(saved, kind, "", _set_header(key, value))

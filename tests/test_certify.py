@@ -180,9 +180,8 @@ def pipeline_report(seed, hessian_mode="exact", lam_q=0.5):
     data = small_dataset(rng, n=30, dim=3, classes=2)
     model = train_sgd(model0, data, TrainConfig(epochs=8, seed=seed))
     d = model.dim
-    from veriforget.curvature import curvature_layout, empirical_fisher_blockwise
-    layout = curvature_layout(model.params.layout, cap=64)
-    fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
+    from veriforget.curvature import empirical_fisher_blockwise
+    fisher = empirical_fisher_blockwise(model, data, lam=1e-3, block_cap=64)
     elig = np.arange(d, dtype=np.int64)
     support = np.sort(rng.choice(d, size=4, replace=False)).astype(np.int64)
     mask = make_mask(d, 4, elig, support)

@@ -401,6 +401,13 @@ def _on_file(name, *args):
     return case
 
 
+def _personalize_one_layer_dim(w, tmp):
+    art._save(f"{tmp}/model", {"layer_dims": [4], "activation": "tanh",
+                               "inputs": {}}, [np.zeros(0)])
+    return ("personalize", "--model", f"{tmp}/model",
+            "--data", f"{w}/personal.dset", "--out", f"{tmp}/p")
+
+
 def _frac_bits_negative(w, tmp):
     return _prove_args(w, tmp, -3, 32)
 
@@ -459,6 +466,8 @@ def _fisher_zero_samples(w, tmp):
         _public_field("block_sizes", "string", "4,8"),
         _public_field("block_sizes", "zero", [40, 0]),
         _public_field("block_sizes", "float", [40, 2.5]),
+        _personalize_one_layer_dim,
+        _option("train_one_class", *_TRAIN, "--layers", "4,8,1"),
         _option("train_lr_zero", *_TRAIN, "--lr", "0"),
         _option("train_batch_zero", *_TRAIN, "--batch", "0"),
         _option("train_epochs_negative", *_TRAIN, "--epochs", "-2"),
@@ -484,6 +493,10 @@ def _fisher_zero_samples(w, tmp):
                 *_UNLEARN_TMP_FISHER),
         _header("fisher_lambda_inf", "fisher", _set("lambda", float("inf")),
                 *_UNLEARN_TMP_FISHER),
+        _header("fisher_lambda_bool", "fisher", _set("lambda", True),
+                *_UNLEARN_TMP_FISHER),
+        _header("comp_residual_bool", "comp", _set("kkt_residual_inf", True),
+                *_PROVE_TMP_COMP),
         _option("report_bounds_lambda_q_nan", *_REPORT_BOUNDS, "--lambda-q", "nan"),
         _option("report_bounds_lambda_q_inf", *_REPORT_BOUNDS, "--lambda-q", "inf"),
         _option("certify_tau_nan", *_CERTIFY, "--tau", "nan"),
@@ -598,14 +611,21 @@ def test_every_command_missing_inputs_exit_2(tmp_path, command):
 @pytest.mark.parametrize("args, code", [
     (("--layers", "4,0,3"), 2),
     (("--data", "{w}/train.dset", "--layers", "5,8,3"), 2),
+    (("--layers", "4,8,1"), 2),
     (("--seed", "3", "--layers", "4,8,3", "--lr", "1e308"), 3),
-], ids=["layer_width_zero", "data_misfit", "diverged"])
+], ids=["layer_width_zero", "data_misfit", "one_class_task", "diverged"])
 def test_failed_train_writes_nothing(workdir, tmp_path, args, code):
     out = tmp_path / "t"
     res = invoke("train", "--out-dir", str(out),
                  *(a.format(w=workdir) for a in args))
     assert res.exit_code == code, res.output
     assert not out.exists()
+
+
+def test_one_class_synthetic_task_names_its_cause(tmp_path):
+    res = invoke("train", "--out-dir", str(tmp_path / "t"), "--layers", "4,8,1")
+    assert res.exit_code == 2, res.output
+    assert "last layer dim must be at least 2" in res.stderr, res.stderr
 
 
 def test_usage_error_exit_2():

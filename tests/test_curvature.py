@@ -4,26 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veriforget.curvature import (
-    curvature_layout,
-    diag_curvature,
-    empirical_fisher_blockwise,
-)
+from veriforget.curvature import diag_curvature, empirical_fisher_blockwise
 from veriforget.model import Dataset, grad_columns, init_mlp, per_example_grads
-from veriforget.numkit import BlockLayout, StructuralError, pack_upper
+from veriforget.numkit import StructuralError, pack_upper
 
 from conftest import (
     dense,
+    reference_curvature_layout,
     reference_damp,
     reference_diag_curvature,
     reference_fisher_blocks,
     small_dataset,
     square_blocks,
 )
-
-
-def full_layout(model):
-    return curvature_layout(model.params.layout, cap=10_000)
 
 
 # -- fisher estimation ---------------------------------------------------------
@@ -33,10 +26,9 @@ def test_single_example_outer_product():
     rng = np.random.default_rng(0)
     model = init_mlp([2, 2], 0).with_params(rng.normal(size=6) * 0.3)
     data = small_dataset(rng, n=1, dim=2, classes=2)
-    layout = full_layout(model)
-    fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
+    fisher = empirical_fisher_blockwise(model, data, lam=1e-3)
     g = per_example_grads(model, data)[0]
-    for blk, (sl, _) in zip(square_blocks(fisher.fisher), layout.slices()):
+    for blk, (sl, _) in zip(square_blocks(fisher.fisher), fisher.layout.slices()):
         assert np.abs(blk - np.outer(g[sl], g[sl])).max() <= 1e-14
 
 
@@ -44,11 +36,10 @@ def test_two_example_average():
     rng = np.random.default_rng(1)
     model = init_mlp([2, 2], 1).with_params(rng.normal(size=6) * 0.3)
     data = small_dataset(rng, n=2, dim=2, classes=2)
-    layout = full_layout(model)
-    fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
+    fisher = empirical_fisher_blockwise(model, data, lam=1e-3)
     g = per_example_grads(model, data)
     want = (np.outer(g[0], g[0]) + np.outer(g[1], g[1])) / 2.0
-    for blk, (sl, _) in zip(square_blocks(fisher.fisher), layout.slices()):
+    for blk, (sl, _) in zip(square_blocks(fisher.fisher), fisher.layout.slices()):
         assert np.abs(blk - want[sl, sl]).max() <= 1e-13
 
 
@@ -56,8 +47,7 @@ def test_blocks_psd_and_damped_spd():
     rng = np.random.default_rng(2)
     model = init_mlp([4, 6, 3], 2)
     data = small_dataset(rng, n=40)
-    layout = curvature_layout(model.params.layout, cap=16)
-    fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3)
+    fisher = empirical_fisher_blockwise(model, data, lam=1e-3, block_cap=16)
     for raw, damped in zip(square_blocks(fisher.fisher), fisher.damped_blocks()):
         assert np.linalg.eigvalsh(raw).min() >= -1e-10
         assert np.linalg.eigvalsh(damped).min() >= 1e-3 - 1e-10
@@ -67,11 +57,10 @@ def test_fisher_deterministic_and_subsample_order_invariant():
     rng = np.random.default_rng(3)
     model = init_mlp([4, 6, 3], 3)
     data = small_dataset(rng, n=50)
-    layout = full_layout(model)
-    a = empirical_fisher_blockwise(model, data, layout, lam=1e-3,
-                                   max_samples=20, seed=9)
-    b = empirical_fisher_blockwise(model, data, layout, lam=1e-3,
-                                   max_samples=20, seed=9)
+    a = empirical_fisher_blockwise(model, data, lam=1e-3, max_samples=20,
+                                   seed=9)
+    b = empirical_fisher_blockwise(model, data, lam=1e-3, max_samples=20,
+                                   seed=9)
     assert all(np.array_equal(x, y)
                for x, y in zip(a.fisher.blocks, b.fisher.blocks))
     assert a.source_digest == b.source_digest
@@ -84,21 +73,28 @@ def test_fisher_empty_dataset_rejected():
                 name="empty")
 
 
-def test_curvature_layout_splits_large_blocks():
-    layout = BlockLayout.from_sizes([(600, "mlp.0.w"), (10, "mlp.0.b")])
-    split = curvature_layout(layout, cap=256)
-    sizes = [s for _, s, _ in split.blocks]
-    assert max(sizes) <= 256
-    assert sum(sizes) == 610
+def test_grad_columns_labels_and_widths():
+    model = init_mlp([60, 10, 2], 0)  # mlp.0.w has 600 coordinates
+    data = small_dataset(np.random.default_rng(0), n=5, dim=60, classes=2)
+    got = [(label, cols.shape) for label, cols in grad_columns(model, data, 256)]
+    assert got == [
+        ("mlp.0.w/part0", (5, 256)),
+        ("mlp.0.w/part1", (5, 256)),
+        ("mlp.0.w/part2", (5, 88)),
+        ("mlp.0.b", (5, 10)),
+        ("mlp.1.w", (5, 20)),
+        ("mlp.1.b", (5, 2)),
+    ]
 
 
-def test_curvature_layout_rejects_cap_below_one():
-    # an empty layout splits nothing, so a check that moved into the
-    # splitting loop fails here instead of looping forever
-    empty = BlockLayout.from_sizes([])
+def test_grad_columns_rejects_cap_below_one():
+    model = init_mlp([3, 4, 2], 0)
+    data = small_dataset(np.random.default_rng(7), n=5, dim=3, classes=2)
     for cap in (0, -3):
         with pytest.raises(ValueError):
-            curvature_layout(empty, cap=cap)
+            list(grad_columns(model, data, cap))
+        with pytest.raises(ValueError):
+            empirical_fisher_blockwise(model, data, block_cap=cap)
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,8 +109,9 @@ def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
     model = init_mlp(dims, 0)
     model = model.with_params(rng.normal(size=model.dim))
     data = small_dataset(rng, n=n, dim=dims[0], classes=dims[-1])
-    layout = curvature_layout(model.params.layout, cap=cap)
-    fisher = empirical_fisher_blockwise(model, data, layout, seed=seed)
+    fisher = empirical_fisher_blockwise(model, data, block_cap=cap, seed=seed)
+    layout = reference_curvature_layout(model.params.layout, cap)
+    assert fisher.layout == layout
     want = reference_fisher_blocks(model, data, layout, seed=seed)
     assert len(fisher.fisher.blocks) == len(want)
     for got, ref in zip(fisher.fisher.blocks, want):
@@ -125,20 +122,10 @@ def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
     # blocks may start mid-row; filled column by column they still give
     # the per-example gradient matrix exactly
     filled = np.empty((n, model.dim))
-    for (sl, _), cols in zip(layout.slices(), grad_columns(model, data, layout)):
+    for (sl, _), (_, cols) in zip(layout.slices(),
+                                  grad_columns(model, data, cap)):
         filled[:, sl] = cols
     assert np.array_equal(filled, per_example_grads(model, data))
-
-
-def test_grad_columns_rejects_block_across_model_blocks():
-    model = init_mlp([3, 4, 2], 0)
-    data = small_dataset(np.random.default_rng(7), n=5, dim=3, classes=2)
-    # mlp.0.w is [0, 12) and mlp.0.b is [12, 16): [10, 14) crosses them
-    layout = BlockLayout.from_sizes([(10, "a"), (4, "across"), (12, "c")])
-    with pytest.raises(StructuralError, match="straddles"):
-        empirical_fisher_blockwise(model, data, layout)
-    with pytest.raises(StructuralError, match="straddles"):
-        list(grad_columns(model, data, layout))
 
 
 def test_fisher_memory_excludes_nxd_gradient_matrix():
@@ -147,11 +134,10 @@ def test_fisher_memory_excludes_nxd_gradient_matrix():
     rng = np.random.default_rng(8)
     model = init_mlp([32, 256, 128, 8], 0)
     data = small_dataset(rng, n=560, dim=32, classes=8)
-    layout = curvature_layout(model.params.layout, cap=512)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        fisher = empirical_fisher_blockwise(model, data, layout)
+        fisher = empirical_fisher_blockwise(model, data, block_cap=512)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -204,8 +190,7 @@ def test_diag_matches_blockwise_diagonal():
     rng = np.random.default_rng(5)
     model = init_mlp([3, 4, 2], 5)
     data = small_dataset(rng, n=25, dim=3, classes=2)
-    layout = full_layout(model)
-    fisher = empirical_fisher_blockwise(model, data, layout, lam=1e-3,
+    fisher = empirical_fisher_blockwise(model, data, lam=1e-3,
                                         max_samples=1024, seed=0)
     c = diag_curvature(model, data, seed=0)
     assert np.abs(np.diag(dense(fisher.fisher)) - c.diag).max() <= 1e-12

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from veriforget.model import (
     _loss_bounded,
     Dataset,
+    MlpModel,
     TrainConfig,
     batch_grad,
     init_mlp,
@@ -17,7 +18,7 @@ from veriforget.model import (
     stream_rng,
     train_sgd,
 )
-from veriforget.numkit import NumericError, StructuralError
+from veriforget.numkit import NumericError, ParamVector, StructuralError
 
 from conftest import reference_train_sgd, small_dataset
 
@@ -311,6 +312,13 @@ def test_mlp_layout_labels_and_dim():
     layout = mlp_layout([8, 32, 4])
     assert layout.labels == ["mlp.0.w", "mlp.0.b", "mlp.1.w", "mlp.1.b"]
     assert layout.total_dim == 8 * 32 + 32 + 32 * 4 + 4
+
+
+@pytest.mark.parametrize("dims", [(), (4,)])
+def test_model_needs_input_and_output_dims(dims):
+    params = ParamVector(values=np.zeros(0), layout=mlp_layout(list(dims)))
+    with pytest.raises(StructuralError, match="at least input and output"):
+        MlpModel(layer_dims=dims, params=params)
 
 
 def test_dataset_label_range_checked():
