@@ -5,7 +5,8 @@ with the artifact's metadata, its ``inputs``, each array's dtype and
 shape, and the sha256 of the blob; and ``P.bin``, the arrays written
 back to back as C-contiguous little-endian f64 or i64.  The header's own
 digest therefore binds the whole artifact.  Masks, public inputs and
-proofs are single JSON files.  Every derived artifact records the
+proofs are single JSON files.  Every writer returns the paths of the
+files it wrote.  Every derived artifact records the
 digests of the artifacts it was computed from, so downstream stages can
 refuse mismatched inputs.  Every reader raises ``numkit.StructuralError``
 when an artifact is missing, truncated or malformed, or does not match
@@ -60,9 +61,10 @@ def _reader(fn):
     return wrapper
 
 
-def _write_json(path: str, obj: dict) -> None:
+def _write_json(path: str, obj: dict) -> list[str]:
     with open(path, "wb") as fh:
         fh.write(canonical_json(obj))
+    return [path]
 
 
 def _read_json(path: str) -> dict:
@@ -70,7 +72,7 @@ def _read_json(path: str) -> dict:
         return json.loads(fh.read())
 
 
-def _save(path: str, header: dict, arrays) -> None:
+def _save(path: str, header: dict, arrays) -> list[str]:
     """Stream ``arrays`` into ``path.bin`` and its sha256 at once, then
     write ``header`` with each array's dtype and shape and that digest."""
     digest = hashlib.sha256()
@@ -81,7 +83,8 @@ def _save(path: str, header: dict, arrays) -> None:
             digest.update(a)
             fh.write(a)
             specs.append({"dtype": a.dtype.str, "shape": list(a.shape)})
-    _write_json(path, {**header, "arrays": specs, "sha256": digest.hexdigest()})
+    return [path + ".bin"] + _write_json(
+        path, {**header, "arrays": specs, "sha256": digest.hexdigest()})
 
 
 def _load(path: str) -> tuple[dict, list[np.ndarray]]:
@@ -137,10 +140,9 @@ def check_input_digests(inputs: dict, **paths: str) -> None:
 # -- models -----------------------------------------------------------------
 
 
-def save_model(path: str, model: MlpModel, inputs: dict | None = None) -> None:
-    _save(path, {
+def save_model(path: str, model: MlpModel, inputs: dict | None = None) -> list[str]:
+    return _save(path, {
         "layer_dims": list(model.layer_dims),
-        "activation": model.activation,
         "inputs": inputs or {},
     }, [model.params.values])
 
@@ -153,15 +155,14 @@ def load_model(path: str) -> MlpModel:
     return MlpModel(
         layer_dims=layer_dims,
         params=ParamVector(values=values, layout=mlp_layout(list(layer_dims))),
-        activation=header["activation"],
     )
 
 
 # -- datasets ---------------------------------------------------------------
 
 
-def save_dataset(path: str, data: Dataset) -> None:
-    _save(path, {"name": data.name}, [data.features, data.labels])
+def save_dataset(path: str, data: Dataset) -> list[str]:
+    return _save(path, {"name": data.name}, [data.features, data.labels])
 
 
 @_reader
@@ -173,10 +174,10 @@ def load_dataset(path: str) -> Dataset:
 # -- masks ------------------------------------------------------------------
 
 
-def save_mask(path: str, mask: MaskArtifact, inputs: dict | None = None) -> None:
+def save_mask(path: str, mask: MaskArtifact, inputs: dict | None = None) -> list[str]:
     obj = mask.to_json()
     obj["inputs"] = inputs or {}
-    _write_json(path, obj)
+    return _write_json(path, obj)
 
 
 @_reader
@@ -187,8 +188,8 @@ def load_mask(path: str) -> MaskArtifact:
 # -- fisher -----------------------------------------------------------------
 
 
-def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> None:
-    _save(path, {
+def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> list[str]:
+    return _save(path, {
         "lambda": fisher.lam,
         "n": fisher.sample_count,
         "source_digest": fisher.source_digest,
@@ -214,10 +215,9 @@ def load_fisher(path: str) -> BlockFisher:
 # -- compensation -----------------------------------------------------------
 
 
-def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -> None:
-    _save(path, {
+def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -> list[str]:
+    return _save(path, {
         "method": comp.method,
-        "kkt_residual_inf": comp.kkt_residual_inf,
         "layout": comp.delta_w.layout.to_json(),
         "inputs": inputs or {},
     }, [comp.delta_w.values, comp.multipliers])
@@ -226,14 +226,12 @@ def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -
 @_reader
 def load_comp(path: str) -> CompensationResult:
     header, (dw, multipliers) = _load(path)
-    check_number("comp kkt_residual_inf", header["kkt_residual_inf"])
     return CompensationResult(
         delta_w=ParamVector(
             values=dw, layout=BlockLayout.from_json(header["layout"])
         ),
         multipliers=multipliers,
         method=header["method"],
-        kkt_residual_inf=header["kkt_residual_inf"],
     )
 
 
@@ -255,10 +253,10 @@ def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
 # -- zk layer ---------------------------------------------------------------
 
 
-def save_public(path: str, public: PublicInputs, inputs: dict | None = None) -> None:
+def save_public(path: str, public: PublicInputs, inputs: dict | None = None) -> list[str]:
     obj = public.to_json()
     obj["inputs"] = inputs or {}
-    _write_json(path, obj)
+    return _write_json(path, obj)
 
 
 @_reader
@@ -266,8 +264,8 @@ def load_public(path: str) -> PublicInputs:
     return PublicInputs.from_json(_read_json(path))
 
 
-def save_proof(path: str, proof: Proof) -> None:
-    _write_json(path, asdict(proof))
+def save_proof(path: str, proof: Proof) -> list[str]:
+    return _write_json(path, asdict(proof))
 
 
 @_reader

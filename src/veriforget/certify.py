@@ -45,17 +45,6 @@ def _inf(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def check_shapes(theta_p, theta_u, comp, c_p, mask) -> None:
-    """Raise StructuralError unless the inputs of a certificate share one
-    dimension d and hold one multiplier per masked coordinate."""
-    dims = {theta_p.dim, theta_u.dim, comp.delta_w.dim, c_p.layout.total_dim,
-            mask.model_dim}
-    if len(dims) != 1 or comp.multipliers.shape != (mask.budget,):
-        raise StructuralError(
-            f"dimensions {sorted(dims)} and {comp.multipliers.size} "
-            f"multipliers for a mask of {mask.budget} coordinates")
-
-
 def check_kkt(
     theta_p: ParamVector,
     theta_u: ParamVector,
@@ -64,8 +53,15 @@ def check_kkt(
     mask: MaskArtifact,
     tau_real: float = DEFAULT_TAU_REAL,
 ) -> KktCertificate:
-    """Evaluate assembly, feasibility, and stationarity residuals."""
-    check_shapes(theta_p, theta_u, comp, c_p, mask)
+    """Evaluate assembly, feasibility, and stationarity residuals; raise
+    StructuralError unless the inputs share one dimension d and hold one
+    multiplier per masked coordinate."""
+    dims = {theta_p.dim, theta_u.dim, comp.delta_w.dim, c_p.layout.total_dim,
+            mask.model_dim}
+    if len(dims) != 1 or comp.multipliers.shape != (mask.budget,):
+        raise StructuralError(
+            f"dimensions {sorted(dims)} and {comp.multipliers.size} "
+            f"multipliers for a mask of {mask.budget} coordinates")
     dw = comp.delta_w.values
     r_asm = theta_u.values - theta_p.values - dw
     r_feas = dw[mask.support] + theta_p.values[mask.support]

@@ -43,6 +43,7 @@ from .model import (
     train_sgd,
 )
 from .numkit import NumericError, StructuralError, canonical_json
+from .obs import apply_unlearn
 from .pipeline import (
     DEFAULT_LAYERS,
     DEFAULT_PERSONALIZE,
@@ -105,14 +106,17 @@ class ReportGroup(click.Group):
     command_class = ReportCommand
 
 
-def _save_splits(out_dir: str, task) -> None:
-    """The six dataset splits of a synthetic task, as ``<split>.dset``."""
+def _save_splits(out_dir: str, task) -> list[str]:
+    """The six dataset splits of a synthetic task, as ``<split>.dset``;
+    returns the paths written."""
+    written = []
     for name in (
         "train", "forget", "retain", "personal",
         "holdout_forget", "holdout_personal",
     ):
-        art.save_dataset(os.path.join(out_dir, name + ".dset"),
-                         getattr(task, name))
+        written += art.save_dataset(os.path.join(out_dir, name + ".dset"),
+                                    getattr(task, name))
+    return written
 
 
 def _parse_layers(text: str) -> tuple[int, ...]:
@@ -257,7 +261,6 @@ def unlearn(model_path, mask_path, fisher_path, out_dir):
         "comp": os.path.join(out_dir, "comp"),
         "theta_u": os.path.join(out_dir, "theta_u"),
         "method": comp.method,
-        "kkt_residual_inf": comp.kkt_residual_inf,
     }
 
 
@@ -282,31 +285,26 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau):
 
 @main.command("report-bounds")
 @click.option("--theta-p", "tp_path", required=True)
-@click.option("--theta-u", "tu_path", default=None,
-              help="Optional: also report the measured forget-loss gap.")
 @click.option("--comp", "comp_path", required=True)
 @click.option("--mask", "mask_path", required=True)
 @click.option("--data", required=True, help="Forget-set .dset.")
 @click.option("--lambda-q", default=DEFAULT_LAM_Q, show_default=True, type=FiniteFloat())
 @click.option("--hessian", default="exact", show_default=True,
               type=click.Choice(["exact", "fisher"]))
-def report_bounds(tp_path, tu_path, comp_path, mask_path, data, lambda_q,
-                  hessian):
-    """Forget-loss gain bounds for the compensated update."""
+def report_bounds(tp_path, comp_path, mask_path, data, lambda_q, hessian):
+    """Forget-loss gain bounds for the compensated update, and the
+    measured forget-loss change it gives."""
     art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
                             mask=mask_path)
     theta_p = art.load_model(tp_path)
     comp = art.load_comp(comp_path)
     m = art.load_mask(mask_path)
     d_f = art.load_dataset(data)
+    theta_u = theta_p.with_params(apply_unlearn(theta_p.params, comp, m).values)
     budget = forget_gain_report(theta_p, m, comp, d_f, lam_q=lambda_q,
                                 hessian_mode=hessian)
-    obj = budget.to_json()
-    if tu_path is not None:
-        obj["measured"] = measured_forget_gap(
-            theta_p, art.load_model(tu_path), d_f, budget.predicted_delta_lf
-        )
-    return obj
+    return {**budget.to_json(), "measured": measured_forget_gap(
+        theta_p, theta_u, d_f, budget.predicted_delta_lf)}
 
 
 # -- zk layer -----------------------------------------------------------------
@@ -422,22 +420,14 @@ def evaluate_cmd(model_path, gold_path, forget, personal, members, nonmembers):
 def demo(seed, out_dir, skip_gold):
     """Full pipeline on the synthetic task; writes every artifact."""
     result = run_pipeline(seed, demo_config(run_gold=not skip_gold))
-    os.makedirs(out_dir, exist_ok=True)
-    _save_splits(out_dir, result.task)
-    art.save_model(os.path.join(out_dir, "theta0_init"), result.theta0_init)
-    art.save_model(os.path.join(out_dir, "theta0"), result.theta0)
-    art.save_model(os.path.join(out_dir, "theta_p"), result.theta_p)
-    art.save_model(os.path.join(out_dir, "theta_u"), result.theta_u)
-    art.save_mask(os.path.join(out_dir, "mask.mask"), result.mask)
-    art.save_fisher(os.path.join(out_dir, "fisher"), result.fisher)
-    art.save_comp(os.path.join(out_dir, "comp"), result.comp)
-    if result.gold is not None:
-        art.save_model(os.path.join(out_dir, "gold"), result.gold)
     public = result.circuit.public if result.circuit else None
-    if public is not None:
-        art.save_public(os.path.join(out_dir, "public.pub"), public)
-        art.save_proof(os.path.join(out_dir, "proof.prf"), result.proof)
-
+    saves = [(art.save_model, name, getattr(result, name)) for name in
+             ("theta0_init", "theta0", "theta_p", "theta_u", "gold")]
+    saves += [(art.save_mask, "mask.mask", result.mask),
+              (art.save_fisher, "fisher", result.fisher),
+              (art.save_comp, "comp", result.comp),
+              (art.save_public, "public.pub", public),
+              (art.save_proof, "proof.prf", result.proof)]
     summary = {
         "seed": seed,
         "certificate": result.certificate.to_json(),
@@ -447,10 +437,19 @@ def demo(seed, out_dir, skip_gold):
         "t_int": public.t_int if public else None,
         "reports": {k: v.to_json() for k, v in result.reports.items()},
     }
-    with open(os.path.join(out_dir, "summary.json"), "wb") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    written = _save_splits(out_dir, result.task)
+    for save, name, obj in saves:
+        if obj is not None:
+            written += save(os.path.join(out_dir, name), obj)
+    summary_path = os.path.join(out_dir, "summary.json")
+    with open(summary_path, "wb") as fh:
         fh.write(canonical_json(summary))
+    written.append(summary_path)
+    # the files this run wrote, not whatever else the directory holds
+    digests = {os.path.relpath(p, out_dir): art.file_digest(p) for p in written}
     with open(os.path.join(out_dir, "digests.json"), "wb") as fh:
-        fh.write(canonical_json(art.out_digests(out_dir)))
+        fh.write(canonical_json(digests))
     return summary, (result.certificate.verdict
                      and result.verified in (True, None))
 

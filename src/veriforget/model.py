@@ -106,14 +106,13 @@ def mlp_layout(layer_dims: list[int]) -> BlockLayout:
 
 @dataclass(frozen=True)
 class MlpModel:
+    """An MLP with tanh on every hidden layer, the only activation."""
+
     layer_dims: tuple[int, ...]
     params: ParamVector
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_dims", tuple(self.layer_dims))
-        if self.activation != "tanh":
-            raise ValueError("only tanh activation is supported")
         if len(self.layer_dims) < 2:
             raise StructuralError(
                 f"layer_dims {list(self.layer_dims)} needs at least input and "
@@ -135,7 +134,6 @@ class MlpModel:
         return MlpModel(
             layer_dims=self.layer_dims,
             params=self.params.with_values(values),
-            activation=self.activation,
         )
 
 

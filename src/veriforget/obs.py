@@ -24,14 +24,13 @@ class CompensationResult:
     delta_w: ParamVector  # includes the -theta_M components on M
     multipliers: np.ndarray  # aligned to sorted mask support
     method: str  # always "schur"; kept in the comp artifact format
-    kkt_residual_inf: float
 
     def __post_init__(self):
         lam = np.ascontiguousarray(self.multipliers, dtype=np.float64)
         lam.setflags(write=False)
         object.__setattr__(self, "multipliers", lam)
-        if not (np.all(np.isfinite(lam)) and np.isfinite(self.kkt_residual_inf)):
-            raise StructuralError("non-finite multipliers or KKT residual")
+        if not np.all(np.isfinite(lam)):
+            raise StructuralError("non-finite multipliers")
         if self.method != "schur":
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -41,7 +40,8 @@ def group_obs_solve(
     theta_p: ParamVector,
     mask: MaskArtifact,
 ) -> CompensationResult:
-    """Closed-form KKT solution of the Group-OBS program, block by block."""
+    """Closed-form KKT solution of the Group-OBS program, block by block.
+    Its residuals are evaluated in one place, ``certify.check_kkt``."""
     # Imported on first use: scipy takes longer to load than most commands run.
     from scipy.linalg import cho_factor, cho_solve
 
@@ -53,7 +53,6 @@ def group_obs_solve(
     masked = mask.indicator()
     delta = np.zeros(theta_p.dim)
     multipliers = np.empty(mask.budget)
-    resid = 0.0
     for damped, (sl, label) in zip(c_p.damped_blocks(), c_p.layout.slices()):
         mloc = np.flatnonzero(masked[sl])
         if mloc.size == 0:
@@ -83,9 +82,6 @@ def group_obs_solve(
         global_idx = sl.start + mloc
         positions = np.searchsorted(mask.support, global_idx)
         multipliers[positions] = lam_b
-        r = damped @ dw_b
-        r[mloc] += lam_b
-        resid = max(resid, float(np.abs(r).max()) if r.size else 0.0)
     feas = delta[mask.support] + theta[mask.support]
     if feas.size and np.abs(feas).max() > FEASIBILITY_TOL:
         raise NumericError(
@@ -96,7 +92,6 @@ def group_obs_solve(
         delta_w=theta_p.with_values(delta),
         multipliers=multipliers,
         method="schur",
-        kkt_residual_inf=resid,
     )
 
 

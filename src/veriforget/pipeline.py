@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import zkp
-from .certify import KktCertificate, check_kkt, check_shapes
+from .certify import KktCertificate, check_kkt
 from .curvature import BlockFisher, diag_curvature, empirical_fisher_blockwise
 from .evals import EvalReport, evaluate, gold_standard
 from .masking import (
@@ -150,19 +150,28 @@ def run_zk_layer(
     seed: int,
     f_w: int = zkp.DEFAULT_FRAC_BITS_W,
     f_c: int = zkp.DEFAULT_FRAC_BITS_C,
+    certificate: KktCertificate | None = None,
 ):
     """Encode the fixed-point witness, then commit, synthesize and prove.
 
+    ``t_int``'s solver slack is the stationarity residual of these inputs'
+    KKT certificate, computed here unless ``certificate`` is given.
     Returns (witness, circuit, proof, randomness), the public inputs being
-    ``circuit.public``; raises StructuralError from ``check_shapes`` and
-    ``zkp.UnsatisfiableWitnessError`` when the prover rejects the witness.
+    ``circuit.public``; raises StructuralError from ``check_kkt``, and
+    ``zkp.UnsatisfiableWitnessError`` when the certificate fails or the
+    prover rejects the witness.
     """
-    check_shapes(theta_p.params, theta_u.params, comp, fisher, mask)
+    cert = certificate or check_kkt(theta_p.params, theta_u.params, comp,
+                                    fisher, mask)
+    if not cert.verdict:
+        raise zkp.UnsatisfiableWitnessError(
+            f"KKT residuals (assembly, feasibility, stationarity) "
+            f"{cert.inf_norms} exceed {cert.tolerance}")
     witness = zkp.encode_fixed_witness(
         theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
         fisher, mask, f_w=f_w, f_c=f_c,
     )
-    t_int = zkp.default_t_int(witness, fisher, mask, comp.kkt_residual_inf)
+    t_int = zkp.default_t_int(witness, fisher, mask, cert.inf_norms[2])
     sizes = tuple(size for _, size, _ in fisher.layout.blocks)
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
@@ -207,7 +216,8 @@ def run_pipeline(seed: int, cfg: PipelineConfig) -> PipelineResult:
     if cfg.run_zk:
         (result.witness, result.circuit, result.proof,
          result.randomness) = run_zk_layer(
-            theta_p, theta_u, comp, fisher, mask, seed
+            theta_p, theta_u, comp, fisher, mask, seed,
+            certificate=certificate,
         )
         result.verified = zkp.MockBackend().verify(result.proof,
                                                    result.circuit.public)

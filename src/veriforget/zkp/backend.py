@@ -32,7 +32,8 @@ _PROOF_DOMAIN = "veriforget-mock-proof-v1"
 
 
 class UnsatisfiableWitnessError(ValueError):
-    """The mock prover found a constraint the witness violates."""
+    """The witness violates the statement: its float KKT certificate
+    fails, or the mock prover found a constraint it violates."""
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,6 @@ def test_criterion_3_kkt_certificate():
                 delta_w=comp.delta_w.with_values(dw),
                 multipliers=comp.multipliers,
                 method=comp.method,
-                kkt_residual_inf=comp.kkt_residual_inf,
             )
         else:
             lam = comp.multipliers.copy()
@@ -162,7 +161,6 @@ def test_criterion_3_kkt_certificate():
                 delta_w=comp.delta_w,
                 multipliers=lam,
                 method=comp.method,
-                kkt_residual_inf=comp.kkt_residual_inf,
             )
         if check_kkt(theta, theta_u, c2, fisher, mask).verdict:
             ok = False
@@ -320,7 +318,7 @@ def test_criterion_7_zk_smoke():
     # honest residual vs the analytic bound that calibrated T_int
     for r in runs[:5]:
         bound = zkp.stationarity_bound_int(
-            r.witness, r.fisher, r.mask, r.comp.kkt_residual_inf
+            r.witness, r.fisher, r.mask, r.certificate.inf_norms[2]
         )
         t_int = r.circuit.public.t_int
         if not bound <= t_int:

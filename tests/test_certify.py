@@ -64,7 +64,6 @@ def test_multiplier_tamper_fails_on_stationarity():
         delta_w=comp.delta_w,
         multipliers=comp.multipliers + 1e-3,
         method=comp.method,
-        kkt_residual_inf=comp.kkt_residual_inf,
     )
     cert = check_kkt(theta, theta_u, bad, fisher, mask)
     assert not cert.verdict
@@ -304,7 +303,7 @@ def test_spectral_path_matches_dense_oracle(hessian_mode, square, seed, dims,
     mask = make_mask(d, k, np.arange(d), support)
     comp = CompensationResult(
         delta_w=model.params.with_values(rng.normal(size=d)),
-        multipliers=np.zeros(k), method="schur", kkt_residual_inf=0.0,
+        multipliers=np.zeros(k), method="schur",
     )
     if hessian_mode == "exact":
         h = exact_hessian(model, data)
@@ -337,7 +336,7 @@ def test_fisher_mode_never_densifies():
     mask = make_mask(d, 200, np.arange(4000), support)
     comp = CompensationResult(
         delta_w=model.params.with_values(rng.normal(size=d) * 1e-2),
-        multipliers=np.zeros(200), method="schur", kkt_residual_inf=0.0,
+        multipliers=np.zeros(200), method="schur",
     )
     tracemalloc.start()
     try:

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 import veriforget
 from veriforget import artifacts as art
 from veriforget import zkp
+from veriforget.certify import measured_forget_gap
 from veriforget.cli import main
 from veriforget.model import init_mlp
 from veriforget.numkit import (
@@ -455,8 +456,6 @@ def _fisher_zero_samples(w, tmp):
         _fisher_zero_damping, _fisher_zero_samples,
         _certify_theta_p_not_recorded, _report_bounds_theta_p_not_recorded,
         _prove_fisher_not_recorded, _fisher_nan_entry, _comp_nan_multiplier,
-        _header("comp_nan_residual", "comp",
-                _set("kkt_residual_inf", float("nan")), *_PROVE_TMP_COMP),
         _certify_truncated_fisher,
         _multipliers("certify", -1), _multipliers("certify", 1),
         _multipliers("prove", -1), _multipliers("prove", 1),
@@ -495,8 +494,6 @@ def _fisher_zero_samples(w, tmp):
                 *_UNLEARN_TMP_FISHER),
         _header("fisher_lambda_bool", "fisher", _set("lambda", True),
                 *_UNLEARN_TMP_FISHER),
-        _header("comp_residual_bool", "comp", _set("kkt_residual_inf", True),
-                *_PROVE_TMP_COMP),
         _option("report_bounds_lambda_q_nan", *_REPORT_BOUNDS, "--lambda-q", "nan"),
         _option("report_bounds_lambda_q_inf", *_REPORT_BOUNDS, "--lambda-q", "inf"),
         _option("certify_tau_nan", *_CERTIFY, "--tau", "nan"),
@@ -573,8 +570,7 @@ _ARTIFACT_OPTIONS = {
     "fisher": (("--model", "--data"), ("--out",)),
     "unlearn": (("--model", "--mask", "--fisher"), ("--out-dir",)),
     "certify": (("--theta-p", "--theta-u", "--comp", "--mask", "--fisher"), ()),
-    "report-bounds": (("--theta-p", "--theta-u", "--comp", "--mask", "--data"),
-                      ()),
+    "report-bounds": (("--theta-p", "--comp", "--mask", "--data"), ()),
     "prove": (("--theta-p", "--theta-u", "--comp", "--mask", "--fisher"),
               ("--out-dir",)),
     "verify": (("--proof", "--public"), ()),
@@ -667,7 +663,7 @@ def test_diverged_training_warns_nothing(tmp_path):
 
 def test_prove_perturbed_multipliers_exit_1(workdir, tmp_path):
     """A comp whose multipliers are moved, with their count and recorded
-    inputs kept, is a genuine rejection."""
+    inputs kept, is a genuine rejection: its KKT certificate fails."""
     w = workdir
     comp = art.load_comp(f"{w}/comp")
     art.save_comp(f"{tmp_path}/comp",
@@ -675,7 +671,8 @@ def test_prove_perturbed_multipliers_exit_1(workdir, tmp_path):
                   inputs=art.comp_inputs(f"{w}/comp"))
     res = invoke(*(a.format(w=w, tmp=tmp_path) for a in _PROVE_TMP_COMP))
     assert res.exit_code == 1, res.output
-    assert "witness unsatisfiable" in res.output
+    assert "witness unsatisfiable: KKT residuals" in res.output
+    assert not os.path.exists(f"{tmp_path}/public.pub")
 
 
 def test_every_error_type_has_an_exit_code():
@@ -719,15 +716,30 @@ def test_frac_bits_inseparable_exit_3(workdir, tmp_path):
 
 
 def test_report_bounds_fisher_mode(workdir):
+    """``measured`` is the forget-loss change of the theta_u that unlearn
+    wrote for the comp, bit for bit."""
     w = workdir
-    res = invoke("report-bounds", "--theta-p", f"{w}/theta_p",
-                 "--theta-u", f"{w}/theta_u", "--comp", f"{w}/comp",
-                 "--mask", f"{w}/mask.mask", "--data", f"{w}/forget.dset",
-                 "--hessian", "fisher", "--json")
+    res = invoke(*(a.format(w=w) for a in _REPORT_BOUNDS), "--hessian",
+                 "fisher", "--json")
     assert res.exit_code == 0, res.output
     obj = json.loads(res.output)
     assert obj["worst_case"] <= obj["f_obs"] <= obj["upper_bound"] + 1e-10
-    assert "measured" in obj
+    assert obj["measured"] == measured_forget_gap(
+        art.load_model(f"{w}/theta_p"), art.load_model(f"{w}/theta_u"),
+        art.load_dataset(f"{w}/forget.dset"), obj["predicted_delta_lf"])
+
+
+def test_prove_ignores_a_stored_residual(workdir, tmp_path):
+    """t_int's solver slack is recomputed from the artifacts: a residual
+    the comp header also carries, as older headers did, does not widen
+    it."""
+    w = workdir
+    case = _header("comp_residual", "comp", _set("kkt_residual_inf", 1e-6),
+                   *_PROVE_TMP_COMP)
+    res = invoke(*case(w, str(tmp_path)))
+    assert res.exit_code == 0, res.output
+    assert (art.load_public(f"{tmp_path}/public.pub").t_int
+            == art.load_public(f"{w}/public.pub").t_int)
 
 
 def test_gold_and_evaluate(workdir, tmp_path):
@@ -759,6 +771,19 @@ def test_dataset_corruption_detected(workdir, tmp_path):
     res = invoke("fisher", "--model", f"{w}/theta_p", "--data", d,
                  "--out", str(tmp_path / "f"))
     assert res.exit_code == 2
+
+
+def test_demo_digests_list_the_files_it_wrote(tmp_path):
+    """digests.json holds the digest of every file the run wrote, and of
+    nothing else: not itself, and not a file an earlier run left."""
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "gold").write_text("left by a run with the gold standard")
+    res = invoke("demo", "--seed", "7", "--out-dir", str(out), "--skip-gold")
+    assert res.exit_code == 0, res.output
+    digests = json.loads((out / "digests.json").read_text())
+    assert set(digests) == set(os.listdir(out)) - {"digests.json", "gold"}
+    assert digests == {rel: art.file_digest(str(out / rel)) for rel in digests}
 
 
 def test_staged_chain_matches_run_pipeline(tmp_path):

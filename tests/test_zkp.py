@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import veriforget
+from veriforget.certify import check_kkt
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
 from veriforget.numkit import (
@@ -86,7 +87,8 @@ def honest_zk_instance(seed, f_w=22, f_c=32):
         theta, theta_u, comp.delta_w, comp.multipliers, fisher, mask,
         f_w=f_w, f_c=f_c,
     )
-    t_int = default_t_int(w, fisher, mask, comp.kkt_residual_inf)
+    residual = check_kkt(theta, theta_u, comp, fisher, mask).inf_norms[2]
+    t_int = default_t_int(w, fisher, mask, residual)
     sizes = tuple(size for _, size, _ in fisher.layout.blocks)
     randomness = (11, 22, 33)
     circuit, proof = MockBackend().prove(w, mask, sizes, t_int, randomness)
@@ -501,7 +503,9 @@ def test_inconsistent_theta_u_rejected():
 def test_honest_residual_below_analytic_bound_and_t_int():
     for seed in range(5):
         fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(seed)
-        bound = stationarity_bound_int(w, fisher, mask, comp.kkt_residual_inf)
+        theta_u = apply_unlearn(theta, comp, mask)
+        residual = check_kkt(theta, theta_u, comp, fisher, mask).inf_norms[2]
+        bound = stationarity_bound_int(w, fisher, mask, residual)
         t_int = circuit.public.t_int
         assert bound <= t_int
         # recompute the integer residual directly
