@@ -16,7 +16,7 @@ import numpy as np
 from .curvature import BlockFisher
 from .masking import MaskArtifact
 from .model import Dataset, MlpModel, batch_grad, mean_loss, per_example_grads
-from .numkit import NumericError, ParamVector, StructuralError
+from .numkit import NumericError, ParamVector, StructuralError, unpack_upper
 from .obs import CompensationResult
 
 DEFAULT_TAU_REAL = 1e-6
@@ -68,8 +68,11 @@ def check_kkt(
     r_stat = np.zeros(theta_p.dim)
     lam_full = np.zeros(theta_p.dim)
     lam_full[mask.support] = comp.multipliers
-    for damped, (sl, _) in zip(c_p.damped_blocks(), c_p.layout.slices()):
-        r_stat[sl] = damped @ dw[sl] + lam_full[sl]
+    for tri, (sl, _) in zip(c_p.fisher.blocks, c_p.layout.slices()):
+        # a block with no step and no multiplier has a residual of exactly 0
+        if dw[sl].any() or lam_full[sl].any():
+            damped = unpack_upper(tri, sl.stop - sl.start, diag=c_p.lam)
+            r_stat[sl] = damped @ dw[sl] + lam_full[sl]
     norms = (_inf(r_asm), _inf(r_feas), _inf(r_stat))
     return KktCertificate(
         inf_norms=norms,

@@ -5,6 +5,9 @@ in layout order, each split contiguously at the block cap (``--block-cap``)
 into parts ``<label>/part<j>`` of ``cap`` coordinates and a shorter last one; a part
 of a weight block may start mid-row.  ``model.grad_columns`` makes the
 split, so the layout of a Fisher is the labels and widths it yields.
+Each block is held as its upper triangle (``numkit.pack_upper``): the
+estimator gathers it straight from the exactly symmetric product of the
+gradient columns, and no square Fisher block outlives that product.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .numkit import (
     canonical_json,
     pack_upper,
     sha256_hex,
-    unpack_upper,
 )
 
 DEFAULT_DAMPING = 1e-3
@@ -45,10 +47,6 @@ class BlockFisher:
     @property
     def layout(self) -> BlockLayout:
         return self.fisher.layout
-
-    def damped_blocks(self):
-        for tri, (_, size, _) in zip(self.fisher.blocks, self.layout.blocks):
-            yield unpack_upper(tri, size, diag=self.lam)
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,11 @@ def empirical_fisher_blockwise(
             wide = np.empty((n, 2))
             wide[:, :1] = gb
             gb = wide[:, :1]
-        f = gb.T @ gb / n
+        # numpy computes gb.T @ gb by syrk and mirrors the triangle it
+        # computed, so the product is exactly symmetric: its upper
+        # triangle is the whole block, and only that triangle is divided
         sizes.append((gb.shape[1], label))
-        blocks.append(pack_upper(0.5 * (f + f.T)))
+        blocks.append(pack_upper(gb.T @ gb) / n)
     digest = sha256_hex(
         canonical_json(
             {

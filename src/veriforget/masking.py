@@ -37,14 +37,14 @@ class SaliencyScores:
 
 def _ranges_from_indexset(indices: np.ndarray) -> list[list[int]]:
     """Compress a sorted index set into half-open [lo, hi) ranges."""
-    ranges = []
-    for i in indices:
-        i = int(i)
-        if ranges and ranges[-1][1] == i:
-            ranges[-1][1] = i + 1
-        else:
-            ranges.append([i, i + 1])
-    return ranges
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size == 0:
+        return []
+    # a run ends wherever the next index is not one more than this one
+    ends = np.flatnonzero(np.diff(indices) != 1)
+    lo = indices[np.concatenate(([0], ends + 1))]
+    hi = indices[np.append(ends, indices.size - 1)] + 1
+    return np.stack([lo, hi], axis=1).tolist()
 
 
 def mask_digest(d: int, k: int, eligible: np.ndarray, support: np.ndarray) -> str:

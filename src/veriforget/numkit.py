@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,10 +147,26 @@ class ParamVector:
         return ParamVector(values=values, layout=self.layout)
 
 
+@lru_cache(maxsize=None)
+def upper_mask(size: int) -> np.ndarray:
+    """The boolean mask of a size x size block's upper triangle.  Indexing
+    a block with it gathers the triangle row by row, and assigning through
+    it scatters a triangle back into place."""
+    mask = np.triu(np.ones((size, size), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def pack_upper(block: np.ndarray) -> np.ndarray:
     """The upper triangle of a square block, row-major: the one form in
     which the package holds a symmetric block."""
-    return np.concatenate([row[i:] for i, row in enumerate(block)])
+    return block[upper_mask(len(block))]
+
+
+def upper_diagonal(size: int) -> np.ndarray:
+    """The positions of a size x size block's diagonal in its triangle."""
+    i = np.arange(size)
+    return i * size - i * (i - 1) // 2
 
 
 def unpack_upper(tri: np.ndarray, size: int, diag=0) -> np.ndarray:
@@ -158,10 +175,8 @@ def unpack_upper(tri: np.ndarray, size: int, diag=0) -> np.ndarray:
     if tri.shape != (size * (size + 1) // 2,):
         raise StructuralError(f"a triangle of shape {tri.shape} for size {size}")
     out = np.empty((size, size), dtype=tri.dtype)
-    pos = 0
-    for i in range(size):
-        out[i, i:] = out[i:, i] = tri[pos : pos + size - i]
-        pos += size - i
+    upper = upper_mask(size)
+    out[upper] = out.T[upper] = tri
     out += 0  # -0.0 becomes +0.0, as the zeros of diag * I make it
     out.flat[:: size + 1] += diag
     return out

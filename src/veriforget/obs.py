@@ -3,7 +3,10 @@
     min 0.5 dw' C dw   s.t.  dw_M + theta_M = 0
 
 with block-diagonal damped curvature C.  The solve decouples per block
-through the k_b x k_b Schur complement of the masked columns.
+through the k_b x k_b Schur complement of the masked columns.  It reads
+only the upper triangle of each block that holds a masked coordinate,
+as the lower triangle of a Fortran-order Cholesky, and never touches a
+block without one.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .curvature import BlockFisher
 from .masking import MaskArtifact
-from .numkit import NumericError, ParamVector, StructuralError
+from .numkit import NumericError, ParamVector, StructuralError, upper_mask
 
 FEASIBILITY_TOL = 1e-9
 
@@ -44,6 +47,7 @@ def group_obs_solve(
     Its residuals are evaluated in one place, ``certify.check_kkt``."""
     # Imported on first use: scipy takes longer to load than most commands run.
     from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrf
 
     if mask.model_dim != theta_p.dim:
         raise StructuralError("mask dimension does not match parameters")
@@ -53,18 +57,27 @@ def group_obs_solve(
     masked = mask.indicator()
     delta = np.zeros(theta_p.dim)
     multipliers = np.empty(mask.budget)
-    for damped, (sl, label) in zip(c_p.damped_blocks(), c_p.layout.slices()):
+    for tri, (sl, label) in zip(c_p.fisher.blocks, c_p.layout.slices()):
         mloc = np.flatnonzero(masked[sl])
         if mloc.size == 0:
             continue
-        d_b = damped.shape[0]
+        d_b = sl.stop - sl.start
+        # F + lam*I in the upper triangle of a C-order square, damped as
+        # unpack_upper damps it; its transpose is the Fortran-order lower
+        # triangle that potrf reads, so nothing is copied
+        damped = np.zeros((d_b, d_b))
+        damped[upper_mask(d_b)] = tri
+        damped += 0
+        damped.flat[:: d_b + 1] += c_p.lam
+        factor, info = dpotrf(damped.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
+            raise NumericError(
+                f"block {label!r} is not SPD: its leading minor of order "
+                f"{info} is not positive definite")
         rhs = np.zeros((d_b, mloc.size))
         rhs[mloc, np.arange(mloc.size)] = 1.0
-        try:
-            c = cho_factor(damped, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"block {label!r} is not SPD: {exc}") from exc
-        x = cho_solve(c, rhs)  # K E_M per block
+        # the Fisher's and theta's blocks were checked finite on construction
+        x = cho_solve((factor, True), rhs, check_finite=False)  # K E_M per block
         schur = x[mloc, :]  # E' K E, SPD for SPD C
         schur = 0.5 * (schur + schur.T)
         w_m = theta[sl][mloc]

@@ -20,9 +20,9 @@ from ..numkit import (
     NumericError,
     ParamVector,
     StructuralError,
-    pack_upper,
     quantize,
     unpack_upper,
+    upper_diagonal,
 )
 
 # f_c exceeds f_w by more than 4 bits so that the honest stationarity
@@ -107,9 +107,13 @@ def encode_fixed_witness(
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
     row_max, damped = 0.0, []
-    for block in c_p.damped_blocks():
+    for tri, (_, size, _) in zip(c_p.fisher.blocks, c_p.layout.blocks):
+        block = unpack_upper(tri, size, diag=c_p.lam)
         row_max = max(row_max, float(np.abs(block).sum(axis=1).max()))
-        damped.append(pack_upper(block))
+        # the damped triangle is pack_upper(block), damped as block was
+        tri = tri + 0
+        tri[upper_diagonal(size)] += c_p.lam
+        damped.append(tri)
     # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
     # BOUND_C is a power of two, so the division rounds nothing, and
     # frexp's mantissa is 0.5 only on a power of two

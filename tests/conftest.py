@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
 from veriforget import artifacts as art
@@ -19,6 +20,7 @@ from veriforget.model import (
     MOMENTUM,
     Dataset,
     batch_grad,
+    grad_columns,
     init_mlp,
     make_synthetic_task,
     mean_loss,
@@ -174,6 +176,47 @@ def reference_fisher_blocks(model, data, layout, max_samples=DEFAULT_MAX_SAMPLES
         f = gb.T @ gb / n
         blocks.append(0.5 * (f + f.T))
     return blocks
+
+
+def reference_fisher_triangles(model, data, cap, max_samples=DEFAULT_MAX_SAMPLES,
+                               seed=0):
+    """Oracle: the Fisher's triangles packed from square blocks, as
+    pack_upper(0.5 * (F + F')) of F = gb'gb / n, over the estimator's own
+    subsample and gradient columns."""
+    sub, _ = _subsample(data, max_samples, seed)
+    n = len(sub)
+    out = []
+    for _, gb in grad_columns(model, sub, cap):
+        if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
+            wide = np.empty((n, 2))  # the estimator's strided n x 1 column
+            wide[:, :1] = gb
+            gb = wide[:, :1]
+        f = gb.T @ gb / n
+        out.append(pack_upper(0.5 * (f + f.T)))
+    return out
+
+
+def reference_group_obs_solve(c_p, theta_p, mask):
+    """Oracle: the Group-OBS solve on square damped blocks, each factored
+    by ``cho_factor``; returns (delta_w, multipliers)."""
+    theta = theta_p.values
+    masked = mask.indicator()
+    delta = np.zeros(theta_p.dim)
+    multipliers = np.empty(mask.budget)
+    for tri, (sl, _) in zip(c_p.fisher.blocks, c_p.layout.slices()):
+        mloc = np.flatnonzero(masked[sl])
+        if mloc.size == 0:
+            continue
+        damped = unpack_upper(tri, sl.stop - sl.start, diag=c_p.lam)
+        rhs = np.zeros((damped.shape[0], mloc.size))
+        rhs[mloc, np.arange(mloc.size)] = 1.0
+        x = cho_solve(cho_factor(damped, lower=True), rhs)
+        schur = x[mloc, :]
+        schur = 0.5 * (schur + schur.T)
+        lam_b = cho_solve(cho_factor(schur, lower=True), theta[sl][mloc])
+        delta[sl] = -x @ lam_b
+        multipliers[np.searchsorted(mask.support, sl.start + mloc)] = lam_b
+    return delta, multipliers
 
 
 def reference_diag_curvature(model, data, max_samples=DEFAULT_MAX_SAMPLES,

@@ -24,6 +24,7 @@ from veriforget.numkit import (
     BlockLayout,
     NumericError,
     StructuralError,
+    upper_diagonal,
 )
 from veriforget.pipeline import run_pipeline
 from veriforget.zkp.circuit import FAMILIES
@@ -635,6 +636,26 @@ def test_numeric_error_exit_3(workdir):
                  "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
                  "--data", f"{w}/forget.dset", "--lambda-q", "-100")
     assert res.exit_code == 3
+
+
+def test_unlearn_non_spd_block_exit_3(workdir, tmp_path):
+    """A damped block with a negative diagonal entry on the mask is not
+    positive definite: unlearn exits 3 with one error line naming it."""
+    w = workdir
+    fisher = art.load_fisher(f"{w}/fisher")
+    first = int(art.load_mask(f"{w}/mask.mask").support[0])
+    blocks = [tri.copy() for tri in fisher.fisher.blocks]
+    for bi, (offset, size, label) in enumerate(fisher.layout.blocks):
+        if offset <= first < offset + size:
+            blocks[bi][upper_diagonal(size)[first - offset]] = -1.0
+            break
+    resave_fisher(f"{w}/fisher", f"{tmp_path}/fisher", blocks)
+    res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+                 "--fisher", f"{tmp_path}/fisher", "--out-dir", f"{tmp_path}/u")
+    assert res.exit_code == 3, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert f"block {label!r} is not SPD" in lines[0], res.stderr
 
 
 @pytest.mark.parametrize("args", [

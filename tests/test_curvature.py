@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from veriforget.curvature import diag_curvature, empirical_fisher_blockwise
 from veriforget.model import Dataset, grad_columns, init_mlp, per_example_grads
-from veriforget.numkit import StructuralError, pack_upper
+from veriforget.numkit import StructuralError, pack_upper, unpack_upper
 
 from conftest import (
     dense,
@@ -48,8 +48,9 @@ def test_blocks_psd_and_damped_spd():
     model = init_mlp([4, 6, 3], 2)
     data = small_dataset(rng, n=40)
     fisher = empirical_fisher_blockwise(model, data, lam=1e-3, block_cap=16)
-    for raw, damped in zip(square_blocks(fisher.fisher), fisher.damped_blocks()):
-        assert np.linalg.eigvalsh(raw).min() >= -1e-10
+    for tri, (_, size, _) in zip(fisher.fisher.blocks, fisher.layout.blocks):
+        assert np.linalg.eigvalsh(unpack_upper(tri, size)).min() >= -1e-10
+        damped = unpack_upper(tri, size, diag=fisher.lam)
         assert np.linalg.eigvalsh(damped).min() >= 1e-3 - 1e-10
 
 
@@ -116,9 +117,9 @@ def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
     assert len(fisher.fisher.blocks) == len(want)
     for got, ref in zip(fisher.fisher.blocks, want):
         assert np.array_equal(got, pack_upper(ref))
-    # held as triangles, damped as the square blocks were: F + lam*I
-    for got, ref in zip(fisher.damped_blocks(), want):
-        assert got.tobytes() == reference_damp(ref, fisher.lam).tobytes()
+        # held as triangles, damped as the square blocks were: F + lam*I
+        assert (unpack_upper(got, len(ref), diag=fisher.lam).tobytes()
+                == reference_damp(ref, fisher.lam).tobytes())
     # blocks may start mid-row; filled column by column they still give
     # the per-example gradient matrix exactly
     filled = np.empty((n, model.dim))

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from veriforget.curvature import DiagCurvature
 from veriforget.masking import (
     MaskArtifact,
     SaliencyScores,
+    _ranges_from_indexset,
     hidden_weight_eligible,
     make_mask,
     saliency_drift_report,
@@ -184,6 +185,34 @@ def test_mask_json_rejects_tampered_digest():
     obj["support"] = [3, 8]
     with pytest.raises(StructuralError):
         MaskArtifact.from_json(obj)
+
+
+def reference_ranges(indices):
+    """Oracle: the [lo, hi) runs of a sorted index set, one index at a time."""
+    ranges = []
+    for i in indices:
+        i = int(i)
+        if ranges and ranges[-1][1] == i:
+            ranges[-1][1] = i + 1
+        else:
+            ranges.append([i, i + 1])
+    return ranges
+
+
+@given(st.one_of(
+    st.just(frozenset()),
+    st.builds(lambda lo, n: frozenset(range(lo, lo + n)),
+              st.integers(0, 2**40), st.integers(1, 50)),
+    st.frozensets(st.integers(0, 2**62), max_size=60),
+    st.frozensets(st.integers(0, 80), max_size=60),
+))
+@example(frozenset())
+@example(frozenset(range(5, 9)))
+def test_ranges_match_the_loop_oracle(indices):
+    arr = np.array(sorted(indices), dtype=np.int64)
+    got = _ranges_from_indexset(arr)
+    assert got == reference_ranges(arr)
+    assert all(type(x) is int for r in got for x in r)
 
 
 def test_indicator():

@@ -14,6 +14,7 @@ from veriforget.numkit import (
     quantize,
     tree_sum,
     unpack_upper,
+    upper_diagonal,
 )
 
 from conftest import reference_damp
@@ -95,6 +96,15 @@ def test_pack_upper_row_major():
     for size in (2, 4):
         with pytest.raises(StructuralError, match="triangle"):
             unpack_upper(np.arange(6), size)
+
+
+@given(st.integers(1, 64))
+def test_triangle_order_is_row_major(size):
+    block = np.arange(size * size).reshape(size, size)
+    rows = np.concatenate([row[i:] for i, row in enumerate(block)])
+    assert np.array_equal(pack_upper(block), rows)
+    assert np.array_equal(pack_upper(block)[upper_diagonal(size)],
+                          np.diag(block))
 
 
 _ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from veriforget.certify import check_kkt
-from veriforget.curvature import BlockFisher
+from veriforget.curvature import BlockFisher, empirical_fisher_blockwise
 from veriforget.masking import make_mask
+from veriforget.model import init_mlp
 from veriforget.numkit import BlockLayout, NumericError, ParamVector
 from veriforget.obs import apply_unlearn, group_obs_solve
+from veriforget.pipeline import demo_config, run_pipeline
 
 from conftest import (
     block_matrix,
@@ -16,6 +18,9 @@ from conftest import (
     random_instance,
     random_mask,
     random_spd_blockdiag,
+    reference_fisher_triangles,
+    reference_group_obs_solve,
+    small_dataset,
 )
 
 
@@ -222,3 +227,45 @@ def test_stationarity_residual_reported_small():
     comp = group_obs_solve(fisher, theta, mask)
     theta_u = apply_unlearn(theta, comp, mask)
     assert check_kkt(theta, theta_u, comp, fisher, mask).inf_norms[2] <= 1e-9
+
+
+# -- triangles against the square-block path ----------------------------------------
+
+
+def _synthetic_case(dims, n, cap, max_samples, k):
+    rng = np.random.default_rng(sum(dims) + n + cap)
+    model = init_mlp(dims, 0)
+    model = model.with_params(rng.normal(size=model.dim))
+    data = small_dataset(rng, n=n, dim=dims[0], classes=dims[-1])
+    mask = random_mask(rng, model.params.layout, k)
+    return model, data, cap, max_samples, mask
+
+
+def _demo_case():
+    r = run_pipeline(7, demo_config(run_zk=False, run_gold=False))
+    return r.theta_p, r.task.personal, 256, 1024, r.mask
+
+
+TRIANGLE_CASES = {
+    # mlp.0.b is one coordinate wide: its gradient column is n x 1
+    "one-column-block": lambda: _synthetic_case((3, 1, 2), 30, 256, 1024, 4),
+    # mlp.0.w has 5 rows of 7: parts of 10 start mid-row
+    "part-starts-mid-row": lambda: _synthetic_case((5, 7, 3), 40, 10, 1024, 12),
+    "cap-above-every-block": lambda: _synthetic_case((4, 6, 3), 25, 1000, 1024, 9),
+    "max-samples-below-n": lambda: _synthetic_case((4, 6, 3), 50, 8, 20, 9),
+    "demo": _demo_case,
+}
+
+
+@pytest.mark.parametrize("case", list(TRIANGLE_CASES))
+def test_triangle_path_bit_identical_to_square_path(case):
+    model, data, cap, max_samples, mask = TRIANGLE_CASES[case]()
+    fisher = empirical_fisher_blockwise(model, data, block_cap=cap,
+                                        max_samples=max_samples, seed=7)
+    want = reference_fisher_triangles(model, data, cap, max_samples, seed=7)
+    assert [t.tobytes() for t in fisher.fisher.blocks] == [
+        t.tobytes() for t in want]
+    comp = group_obs_solve(fisher, model.params, mask)
+    dw, lam = reference_group_obs_solve(fisher, model.params, mask)
+    assert comp.delta_w.values.tobytes() == dw.tobytes()
+    assert comp.multipliers.tobytes() == lam.tobytes()
