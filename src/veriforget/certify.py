@@ -2,9 +2,11 @@
 
 check_kkt re-evaluates the three linear identities (assembly, mask
 feasibility, stationarity) that uniquely characterize the Group-OBS
-solution.  forget_gain_report computes the quadratic-model quantities
-that bound how much compensation on the unmasked coordinates can offset
-the mask-induced forget-loss increase.
+solution.  It multiplies each damped curvature block from its upper
+triangle (``numkit.upper_matvec``) with numpy alone, so certifying
+never loads scipy.  forget_gain_report computes the quadratic-model
+quantities that bound how much compensation on the unmasked
+coordinates can offset the mask-induced forget-loss increase.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .curvature import BlockFisher
 from .masking import MaskArtifact
 from .model import Dataset, MlpModel, batch_grad, mean_loss, per_example_grads
-from .numkit import NumericError, ParamVector, StructuralError, unpack_upper
+from .numkit import NumericError, ParamVector, StructuralError, upper_matvec
 from .obs import CompensationResult
 
 DEFAULT_TAU_REAL = 1e-6
@@ -71,8 +73,7 @@ def check_kkt(
     for tri, (sl, _) in zip(c_p.fisher.blocks, c_p.layout.slices()):
         # a block with no step and no multiplier has a residual of exactly 0
         if dw[sl].any() or lam_full[sl].any():
-            damped = unpack_upper(tri, sl.stop - sl.start, diag=c_p.lam)
-            r_stat[sl] = damped @ dw[sl] + lam_full[sl]
+            r_stat[sl] = upper_matvec(tri, dw[sl], diag=c_p.lam) + lam_full[sl]
     norms = (_inf(r_asm), _inf(r_feas), _inf(r_stat))
     return KktCertificate(
         inf_norms=norms,

@@ -182,6 +182,16 @@ def unpack_upper(tri: np.ndarray, size: int, diag=0) -> np.ndarray:
     return out
 
 
+def upper_matvec(tri: np.ndarray, v: np.ndarray, diag=0) -> np.ndarray:
+    """(B + diag * I) v for the symmetric block B with ``pack_upper(B) ==
+    tri``, as U v + U'v + (diag - diag B) v with U the triangle in a
+    square: one scatter and no mirrored copy of the block."""
+    size = v.size
+    up = np.zeros((size, size))
+    up[upper_mask(size)] = tri
+    return up @ v + up.T @ v + (diag - tri[upper_diagonal(size)]) * v
+
+
 @dataclass(frozen=True)
 class BlockDiagMatrix:
     """Symmetric block-diagonal matrix, each block held as its upper

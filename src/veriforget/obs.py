@@ -3,10 +3,14 @@
     min 0.5 dw' C dw   s.t.  dw_M + theta_M = 0
 
 with block-diagonal damped curvature C.  The solve decouples per block
-through the k_b x k_b Schur complement of the masked columns.  It reads
-only the upper triangle of each block that holds a masked coordinate,
-as the lower triangle of a Fortran-order Cholesky, and never touches a
-block without one.
+and eliminates the masked coordinates, as Optimal Brain Surgeon does:
+each block that holds a masked coordinate is reordered with its
+unmasked coordinates U first and its masked ones M last and factored
+once, C = L L' with L = [[L11, 0], [L21, L22]].  Then dw_M = -theta_M
+exactly, dw_U = L11^-T L21' theta_M, and the multipliers are
+lam_M = L22 L22' theta_M, the Schur complement of C_UU applied to
+theta_M.  The solve reads only the upper triangle of such a block and
+never touches a block without a masked coordinate.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ def group_obs_solve(
     """Closed-form KKT solution of the Group-OBS program, block by block.
     Its residuals are evaluated in one place, ``certify.check_kkt``."""
     # Imported on first use: scipy takes longer to load than most commands run.
-    from scipy.linalg import cho_factor, cho_solve
-    from scipy.linalg.lapack import dpotrf
+    from scipy.linalg.blas import dtrmv
+    from scipy.linalg.lapack import dpotrf, dtrtrs
 
     if mask.model_dim != theta_p.dim:
         raise StructuralError("mask dimension does not match parameters")
@@ -58,49 +62,46 @@ def group_obs_solve(
     delta = np.zeros(theta_p.dim)
     multipliers = np.empty(mask.budget)
     for tri, (sl, label) in zip(c_p.fisher.blocks, c_p.layout.slices()):
-        mloc = np.flatnonzero(masked[sl])
+        is_m = masked[sl]
+        mloc = np.flatnonzero(is_m)
         if mloc.size == 0:
             continue
         d_b = sl.stop - sl.start
+        ku = d_b - mloc.size
+        order = np.concatenate([np.flatnonzero(~is_m), mloc])
         # F + lam*I in the upper triangle of a C-order square, damped as
-        # unpack_upper damps it; its transpose is the Fortran-order lower
-        # triangle that potrf reads, so nothing is copied
-        damped = np.zeros((d_b, d_b))
-        damped[upper_mask(d_b)] = tri
-        damped += 0
-        damped.flat[:: d_b + 1] += c_p.lam
-        factor, info = dpotrf(damped.T, lower=1, overwrite_a=1, clean=0)
+        # unpack_upper damps it, then reordered to (U, M); a (u, m) entry
+        # with m < u lands below the diagonal and is folded back above it
+        sq = np.zeros((d_b, d_b))
+        sq[upper_mask(d_b)] = tri
+        sq += 0
+        sq.flat[:: d_b + 1] += c_p.lam
+        sq = sq.take(order, axis=0).take(order, axis=1)
+        sq[:ku, ku:] += sq[ku:, :ku].T
+        # the transpose is the Fortran-order lower triangle potrf reads:
+        # L = [[L11, 0], [L21, L22]] with C_UU = L11 L11'
+        low, info = dpotrf(sq.T, lower=1, overwrite_a=1, clean=0)
         if info > 0:
             raise NumericError(
-                f"block {label!r} is not SPD: its leading minor of order "
-                f"{info} is not positive definite")
-        rhs = np.zeros((d_b, mloc.size))
-        rhs[mloc, np.arange(mloc.size)] = 1.0
-        # the Fisher's and theta's blocks were checked finite on construction
-        x = cho_solve((factor, True), rhs, check_finite=False)  # K E_M per block
-        schur = x[mloc, :]  # E' K E, SPD for SPD C
-        schur = 0.5 * (schur + schur.T)
+                f"block {label!r} is not SPD: its Cholesky pivot at "
+                f"coordinate {sl.start + order[info - 1]} is not positive")
         w_m = theta[sl][mloc]
-        try:
-            sc = cho_factor(schur, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"singular Schur complement in block {label!r}: {exc}"
-            ) from exc
-        lam_b = cho_solve(sc, w_m)
-        dw_b = -x @ lam_b
-        delta[sl] = dw_b
+        t = np.zeros(d_b)
+        t[ku:] = w_m
+        t = dtrmv(low, t, lower=1, trans=1)  # [L21' w_M; L22' w_M]
+        dw_b = delta[sl]  # a view: writes land in delta
+        dw_b[mloc] = -w_m
+        if ku:
+            # dw_U = -C_UU^-1 C_UM dw_M; low[:, :ku] holds L11 at lda = d_b
+            x, _ = dtrtrs(low[:, :ku], t[:ku, None], lower=1, trans=1)
+            dw_b[order[:ku]] = x[:, 0]
+        t[:ku] = 0.0
+        # lam_M = (C_MM - C_MU C_UU^-1 C_UM) w_M = L22 L22' w_M
+        lam_b = dtrmv(low, t, lower=1)[ku:]
         # multipliers aligned to global sorted support: blocks are in
         # layout order, so per-block masked coords are already ordered
-        global_idx = sl.start + mloc
-        positions = np.searchsorted(mask.support, global_idx)
+        positions = np.searchsorted(mask.support, sl.start + mloc)
         multipliers[positions] = lam_b
-    feas = delta[mask.support] + theta[mask.support]
-    if feas.size and np.abs(feas).max() > FEASIBILITY_TOL:
-        raise NumericError(
-            f"feasibility residual {np.abs(feas).max():.3e} exceeds "
-            f"{FEASIBILITY_TOL}"
-        )
     return CompensationResult(
         delta_w=theta_p.with_values(delta),
         multipliers=multipliers,

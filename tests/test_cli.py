@@ -638,17 +638,22 @@ def test_numeric_error_exit_3(workdir):
     assert res.exit_code == 3
 
 
-def test_unlearn_non_spd_block_exit_3(workdir, tmp_path):
-    """A damped block with a negative diagonal entry on the mask is not
-    positive definite: unlearn exits 3 with one error line naming it."""
+@pytest.mark.parametrize("on_mask", [True, False], ids=["on-mask", "off-mask"])
+def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, on_mask):
+    """A damped block with a negative diagonal entry, on the mask or off
+    it, is not positive definite: unlearn exits 3 with one error line
+    naming the block and the coordinate."""
     w = workdir
     fisher = art.load_fisher(f"{w}/fisher")
-    first = int(art.load_mask(f"{w}/mask.mask").support[0])
+    support = art.load_mask(f"{w}/mask.mask").support
+    first = int(support[0])
+    block = next(b for b in fisher.layout.blocks if b[0] <= first < b[0] + b[1])
+    offset, size, label = block
+    coord = first if on_mask else int(np.setdiff1d(
+        np.arange(offset, offset + size), support)[-1])
     blocks = [tri.copy() for tri in fisher.fisher.blocks]
-    for bi, (offset, size, label) in enumerate(fisher.layout.blocks):
-        if offset <= first < offset + size:
-            blocks[bi][upper_diagonal(size)[first - offset]] = -1.0
-            break
+    blocks[fisher.layout.blocks.index(block)][
+        upper_diagonal(size)[coord - offset]] = -1.0
     resave_fisher(f"{w}/fisher", f"{tmp_path}/fisher", blocks)
     res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
                  "--fisher", f"{tmp_path}/fisher", "--out-dir", f"{tmp_path}/u")
@@ -656,6 +661,7 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path):
     lines = res.stderr.splitlines()
     assert len(lines) == 1, res.stderr
     assert f"block {label!r} is not SPD" in lines[0], res.stderr
+    assert f"coordinate {coord} " in lines[0], res.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -857,3 +863,26 @@ def test_no_command_imports_scipy():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
+
+
+def test_certify_loads_no_scipy(tmp_path):
+    """certify on a demo directory, in a fresh interpreter, loads no scipy
+    module at any point of its run."""
+    out = tmp_path / "d"
+    res = invoke("demo", "--seed", "7", "--out-dir", str(out), "--skip-gold")
+    assert res.exit_code == 0, res.output
+    args = ["certify", "--json"] + [
+        a for name in ("theta-p", "theta-u", "comp", "fisher")
+        for a in (f"--{name}", str(out / name.replace("-", "_")))
+    ] + ["--mask", str(out / "mask.mask")]
+    script = ("import sys\nfrom veriforget.cli import main\n"
+              "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+    src = os.path.dirname(os.path.dirname(veriforget.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(proc.stdout)["verdict"] == "pass", proc.stderr
+    assert proc.stderr.split() == ["0", "[]"], proc.stderr

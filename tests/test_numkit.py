@@ -15,6 +15,7 @@ from veriforget.numkit import (
     tree_sum,
     unpack_upper,
     upper_diagonal,
+    upper_matvec,
 )
 
 from conftest import reference_damp
@@ -122,6 +123,24 @@ def test_unpack_upper_damps_as_the_oracle_bit_for_bit(size, lam, data):
         assert unpack_upper(tri, size, lam).tobytes() == (
             reference_damp(block, lam).tobytes())
     assert np.array_equal(pack_upper(unpack_upper(tri, size)), tri)
+
+
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@given(st.integers(1, 40), st.floats(0.0, 1e3), st.data())
+def test_upper_matvec_matches_the_unpacked_block(size, lam, data):
+    """check_kkt's product from the triangle against the unpacked damped
+    block, within 1e-14 of |B + lam I| |v|, which bounds the rounding of
+    both sums at these sizes."""
+    tri = data.draw(arrays(np.float64, size * (size + 1) // 2,
+                           elements=_FINITE))
+    v = data.draw(arrays(np.float64, size, elements=_FINITE))
+    damped = unpack_upper(tri, size, diag=lam)
+    want = damped @ v
+    scale = (np.abs(unpack_upper(tri, size)) @ np.abs(v)
+             + lam * np.abs(v)).max()
+    assert np.abs(upper_matvec(tri, v, diag=lam) - want).max() <= 1e-14 * scale
 
 
 # -- fixed point -----------------------------------------------------------------

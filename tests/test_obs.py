@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from veriforget.certify import check_kkt
 from veriforget.curvature import BlockFisher, empirical_fisher_blockwise
@@ -257,15 +258,70 @@ TRIANGLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(TRIANGLE_CASES))
-def test_triangle_path_bit_identical_to_square_path(case):
+def _triangle_case(case):
     model, data, cap, max_samples, mask = TRIANGLE_CASES[case]()
     fisher = empirical_fisher_blockwise(model, data, block_cap=cap,
                                         max_samples=max_samples, seed=7)
+    return model, data, cap, max_samples, mask, fisher
+
+
+@pytest.mark.parametrize("case", list(TRIANGLE_CASES))
+def test_triangle_path_bit_identical_to_square_path(case):
+    """The Fisher's triangles are the square path's, byte for byte."""
+    model, data, cap, max_samples, _, fisher = _triangle_case(case)
     want = reference_fisher_triangles(model, data, cap, max_samples, seed=7)
     assert [t.tobytes() for t in fisher.fisher.blocks] == [
         t.tobytes() for t in want]
-    comp = group_obs_solve(fisher, model.params, mask)
-    dw, lam = reference_group_obs_solve(fisher, model.params, mask)
-    assert comp.delta_w.values.tobytes() == dw.tobytes()
-    assert comp.multipliers.tobytes() == lam.tobytes()
+
+
+@pytest.mark.parametrize("case", list(TRIANGLE_CASES))
+def test_elimination_solve_matches_square_path(case):
+    """The elimination solve sums in another order than the square path's
+    Schur-complement solve: it sets dw_M = -theta_M exactly, agrees with
+    that solve to 1e-12 relative, and leaves a stationarity residual no
+    larger than 1e-15."""
+    model, _, _, _, mask, fisher = _triangle_case(case)
+    theta = model.params
+    comp = group_obs_solve(fisher, theta, mask)
+    dw_m = comp.delta_w.values[mask.support]
+    assert dw_m.tobytes() == (-theta.values[mask.support]).tobytes()
+    dw, lam = reference_group_obs_solve(fisher, theta, mask)
+    assert np.abs(comp.delta_w.values - dw).max() <= 1e-12 * np.abs(dw).max()
+    assert np.abs(comp.multipliers - lam).max() <= 1e-12 * np.abs(lam).max()
+    theta_u = apply_unlearn(theta, comp, mask)
+    cert = check_kkt(theta, theta_u, comp, fisher, mask)
+    assert cert.inf_norms[2] <= 1e-15
+
+
+_COVER = st.sampled_from(["none", "one", "some", "all"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       blocks=st.lists(st.tuples(st.integers(1, 9), _COVER),
+                       min_size=1, max_size=4))
+def test_elimination_matches_dense_kkt(seed, blocks):
+    """Per block, the mask covers none, one, some or all of its
+    coordinates; a fully masked block eliminates an empty U."""
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout.from_sizes(
+        [(size, f"b{i}") for i, (size, _) in enumerate(blocks)])
+    support = []
+    for (sl, _), (size, cover) in zip(layout.slices(), blocks):
+        count = {"none": 0, "one": 1, "all": size}.get(
+            cover, int(rng.integers(1, size + 1)))
+        support.extend(sl.start + rng.choice(size, size=count, replace=False))
+    d = layout.total_dim
+    mask = make_mask(d, len(support), np.arange(d, dtype=np.int64),
+                     np.sort(np.array(support, dtype=np.int64)))
+    fisher = random_fisher(rng, layout)
+    theta = ParamVector(values=rng.normal(size=d), layout=layout)
+    comp = group_obs_solve(fisher, theta, mask)
+    dw_o, lam_o = dense_kkt_solve(dense(damped(fisher)), theta.values,
+                                  mask.support)
+    assert np.array_equal(comp.delta_w.values[mask.support],
+                          -theta.values[mask.support])
+    scale = max(np.abs(dw_o).max(), 1e-12)
+    assert np.abs(comp.delta_w.values - dw_o).max() <= 1e-9 * scale
+    lscale = max(np.abs(lam_o).max(initial=0.0), 1e-12)
+    assert np.abs(comp.multipliers - lam_o).max(initial=0.0) <= 1e-9 * lscale
