@@ -10,7 +10,9 @@ files it wrote.  Every derived artifact records the
 digests of the artifacts it was computed from, so downstream stages can
 refuse mismatched inputs.  Every reader raises ``numkit.StructuralError``
 when an artifact is missing, truncated or malformed, or does not match
-the digest another artifact records for it.
+the digest another artifact records for it.  A Fisher is never read
+whole: ``load_fisher`` gives a reader whose blocks stream from the blob,
+checked block by block and against the digest at the end.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .model import Dataset, MlpModel, mlp_layout
 from .numkit import (
     BlockDiagMatrix,
     BlockLayout,
+    BlockStream,
     ParamVector,
     StructuralError,
     canonical_json,
@@ -74,15 +77,23 @@ def _read_json(path: str) -> dict:
 
 def _save(path: str, header: dict, arrays) -> list[str]:
     """Stream ``arrays`` into ``path.bin`` and its sha256 at once, then
-    write ``header`` with each array's dtype and shape and that digest."""
+    write ``header`` with each array's dtype and shape and that digest.
+    When ``arrays`` raises, the partial ``path.bin`` is removed and no
+    header is written."""
     digest = hashlib.sha256()
     specs = []
-    with open(path + ".bin", "wb") as fh:
-        for a in arrays:
-            a = np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
-            digest.update(a)
-            fh.write(a)
-            specs.append({"dtype": a.dtype.str, "shape": list(a.shape)})
+    fh = open(path + ".bin", "wb")
+    try:
+        with fh:
+            for a in arrays:
+                a = np.ascontiguousarray(
+                    a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
+                digest.update(a)
+                fh.write(a)
+                specs.append({"dtype": a.dtype.str, "shape": list(a.shape)})
+    except BaseException:
+        os.remove(path + ".bin")
+        raise
     return [path + ".bin"] + _write_json(
         path, {**header, "arrays": specs, "sha256": digest.hexdigest()})
 
@@ -116,8 +127,9 @@ def _load(path: str) -> tuple[dict, list[np.ndarray]]:
 
 @_reader
 def file_digest(path: str) -> str:
+    """The sha256 of the file at ``path``, read in chunks."""
     with open(path, "rb") as fh:
-        return sha256_hex(fh.read())
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def input_digests(**paths: str) -> dict:
@@ -198,18 +210,90 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> l
     }, fisher.fisher.blocks)
 
 
+def _read_triangles(path: str, sizes: list[int], sha256: str):
+    """Yield each block of ``path.bin``, ``sizes`` bytes each, read into
+    memory of its own; check the blob's length first and its digest
+    last."""
+    digest = hashlib.sha256()
+    try:
+        with open(path + ".bin", "rb") as fh:
+            length = os.fstat(fh.fileno()).st_size
+            if length != sum(sizes):
+                raise StructuralError(f"{path}: blob holds {length} bytes, "
+                                      f"header declares {sum(sizes)}")
+            for size in sizes:
+                tri = np.empty(size // 8, dtype="<f8")
+                if fh.readinto(tri) != size:
+                    raise StructuralError(f"{path}.bin ended inside a block")
+                digest.update(tri)
+                yield tri
+    except OSError as exc:
+        raise StructuralError(f"cannot read artifact {path}: {exc}") from exc
+    if digest.hexdigest() != sha256:
+        raise StructuralError(f"blob digest mismatch for {path}")
+
+
+class FisherReader:
+    """The Fisher artifact at ``path``, read one block at a time.
+
+    Opening it reads the header and checks its array specs against the
+    layout it records, before any block is read.  Entering it gives a
+    BlockFisher whose blocks stream from ``path.bin``: each walk over them
+    checks the blob's length, reads each block into memory of its own,
+    hashes it and checks it as ``BlockDiagMatrix`` does, and ends by
+    checking the digest.  Leaving it finishes every walk the caller left
+    unfinished.  A bad blob then raises StructuralError in place of any
+    error the caller stopped on, which one of its blocks may have caused.
+    """
+
+    def __init__(self, path: str):
+        header = _read_json(path)
+        layout = BlockLayout.from_json(header["layout"])
+        specs = [{"dtype": "<f8", "shape": [size * (size + 1) // 2]}
+                 for _, size, _ in layout.blocks]
+        if header["arrays"] != specs:
+            raise StructuralError(
+                f"{path}: arrays {header['arrays']!r} are not the upper "
+                f"triangles of the layout's {len(specs)} blocks")
+        check_number("fisher lambda", header["lambda"])
+        sizes = [8 * spec["shape"][0] for spec in specs]
+        sha256 = header["sha256"]
+        walks = self._walks = []
+
+        def walk():
+            walks.append(_read_triangles(path, sizes, sha256))
+            return walks[-1]
+
+        self._fisher = BlockFisher(
+            fisher=BlockDiagMatrix(blocks=BlockStream(walk, layout),
+                                   layout=layout),
+            lam=header["lambda"],
+            sample_count=header["n"],
+            source_digest=header["source_digest"],
+        )
+
+    def __enter__(self) -> BlockFisher:
+        return self._fisher
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None and not isinstance(exc, Exception):
+            return False  # an interrupt is not delayed by reading the rest
+        try:
+            for walk in self._walks:
+                for _ in walk:  # the rest of the blob, then its digest
+                    pass
+        except StructuralError as bad:
+            if exc is None:
+                raise
+            # a bad blob outranks whatever failure its blocks caused
+            raise bad from exc
+        return False
+
+
 @_reader
-def load_fisher(path: str) -> BlockFisher:
-    header, blocks = _load(path)
-    check_number("fisher lambda", header["lambda"])
-    return BlockFisher(
-        fisher=BlockDiagMatrix(
-            blocks=tuple(blocks), layout=BlockLayout.from_json(header["layout"])
-        ),
-        lam=header["lambda"],
-        sample_count=header["n"],
-        source_digest=header["source_digest"],
-    )
+def load_fisher(path: str) -> FisherReader:
+    """The Fisher artifact at ``path``, to be read in a ``with`` block."""
+    return FisherReader(path)
 
 
 # -- compensation -----------------------------------------------------------
@@ -242,8 +326,9 @@ def comp_inputs(path: str) -> dict:
 
 def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
                             fisher: str) -> tuple:
-    """theta_p, theta_u, the comp, the mask and the Fisher at these paths,
-    after checking each input the comp records against its file."""
+    """theta_p, theta_u, the comp, the mask and the reader of the Fisher at
+    these paths, after checking each input the comp records against its
+    file."""
     check_input_digests(comp_inputs(comp), model=theta_p, mask=mask,
                         fisher=fisher)
     return (load_model(theta_p), load_model(theta_u), load_comp(comp),

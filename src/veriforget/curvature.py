@@ -7,19 +7,23 @@ of a weight block may start mid-row.  ``model.grad_columns`` makes the
 split, so the layout of a Fisher is the labels and widths it yields.
 Each block is held as its upper triangle (``numkit.pack_upper``): the
 estimator gathers it straight from the exactly symmetric product of the
-gradient columns, and no square Fisher block outlives that product.
+gradient columns, and no square Fisher block outlives that product.  The
+estimate is a ``numkit.BlockStream``: each walk forms one block at a time,
+so a caller that walks it once, as ``artifacts.save_fisher`` does, never
+holds the whole Fisher.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dataset, MlpModel, grad_columns, stream_rng
+from .model import Dataset, MlpModel, column_layout, grad_columns, stream_rng
 from .numkit import (
     BlockDiagMatrix,
     BlockLayout,
+    BlockStream,
     StructuralError,
     canonical_json,
     pack_upper,
@@ -47,6 +51,12 @@ class BlockFisher:
     @property
     def layout(self) -> BlockLayout:
         return self.fisher.layout
+
+    def materialized(self) -> "BlockFisher":
+        """This Fisher with every block in memory, its stream walked once,
+        for a caller that walks it more than once."""
+        return replace(self, fisher=BlockDiagMatrix(
+            blocks=tuple(self.fisher.blocks), layout=self.layout))
 
 
 @dataclass(frozen=True)
@@ -77,29 +87,32 @@ def empirical_fisher_blockwise(
     seed: int = 0,
 ) -> BlockFisher:
     """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over a seeded subsample, one
-    block per ``grad_columns(model, ., block_cap)`` block."""
+    block per ``grad_columns(model, ., block_cap)`` block, streamed: each
+    walk over the blocks runs one backward pass and forms them in turn."""
     if len(data) == 0:
         raise StructuralError("empty dataset")
     if not 0 < lam < np.inf:
         raise ValueError("damping must be finite and > 0")
     if max_samples < 1:
         raise ValueError("max_samples must be >= 1")
+    layout = column_layout(model, block_cap)
     sub, indices = _subsample(data, max_samples, seed)
     n = len(sub)
-    sizes, blocks = [], []
-    for label, gb in grad_columns(model, sub, block_cap):  # n x s each
-        if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
-            # numpy hands an n x 1 product to BLAS dot, whose unit-stride
-            # kernel sums in another order than the strided one that a
-            # column of the n x d matrix always took: keep that order
-            wide = np.empty((n, 2))
-            wide[:, :1] = gb
-            gb = wide[:, :1]
-        # numpy computes gb.T @ gb by syrk and mirrors the triangle it
-        # computed, so the product is exactly symmetric: its upper
-        # triangle is the whole block, and only that triangle is divided
-        sizes.append((gb.shape[1], label))
-        blocks.append(pack_upper(gb.T @ gb) / n)
+
+    def walk():
+        for _, gb in grad_columns(model, sub, block_cap):  # n x s each
+            if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
+                # numpy hands an n x 1 product to BLAS dot, whose unit-stride
+                # kernel sums in another order than the strided one that a
+                # column of the n x d matrix always took: keep that order
+                wide = np.empty((n, 2))
+                wide[:, :1] = gb
+                gb = wide[:, :1]
+            # numpy computes gb.T @ gb by syrk and mirrors the triangle it
+            # computed, so the product is exactly symmetric: its upper
+            # triangle is the whole block, and only that triangle is divided
+            yield pack_upper(gb.T @ gb) / n
+
     digest = sha256_hex(
         canonical_json(
             {
@@ -110,8 +123,7 @@ def empirical_fisher_blockwise(
         )
     )
     return BlockFisher(
-        fisher=BlockDiagMatrix(blocks=tuple(blocks),
-                               layout=BlockLayout.from_sizes(sizes)),
+        fisher=BlockDiagMatrix(blocks=BlockStream(walk, layout), layout=layout),
         lam=lam,
         sample_count=n,
         source_digest=digest,
@@ -131,6 +143,8 @@ def diag_curvature(
     # Capped blocks keep each block's gradient columns at n x 256 at most.
     # Summed row after row, as a mean over the rows of an n x d matrix
     # is; numpy would sum an n x 1 column pairwise, in another order.
-    sums = [np.cumsum(cols**2, axis=0)[-1]
+    # Each sum is a copy: a view of the cumsum's last row would keep the
+    # whole n x s cumsum alive until the concatenation.
+    sums = [np.cumsum(cols**2, axis=0)[-1].copy()
             for _, cols in grad_columns(model, sub, DEFAULT_BLOCK_CAP)]
     return DiagCurvature(diag=np.concatenate(sums) / len(sub))

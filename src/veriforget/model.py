@@ -248,6 +248,17 @@ def _parts(label: str, size: int, cap: int):
         yield f"{label}/part{j}", lo, min(lo + cap, size)
 
 
+def column_layout(model: MlpModel, cap: int) -> BlockLayout:
+    """The labels and widths of the blocks ``grad_columns(model, ., cap)``
+    yields, known before any gradient is formed."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    return BlockLayout.from_sizes(
+        (hi - lo, label)
+        for _, size, block in model.params.layout.blocks
+        for label, lo, hi in _parts(block, size, cap))
+
+
 def grad_columns(model: MlpModel, data: Dataset, cap: int):
     """Yield (label, n x s per-example gradient columns) for each block of
     the model's layout, in order, split at ``cap`` as by ``_parts``, from

@@ -1,9 +1,10 @@
 """Deterministic numerical primitives shared by the whole pipeline.
 
 Block-structured flat vectors, block-diagonal symmetric matrices held
-as upper triangles, fixed-point quantization, reproducible reductions
-and digests.  Everything here is pure and immutable after construction;
-file formats live in ``artifacts``.
+as upper triangles, in memory or streamed a block at a time, fixed-point
+quantization, reproducible reductions and digests.  Everything here is
+pure and immutable after construction; file formats live in
+``artifacts``, which also supplies the walk of a Fisher read from disk.
 """
 
 from __future__ import annotations
@@ -192,25 +193,58 @@ def upper_matvec(tri: np.ndarray, v: np.ndarray, diag=0) -> np.ndarray:
     return up @ v + up.T @ v + (diag - tri[upper_diagonal(size)]) * v
 
 
+def _checked(blocks, layout: BlockLayout):
+    """Each of ``blocks`` frozen, once it is checked to be the finite upper
+    triangle of its layout block; the blocks must be as many as the
+    layout's."""
+    blocks = iter(blocks)
+    for _, size, label in layout.blocks:
+        tri = next(blocks, None)
+        if tri is None:
+            raise StructuralError("block count does not match layout")
+        tri = _freeze(tri)
+        if tri.shape != (size * (size + 1) // 2,):
+            raise StructuralError(f"block {label!r} of shape {tri.shape} is "
+                                  f"not a {size} x {size} upper triangle")
+        if not np.all(np.isfinite(tri)):
+            raise StructuralError(f"block {label!r} has non-finite entries")
+        yield tri
+    if next(blocks, None) is not None:
+        raise StructuralError("block count does not match layout")
+
+
+class BlockStream:
+    """The blocks of a block-diagonal matrix, formed or read one at a time.
+    Each walk over it calls ``walk()`` afresh and checks every block as it
+    comes, so a walk holds one block and never the whole matrix."""
+
+    def __init__(self, walk, layout: BlockLayout):
+        self._walk = walk
+        self.layout = layout
+
+    def __len__(self) -> int:
+        return len(self.layout.blocks)
+
+    def __iter__(self):
+        return _checked(self._walk(), self.layout)
+
+
 @dataclass(frozen=True)
 class BlockDiagMatrix:
     """Symmetric block-diagonal matrix, each block held as its upper
-    triangle (``pack_upper``)."""
+    triangle (``pack_upper``): a tuple of them, checked on construction,
+    or a ``BlockStream`` of them, checked as each walk reaches them."""
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...] | BlockStream
     layout: BlockLayout
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.layout.blocks):
-            raise StructuralError("block count does not match layout")
-        frozen = tuple(map(_freeze, self.blocks))
-        for tri, (_, size, label) in zip(frozen, self.layout.blocks):
-            if tri.shape != (size * (size + 1) // 2,):
-                raise StructuralError(f"block {label!r} of shape {tri.shape} is "
-                                      f"not a {size} x {size} upper triangle")
-            if not np.all(np.isfinite(tri)):
-                raise StructuralError(f"block {label!r} has non-finite entries")
-        object.__setattr__(self, "blocks", frozen)
+        if isinstance(self.blocks, BlockStream):
+            if self.blocks.layout != self.layout:
+                raise StructuralError("block stream layout does not match")
+        else:
+            object.__setattr__(self, "blocks",
+                               tuple(_checked(self.blocks, self.layout)))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,13 @@ def damped(fisher: BlockFisher) -> BlockDiagMatrix:
                          for b in square_blocks(fisher.fisher)], fisher.layout)
 
 
+def read_fisher(path) -> BlockFisher:
+    """The Fisher artifact at ``path``, read through its reader with every
+    block kept in memory."""
+    with art.load_fisher(path) as fisher:
+        return fisher.materialized()
+
+
 def resave_fisher(src, dst, blocks):
     """The Fisher artifact at ``src`` written to ``dst`` with ``blocks`` as
     its arrays, whatever their shapes, and a checksum to match."""

@@ -1,7 +1,9 @@
 """The artifact container: round trips, integrity checks and fuzzing."""
 
+import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 from veriforget import artifacts as art
 from veriforget.curvature import BlockFisher
 from veriforget.model import Dataset, init_mlp
-from veriforget.numkit import BlockDiagMatrix, ParamVector, StructuralError
+from veriforget.numkit import (
+    BlockDiagMatrix,
+    BlockLayout,
+    BlockStream,
+    NumericError,
+    ParamVector,
+    StructuralError,
+)
 from veriforget.obs import CompensationResult
 from veriforget.zkp import Proof, PublicInputs
 
@@ -18,6 +27,7 @@ from conftest import (
     random_fisher,
     random_layout,
     random_mask,
+    read_fisher,
     resave_fisher,
     small_dataset,
     square_blocks,
@@ -72,6 +82,8 @@ def save(kind, path, obj):
 
 
 def load(kind, path):
+    if kind == "fisher":
+        return read_fisher(path)
     return getattr(art, f"load_{kind}")(path)
 
 
@@ -280,3 +292,136 @@ def _set_header(key, value):
 def test_header_number_must_be_a_number(saved, kind, key, value):
     # a bool is an int to Python: damping True would load as 1
     _load_mutated(saved, kind, "", _set_header(key, value))
+
+
+# -- streaming -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [0, 1, 3 * 2**18 + 5])
+def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    (tmp_path / "f").write_bytes(data)
+    assert art.file_digest(str(tmp_path / "f")) == hashlib.sha256(data).hexdigest()
+
+
+def test_file_digest_reads_in_chunks(tmp_path):
+    path = tmp_path / "big"
+    with open(path, "wb") as fh:
+        fh.truncate(32 * 2**20)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        art.file_digest(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _streamed_fisher(n_blocks=8, size=256):
+    """A Fisher of ``n_blocks`` random triangles, formed one per step of
+    each walk, with the blocks it forms."""
+    layout = BlockLayout.from_sizes((size, f"b{i}") for i in range(n_blocks))
+    tri = size * (size + 1) // 2
+
+    def walk():
+        rng = np.random.default_rng(5)
+        for _ in range(n_blocks):
+            yield rng.normal(size=tri)
+
+    fisher = BlockFisher(
+        fisher=BlockDiagMatrix(blocks=BlockStream(walk, layout), layout=layout),
+        lam=1e-3, sample_count=3, source_digest="test")
+    return fisher, list(walk())
+
+
+def _peak_of(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fisher_saved_and_read_one_block_at_a_time(tmp_path):
+    """Saving a streamed Fisher and walking its artifact each hold a block
+    or two at a time; the whole Fisher is eight blocks."""
+    p = str(tmp_path / "fisher")
+    fisher, blocks = _streamed_fisher()
+    block_bytes = blocks[0].nbytes
+    assert _peak_of(lambda: art.save_fisher(p, fisher)) < 3 * block_bytes
+
+    def walk():
+        with art.load_fisher(p) as f:
+            for got, want in zip(f.fisher.blocks, blocks):
+                assert np.array_equal(got, want)
+
+    assert _peak_of(walk) < 3 * block_bytes
+    assert read_fisher(p).layout == fisher.layout
+
+
+def _flip_last_byte_but_seven(p):
+    """Flip the lowest bit of the blob's last entry, in its last block."""
+    with open(p + ".bin", "r+b") as fh:
+        fh.seek(-8, os.SEEK_END)
+        byte = fh.read(1)[0]
+        fh.seek(-8, os.SEEK_END)
+        fh.write(bytes([byte ^ 1]))
+
+
+def test_fisher_reader_checks_an_unfinished_walk_on_exit(tmp_path):
+    p = str(tmp_path / "fisher")
+    art.save_fisher(p, sample("fisher"))
+    with pytest.raises(NumericError, match="solve"):  # an honest blob
+        with art.load_fisher(p) as f:
+            next(iter(f.fisher.blocks))
+            raise NumericError("solve failed")
+    _flip_last_byte_but_seven(p)
+    with pytest.raises(StructuralError, match="blob digest") as info:
+        with art.load_fisher(p) as f:
+            next(iter(f.fisher.blocks))
+            raise NumericError("solve failed")
+    assert isinstance(info.value.__cause__, NumericError)
+    with pytest.raises(StructuralError, match="blob digest"):
+        with art.load_fisher(p) as f:
+            next(iter(f.fisher.blocks))
+    with pytest.raises(StructuralError, match="blob digest"):
+        with art.load_fisher(p) as f:
+            for _ in f.fisher.blocks:  # a whole walk checks at its end
+                pass
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b[:-8], lambda b: b[:-1], lambda b: b + b"\0",
+], ids=["one_entry_short", "one_byte_short", "one_byte_over"])
+def test_fisher_reader_checks_the_blob_length_first(tmp_path, edit):
+    p = str(tmp_path / "fisher")
+    art.save_fisher(p, sample("fisher"))
+    with open(p + ".bin", "rb") as fh:
+        data = fh.read()
+    with open(p + ".bin", "wb") as fh:
+        fh.write(edit(data))
+    with pytest.raises(StructuralError, match="header declares"):
+        with art.load_fisher(p) as f:
+            next(iter(f.fisher.blocks))
+
+
+def test_fisher_header_must_list_the_layout_triangles(tmp_path):
+    p = str(tmp_path / "fisher")
+    art.save_fisher(p, sample("fisher"))
+    _rewrite_header(p, lambda h: h["arrays"].pop())
+    with pytest.raises(StructuralError, match="upper triangles"):
+        art.load_fisher(p)
+
+
+def test_failed_save_leaves_no_blob(tmp_path):
+    def arrays():
+        yield np.ones(3)
+        raise StructuralError("the second array failed")
+
+    p = str(tmp_path / "a")
+    with pytest.raises(StructuralError, match="second array"):
+        art._save(p, {}, arrays())
+    assert os.listdir(tmp_path) == []

@@ -29,7 +29,13 @@ from veriforget.numkit import (
 from veriforget.pipeline import run_pipeline
 from veriforget.zkp.circuit import FAMILIES
 
-from conftest import resave_fisher, square_blocks, tag_over, tiny_config
+from conftest import (
+    read_fisher,
+    resave_fisher,
+    square_blocks,
+    tag_over,
+    tiny_config,
+)
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +302,7 @@ def _certify_truncated_fisher(w, tmp):
     tu[i] += 0.5
     art.save_comp(f"{tmp}/comp", replace(comp, delta_w=comp.delta_w.with_values(dw)))
     art.save_model(f"{tmp}/theta_u", theta_u.with_params(tu))
-    fisher = art.load_fisher(f"{w}/fisher")
+    fisher = read_fisher(f"{w}/fisher")
     _, size, label = fisher.layout.blocks[0]
     art.save_fisher(f"{tmp}/fisher", replace(fisher, fisher=BlockDiagMatrix(
         blocks=fisher.fisher.blocks[:1],
@@ -329,7 +335,7 @@ def _square_fisher(command):
     that records no inputs, so no digest check stands in the way."""
     def case(w, tmp):
         resave_fisher(f"{w}/fisher", f"{tmp}/fisher",
-                      square_blocks(art.load_fisher(f"{w}/fisher").fisher))
+                      square_blocks(read_fisher(f"{w}/fisher").fisher))
         if command == "unlearn":
             return tuple(a.format(w=w, tmp=tmp) for a in _UNLEARN_TMP_FISHER)
         art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
@@ -638,13 +644,92 @@ def test_numeric_error_exit_3(workdir):
     assert res.exit_code == 3
 
 
+def _flip_last_block(w, path):
+    with open(path + ".bin", "r+b") as fh:
+        fh.seek(-8, os.SEEK_END)
+        byte = fh.read(1)[0]
+        fh.seek(-8, os.SEEK_END)
+        fh.write(bytes([byte ^ 1]))
+
+
+def _negate_masked_diagonal(w, path):
+    """-1 on the diagonal at the first masked coordinate, which makes the
+    solve fail at that block, before the walk reaches the digest."""
+    fisher = read_fisher(path)
+    first = int(art.load_mask(f"{w}/mask.mask").support[0])
+    at = 0
+    for offset, size, _ in fisher.layout.blocks:
+        if offset <= first < offset + size:
+            at += 8 * int(upper_diagonal(size)[first - offset])
+            break
+        at += 8 * size * (size + 1) // 2
+    with open(path + ".bin", "r+b") as fh:
+        fh.seek(at)
+        fh.write(np.array([-1.0], dtype="<f8").tobytes())
+
+
+def _resize_blob(delta):
+    def edit(w, path):
+        with open(path + ".bin", "rb") as fh:
+            data = fh.read()
+        with open(path + ".bin", "wb") as fh:
+            fh.write(data[:delta] if delta < 0 else data + b"\0" * delta)
+
+    return edit
+
+
+def _drop_last_array(w, path):
+    with open(path) as fh:
+        header = json.load(fh)
+    header["arrays"].pop()
+    with open(path, "w") as fh:
+        json.dump(header, fh)
+
+
+@pytest.mark.parametrize("command", ["unlearn", "certify"])
+@pytest.mark.parametrize("edit", [
+    _flip_last_block, _negate_masked_diagonal, _resize_blob(-8),
+    _resize_blob(1), _drop_last_array,
+], ids=["flipped_last_block", "negated_masked_diagonal", "truncated",
+        "trailing_byte", "one_array_fewer"])
+def test_bad_fisher_blob_exit_2(workdir, tmp_path, command, edit):
+    """A Fisher edited in place, its digest left as it was, exits 2 with
+    one error line, even where the solve would fail first; unlearn writes
+    nothing."""
+    w, tmp = workdir, str(tmp_path)
+    for suffix in ("", ".bin"):
+        shutil.copy(f"{w}/fisher{suffix}", f"{tmp}/fisher{suffix}")
+    edit(w, f"{tmp}/fisher")
+    if command == "unlearn":
+        args = ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+                "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
+    else:
+        art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
+        args = _certify_args(w, comp=tmp, fisher=tmp)
+    res = invoke(*args)
+    assert res.exit_code == 2, res.output
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert not os.path.exists(f"{tmp}/u")
+
+
+def test_failed_fisher_writes_nothing(workdir, tmp_path):
+    """Data whose feature count does not fit the model fail at the first
+    block, after the blob was opened: fisher exits 2 and removes it."""
+    art.save_model(f"{tmp_path}/model", init_mlp([5, 8, 3], 0))
+    res = invoke("fisher", "--model", f"{tmp_path}/model",
+                 "--data", f"{workdir}/personal.dset",
+                 "--out", f"{tmp_path}/fisher")
+    assert res.exit_code == 2, res.output
+    assert sorted(os.listdir(tmp_path)) == ["model", "model.bin"]
+
+
 @pytest.mark.parametrize("on_mask", [True, False], ids=["on-mask", "off-mask"])
 def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, on_mask):
     """A damped block with a negative diagonal entry, on the mask or off
     it, is not positive definite: unlearn exits 3 with one error line
     naming the block and the coordinate."""
     w = workdir
-    fisher = art.load_fisher(f"{w}/fisher")
+    fisher = read_fisher(f"{w}/fisher")
     support = art.load_mask(f"{w}/mask.mask").support
     first = int(support[0])
     block = next(b for b in fisher.layout.blocks if b[0] <= first < b[0] + b[1])

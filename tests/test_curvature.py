@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from veriforget.curvature import diag_curvature, empirical_fisher_blockwise
+from veriforget.curvature import (
+    DEFAULT_MAX_SAMPLES,
+    _subsample,
+    diag_curvature,
+    empirical_fisher_blockwise,
+)
 from veriforget.model import Dataset, grad_columns, init_mlp, per_example_grads
 from veriforget.numkit import StructuralError, pack_upper, unpack_upper
 
@@ -130,8 +135,9 @@ def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
 
 
 def test_fisher_memory_excludes_nxd_gradient_matrix():
-    # staged-wide's shape: an n x d gradient matrix would be 190 MB; the
-    # blockwise estimator may hold a few cap-wide column blocks at a time
+    # staged-wide's shape: an n x d gradient matrix would be 190 MB and the
+    # Fisher 86.5 MB; a walk over the estimate may hold a few cap-wide
+    # column blocks and the block in hand, never the whole Fisher
     rng = np.random.default_rng(8)
     model = init_mlp([32, 256, 128, 8], 0)
     data = small_dataset(rng, n=560, dim=32, classes=8)
@@ -139,11 +145,12 @@ def test_fisher_memory_excludes_nxd_gradient_matrix():
     try:
         tracemalloc.reset_peak()
         fisher = empirical_fisher_blockwise(model, data, block_cap=512)
+        fisher_bytes = sum(b.nbytes for b in fisher.fisher.blocks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    fisher_bytes = sum(b.nbytes for b in fisher.fisher.blocks)
-    assert peak - fisher_bytes <= 32 * 2**20
+    assert fisher_bytes > 80 * 2**20
+    assert peak <= 32 * 2**20
 
 
 # -- diagonal proxy --------------------------------------------------------------
@@ -176,6 +183,26 @@ def test_diag_bit_exact_on_capped_blocks():
     data = small_dataset(rng, n=300, dim=1, classes=3)
     got = diag_curvature(model, data, seed=3).diag
     assert got.tobytes() == reference_diag_curvature(model, data, seed=3).tobytes()
+
+
+def test_diag_keeps_no_cumsum_alive():
+    # each block's column sums are copied out of its n x s cumsum, so the
+    # 150 x 42,376 cumsums (51 MB) are never alive together
+    rng = np.random.default_rng(9)
+    model = init_mlp([32, 256, 128, 8], 0)
+    data = small_dataset(rng, n=150, dim=32, classes=8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = diag_curvature(model, data).diag
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sub, _ = _subsample(data, DEFAULT_MAX_SAMPLES, 0)
+    want = np.concatenate([np.cumsum(cols**2, axis=0)[-1]
+                           for _, cols in grad_columns(model, sub, 256)])
+    assert got.tobytes() == (want / len(sub)).tobytes()
+    assert peak < 8 * 2**20
 
 
 def test_diag_single_example():
