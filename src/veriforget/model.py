@@ -182,12 +182,17 @@ def init_mlp(layer_dims: list[int], seed: int) -> MlpModel:
 
 def _forward(layers, x: np.ndarray):
     """Forward pass on a batch through ``layers``, the per-layer (W, b)
-    views; returns logits and per-layer activations."""
+    views; returns logits and per-layer activations.  Each layer's bias
+    and tanh are applied in place on its product's own output."""
     acts = [x]
     for w, b in layers[:-1]:
-        acts.append(np.tanh(acts[-1] @ w + b))
+        h = acts[-1] @ w
+        h += b
+        acts.append(np.tanh(h, out=h))
     w, b = layers[-1]
-    return acts[-1] @ w + b, acts
+    z = acts[-1] @ w
+    z += b
+    return z, acts
 
 
 def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -201,31 +206,41 @@ def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """The softmax of each row of ``z``, computed in place on ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def predictive_dist(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Softmax predictive distribution for one example or a batch."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    p = _softmax(logits(model, x))
+    p = _softmax(logits(model, x))  # fresh logits, so x is not touched
     return p[0] if single else p
 
 
 def _backprop(layers, x: np.ndarray, y: np.ndarray):
     """Yield (layer index, its input activations, dL/dz at its output) for
     the summed cross-entropy loss through ``layers``, the per-layer (W, b)
-    views, from the last layer to the first."""
+    views, from the last layer to the first.
+
+    Every yielded array is its own and is never written after it is
+    yielded, so a caller may hold them all: the tanh derivative 1 - a^2
+    goes into a scratch array, never into the activations.
+    """
     z, acts = _forward(layers, x)
     delta = _softmax(z)
     delta[np.arange(x.shape[0]), y] -= 1.0  # dL/dz for summed loss
     for li in range(len(layers) - 1, -1, -1):
         yield li, acts[li], delta
         if li > 0:
-            w, _ = layers[li]
-            delta = (delta @ w.T) * (1.0 - acts[li] ** 2)
+            a = acts[li]
+            slope = np.multiply(a, a)
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ layers[li][0].T
+            delta *= slope
 
 
 def _backward(layers, x: np.ndarray, y: np.ndarray, grads) -> None:
@@ -234,7 +249,7 @@ def _backward(layers, x: np.ndarray, y: np.ndarray, grads) -> None:
     for li, a_prev, delta in _backprop(layers, x, y):
         gw, gb = grads[li]
         np.matmul(a_prev.T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
 
 
 def _parts(label: str, size: int, cap: int):
@@ -365,8 +380,15 @@ def train_sgd(
 
     Steps in place on one parameter buffer, one velocity and one gradient,
     each allocated once per call; the per-layer (W, b) views into them are
-    built once.  After each epoch the mean loss over ``data`` must be
-    finite.  It is computed only when ``_loss_bounded`` cannot prove it.
+    built once.  Each step scales the gradient in place, grad / b * lr,
+    which gives the bits of lr * (grad / b).
+
+    The parameters are checked once per epoch, after its last step.  That
+    names the same epoch as a check after every step: once an entry of
+    theta is inf or NaN, theta += velocity keeps it non-finite, since inf
+    plus a finite number is inf, inf minus inf is NaN and NaN stays NaN.
+    After each epoch the mean loss over ``data`` must be finite too; it is
+    computed only when ``_loss_bounded`` cannot prove it.
     """
     check_fits(init, data)
     theta = init.params.values.copy()
@@ -378,7 +400,8 @@ def train_sgd(
     x_scale = float(np.abs(x).max())
     n = len(data)
     # overflow and NaN are caught by the checks below, which name the
-    # epoch; numpy's warnings about them would only add noise
+    # epoch; numpy's warnings about them, also from the steps after a
+    # divergence within an epoch, would only add noise
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             rng = stream_rng(cfg.seed, f"{stream}/shuffle/epoch-{epoch}")
@@ -387,11 +410,12 @@ def train_sgd(
                 idx = order[start : start + cfg.batch_size]
                 _backward(layers, x[idx], y[idx], grads)
                 grad /= len(idx)
+                grad *= cfg.learning_rate
                 velocity *= MOMENTUM
-                velocity -= cfg.learning_rate * grad
+                velocity -= grad
                 theta += velocity
-                if not np.all(np.isfinite(theta)):
-                    raise NumericError(f"parameters diverged at epoch {epoch}")
+            if not np.isfinite(theta).all():
+                raise NumericError(f"parameters diverged at epoch {epoch}")
             if not _loss_bounded(layers, x_scale, n):
                 loss = mean_loss(init.with_params(theta.copy()), data)
                 if not np.isfinite(loss):

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import conftest
 from veriforget.model import (
+    _backprop,
     _loss_bounded,
     Dataset,
     MlpModel,
@@ -93,6 +97,22 @@ def test_batch_grad_is_mean_of_per_example():
     assert np.abs(g - per.mean(axis=0)).max() <= 1e-12
 
 
+def test_backprop_leaves_what_it_yields_intact():
+    # grad_columns holds every yielded (a_prev, delta) at once, so the
+    # recursion must not write into an array once it has yielded it, as
+    # it would by forming 1 - a^2 in the activations
+    rng = np.random.default_rng(12)
+    model = init_mlp([5, 7, 6, 5, 4], 1)
+    data = small_dataset(rng, n=9, dim=5, classes=4)
+    held = [(li, a_prev, delta, a_prev.copy(), delta.copy())
+            for li, a_prev, delta in _backprop(model.weights(), data.features,
+                                               data.labels)]
+    assert [li for li, *_ in held] == [3, 2, 1, 0]
+    for _, a_prev, delta, a_copy, d_copy in held:
+        assert a_prev.tobytes() == a_copy.tobytes()
+        assert delta.tobytes() == d_copy.tobytes()
+
+
 def test_grads_matrix_rows_match_single():
     rng = np.random.default_rng(4)
     model = init_mlp([4, 5, 3], 5)
@@ -167,6 +187,23 @@ def _outcome(train, *args):
         return type(exc), str(exc)
 
 
+def _training_case(dims, n, batch_size, epochs, lr_exp, w_exp, x_exp, seed):
+    """A model with weights up to 10**w_exp, n examples with features up
+    to 10**x_exp, and a config with learning rate 10**lr_exp."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, 0)
+    model = model.with_params(_scaled(rng, model.dim, w_exp))
+    data = Dataset(features=_scaled(rng, (n, dims[0]), x_exp),
+                   labels=rng.integers(0, dims[-1], size=n))
+    cfg = TrainConfig(learning_rate=10.0 ** lr_exp, epochs=epochs,
+                      batch_size=batch_size, seed=seed)
+    return model, data, cfg
+
+
+# the parameters go non-finite on the first of epoch 1's five batches
+_MID_EPOCH = dict(dims=[4, 8, 3], n=20, batch_size=4, epochs=3, lr_exp=300,
+                  w_exp=0, x_exp=10, seed=2)
+
 _DIMS = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 
 
@@ -188,15 +225,12 @@ _DIMS = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 # a non-finite batch gradient in the second epoch
 @example(dims=[4, 8, 3], n=20, batch_size=8, epochs=2, lr_exp=307,
          w_exp=0, x_exp=10, seed=40)
+# finite gradients, and parameters non-finite before the epoch's last batch
+@example(**_MID_EPOCH)
 def test_train_sgd_bit_exact_against_oracle(dims, n, batch_size, epochs,
                                             lr_exp, w_exp, x_exp, seed):
-    rng = np.random.default_rng(seed)
-    model = init_mlp(dims, 0)
-    model = model.with_params(_scaled(rng, model.dim, w_exp))
-    data = Dataset(features=_scaled(rng, (n, dims[0]), x_exp),
-                   labels=rng.integers(0, dims[-1], size=n))
-    cfg = TrainConfig(learning_rate=10.0 ** lr_exp, epochs=epochs,
-                      batch_size=batch_size, seed=seed)
+    model, data, cfg = _training_case(dims, n, batch_size, epochs, lr_exp,
+                                      w_exp, x_exp, seed)
     with np.errstate(all="ignore"):
         want = _outcome(reference_train_sgd, model, data, cfg)
         got = _outcome(train_sgd, model, data, cfg)
@@ -208,6 +242,33 @@ def test_train_sgd_bit_exact_against_oracle(dims, n, batch_size, epochs,
         assert got[1].startswith("parameters diverged at epoch "), got
     else:
         assert got == want
+
+
+def test_divergence_mid_epoch_names_the_oracle_epoch_without_warnings(
+        monkeypatch):
+    # the parameters are checked once per epoch, so NaNs flow through the
+    # batches after the one that diverged; that must neither change the
+    # message nor let numpy warn under its default error state
+    model, data, cfg = _training_case(**_MID_EPOCH)
+    steps = []
+
+    def counted_grad(*args):
+        steps.append(None)
+        return batch_grad(*args)
+
+    monkeypatch.setattr(conftest, "batch_grad", counted_grad)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as want:
+        reference_train_sgd(model, data, cfg)
+    batches = -(-len(data) // cfg.batch_size)
+    assert len(steps) == batches + 1  # the oracle stopped on that step
+    with np.errstate(all="warn", under="ignore"), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as got:
+            train_sgd(model, data, cfg)
+    assert str(want.value) == "parameters diverged at epoch 1"
+    assert str(got.value) == str(want.value)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @settings(max_examples=300, deadline=None)
