@@ -132,7 +132,9 @@ _FINITE = st.floats(-1e6, 1e6)
 def test_upper_matvec_matches_the_unpacked_block(size, lam, data):
     """check_kkt's product from the triangle against the unpacked damped
     block, within 1e-14 of |B + lam I| |v|, which bounds the rounding of
-    both sums at these sizes."""
+    both sums at these sizes, plus 2 * size of the smallest subnormal:
+    each product that underflows is off by up to half of one in absolute
+    terms, and the two sides form at most 3 * size + 1 of them."""
     tri = data.draw(arrays(np.float64, size * (size + 1) // 2,
                            elements=_FINITE))
     v = data.draw(arrays(np.float64, size, elements=_FINITE))
@@ -140,7 +142,9 @@ def test_upper_matvec_matches_the_unpacked_block(size, lam, data):
     want = damped @ v
     scale = (np.abs(unpack_upper(tri, size)) @ np.abs(v)
              + lam * np.abs(v)).max()
-    assert np.abs(upper_matvec(tri, v, diag=lam) - want).max() <= 1e-14 * scale
+    tiny = np.finfo(np.float64).smallest_subnormal
+    assert (np.abs(upper_matvec(tri, v, diag=lam) - want).max()
+            <= 1e-14 * scale + 2 * size * tiny)
 
 
 # -- fixed point -----------------------------------------------------------------
