@@ -1,18 +1,19 @@
 """File formats for every pipeline artifact.
 
 An array artifact at ``P`` is two files: ``P``, a canonical-JSON header
-with the artifact's metadata, its ``inputs``, each array's dtype and
-shape, and the sha256 of the blob; and ``P.bin``, the arrays written
-back to back as C-contiguous little-endian f64 or i64.  The header's own
-digest therefore binds the whole artifact.  Masks, public inputs and
-proofs are single JSON files.  Every writer returns the paths of the
-files it wrote.  Every derived artifact records the
-digests of the artifacts it was computed from, so downstream stages can
-refuse mismatched inputs.  Every reader raises ``numkit.StructuralError``
-when an artifact is missing, truncated or malformed, or does not match
-the digest another artifact records for it.  A Fisher is never read
-whole: ``load_fisher`` gives a reader whose blocks stream from the blob,
-checked block by block and against the digest at the end.
+with the artifact's metadata, its ``inputs``, and each array's dtype,
+shape and sha256; and ``P.bin``, the arrays written back to back as
+C-contiguous little-endian f64 or i64.  The header's own digest
+therefore binds the whole artifact.  One reader, ``_arrays``, reads every
+blob, and checks each array against its digest before it hands it on.
+Masks, public inputs and proofs are single JSON files.  Every writer
+returns the paths of the files it wrote.  Every derived artifact records
+the digests of the artifacts it was computed from, so downstream stages
+can refuse mismatched inputs.  Every reader raises
+``numkit.StructuralError`` when an artifact is missing, truncated or
+malformed, or does not match the digest another artifact records for
+it.  A Fisher is never read whole: ``load_fisher`` gives a Fisher whose
+blocks stream from the blob, each checked before it is used.
 """
 
 from __future__ import annotations
@@ -76,11 +77,9 @@ def _read_json(path: str) -> dict:
 
 
 def _save(path: str, header: dict, arrays) -> list[str]:
-    """Stream ``arrays`` into ``path.bin`` and its sha256 at once, then
-    write ``header`` with each array's dtype and shape and that digest.
-    When ``arrays`` raises, the partial ``path.bin`` is removed and no
-    header is written."""
-    digest = hashlib.sha256()
+    """Stream ``arrays`` into ``path.bin``, then write ``header`` with each
+    array's dtype, shape and sha256.  When ``arrays`` raises, the partial
+    ``path.bin`` is removed and no header is written."""
     specs = []
     fh = open(path + ".bin", "wb")
     try:
@@ -88,41 +87,46 @@ def _save(path: str, header: dict, arrays) -> list[str]:
             for a in arrays:
                 a = np.ascontiguousarray(
                     a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
-                digest.update(a)
                 fh.write(a)
-                specs.append({"dtype": a.dtype.str, "shape": list(a.shape)})
+                specs.append({"dtype": a.dtype.str, "shape": list(a.shape),
+                              "sha256": sha256_hex(a)})
     except BaseException:
         os.remove(path + ".bin")
         raise
-    return [path + ".bin"] + _write_json(
-        path, {**header, "arrays": specs, "sha256": digest.hexdigest()})
+    return [path + ".bin"] + _write_json(path, {**header, "arrays": specs})
 
 
-def _load(path: str) -> tuple[dict, list[np.ndarray]]:
-    """The header at ``path`` and read-only views of its arrays in
-    ``path.bin``, after checking the blob against the header."""
-    header = _read_json(path)
-    with open(path + ".bin", "rb") as fh:
-        blob = fh.read()
-    if sha256_hex(blob) != header["sha256"]:
-        raise StructuralError(f"blob digest mismatch for {path}")
-    specs = header["arrays"]
+def _arrays(path: str, specs: list[dict]):
+    """Yield each array ``specs`` declares in ``path.bin``, read into memory
+    of its own, once it matches its digest.  The dtypes, and the blob's
+    length, are checked before the first array is read."""
     for spec in specs:
         if spec["dtype"] not in _DTYPES:
             raise StructuralError(f"{path}: dtype {spec['dtype']!r} not in {_DTYPES}")
-    sizes = [8 * math.prod(spec["shape"]) for spec in specs]
-    if sum(sizes) != len(blob):
-        raise StructuralError(
-            f"{path}: blob holds {len(blob)} bytes, header declares {sum(sizes)}"
-        )
-    arrays, pos = [], 0
-    for spec, size in zip(specs, sizes):
-        arrays.append(
-            np.frombuffer(blob, dtype=spec["dtype"], count=size // 8, offset=pos)
-            .reshape(spec["shape"])
-        )
-        pos += size
-    return header, arrays
+    counts = [math.prod(spec["shape"]) for spec in specs]
+    try:
+        with open(path + ".bin", "rb") as fh:
+            length = os.fstat(fh.fileno()).st_size
+            if length != 8 * sum(counts):
+                raise StructuralError(f"{path}: blob holds {length} bytes, "
+                                      f"header declares {8 * sum(counts)}")
+            for i, (spec, count) in enumerate(zip(specs, counts)):
+                a = np.empty(count, dtype=spec["dtype"])
+                if fh.readinto(a) != a.nbytes:
+                    raise StructuralError(f"{path}.bin ended inside array {i}")
+                if sha256_hex(a) != spec["sha256"]:
+                    raise StructuralError(
+                        f"digest mismatch for array {i} of {path}")
+                yield a.reshape(spec["shape"])
+    except OSError as exc:
+        raise StructuralError(f"cannot read artifact {path}: {exc}") from exc
+
+
+def _load(path: str) -> tuple[dict, list[np.ndarray]]:
+    """The header at ``path`` and the arrays of ``path.bin``, each checked
+    against its digest."""
+    header = _read_json(path)
+    return header, list(_arrays(path, header["arrays"]))
 
 
 @_reader
@@ -216,90 +220,34 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> l
     }, fisher.fisher.blocks)
 
 
-def _read_triangles(path: str, sizes: list[int], sha256: str):
-    """Yield each block of ``path.bin``, ``sizes`` bytes each, read into
-    memory of its own; check the blob's length first and its digest
-    last."""
-    digest = hashlib.sha256()
-    try:
-        with open(path + ".bin", "rb") as fh:
-            length = os.fstat(fh.fileno()).st_size
-            if length != sum(sizes):
-                raise StructuralError(f"{path}: blob holds {length} bytes, "
-                                      f"header declares {sum(sizes)}")
-            for size in sizes:
-                tri = np.empty(size // 8, dtype="<f8")
-                if fh.readinto(tri) != size:
-                    raise StructuralError(f"{path}.bin ended inside a block")
-                digest.update(tri)
-                yield tri
-    except OSError as exc:
-        raise StructuralError(f"cannot read artifact {path}: {exc}") from exc
-    if digest.hexdigest() != sha256:
-        raise StructuralError(f"blob digest mismatch for {path}")
-
-
-class FisherReader:
-    """The Fisher artifact at ``path``, read one block at a time.
-
-    Opening it reads the header and checks its array specs against the
-    layout it records, before any block is read.  Entering it gives a
-    BlockFisher whose blocks stream from ``path.bin``: each walk over them
-    checks the blob's length, reads each block into memory of its own,
-    hashes it and checks it as ``BlockDiagMatrix`` does, and ends by
-    checking the digest.  Leaving it finishes every walk the caller left
-    unfinished.  A bad blob then raises StructuralError in place of any
-    error the caller stopped on, which one of its blocks may have caused.
-    """
-
-    def __init__(self, path: str):
-        header = _read_json(path)
-        layout = BlockLayout.from_json(header["layout"])
-        specs = [{"dtype": "<f8", "shape": [size * (size + 1) // 2]}
-                 for _, size, _ in layout.blocks]
-        if header["arrays"] != specs:
-            raise StructuralError(
-                f"{path}: arrays {header['arrays']!r} are not the upper "
-                f"triangles of the layout's {len(specs)} blocks")
-        check_number("fisher lambda", header["lambda"])
-        sizes = [8 * spec["shape"][0] for spec in specs]
-        sha256 = header["sha256"]
-        walks = self._walks = []
-
-        def walk():
-            walks.append(_read_triangles(path, sizes, sha256))
-            return walks[-1]
-
-        self._fisher = BlockFisher(
-            fisher=BlockDiagMatrix(blocks=BlockStream(walk, layout),
-                                   layout=layout),
-            lam=header["lambda"],
-            sample_count=header["n"],
-            source_digest=header["source_digest"],
-        )
-
-    def __enter__(self) -> BlockFisher:
-        return self._fisher
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, Exception):
-            return False  # an interrupt is not delayed by reading the rest
-        try:
-            for walk in self._walks:
-                for _ in walk:  # the rest of the blob, then its digest
-                    pass
-        except StructuralError as bad:
-            if exc is None:
-                raise
-            # a bad blob outranks whatever failure its blocks caused
-            raise bad from exc
-        return False
-
-
 @_reader
-def load_fisher(path: str) -> FisherReader:
-    """The Fisher artifact at ``path``, to be read in a ``with`` block."""
-    return FisherReader(path)
+def load_fisher(path: str) -> BlockFisher:
+    """The Fisher artifact at ``path``, its blocks streamed from ``path.bin``.
+
+    Its array specs are checked against the layout it records before any
+    block is read.  Each walk over the blocks reads them as ``_arrays``
+    does, so a block is checked against its digest, and then as
+    ``BlockDiagMatrix`` checks it, before it is yielded."""
+    header = _read_json(path)
+    layout = BlockLayout.from_json(header["layout"])
+    arrays = header["arrays"]
+    specs = [{"dtype": "<f8", "shape": [size * (size + 1) // 2],
+              "sha256": spec["sha256"]}
+             for (_, size, _), spec in zip(layout.blocks, arrays)]
+    if (len(arrays) != len(layout.blocks) or arrays != specs
+            or not all(isinstance(spec["sha256"], str) for spec in specs)):
+        raise StructuralError(f"{path}: arrays are not the digested upper "
+                              f"triangles of the layout's "
+                              f"{len(layout.blocks)} blocks")
+    check_number("fisher lambda", header["lambda"])
+    return BlockFisher(
+        fisher=BlockDiagMatrix(
+            blocks=BlockStream(lambda: _arrays(path, specs), layout),
+            layout=layout),
+        lam=header["lambda"],
+        sample_count=header["n"],
+        source_digest=header["source_digest"],
+    )
 
 
 # -- compensation -----------------------------------------------------------
@@ -332,9 +280,8 @@ def comp_inputs(path: str) -> dict:
 
 def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
                             fisher: str) -> tuple:
-    """theta_p, theta_u, the comp, the mask and the reader of the Fisher at
-    these paths, after checking each input the comp records against its
-    file."""
+    """theta_p, theta_u, the comp, the mask and the streamed Fisher at these
+    paths, after checking each input the comp records against its file."""
     check_input_digests(comp_inputs(comp), model=theta_p, mask=mask,
                         fisher=fisher)
     return (load_model(theta_p), load_model(theta_u), load_comp(comp),

@@ -176,8 +176,10 @@ def forget_gain_report(
     elif hessian_mode == "fisher":
         # H = G'G, G the per-example gradients over sqrt(n), is never formed:
         # with the thin SVD G_c = U S V', H_cc = V S^2 V' and H_cm = V S U'G_m
-        grads = per_example_grads(model, d_f) / np.sqrt(len(d_f))
+        grads = per_example_grads(model, d_f)
+        grads /= np.sqrt(len(d_f))
         g_c, g_m = grads[:, c_idx], grads[:, m_idx]
+        del grads  # hold one n x d matrix, split in two
         left, s, vt = np.linalg.svd(g_c, full_matrices=False)
         g_a = g_m @ a_m
         a_h_a, h_cm_a, w, vecs = g_a @ g_a, g_c.T @ g_a, s**2, vt.T

@@ -5,11 +5,10 @@ Every command is a ``ReportCommand``: its callback returns its report
 and the command class adds ``--json``, prints the report and sets the
 exit code.  A command reads and checks all its inputs, and computes its
 results, before it creates any output, so one that fails writes nothing.
-The Fisher is the exception both ways, as it is never held whole:
-``fisher`` streams its blocks into its output as it forms them and
-removes the blob when one fails, and a command that reads a Fisher reads
-it block by block while it computes, and checks its digest before it
-writes anything.
+A Fisher is never held whole: ``fisher`` streams its blocks into its
+output as it forms them and removes the blob when one fails, and a
+command that reads a Fisher reads each block, checked against its
+digest, as it computes.
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
 unsatisfiable, 2 usage error, bad or missing artifact or unwritable
@@ -255,8 +254,7 @@ def unlearn(model_path, mask_path, fisher_path, out_dir):
     """Solve the masked compensation problem and assemble theta_u."""
     theta_p = art.load_model(model_path)
     m = art.load_mask(mask_path)
-    with art.load_fisher(fisher_path) as f:
-        comp, theta_u = compensate(theta_p, m, f)
+    comp, theta_u = compensate(theta_p, m, art.load_fisher(fisher_path))
     inputs = art.input_digests(model=model_path, mask=mask_path,
                                fisher=fisher_path)
     os.makedirs(out_dir, exist_ok=True)
@@ -282,11 +280,9 @@ def unlearn(model_path, mask_path, fisher_path, out_dir):
               type=FiniteFloat(min=0))
 def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau):
     """Plain-arithmetic first-order certificate; exit 1 on failure."""
-    theta_p, theta_u, comp, m, fisher = art.load_certificate_inputs(
+    theta_p, theta_u, comp, m, f = art.load_certificate_inputs(
         tp_path, tu_path, comp_path, mask_path, fisher_path)
-    with fisher as f:
-        cert = check_kkt(theta_p.params, theta_u.params, comp, f, m,
-                         tau_real=tau)
+    cert = check_kkt(theta_p.params, theta_u.params, comp, f, m, tau_real=tau)
     return cert.to_json(), cert.verdict
 
 
@@ -332,11 +328,10 @@ def report_bounds(tp_path, comp_path, mask_path, data, lambda_q, hessian):
 def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
           seed, out_dir):
     """Encode the fixed-point witness, commit, and produce a proof."""
-    theta_p, theta_u, comp, m, fisher = art.load_certificate_inputs(
+    theta_p, theta_u, comp, m, f = art.load_certificate_inputs(
         tp_path, tu_path, comp_path, mask_path, fisher_path)
-    with fisher as f:
-        _, circuit, proof, _ = run_zk_layer(theta_p, theta_u, comp, f, m,
-                                            seed, *frac_bits)
+    _, circuit, proof, _ = run_zk_layer(theta_p, theta_u, comp, f, m,
+                                        seed, *frac_bits)
     os.makedirs(out_dir, exist_ok=True)
     art.save_public(os.path.join(out_dir, "public.pub"), circuit.public,
                     inputs=art.input_digests(theta_p=tp_path, theta_u=tu_path,

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
@@ -54,6 +55,17 @@ from veriforget.zkp.field import (
     sponge,
     to_field,
 )
+
+
+# ``pytest --hypothesis-profile=deep`` runs every property test on twenty
+# times its default number of examples, with no deadline.
+settings.register_profile("deep", max_examples=2000, deadline=None)
+
+
+def examples(n: int) -> int:
+    """A property test's example count: ``n`` under the default profile,
+    scaled with the loaded profile's ``max_examples``."""
+    return n * settings.default.max_examples // 100
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -135,18 +147,16 @@ def damped(fisher: BlockFisher) -> BlockDiagMatrix:
 
 
 def read_fisher(path) -> BlockFisher:
-    """The Fisher artifact at ``path``, read through its reader with every
-    block kept in memory."""
-    with art.load_fisher(path) as fisher:
-        return fisher.materialized()
+    """The Fisher artifact at ``path`` with every block kept in memory."""
+    return art.load_fisher(path).materialized()
 
 
 def resave_fisher(src, dst, blocks):
     """The Fisher artifact at ``src`` written to ``dst`` with ``blocks`` as
-    its arrays, whatever their shapes, and a checksum to match."""
+    its arrays, whatever their shapes, each with its digest."""
     with open(src) as fh:
         header = json.load(fh)
-    del header["arrays"], header["sha256"]
+    del header["arrays"]
     art._save(dst, header, blocks)
 
 

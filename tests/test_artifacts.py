@@ -16,7 +16,6 @@ from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
     BlockStream,
-    NumericError,
     ParamVector,
     StructuralError,
 )
@@ -24,6 +23,7 @@ from veriforget.obs import CompensationResult
 from veriforget.zkp import Proof, PublicInputs
 
 from conftest import (
+    examples,
     random_fisher,
     random_layout,
     random_mask,
@@ -137,7 +137,7 @@ def test_blob_corruption_detected(tmp_path, kind):
     with open(p + ".bin", "r+b") as fh:
         fh.seek(3)
         fh.write(b"\x11")
-    with pytest.raises(StructuralError, match="blob digest"):
+    with pytest.raises(StructuralError, match="digest mismatch for array 0"):
         load(kind, p)
 
 
@@ -235,18 +235,28 @@ def saved(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz")), files
 
 
-def _load_mutated(saved, kind, suffix, mutate):
+def _load_mutated(saved, kind, suffix, mutate, match=None):
     d, files = saved
     p = os.path.join(d, kind)
     for (k, sfx), data in files.items():
         if k == kind:
             with open(p + sfx, "wb") as fh:
                 fh.write(mutate(data) if sfx == suffix else data)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=match):
         load(kind, p)
 
 
-@settings(max_examples=40, deadline=None)
+def _xor_byte(at, xor):
+    """A mutation that XORs byte ``at`` with ``xor``."""
+    def mutate(b):
+        b = bytearray(b)
+        b[at] ^= xor
+        return bytes(b)
+
+    return mutate
+
+
+@settings(max_examples=examples(40), deadline=None)
 @given(kind=st.sampled_from(ARRAY_KINDS), suffix=st.sampled_from(("", ".bin")),
        data=st.data())
 def test_fuzz_truncated_array_artifact(saved, kind, suffix, data):
@@ -254,20 +264,32 @@ def test_fuzz_truncated_array_artifact(saved, kind, suffix, data):
     _load_mutated(saved, kind, suffix, lambda b: b[:cut])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(kind=st.sampled_from(ARRAY_KINDS), data=st.data())
 def test_fuzz_bit_flipped_blob(saved, kind, data):
-    bit = data.draw(st.integers(0, 8 * len(saved[1][kind, ".bin"]) - 1))
-
-    def flip(b):
-        b = bytearray(b)
-        b[bit // 8] ^= 1 << (bit % 8)
-        return bytes(b)
-
-    _load_mutated(saved, kind, ".bin", flip)
+    """Any bits of any one byte of the blob flipped fail the digest of the
+    array that holds it, before any other check sees the array."""
+    at = data.draw(st.integers(0, len(saved[1][kind, ".bin"]) - 1))
+    xor = data.draw(st.integers(1, 255))
+    _load_mutated(saved, kind, ".bin", _xor_byte(at, xor),
+                  match="digest mismatch for array")
 
 
-@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("kind", ARRAY_KINDS)
+def test_old_format_header_is_a_structural_error(saved, kind):
+    """A header of the older format, one sha256 over the whole blob and
+    none per array, does not load."""
+    def mutate(raw):
+        header = json.loads(raw)
+        for spec in header["arrays"]:
+            del spec["sha256"]
+        header["sha256"] = hashlib.sha256(saved[1][kind, ".bin"]).hexdigest()
+        return json.dumps(header).encode()
+
+    _load_mutated(saved, kind, "", mutate)
+
+
+@settings(max_examples=examples(30), deadline=None)
 @given(kind=st.sampled_from(JSON_KINDS), data=st.data())
 def test_fuzz_truncated_json_artifact(saved, kind, data):
     cut = data.draw(st.integers(0, len(saved[1][kind, ""]) - 1))
@@ -354,43 +376,33 @@ def test_fisher_saved_and_read_one_block_at_a_time(tmp_path):
     assert _peak_of(lambda: art.save_fisher(p, fisher)) < 3 * block_bytes
 
     def walk():
-        with art.load_fisher(p) as f:
-            for got, want in zip(f.fisher.blocks, blocks):
-                assert np.array_equal(got, want)
+        for got, want in zip(art.load_fisher(p).fisher.blocks, blocks):
+            assert np.array_equal(got, want)
 
     assert _peak_of(walk) < 3 * block_bytes
     assert read_fisher(p).layout == fisher.layout
 
 
-def _flip_last_byte_but_seven(p):
-    """Flip the lowest bit of the blob's last entry, in its last block."""
-    with open(p + ".bin", "r+b") as fh:
-        fh.seek(-8, os.SEEK_END)
-        byte = fh.read(1)[0]
-        fh.seek(-8, os.SEEK_END)
-        fh.write(bytes([byte ^ 1]))
-
-
-def test_fisher_reader_checks_an_unfinished_walk_on_exit(tmp_path):
-    p = str(tmp_path / "fisher")
-    art.save_fisher(p, sample("fisher"))
-    with pytest.raises(NumericError, match="solve"):  # an honest blob
-        with art.load_fisher(p) as f:
-            next(iter(f.fisher.blocks))
-            raise NumericError("solve failed")
-    _flip_last_byte_but_seven(p)
-    with pytest.raises(StructuralError, match="blob digest") as info:
-        with art.load_fisher(p) as f:
-            next(iter(f.fisher.blocks))
-            raise NumericError("solve failed")
-    assert isinstance(info.value.__cause__, NumericError)
-    with pytest.raises(StructuralError, match="blob digest"):
-        with art.load_fisher(p) as f:
-            next(iter(f.fisher.blocks))
-    with pytest.raises(StructuralError, match="blob digest"):
-        with art.load_fisher(p) as f:
-            for _ in f.fisher.blocks:  # a whole walk checks at its end
-                pass
+@settings(max_examples=examples(40), deadline=None)
+@given(at=st.integers(0, 6 * 10 * 8 - 1), xor=st.integers(1, 255))
+def test_fisher_walk_stops_at_the_changed_block(saved, at, xor):
+    """A walk over a Fisher of six 4 x 4 blocks, one byte of its blob
+    changed, yields every block before the changed one intact and raises
+    at that block without yielding it."""
+    fisher, blocks = _streamed_fisher(n_blocks=6, size=4)
+    p = os.path.join(saved[0], "walked")
+    art.save_fisher(p, fisher)
+    with open(p + ".bin", "rb") as fh:
+        data = fh.read()
+    with open(p + ".bin", "wb") as fh:
+        fh.write(_xor_byte(at, xor)(data))
+    walked = []
+    with pytest.raises(StructuralError, match="digest mismatch for array"):
+        for tri in art.load_fisher(p).fisher.blocks:
+            walked.append(tri)
+    assert len(walked) == at // blocks[0].nbytes
+    for got, want in zip(walked, blocks):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("edit", [
@@ -404,8 +416,7 @@ def test_fisher_reader_checks_the_blob_length_first(tmp_path, edit):
     with open(p + ".bin", "wb") as fh:
         fh.write(edit(data))
     with pytest.raises(StructuralError, match="header declares"):
-        with art.load_fisher(p) as f:
-            next(iter(f.fisher.blocks))
+        next(iter(art.load_fisher(p).fisher.blocks))
 
 
 def test_fisher_header_must_list_the_layout_triangles(tmp_path):

@@ -22,6 +22,7 @@ from veriforget.numkit import NumericError
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
+    examples,
     quadratic_gain,
     random_instance,
     random_spd_block,
@@ -284,7 +285,7 @@ def dense_oracle(h, g, theta_p, mask, comp, lam_q):
 
 @pytest.mark.parametrize("hessian_mode", ["exact", "fisher"])
 @pytest.mark.parametrize("square", [False, True], ids=["complement", "square"])
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        dims=st.tuples(st.integers(2, 4), st.integers(2, 6), st.integers(2, 3)),
        shift=st.floats(1e-3, 2.0))

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import shutil
@@ -238,13 +239,18 @@ def _theta_u_without_blob(w, tmp):
 
 def _with_nan(src, dst, index):
     """Copy the f64 array artifact at ``src`` to ``dst`` with entry ``index``
-    of its blob set to NaN and the blob checksum renewed."""
+    of its blob set to NaN and each array's digest renewed, so that the
+    load reaches the finiteness check."""
     values = np.fromfile(src + ".bin", dtype="<f8")
     values[index] = np.nan
     values.tofile(dst + ".bin")
     with open(src) as fh:
         header = json.load(fh)
-    header["sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+    start = 0
+    for spec in header["arrays"]:
+        end = start + math.prod(spec["shape"])
+        spec["sha256"] = hashlib.sha256(values[start:end]).hexdigest()
+        start = end
     with open(dst, "w") as fh:
         json.dump(header, fh)
 
@@ -260,6 +266,14 @@ def _comp_nan_multiplier(w, tmp):
     return ("certify", "--theta-p", f"{w}/theta_p",
             "--theta-u", f"{w}/theta_u", "--comp", f"{tmp}/comp",
             "--mask", f"{w}/mask.mask", "--fisher", f"{w}/fisher")
+
+
+# The one stderr line of cases that must get past the digest checks, a
+# NaN whose array's digest was renewed, to the finiteness check.
+_STDERR = {
+    _fisher_nan_entry: "error: block 'mlp.0.w' has non-finite entries",
+    _comp_nan_multiplier: "error: non-finite multipliers",
+}
 
 
 def _certify_theta_p_not_recorded(w, tmp):
@@ -566,6 +580,8 @@ def _fisher_zero_samples(w, tmp):
 def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
     res = invoke(*case(workdir, str(tmp_path)))
     assert res.exit_code == 2, res.output
+    if case in _STDERR:
+        assert res.stderr.splitlines() == [_STDERR[case]], res.stderr
 
 
 # The input-artifact options and the output options of every command but
@@ -686,16 +702,28 @@ def _drop_last_array(w, path):
         json.dump(header, fh)
 
 
+def _old_format_header(w, path):
+    """One sha256 over the whole blob, as an older format wrote it, and
+    none per array."""
+    with open(path) as fh:
+        header = json.load(fh)
+    for spec in header["arrays"]:
+        del spec["sha256"]
+    header["sha256"] = art.file_digest(path + ".bin")
+    with open(path, "w") as fh:
+        json.dump(header, fh)
+
+
 @pytest.mark.parametrize("command", ["unlearn", "certify"])
 @pytest.mark.parametrize("edit", [
     _flip_last_block, _negate_masked_diagonal, _resize_blob(-8),
-    _resize_blob(1), _drop_last_array,
+    _resize_blob(1), _drop_last_array, _old_format_header,
 ], ids=["flipped_last_block", "negated_masked_diagonal", "truncated",
-        "trailing_byte", "one_array_fewer"])
+        "trailing_byte", "one_array_fewer", "old_format_header"])
 def test_bad_fisher_blob_exit_2(workdir, tmp_path, command, edit):
-    """A Fisher edited in place, its digest left as it was, exits 2 with
-    one error line, even where the solve would fail first; unlearn writes
-    nothing."""
+    """A Fisher edited in place with no digest renewed, or written in the
+    older format, exits 2 with one error line, even where the solve would
+    fail first; unlearn writes nothing."""
     w, tmp = workdir, str(tmp_path)
     for suffix in ("", ".bin"):
         shutil.copy(f"{w}/fisher{suffix}", f"{tmp}/fisher{suffix}")

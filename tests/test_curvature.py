@@ -14,6 +14,7 @@ from veriforget.model import Dataset, grad_columns, init_mlp, per_example_grads
 from veriforget.numkit import StructuralError, pack_upper, unpack_upper
 
 from conftest import (
+    examples,
     dense,
     reference_curvature_layout,
     reference_damp,
@@ -103,7 +104,7 @@ def test_grad_columns_rejects_cap_below_one():
             empirical_fisher_blockwise(model, data, block_cap=cap)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     dims=st.lists(st.integers(1, 9), min_size=3, max_size=5),
     n=st.integers(1, 40),
@@ -156,7 +157,7 @@ def test_fisher_memory_excludes_nxd_gradient_matrix():
 # -- diagonal proxy --------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     dims=st.lists(st.integers(1, 9), min_size=3, max_size=5),
     n=st.integers(1, 40),

@@ -21,7 +21,7 @@ from veriforget.model import (
 )
 from veriforget.numkit import StructuralError
 
-from conftest import reference_mia_auc, small_dataset
+from conftest import examples, reference_mia_auc, small_dataset
 
 
 # -- forward KL ---------------------------------------------------------------
@@ -124,7 +124,7 @@ _TIED_LOSSES = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(lm=_TIED_LOSSES, ln=_TIED_LOSSES, dup=st.booleans())
 @example(lm=[1.0], ln=[1.0], dup=False)
 @example(lm=[0.5], ln=[0.5, 0.5, 2.0], dup=False)

@@ -24,7 +24,7 @@ from veriforget.model import (
 )
 from veriforget.numkit import NumericError, ParamVector, StructuralError
 
-from conftest import reference_train_sgd, small_dataset
+from conftest import examples, reference_train_sgd, small_dataset
 
 
 def fd_grad(model, x, y, h=1e-5):
@@ -207,7 +207,7 @@ _MID_EPOCH = dict(dims=[4, 8, 3], n=20, batch_size=4, epochs=3, lr_exp=300,
 _DIMS = st.lists(st.integers(1, 6), min_size=2, max_size=4)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     dims=_DIMS,
     n=st.integers(1, 20),
@@ -271,7 +271,7 @@ def test_divergence_mid_epoch_names_the_oracle_epoch_without_warnings(
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     dims=_DIMS,
     n=st.integers(1, 12),

@@ -11,6 +11,7 @@ from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.pipeline import demo_config, run_pipeline
 
 from conftest import (
+    examples,
     block_matrix,
     damped,
     dense,
@@ -296,7 +297,7 @@ def test_elimination_solve_matches_square_path(case):
 _COVER = st.sampled_from(["none", "one", "some", "all"])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        blocks=st.lists(st.tuples(st.integers(1, 9), _COVER),
                        min_size=1, max_size=4))

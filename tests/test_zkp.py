@@ -63,6 +63,7 @@ from veriforget.zkp.witness import (
 )
 
 from conftest import (
+    examples,
     block_matrix,
     random_fisher,
     random_instance,
@@ -227,7 +228,7 @@ class LeafFault(RuntimeError):
     """Raised by a sponge that the workers inherit."""
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=examples(6), deadline=None)
 @given(st.integers(0, 3 * LEAF_CHUNK + 1), st.integers(), st.integers(0, 2**32))
 @example(0, 0, 0)
 @example(1, 0, 0)
