@@ -4,7 +4,7 @@ An array artifact at ``P`` is two files: ``P``, a canonical-JSON header
 with the artifact's metadata, its ``inputs``, and each array's dtype,
 shape and sha256; and ``P.bin``, the arrays written back to back as
 C-contiguous little-endian f64 or i64.  The header's own digest
-therefore binds the whole artifact.  One reader, ``_arrays``, reads every
+therefore binds the whole artifact.  One reader, ``_blob``, reads every
 blob, and checks each array against its digest before it hands it on.
 Masks, public inputs and proofs are single JSON files.  Every writer
 returns the paths of the files it wrote.  Every derived artifact records
@@ -12,14 +12,18 @@ the digests of the artifacts it was computed from, so downstream stages
 can refuse mismatched inputs.  Every reader raises
 ``numkit.StructuralError`` when an artifact is missing, truncated or
 malformed, or does not match the digest another artifact records for
-it.  A Fisher is never read whole: ``load_fisher`` gives a Fisher whose
-blocks stream from the blob, each checked before it is used.
+it.  A Fisher is never held whole: ``save_fisher`` writes each block at
+its offset in the blob from the process that formed it, and
+``load_fisher`` gives a Fisher whose blocks are read by their offsets,
+each checked before it is used.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -96,30 +100,48 @@ def _save(path: str, header: dict, arrays) -> list[str]:
     return [path + ".bin"] + _write_json(path, {**header, "arrays": specs})
 
 
-def _arrays(path: str, specs: list[dict]):
-    """Yield each array ``specs`` declares in ``path.bin``, read into memory
-    of its own, once it matches its digest.  The dtypes, and the blob's
-    length, are checked before the first array is read."""
+@contextlib.contextmanager
+def _blob(path: str, specs: list[dict]):
+    """Open ``path.bin`` and give ``read(i, out)``: array i of those
+    ``specs`` declares, read into ``out`` (flat, of the array's dtype and
+    size) and returned once it matches its digest.  The dtypes, and the
+    blob's length, are checked before any array is read."""
     for spec in specs:
         if spec["dtype"] not in _DTYPES:
             raise StructuralError(f"{path}: dtype {spec['dtype']!r} not in {_DTYPES}")
-    counts = [math.prod(spec["shape"]) for spec in specs]
+    offsets = [8 * n for n in itertools.accumulate(
+        (math.prod(spec["shape"]) for spec in specs), initial=0)]
     try:
-        with open(path + ".bin", "rb") as fh:
-            length = os.fstat(fh.fileno()).st_size
-            if length != 8 * sum(counts):
-                raise StructuralError(f"{path}: blob holds {length} bytes, "
-                                      f"header declares {8 * sum(counts)}")
-            for i, (spec, count) in enumerate(zip(specs, counts)):
-                a = np.empty(count, dtype=spec["dtype"])
-                if fh.readinto(a) != a.nbytes:
-                    raise StructuralError(f"{path}.bin ended inside array {i}")
-                if sha256_hex(a) != spec["sha256"]:
-                    raise StructuralError(
-                        f"digest mismatch for array {i} of {path}")
-                yield a.reshape(spec["shape"])
+        fh = open(path + ".bin", "rb")
     except OSError as exc:
         raise StructuralError(f"cannot read artifact {path}: {exc}") from exc
+    with fh:
+        length = os.fstat(fh.fileno()).st_size
+        if length != offsets[-1]:
+            raise StructuralError(f"{path}: blob holds {length} bytes, "
+                                  f"header declares {offsets[-1]}")
+
+        def read(i: int, out: np.ndarray) -> np.ndarray:
+            try:
+                got = os.preadv(fh.fileno(), [out], offsets[i])
+            except OSError as exc:
+                raise StructuralError(f"cannot read artifact {path}: {exc}") from exc
+            if got != out.nbytes:
+                raise StructuralError(f"{path}.bin ended inside array {i}")
+            if sha256_hex(out) != specs[i]["sha256"]:
+                raise StructuralError(f"digest mismatch for array {i} of {path}")
+            return out
+
+        yield read
+
+
+def _arrays(path: str, specs: list[dict]):
+    """Yield each array ``specs`` declares in ``path.bin``, read into memory
+    of its own by ``_blob``, once it matches its digest."""
+    with _blob(path, specs) as read:
+        for i, spec in enumerate(specs):
+            out = np.empty(math.prod(spec["shape"]), dtype=spec["dtype"])
+            yield read(i, out).reshape(spec["shape"])
 
 
 def _load(path: str) -> tuple[dict, list[np.ndarray]]:
@@ -211,13 +233,40 @@ def load_mask(path: str) -> MaskArtifact:
 
 
 def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> list[str]:
-    return _save(path, {
+    """Write the Fisher as ``_save`` writes an artifact, each block at its
+    offset in a blob sized up front, by the process that formed it
+    (``BlockDiagMatrix.map``), which hands back only the block's digest.
+    When a block fails, the blob is removed and no header is written."""
+    counts = [size * (size + 1) // 2 for _, size, _ in fisher.layout.blocks]
+    offsets = [8 * n for n in itertools.accumulate(counts, initial=0)]
+    fd = os.open(path + ".bin", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+
+    def write(i: int, tri: np.ndarray) -> str:
+        tri = np.ascontiguousarray(tri, dtype="<f8")
+        view, at = memoryview(tri).cast("B"), offsets[i]
+        while view:
+            written = os.pwrite(fd, view, at)
+            view, at = view[written:], at + written
+        return sha256_hex(tri)
+
+    try:
+        try:
+            os.ftruncate(fd, offsets[-1])
+            digests = fisher.fisher.map(write)
+        finally:
+            os.close(fd)
+    except BaseException:
+        os.remove(path + ".bin")
+        raise
+    return [path + ".bin"] + _write_json(path, {
         "lambda": fisher.lam,
         "n": fisher.sample_count,
         "source_digest": fisher.source_digest,
         "layout": fisher.layout.to_json(),
         "inputs": inputs or {},
-    }, fisher.fisher.blocks)
+        "arrays": [{"dtype": "<f8", "shape": [count], "sha256": digest}
+                   for count, digest in zip(counts, digests)],
+    })
 
 
 @_reader
@@ -225,9 +274,10 @@ def load_fisher(path: str) -> BlockFisher:
     """The Fisher artifact at ``path``, its blocks streamed from ``path.bin``.
 
     Its array specs are checked against the layout it records before any
-    block is read.  Each walk over the blocks reads them as ``_arrays``
-    does, so a block is checked against its digest, and then as
-    ``BlockDiagMatrix`` checks it, before it is yielded."""
+    block is read.  Each walk or ``map`` over the blocks opens the blob
+    through ``_blob``, which checks its length once, and reads each block
+    by its offset, so a block is checked against its digest, and then as
+    ``BlockDiagMatrix`` checks it, before it is used."""
     header = _read_json(path)
     layout = BlockLayout.from_json(header["layout"])
     arrays = header["arrays"]
@@ -242,7 +292,7 @@ def load_fisher(path: str) -> BlockFisher:
     check_number("fisher lambda", header["lambda"])
     return BlockFisher(
         fisher=BlockDiagMatrix(
-            blocks=BlockStream(lambda: _arrays(path, specs), layout),
+            blocks=BlockStream(lambda: _blob(path, specs), layout),
             layout=layout),
         lam=header["lambda"],
         sample_count=header["n"],

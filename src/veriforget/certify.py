@@ -3,10 +3,11 @@
 check_kkt re-evaluates the three linear identities (assembly, mask
 feasibility, stationarity) that uniquely characterize the Group-OBS
 solution.  It multiplies each damped curvature block from its upper
-triangle (``numkit.upper_matvec``) with numpy alone, so certifying
-never loads scipy.  forget_gain_report computes the quadratic-model
-quantities that bound how much compensation on the unmasked
-coordinates can offset the mask-induced forget-loss increase.
+triangle (``numkit.upper_matvec``), in the process that reads the block
+(``BlockDiagMatrix.map``), with numpy alone, so certifying never loads
+scipy.  forget_gain_report computes the quadratic-model quantities that
+bound how much compensation on the unmasked coordinates can offset the
+mask-induced forget-loss increase.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import numpy as np
 from .curvature import BlockFisher
 from .masking import MaskArtifact
 from .model import Dataset, MlpModel, batch_grad, mean_loss, per_example_grads
-from .numkit import NumericError, ParamVector, StructuralError, upper_matvec
+from .numkit import (
+    NumericError,
+    ParamVector,
+    StructuralError,
+    scratch_squares,
+    upper_matvec,
+)
 from .obs import CompensationResult
 
 DEFAULT_TAU_REAL = 1e-6
@@ -70,10 +77,20 @@ def check_kkt(
     r_stat = np.zeros(theta_p.dim)
     lam_full = np.zeros(theta_p.dim)
     lam_full[mask.support] = comp.multipliers
-    for tri, (sl, _) in zip(c_p.fisher.blocks, c_p.layout.slices()):
+    slices = [sl for sl, _ in c_p.layout.slices()]
+    square = scratch_squares(c_p.layout)
+
+    def residual(i, tri):
         # a block with no step and no multiplier has a residual of exactly 0
+        sl = slices[i]
         if dw[sl].any() or lam_full[sl].any():
-            r_stat[sl] = upper_matvec(tri, dw[sl], diag=c_p.lam) + lam_full[sl]
+            return upper_matvec(tri, dw[sl], diag=c_p.lam,
+                                square=square(sl.stop - sl.start)) + lam_full[sl]
+        return None
+
+    for sl, r in zip(slices, c_p.fisher.map(residual)):
+        if r is not None:
+            r_stat[sl] = r
     norms = (_inf(r_asm), _inf(r_feas), _inf(r_stat))
     return KktCertificate(
         inf_norms=norms,

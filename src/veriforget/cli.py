@@ -8,18 +8,24 @@ results, before it creates any output, so one that fails writes nothing.
 A Fisher is never held whole: ``fisher`` streams its blocks into its
 output as it forms them and removes the blob when one fails, and a
 command that reads a Fisher reads each block, checked against its
-digest, as it computes.
+digest, as it computes.  On a Fisher of ``numkit.FORK_MIN_ENTRIES``
+triangle entries or more, with ``OPENBLAS_NUM_THREADS=1``, ``fisher``,
+``unlearn`` and ``certify`` do that per-block work in forked workers,
+one per CPU, and the worker that forms or reads a block also checks it;
+the outputs are the same bytes either way.  ``prove`` and ``demo`` hash the Merkle leaves of each
+commitment of more than one leaf in such workers.
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
-unsatisfiable, 2 usage error, bad or missing artifact or unwritable
-output (``StructuralError``, ``OSError``), 3 numeric failure
-(``NumericError``).
+unsatisfiable, 2 usage error, bad or missing artifact, unwritable
+output or a worker process that died (``StructuralError``, ``OSError``,
+``BrokenProcessPool``), 3 numeric failure (``NumericError``).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import click
 
@@ -90,7 +96,8 @@ class ReportCommand(click.Command):
         except NumericError as exc:
             click.echo(f"numeric error: {exc}", err=True)
             ctx.exit(3)
-        except (StructuralError, OSError) as exc:
+        except (StructuralError, OSError, BrokenProcessPool) as exc:
+            # a worker that died says nothing of the inputs: no rejection
             click.echo(f"error: {exc}", err=True)
             ctx.exit(2)
         except zkp.UnsatisfiableWitnessError as exc:

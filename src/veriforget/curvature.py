@@ -3,23 +3,32 @@
 The Fisher's blocks are the model's blocks (``mlp.<i>.w``, ``mlp.<i>.b``)
 in layout order, each split contiguously at the block cap (``--block-cap``)
 into parts ``<label>/part<j>`` of ``cap`` coordinates and a shorter last one; a part
-of a weight block may start mid-row.  ``model.grad_columns`` makes the
+of a weight block may start mid-row.  ``model.grad_formers`` makes the
 split, so the layout of a Fisher is the labels and widths it yields.
 Each block is held as its upper triangle (``numkit.pack_upper``): the
 estimator gathers it straight from the exactly symmetric product of the
-gradient columns, and no square Fisher block outlives that product.  The
-estimate is a ``numkit.BlockStream``: each walk forms one block at a time,
-so a caller that walks it once, as ``artifacts.save_fisher`` does, never
-holds the whole Fisher.
+gradient columns, formed in one reused square.  The estimate is a
+``numkit.BlockStream``: a walk or a ``map`` forms one block at a time, so
+a caller that maps it once, as ``artifacts.save_fisher`` does, never
+holds the whole Fisher, and a large Fisher's blocks are formed in forked
+workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dataset, MlpModel, column_layout, grad_columns, stream_rng
+from .model import (
+    Dataset,
+    MlpModel,
+    column_layout,
+    grad_columns,
+    grad_formers,
+    stream_rng,
+)
 from .numkit import (
     BlockDiagMatrix,
     BlockLayout,
@@ -27,6 +36,7 @@ from .numkit import (
     StructuralError,
     canonical_json,
     pack_upper,
+    scratch_squares,
     sha256_hex,
 )
 
@@ -88,7 +98,9 @@ def empirical_fisher_blockwise(
 ) -> BlockFisher:
     """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over a seeded subsample, one
     block per ``grad_columns(model, ., block_cap)`` block, streamed: each
-    walk over the blocks runs one backward pass and forms them in turn."""
+    walk or ``map`` over the blocks runs one backward pass, in the calling
+    process, and forms each block from its factors (``grad_formers``) as
+    it is reached, in whichever process reaches it."""
     if len(data) == 0:
         raise StructuralError("empty dataset")
     if not 0 < lam < np.inf:
@@ -99,8 +111,13 @@ def empirical_fisher_blockwise(
     sub, indices = _subsample(data, max_samples, seed)
     n = len(sub)
 
-    def walk():
-        for _, gb in grad_columns(model, sub, block_cap):  # n x s each
+    @contextlib.contextmanager
+    def form():
+        formers = [former for _, former in grad_formers(model, sub, block_cap)]
+        square = scratch_squares(layout)
+
+        def block(i, out):
+            gb = formers[i]()  # n x s
             if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
                 # numpy hands an n x 1 product to BLAS dot, whose unit-stride
                 # kernel sums in another order than the strided one that a
@@ -111,7 +128,10 @@ def empirical_fisher_blockwise(
             # numpy computes gb.T @ gb by syrk and mirrors the triangle it
             # computed, so the product is exactly symmetric: its upper
             # triangle is the whole block, and only that triangle is divided
-            yield pack_upper(gb.T @ gb) / n
+            product = np.matmul(gb.T, gb, out=square(gb.shape[1]))
+            return np.divide(pack_upper(product), n, out=out)
+
+        yield block
 
     digest = sha256_hex(
         canonical_json(
@@ -123,7 +143,7 @@ def empirical_fisher_blockwise(
         )
     )
     return BlockFisher(
-        fisher=BlockDiagMatrix(blocks=BlockStream(walk, layout), layout=layout),
+        fisher=BlockDiagMatrix(blocks=BlockStream(form, layout), layout=layout),
         lam=lam,
         sample_count=n,
         source_digest=digest,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -274,10 +275,26 @@ def column_layout(model: MlpModel, cap: int) -> BlockLayout:
         for label, lo, hi in _parts(block, size, cap))
 
 
-def grad_columns(model: MlpModel, data: Dataset, cap: int):
-    """Yield (label, n x s per-example gradient columns) for each block of
-    the model's layout, in order, split at ``cap`` as by ``_parts``, from
-    one backward pass.  A part of a weight block may start mid-row.
+def _weight_columns(a_prev, delta, lo: int, hi: int) -> np.ndarray:
+    """Columns [lo, hi) of a weight block's n x (din * dout) per-example
+    gradient, from the outer products of only the rows of W they touch."""
+    n, dout = delta.shape
+    r0, r1 = lo // dout, -(-hi // dout)
+    gw = np.einsum("ni,nj->nij", a_prev[:, r0:r1], delta).reshape(n, -1)
+    return gw[:, lo - r0 * dout : hi - r0 * dout]
+
+
+def _bias_columns(delta, lo: int, hi: int) -> np.ndarray:
+    return delta[:, lo:hi]
+
+
+def grad_formers(model: MlpModel, data: Dataset, cap: int) -> list:
+    """(label, former) for each block of ``column_layout(model, cap)``, in
+    order, from one backward pass, which this runs: ``former()`` forms the
+    block's n x s per-example gradient columns from that pass's per-layer
+    factors, so the blocks may be formed in any order, and in any process
+    forked after this returns.  A part of a weight block may start
+    mid-row.
 
     A weight part is formed from the outer products of only the rows of W
     it touches, so memory is O(n * (cap + 2 * dout)) per part and no n x d
@@ -288,16 +305,23 @@ def grad_columns(model: MlpModel, data: Dataset, cap: int):
     check_fits(model, data)
     factors = list(_backprop(model.weights(), data.features, data.labels))
     blocks = model.params.layout.blocks
+    formers = []
     for (_, a_prev, delta), (_, w_size, w_label), (_, b_size, b_label) in zip(
         reversed(factors), blocks[0::2], blocks[1::2]
     ):
-        n, dout = delta.shape
-        for label, lo, hi in _parts(w_label, w_size, cap):
-            r0, r1 = lo // dout, -(-hi // dout)
-            gw = np.einsum("ni,nj->nij", a_prev[:, r0:r1], delta).reshape(n, -1)
-            yield label, gw[:, lo - r0 * dout : hi - r0 * dout]
-        for label, lo, hi in _parts(b_label, b_size, cap):
-            yield label, delta[:, lo:hi]
+        formers += [(label, partial(_weight_columns, a_prev, delta, lo, hi))
+                    for label, lo, hi in _parts(w_label, w_size, cap)]
+        formers += [(label, partial(_bias_columns, delta, lo, hi))
+                    for label, lo, hi in _parts(b_label, b_size, cap)]
+    return formers
+
+
+def grad_columns(model: MlpModel, data: Dataset, cap: int):
+    """Yield (label, n x s per-example gradient columns) for each block of
+    the model's layout, in order, split at ``cap`` as by ``_parts``, from
+    one backward pass (``grad_formers``)."""
+    for label, former in grad_formers(model, data, cap):
+        yield label, former()
 
 
 def per_example_grads(model: MlpModel, data: Dataset) -> np.ndarray:

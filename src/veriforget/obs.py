@@ -10,7 +10,7 @@ once, C = L L' with L = [[L11, 0], [L21, L22]].  Then dw_M = -theta_M
 exactly, dw_U = L11^-T L21' theta_M, and the multipliers are
 lam_M = L22 L22' theta_M, the Schur complement of C_UU applied to
 theta_M.  The solve reads only the upper triangle of such a block and
-never touches a block without a masked coordinate.
+never factors a block without a masked coordinate.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ import numpy as np
 
 from .curvature import BlockFisher
 from .masking import MaskArtifact
-from .numkit import NumericError, ParamVector, StructuralError, upper_mask
+from .numkit import (
+    NumericError,
+    ParamVector,
+    StructuralError,
+    scratch_squares,
+    upper_mask,
+)
 
 FEASIBILITY_TOL = 1e-9
 
@@ -47,9 +53,11 @@ def group_obs_solve(
     theta_p: ParamVector,
     mask: MaskArtifact,
 ) -> CompensationResult:
-    """Closed-form KKT solution of the Group-OBS program, block by block.
+    """Closed-form KKT solution of the Group-OBS program, block by block,
+    each block solved by the process that reads it (``BlockDiagMatrix.map``).
     Its residuals are evaluated in one place, ``certify.check_kkt``."""
-    # Imported on first use: scipy takes longer to load than most commands run.
+    # Imported on first use, in this process before any worker is forked:
+    # scipy takes longer to load than most commands run.
     from scipy.linalg.blas import dtrmv
     from scipy.linalg.lapack import dpotrf, dtrtrs
 
@@ -59,24 +67,30 @@ def group_obs_solve(
         raise StructuralError("curvature dimension does not match parameters")
     theta = theta_p.values
     masked = mask.indicator()
-    delta = np.zeros(theta_p.dim)
-    multipliers = np.empty(mask.budget)
-    for tri, (sl, label) in zip(c_p.fisher.blocks, c_p.layout.slices()):
+    slices = list(c_p.layout.slices())
+    square, swap = scratch_squares(c_p.layout), scratch_squares(c_p.layout)
+
+    def solve(i, tri):
+        """Block i's (dw_b, lam_b), or None when it has no masked coordinate."""
+        sl, label = slices[i]
         is_m = masked[sl]
         mloc = np.flatnonzero(is_m)
         if mloc.size == 0:
-            continue
+            return None
         d_b = sl.stop - sl.start
         ku = d_b - mloc.size
         order = np.concatenate([np.flatnonzero(~is_m), mloc])
         # F + lam*I in the upper triangle of a C-order square, damped as
         # unpack_upper damps it, then reordered to (U, M); a (u, m) entry
         # with m < u lands below the diagonal and is folded back above it
-        sq = np.zeros((d_b, d_b))
+        sq, tmp = square(d_b), swap(d_b)
+        sq.fill(0.0)
         sq[upper_mask(d_b)] = tri
         sq += 0
         sq.flat[:: d_b + 1] += c_p.lam
-        sq = sq.take(order, axis=0).take(order, axis=1)
+        # "clip" takes the indices as "raise" does; "raise" copies via a buffer
+        np.take(sq, order, axis=0, out=tmp, mode="clip")
+        np.take(tmp, order, axis=1, out=sq, mode="clip")
         sq[:ku, ku:] += sq[ku:, :ku].T
         # the transpose is the Fortran-order lower triangle potrf reads:
         # L = [[L11, 0], [L21, L22]] with C_UU = L11 L11'
@@ -89,7 +103,7 @@ def group_obs_solve(
         t = np.zeros(d_b)
         t[ku:] = w_m
         t = dtrmv(low, t, lower=1, trans=1)  # [L21' w_M; L22' w_M]
-        dw_b = delta[sl]  # a view: writes land in delta
+        dw_b = np.zeros(d_b)
         dw_b[mloc] = -w_m
         if ku:
             # dw_U = -C_UU^-1 C_UM dw_M; low[:, :ku] holds L11 at lda = d_b
@@ -97,11 +111,18 @@ def group_obs_solve(
             dw_b[order[:ku]] = x[:, 0]
         t[:ku] = 0.0
         # lam_M = (C_MM - C_MU C_UU^-1 C_UM) w_M = L22 L22' w_M
-        lam_b = dtrmv(low, t, lower=1)[ku:]
-        # multipliers aligned to global sorted support: blocks are in
-        # layout order, so per-block masked coords are already ordered
-        positions = np.searchsorted(mask.support, sl.start + mloc)
-        multipliers[positions] = lam_b
+        return dw_b, dtrmv(low, t, lower=1)[ku:]
+
+    delta = np.zeros(theta_p.dim)
+    multipliers = np.empty(mask.budget)
+    for (sl, _), solved in zip(slices, c_p.fisher.map(solve)):
+        if solved is not None:
+            # multipliers aligned to global sorted support: blocks are in
+            # layout order, so per-block masked coords are already ordered
+            delta[sl], lam_b = solved
+            positions = np.searchsorted(mask.support,
+                                        sl.start + np.flatnonzero(masked[sl]))
+            multipliers[positions] = lam_b
     return CompensationResult(
         delta_w=theta_p.with_values(delta),
         multipliers=multipliers,

@@ -16,25 +16,19 @@ constants and the MDS matrix, and the tests check the result against
 the permutation's defining form.
 
 ``merkle_root`` hashes the leaves of a vector with more than one leaf
-in worker processes, one per CPU the process may run on, since each
-leaf is an independent sponge; the tree above the leaves is hashed in
-the caller.  Workers are forked: they start at once, without
-re-importing the package, and leave no helper process behind (the
-spawn and forkserver methods each keep one alive until the parent
-exits).
+in forked worker processes (``numkit.fork_map``), one per CPU the
+process may run on, since each leaf is an independent sponge; the tree
+above the leaves is hashed in the caller.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from ..numkit import NumericError
+from ..numkit import NumericError, fork_map
 
 try:
     from gmpy2 import mpz
@@ -149,26 +143,11 @@ def _blinding(randomness: int, index: int) -> int:
     return _nums_constant(f"veriforget/blind/{randomness}/{index}")
 
 
-def _hash_leaf(chunk) -> int:
-    """One leaf's sponge, at module level so that a worker finds it by
-    name."""
-    return sponge(chunk, "leaf")
-
-
 def _hash_leaves(chunks) -> list[int]:
-    """The leaf digests of ``chunks``, in order.  They are hashed in
-    min(CPUs available, leaves) forked workers, or in-process when that
-    is one.  A worker's exception reaches the caller with its type, and
-    a worker that dies raises ``BrokenProcessPool`` (where
-    ``multiprocessing.Pool.map`` would wait forever); either way every
-    worker has exited when this returns."""
-    workers = min(len(os.sched_getaffinity(0)), len(chunks))
-    if workers <= 1:
-        return [_hash_leaf(chunk) for chunk in chunks]
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork")
-    ) as pool:
-        return list(pool.map(_hash_leaf, chunks, chunksize=1))
+    """The leaf digests of ``chunks``, in order, hashed by
+    ``numkit.fork_map`` in min(CPUs available, leaves) forked workers, or
+    in-process when that is one."""
+    return fork_map(lambda i: sponge(chunks[i], "leaf"), len(chunks))
 
 
 def merkle_root(ints, randomness: int) -> int:

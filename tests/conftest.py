@@ -2,6 +2,8 @@
 only tests use."""
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
 from veriforget import artifacts as art
+from veriforget import numkit
 from veriforget.curvature import (
     DEFAULT_MAX_SAMPLES,
     BlockFisher,
@@ -76,6 +79,27 @@ def pytest_terminal_summary(terminalreporter):
         return
     for line in RESULTS:
         terminalreporter.write_line(line)
+
+
+def report_cpus(monkeypatch, n):
+    """Make ``numkit.fork_map`` see n CPUs, so a 1-CPU runner still forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture(params=["in_process", "forked"])
+def workers(request, monkeypatch):
+    """Run the test with every per-block pass in-process (1 CPU reported),
+    and again in two forked workers (2 CPUs reported, a fork threshold of
+    0 entries and one BLAS thread); either way, no worker process may be
+    left after it."""
+    if request.param == "forked":
+        report_cpus(monkeypatch, 2)
+        monkeypatch.setattr(numkit, "FORK_MIN_ENTRIES", 0)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    else:
+        report_cpus(monkeypatch, 1)
+    yield request.param
+    assert multiprocessing.active_children() == []
 
 
 def tiny_config(**overrides) -> PipelineConfig:

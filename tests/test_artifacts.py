@@ -1,5 +1,6 @@
 """The artifact container: round trips, integrity checks and fuzzing."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -341,20 +342,20 @@ def test_file_digest_reads_in_chunks(tmp_path):
 
 
 def _streamed_fisher(n_blocks=8, size=256):
-    """A Fisher of ``n_blocks`` random triangles, formed one per step of
-    each walk, with the blocks it forms."""
+    """A Fisher of ``n_blocks`` random triangles, each formed when a walk
+    or a map reaches it, with the blocks it forms."""
     layout = BlockLayout.from_sizes((size, f"b{i}") for i in range(n_blocks))
-    tri = size * (size + 1) // 2
 
-    def walk():
-        rng = np.random.default_rng(5)
-        for _ in range(n_blocks):
-            yield rng.normal(size=tri)
+    def block(i, out):
+        return np.random.default_rng([5, i]).standard_normal(out=out)
 
     fisher = BlockFisher(
-        fisher=BlockDiagMatrix(blocks=BlockStream(walk, layout), layout=layout),
+        fisher=BlockDiagMatrix(
+            blocks=BlockStream(lambda: contextlib.nullcontext(block), layout),
+            layout=layout),
         lam=1e-3, sample_count=3, source_digest="test")
-    return fisher, list(walk())
+    tri = size * (size + 1) // 2
+    return fisher, [block(i, np.empty(tri)) for i in range(n_blocks)]
 
 
 def _peak_of(fn):

@@ -32,6 +32,7 @@ from veriforget.zkp.circuit import FAMILIES
 
 from conftest import (
     read_fisher,
+    report_cpus,
     resave_fisher,
     square_blocks,
     tag_over,
@@ -751,12 +752,16 @@ def test_failed_fisher_writes_nothing(workdir, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["model", "model.bin"]
 
 
+# -- the per-block passes, in-process and in forked workers --------------------
+
+
 @pytest.mark.parametrize("on_mask", [True, False], ids=["on-mask", "off-mask"])
-def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, on_mask):
+def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, workers, on_mask):
     """A damped block with a negative diagonal entry, on the mask or off
     it, is not positive definite: unlearn exits 3 with one error line
-    naming the block and the coordinate."""
-    w = workdir
+    naming the block and the coordinate, also from the worker that
+    factored the block, and writes nothing."""
+    w, tmp = workdir, str(tmp_path)
     fisher = read_fisher(f"{w}/fisher")
     support = art.load_mask(f"{w}/mask.mask").support
     first = int(support[0])
@@ -767,14 +772,160 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, on_mask):
     blocks = [tri.copy() for tri in fisher.fisher.blocks]
     blocks[fisher.layout.blocks.index(block)][
         upper_diagonal(size)[coord - offset]] = -1.0
-    resave_fisher(f"{w}/fisher", f"{tmp_path}/fisher", blocks)
+    resave_fisher(f"{w}/fisher", f"{tmp}/fisher", blocks)
     res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
-                 "--fisher", f"{tmp_path}/fisher", "--out-dir", f"{tmp_path}/u")
+                 "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
     assert res.exit_code == 3, res.output
     lines = res.stderr.splitlines()
     assert len(lines) == 1, res.stderr
     assert f"block {label!r} is not SPD" in lines[0], res.stderr
     assert f"coordinate {coord} " in lines[0], res.stderr
+    assert not os.path.exists(f"{tmp}/u")
+
+
+def _nan_first_entry(w, path):
+    _with_nan(path, path, 0)
+
+
+@pytest.mark.parametrize("command", ["unlearn", "certify"])
+@pytest.mark.parametrize("edit, message", [
+    (_flip_last_block, "digest mismatch for array 3 of"),
+    (_resize_blob(-8), "header declares"),
+    (_nan_first_entry, "block 'mlp.0.w' has non-finite entries"),
+], ids=["digest_mismatch", "short_blob", "non_finite_block"])
+def test_bad_fisher_exit_2_with_workers(workdir, tmp_path, workers, command,
+                                        edit, message):
+    """A Fisher with a changed byte, one entry short, or a NaN under a
+    renewed digest exits 2 with one error line that names the fault, the
+    same when the workers that read the blocks check them; unlearn writes
+    nothing."""
+    w, tmp = workdir, str(tmp_path)
+    for suffix in ("", ".bin"):
+        shutil.copy(f"{w}/fisher{suffix}", f"{tmp}/fisher{suffix}")
+    edit(w, f"{tmp}/fisher")
+    if command == "unlearn":
+        args = ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+                "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
+    else:
+        art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
+        args = _certify_args(w, comp=tmp, fisher=tmp)
+    res = invoke(*args)
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0], res.stderr
+    assert not os.path.exists(f"{tmp}/u")
+
+
+def _client(w, out):
+    """fisher, unlearn and certify --json on the chain at ``w``, written
+    to ``out``; returns certify's stdout."""
+    def run(*args):
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+        return res.stdout
+
+    run("fisher", "--model", f"{w}/theta_p", "--data", f"{w}/personal.dset",
+        "--seed", "3", "--out", f"{out}/fisher")
+    run("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+        "--fisher", f"{out}/fisher", "--out-dir", out)
+    return run("certify", "--theta-p", f"{w}/theta_p",
+               "--theta-u", f"{out}/theta_u", "--comp", f"{out}/comp",
+               "--mask", f"{w}/mask.mask", "--fisher", f"{out}/fisher",
+               "--json")
+
+
+@pytest.fixture(scope="module")
+def parted(tmp_path_factory):
+    """A staged chain up to the mask on an 8-40-5 model, whose first weight
+    block splits into parts of 256 and 64, and the client's outputs on it
+    with every pass in-process, in ``<chain>/serial``."""
+    w = str(tmp_path_factory.mktemp("parted"))
+    for args in (
+        ("train", "--out-dir", w, "--seed", "3", "--layers", "8,40,5",
+         "--epochs", "5"),
+        ("personalize", "--model", f"{w}/theta0", "--data",
+         f"{w}/personal.dset", "--out", f"{w}/theta_p", "--seed", "3",
+         "--epochs", "3"),
+        ("mask", "--model", f"{w}/theta0", "--data", f"{w}/forget.dset",
+         "--k", "60", "--seed", "3", "--out", f"{w}/mask.mask"),
+    ):
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+    os.makedirs(f"{w}/serial")
+    with pytest.MonkeyPatch.context() as mp:
+        report_cpus(mp, 1)
+        stdout = _client(w, f"{w}/serial")
+    with open(f"{w}/serial/certify.json", "w") as fh:
+        fh.write(stdout)
+    return w
+
+
+def test_client_bytes_do_not_depend_on_workers(parted, tmp_path, workers):
+    """fisher.bin, comp.bin, theta_u.bin and certify --json are the same
+    bytes from forked workers as in-process."""
+    w, out = parted, str(tmp_path)
+    stdout = _client(w, out)
+    assert art.load_fisher(f"{out}/fisher").layout.labels[:2] == [
+        "mlp.0.w/part0", "mlp.0.w/part1"]
+    for name in ("fisher.bin", "comp.bin", "theta_u.bin"):
+        with open(f"{w}/serial/{name}", "rb") as a, open(f"{out}/{name}", "rb") as b:
+            assert a.read() == b.read(), name
+    with open(f"{w}/serial/certify.json") as fh:
+        assert stdout == fh.read()
+    assert json.loads(stdout)["verdict"] == "pass"
+
+
+_KILL_A_WORKER = """
+import os, signal, sys
+from veriforget import numkit
+from veriforget.cli import main
+from veriforget.zkp import field
+os.sched_getaffinity = lambda pid: {0, 1}
+numkit.FORK_MIN_ENTRIES = 0
+parent = os.getpid()
+
+def dying(real):
+    def fn(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+    return fn
+
+# prove's leaf workers die on their first leaf, the Fisher's block workers
+# on their first block
+if sys.argv[1] == "prove":
+    field.sponge = dying(field.sponge)
+else:
+    numkit.FORK_MIN_ENTRIES = 0
+    numkit._check_block = dying(numkit._check_block)
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("command", ["prove", "unlearn"])
+def test_killed_worker_exit_2(tmp_path, command):
+    """A worker killed by a signal, in a fresh interpreter: the command
+    exits 2, not 1 (a rejection), with one error line, and writes
+    nothing."""
+    d, out = tmp_path / "d", tmp_path / "out"
+    res = invoke("demo", "--seed", "7", "--out-dir", str(d), "--skip-gold")
+    assert res.exit_code == 0, res.output
+    inputs = ["--mask", f"{d}/mask.mask", "--fisher", f"{d}/fisher",
+              "--out-dir", str(out)]
+    if command == "prove":
+        args = ["prove", "--theta-p", f"{d}/theta_p", "--theta-u",
+                f"{d}/theta_u", "--comp", f"{d}/comp", "--seed", "7", *inputs]
+    else:
+        args = ["unlearn", "--model", f"{d}/theta_p", *inputs]
+    src = os.path.dirname(os.path.dirname(veriforget.__file__))
+    proc = subprocess.run([sys.executable, "-c", _KILL_A_WORKER, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "worker process died" in lines[0], proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

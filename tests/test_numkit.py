@@ -1,15 +1,22 @@
+import contextlib
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from veriforget import numkit
 from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
+    BlockStream,
     NumericError,
     ParamVector,
     StructuralError,
     canonical_json,
+    fork_map,
     pack_upper,
     quantize,
     tree_sum,
@@ -18,7 +25,7 @@ from veriforget.numkit import (
     upper_matvec,
 )
 
-from conftest import reference_damp
+from conftest import reference_damp, report_cpus
 
 
 def single_block_layout(d, label="b"):
@@ -145,6 +152,105 @@ def test_upper_matvec_matches_the_unpacked_block(size, lam, data):
     tiny = np.finfo(np.float64).smallest_subnormal
     assert (np.abs(upper_matvec(tri, v, diag=lam) - want).max()
             <= 1e-14 * scale + 2 * size * tiny)
+
+
+@given(st.integers(1, 40), st.floats(0.0, 1e3), st.data())
+def test_upper_matvec_in_a_used_square_is_bit_equal(size, lam, data):
+    """A scratch square that holds another block's entries gives the bits
+    of a fresh one."""
+    tri = data.draw(arrays(np.float64, size * (size + 1) // 2,
+                           elements=_FINITE))
+    v = data.draw(arrays(np.float64, size, elements=_FINITE))
+    used = np.random.default_rng(size).normal(size=(40, 40))
+    square = used.ravel()[: size * size].reshape(size, size)
+    assert (upper_matvec(tri, v, diag=lam, square=square).tobytes()
+            == upper_matvec(tri, v, diag=lam).tobytes())
+
+
+# -- forked workers --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_returns_in_order_what_fn_returns(monkeypatch, cpus):
+    report_cpus(monkeypatch, cpus)
+    scale = np.arange(3.0)  # a closure, which a pickling pool could not send
+    got = fork_map(lambda i: (i, os.getpid(), scale * i), 7)
+    assert [i for i, _, _ in got] == list(range(7))
+    assert all(np.array_equal(v, scale * i) for i, _, v in got)
+    pids = {pid for _, pid, _ in got}
+    if cpus == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and len(pids) <= cpus
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fork_map_raises_the_first_exception_in_index_order(monkeypatch, cpus):
+    """Indices 3 and 6 fail, in different workers when there are two or
+    three; index 3's exception reaches the caller with its type."""
+    report_cpus(monkeypatch, cpus)
+
+    def fn(i):
+        if i in (3, 6):
+            raise KeyError(i)
+        return i
+
+    with pytest.raises(KeyError) as caught:
+        fork_map(fn, 8)
+    assert caught.value.args == (3,)
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_keeps_writes_in_the_worker(monkeypatch):
+    report_cpus(monkeypatch, 2)
+    seen = []
+    assert fork_map(lambda i: seen.append(i) or len(seen), 4) == [1, 1, 2, 2]
+    assert seen == []
+
+
+def _counting_stream(sizes, nan_at=None):
+    """A stream whose block i is the triangle of sizes[i], filled with i,
+    and NaN at block ``nan_at``."""
+    layout = BlockLayout.from_sizes((s, f"b{i}") for i, s in enumerate(sizes))
+
+    def block(i, out):
+        out.fill(np.nan if i == nan_at else i)
+        return out
+
+    return BlockStream(lambda: contextlib.nullcontext(block), layout)
+
+
+@pytest.mark.parametrize("cpus, threshold, blas_threads, in_parent", [
+    (1, 0, "1", True), (2, numkit.FORK_MIN_ENTRIES, "1", True),
+    (2, 0, "1", False), (3, 1, "1", False), (2, 0, "2", True),
+    (2, 0, None, True),
+])
+def test_block_map_forks_from_the_threshold(monkeypatch, cpus, threshold,
+                                            blas_threads, in_parent):
+    """Three blocks of 1 + 3 + 6 entries fork when they reach the threshold,
+    more than one CPU is there and BLAS runs one thread, and map gives fn
+    each block, checked and frozen, in order."""
+    report_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(numkit, "FORK_MIN_ENTRIES", threshold)
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    got = _counting_stream([1, 2, 3]).map(
+        lambda i, tri: (os.getpid(), tri.tolist(), tri.flags.writeable))
+    assert [tri for _, tri, _ in got] == [[0.0], [1.0] * 3, [2.0] * 6]
+    assert not any(writeable for _, _, writeable in got)
+    assert ({pid for pid, _, _ in got} == {os.getpid()}) == in_parent
+    assert multiprocessing.active_children() == []
+
+
+def test_block_map_and_walk_check_each_block(workers):
+    stream = _counting_stream([2, 2, 2], nan_at=1)
+    with pytest.raises(StructuralError, match="block 'b1' has non-finite"):
+        stream.map(lambda i, tri: None)
+    with pytest.raises(StructuralError, match="block 'b1' has non-finite"):
+        list(stream)
 
 
 # -- fixed point -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import random
@@ -24,6 +25,7 @@ from veriforget.numkit import (
 from veriforget.obs import apply_unlearn, group_obs_solve
 from veriforget.zkp import (
     BOUND_C,
+    BOUND_LAM,
     BOUND_W,
     MODULUS,
     MockBackend,
@@ -71,6 +73,7 @@ from conftest import (
     random_mask,
     reference_merkle_root,
     reference_permute,
+    report_cpus,
     statement,
     tag_over,
     tiny_config,
@@ -217,11 +220,6 @@ def test_commit_multi_chunk_tree():
 
 
 # -- leaves hashed in worker processes ---------------------------------------
-
-
-def report_cpus(monkeypatch, n):
-    """Make ``merkle_root`` see n CPUs, so a 1-CPU runner still forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 class LeafFault(RuntimeError):
@@ -811,6 +809,54 @@ def test_each_family_catches_its_tamper(family):
     bad, bad_circuit = tamper(w, circuit)
     violation = mock_prove(bad_circuit, bad, rnd)
     assert violation is not None and violation.startswith(prefix), violation
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_honest_instance(seed):
+    return honest_zk_instance(seed)
+
+
+@st.composite
+def single_coordinate_edits(draw):
+    """(seed, field, at, delta, want): entry ``at`` of an honest witness's
+    ``field`` moved by delta, and the violation mock_prove must report,
+    ``want``.  The edits the
+    statement must catch: a theta_u entry without its delta_w entry
+    (assembly), a delta_w entry on the mask (feasibility, which assembly
+    reports first), and a multiplier by at least 2^(4 - f_w), 16 units
+    (stationarity).  An edit past the field's bound is the range family's.
+    The curvature is left out: no family binds it to theta_p or the
+    data, so it is a free witness (test_free_curvature_witness_rejected)."""
+    seed = draw(st.integers(0, 5))
+    *_, w, circuit, _, _ = _cached_honest_instance(seed)
+    field = draw(st.sampled_from(["theta_u", "delta_w", "lam"]))
+    if field == "theta_u":
+        index = draw(st.integers(0, w.theta_u.size - 1))
+    else:
+        index = draw(st.integers(0, len(circuit.support) - 1))
+    bound = BOUND_LAM if field == "lam" else BOUND_W
+    limit = int(bound * 2**w.f_w)
+    delta = draw(st.integers(16 if field == "lam" else 1, 2 * limit))
+    delta *= draw(st.sampled_from([1, -1]))
+    vec = getattr(w, field)
+    at = circuit.support[index] if field == "delta_w" else index
+    if abs(int(vec[at]) + delta) > limit:
+        want = f"range/{field}[{at}]"
+    elif field == "lam":
+        want = f"stationarity[{circuit.support[index]}]"
+    else:
+        want = f"assembly[{at}]"
+    return seed, field, at, delta, want
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(single_coordinate_edits())
+def test_single_coordinate_edit_rejected(edit):
+    seed, field, at, delta, want = edit
+    *_, w, circuit, _, rnd = _cached_honest_instance(seed)
+    vec = getattr(w, field).copy()
+    vec[at] += delta
+    assert mock_prove(circuit, replace(w, **{field: vec}), rnd) == want
 
 
 # -- backend -----------------------------------------------------------------------
