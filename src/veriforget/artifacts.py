@@ -12,10 +12,11 @@ the digests of the artifacts it was computed from, so downstream stages
 can refuse mismatched inputs.  Every reader raises
 ``numkit.StructuralError`` when an artifact is missing, truncated or
 malformed, or does not match the digest another artifact records for
-it.  A Fisher is never held whole: ``save_fisher`` writes each block at
-its offset in the blob from the process that formed it, and
-``load_fisher`` gives a Fisher whose blocks are read by their offsets,
-each checked before it is used.
+it.  One writer, ``_write_arrays``, writes every blob: it sizes the blob
+up front and writes each array at its offset, from whichever process
+holds it, so a Fisher is never held whole: ``save_fisher`` hands it to
+the Fisher's ``map``, and ``load_fisher`` gives a Fisher whose blocks are
+read by their offsets, each checked before it is used.
 """
 
 from __future__ import annotations
@@ -80,24 +81,47 @@ def _read_json(path: str) -> dict:
         return json.loads(fh.read())
 
 
-def _save(path: str, header: dict, arrays) -> list[str]:
-    """Stream ``arrays`` into ``path.bin``, then write ``header`` with each
-    array's dtype, shape and sha256.  When ``arrays`` raises, the partial
-    ``path.bin`` is removed and no header is written."""
-    specs = []
+def _offsets(specs: list[dict]) -> list[int]:
+    """Each array's byte offset in the blob ``specs`` declare, then its length."""
+    return [8 * n for n in itertools.accumulate(
+        (math.prod(spec["shape"]) for spec in specs), initial=0)]
+
+
+def _write_arrays(path: str, header: dict, specs: list[dict], fill) -> list[str]:
+    """The one blob writer: ``fill(write)`` returns ``[write(i, array i)]``,
+    where ``write`` puts array i at its offset in ``path.bin``, sized up
+    front for ``specs`` (dtypes and shapes), from whichever process calls
+    it, and returns its sha256.  Then ``header`` is written with the specs
+    and digests.  When ``fill`` raises, ``path.bin`` is removed instead."""
+    offsets = _offsets(specs)
     fh = open(path + ".bin", "wb")
+
+    def write(i: int, a: np.ndarray) -> str:
+        a = np.ascontiguousarray(a, dtype=specs[i]["dtype"])
+        view, at = memoryview(a.reshape(-1)).cast("B"), offsets[i]
+        while view:
+            written = os.pwrite(fh.fileno(), view, at)
+            view, at = view[written:], at + written
+        return sha256_hex(a)
+
     try:
         with fh:
-            for a in arrays:
-                a = np.ascontiguousarray(
-                    a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
-                fh.write(a)
-                specs.append({"dtype": a.dtype.str, "shape": list(a.shape),
-                              "sha256": sha256_hex(a)})
+            os.ftruncate(fh.fileno(), offsets[-1])
+            digests = fill(write)
     except BaseException:
         os.remove(path + ".bin")
         raise
-    return [path + ".bin"] + _write_json(path, {**header, "arrays": specs})
+    return [path + ".bin"] + _write_json(path, {**header, "arrays": [
+        {**spec, "sha256": digest} for spec, digest in zip(specs, digests)]})
+
+
+def _save(path: str, header: dict, arrays) -> list[str]:
+    """Write ``arrays``, as i64 when integral and f64 otherwise."""
+    arrays = [np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
+              for a in arrays]
+    specs = [{"dtype": a.dtype.str, "shape": list(a.shape)} for a in arrays]
+    return _write_arrays(path, header, specs,
+                         lambda write: [write(i, a) for i, a in enumerate(arrays)])
 
 
 @contextlib.contextmanager
@@ -109,8 +133,7 @@ def _blob(path: str, specs: list[dict]):
     for spec in specs:
         if spec["dtype"] not in _DTYPES:
             raise StructuralError(f"{path}: dtype {spec['dtype']!r} not in {_DTYPES}")
-    offsets = [8 * n for n in itertools.accumulate(
-        (math.prod(spec["shape"]) for spec in specs), initial=0)]
+    offsets = _offsets(specs)
     try:
         fh = open(path + ".bin", "rb")
     except OSError as exc:
@@ -135,20 +158,12 @@ def _blob(path: str, specs: list[dict]):
         yield read
 
 
-def _arrays(path: str, specs: list[dict]):
-    """Yield each array ``specs`` declares in ``path.bin``, read into memory
-    of its own by ``_blob``, once it matches its digest."""
-    with _blob(path, specs) as read:
-        for i, spec in enumerate(specs):
-            out = np.empty(math.prod(spec["shape"]), dtype=spec["dtype"])
-            yield read(i, out).reshape(spec["shape"])
-
-
 def _load(path: str) -> tuple[dict, list[np.ndarray]]:
-    """The header at ``path`` and the arrays of ``path.bin``, each checked
-    against its digest."""
+    """The header at ``path`` and its arrays, each checked against its digest."""
     header = _read_json(path)
-    return header, list(_arrays(path, header["arrays"]))
+    with _blob(path, header["arrays"]) as read:
+        return header, [read(i, np.empty(math.prod(s["shape"]), s["dtype"]))
+                        .reshape(s["shape"]) for i, s in enumerate(header["arrays"])]
 
 
 @_reader
@@ -233,40 +248,16 @@ def load_mask(path: str) -> MaskArtifact:
 
 
 def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> list[str]:
-    """Write the Fisher as ``_save`` writes an artifact, each block at its
-    offset in a blob sized up front, by the process that formed it
-    (``BlockDiagMatrix.map``), which hands back only the block's digest.
-    When a block fails, the blob is removed and no header is written."""
-    counts = [size * (size + 1) // 2 for _, size, _ in fisher.layout.blocks]
-    offsets = [8 * n for n in itertools.accumulate(counts, initial=0)]
-    fd = os.open(path + ".bin", os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-
-    def write(i: int, tri: np.ndarray) -> str:
-        tri = np.ascontiguousarray(tri, dtype="<f8")
-        view, at = memoryview(tri).cast("B"), offsets[i]
-        while view:
-            written = os.pwrite(fd, view, at)
-            view, at = view[written:], at + written
-        return sha256_hex(tri)
-
-    try:
-        try:
-            os.ftruncate(fd, offsets[-1])
-            digests = fisher.fisher.map(write)
-        finally:
-            os.close(fd)
-    except BaseException:
-        os.remove(path + ".bin")
-        raise
-    return [path + ".bin"] + _write_json(path, {
+    """Write the Fisher through ``_write_arrays``, each block by the process
+    that formed it (``BlockDiagMatrix.map``), which returns its digest."""
+    return _write_arrays(path, {
         "lambda": fisher.lam,
         "n": fisher.sample_count,
         "source_digest": fisher.source_digest,
         "layout": fisher.layout.to_json(),
         "inputs": inputs or {},
-        "arrays": [{"dtype": "<f8", "shape": [count], "sha256": digest}
-                   for count, digest in zip(counts, digests)],
-    })
+    }, [{"dtype": "<f8", "shape": [size * (size + 1) // 2]}
+        for _, size, _ in fisher.layout.blocks], fisher.fisher.map)
 
 
 @_reader
@@ -276,8 +267,8 @@ def load_fisher(path: str) -> BlockFisher:
     Its array specs are checked against the layout it records before any
     block is read.  Each walk or ``map`` over the blocks opens the blob
     through ``_blob``, which checks its length once, and reads each block
-    by its offset, so a block is checked against its digest, and then as
-    ``BlockDiagMatrix`` checks it, before it is used."""
+    by its offset, so a block is checked against its digest, and then by
+    the stream, before it is used."""
     header = _read_json(path)
     layout = BlockLayout.from_json(header["layout"])
     arrays = header["arrays"]
@@ -292,8 +283,7 @@ def load_fisher(path: str) -> BlockFisher:
     check_number("fisher lambda", header["lambda"])
     return BlockFisher(
         fisher=BlockDiagMatrix(
-            blocks=BlockStream(lambda: _blob(path, specs), layout),
-            layout=layout),
+            BlockStream(lambda: _blob(path, specs), layout)),
         lam=header["lambda"],
         sample_count=header["n"],
         source_digest=header["source_digest"],

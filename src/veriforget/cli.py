@@ -10,10 +10,11 @@ output as it forms them and removes the blob when one fails, and a
 command that reads a Fisher reads each block, checked against its
 digest, as it computes.  On a Fisher of ``numkit.FORK_MIN_ENTRIES``
 triangle entries or more, with ``OPENBLAS_NUM_THREADS=1``, ``fisher``,
-``unlearn`` and ``certify`` do that per-block work in forked workers,
-one per CPU, and the worker that forms or reads a block also checks it;
-the outputs are the same bytes either way.  ``prove`` and ``demo`` hash the Merkle leaves of each
-commitment of more than one leaf in such workers.
+``unlearn``, ``certify`` and ``prove``'s witness do that per-block work
+in forked workers, one per CPU, and the worker that forms or reads a
+block also checks it; the outputs are the same bytes either way.
+``prove`` and ``demo`` hash the Merkle leaves of each commitment of
+more than one leaf in such workers.
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
 unsatisfiable, 2 usage error, bad or missing artifact, unwritable

@@ -11,7 +11,7 @@ gradient columns, formed in one reused square.  The estimate is a
 ``numkit.BlockStream``: a walk or a ``map`` forms one block at a time, so
 a caller that maps it once, as ``artifacts.save_fisher`` does, never
 holds the whole Fisher, and a large Fisher's blocks are formed in forked
-workers.
+workers; ``BlockFisher.materialized`` holds them, for repeated walks.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class BlockFisher:
         return self.fisher.layout
 
     def materialized(self) -> "BlockFisher":
-        """This Fisher with every block in memory, its stream walked once,
-        for a caller that walks it more than once."""
+        """This Fisher with every block held in memory, its stream walked
+        once, for a caller that walks it more than once."""
         return replace(self, fisher=BlockDiagMatrix(
-            blocks=tuple(self.fisher.blocks), layout=self.layout))
+            BlockStream.held(self.fisher.blocks, self.layout)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def empirical_fisher_blockwise(
         )
     )
     return BlockFisher(
-        fisher=BlockDiagMatrix(blocks=BlockStream(form, layout), layout=layout),
+        fisher=BlockDiagMatrix(BlockStream(form, layout)),
         lam=lam,
         sample_count=n,
         source_digest=digest,

@@ -1,15 +1,16 @@
 """Deterministic numerical primitives shared by the whole pipeline.
 
-Block-structured flat vectors, block-diagonal symmetric matrices held
-as upper triangles, in memory or streamed a block at a time, fixed-point
-quantization, reproducible reductions and digests, and the package's one
-pool of forked worker processes (``fork_map``).  Everything here is
-pure and immutable after construction; file formats live in
-``artifacts``, which also supplies the blocks of a Fisher read from disk.
+Block-structured flat vectors, block-diagonal symmetric matrices whose
+upper triangles are always a ``BlockStream`` (formed, read from disk or
+held, and reached a block at a time), fixed-point quantization,
+reproducible reductions and digests, and the package's one pool of
+forked worker processes (``fork_map``).  Everything here is pure and
+immutable after construction; file formats live in ``artifacts``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -223,19 +224,6 @@ def _check_block(tri, size: int, label: str) -> np.ndarray:
     return tri
 
 
-def _checked(blocks, layout: BlockLayout):
-    """Each of ``blocks`` checked by ``_check_block`` against its layout
-    block; the blocks must be as many as the layout's."""
-    blocks = iter(blocks)
-    for _, size, label in layout.blocks:
-        tri = next(blocks, None)
-        if tri is None:
-            raise StructuralError("block count does not match layout")
-        yield _check_block(tri, size, label)
-    if next(blocks, None) is not None:
-        raise StructuralError("block count does not match layout")
-
-
 # ---------------------------------------------------------------------------
 # forked workers
 # ---------------------------------------------------------------------------
@@ -280,8 +268,9 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
     worker.  A fork copies only the calling thread, so no other thread of
     the caller may hold a lock the workers need; the package starts no
     thread.  The first exception in index order reaches the caller with
-    its type; a worker that dies raises ``BrokenProcessPool``.  Every
-    worker has exited when this returns or raises."""
+    its type, as soon as every index below it has come back; a worker that
+    dies raises ``BrokenProcessPool``.  Every worker has exited when this
+    returns or raises."""
     workers = min(len(os.sched_getaffinity(0)), count) if fork else 1
     if workers <= 1:
         return [fn(i) for i in range(count)]
@@ -299,7 +288,7 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
                 os.close(write_fd)  # so the pipe ends when the worker exits
             procs.append(proc)
         results, raised = [None] * count, {}
-        for proc, pipe in zip(procs, pipes):
+        for w, (proc, pipe) in enumerate(zip(procs, pipes)):
             data = pipe.read()
             proc.join()
             if proc.exitcode != 0:
@@ -310,6 +299,9 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
                     raised[i] = value
                 else:
                     results[i] = value
+            # indices 0 to w are workers 0 to w's, all read by now
+            if raised and min(raised) <= w + 1:
+                raise raised[min(raised)]
         if raised:
             raise raised[min(raised)]
         return results
@@ -323,20 +315,27 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
 
 
 class BlockStream:
-    """The blocks of a block-diagonal matrix, formed or read by index, one
-    at a time.
+    """The blocks of a block-diagonal matrix, reached by index one at a
+    time: formed, read, or held in memory (``held``).
 
     ``source()`` is a context manager that readies the blocks (it runs a
     backward pass, or opens a blob and checks its length) and gives
     ``block(i, out)``: block i's triangle, written into ``out``, a 1-D f64
-    array of the triangle's length, and returned.  A walk over the stream
-    and ``map`` check each block as ``BlockDiagMatrix`` checks a tuple of
-    them before anything uses it, and neither holds more than a block per
-    process."""
+    array of the triangle's length, or held, and returned.  A walk over
+    the stream and ``map`` check each block before anything uses it, and
+    neither forms or reads more than a block per process."""
 
     def __init__(self, source, layout: BlockLayout):
         self._source = source
         self.layout = layout
+
+    @classmethod
+    def held(cls, triangles, layout: BlockLayout) -> "BlockStream":
+        """A stream of ``triangles``, one per layout block, held in memory."""
+        triangles = tuple(triangles)
+        if len(triangles) != len(layout.blocks):
+            raise StructuralError("block count does not match layout")
+        return cls(lambda: contextlib.nullcontext(lambda i, _: triangles[i]), layout)
 
     def __len__(self) -> int:
         return len(self.layout.blocks)
@@ -375,27 +374,18 @@ class BlockStream:
 @dataclass(frozen=True)
 class BlockDiagMatrix:
     """Symmetric block-diagonal matrix, each block held as its upper
-    triangle (``pack_upper``): a tuple of them, checked on construction,
-    or a ``BlockStream`` of them, checked as a walk or ``map`` reaches
-    them."""
+    triangle (``pack_upper``) in the ``BlockStream`` ``blocks``, whose
+    layout is the matrix's."""
 
-    blocks: tuple[np.ndarray, ...] | BlockStream
-    layout: BlockLayout
+    blocks: BlockStream
 
-    def __post_init__(self):
-        if isinstance(self.blocks, BlockStream):
-            if self.blocks.layout != self.layout:
-                raise StructuralError("block stream layout does not match")
-        else:
-            object.__setattr__(self, "blocks",
-                               tuple(_checked(self.blocks, self.layout)))
+    @property
+    def layout(self) -> BlockLayout:
+        return self.blocks.layout
 
     def map(self, fn) -> list:
-        """[fn(i, block i) for each block], in order: ``BlockStream.map``
-        for a stream, in-process for a tuple."""
-        if isinstance(self.blocks, BlockStream):
-            return self.blocks.map(fn)
-        return [fn(i, tri) for i, tri in enumerate(self.blocks)]
+        """[fn(i, block i) for each block], in order: ``BlockStream.map``."""
+        return self.blocks.map(fn)
 
 
 # ---------------------------------------------------------------------------

@@ -114,18 +114,16 @@ def group_obs_solve(
         return dw_b, dtrmv(low, t, lower=1)[ku:]
 
     delta = np.zeros(theta_p.dim)
-    multipliers = np.empty(mask.budget)
+    multipliers = [np.empty(0)]
     for (sl, _), solved in zip(slices, c_p.fisher.map(solve)):
         if solved is not None:
             # multipliers aligned to global sorted support: blocks are in
             # layout order, so per-block masked coords are already ordered
             delta[sl], lam_b = solved
-            positions = np.searchsorted(mask.support,
-                                        sl.start + np.flatnonzero(masked[sl]))
-            multipliers[positions] = lam_b
+            multipliers.append(lam_b)
     return CompensationResult(
         delta_w=theta_p.with_values(delta),
-        multipliers=multipliers,
+        multipliers=np.concatenate(multipliers),
         method="schur",
     )
 

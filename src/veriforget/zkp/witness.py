@@ -20,9 +20,9 @@ from ..numkit import (
     NumericError,
     ParamVector,
     StructuralError,
+    pack_upper,
     quantize,
     unpack_upper,
-    upper_diagonal,
 )
 
 # f_c exceeds f_w by more than 4 bits so that the honest stationarity
@@ -106,14 +106,13 @@ def encode_fixed_witness(
     # within quantization error; a mismatch means inconsistent inputs
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
-    row_max, damped = 0.0, []
-    for tri, (_, size, _) in zip(c_p.fisher.blocks, c_p.layout.blocks):
-        block = unpack_upper(tri, size, diag=c_p.lam)
-        row_max = max(row_max, float(np.abs(block).sum(axis=1).max()))
-        # the damped triangle is pack_upper(block), damped as block was
-        tri = tri + 0
-        tri[upper_diagonal(size)] += c_p.lam
-        damped.append(tri)
+    def damp(i, tri):
+        """Block i's largest absolute row sum and its damped triangle."""
+        block = unpack_upper(tri, c_p.layout.blocks[i][1], diag=c_p.lam)
+        return float(np.abs(block).sum(axis=1).max()), pack_upper(block)
+
+    blocks = c_p.fisher.map(damp)
+    row_max = max([0.0] + [row for row, _ in blocks])
     # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
     # BOUND_C is a power of two, so the division rounds nothing, and
     # frexp's mantissa is 0.5 only on a power of two
@@ -124,7 +123,7 @@ def encode_fixed_witness(
         theta_u=tu,
         delta_w=dw,
         lam=quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM),
-        c_blocks=tuple(quantize(tri * scale, f_c, BOUND_C) for tri in damped),
+        c_blocks=tuple(quantize(tri * scale, f_c, BOUND_C) for _, tri in blocks),
         f_w=f_w,
         f_c=f_c,
     )

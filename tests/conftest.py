@@ -34,6 +34,7 @@ from veriforget.model import (
 from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
+    BlockStream,
     NumericError,
     ParamVector,
     canonical_json,
@@ -140,8 +141,7 @@ def dense_kkt_solve(
 
 def block_matrix(blocks, layout) -> BlockDiagMatrix:
     """The block-diagonal matrix of square symmetric ``blocks``."""
-    return BlockDiagMatrix(blocks=tuple(pack_upper(b) for b in blocks),
-                           layout=layout)
+    return BlockDiagMatrix(BlockStream.held(map(pack_upper, blocks), layout))
 
 
 def square_blocks(mat: BlockDiagMatrix) -> list[np.ndarray]:

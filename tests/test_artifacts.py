@@ -58,7 +58,7 @@ def sample(kind, bump=0.0):
         blocks = [b.copy() for b in f.fisher.blocks]
         blocks[0][0] += bump  # the (0, 0) entry
         return BlockFisher(
-            fisher=BlockDiagMatrix(blocks=tuple(blocks), layout=layout),
+            fisher=BlockDiagMatrix(BlockStream.held(blocks, layout)),
             lam=f.lam, sample_count=f.sample_count,
             source_digest=f.source_digest,
         )
@@ -351,8 +351,7 @@ def _streamed_fisher(n_blocks=8, size=256):
 
     fisher = BlockFisher(
         fisher=BlockDiagMatrix(
-            blocks=BlockStream(lambda: contextlib.nullcontext(block), layout),
-            layout=layout),
+            BlockStream(lambda: contextlib.nullcontext(block), layout)),
         lam=1e-3, sample_count=3, source_digest="test")
     tri = size * (size + 1) // 2
     return fisher, [block(i, np.empty(tri)) for i in range(n_blocks)]
@@ -436,4 +435,24 @@ def test_failed_save_leaves_no_blob(tmp_path):
     p = str(tmp_path / "a")
     with pytest.raises(StructuralError, match="second array"):
         art._save(p, {}, arrays())
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_fisher_save_leaves_no_blob(tmp_path, workers):
+    """A Fisher whose second block raises while it is formed, in-process
+    or in a worker, leaves neither ``fisher`` nor ``fisher.bin``."""
+    layout = BlockLayout.from_sizes((3, f"b{i}") for i in range(4))
+
+    def block(i, out):
+        if i == 1:
+            raise StructuralError("the second block failed")
+        out.fill(1.0)
+        return out
+
+    fisher = BlockFisher(
+        fisher=BlockDiagMatrix(
+            BlockStream(lambda: contextlib.nullcontext(block), layout)),
+        lam=1e-3, sample_count=3, source_digest="test")
+    with pytest.raises(StructuralError, match="second block"):
+        art.save_fisher(str(tmp_path / "fisher"), fisher)
     assert os.listdir(tmp_path) == []

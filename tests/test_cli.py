@@ -23,6 +23,7 @@ from veriforget.model import init_mlp
 from veriforget.numkit import (
     BlockDiagMatrix,
     BlockLayout,
+    BlockStream,
     NumericError,
     StructuralError,
     upper_diagonal,
@@ -320,8 +321,8 @@ def _certify_truncated_fisher(w, tmp):
     fisher = read_fisher(f"{w}/fisher")
     _, size, label = fisher.layout.blocks[0]
     art.save_fisher(f"{tmp}/fisher", replace(fisher, fisher=BlockDiagMatrix(
-        blocks=fisher.fisher.blocks[:1],
-        layout=BlockLayout.from_sizes([(size, label)]))))
+        BlockStream.held([next(iter(fisher.fisher.blocks))],
+                         BlockLayout.from_sizes([(size, label)])))))
     honest = invoke(*_certify_args(w, theta_u=tmp, comp=tmp))
     assert honest.exit_code == 1, honest.output
     return _certify_args(w, theta_u=tmp, comp=tmp, fisher=tmp)
@@ -817,8 +818,8 @@ def test_bad_fisher_exit_2_with_workers(workdir, tmp_path, workers, command,
 
 
 def _client(w, out):
-    """fisher, unlearn and certify --json on the chain at ``w``, written
-    to ``out``; returns certify's stdout."""
+    """fisher, unlearn, prove and certify --json on the chain at ``w``,
+    written to ``out``; returns certify's stdout."""
     def run(*args):
         res = invoke(*args)
         assert res.exit_code == 0, res.output
@@ -828,6 +829,9 @@ def _client(w, out):
         "--seed", "3", "--out", f"{out}/fisher")
     run("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
         "--fisher", f"{out}/fisher", "--out-dir", out)
+    run("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{out}/theta_u",
+        "--comp", f"{out}/comp", "--mask", f"{w}/mask.mask",
+        "--fisher", f"{out}/fisher", "--seed", "3", "--out-dir", out)
     return run("certify", "--theta-p", f"{w}/theta_p",
                "--theta-u", f"{out}/theta_u", "--comp", f"{out}/comp",
                "--mask", f"{w}/mask.mask", "--fisher", f"{out}/fisher",
@@ -861,13 +865,14 @@ def parted(tmp_path_factory):
 
 
 def test_client_bytes_do_not_depend_on_workers(parted, tmp_path, workers):
-    """fisher.bin, comp.bin, theta_u.bin and certify --json are the same
-    bytes from forked workers as in-process."""
+    """fisher.bin, comp.bin, theta_u.bin, public.pub, proof.prf and
+    certify --json are the same bytes from forked workers as in-process."""
     w, out = parted, str(tmp_path)
     stdout = _client(w, out)
     assert art.load_fisher(f"{out}/fisher").layout.labels[:2] == [
         "mlp.0.w/part0", "mlp.0.w/part1"]
-    for name in ("fisher.bin", "comp.bin", "theta_u.bin"):
+    for name in ("fisher.bin", "comp.bin", "theta_u.bin", "public.pub",
+                 "proof.prf"):
         with open(f"{w}/serial/{name}", "rb") as a, open(f"{out}/{name}", "rb") as b:
             assert a.read() == b.read(), name
     with open(f"{w}/serial/certify.json") as fh:

@@ -1,6 +1,7 @@
 import contextlib
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -85,15 +86,21 @@ def test_paramvector_immutable():
 
 def test_blockdiag_holds_upper_triangles():
     layout = single_block_layout(2)
-    mat = BlockDiagMatrix(blocks=(np.arange(3.0),), layout=layout)
-    assert mat.blocks[0].shape == (3,)
-    # a square block, asymmetric or not, and triangles of other lengths
+    mat = BlockDiagMatrix(BlockStream.held((np.arange(3.0),), layout))
+    assert mat.layout == layout
+    assert [tri.tolist() for tri in mat.blocks] == [[0.0, 1.0, 2.0]]
+    assert mat.map(lambda i, tri: (i, tri.shape)) == [(0, (3,))]
+    # a square block, asymmetric or not, and triangles of other lengths,
+    # are refused where a walk or a map reaches them
     for bad in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2), np.ones(2),
                 np.ones(4), np.array([1.0, np.inf, 0.0])):
+        held = BlockDiagMatrix(BlockStream.held((bad,), layout))
         with pytest.raises(StructuralError):
-            BlockDiagMatrix(blocks=(bad,), layout=layout)
+            list(held.blocks)
+        with pytest.raises(StructuralError):
+            held.map(lambda i, tri: None)
     with pytest.raises(StructuralError, match="block count"):
-        BlockDiagMatrix(blocks=(np.ones(3), np.ones(3)), layout=layout)
+        BlockStream.held((np.ones(3), np.ones(3)), layout)
 
 
 def test_pack_upper_row_major():
@@ -199,6 +206,25 @@ def test_fork_map_raises_the_first_exception_in_index_order(monkeypatch, cpus):
     with pytest.raises(KeyError) as caught:
         fork_map(fn, 8)
     assert caught.value.args == (3,)
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_raises_without_waiting_for_later_indices(monkeypatch):
+    """Index 0 fails at once while every other index sleeps a minute:
+    index 0's exception reaches the caller without waiting for them, and
+    the sleeping worker is gone."""
+    report_cpus(monkeypatch, 2)
+
+    def fn(i):
+        if i == 0:
+            raise KeyError(i)
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyError) as caught:
+        fork_map(fn, 4)
+    assert caught.value.args == (0,)
+    assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
 
 

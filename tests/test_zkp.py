@@ -16,6 +16,8 @@ from veriforget.certify import check_kkt
 from veriforget.curvature import BlockFisher
 from veriforget.masking import make_mask
 from veriforget.numkit import (
+    BlockDiagMatrix,
+    BlockStream,
     NumericError,
     ParamVector,
     StructuralError,
@@ -559,8 +561,8 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
     rng = np.random.default_rng(seed)
     layout = random_layout(rng, max_block=8)
     base = random_fisher(rng, layout, lam=2.0**log_lam)
-    fisher = replace(base, fisher=replace(
-        base.fisher, blocks=tuple(b * 2.0**log_scale for b in base.fisher.blocks)))
+    fisher = replace(base, fisher=BlockDiagMatrix(BlockStream.held(
+        (b * 2.0**log_scale for b in base.fisher.blocks), layout)))
     lim = int(BOUND_C * 2**DEFAULT_FRAC_BITS_C)
     assert all(np.abs(c).max() <= lim for c in encode_curvature(fisher))
 
