@@ -2,8 +2,10 @@
 
 check_kkt re-evaluates the three linear identities (assembly, mask
 feasibility, stationarity) that uniquely characterize the Group-OBS
-solution.  It multiplies each damped curvature block from its upper
-triangle (``numkit.upper_matvec``), in the process that reads the block
+solution; feasibility also holds the step to zero on every block the
+mask does not touch, where the solution is exactly zero.  It multiplies
+each damped curvature block from its upper triangle
+(``numkit.upper_matvec``), in the process that reads the block
 (``BlockDiagMatrix.map``), with numpy alone, so certifying never loads
 scipy.  forget_gain_report computes the quadratic-model quantities that
 bound how much compensation on the unmasked coordinates can offset the
@@ -27,6 +29,7 @@ from .numkit import (
     upper_matvec,
 )
 from .obs import CompensationResult
+from .zkp.witness import touched
 
 DEFAULT_TAU_REAL = 1e-6
 DEFAULT_LAM_Q = 1e-3
@@ -72,12 +75,15 @@ def check_kkt(
             f"dimensions {sorted(dims)} and {comp.multipliers.size} "
             f"multipliers for a mask of {mask.budget} coordinates")
     dw = comp.delta_w.values
+    slices = [sl for sl, _ in c_p.layout.slices()]
+    hit = set(touched([sl.stop - sl.start for sl in slices], mask.support))
     r_asm = theta_u.values - theta_p.values - dw
-    r_feas = dw[mask.support] + theta_p.values[mask.support]
+    r_feas = np.concatenate([dw[mask.support] + theta_p.values[mask.support],
+                             *(dw[sl] for b, sl in enumerate(slices)
+                               if b not in hit)])
     r_stat = np.zeros(theta_p.dim)
     lam_full = np.zeros(theta_p.dim)
     lam_full[mask.support] = comp.multipliers
-    slices = [sl for sl, _ in c_p.layout.slices()]
     square = scratch_squares(c_p.layout)
 
     def residual(i, tri):

@@ -7,9 +7,10 @@ witness.  The verifier derives the circuit hash from the public inputs,
 so a proof carries only its tag.  That tag is a hash anyone holding the
 public data can compute: the backend checks constraint semantics only
 and gives neither knowledge soundness nor zero knowledge.  Nor does the
-statement bind the curvature to theta_p or to the client's data: the
-circuit checks only that it is in range (it is symmetric by
-construction), so a prover may choose it.
+statement bind the curvature of the blocks the mask touches to theta_p or
+to the client's data: the circuit checks only that it is in range (it is
+symmetric by construction), so a prover may choose it.  Every other
+block carries no curvature at all; its step is pinned at zero.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def _tag(public: PublicInputs) -> str:
 
 class MockBackend:
     guarantee = ("mock: constraint semantics only, no soundness, no zero "
-                 "knowledge; the curvature is a free witness, bound to "
-                 "neither theta_p nor the data")
+                 "knowledge; the curvature of the blocks the mask touches is "
+                 "a free witness, bound to neither theta_p nor the data, and "
+                 "every other block's step is pinned at zero")
 
     def prove(
         self,

@@ -1,17 +1,25 @@
 """Certificate constraint system and the mock prover.
 
 Every constraint family is one entry of the ordered table ``FAMILIES``:
-its row count from (block sizes, mask budget) and its check.  The
-circuit description, the mock prover and the constraint report all read
-that table.  The statement lives in one place, ``PublicInputs``; a
-circuit is those public inputs plus the mask support their digest
-binds.  The circuit hash is a function of the public inputs' statement
-(the block sizes, the mask digest, ``T_int`` and the fractional bits)
-and of the circuit's own constants (the family table, the range bounds,
-the curvature layout and the limb packing), so a verifier derives it and
-never reads it from a proof.  The mock prover evaluates every constraint
-directly over the field and is the normative semantics of the
-certificate.
+its row count from (block sizes, touched block sizes, mask budget) and
+its check.  The circuit description, the mock prover and the constraint
+report all read that table.  The statement lives in one place,
+``PublicInputs``; a circuit is those public inputs plus the mask support
+their digest binds.  The circuit hash is a function of the public
+inputs' statement (the block sizes, the mask digest, ``T_int`` and the
+fractional bits) and of the circuit's own constants (the family table,
+the range bounds, the curvature layout and the limb packing), so a
+verifier derives it and never reads it from a proof.  The mock prover
+evaluates every constraint directly over the field and is the normative
+semantics of the certificate.
+
+The curvature enters the statement only on the touched blocks, those
+that hold a masked coordinate (``witness.touched``).  Group-OBS decouples
+by block, so every other block's compensation is exactly zero: the
+``untouched`` family states delta_w = 0 there, in place of stationarity
+rows over a curvature the prover would otherwise commit.  A verifier
+derives the touched blocks from the block sizes and the mask its digest
+binds.
 
 Each committed vector is limb-packed before it is hashed: several
 offset fixed-point values share one field element (see ``pack_limbs``).
@@ -39,6 +47,7 @@ from .witness import (
     FixedWitness,
     check_frac_bits,
     t_int_threshold,
+    touched,
 )
 
 
@@ -87,9 +96,16 @@ class PublicInputs:
         return cls(**values)
 
 
-# How com_c_p lays out the curvature: the witness's block triangles (see
-# ``numkit.pack_upper``) in layout order, so C is symmetric by construction.
-C_P_PACKING = "upper-triangle-row-major"
+# How com_c_p lays out the curvature: the witness's triangles (see
+# ``numkit.pack_upper``) of the touched blocks alone, in layout order, so C
+# is symmetric by construction.
+C_P_PACKING = "touched-blocks-upper-triangle-row-major"
+
+
+def block_slices(sizes) -> list[slice]:
+    """The coordinate slice of each block of ``sizes``, in layout order."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
 
 @dataclass(frozen=True)
@@ -101,10 +117,16 @@ class CertificateCircuit:
     support: tuple[int, ...]
 
     @property
+    def touched(self) -> tuple[int, ...]:
+        """The blocks that hold a masked coordinate, in layout order."""
+        return touched(self.public.block_sizes, self.support)
+
+    @property
     def counts(self) -> dict:
         """Rows per family, in table order."""
         sizes, k = self.public.block_sizes, len(self.support)
-        return {f.name: int(f.count(sizes, k)) for f in FAMILIES}
+        hit = tuple(sizes[b] for b in self.touched)
+        return {f.name: int(f.count(sizes, hit, k)) for f in FAMILIES}
 
 
 # Limb packing of the committed vectors: each element holds
@@ -144,7 +166,8 @@ def pack_limbs(ints, bits: int) -> list[int]:
 COMMITTED = (
     ("theta_p", lambda w, s: pack_limbs(w.theta_p, limb_bits(BOUND_W, s.f_w))),
     ("theta_u", lambda w, s: pack_limbs(w.theta_u, limb_bits(BOUND_W, s.f_w))),
-    ("c_p", lambda w, s: pack_limbs(np.concatenate(w.c_blocks),
+    ("c_p", lambda w, s: pack_limbs(np.concatenate((np.empty(0, np.int64),
+                                                    *w.c_blocks)),
                                     limb_bits(BOUND_C, s.f_c))),
 )
 
@@ -178,8 +201,8 @@ def _range(circuit, w, randomness):
         f"range/{name}[{i}]" for name, vec, limit in vectors
         for i, x in enumerate(vec) if abs(int(x)) > limit
     ) or _first(
-        f"range/c_p[block {bi}]" for bi, b in enumerate(w.c_blocks)
-        if b.size and (b.max() > lim_c or b.min() < -lim_c)
+        f"range/c_p[block {b}]" for b, tri in zip(circuit.touched, w.c_blocks)
+        if tri.size and (tri.max() > lim_c or tri.min() < -lim_c)
     )
 
 
@@ -197,20 +220,32 @@ def _feasibility(circuit, w, randomness):
                   if (_field(w.delta_w, i) + _field(w.theta_p, i)) % MODULUS)
 
 
+def _untouched(circuit, w, randomness):
+    """delta_w == 0 over the field on every coordinate of a block the mask
+    does not touch."""
+    slices = block_slices(circuit.public.block_sizes)
+    hit = set(circuit.touched)
+    return _first(f"untouched[{i}]" for b, sl in enumerate(slices)
+                  if b not in hit for i in range(sl.start, sl.stop)
+                  if _field(w.delta_w, i) % MODULUS)
+
+
 def _stationarity(circuit, w, randomness):
-    """|C dw + 2^{f_c} E lam| <= T_int per row, over the field."""
+    """|C dw + 2^{f_c} E lam| <= T_int per row of a touched block, over
+    the field; every masked coordinate lies in one."""
     public = circuit.public
     r = np.zeros(sum(public.block_sizes), dtype=object)
     for j, i in enumerate(circuit.support):
         r[i] = int(w.lam[j]) << public.f_c
     dw = w.delta_w.astype(object)
-    offset = 0
-    for tri, size in zip(w.c_blocks, public.block_sizes):
-        end = offset + size
-        r[offset:end] += unpack_upper(tri, size).astype(object) @ dw[offset:end]
-        offset = end
-    return _first(f"stationarity[{i}]" for i, x in enumerate(r)
-                  if abs(from_field(to_field(int(x)))) > public.t_int)
+    slices = block_slices(public.block_sizes)
+    rows = []
+    for tri, b in zip(w.c_blocks, circuit.touched):
+        sl = slices[b]
+        r[sl] += unpack_upper(tri, sl.stop - sl.start).astype(object) @ dw[sl]
+        rows.extend(range(sl.start, sl.stop))
+    return _first(f"stationarity[{i}]" for i in rows
+                  if abs(from_field(to_field(int(r[i])))) > public.t_int)
 
 
 def _commit(circuit, w, randomness):
@@ -224,21 +259,25 @@ def _commit(circuit, w, randomness):
 @dataclass(frozen=True)
 class ConstraintFamily:
     name: str
-    count: Callable[[tuple[int, ...], int], int]  # (block sizes, k) -> rows
+    # (block sizes, touched block sizes, k) -> rows
+    count: Callable[[tuple[int, ...], tuple[int, ...], int], int]
     check: Callable[..., str | None]  # (circuit, witness, randomness)
 
 
 # Checked in this order.  range bounds theta_p, theta_u, delta_w (d
 # each), lam (k), every committed curvature entry and the stationarity
-# residual (d); matvec computes that residual from the full blocks, so
-# its check also bounds it and names the row stationarity[i].
+# residual, both on the touched blocks alone; matvec computes that
+# residual from the full touched blocks, so its check also bounds it and
+# names the row stationarity[i].  untouched pins every other coordinate.
 FAMILIES = (
-    ConstraintFamily("range", lambda s, k: 4 * sum(s) + k
-                     + sum(b * (b + 1) // 2 for b in s), _range),
-    ConstraintFamily("assembly", lambda s, k: sum(s), _assembly),
-    ConstraintFamily("feasibility", lambda s, k: k, _feasibility),
-    ConstraintFamily("matvec", lambda s, k: sum(b * b for b in s), _stationarity),
-    ConstraintFamily("commit", lambda s, k: len(COMMITTED), _commit),
+    ConstraintFamily("range", lambda s, t, k: 3 * sum(s) + k
+                     + sum(b * (b + 1) // 2 + b for b in t), _range),
+    ConstraintFamily("assembly", lambda s, t, k: sum(s), _assembly),
+    ConstraintFamily("feasibility", lambda s, t, k: k, _feasibility),
+    ConstraintFamily("untouched", lambda s, t, k: sum(s) - sum(t), _untouched),
+    ConstraintFamily("matvec", lambda s, t, k: sum(b * b for b in t),
+                     _stationarity),
+    ConstraintFamily("commit", lambda s, t, k: len(COMMITTED), _commit),
 )
 
 
@@ -281,14 +320,32 @@ def constraint_report(circuit: CertificateCircuit) -> dict:
             "circuit_hash": circuit_hash(circuit.public)}
 
 
+def _shape(circuit, w) -> str | None:
+    """shape/<name> for the first witness vector whose shape is not the
+    statement's: d weights each, k multipliers, one triangle per touched
+    block."""
+    sizes, k = circuit.public.block_sizes, len(circuit.support)
+    d = sum(sizes)
+    triangles = [(sizes[b] * (sizes[b] + 1) // 2,) for b in circuit.touched]
+    return _first(
+        f"shape/{name}" for name, ok in (
+            ("theta_p", np.shape(w.theta_p) == (d,)),
+            ("theta_u", np.shape(w.theta_u) == (d,)),
+            ("delta_w", np.shape(w.delta_w) == (d,)),
+            ("lam", np.shape(w.lam) == (k,)),
+            ("c_p", [np.shape(c) for c in w.c_blocks] == triangles),
+        ) if not ok
+    )
+
+
 def mock_prove(circuit: CertificateCircuit, witness: FixedWitness,
                randomness: tuple[int, int, int],
                check_commitments: bool = True) -> str | None:
-    """Check every family in table order; return the first violation, or
-    None when the witness satisfies them all.  ``check_commitments=False``
-    skips the commit family, for a prover whose commitments were just
-    computed from this witness."""
-    return _first(filter(None, (
+    """Check the witness's shape, then every family in table order; return
+    the first violation, or None when the witness satisfies them all.
+    ``check_commitments=False`` skips the commit family, for a prover
+    whose commitments were just computed from this witness."""
+    return _shape(circuit, witness) or _first(filter(None, (
         family.check(circuit, witness, randomness) for family in FAMILIES
         if check_commitments or family.name != "commit"
     )))

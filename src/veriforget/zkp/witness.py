@@ -5,6 +5,10 @@ and the off-mask compensation are quantized first, then the masked
 compensation entries and theta_u are *defined* from those integers.
 All quantization slack therefore lands in the stationarity residual,
 which the circuit checks against an integer tolerance window T_int.
+
+Only the curvature blocks the mask touches enter the witness: Group-OBS
+decouples by block, so a block with no masked coordinate has delta_w = 0
+exactly, and the circuit states that instead of its stationarity rows.
 """
 
 from __future__ import annotations
@@ -42,12 +46,12 @@ BOUND_W = 64.0
 BOUND_LAM = 64.0
 # The stationarity identity C dw + E lam = 0 is invariant under a joint
 # scaling of C and lam, so the encoder normalizes both by a power of two
-# until every curvature row sum is at most BOUND_C; no honest entry then
-# exceeds it.  The dominant honest residual term is (row sum)/2 in units
-# of 2^{f_c}; capping row sums at 2 keeps it at 2^{f_c}, a factor 16
-# below the 2^{f_c+4} detectability threshold of the minimal multiplier
-# tamper.  At f_c = 32 a curvature limb is 35 bits, 7 to a field element;
-# at 4 it would be 36 bits, 6 to an element.
+# until every row sum of a touched curvature block is at most BOUND_C;
+# no honest entry then exceeds it.  The dominant honest residual term is
+# (row sum)/2 in units of 2^{f_c}; capping row sums at 2 keeps it at
+# 2^{f_c}, a factor 16 below the 2^{f_c+4} detectability threshold of
+# the minimal multiplier tamper.  At f_c = 32 a curvature limb is 35
+# bits, 7 to a field element; at 4 it would be 36 bits, 6 to an element.
 BOUND_C = 2.0
 
 # default_t_int's factor on the analytic honest residual bound.
@@ -57,7 +61,8 @@ T_INT_SLACK = 2
 @dataclass(frozen=True)
 class FixedWitness:
     """The integer witness: int64 arrays with f_w fractional bits for the
-    weight-side vectors, with f_c for the curvature's block triangles."""
+    weight-side vectors, with f_c for the damped triangles of the touched
+    curvature blocks, one per block in layout order."""
 
     theta_p: np.ndarray
     theta_u: np.ndarray
@@ -79,6 +84,16 @@ def t_int_threshold(f_c: int) -> int:
     """2^(f_c + 4): the residual shift of a minimal single-coordinate
     multiplier tamper, which T_int must stay strictly below."""
     return 1 << (f_c + 4)
+
+
+def touched(block_sizes, support) -> tuple[int, ...]:
+    """Indices of the blocks, of sizes ``block_sizes`` in layout order, that
+    hold a coordinate of the sorted mask ``support``, in layout order."""
+    ends = np.cumsum(block_sizes)
+    support = np.asarray(support)
+    starts = ends - block_sizes
+    hit = np.searchsorted(support, ends) > np.searchsorted(support, starts)
+    return tuple(np.flatnonzero(hit).tolist())
 
 
 def encode_fixed_witness(
@@ -106,24 +121,37 @@ def encode_fixed_witness(
     # within quantization error; a mismatch means inconsistent inputs
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
+    sizes = [size for _, size, _ in c_p.layout.blocks]
+    hit = set(touched(sizes, mask.support))
+
     def damp(i, tri):
-        """Block i's largest absolute row sum and its damped triangle."""
-        block = unpack_upper(tri, c_p.layout.blocks[i][1], diag=c_p.lam)
+        """A touched block i's largest absolute row sum and its damped
+        triangle; None for any other block, which map still reads and
+        checks."""
+        if i not in hit:
+            return None
+        block = unpack_upper(tri, sizes[i], diag=c_p.lam)
         return float(np.abs(block).sum(axis=1).max()), pack_upper(block)
 
-    blocks = c_p.fisher.map(damp)
+    blocks = [b for b in c_p.fisher.map(damp) if b is not None]
     row_max = max([0.0] + [row for row, _ in blocks])
     # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
     # BOUND_C is a power of two, so the division rounds nothing, and
     # frexp's mantissa is 0.5 only on a power of two
     mantissa, exponent = math.frexp(row_max / BOUND_C)
     scale = 2.0 ** -max(exponent - (mantissa == 0.5), 0)
+    c_blocks = []
+    for i, (_, tri) in enumerate(blocks):
+        # drop each float triangle as it is quantized, so that the next
+        # int triangle can take its place on the heap
+        blocks[i] = None
+        c_blocks.append(quantize(tri * scale, f_c, BOUND_C))
     return FixedWitness(
         theta_p=tp,
         theta_u=tu,
         delta_w=dw,
         lam=quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM),
-        c_blocks=tuple(quantize(tri * scale, f_c, BOUND_C) for _, tri in blocks),
+        c_blocks=tuple(c_blocks),
         f_w=f_w,
         f_c=f_c,
     )
@@ -144,17 +172,19 @@ def stationarity_bound_int(
       |r_i| <= sum_j |C_ij^int| / 2 + sum_j |dw_j^int| / 2 + d_b / 4
                + 2^{f_c - 1} + solver_residual * 2^{f_w + f_c}
 
-    where the sums run over the block containing coordinate i.
+    where the sums run over the block containing coordinate i.  Only the
+    touched blocks have stationarity rows, and each holds a multiplier.
     """
-    masked = mask.indicator()
+    slices = [sl for sl, _ in c_p.layout.slices()]
+    sizes = [sl.stop - sl.start for sl in slices]
     worst = 0.0
-    for c_int, (sl, _) in zip(w.c_blocks, c_p.layout.slices()):
-        d_b = sl.stop - sl.start
+    for c_int, b in zip(w.c_blocks, touched(sizes, mask.support)):
+        sl, d_b = slices[b], sizes[b]
         dw_sum = float(np.abs(w.delta_w[sl].astype(np.float64)).sum())
         row_sums = np.abs(unpack_upper(c_int, d_b).astype(np.float64)).sum(axis=1)
-        lam_term = 2.0 ** (w.f_c - 1) if masked[sl].any() else 0.0
         block_worst = (
-            0.5 * float(row_sums.max()) + 0.5 * dw_sum + 0.25 * d_b + lam_term
+            0.5 * float(row_sums.max()) + 0.5 * dw_sum + 0.25 * d_b
+            + 2.0 ** (w.f_c - 1)
         )
         worst = max(worst, block_worst)
     worst += solver_residual_inf * 2.0 ** (w.f_w + w.f_c)

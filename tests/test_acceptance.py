@@ -289,13 +289,11 @@ def test_criterion_7_zk_smoke():
             bad = dict(lam=ints)
         else:  # C_p diagonal entry on a block with a masked coordinate
             masked = r.mask.indicator()
+            slices = [sl for sl, _ in r.fisher.layout.slices()]
             done = False
-            for bi, (c_int, (sl, _)) in enumerate(
-                zip(w.c_blocks, r.fisher.layout.slices())
-            ):
+            for bi, (c_int, b) in enumerate(zip(w.c_blocks, circ.touched)):
+                sl = slices[b]
                 mloc = np.flatnonzero(masked[sl])
-                if mloc.size == 0:
-                    continue
                 j = int(mloc[0])
                 dw_j = int(w.delta_w[sl][j])
                 if dw_j == 0:

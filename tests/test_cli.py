@@ -26,6 +26,7 @@ from veriforget.numkit import (
     BlockStream,
     NumericError,
     StructuralError,
+    pack_upper,
     upper_diagonal,
 )
 from veriforget.pipeline import run_pipeline
@@ -95,6 +96,37 @@ def test_certify_fails_on_tampered_model(workdir, tmp_path):
     assert res.exit_code == 1
 
 
+def test_certify_fails_on_free_curvature_forgery_off_the_touched_blocks(
+        workdir, tmp_path):
+    """Output weights moved by up to 0.5, a block the mask does not touch,
+    with a Fisher block chosen so that its damped form I - u u'/|u|^2
+    annihilates the step u: stationarity holds to rounding, and only the
+    step's own pin to zero there rejects it."""
+    w, tmp = workdir, str(tmp_path)
+    fisher = read_fisher(f"{w}/fisher")
+    b = fisher.layout.labels.index("mlp.1.w")
+    sl = list(fisher.layout.slices())[b][0]
+    comp, theta_u = art.load_comp(f"{w}/comp"), art.load_model(f"{w}/theta_u")
+    theta_p = art.load_model(f"{w}/theta_p").params.values
+    u = np.random.default_rng(7).uniform(-0.5, 0.5, sl.stop - sl.start)
+    dw = comp.delta_w.values.copy()
+    assert not dw[sl].any()
+    dw[sl] = u
+    tu = theta_u.params.values.copy()
+    tu[sl] = theta_p[sl] + u
+    art.save_comp(f"{tmp}/comp", replace(comp, delta_w=comp.delta_w.with_values(dw)))
+    art.save_model(f"{tmp}/theta_u", theta_u.with_params(tu))
+    blocks = [tri.copy() for tri in fisher.fisher.blocks]
+    blocks[b] = pack_upper(np.eye(u.size) - np.outer(u, u) / (u @ u)
+                           - fisher.lam * np.eye(u.size))
+    resave_fisher(f"{w}/fisher", f"{tmp}/fisher", blocks)
+    res = invoke(*_certify_args(w, theta_u=tmp, comp=tmp, fisher=tmp), "--json")
+    assert res.exit_code == 1, res.output
+    report = json.loads(res.output)
+    assert report["stationarity_inf"] <= report["tolerance"]
+    assert report["feasibility_inf"] == np.abs(u).max()
+
+
 def test_verify_passes(workdir):
     w = workdir
     res = invoke("verify", "--proof", f"{w}/proof.prf",
@@ -104,8 +136,9 @@ def test_verify_passes(workdir):
     assert obj["verified"] is True
     assert obj["guarantee"] == (
         "mock: constraint semantics only, no soundness, no zero knowledge; "
-        "the curvature is a free witness, bound to neither theta_p nor the "
-        "data")
+        "the curvature of the blocks the mask touches is a free witness, "
+        "bound to neither theta_p nor the data, and every other block's "
+        "step is pinned at zero")
 
 
 def test_verify_tampered_proof_exit_1(workdir, tmp_path):

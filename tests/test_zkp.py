@@ -47,6 +47,7 @@ from veriforget.zkp import (
     stationarity_bound_int,
     synthesize,
     to_field,
+    touched,
     verify_commit,
 )
 from veriforget.zkp import field
@@ -72,7 +73,6 @@ from conftest import (
     random_fisher,
     random_instance,
     random_layout,
-    random_mask,
     reference_merkle_root,
     reference_permute,
     report_cpus,
@@ -80,6 +80,7 @@ from conftest import (
     tag_over,
     tiny_config,
 )
+from veriforget.pipeline import demo_config
 
 
 def honest_zk_instance(seed, f_w=22, f_c=32):
@@ -338,9 +339,11 @@ def test_run_zk_layer_commits_each_vector_once(monkeypatch):
     pipeline.run_zk_layer(r.theta_p, r.theta_u, r.comp, r.fisher, r.mask, 3)
     d = r.theta_p.params.dim
     sizes = [s for _, s, _ in r.fisher.layout.blocks]
-    # 30-bit weight limbs, 8 per element; 35-bit curvature limbs, 7
-    packed = sum(s * (s + 1) // 2 for s in sizes)
-    assert lengths == [-(-d // 8), -(-d // 8), -(-packed // 7)]
+    # 30-bit weight limbs, 8 per element; 35-bit curvature limbs, 7, of
+    # the touched blocks alone: the 4-8-3 model's first weight block
+    assert touched(sizes, r.mask.support) == (0,)
+    packed = sizes[0] * (sizes[0] + 1) // 2
+    assert lengths == [-(-d // 8), -(-d // 8), -(-packed // 7)] == [9, 9, 76]
 
 
 def unpack_limbs(elements, bits, n):
@@ -512,8 +515,10 @@ def test_honest_residual_below_analytic_bound_and_t_int():
         # recompute the integer residual directly
         lam_full = np.zeros(theta.dim, dtype=object)
         lam_full[mask.support] = [int(x) << w.f_c for x in w.lam]
+        slices = [sl for sl, _ in fisher.layout.slices()]
         worst = 0
-        for c_int, (sl, _) in zip(w.c_blocks, fisher.layout.slices()):
+        for c_int, b in zip(w.c_blocks, circuit.touched):
+            sl = slices[b]
             c = unpack_upper(c_int, sl.stop - sl.start)
             r = c.astype(object) @ w.delta_w[sl].astype(object) + lam_full[sl]
             worst = max(worst, max(abs(int(x)) for x in r))
@@ -529,11 +534,15 @@ def test_t_int_below_lambda_tamper_threshold():
 
 def encode_curvature(fisher):
     """The curvature blocks the encoder commits for ``fisher`` at the
-    default fractional bits, with zero weights and multipliers, square."""
-    zero = ParamVector(values=np.zeros(fisher.layout.total_dim),
-                       layout=fisher.layout)
-    mask = random_mask(np.random.default_rng(0), fisher.layout, 1)
-    w = encode_fixed_witness(zero, zero, zero, np.zeros(1), fisher, mask)
+    default fractional bits, with zero weights and multipliers, square:
+    every block, since the mask takes the first coordinate of each."""
+    d = fisher.layout.total_dim
+    zero = ParamVector(values=np.zeros(d), layout=fisher.layout)
+    starts = np.array([start for start, _, _ in fisher.layout.blocks])
+    mask = make_mask(d, starts.size, np.arange(d, dtype=np.int64), starts)
+    w = encode_fixed_witness(zero, zero, zero, np.zeros(starts.size), fisher,
+                             mask)
+    assert len(w.c_blocks) == starts.size
     return [unpack_upper(tri, size)
             for tri, (_, size, _) in zip(w.c_blocks, fisher.layout.blocks)]
 
@@ -571,19 +580,32 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
 
 
 def test_hand_constraint_count():
-    mask = make_mask(8, 2, np.arange(8, dtype=np.int64),
+    mask = make_mask(12, 2, np.arange(12, dtype=np.int64),
                      np.array([1, 5], dtype=np.int64))
-    circ = synthesize(statement(mask, [8], 1 << 20), mask)
-    # one 8x8 curvature block (d = 8), mask budget k = 2:
-    # range: theta_p, theta_u, delta_w 3 * 8 + lam 2 + the committed upper
-    #   triangle 8 * 9 / 2 + stationarity residual 8 = 70
-    # assembly: one row per coordinate, 8; feasibility: one per masked, 2
-    # matvec: C dw, 8 * 8 = 64; commit: theta_p, theta_u, c_p = 3
+    circ = synthesize(statement(mask, [8, 4], 1 << 20), mask)
+    # an 8x8 curvature block the mask touches and a 4x4 one it does not
+    # (d = 12), mask budget k = 2:
+    # range: theta_p, theta_u, delta_w 3 * 12 + lam 2 + the committed upper
+    #   triangle of the touched block 8 * 9 / 2 + its stationarity
+    #   residual 8 = 82
+    # assembly: one row per coordinate, 12; feasibility: one per masked, 2
+    # untouched: delta_w = 0 on the 4 coordinates of the untouched block
+    # matvec: C dw on the touched block, 8 * 8 = 64
+    # commit: theta_p, theta_u, c_p = 3
+    assert circ.touched == (0,)
     assert list(circ.counts.items()) == [
-        ("range", 70), ("assembly", 8), ("feasibility", 2), ("matvec", 64),
-        ("commit", 3),
+        ("range", 82), ("assembly", 12), ("feasibility", 2), ("untouched", 4),
+        ("matvec", 64), ("commit", 3),
     ]
-    assert constraint_report(circ)["total"] == 147
+    assert constraint_report(circ)["total"] == 167
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.data())
+def test_touched_lists_the_blocks_that_hold_a_masked_coordinate(sizes, data):
+    d = sum(sizes)
+    support = sorted(data.draw(st.sets(st.integers(0, d - 1))))
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    assert touched(sizes, support) == tuple(sorted({owner[i] for i in support}))
 
 
 def test_matvec_quadratic_scaling():
@@ -703,9 +725,9 @@ def test_block_order_independence():
     # mock_prove iterates blocks in layout order, so instead check that
     # tampering any single block is caught regardless of which block
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(10)
-    for bi, size in enumerate(circuit.public.block_sizes):
+    for bi, b in enumerate(circuit.touched):
         blocks = list(w.c_blocks)
-        c = unpack_upper(blocks[bi], size)
+        c = unpack_upper(blocks[bi], circuit.public.block_sizes[b])
         c[0, 0] += 1 << (w.f_c + 6)
         blocks[bi] = pack_upper(c)
         bad = replace(w, c_blocks=tuple(blocks))
@@ -747,6 +769,18 @@ def _tamper_feasibility(w, circuit):
     return replace(w, delta_w=dw, theta_u=tu), circuit
 
 
+def _tamper_untouched(w, circuit):
+    # move delta_w and theta_u together on the first coordinate of a block
+    # the mask does not touch: assembly holds, and no curvature row sees it
+    sizes = circuit.public.block_sizes
+    b = next(b for b in range(len(sizes)) if b not in circuit.touched)
+    i = sum(sizes[:b])
+    dw, tu = w.delta_w.copy(), w.theta_u.copy()
+    dw[i] += 1
+    tu[i] += 1
+    return replace(w, delta_w=dw, theta_u=tu), circuit
+
+
 def _tamper_matvec(w, circuit):
     return replace(w, lam=w.lam * 2), circuit
 
@@ -761,6 +795,7 @@ TAMPERS = {
     "range": (_tamper_range, "range/"),
     "assembly": (_tamper_assembly, "assembly["),
     "feasibility": (_tamper_feasibility, "feasibility["),
+    "untouched": (_tamper_untouched, "untouched["),
     "matvec": (_tamper_matvec, "stationarity["),
     "commit": (_tamper_commit, "commit/"),
 }
@@ -797,16 +832,25 @@ def test_range_bounds_are_circuit_constants():
 
 
 def test_counts_follow_family_table():
+    # blocks of 6, 4, 9 and 11 coordinates, the mask in the middle two
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(18)
     names = [f.name for f in FAMILIES]
     assert list(circuit.counts) == names
     assert list(constraint_report(circuit))[:-2] == names
     assert sorted(TAMPERS) == sorted(names)
+    assert circuit.public.block_sizes == (6, 4, 9, 11)
+    assert circuit.touched == (1, 2)
+    k = mask.budget
+    assert circuit.counts == {
+        "range": 3 * 30 + k + (10 + 4) + (45 + 9), "assembly": 30,
+        "feasibility": k, "untouched": 6 + 11, "matvec": 4 * 4 + 9 * 9,
+        "commit": 3}
 
 
 @pytest.mark.parametrize("family", [f.name for f in FAMILIES])
 def test_each_family_catches_its_tamper(family):
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(19)
+    # blocks 0 and 3 of this instance hold no masked coordinate
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(18)
     tamper, prefix = TAMPERS[family]
     bad, bad_circuit = tamper(w, circuit)
     violation = mock_prove(bad_circuit, bad, rnd)
@@ -921,32 +965,81 @@ def test_public_inputs_reject_t_int_at_tamper_threshold():
             PublicInputs.from_json({**obj, "t_int": t_int})
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the circuit does not bind the curvature to "
-                          "theta_p or the data")
-def test_free_curvature_witness_rejected():
-    """Any edit of theta_p off the mask, with a curvature chosen to make
-    it stationary, must be rejected.  The forgery keeps theta_p, the mask,
-    the randomness and the honest t_int, sets delta_w off the mask to
-    arbitrary values up to 0.5, and picks each block C_b = I - u u'/|u|^2
-    with u = delta_w_b and lam = 0, so that C delta_w = 0 exactly."""
-    from veriforget import pipeline
-    r = pipeline.run_pipeline(3, tiny_config())
-    w, rnd = r.witness, r.randomness
+def forge_free_curvature(r, untouched_block=None):
+    """The honest tiny-config run ``r``'s witness and circuit, forged: keep
+    theta_p, the mask, the randomness and the honest t_int, set delta_w off
+    the mask to arbitrary values up to 0.5 on every touched block, and on
+    block ``untouched_block`` too when it is given, and pick each touched
+    block C_b = I - u u'/|u|^2 with u = delta_w_b and lam = 0, so that
+    C delta_w = 0 exactly.  Returns the forged witness and its circuit."""
+    w, rnd, circuit = r.witness, r.randomness, r.circuit
+    slices = [sl for sl, _ in r.fisher.layout.slices()]
+    free = circuit.touched + (() if untouched_block is None
+                              else (untouched_block,))
     rng = np.random.default_rng(3)
-    dw = np.rint(rng.uniform(-0.5, 0.5, w.theta_p.size) * 2**w.f_w)
-    dw = dw.astype(np.int64)
-    support = list(r.circuit.support)
+    dw = np.zeros_like(w.delta_w)
+    for b in free:
+        size = slices[b].stop - slices[b].start
+        dw[slices[b]] = np.rint(rng.uniform(-0.5, 0.5, size) * 2**w.f_w)
+    support = list(circuit.support)
     dw[support] = -w.theta_p[support]
     blocks = []
-    for sl, _ in r.fisher.layout.slices():
-        u = dw[sl].astype(np.float64)
+    for b in circuit.touched:
+        u = dw[slices[b]].astype(np.float64)
         c = np.eye(u.size) - np.outer(u, u) / (u @ u)
         blocks.append(pack_upper(np.rint(c * 2**w.f_c).astype(np.int64)))
     forged = FixedWitness(
         theta_p=w.theta_p, theta_u=w.theta_p + dw, delta_w=dw,
         lam=np.zeros_like(w.lam), c_blocks=tuple(blocks), f_w=w.f_w, f_c=w.f_c)
     roots = commit_witness(forged, rnd)
-    assert roots[0] == r.circuit.public.com_theta_p
-    circuit = with_public(r.circuit, com_theta_u=roots[1], com_c_p=roots[2])
-    assert mock_prove(circuit, forged, rnd) is not None
+    assert roots[0] == circuit.public.com_theta_p
+    return forged, with_public(circuit, com_theta_u=roots[1], com_c_p=roots[2])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the circuit does not bind the touched blocks' "
+                          "curvature to theta_p or the data")
+def test_free_curvature_witness_rejected():
+    """Any edit of theta_p off the mask within the touched blocks, with a
+    curvature chosen to make it stationary, must be rejected."""
+    from veriforget import pipeline
+    r = pipeline.run_pipeline(3, tiny_config())
+    forged, circuit = forge_free_curvature(r)
+    assert mock_prove(circuit, forged, r.randomness) is not None
+
+
+def test_free_curvature_forgery_on_an_untouched_block_rejected():
+    """The same forgery carried onto a block the mask does not touch, the
+    tiny model's output weights, fails at that block's first coordinate:
+    no curvature can make a step there stationary."""
+    from veriforget import pipeline
+    r = pipeline.run_pipeline(3, tiny_config())
+    labels = r.fisher.layout.labels
+    b = labels.index("mlp.1.w")
+    assert b not in r.circuit.touched
+    forged, circuit = forge_free_curvature(r, untouched_block=b)
+    start = r.fisher.layout.blocks[b][0]
+    assert mock_prove(circuit, forged, r.randomness) == f"untouched[{start}]"
+
+
+def test_mock_prove_rejects_a_truncated_witness():
+    """A witness one curvature triangle short, whose last weight moved by
+    12345 units with theta_u and the curvature recommitted, fails on its
+    shape: no trailing block may go unchecked."""
+    from veriforget import pipeline
+    r = pipeline.run_pipeline(7, demo_config(run_gold=False))
+    w, rnd = r.witness, r.randomness
+    dw, tu = w.delta_w.copy(), w.theta_u.copy()
+    dw[-1] += 12345
+    tu[-1] += 12345
+    bad = replace(w, c_blocks=w.c_blocks[:-1], delta_w=dw, theta_u=tu)
+    _, com_theta_u, com_c_p = commit_witness(bad, rnd)
+    circuit = with_public(r.circuit, com_theta_u=com_theta_u, com_c_p=com_c_p)
+    assert mock_prove(circuit, bad, rnd) == "shape/c_p"
+
+
+@pytest.mark.parametrize("name", ["theta_p", "theta_u", "delta_w", "lam"])
+def test_mock_prove_rejects_a_short_vector(name):
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(18)
+    bad = replace(w, **{name: getattr(w, name)[:-1]})
+    assert mock_prove(circuit, bad, rnd) == f"shape/{name}"
