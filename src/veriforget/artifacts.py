@@ -1,22 +1,18 @@
 """File formats for every pipeline artifact.
 
 An array artifact at ``P`` is two files: ``P``, a canonical-JSON header
-with the artifact's metadata, its ``inputs``, and each array's dtype,
-shape and sha256; and ``P.bin``, the arrays written back to back as
-C-contiguous little-endian f64 or i64.  The header's own digest
-therefore binds the whole artifact.  One reader, ``_blob``, reads every
-blob, and checks each array against its digest before it hands it on.
-Masks, public inputs and proofs are single JSON files.  Every writer
-returns the paths of the files it wrote.  Every derived artifact records
-the digests of the artifacts it was computed from, so downstream stages
-can refuse mismatched inputs.  Every reader raises
-``numkit.StructuralError`` when an artifact is missing, truncated or
-malformed, or does not match the digest another artifact records for
-it.  One writer, ``_write_arrays``, writes every blob: it sizes the blob
-up front and writes each array at its offset, from whichever process
-holds it, so a Fisher is never held whole: ``save_fisher`` hands it to
-the Fisher's ``map``, and ``load_fisher`` gives a Fisher whose blocks are
-read by their offsets, each checked before it is used.
+with the artifact's metadata, its ``inputs`` (the digests of the
+artifacts it was computed from) and each array's dtype, shape and
+sha256; and ``P.bin``, the arrays back to back, little-endian, written
+by one writer, ``_write_arrays``, each at its offset from whichever
+process holds it.  The header's digest binds the whole artifact.  Each
+array reader first checks the header in one place, ``_checked``: it
+must declare exactly the arrays its kind holds, which its loader names,
+and each input it records that the caller names must carry the caller's
+digest.  One reader, ``_blob``, then reads each array and checks its
+digest.  Masks, public inputs and proofs are single JSON files.  Every
+writer returns the paths it wrote; every reader raises
+``numkit.StructuralError`` on a missing, truncated or malformed artifact.
 """
 
 from __future__ import annotations
@@ -49,17 +45,15 @@ from .numkit import (
 from .obs import CompensationResult
 from .zkp import Proof, PublicInputs
 
-_DTYPES = ("<f8", "<i8")
-
 
 def _reader(fn):
     """Report a missing file, unparsable JSON, a missing key or a short
     blob in the artifact at ``path`` as a StructuralError."""
 
     @functools.wraps(fn)
-    def wrapper(path: str):
+    def wrapper(path: str, **inputs: str):
         try:
-            return fn(path)
+            return fn(path, **inputs)
         except StructuralError:
             raise
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -124,15 +118,39 @@ def _save(path: str, header: dict, arrays) -> list[str]:
                          lambda write: [write(i, a) for i, a in enumerate(arrays)])
 
 
+def _checked(path: str, header: dict, arrays, inputs: dict) -> list[dict]:
+    """The array specs of the header at ``path``, once they are exactly
+    ``arrays`` (dtype and shape, in blob order; a name in a shape is a
+    length the header sets), each with a string sha256, and each input it
+    records that ``inputs`` names has the digest ``inputs`` gives."""
+    specs = header["arrays"]
+    if not isinstance(specs, list) or len(specs) != len(arrays):
+        raise StructuralError(f"{path}: header does not declare {len(arrays)} arrays")
+    for i, (spec, (dtype, shape)) in enumerate(zip(specs, arrays)):
+        got = spec.get("shape") if isinstance(spec, dict) else None
+        fits = isinstance(got, list) and len(got) == len(shape) and all(
+            type(n) is int and n >= 0 and (isinstance(want, str) or want == n)
+            for n, want in zip(got, shape))
+        if not (fits and spec.get("dtype") == dtype
+                and isinstance(spec.get("sha256"), str)):
+            raise StructuralError(f"{path}: array {i} is not a digested {dtype} "
+                                  f"array of shape ({', '.join(map(str, shape))})")
+    recorded = header.get("inputs", {})
+    if not isinstance(recorded, dict) or not all(
+            isinstance(d, str) for d in recorded.values()):
+        raise StructuralError(f"{path}: inputs are not digests by name")
+    for name, digest in inputs.items():
+        if recorded.get(name, digest) != digest:
+            raise StructuralError(f"{path} records another {name} than the one given")
+    return specs
+
+
 @contextlib.contextmanager
 def _blob(path: str, specs: list[dict]):
     """Open ``path.bin`` and give ``read(i, out)``: array i of those
     ``specs`` declares, read into ``out`` (flat, of the array's dtype and
-    size) and returned once it matches its digest.  The dtypes, and the
-    blob's length, are checked before any array is read."""
-    for spec in specs:
-        if spec["dtype"] not in _DTYPES:
-            raise StructuralError(f"{path}: dtype {spec['dtype']!r} not in {_DTYPES}")
+    size) and returned once it matches its digest.  The blob's length is
+    checked before any array is read."""
     offsets = _offsets(specs)
     try:
         fh = open(path + ".bin", "rb")
@@ -158,12 +176,13 @@ def _blob(path: str, specs: list[dict]):
         yield read
 
 
-def _load(path: str) -> tuple[dict, list[np.ndarray]]:
-    """The header at ``path`` and its arrays, each checked against its digest."""
+def _load(path: str, arrays, inputs: dict) -> tuple[dict, list[np.ndarray]]:
+    """The header at ``path`` and its arrays, all checked (``_checked``)."""
     header = _read_json(path)
-    with _blob(path, header["arrays"]) as read:
+    specs = _checked(path, header, arrays, inputs)
+    with _blob(path, specs) as read:
         return header, [read(i, np.empty(math.prod(s["shape"]), s["dtype"]))
-                        .reshape(s["shape"]) for i, s in enumerate(header["arrays"])]
+                        .reshape(s["shape"]) for i, s in enumerate(specs)]
 
 
 @_reader
@@ -185,17 +204,6 @@ def input_digests(**paths: str) -> dict:
     return {name: file_digest(path) for name, path in paths.items()}
 
 
-def check_input_digests(inputs: dict, **paths: str) -> None:
-    """Each named artifact the ``inputs`` of a derived artifact record must
-    be the file at the given path."""
-    for name, path in paths.items():
-        if name in inputs and inputs[name] != file_digest(path):
-            raise StructuralError(
-                f"input {name!r} at {path} does not match the digest "
-                f"recorded in the artifact"
-            )
-
-
 # -- models -----------------------------------------------------------------
 
 
@@ -207,8 +215,8 @@ def save_model(path: str, model: MlpModel, inputs: dict | None = None) -> list[s
 
 
 @_reader
-def load_model(path: str) -> MlpModel:
-    header, (values,) = _load(path)
+def load_model(path: str, **inputs: str) -> MlpModel:
+    header, (values,) = _load(path, [("<f8", ("d",))], inputs)
     layer_dims = tuple(header["layer_dims"])
     check_ints("layer_dims", layer_dims)
     return MlpModel(
@@ -226,7 +234,7 @@ def save_dataset(path: str, data: Dataset) -> list[str]:
 
 @_reader
 def load_dataset(path: str) -> Dataset:
-    header, (x, y) = _load(path)
+    header, (x, y) = _load(path, [("<f8", ("n", "m")), ("<i8", ("n",))], {})
     return Dataset(features=x, labels=y, name=header["name"])
 
 
@@ -261,25 +269,18 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> l
 
 
 @_reader
-def load_fisher(path: str) -> BlockFisher:
+def load_fisher(path: str, **inputs: str) -> BlockFisher:
     """The Fisher artifact at ``path``, its blocks streamed from ``path.bin``.
 
-    Its array specs are checked against the layout it records before any
+    Its header is checked, against the layout it records, before any
     block is read.  Each walk or ``map`` over the blocks opens the blob
     through ``_blob``, which checks its length once, and reads each block
     by its offset, so a block is checked against its digest, and then by
     the stream, before it is used."""
     header = _read_json(path)
     layout = BlockLayout.from_json(header["layout"])
-    arrays = header["arrays"]
-    specs = [{"dtype": "<f8", "shape": [size * (size + 1) // 2],
-              "sha256": spec["sha256"]}
-             for (_, size, _), spec in zip(layout.blocks, arrays)]
-    if (len(arrays) != len(layout.blocks) or arrays != specs
-            or not all(isinstance(spec["sha256"], str) for spec in specs)):
-        raise StructuralError(f"{path}: arrays are not the digested upper "
-                              f"triangles of the layout's "
-                              f"{len(layout.blocks)} blocks")
+    specs = _checked(path, header, [("<f8", (size * (size + 1) // 2,))
+                                    for _, size, _ in layout.blocks], inputs)
     check_number("fisher lambda", header["lambda"])
     return BlockFisher(
         fisher=BlockDiagMatrix(
@@ -302,8 +303,9 @@ def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -
 
 
 @_reader
-def load_comp(path: str) -> CompensationResult:
-    header, (dw, multipliers) = _load(path)
+def load_comp(path: str, **inputs: str) -> CompensationResult:
+    header, (dw, multipliers) = _load(
+        path, [("<f8", ("d",)), ("<f8", ("k",))], inputs)
     return CompensationResult(
         delta_w=ParamVector(
             values=dw, layout=BlockLayout.from_json(header["layout"])
@@ -313,19 +315,14 @@ def load_comp(path: str) -> CompensationResult:
     )
 
 
-@_reader
-def comp_inputs(path: str) -> dict:
-    return _read_json(path)["inputs"]
-
-
 def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
                             fisher: str) -> tuple:
     """theta_p, theta_u, the comp, the mask and the streamed Fisher at these
-    paths, after checking each input the comp records against its file."""
-    check_input_digests(comp_inputs(comp), model=theta_p, mask=mask,
-                        fisher=fisher)
-    return (load_model(theta_p), load_model(theta_u), load_comp(comp),
-            load_mask(mask), load_fisher(fisher))
+    paths, each input that theta_u, the comp and the Fisher record checked."""
+    given = input_digests(model=theta_p, mask=mask, fisher=fisher)
+    return (load_model(theta_p), load_model(theta_u, **given),
+            load_comp(comp, **given), load_mask(mask),
+            load_fisher(fisher, model=given["model"]))
 
 
 # -- zk layer ---------------------------------------------------------------

@@ -26,10 +26,10 @@ from .numkit import (
     ParamVector,
     StructuralError,
     scratch_squares,
+    touched,
     upper_matvec,
 )
 from .obs import CompensationResult
-from .zkp.witness import touched
 
 DEFAULT_TAU_REAL = 1e-6
 DEFAULT_LAM_Q = 1e-3

@@ -5,6 +5,8 @@ Every command is a ``ReportCommand``: its callback returns its report
 and the command class adds ``--json``, prints the report and sets the
 exit code.  A command reads and checks all its inputs, and computes its
 results, before it creates any output, so one that fails writes nothing.
+A command digests the files it was given once, and the loaders check
+each input a derived artifact records against those digests.
 A Fisher is never held whole: ``fisher`` streams its blocks into its
 output as it forms them and removes the blob when one fails, and a
 command that reads a Fisher reads each block, checked against its
@@ -260,11 +262,12 @@ def fisher(model_path, data, lam, block_cap, max_samples, seed, out):
 @click.option("--out-dir", required=True, type=click.Path())
 def unlearn(model_path, mask_path, fisher_path, out_dir):
     """Solve the masked compensation problem and assemble theta_u."""
-    theta_p = art.load_model(model_path)
-    m = art.load_mask(mask_path)
-    comp, theta_u = compensate(theta_p, m, art.load_fisher(fisher_path))
     inputs = art.input_digests(model=model_path, mask=mask_path,
                                fisher=fisher_path)
+    theta_p = art.load_model(model_path)
+    m = art.load_mask(mask_path)
+    comp, theta_u = compensate(
+        theta_p, m, art.load_fisher(fisher_path, model=inputs["model"]))
     os.makedirs(out_dir, exist_ok=True)
     art.save_comp(os.path.join(out_dir, "comp"), comp, inputs=inputs)
     art.save_model(os.path.join(out_dir, "theta_u"), theta_u, inputs=inputs)
@@ -305,10 +308,9 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau):
 def report_bounds(tp_path, comp_path, mask_path, data, lambda_q, hessian):
     """Forget-loss gain bounds for the compensated update, and the
     measured forget-loss change it gives."""
-    art.check_input_digests(art.comp_inputs(comp_path), model=tp_path,
-                            mask=mask_path)
     theta_p = art.load_model(tp_path)
-    comp = art.load_comp(comp_path)
+    comp = art.load_comp(comp_path, **art.input_digests(model=tp_path,
+                                                        mask=mask_path))
     m = art.load_mask(mask_path)
     d_f = art.load_dataset(data)
     theta_u = theta_p.with_params(apply_unlearn(theta_p.params, comp, m).values)

@@ -215,11 +215,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def predictive_dist(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Softmax predictive distribution for one example or a batch."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    p = _softmax(logits(model, x))  # fresh logits, so x is not touched
-    return p[0] if single else p
+    """Softmax predictive distribution of each example of the batch ``x``."""
+    return _softmax(logits(model, x))  # fresh logits, so x is not touched
 
 
 def _backprop(layers, x: np.ndarray, y: np.ndarray):

@@ -123,6 +123,19 @@ class BlockLayout:
         return cls(blocks=blocks, total_dim=total)
 
 
+def block_slices(sizes) -> list[slice]:
+    """The coordinate slice of each block of ``sizes``, in layout order."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+
+
+def touched(block_sizes, support) -> tuple[int, ...]:
+    """Indices of the blocks, of sizes ``block_sizes`` in layout order, that
+    hold a coordinate of the sorted mask ``support``, in layout order."""
+    held = np.diff(np.searchsorted(support, np.cumsum(block_sizes)), prepend=0)
+    return tuple(np.flatnonzero(held).tolist())
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -425,20 +438,17 @@ def _pairwise(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-def tree_sum(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Fixed-chunk pairwise summation; bit-identical across runs."""
-    a = np.moveaxis(np.asarray(a, dtype=np.float64), axis, 0)
-    if a.shape[0] == 0:
-        return np.zeros(a.shape[1:])
-    chunks = [
-        _pairwise(a[i : i + _CHUNK]) for i in range(0, a.shape[0], _CHUNK)
-    ]
-    return _pairwise(np.stack(chunks, axis=0))
+def tree_sum(a: np.ndarray) -> np.float64:
+    """Fixed-chunk pairwise sum of the 1-D ``a``; bit-identical across runs."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        return np.float64(0.0)
+    return _pairwise(np.stack(
+        [_pairwise(a[i : i + _CHUNK]) for i in range(0, a.size, _CHUNK)]))
 
 
-def tree_mean(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    n = np.asarray(a).shape[axis]
-    return tree_sum(a, axis=axis) / n
+def tree_mean(a: np.ndarray) -> np.float64:
+    return tree_sum(a) / len(a)
 
 
 # ---------------------------------------------------------------------------

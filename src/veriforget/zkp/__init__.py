@@ -1,3 +1,4 @@
+from ..numkit import touched
 from .backend import MockBackend, Proof, UnsatisfiableWitnessError
 from .circuit import (
     CertificateCircuit,
@@ -27,7 +28,6 @@ from .witness import (
     default_t_int,
     encode_fixed_witness,
     stationarity_bound_int,
-    touched,
 )
 
 __all__ = [

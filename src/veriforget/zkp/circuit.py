@@ -14,7 +14,7 @@ evaluates every constraint directly over the field and is the normative
 semantics of the certificate.
 
 The curvature enters the statement only on the touched blocks, those
-that hold a masked coordinate (``witness.touched``).  Group-OBS decouples
+that hold a masked coordinate (``numkit.touched``).  Group-OBS decouples
 by block, so every other block's compensation is exactly zero: the
 ``untouched`` family states delta_w = 0 there, in place of stationarity
 rows over a curvature the prover would otherwise commit.  A verifier
@@ -38,7 +38,14 @@ from typing import Callable
 import numpy as np
 
 from ..masking import MaskArtifact
-from ..numkit import StructuralError, canonical_json, sha256_hex, unpack_upper
+from ..numkit import (
+    StructuralError,
+    block_slices,
+    canonical_json,
+    sha256_hex,
+    touched,
+    unpack_upper,
+)
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
 from .witness import (
     BOUND_C,
@@ -47,7 +54,6 @@ from .witness import (
     FixedWitness,
     check_frac_bits,
     t_int_threshold,
-    touched,
 )
 
 
@@ -100,12 +106,6 @@ class PublicInputs:
 # ``numkit.pack_upper``) of the touched blocks alone, in layout order, so C
 # is symmetric by construction.
 C_P_PACKING = "touched-blocks-upper-triangle-row-major"
-
-
-def block_slices(sizes) -> list[slice]:
-    """The coordinate slice of each block of ``sizes``, in layout order."""
-    ends = np.cumsum(sizes).tolist()
-    return [slice(end - size, end) for size, end in zip(sizes, ends)]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from ..numkit import (
     StructuralError,
     pack_upper,
     quantize,
+    touched,
     unpack_upper,
 )
 
@@ -84,16 +85,6 @@ def t_int_threshold(f_c: int) -> int:
     """2^(f_c + 4): the residual shift of a minimal single-coordinate
     multiplier tamper, which T_int must stay strictly below."""
     return 1 << (f_c + 4)
-
-
-def touched(block_sizes, support) -> tuple[int, ...]:
-    """Indices of the blocks, of sizes ``block_sizes`` in layout order, that
-    hold a coordinate of the sorted mask ``support``, in layout order."""
-    ends = np.cumsum(block_sizes)
-    support = np.asarray(support)
-    starts = ends - block_sizes
-    hit = np.searchsorted(support, ends) > np.searchsorted(support, starts)
-    return tuple(np.flatnonzero(hit).tolist())
 
 
 def encode_fixed_witness(

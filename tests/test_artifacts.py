@@ -119,7 +119,8 @@ def test_round_trip(tmp_path, kind):
     else:
         assert back.delta_w.layout == obj.delta_w.layout
         assert back.method == obj.method
-        assert art.comp_inputs(p) == INPUTS
+        with open(p) as fh:
+            assert json.load(fh)["inputs"] == INPUTS
 
 
 def test_json_round_trip(tmp_path):
@@ -167,19 +168,49 @@ def _resize(delta):
     return edit
 
 
+def _other_dtype(header):
+    """The last array declared as the other of f64 and i64: a dataset's
+    labels as floats, any other kind's last array as integers."""
+    spec = header["arrays"][-1]
+    spec["dtype"] = "<i8" if spec["dtype"] == "<f8" else "<f8"
+
+
+def _extra_dimension(header):
+    header["arrays"][0]["shape"].append(1)
+
+
+def _missing_array(header):
+    header["arrays"].pop()
+
+
+def _extra_array(header):
+    header["arrays"].append(dict(header["arrays"][-1]))
+
+
+def _number_digest(header):
+    header["arrays"][0]["sha256"] = 7
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: h["arrays"][0].update(dtype="<u4"),
     lambda h: h["arrays"][0].update(dtype=">f8"),
     lambda h: h["arrays"][0].update(shape=[-1]),
     _resize(1),
     _resize(-1),  # trailing bytes: nothing else checks the multipliers
+    _other_dtype, _extra_dimension, _missing_array, _extra_array,
+    _number_digest,
 ])
 def test_header_must_describe_blob(tmp_path, edit):
-    p = str(tmp_path / "comp")
-    save("comp", p, sample("comp"))
-    _rewrite_header(p, edit)
-    with pytest.raises(StructuralError, match="not in|header declares"):
-        art.load_comp(p)
+    """A header of every array kind must declare exactly the arrays its
+    kind holds, each with a string digest, and the blob must hold them."""
+    for kind in ARRAY_KINDS:
+        p = str(tmp_path / kind)
+        save(kind, p, sample(kind))
+        _rewrite_header(p, edit)
+        with pytest.raises(StructuralError,
+                           match="is not a digested|does not declare|"
+                                 "header declares"):
+            load(kind, p)
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -210,12 +241,31 @@ def test_load_fisher_rejects_blocks_not_upper_triangles(tmp_path):
 
 
 def test_check_input_digests(tmp_path):
-    model = str(tmp_path / "model")
-    save("model", model, sample("model"))
-    art.check_input_digests({"model": art.file_digest(model)}, model=model)
-    art.check_input_digests({}, model=model)
-    with pytest.raises(StructuralError, match="'model'"):
-        art.check_input_digests(INPUTS, model=model)
+    """A loader checks each input the header records that the caller
+    names, and only those; a header that records none is checked against
+    none."""
+    for kind in ("model", "fisher", "comp"):
+        p = str(tmp_path / kind)
+        save(kind, p, sample(kind))
+        loader = getattr(art, f"load_{kind}")
+        loader(p, model=INPUTS["model"])
+        loader(p, mask="cd" * 32)  # not recorded: not checked
+        with pytest.raises(StructuralError, match="records another model"):
+            loader(p, model="cd" * 32)
+        getattr(art, f"save_{kind}")(p, sample(kind))
+        loader(p, model="cd" * 32)
+
+
+@pytest.mark.parametrize("kind", ("model", "fisher", "comp"))
+@pytest.mark.parametrize("inputs", [
+    ["model"], "model", {"model": 7}, {"model": None},
+], ids=["list", "string", "number_digest", "null_digest"])
+def test_recorded_inputs_must_be_digests_by_name(tmp_path, kind, inputs):
+    p = str(tmp_path / kind)
+    save(kind, p, sample(kind))
+    _rewrite_header(p, lambda h: h.update(inputs=inputs))
+    with pytest.raises(StructuralError, match="inputs are not digests"):
+        getattr(art, f"load_{kind}")(p, model=INPUTS["model"])
 
 
 # -- fuzzing -------------------------------------------------------------------
@@ -423,7 +473,7 @@ def test_fisher_header_must_list_the_layout_triangles(tmp_path):
     p = str(tmp_path / "fisher")
     art.save_fisher(p, sample("fisher"))
     _rewrite_header(p, lambda h: h["arrays"].pop())
-    with pytest.raises(StructuralError, match="upper triangles"):
+    with pytest.raises(StructuralError, match="does not declare 2 arrays"):
         art.load_fisher(p)
 
 

@@ -29,7 +29,7 @@ from veriforget.numkit import (
     pack_upper,
     upper_diagonal,
 )
-from veriforget.pipeline import run_pipeline
+from veriforget.pipeline import compensate, run_pipeline
 from veriforget.zkp.circuit import FAMILIES
 
 from conftest import (
@@ -85,6 +85,8 @@ def test_certify_passes(workdir):
 
 
 def test_certify_fails_on_tampered_model(workdir, tmp_path):
+    """theta_u moved and saved with no inputs, as the staged-wide benchmark
+    tampers it: it is checked against no digest and fails the certificate."""
     w = workdir
     model = art.load_model(f"{w}/theta_u")
     vals = model.params.values.copy()
@@ -332,12 +334,30 @@ def _prove_fisher_not_recorded(w, tmp):
             "--fisher", f"{tmp}/fisher", "--out-dir", tmp)
 
 
+def _certify_theta_u_records_another_fisher(w, tmp):
+    # the comp records no inputs, so only theta_u's record names the Fisher
+    res = invoke("fisher", "--model", f"{w}/theta_p", "--data",
+                 f"{w}/personal.dset", "--seed", "4", "--out", f"{tmp}/fisher")
+    assert res.exit_code == 0, res.output
+    art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
+    return _certify_args(w, comp=tmp, fisher=tmp)
+
+
 def _certify_args(w, theta_u=None, comp=None, fisher=None):
     """certify on the staged run, with theta_u, comp and the Fisher read
     from the given directories instead of the run's."""
     return ("certify", "--theta-p", f"{w}/theta_p",
             "--theta-u", f"{theta_u or w}/theta_u", "--comp", f"{comp or w}/comp",
             "--mask", f"{w}/mask.mask", "--fisher", f"{fisher or w}/fisher")
+
+
+def _certify_without_inputs(w, tmp, fisher=None):
+    """certify on the staged run's theta_u and comp, re-saved to ``tmp``
+    with no inputs recorded, as the demo writes them, so that only the
+    Fisher's own checks stand between the command and its certificate."""
+    art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
+    art.save_model(f"{tmp}/theta_u", art.load_model(f"{w}/theta_u"))
+    return _certify_args(w, theta_u=tmp, comp=tmp, fisher=fisher)
 
 
 def _certify_truncated_fisher(w, tmp):
@@ -361,6 +381,12 @@ def _certify_truncated_fisher(w, tmp):
     return _certify_args(w, theta_u=tmp, comp=tmp, fisher=tmp)
 
 
+def _recorded_inputs(path):
+    """The inputs the header of the artifact at ``path`` records."""
+    with open(path) as fh:
+        return json.load(fh)["inputs"]
+
+
 def _multipliers(command, extra):
     """A case that runs ``command`` on a comp with ``extra`` multipliers
     more than the mask's budget, or fewer when ``extra`` is negative."""
@@ -369,7 +395,7 @@ def _multipliers(command, extra):
         lam = comp.multipliers
         lam = lam[:extra] if extra < 0 else np.append(lam, np.ones(extra))
         art.save_comp(f"{tmp}/comp", replace(comp, multipliers=lam),
-                      inputs=art.comp_inputs(f"{w}/comp"))
+                      inputs=_recorded_inputs(f"{w}/comp"))
         if command == "certify":
             return _certify_args(w, comp=tmp)
         return tuple(a.format(w=w, tmp=tmp) for a in _PROVE_TMP_COMP)
@@ -381,14 +407,14 @@ def _multipliers(command, extra):
 def _square_fisher(command):
     """A case that runs ``command`` on the staged run's Fisher written with
     full square blocks, as an older format held them; certify gets a comp
-    that records no inputs, so no digest check stands in the way."""
+    and theta_u that record no inputs, so no digest check stands in the
+    way."""
     def case(w, tmp):
         resave_fisher(f"{w}/fisher", f"{tmp}/fisher",
                       square_blocks(read_fisher(f"{w}/fisher").fisher))
         if command == "unlearn":
             return tuple(a.format(w=w, tmp=tmp) for a in _UNLEARN_TMP_FISHER)
-        art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
-        return _certify_args(w, comp=tmp, fisher=tmp)
+        return _certify_without_inputs(w, tmp, fisher=tmp)
 
     case.__name__ = f"_{command}_square_fisher"
     return case
@@ -511,7 +537,8 @@ def _fisher_zero_samples(w, tmp):
         _exact_hessian_too_large, _mask_k_above_eligible,
         _fisher_zero_damping, _fisher_zero_samples,
         _certify_theta_p_not_recorded, _report_bounds_theta_p_not_recorded,
-        _prove_fisher_not_recorded, _fisher_nan_entry, _comp_nan_multiplier,
+        _prove_fisher_not_recorded, _certify_theta_u_records_another_fisher,
+        _fisher_nan_entry, _comp_nan_multiplier,
         _certify_truncated_fisher,
         _multipliers("certify", -1), _multipliers("certify", 1),
         _multipliers("prove", -1), _multipliers("prove", 1),
@@ -767,8 +794,7 @@ def test_bad_fisher_blob_exit_2(workdir, tmp_path, command, edit):
         args = ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
                 "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
     else:
-        art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
-        args = _certify_args(w, comp=tmp, fisher=tmp)
+        args = _certify_without_inputs(w, tmp, fisher=tmp)
     res = invoke(*args)
     assert res.exit_code == 2, res.output
     assert len(res.stderr.splitlines()) == 1, res.stderr
@@ -841,13 +867,128 @@ def test_bad_fisher_exit_2_with_workers(workdir, tmp_path, workers, command,
         args = ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
                 "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
     else:
-        art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
-        args = _certify_args(w, comp=tmp, fisher=tmp)
+        args = _certify_without_inputs(w, tmp, fisher=tmp)
     res = invoke(*args)
     assert res.exit_code == 2, res.output
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0], res.stderr
     assert not os.path.exists(f"{tmp}/u")
+
+
+def _one_error_line(res, message):
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0], res.stderr
+
+
+def _comp_command(command, w, tmp):
+    """``command`` on the staged run with the comp read from ``tmp``."""
+    if command == "report-bounds":
+        return ("report-bounds", "--theta-p", f"{w}/theta_p",
+                "--comp", f"{tmp}/comp", "--mask", f"{w}/mask.mask",
+                "--data", f"{w}/forget.dset")
+    if command == "prove":
+        return tuple(a.format(w=w, tmp=tmp) for a in _PROVE_TMP_COMP)
+    return _certify_args(w, comp=tmp)
+
+
+@pytest.mark.parametrize("command", ["certify", "prove", "report-bounds"])
+@pytest.mark.parametrize("inputs", [["model", "mask", "fisher"], "model"],
+                         ids=["list", "string"])
+def test_comp_inputs_not_digests_by_name_exit_2(workdir, tmp_path, command,
+                                                inputs):
+    w, tmp = workdir, str(tmp_path)
+    shutil.copy(f"{w}/comp.bin", f"{tmp}/comp.bin")
+    with open(f"{w}/comp") as fh:
+        header = json.load(fh)
+    header["inputs"] = inputs
+    with open(f"{tmp}/comp", "w") as fh:
+        json.dump(header, fh)
+    _one_error_line(invoke(*_comp_command(command, w, tmp)),
+                    "inputs are not digests by name")
+    assert not os.path.exists(f"{tmp}/public.pub")
+
+
+def _resaved(src, dst, arrays):
+    """The array artifact at ``src`` written to ``dst`` with ``arrays`` as
+    its arrays, each as i64 when integral and f64 otherwise."""
+    with open(src) as fh:
+        header = json.load(fh)
+    del header["arrays"]
+    art._save(dst, header, arrays)
+
+
+def _integer_multipliers(w, tmp):
+    comp = art.load_comp(f"{w}/comp")
+    _resaved(f"{w}/comp", f"{tmp}/comp", [
+        comp.delta_w.values, np.round(comp.multipliers).astype(np.int64)])
+    return _certify_args(w, comp=tmp)
+
+
+def _float_labels(w, tmp):
+    # truncated back, the labels would be the run's own
+    data = art.load_dataset(f"{w}/personal.dset")
+    _resaved(f"{w}/personal.dset", f"{tmp}/personal.dset",
+             [data.features, data.labels + 0.7])
+    return ("fisher", "--model", f"{w}/theta_p",
+            "--data", f"{tmp}/personal.dset", "--out", f"{tmp}/out")
+
+
+def _integer_model(w, tmp):
+    model = art.load_model(f"{w}/theta_p")
+    _resaved(f"{w}/theta_p", f"{tmp}/theta_p",
+             [np.round(model.params.values).astype(np.int64)])
+    return ("fisher", "--model", f"{tmp}/theta_p",
+            "--data", f"{w}/personal.dset", "--out", f"{tmp}/out")
+
+
+@pytest.mark.parametrize("case", [
+    _integer_multipliers, _float_labels, _integer_model,
+], ids=["comp_i8_multipliers", "dataset_f8_labels", "model_i8_params"])
+def test_array_of_another_dtype_exit_2(workdir, tmp_path, case):
+    """An array stored as the other of f64 and i64 is a bad artifact: it is
+    not cast to the dtype its kind holds."""
+    tmp = str(tmp_path)
+    _one_error_line(invoke(*case(workdir, tmp)), "is not a digested")
+    assert not os.path.exists(f"{tmp}/out")
+
+
+@pytest.mark.parametrize("command", ["unlearn", "certify", "prove"])
+def test_fisher_of_another_model_exit_2(workdir, tmp_path, command):
+    """A Fisher formed at theta0, whose header records theta0, used with
+    theta_p: unlearn refuses it, and so do certify and prove on the comp
+    and theta_u it gives, which record the Fisher and theta_p."""
+    w, tmp = workdir, str(tmp_path)
+    res = invoke("fisher", "--model", f"{w}/theta0", "--data",
+                 f"{w}/personal.dset", "--seed", "3", "--out", f"{tmp}/fisher")
+    assert res.exit_code == 0, res.output
+    if command == "unlearn":
+        args = ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+                "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
+    else:
+        comp, theta_u = compensate(art.load_model(f"{w}/theta_p"),
+                                   art.load_mask(f"{w}/mask.mask"),
+                                   art.load_fisher(f"{tmp}/fisher"))
+        inputs = art.input_digests(model=f"{w}/theta_p",
+                                   mask=f"{w}/mask.mask", fisher=f"{tmp}/fisher")
+        art.save_comp(f"{tmp}/comp", comp, inputs=inputs)
+        art.save_model(f"{tmp}/theta_u", theta_u, inputs=inputs)
+        args = _certify_args(w, theta_u=tmp, comp=tmp, fisher=tmp)
+        if command == "prove":
+            args = ("prove", *args[1:], "--out-dir", f"{tmp}/u")
+    _one_error_line(invoke(*args), "records another model than the one given")
+    assert not os.path.exists(f"{tmp}/u")
+
+
+def test_theta_u_without_inputs_is_checked_against_none(workdir, tmp_path):
+    """A theta_u that records no inputs, as the demo writes it, loads and
+    reaches the certificate, which it passes; moved, it fails there
+    (``test_certify_fails_on_tampered_model``)."""
+    w = workdir
+    art.save_model(f"{tmp_path}/theta_u", art.load_model(f"{w}/theta_u"))
+    res = invoke(*_certify_args(w, theta_u=str(tmp_path)), "--json")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["verdict"] == "pass"
 
 
 def _client(w, out):
@@ -997,7 +1138,7 @@ def test_prove_perturbed_multipliers_exit_1(workdir, tmp_path):
     comp = art.load_comp(f"{w}/comp")
     art.save_comp(f"{tmp_path}/comp",
                   replace(comp, multipliers=comp.multipliers + 1e-3),
-                  inputs=art.comp_inputs(f"{w}/comp"))
+                  inputs=_recorded_inputs(f"{w}/comp"))
     res = invoke(*(a.format(w=w, tmp=tmp_path) for a in _PROVE_TMP_COMP))
     assert res.exit_code == 1, res.output
     assert "witness unsatisfiable: KKT residuals" in res.output
@@ -1188,3 +1329,17 @@ def test_certify_loads_no_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert json.loads(proc.stdout)["verdict"] == "pass", proc.stderr
     assert proc.stderr.split() == ["0", "[]"], proc.stderr
+
+
+def test_float_certificate_loads_no_zk_package():
+    """The float certificate finds the touched blocks through numkit, so
+    loading it, in a fresh interpreter, loads no module of veriforget.zkp,
+    the sponge schedule included."""
+    script = ("import sys, veriforget.certify; print(sorted(m for m in "
+              "sys.modules if m.startswith('veriforget.zkp')))")
+    src = os.path.dirname(os.path.dirname(veriforget.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
