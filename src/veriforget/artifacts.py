@@ -4,23 +4,23 @@ An array artifact at ``P`` is two files: ``P``, a canonical-JSON header
 with the artifact's metadata, its ``inputs`` (the digests of the
 artifacts it was computed from) and each array's dtype, shape and
 sha256; and ``P.bin``, the arrays back to back, little-endian, written
-by one writer, ``_write_arrays``, each at its offset from whichever
-process holds it.  The header's digest binds the whole artifact.  Each
-array reader first checks the header in one place, ``_checked``: it
-must declare exactly the arrays its kind holds, which its loader names,
-and each input it records that the caller names must carry the caller's
-digest.  One reader, ``_blob``, then reads each array and checks its
-digest.  Masks, public inputs and proofs are single JSON files.  Every
-writer returns the paths it wrote; every reader raises
+by one writer, ``_save``.  The header's digest binds the whole artifact.
+One reader, ``_load``, first checks the header in one place,
+``_checked``: it must declare exactly the arrays its kind holds, which
+its loader names, and each input it records that the caller names must
+carry the caller's digest.  It then checks the blob's length and reads
+each array, checked against its digest.  The Fisher artifact holds the
+estimate's recipe (``curvature.FisherRecipe``), never a curvature
+block: its sample rows, the damping, the row count, the block cap and
+the source digest.  Masks, public inputs and proofs are single JSON
+files.  Every writer returns the paths it wrote; every reader raises
 ``numkit.StructuralError`` on a missing, truncated or malformed artifact.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -28,13 +28,16 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .curvature import BlockFisher
+from .curvature import (
+    BlockFisher,
+    FisherRecipe,
+    check_block_cap,
+    fisher_from_recipe,
+)
 from .masking import MaskArtifact
 from .model import Dataset, MlpModel, mlp_layout
 from .numkit import (
-    BlockDiagMatrix,
     BlockLayout,
-    BlockStream,
     ParamVector,
     StructuralError,
     canonical_json,
@@ -51,9 +54,9 @@ def _reader(fn):
     blob in the artifact at ``path`` as a StructuralError."""
 
     @functools.wraps(fn)
-    def wrapper(path: str, **inputs: str):
+    def wrapper(path: str, *args, **inputs: str):
         try:
-            return fn(path, **inputs)
+            return fn(path, *args, **inputs)
         except StructuralError:
             raise
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -75,47 +78,23 @@ def _read_json(path: str) -> dict:
         return json.loads(fh.read())
 
 
-def _offsets(specs: list[dict]) -> list[int]:
-    """Each array's byte offset in the blob ``specs`` declare, then its length."""
-    return [8 * n for n in itertools.accumulate(
-        (math.prod(spec["shape"]) for spec in specs), initial=0)]
-
-
-def _write_arrays(path: str, header: dict, specs: list[dict], fill) -> list[str]:
-    """The one blob writer: ``fill(write)`` returns ``[write(i, array i)]``,
-    where ``write`` puts array i at its offset in ``path.bin``, sized up
-    front for ``specs`` (dtypes and shapes), from whichever process calls
-    it, and returns its sha256.  Then ``header`` is written with the specs
-    and digests.  When ``fill`` raises, ``path.bin`` is removed instead."""
-    offsets = _offsets(specs)
-    fh = open(path + ".bin", "wb")
-
-    def write(i: int, a: np.ndarray) -> str:
-        a = np.ascontiguousarray(a, dtype=specs[i]["dtype"])
-        view, at = memoryview(a.reshape(-1)).cast("B"), offsets[i]
-        while view:
-            written = os.pwrite(fh.fileno(), view, at)
-            view, at = view[written:], at + written
-        return sha256_hex(a)
-
+def _save(path: str, header: dict, arrays) -> list[str]:
+    """The one blob writer: ``arrays``, as i64 when integral and f64
+    otherwise, back to back in ``path.bin``, then ``header`` with each
+    array's dtype, shape and sha256.  When a write fails, ``path.bin`` is
+    removed instead."""
+    arrays = [np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
+              for a in arrays]
     try:
-        with fh:
-            os.ftruncate(fh.fileno(), offsets[-1])
-            digests = fill(write)
+        with open(path + ".bin", "wb") as fh:
+            for a in arrays:
+                fh.write(memoryview(a.reshape(-1)).cast("B"))
     except BaseException:
         os.remove(path + ".bin")
         raise
     return [path + ".bin"] + _write_json(path, {**header, "arrays": [
-        {**spec, "sha256": digest} for spec, digest in zip(specs, digests)]})
-
-
-def _save(path: str, header: dict, arrays) -> list[str]:
-    """Write ``arrays``, as i64 when integral and f64 otherwise."""
-    arrays = [np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
-              for a in arrays]
-    specs = [{"dtype": a.dtype.str, "shape": list(a.shape)} for a in arrays]
-    return _write_arrays(path, header, specs,
-                         lambda write: [write(i, a) for i, a in enumerate(arrays)])
+        {"dtype": a.dtype.str, "shape": list(a.shape), "sha256": sha256_hex(a)}
+        for a in arrays]})
 
 
 def _checked(path: str, header: dict, arrays, inputs: dict) -> list[dict]:
@@ -145,44 +124,27 @@ def _checked(path: str, header: dict, arrays, inputs: dict) -> list[dict]:
     return specs
 
 
-@contextlib.contextmanager
-def _blob(path: str, specs: list[dict]):
-    """Open ``path.bin`` and give ``read(i, out)``: array i of those
-    ``specs`` declares, read into ``out`` (flat, of the array's dtype and
-    size) and returned once it matches its digest.  The blob's length is
-    checked before any array is read."""
-    offsets = _offsets(specs)
-    try:
-        fh = open(path + ".bin", "rb")
-    except OSError as exc:
-        raise StructuralError(f"cannot read artifact {path}: {exc}") from exc
-    with fh:
-        length = os.fstat(fh.fileno()).st_size
-        if length != offsets[-1]:
-            raise StructuralError(f"{path}: blob holds {length} bytes, "
-                                  f"header declares {offsets[-1]}")
-
-        def read(i: int, out: np.ndarray) -> np.ndarray:
-            try:
-                got = os.preadv(fh.fileno(), [out], offsets[i])
-            except OSError as exc:
-                raise StructuralError(f"cannot read artifact {path}: {exc}") from exc
-            if got != out.nbytes:
-                raise StructuralError(f"{path}.bin ended inside array {i}")
-            if sha256_hex(out) != specs[i]["sha256"]:
-                raise StructuralError(f"digest mismatch for array {i} of {path}")
-            return out
-
-        yield read
-
-
 def _load(path: str, arrays, inputs: dict) -> tuple[dict, list[np.ndarray]]:
-    """The header at ``path`` and its arrays, all checked (``_checked``)."""
+    """The header at ``path`` and its arrays, all checked: the header by
+    ``_checked``, then the blob's length, before any array is read, then
+    each array against its digest."""
     header = _read_json(path)
     specs = _checked(path, header, arrays, inputs)
-    with _blob(path, specs) as read:
-        return header, [read(i, np.empty(math.prod(s["shape"]), s["dtype"]))
-                        .reshape(s["shape"]) for i, s in enumerate(specs)]
+    declared = 8 * sum(math.prod(spec["shape"]) for spec in specs)
+    out = []
+    with open(path + ".bin", "rb") as fh:
+        length = os.fstat(fh.fileno()).st_size
+        if length != declared:
+            raise StructuralError(f"{path}: blob holds {length} bytes, "
+                                  f"header declares {declared}")
+        for i, spec in enumerate(specs):
+            a = np.empty(math.prod(spec["shape"]), spec["dtype"])
+            if fh.readinto(a) != a.nbytes:
+                raise StructuralError(f"{path}.bin ended inside array {i}")
+            if sha256_hex(a) != spec["sha256"]:
+                raise StructuralError(f"digest mismatch for array {i} of {path}")
+            out.append(a.reshape(spec["shape"]))
+    return header, out
 
 
 @_reader
@@ -256,39 +218,44 @@ def load_mask(path: str) -> MaskArtifact:
 
 
 def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> list[str]:
-    """Write the Fisher through ``_write_arrays``, each block by the process
-    that formed it (``BlockDiagMatrix.map``), which returns its digest."""
-    return _write_arrays(path, {
+    """Write the Fisher as its recipe: the sample rows in subsample order,
+    with the damping, their count, the block cap and the source digest.
+    No block is formed or written."""
+    recipe = fisher.recipe
+    if recipe is None:
+        raise StructuralError("a Fisher given by its blocks alone has no "
+                              "recipe to write")
+    check_block_cap(recipe.block_cap)
+    return _save(path, {
         "lambda": fisher.lam,
         "n": fisher.sample_count,
+        "block_cap": recipe.block_cap,
         "source_digest": fisher.source_digest,
-        "layout": fisher.layout.to_json(),
         "inputs": inputs or {},
-    }, [{"dtype": "<f8", "shape": [size * (size + 1) // 2]}
-        for _, size, _ in fisher.layout.blocks], fisher.fisher.map)
+    }, [recipe.rows.features, recipe.rows.labels])
 
 
 @_reader
-def load_fisher(path: str, **inputs: str) -> BlockFisher:
-    """The Fisher artifact at ``path``, its blocks streamed from ``path.bin``.
-
-    Its header is checked, against the layout it records, before any
-    block is read.  Each walk or ``map`` over the blocks opens the blob
-    through ``_blob``, which checks its length once, and reads each block
-    by its offset, so a block is checked against its digest, and then by
-    the stream, before it is used."""
-    header = _read_json(path)
-    layout = BlockLayout.from_json(header["layout"])
-    specs = _checked(path, header, [("<f8", (size * (size + 1) // 2,))
-                                    for _, size, _ in layout.blocks], inputs)
+def load_fisher(path: str, theta_p: MlpModel, **inputs: str) -> BlockFisher:
+    """The Fisher artifact at ``path``, taken at ``theta_p``: its
+    recipe, checked, whose blocks are formed as they are reached
+    (``curvature.fisher_from_recipe``).  The header must name one of
+    ``curvature.BLOCK_CAPS`` and count the rows it stores, and the rows
+    must fit the model.  The layout is ``column_layout(theta_p, cap)``: no
+    header supplies it."""
+    header, (features, labels) = _load(
+        path, [("<f8", ("n", "m")), ("<i8", ("n",))], inputs)
     check_number("fisher lambda", header["lambda"])
-    return BlockFisher(
-        fisher=BlockDiagMatrix(
-            BlockStream(lambda: _blob(path, specs), layout)),
-        lam=header["lambda"],
-        sample_count=header["n"],
-        source_digest=header["source_digest"],
-    )
+    check_ints("fisher n", [header["n"]])
+    check_block_cap(header["block_cap"])
+    if header["n"] != labels.size:
+        raise StructuralError(f"{path}: header counts {header['n']} rows, "
+                              f"the blob holds {labels.size}")
+    if not isinstance(header["source_digest"], str):
+        raise StructuralError(f"{path}: source digest is not a string")
+    recipe = FisherRecipe(theta_p, Dataset(features=features, labels=labels),
+                          header["block_cap"])
+    return fisher_from_recipe(recipe, header["lambda"], header["source_digest"])
 
 
 # -- compensation -----------------------------------------------------------
@@ -317,12 +284,14 @@ def load_comp(path: str, **inputs: str) -> CompensationResult:
 
 def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
                             fisher: str) -> tuple:
-    """theta_p, theta_u, the comp, the mask and the streamed Fisher at these
-    paths, each input that theta_u, the comp and the Fisher record checked."""
+    """theta_p, theta_u, the comp, the mask and the Fisher at theta_p, from
+    these paths, each input that theta_u, the comp and the Fisher record
+    checked."""
     given = input_digests(model=theta_p, mask=mask, fisher=fisher)
-    return (load_model(theta_p), load_model(theta_u, **given),
+    model = load_model(theta_p)
+    return (model, load_model(theta_u, **given),
             load_comp(comp, **given), load_mask(mask),
-            load_fisher(fisher, model=given["model"]))
+            load_fisher(fisher, model, model=given["model"]))
 
 
 # -- zk layer ---------------------------------------------------------------

@@ -3,11 +3,15 @@
 check_kkt re-evaluates the three linear identities (assembly, mask
 feasibility, stationarity) that uniquely characterize the Group-OBS
 solution; feasibility also holds the step to zero on every block the
-mask does not touch, where the solution is exactly zero.  It multiplies
-each damped curvature block from its upper triangle
-(``numkit.upper_matvec``), in the process that reads the block
-(``BlockDiagMatrix.map``), with numpy alone, so certifying never loads
-scipy.  forget_gain_report computes the quadratic-model quantities that
+mask does not touch, where the solution is exactly zero.  Stationarity
+needs each damped curvature block only as a product with the step, on
+the blocks where the step or a multiplier is nonzero.  For a Fisher
+given by its recipe (every Fisher a command reads) it multiplies from
+the layer factors of one backward pass, F_b dw_b = G_b'(G_b dw_b) / n
+(``model.GradBlock.gram``), and forms neither G nor a block; for a
+Fisher given by its blocks, from each upper triangle
+(``numkit.upper_matvec``).  It uses numpy alone, so certifying never
+loads scipy.  forget_gain_report computes the quadratic-model quantities that
 bound how much compensation on the unmasked coordinates can offset the
 mask-induced forget-loss increase.
 """
@@ -81,28 +85,41 @@ def check_kkt(
     r_feas = np.concatenate([dw[mask.support] + theta_p.values[mask.support],
                              *(dw[sl] for b, sl in enumerate(slices)
                                if b not in hit)])
-    r_stat = np.zeros(theta_p.dim)
     lam_full = np.zeros(theta_p.dim)
     lam_full[mask.support] = comp.multipliers
-    square = scratch_squares(c_p.layout)
-
-    def residual(i, tri):
-        # a block with no step and no multiplier has a residual of exactly 0
-        sl = slices[i]
-        if dw[sl].any() or lam_full[sl].any():
-            return upper_matvec(tri, dw[sl], diag=c_p.lam,
-                                square=square(sl.stop - sl.start)) + lam_full[sl]
-        return None
-
-    for sl, r in zip(slices, c_p.fisher.map(residual)):
-        if r is not None:
-            r_stat[sl] = r
+    # a block with no step and no multiplier has a residual of exactly 0
+    moved = [b for b, sl in enumerate(slices) if dw[sl].any() or lam_full[sl].any()]
+    r_stat = np.zeros(theta_p.dim)
+    for b, product in zip(moved, _damped_products(c_p, theta_p, dw, moved)):
+        r_stat[slices[b]] = product + lam_full[slices[b]]
     norms = (_inf(r_asm), _inf(r_feas), _inf(r_stat))
     return KktCertificate(
         inf_norms=norms,
         tolerance=tau_real,
         verdict=all(n <= tau_real for n in norms),
     )
+
+
+def _damped_products(c_p: BlockFisher, theta_p: ParamVector, dw: np.ndarray,
+                     blocks: list) -> list:
+    """(F_b + lam I) dw_b for each block b of ``blocks``: from the layer
+    factors of the Fisher's recipe, which must be taken at ``theta_p``,
+    or from each block's triangle when it has no recipe."""
+    slices = [sl for sl, _ in c_p.layout.slices()]
+    recipe = c_p.recipe
+    if recipe is None:
+        square = scratch_squares(c_p.layout)
+
+        def product(b, tri):
+            v = dw[slices[b]]
+            return upper_matvec(tri, v, diag=c_p.lam, square=square(v.size))
+
+        return c_p.fisher.map(product, only=blocks)
+    if not np.array_equal(recipe.model.params.values, theta_p.values):
+        raise StructuralError("the Fisher is taken at another model than theta_p")
+    parts, n = recipe.blocks(), len(recipe.rows)
+    return [parts[b].gram(dw[slices[b]]) / n + c_p.lam * dw[slices[b]]
+            for b in blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ exit code.  A command reads and checks all its inputs, and computes its
 results, before it creates any output, so one that fails writes nothing.
 A command digests the files it was given once, and the loaders check
 each input a derived artifact records against those digests.
-A Fisher is never held whole: ``fisher`` streams its blocks into its
-output as it forms them and removes the blob when one fails, and a
-command that reads a Fisher reads each block, checked against its
-digest, as it computes.  On a Fisher of ``numkit.FORK_MIN_ENTRIES``
-triangle entries or more, with ``OPENBLAS_NUM_THREADS=1``, ``fisher``,
-``unlearn``, ``certify`` and ``prove``'s witness do that per-block work
-in forked workers, one per CPU, and the worker that forms or reads a
-block also checks it; the outputs are the same bytes either way.
-``prove`` and ``demo`` hash the Merkle leaves of each commitment of
-more than one leaf in such workers.
+No command writes or reads a curvature block: ``fisher`` writes the
+estimate's recipe (its seeded sample rows, the damping and a block cap
+of ``curvature.BLOCK_CAPS``), and a command that reads it forms only
+what it needs at theta_p.  ``unlearn`` and ``prove``'s witness form the
+blocks the mask touches, one block per process at a time; on
+``numkit.FORK_MIN_ENTRIES`` triangle entries or more, with
+``OPENBLAS_NUM_THREADS=1``, in forked workers, one per CPU, each of
+which runs its own backward pass; the outputs are the same bytes
+either way.  ``certify`` forms no block: it multiplies the step by the
+curvature from the layer factors.  ``prove`` and ``demo`` hash the
+Merkle leaves of each commitment of more than one leaf in such
+workers.
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
 unsatisfiable, 2 usage error, bad or missing artifact, unwritable
@@ -42,6 +44,7 @@ from .certify import (
     measured_forget_gap,
 )
 from .curvature import (
+    BLOCK_CAPS,
     DEFAULT_BLOCK_CAP,
     DEFAULT_DAMPING,
     DEFAULT_MAX_SAMPLES,
@@ -237,13 +240,15 @@ def mask(model_path, data, k, frac, seed, out):
 @click.option("--lambda", "lam", default=DEFAULT_DAMPING, show_default=True,
               type=FiniteFloat(min=0.0, min_open=True))
 @click.option("--block-cap", default=DEFAULT_BLOCK_CAP, show_default=True,
-              type=click.Choice(["256", "512"]))
+              type=click.Choice([str(cap) for cap in BLOCK_CAPS]))
 @click.option("--max-samples", default=DEFAULT_MAX_SAMPLES, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", required=True)
 def fisher(model_path, data, lam, block_cap, max_samples, seed, out):
-    """Client step: damped block-wise empirical Fisher curvature."""
+    """Client step: damped block-wise empirical Fisher curvature, written
+    as its recipe (the seeded sample rows), from which later steps form
+    it at the model."""
     model = art.load_model(model_path)
     d_p = art.load_dataset(data)
     f = empirical_fisher_blockwise(model, d_p, lam=lam,
@@ -267,7 +272,7 @@ def unlearn(model_path, mask_path, fisher_path, out_dir):
     theta_p = art.load_model(model_path)
     m = art.load_mask(mask_path)
     comp, theta_u = compensate(
-        theta_p, m, art.load_fisher(fisher_path, model=inputs["model"]))
+        theta_p, m, art.load_fisher(fisher_path, theta_p, model=inputs["model"]))
     os.makedirs(out_dir, exist_ok=True)
     art.save_comp(os.path.join(out_dir, "comp"), comp, inputs=inputs)
     art.save_model(os.path.join(out_dir, "theta_u"), theta_u, inputs=inputs)

@@ -2,31 +2,38 @@
 
 The Fisher's blocks are the model's blocks (``mlp.<i>.w``, ``mlp.<i>.b``)
 in layout order, each split contiguously at the block cap (``--block-cap``)
-into parts ``<label>/part<j>`` of ``cap`` coordinates and a shorter last one; a part
-of a weight block may start mid-row.  ``model.grad_formers`` makes the
-split, so the layout of a Fisher is the labels and widths it yields.
-Each block is held as its upper triangle (``numkit.pack_upper``): the
-estimator gathers it straight from the exactly symmetric product of the
-gradient columns, formed in one reused square.  The estimate is a
-``numkit.BlockStream``: a walk or a ``map`` forms one block at a time, so
-a caller that maps it once, as ``artifacts.save_fisher`` does, never
-holds the whole Fisher, and a large Fisher's blocks are formed in forked
-workers; ``BlockFisher.materialized`` holds them, for repeated walks.
+into parts ``<label>/part<j>`` of ``cap`` coordinates and a shorter last
+one; a part of a weight block may start mid-row.  So the layout of a
+Fisher is ``model.column_layout(model, cap)``.
+
+An estimate is a fixed function of its **recipe**, ``FisherRecipe``: the
+model it is taken at, the rows of its seeded subsample in subsample
+order, and the block cap; the damping rides beside it.  The artifact
+stores the recipe, never a block.  Each block is formed from the
+recipe's per-layer factors (``model.grad_blocks``) as a caller reaches
+it, and held as its upper triangle (``numkit.pack_upper``), gathered
+straight from the exactly symmetric product of the gradient columns in
+one reused square.  The estimate's blocks are a ``numkit.BlockStream``:
+a walk or a ``map`` forms one block at a time per process, and a
+``map`` over many entries runs the backward pass and forms the blocks
+in forked workers.  A product with a block needs no block:
+``model.GradBlock.gram`` forms it from the factors, as ``certify``
+does.  A Fisher may also be given by its blocks alone, with no recipe.
 """
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     Dataset,
     MlpModel,
+    check_fits,
     column_layout,
+    grad_blocks,
     grad_columns,
-    grad_formers,
     stream_rng,
 )
 from .numkit import (
@@ -43,16 +50,44 @@ from .numkit import (
 DEFAULT_DAMPING = 1e-3
 DEFAULT_MAX_SAMPLES = 1024
 DEFAULT_BLOCK_CAP = 256
+# The block caps a Fisher artifact may name, so that a client cannot
+# choose the layout (one block of d coordinates makes every coordinate
+# touched).  An estimate in memory may use any cap.
+BLOCK_CAPS = (256, 512)
+
+
+def check_block_cap(cap) -> None:
+    """Raise StructuralError unless ``cap`` is one of ``BLOCK_CAPS``."""
+    if type(cap) is not int or cap not in BLOCK_CAPS:
+        raise StructuralError(f"block cap {cap!r} is not one of {BLOCK_CAPS}")
+
+
+@dataclass(frozen=True)
+class FisherRecipe:
+    """The exact inputs of an estimate: the model it is taken at, its
+    sample rows in subsample order, and the block cap."""
+
+    model: MlpModel
+    rows: Dataset
+    block_cap: int
+
+    def blocks(self) -> list:
+        """Each block's ``model.GradBlock``, from one backward pass."""
+        return [block for _, block in grad_blocks(self.model, self.rows,
+                                                  self.block_cap)]
 
 
 @dataclass(frozen=True)
 class BlockFisher:
-    """Empirical Fisher F stored per block; damping applied lazily as +lam*I."""
+    """Empirical Fisher F stored per block; damping applied lazily as +lam*I.
+    ``recipe`` is the estimate's inputs, or None for a Fisher given by its
+    blocks alone."""
 
     fisher: BlockDiagMatrix
     lam: float
     sample_count: int
     source_digest: str
+    recipe: FisherRecipe | None = None
 
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
@@ -61,12 +96,6 @@ class BlockFisher:
     @property
     def layout(self) -> BlockLayout:
         return self.fisher.layout
-
-    def materialized(self) -> "BlockFisher":
-        """This Fisher with every block held in memory, its stream walked
-        once, for a caller that walks it more than once."""
-        return replace(self, fisher=BlockDiagMatrix(
-            BlockStream.held(self.fisher.blocks, self.layout)))
 
 
 @dataclass(frozen=True)
@@ -88,36 +117,25 @@ def _subsample(data: Dataset, max_samples: int, seed: int) -> tuple[Dataset, np.
     return data.subset(take), take
 
 
-def empirical_fisher_blockwise(
-    model: MlpModel,
-    data: Dataset,
-    lam: float = DEFAULT_DAMPING,
-    block_cap: int = DEFAULT_BLOCK_CAP,
-    max_samples: int = DEFAULT_MAX_SAMPLES,
-    seed: int = 0,
-) -> BlockFisher:
-    """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over a seeded subsample, one
-    block per ``grad_columns(model, ., block_cap)`` block, streamed: each
-    walk or ``map`` over the blocks runs one backward pass, in the calling
-    process, and forms each block from its factors (``grad_formers``) as
-    it is reached, in whichever process reaches it."""
-    if len(data) == 0:
-        raise StructuralError("empty dataset")
+def fisher_from_recipe(recipe: FisherRecipe, lam: float,
+                       source_digest: str) -> BlockFisher:
+    """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over the recipe's n rows, one
+    block per ``column_layout(model, cap)`` block, streamed: the process
+    that forms the first block it is given runs the backward pass, and
+    forms each block from its factors as it is reached.  The rows must fit
+    the model (StructuralError)."""
     if not 0 < lam < np.inf:
         raise ValueError("damping must be finite and > 0")
-    if max_samples < 1:
-        raise ValueError("max_samples must be >= 1")
-    layout = column_layout(model, block_cap)
-    sub, indices = _subsample(data, max_samples, seed)
-    n = len(sub)
+    check_fits(recipe.model, recipe.rows)
+    layout = column_layout(recipe.model, recipe.block_cap)
+    n = len(recipe.rows)
 
-    @contextlib.contextmanager
     def form():
-        formers = [former for _, former in grad_formers(model, sub, block_cap)]
+        parts = recipe.blocks()
         square = scratch_squares(layout)
 
         def block(i, out):
-            gb = formers[i]()  # n x s
+            gb = parts[i].columns()  # n x s
             if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
                 # numpy hands an n x 1 product to BLAS dot, whose unit-stride
                 # kernel sums in another order than the strided one that a
@@ -131,8 +149,33 @@ def empirical_fisher_blockwise(
             product = np.matmul(gb.T, gb, out=square(gb.shape[1]))
             return np.divide(pack_upper(product), n, out=out)
 
-        yield block
+        return block
 
+    return BlockFisher(
+        fisher=BlockDiagMatrix(BlockStream(form, layout)),
+        lam=lam,
+        sample_count=n,
+        source_digest=source_digest,
+        recipe=recipe,
+    )
+
+
+def empirical_fisher_blockwise(
+    model: MlpModel,
+    data: Dataset,
+    lam: float = DEFAULT_DAMPING,
+    block_cap: int = DEFAULT_BLOCK_CAP,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
+    seed: int = 0,
+) -> BlockFisher:
+    """The estimate over a seeded subsample of ``data`` of at most
+    ``max_samples`` rows (``fisher_from_recipe``); no block is formed
+    until a walk or a ``map`` reaches it."""
+    if len(data) == 0:
+        raise StructuralError("empty dataset")
+    if max_samples < 1:
+        raise ValueError("max_samples must be >= 1")
+    sub, indices = _subsample(data, max_samples, seed)
     digest = sha256_hex(
         canonical_json(
             {
@@ -142,12 +185,7 @@ def empirical_fisher_blockwise(
             }
         )
     )
-    return BlockFisher(
-        fisher=BlockDiagMatrix(BlockStream(form, layout)),
-        lam=lam,
-        sample_count=n,
-        source_digest=digest,
-    )
+    return fisher_from_recipe(FisherRecipe(model, sub, block_cap), lam, digest)
 
 
 def diag_curvature(

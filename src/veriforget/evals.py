@@ -12,6 +12,7 @@ from .model import (
     Dataset,
     MlpModel,
     TrainConfig,
+    check_fits,
     per_example_losses,
     personalize,
     predictive_dist,
@@ -106,6 +107,11 @@ def evaluate(
     mia_nonmembers: Dataset,
     seeds: list | None = None,
 ) -> EvalReport:
+    """The report of ``model`` against ``gold``.  Each set must fit the
+    model (StructuralError): the accuracy and alignment sets are checked
+    here, the membership sets where ``mia_auc`` computes their losses."""
+    for data in (forget, personal):
+        check_fits(model, data)
     return EvalReport(
         forget_acc=evaluate_accuracy(model, forget),
         personal_acc=evaluate_accuracy(model, personal),

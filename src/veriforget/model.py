@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -272,53 +271,88 @@ def column_layout(model: MlpModel, cap: int) -> BlockLayout:
         for label, lo, hi in _parts(block, size, cap))
 
 
-def _weight_columns(a_prev, delta, lo: int, hi: int) -> np.ndarray:
-    """Columns [lo, hi) of a weight block's n x (din * dout) per-example
-    gradient, from the outer products of only the rows of W they touch."""
-    n, dout = delta.shape
-    r0, r1 = lo // dout, -(-hi // dout)
-    gw = np.einsum("ni,nj->nij", a_prev[:, r0:r1], delta).reshape(n, -1)
-    return gw[:, lo - r0 * dout : hi - r0 * dout]
+@dataclass(frozen=True)
+class GradBlock:
+    """Columns [lo, hi) of one layer's per-example gradient, held as that
+    layer's factors from one backward pass: its output errors ``delta``
+    (n x dout) and, for a weight block, its input activations ``a_prev``
+    (n x din), the weight W being din x dout and flattened row by row.  A
+    bias block has ``a_prev`` None.  This is the K-FAC structure (Martens
+    and Grosse, ICML 2015): the gradient of example i with respect to W is
+    a_i delta_i'."""
+
+    a_prev: np.ndarray | None
+    delta: np.ndarray
+    lo: int
+    hi: int
+
+    def _rows(self):
+        """The rows [r0, r1) of W the columns touch, and where the columns
+        start in the flattened rows."""
+        dout = self.delta.shape[1]
+        r0 = self.lo // dout
+        return r0, -(-self.hi // dout), self.lo - r0 * dout
+
+    def columns(self) -> np.ndarray:
+        """The n x s gradient columns G, a weight block's from the outer
+        products of only the rows of W it touches."""
+        if self.a_prev is None:
+            return self.delta[:, self.lo : self.hi]
+        r0, r1, at = self._rows()
+        n = self.delta.shape[0]
+        gw = np.einsum("ni,nj->nij", self.a_prev[:, r0:r1], self.delta)
+        return gw.reshape(n, -1)[:, at : at + self.hi - self.lo]
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """G'(G v) for a vector v over the block's columns, straight from
+        the factors, G never formed: (G v)_i = a_i' V delta_i with V the
+        rows of W that v fills, and G'u = A' diag(u) Delta.  Temporaries
+        are O(n * (rows + dout))."""
+        if self.a_prev is None:
+            cols = self.delta[:, self.lo : self.hi]
+            return cols.T @ (cols @ v)
+        r0, r1, at = self._rows()
+        dout = self.delta.shape[1]
+        w = np.zeros((r1 - r0) * dout)
+        w[at : at + v.size] = v
+        a = self.a_prev[:, r0:r1]
+        u = np.einsum("nj,nj->n", a @ w.reshape(r1 - r0, dout), self.delta)
+        out = a.T @ (u[:, None] * self.delta)
+        return out.reshape(-1)[at : at + v.size]
 
 
-def _bias_columns(delta, lo: int, hi: int) -> np.ndarray:
-    return delta[:, lo:hi]
+def grad_blocks(model: MlpModel, data: Dataset, cap: int) -> list:
+    """(label, ``GradBlock``) for each block of ``column_layout(model,
+    cap)``, in order, from one backward pass, which this runs, so the
+    blocks may be formed in any order, and in any process forked after
+    this returns.  A part of a weight block may start mid-row.
 
-
-def grad_formers(model: MlpModel, data: Dataset, cap: int) -> list:
-    """(label, former) for each block of ``column_layout(model, cap)``, in
-    order, from one backward pass, which this runs: ``former()`` forms the
-    block's n x s per-example gradient columns from that pass's per-layer
-    factors, so the blocks may be formed in any order, and in any process
-    forked after this returns.  A part of a weight block may start
-    mid-row.
-
-    A weight part is formed from the outer products of only the rows of W
-    it touches, so memory is O(n * (cap + 2 * dout)) per part and no n x d
-    matrix is built.
+    A weight part's columns are formed from the outer products of only
+    the rows of W it touches, so memory is O(n * (cap + 2 * dout)) per
+    part and no n x d matrix is built.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     check_fits(model, data)
     factors = list(_backprop(model.weights(), data.features, data.labels))
     blocks = model.params.layout.blocks
-    formers = []
+    out = []
     for (_, a_prev, delta), (_, w_size, w_label), (_, b_size, b_label) in zip(
         reversed(factors), blocks[0::2], blocks[1::2]
     ):
-        formers += [(label, partial(_weight_columns, a_prev, delta, lo, hi))
-                    for label, lo, hi in _parts(w_label, w_size, cap)]
-        formers += [(label, partial(_bias_columns, delta, lo, hi))
-                    for label, lo, hi in _parts(b_label, b_size, cap)]
-    return formers
+        out += [(label, GradBlock(a_prev, delta, lo, hi))
+                for label, lo, hi in _parts(w_label, w_size, cap)]
+        out += [(label, GradBlock(None, delta, lo, hi))
+                for label, lo, hi in _parts(b_label, b_size, cap)]
+    return out
 
 
 def grad_columns(model: MlpModel, data: Dataset, cap: int):
     """Yield (label, n x s per-example gradient columns) for each block of
     the model's layout, in order, split at ``cap`` as by ``_parts``, from
-    one backward pass (``grad_formers``)."""
-    for label, former in grad_formers(model, data, cap):
-        yield label, former()
+    one backward pass (``grad_blocks``)."""
+    for label, block in grad_blocks(model, data, cap):
+        yield label, block.columns()
 
 
 def per_example_grads(model: MlpModel, data: Dataset) -> np.ndarray:

@@ -1,16 +1,16 @@
 """Deterministic numerical primitives shared by the whole pipeline.
 
 Block-structured flat vectors, block-diagonal symmetric matrices whose
-upper triangles are always a ``BlockStream`` (formed, read from disk or
-held, and reached a block at a time), fixed-point quantization,
-reproducible reductions and digests, and the package's one pool of
-forked worker processes (``fork_map``).  Everything here is pure and
-immutable after construction; file formats live in ``artifacts``.
+upper triangles are always a ``BlockStream`` (formed from their inputs
+or held, and reached a block at a time; no block is read from or written
+to disk), fixed-point quantization, reproducible reductions and digests,
+and the package's one pool of forked worker processes (``fork_map``).
+Everything here is pure and immutable after construction; file formats
+live in ``artifacts``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -242,16 +242,20 @@ def _check_block(tri, size: int, label: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # The least number of triangle entries for which ``BlockStream.map`` forks.
-# On 2 vCPU, with the CLI and scipy loaded, ``fork_map`` started, ran and
-# stopped two workers that did nothing in 8-17 ms (the first pool in a
-# process is the slowest).  In one process the Fisher's pass costs about
-# 62 ns a triangle entry, the solve's 38 ns and the certificate's 15 ns
-# (staged-wide, 10.8 M entries).  Two workers save at most half of a pass,
-# so one pays from 2 * 15 ms / cost entries: 0.5 M for the Fisher, 0.8 M
-# for the solve, 2 M for the certificate, and 2 * 3 * 15 ms / 115 ns =
-# 0.8 M for the three together.  2^20 is the power of two above that: the
-# demo's 41,690 entries stay in-process, and staged-wide's 10.8 M fork.
-FORK_MIN_ENTRIES = 2**20
+# On 2 vCPU with one BLAS thread, a Group-OBS solve that forms and factors
+# the touched blocks costs 50-70 ns a triangle entry in one process.  Two
+# forked workers, each of which runs its own backward pass before its
+# first block, cost about 50 ms more than that pass in one process, and
+# save at most half of it, so forking pays from about 2 * 50 ms / 60 ns =
+# 1.7 M entries.  Measured over 32-h-h-8 models (cap 512, n = 560, every
+# block touched), the two took the same time at 2.0 M entries (104 and
+# 102 ms), one process was faster at 1.7 M (110 against 169 ms) and the
+# workers at 2.4 M (158 against 125 ms).  2^21 is the power of two above
+# the crossing: the demo's 32,896 touched entries stay in-process, and
+# staged-wide's 9.8 M fork.  The float certificate forms no block
+# (``certify``): it multiplies from the factors in one process, 15-30 ms
+# on staged-wide.
+FORK_MIN_ENTRIES = 2**21
 
 
 def _work(fn, first: int, step: int, count: int, fd: int) -> None:
@@ -329,14 +333,13 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
 
 class BlockStream:
     """The blocks of a block-diagonal matrix, reached by index one at a
-    time: formed, read, or held in memory (``held``).
+    time: formed from their inputs, or held in memory (``held``).
 
-    ``source()`` is a context manager that readies the blocks (it runs a
-    backward pass, or opens a blob and checks its length) and gives
+    ``source()`` readies the blocks (it runs a backward pass) and returns
     ``block(i, out)``: block i's triangle, written into ``out``, a 1-D f64
     array of the triangle's length, or held, and returned.  A walk over
     the stream and ``map`` check each block before anything uses it, and
-    neither forms or reads more than a block per process."""
+    neither forms more than a block per process at a time."""
 
     def __init__(self, source, layout: BlockLayout):
         self._source = source
@@ -348,40 +351,45 @@ class BlockStream:
         triangles = tuple(triangles)
         if len(triangles) != len(layout.blocks):
             raise StructuralError("block count does not match layout")
-        return cls(lambda: contextlib.nullcontext(lambda i, _: triangles[i]), layout)
+        return cls(lambda: lambda i, _: triangles[i], layout)
 
     def __len__(self) -> int:
         return len(self.layout.blocks)
 
     def __iter__(self):
         """Each block in memory of its own, in order: a walk."""
-        with self._source() as block:
-            for i, (_, size, label) in enumerate(self.layout.blocks):
-                out = np.empty(size * (size + 1) // 2)
-                yield _check_block(block(i, out), size, label)
+        block = self._source()
+        for i, (_, size, label) in enumerate(self.layout.blocks):
+            out = np.empty(size * (size + 1) // 2)
+            yield _check_block(block(i, out), size, label)
 
-    def map(self, fn) -> list:
-        """[fn(i, block i) for each block], through ``fork_map``: forked
-        when the triangles hold ``FORK_MIN_ENTRIES`` entries or more and
-        BLAS runs on one thread.  The source is readied once, in this
-        process, before any worker starts.  Each process reads or forms
-        every block it is given into one buffer, so ``fn`` must not keep
-        the block it is passed."""
+    def map(self, fn, only=None) -> list:
+        """[fn(i, block i) for each block i of ``only``, in order (every
+        block when ``only`` is None)], through ``fork_map``: forked when
+        those triangles hold ``FORK_MIN_ENTRIES`` entries or more and BLAS
+        runs on one thread.  The source is readied by the first block a
+        process forms, so forked workers each run it and this process
+        does not.  Each process forms every block it is given into one
+        buffer, so ``fn`` must not keep the block it is passed."""
+        indices = range(len(self)) if only is None else list(only)
         counts = [size * (size + 1) // 2 for _, size, _ in self.layout.blocks]
-        buf = np.empty(max(counts, default=0))
+        buf = np.empty(max((counts[i] for i in indices), default=0))
         # A worker runs BLAS on as many threads as this process, since
         # OpenBLAS reads OPENBLAS_NUM_THREADS (one per CPU when unset) as it
         # loads.  Two workers of two spinning threads each on 2 vCPU made
         # unlearn 14 times slower than one process.
-        fork = (sum(counts) >= FORK_MIN_ENTRIES
+        fork = (sum(counts[i] for i in indices) >= FORK_MIN_ENTRIES
                 and os.environ.get("OPENBLAS_NUM_THREADS") == "1")
+        ready = []
 
-        with self._source() as block:
-            def task(i):
-                _, size, label = self.layout.blocks[i]
-                return fn(i, _check_block(block(i, buf[: counts[i]]), size, label))
+        def task(j):
+            if not ready:
+                ready.append(self._source())
+            i = indices[j]
+            _, size, label = self.layout.blocks[i]
+            return fn(i, _check_block(ready[0](i, buf[: counts[i]]), size, label))
 
-            return fork_map(task, len(counts), fork=fork)
+        return fork_map(task, len(indices), fork=fork)
 
 
 @dataclass(frozen=True)
@@ -396,9 +404,10 @@ class BlockDiagMatrix:
     def layout(self) -> BlockLayout:
         return self.blocks.layout
 
-    def map(self, fn) -> list:
-        """[fn(i, block i) for each block], in order: ``BlockStream.map``."""
-        return self.blocks.map(fn)
+    def map(self, fn, only=None) -> list:
+        """[fn(i, block i) for each block i of ``only``, or every block], in
+        order: ``BlockStream.map``."""
+        return self.blocks.map(fn, only)
 
 
 # ---------------------------------------------------------------------------

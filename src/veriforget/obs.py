@@ -10,7 +10,7 @@ once, C = L L' with L = [[L11, 0], [L21, L22]].  Then dw_M = -theta_M
 exactly, dw_U = L11^-T L21' theta_M, and the multipliers are
 lam_M = L22 L22' theta_M, the Schur complement of C_UU applied to
 theta_M.  The solve reads only the upper triangle of such a block and
-never factors a block without a masked coordinate.
+never forms or factors a block without a masked coordinate.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .numkit import (
     ParamVector,
     StructuralError,
     scratch_squares,
+    touched,
     upper_mask,
 )
 
@@ -53,9 +54,10 @@ def group_obs_solve(
     theta_p: ParamVector,
     mask: MaskArtifact,
 ) -> CompensationResult:
-    """Closed-form KKT solution of the Group-OBS program, block by block,
-    each block solved by the process that reads it (``BlockDiagMatrix.map``).
-    Its residuals are evaluated in one place, ``certify.check_kkt``."""
+    """Closed-form KKT solution of the Group-OBS program, block by block:
+    only the blocks that hold a masked coordinate are formed, each solved
+    by the process that forms it (``BlockDiagMatrix.map``).  Its residuals
+    are evaluated in one place, ``certify.check_kkt``."""
     # Imported on first use, in this process before any worker is forked:
     # scipy takes longer to load than most commands run.
     from scipy.linalg.blas import dtrmv
@@ -68,15 +70,14 @@ def group_obs_solve(
     theta = theta_p.values
     masked = mask.indicator()
     slices = list(c_p.layout.slices())
+    hit = touched([sl.stop - sl.start for sl, _ in slices], mask.support)
     square, swap = scratch_squares(c_p.layout), scratch_squares(c_p.layout)
 
     def solve(i, tri):
-        """Block i's (dw_b, lam_b), or None when it has no masked coordinate."""
+        """Block i's (dw_b, lam_b)."""
         sl, label = slices[i]
         is_m = masked[sl]
         mloc = np.flatnonzero(is_m)
-        if mloc.size == 0:
-            return None
         d_b = sl.stop - sl.start
         ku = d_b - mloc.size
         order = np.concatenate([np.flatnonzero(~is_m), mloc])
@@ -115,12 +116,11 @@ def group_obs_solve(
 
     delta = np.zeros(theta_p.dim)
     multipliers = [np.empty(0)]
-    for (sl, _), solved in zip(slices, c_p.fisher.map(solve)):
-        if solved is not None:
-            # multipliers aligned to global sorted support: blocks are in
-            # layout order, so per-block masked coords are already ordered
-            delta[sl], lam_b = solved
-            multipliers.append(lam_b)
+    for i, (dw_b, lam_b) in zip(hit, c_p.fisher.map(solve, only=hit)):
+        # multipliers aligned to global sorted support: blocks are in
+        # layout order, so per-block masked coords are already ordered
+        delta[slices[i][0]] = dw_b
+        multipliers.append(lam_b)
     return CompensationResult(
         delta_w=theta_p.with_values(delta),
         multipliers=np.concatenate(multipliers),

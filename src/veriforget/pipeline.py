@@ -196,9 +196,7 @@ def run_pipeline(seed: int, cfg: PipelineConfig) -> PipelineResult:
         s0, sp, mask.budget, mask.eligible, theta_drift_l2=drift_l2
     )
 
-    # the stages below walk the Fisher four times: hold it, formed once
-    fisher = empirical_fisher_blockwise(theta_p, task.personal,
-                                        seed=seed).materialized()
+    fisher = empirical_fisher_blockwise(theta_p, task.personal, seed=seed)
     comp, theta_u = compensate(theta_p, mask, fisher)
     certificate = check_kkt(theta_p.params, theta_u.params, comp, fisher, mask)
 

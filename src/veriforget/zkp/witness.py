@@ -113,18 +113,14 @@ def encode_fixed_witness(
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
     sizes = [size for _, size, _ in c_p.layout.blocks]
-    hit = set(touched(sizes, mask.support))
 
     def damp(i, tri):
         """A touched block i's largest absolute row sum and its damped
-        triangle; None for any other block, which map still reads and
-        checks."""
-        if i not in hit:
-            return None
+        triangle."""
         block = unpack_upper(tri, sizes[i], diag=c_p.lam)
         return float(np.abs(block).sum(axis=1).max()), pack_upper(block)
 
-    blocks = [b for b in c_p.fisher.map(damp) if b is not None]
+    blocks = c_p.fisher.map(damp, only=touched(sizes, mask.support))
     row_max = max([0.0] + [row for row, _ in blocks])
     # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
     # BOUND_C is a power of two, so the division rounds nothing, and

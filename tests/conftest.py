@@ -170,18 +170,27 @@ def damped(fisher: BlockFisher) -> BlockDiagMatrix:
                          for b in square_blocks(fisher.fisher)], fisher.layout)
 
 
-def read_fisher(path) -> BlockFisher:
-    """The Fisher artifact at ``path`` with every block kept in memory."""
-    return art.load_fisher(path).materialized()
+def held(fisher: BlockFisher) -> BlockFisher:
+    """``fisher`` with every block formed once and held in memory."""
+    return replace(fisher, fisher=BlockDiagMatrix(
+        BlockStream.held(fisher.fisher.blocks, fisher.layout)))
 
 
-def resave_fisher(src, dst, blocks):
-    """The Fisher artifact at ``src`` written to ``dst`` with ``blocks`` as
-    its arrays, whatever their shapes, each with its digest."""
+def read_fisher(path, theta_p) -> BlockFisher:
+    """The Fisher artifact at ``path``, taken at the model ``theta_p``,
+    with every block formed once and held in memory."""
+    return held(art.load_fisher(path, theta_p))
+
+
+def resave(src, dst, arrays, **header_edits):
+    """The array artifact at ``src`` written to ``dst`` with ``arrays`` as
+    its arrays, whatever their shapes, each with its digest, and its
+    header's keys set to ``header_edits``."""
     with open(src) as fh:
         header = json.load(fh)
     del header["arrays"]
-    art._save(dst, header, blocks)
+    header.update(header_edits)
+    art._save(dst, header, arrays)
 
 
 def reference_curvature_layout(model_layout, cap):

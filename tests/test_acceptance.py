@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from veriforget import artifacts as art
 from veriforget import zkp
 from veriforget.certify import check_kkt, exact_hessian
 from veriforget.curvature import empirical_fisher_blockwise
@@ -28,6 +29,7 @@ from veriforget.model import (
 from veriforget.numkit import (
     BlockLayout,
     ParamVector,
+    StructuralError,
     pack_upper,
     quantize,
     unpack_upper,
@@ -123,7 +125,7 @@ def test_criterion_2_exact_mask_feasibility():
     report(2, "exact mask feasibility", ok)
 
 
-def test_criterion_3_kkt_certificate():
+def test_criterion_3_kkt_certificate(tmp_path):
     rng = np.random.default_rng(300)
     ok = True
     # honest side
@@ -164,6 +166,23 @@ def test_criterion_3_kkt_certificate():
             )
         if check_kkt(theta, theta_u, c2, fisher, mask).verdict:
             ok = False
+    # the one-block forgery: a Fisher artifact whose block cap is d would
+    # make every coordinate touched, so that a free curvature block could
+    # pass any step off the mask; its header does not load
+    model = init_mlp([4, 8, 3], 0)
+    path = str(tmp_path / "fisher")
+    art.save_fisher(path, empirical_fisher_blockwise(
+        model, small_dataset(rng, n=20, dim=4, classes=3)))
+    with open(path) as fh:
+        header = json.load(fh)
+    header["block_cap"] = model.dim
+    with open(path, "w") as fh:
+        json.dump(header, fh)
+    try:
+        art.load_fisher(path, model)
+        ok = False
+    except StructuralError:
+        pass
     report(3, "KKT certificate honest/tamper", ok)
 
 

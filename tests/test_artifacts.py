@@ -1,6 +1,5 @@
 """The artifact container: round trips, integrity checks and fuzzing."""
 
-import contextlib
 import hashlib
 import json
 import os
@@ -11,15 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from veriforget import artifacts as art
-from veriforget.curvature import BlockFisher
-from veriforget.model import Dataset, init_mlp
-from veriforget.numkit import (
-    BlockDiagMatrix,
-    BlockLayout,
-    BlockStream,
-    ParamVector,
-    StructuralError,
-)
+from veriforget.curvature import BLOCK_CAPS, empirical_fisher_blockwise
+from veriforget.model import Dataset, column_layout, init_mlp
+from veriforget.numkit import ParamVector, StructuralError
 from veriforget.obs import CompensationResult
 from veriforget.zkp import Proof, PublicInputs
 
@@ -29,14 +22,15 @@ from conftest import (
     random_layout,
     random_mask,
     read_fisher,
-    resave_fisher,
+    resave,
     small_dataset,
-    square_blocks,
 )
 
 ARRAY_KINDS = ("model", "dataset", "fisher", "comp")
 JSON_KINDS = ("mask", "public", "proof")
 INPUTS = {"model": "ab" * 32}
+# The model the sample Fisher is taken at, which its loader is given.
+FISHER_MODEL = init_mlp([3, 4, 2], 1)
 
 
 def sample(kind, bump=0.0):
@@ -54,14 +48,11 @@ def sample(kind, bump=0.0):
         x[0, 0] += bump
         return Dataset(features=x, labels=data.labels, name=data.name)
     if kind == "fisher":
-        f = random_fisher(rng, layout)
-        blocks = [b.copy() for b in f.fisher.blocks]
-        blocks[0][0] += bump  # the (0, 0) entry
-        return BlockFisher(
-            fisher=BlockDiagMatrix(BlockStream.held(blocks, layout)),
-            lam=f.lam, sample_count=f.sample_count,
-            source_digest=f.source_digest,
-        )
+        data = small_dataset(rng, dim=3, classes=2)
+        x = data.features.copy()
+        x[0, 0] += bump
+        return empirical_fisher_blockwise(
+            FISHER_MODEL, Dataset(features=x, labels=data.labels), seed=4)
     if kind == "comp":
         dw = rng.normal(size=layout.total_dim)
         dw[0] += bump
@@ -82,10 +73,18 @@ def save(kind, path, obj):
     return getattr(art, f"save_{kind}")(path, obj, inputs=INPUTS)
 
 
+def loader(kind):
+    """The loader of ``kind``, taking the path and the caller's digests."""
+    if kind == "fisher":
+        return lambda path, **inputs: art.load_fisher(path, FISHER_MODEL,
+                                                      **inputs)
+    return getattr(art, f"load_{kind}")
+
+
 def load(kind, path):
     if kind == "fisher":
-        return read_fisher(path)
-    return getattr(art, f"load_{kind}")(path)
+        return read_fisher(path, FISHER_MODEL)
+    return loader(kind)(path)
 
 
 def arrays_of(kind, obj):
@@ -94,7 +93,8 @@ def arrays_of(kind, obj):
     if kind == "dataset":
         return [obj.features, obj.labels]
     if kind == "fisher":
-        return list(obj.fisher.blocks)
+        return [obj.recipe.rows.features, obj.recipe.rows.labels,
+                *obj.fisher.blocks]
     return [obj.delta_w.values, obj.multipliers]
 
 
@@ -115,7 +115,8 @@ def test_round_trip(tmp_path, kind):
     elif kind == "fisher":
         assert (back.lam, back.sample_count, back.source_digest) == (
             obj.lam, obj.sample_count, obj.source_digest)
-        assert back.layout == obj.layout
+        assert back.recipe.block_cap == obj.recipe.block_cap
+        assert back.layout == obj.layout == column_layout(FISHER_MODEL, 256)
     else:
         assert back.delta_w.layout == obj.delta_w.layout
         assert back.method == obj.method
@@ -228,18 +229,6 @@ def test_older_header_keys_still_load(tmp_path, kind, key, value):
         assert np.array_equal(a, b)
 
 
-def test_load_fisher_rejects_blocks_not_upper_triangles(tmp_path):
-    p = str(tmp_path / "fisher")
-    fisher = sample("fisher")
-    art.save_fisher(p, fisher)
-    tri, *rest = fisher.fisher.blocks
-    # one entry short or over, and the full square block of an older format
-    for bad in (tri[:-1], np.append(tri, 0.0), square_blocks(fisher.fisher)[0]):
-        resave_fisher(p, p, [bad, *rest])
-        with pytest.raises(StructuralError):
-            art.load_fisher(p)
-
-
 def test_check_input_digests(tmp_path):
     """A loader checks each input the header records that the caller
     names, and only those; a header that records none is checked against
@@ -247,13 +236,13 @@ def test_check_input_digests(tmp_path):
     for kind in ("model", "fisher", "comp"):
         p = str(tmp_path / kind)
         save(kind, p, sample(kind))
-        loader = getattr(art, f"load_{kind}")
-        loader(p, model=INPUTS["model"])
-        loader(p, mask="cd" * 32)  # not recorded: not checked
+        load_kind = loader(kind)
+        load_kind(p, model=INPUTS["model"])
+        load_kind(p, mask="cd" * 32)  # not recorded: not checked
         with pytest.raises(StructuralError, match="records another model"):
-            loader(p, model="cd" * 32)
+            load_kind(p, model="cd" * 32)
         getattr(art, f"save_{kind}")(p, sample(kind))
-        loader(p, model="cd" * 32)
+        load_kind(p, model="cd" * 32)
 
 
 @pytest.mark.parametrize("kind", ("model", "fisher", "comp"))
@@ -265,7 +254,7 @@ def test_recorded_inputs_must_be_digests_by_name(tmp_path, kind, inputs):
     save(kind, p, sample(kind))
     _rewrite_header(p, lambda h: h.update(inputs=inputs))
     with pytest.raises(StructuralError, match="inputs are not digests"):
-        getattr(art, f"load_{kind}")(p, model=INPUTS["model"])
+        loader(kind)(p, model=INPUTS["model"])
 
 
 # -- fuzzing -------------------------------------------------------------------
@@ -391,22 +380,6 @@ def test_file_digest_reads_in_chunks(tmp_path):
     assert peak < 2**20
 
 
-def _streamed_fisher(n_blocks=8, size=256):
-    """A Fisher of ``n_blocks`` random triangles, each formed when a walk
-    or a map reaches it, with the blocks it forms."""
-    layout = BlockLayout.from_sizes((size, f"b{i}") for i in range(n_blocks))
-
-    def block(i, out):
-        return np.random.default_rng([5, i]).standard_normal(out=out)
-
-    fisher = BlockFisher(
-        fisher=BlockDiagMatrix(
-            BlockStream(lambda: contextlib.nullcontext(block), layout)),
-        lam=1e-3, sample_count=3, source_digest="test")
-    tri = size * (size + 1) // 2
-    return fisher, [block(i, np.empty(tri)) for i in range(n_blocks)]
-
-
 def _peak_of(fn):
     tracemalloc.start()
     try:
@@ -417,42 +390,22 @@ def _peak_of(fn):
         tracemalloc.stop()
 
 
-def test_fisher_saved_and_read_one_block_at_a_time(tmp_path):
-    """Saving a streamed Fisher and walking its artifact each hold a block
-    or two at a time; the whole Fisher is eight blocks."""
+def test_fisher_saved_and_read_without_forming_a_block(tmp_path):
+    """Saving a Fisher and loading its artifact form no block: each holds
+    less than one of its 256 x 256 triangles, and the artifact is the
+    rows, far smaller than the blocks."""
+    model = init_mlp([8, 64, 2], 0)
+    data = small_dataset(np.random.default_rng(3), n=40, dim=8, classes=2)
+    fisher = empirical_fisher_blockwise(model, data)
+    block_bytes = 8 * 256 * 257 // 2
     p = str(tmp_path / "fisher")
-    fisher, blocks = _streamed_fisher()
-    block_bytes = blocks[0].nbytes
-    assert _peak_of(lambda: art.save_fisher(p, fisher)) < 3 * block_bytes
-
-    def walk():
-        for got, want in zip(art.load_fisher(p).fisher.blocks, blocks):
-            assert np.array_equal(got, want)
-
-    assert _peak_of(walk) < 3 * block_bytes
-    assert read_fisher(p).layout == fisher.layout
-
-
-@settings(max_examples=examples(40), deadline=None)
-@given(at=st.integers(0, 6 * 10 * 8 - 1), xor=st.integers(1, 255))
-def test_fisher_walk_stops_at_the_changed_block(saved, at, xor):
-    """A walk over a Fisher of six 4 x 4 blocks, one byte of its blob
-    changed, yields every block before the changed one intact and raises
-    at that block without yielding it."""
-    fisher, blocks = _streamed_fisher(n_blocks=6, size=4)
-    p = os.path.join(saved[0], "walked")
-    art.save_fisher(p, fisher)
-    with open(p + ".bin", "rb") as fh:
-        data = fh.read()
-    with open(p + ".bin", "wb") as fh:
-        fh.write(_xor_byte(at, xor)(data))
-    walked = []
-    with pytest.raises(StructuralError, match="digest mismatch for array"):
-        for tri in art.load_fisher(p).fisher.blocks:
-            walked.append(tri)
-    assert len(walked) == at // blocks[0].nbytes
-    for got, want in zip(walked, blocks):
-        assert np.array_equal(got, want)
+    assert _peak_of(lambda: art.save_fisher(p, fisher)) < block_bytes
+    assert _peak_of(lambda: art.load_fisher(p, model)) < block_bytes
+    assert os.path.getsize(p + ".bin") == 40 * 8 * 8 + 40 * 8
+    loaded = art.load_fisher(p, model)
+    assert loaded.layout == fisher.layout
+    for got, want in zip(loaded.fisher.blocks, fisher.fisher.blocks):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("edit", [
@@ -466,15 +419,21 @@ def test_fisher_reader_checks_the_blob_length_first(tmp_path, edit):
     with open(p + ".bin", "wb") as fh:
         fh.write(edit(data))
     with pytest.raises(StructuralError, match="header declares"):
-        next(iter(art.load_fisher(p).fisher.blocks))
+        art.load_fisher(p, FISHER_MODEL)
 
 
-def test_fisher_header_must_list_the_layout_triangles(tmp_path):
+def test_fisher_header_must_list_the_rows(tmp_path):
+    """The features and the labels of the sample rows, and nothing else:
+    a header of the older format, one triangle per block, does not load."""
     p = str(tmp_path / "fisher")
-    art.save_fisher(p, sample("fisher"))
+    fisher = sample("fisher")
+    art.save_fisher(p, fisher)
     _rewrite_header(p, lambda h: h["arrays"].pop())
     with pytest.raises(StructuralError, match="does not declare 2 arrays"):
-        art.load_fisher(p)
+        art.load_fisher(p, FISHER_MODEL)
+    resave(p, p, list(fisher.fisher.blocks))
+    with pytest.raises(StructuralError, match="does not declare 2 arrays"):
+        art.load_fisher(p, FISHER_MODEL)
 
 
 def test_failed_save_leaves_no_blob(tmp_path):
@@ -488,21 +447,68 @@ def test_failed_save_leaves_no_blob(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_failed_fisher_save_leaves_no_blob(tmp_path, workers):
-    """A Fisher whose second block raises while it is formed, in-process
-    or in a worker, leaves neither ``fisher`` nor ``fisher.bin``."""
-    layout = BlockLayout.from_sizes((3, f"b{i}") for i in range(4))
-
-    def block(i, out):
-        if i == 1:
-            raise StructuralError("the second block failed")
-        out.fill(1.0)
-        return out
-
-    fisher = BlockFisher(
-        fisher=BlockDiagMatrix(
-            BlockStream(lambda: contextlib.nullcontext(block), layout)),
-        lam=1e-3, sample_count=3, source_digest="test")
-    with pytest.raises(StructuralError, match="second block"):
-        art.save_fisher(str(tmp_path / "fisher"), fisher)
+def test_fisher_block_cap_is_one_of_the_allowed(tmp_path):
+    """An estimate in memory may use any cap, but only one of BLOCK_CAPS
+    is written or read, and the layout is always the model's own split at
+    the cap: a header that declares one block of all d coordinates (the
+    layout that makes every coordinate touched) changes nothing, and a cap
+    of d is refused."""
+    p = str(tmp_path / "fisher")
+    fisher = sample("fisher")
+    odd = empirical_fisher_blockwise(FISHER_MODEL, fisher.recipe.rows,
+                                     block_cap=FISHER_MODEL.dim)
+    with pytest.raises(StructuralError, match="block cap"):
+        art.save_fisher(p, odd)
     assert os.listdir(tmp_path) == []
+    for cap in BLOCK_CAPS:
+        art.save_fisher(p, empirical_fisher_blockwise(
+            FISHER_MODEL, fisher.recipe.rows, block_cap=cap))
+        assert art.load_fisher(p, FISHER_MODEL).recipe.block_cap == cap
+    one_block = [{"offset": 0, "size": FISHER_MODEL.dim, "label": "all"}]
+    _rewrite_header(p, lambda h: h.update(layout=one_block))
+    assert art.load_fisher(p, FISHER_MODEL).layout == column_layout(
+        FISHER_MODEL, BLOCK_CAPS[-1])
+    for cap in (FISHER_MODEL.dim, 8, 256.0, True, "256", None):
+        _rewrite_header(p, lambda h: h.update(block_cap=cap))
+        with pytest.raises(StructuralError):
+            art.load_fisher(p, FISHER_MODEL)
+
+
+def test_fisher_given_by_blocks_alone_is_not_saved(tmp_path):
+    rng = np.random.default_rng(2)
+    with pytest.raises(StructuralError, match="no recipe"):
+        art.save_fisher(str(tmp_path / "fisher"),
+                        random_fisher(rng, random_layout(rng)))
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(n=h["n"] - 1),
+    lambda h: h.update(n=float(h["n"])),
+    lambda h: h.update(source_digest=7),
+    lambda h: h.pop("block_cap"),
+], ids=["n_short", "n_float", "source_digest_number", "no_block_cap"])
+def test_fisher_header_must_describe_the_rows(tmp_path, edit):
+    p = str(tmp_path / "fisher")
+    art.save_fisher(p, sample("fisher"))
+    _rewrite_header(p, edit)
+    with pytest.raises(StructuralError):
+        art.load_fisher(p, FISHER_MODEL)
+
+
+def test_fisher_rows_must_fit_the_model(tmp_path):
+    """Rows of another width, a label beyond the model's classes, and a
+    NaN feature, each under a renewed digest, do not load."""
+    p = str(tmp_path / "fisher")
+    art.save_fisher(p, sample("fisher"))
+    rows = art.load_fisher(p, FISHER_MODEL).recipe.rows
+    x, y = rows.features, rows.labels
+    nan = x.copy()
+    nan[3, 1] = np.nan
+    for features, labels, message in (
+        (x[:, :2], y, "features"), (x, y + 2, "out of range"),
+        (nan, y, "non-finite features"),
+    ):
+        resave(p, str(tmp_path / "bad"), [features, labels])
+        with pytest.raises(StructuralError, match=message):
+            art.load_fisher(str(tmp_path / "bad"), FISHER_MODEL)

@@ -1,28 +1,34 @@
 import tracemalloc
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from veriforget.certify import (
+    _damped_products,
     check_kkt,
     exact_hessian,
     forget_gain_report,
     measured_forget_gap,
 )
 from veriforget.masking import make_mask
+from veriforget.curvature import empirical_fisher_blockwise
 from veriforget.model import (
     TrainConfig,
     batch_grad,
+    grad_columns,
     init_mlp,
     per_example_grads,
     train_sgd,
 )
-from veriforget.numkit import NumericError
+from veriforget.numkit import NumericError, StructuralError
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
     examples,
+    held,
     quadratic_gain,
     random_instance,
     random_spd_block,
@@ -38,6 +44,66 @@ def honest_instance(seed):
 
 
 # -- kkt certificate ------------------------------------------------------------
+
+# The factored and the triangle form of (F_b + lam I) v sum the same
+# products in other orders.  Each rounds within gamma_k = k * eps of the
+# sums of absolute values, |G|'(|G| |v|) / n + lam |v|, where k bounds
+# the terms of any one sum: n + s + din + dout <= 2 * (n + d).  The bound
+# is fixed from float64's epsilon, plus a subnormal per term for
+# products that underflow.
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 9), min_size=3, max_size=4),
+    n=st.integers(1, 30),
+    cap=st.integers(1, 12),
+    lam=st.floats(1e-6, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# parts of 10 of a 5 x 7 weight start mid-row, and n = 4 < s = 10
+@example(dims=[5, 7, 3], n=4, cap=10, lam=1e-3, seed=3)
+def test_factored_stationarity_matches_the_triangle_form(dims, n, cap, lam,
+                                                         seed):
+    """check_kkt's product with each block from the layer factors, for a
+    Fisher given by its recipe, against the product from the block's
+    triangle, for the same Fisher given by its blocks alone."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(dims, 0)
+    model = model.with_params(rng.normal(size=model.dim))
+    theta = model.params
+    data = small_dataset(rng, n=n, dim=dims[0], classes=dims[-1])
+    fisher = empirical_fisher_blockwise(model, data, lam=lam, block_cap=cap,
+                                        seed=seed)
+    blocks_only = replace(held(fisher), recipe=None)
+    dw = rng.normal(size=theta.dim) * rng.integers(0, 2, size=theta.dim)
+    moved = sorted(set(rng.choice(len(fisher.layout.blocks),
+                                  size=int(rng.integers(0, 4))).tolist()))
+    factored = _damped_products(fisher, theta, dw, moved)
+    oracle = _damped_products(blocks_only, theta, dw, moved)
+    sub = fisher.recipe.rows
+    cols = dict(grad_columns(model, sub, cap))
+    slices = list(fisher.layout.slices())
+    bound_terms = 2 * (len(sub) + theta.dim)
+    for b, got, want in zip(moved, factored, oracle):
+        sl, label = slices[b]
+        v = dw[sl]
+        g = np.abs(cols[label])
+        scale = g.T @ (g @ np.abs(v)) / len(sub) + lam * np.abs(v)
+        tol = bound_terms * _EPS * scale + bound_terms * _TINY
+        assert np.all(np.abs(got - want) <= tol), label
+
+
+def test_factored_stationarity_needs_the_fisher_at_theta_p():
+    rng = np.random.default_rng(5)
+    model = init_mlp([3, 4, 2], 0)
+    data = small_dataset(rng, dim=3, classes=2)
+    fisher = empirical_fisher_blockwise(model, data)
+    other = model.params.with_values(model.params.values + 1.0)
+    with pytest.raises(StructuralError, match="another model"):
+        _damped_products(fisher, other, np.ones(model.dim), [0])
 
 
 def test_honest_run_passes_tightly():

@@ -17,12 +17,12 @@ from click.testing import CliRunner
 import veriforget
 from veriforget import artifacts as art
 from veriforget import zkp
-from veriforget.certify import measured_forget_gap
+from veriforget.certify import check_kkt, measured_forget_gap
 from veriforget.cli import main
+from veriforget.masking import make_mask
 from veriforget.model import init_mlp
 from veriforget.numkit import (
     BlockDiagMatrix,
-    BlockLayout,
     BlockStream,
     NumericError,
     StructuralError,
@@ -35,7 +35,7 @@ from veriforget.zkp.circuit import FAMILIES
 from conftest import (
     read_fisher,
     report_cpus,
-    resave_fisher,
+    resave,
     square_blocks,
     tag_over,
     tiny_config,
@@ -103,29 +103,39 @@ def test_certify_fails_on_free_curvature_forgery_off_the_touched_blocks(
     """Output weights moved by up to 0.5, a block the mask does not touch,
     with a Fisher block chosen so that its damped form I - u u'/|u|^2
     annihilates the step u: stationarity holds to rounding, and only the
-    step's own pin to zero there rejects it."""
+    step's own pin to zero there rejects it.  Such a block can be given
+    only in memory; certify forms the curvature from theta_p and the
+    stored rows, and fails the same step."""
     w, tmp = workdir, str(tmp_path)
-    fisher = read_fisher(f"{w}/fisher")
+    theta_p = art.load_model(f"{w}/theta_p")
+    fisher = read_fisher(f"{w}/fisher", theta_p)
     b = fisher.layout.labels.index("mlp.1.w")
     sl = list(fisher.layout.slices())[b][0]
     comp, theta_u = art.load_comp(f"{w}/comp"), art.load_model(f"{w}/theta_u")
-    theta_p = art.load_model(f"{w}/theta_p").params.values
+    mask = art.load_mask(f"{w}/mask.mask")
     u = np.random.default_rng(7).uniform(-0.5, 0.5, sl.stop - sl.start)
     dw = comp.delta_w.values.copy()
     assert not dw[sl].any()
     dw[sl] = u
     tu = theta_u.params.values.copy()
-    tu[sl] = theta_p[sl] + u
-    art.save_comp(f"{tmp}/comp", replace(comp, delta_w=comp.delta_w.with_values(dw)))
-    art.save_model(f"{tmp}/theta_u", theta_u.with_params(tu))
+    tu[sl] = theta_p.params.values[sl] + u
+    forged_comp = replace(comp, delta_w=comp.delta_w.with_values(dw))
     blocks = [tri.copy() for tri in fisher.fisher.blocks]
     blocks[b] = pack_upper(np.eye(u.size) - np.outer(u, u) / (u @ u)
                            - fisher.lam * np.eye(u.size))
-    resave_fisher(f"{w}/fisher", f"{tmp}/fisher", blocks)
-    res = invoke(*_certify_args(w, theta_u=tmp, comp=tmp, fisher=tmp), "--json")
+    forged = replace(fisher, recipe=None, fisher=BlockDiagMatrix(
+        BlockStream.held(blocks, fisher.layout)))
+    cert = check_kkt(theta_p.params, theta_u.params.with_values(tu),
+                     forged_comp, forged, mask)
+    assert not cert.verdict
+    assert cert.inf_norms[2] <= cert.tolerance
+    assert cert.inf_norms[1] == np.abs(u).max()
+    art.save_comp(f"{tmp}/comp", forged_comp)
+    art.save_model(f"{tmp}/theta_u", theta_u.with_params(tu))
+    res = invoke(*_certify_args(w, theta_u=tmp, comp=tmp), "--json")
     assert res.exit_code == 1, res.output
     report = json.loads(res.output)
-    assert report["stationarity_inf"] <= report["tolerance"]
+    assert report["stationarity_inf"] > report["tolerance"]
     assert report["feasibility_inf"] == np.abs(u).max()
 
 
@@ -263,10 +273,6 @@ def _set(key, value):
     return lambda header: header.update({key: value})
 
 
-def _set_layout(index, key, value):
-    return lambda header: header["layout"][index].update({key: value})
-
-
 def _theta_u_without_blob(w, tmp):
     shutil.copy(f"{w}/theta_u", f"{tmp}/theta_u")
     return ("certify", "--theta-p", f"{w}/theta_p",
@@ -293,7 +299,11 @@ def _with_nan(src, dst, index):
 
 
 def _fisher_nan_entry(w, tmp):
-    _with_nan(f"{w}/fisher", f"{tmp}/fisher", 0)
+    """The Fisher's first stored feature set to NaN, its digest renewed."""
+    rows = art.load_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p")).recipe.rows
+    features = rows.features.copy()
+    features[0, 0] = np.nan
+    resave(f"{w}/fisher", f"{tmp}/fisher", [features, rows.labels])
     return ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
             "--fisher", f"{tmp}/fisher", "--out-dir", tmp)
 
@@ -308,7 +318,7 @@ def _comp_nan_multiplier(w, tmp):
 # The one stderr line of cases that must get past the digest checks, a
 # NaN whose array's digest was renewed, to the finiteness check.
 _STDERR = {
-    _fisher_nan_entry: "error: block 'mlp.0.w' has non-finite entries",
+    _fisher_nan_entry: "error: non-finite features",
     _comp_nan_multiplier: "error: non-finite multipliers",
 }
 
@@ -361,24 +371,52 @@ def _certify_without_inputs(w, tmp, fisher=None):
 
 
 def _certify_truncated_fisher(w, tmp):
-    # theta_u and comp moved by 0.5 off the mask at the last coordinate,
-    # which a Fisher of the first block alone does not cover; the comp
-    # records no inputs, as the demo writes it
-    comp, theta_u = art.load_comp(f"{w}/comp"), art.load_model(f"{w}/theta_u")
-    i = theta_u.dim - 1
-    dw, tu = comp.delta_w.values.copy(), theta_u.params.values.copy()
-    dw[i] += 0.5
-    tu[i] += 0.5
-    art.save_comp(f"{tmp}/comp", replace(comp, delta_w=comp.delta_w.with_values(dw)))
-    art.save_model(f"{tmp}/theta_u", theta_u.with_params(tu))
-    fisher = read_fisher(f"{w}/fisher")
-    _, size, label = fisher.layout.blocks[0]
-    art.save_fisher(f"{tmp}/fisher", replace(fisher, fisher=BlockDiagMatrix(
-        BlockStream.held([next(iter(fisher.fisher.blocks))],
-                         BlockLayout.from_sizes([(size, label)])))))
-    honest = invoke(*_certify_args(w, theta_u=tmp, comp=tmp))
-    assert honest.exit_code == 1, honest.output
-    return _certify_args(w, theta_u=tmp, comp=tmp, fisher=tmp)
+    # the stored rows cut to the first, under renewed digests, while the
+    # header still counts them all; the comp and theta_u record no inputs,
+    # as the demo writes them, so only the Fisher's own check stands
+    rows = art.load_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p")).recipe.rows
+    resave(f"{w}/fisher", f"{tmp}/fisher", [rows.features[:1], rows.labels[:1]])
+    return _certify_without_inputs(w, tmp, fisher=tmp)
+
+
+def _fisher_block_cap(command, cap):
+    """A case that runs ``command`` on the staged run's Fisher whose header
+    names the block cap ``cap``: d = 67 is one block of every coordinate,
+    the layout that makes every coordinate touched."""
+    def case(w, tmp):
+        with open(f"{w}/fisher") as fh:
+            header = json.load(fh)
+        header["block_cap"] = cap
+        with open(f"{tmp}/fisher", "w") as fh:
+            json.dump(header, fh)
+        shutil.copy(f"{w}/fisher.bin", f"{tmp}/fisher.bin")
+        if command == "unlearn":
+            return tuple(a.format(w=w, tmp=tmp) for a in _UNLEARN_TMP_FISHER)
+        args = _certify_without_inputs(w, tmp, fisher=tmp)
+        if command == "prove":
+            return ("prove", *args[1:], "--out-dir", tmp)
+        return args
+
+    case.__name__ = f"_{command}_fisher_block_cap_{cap}"
+    return case
+
+
+def _evaluate_labels_out_of_range(option):
+    """A case that runs evaluate with the set of ``option`` relabelled to
+    classes 5-7 of a 3-class model."""
+    def case(w, tmp):
+        data = art.load_dataset(f"{w}/holdout_forget.dset")
+        art.save_dataset(f"{tmp}/bad.dset", replace(data, labels=data.labels + 5))
+        sets = {"--forget": f"{w}/holdout_forget.dset",
+                "--personal": f"{w}/holdout_personal.dset",
+                option: f"{tmp}/bad.dset"}
+        return ("evaluate", "--model", f"{w}/theta_u", "--gold", f"{w}/theta_p",
+                *(a for item in sets.items() for a in item),
+                "--members", f"{w}/forget.dset",
+                "--nonmembers", f"{w}/holdout_forget.dset")
+
+    case.__name__ = f"_evaluate_{option.lstrip('-')}_labels_out_of_range"
+    return case
 
 
 def _recorded_inputs(path):
@@ -405,13 +443,14 @@ def _multipliers(command, extra):
 
 
 def _square_fisher(command):
-    """A case that runs ``command`` on the staged run's Fisher written with
-    full square blocks, as an older format held them; certify gets a comp
+    """A case that runs ``command`` on the staged run's Fisher written as
+    full square blocks, as an older format held the curvature, in place of
+    its rows; certify gets a comp
     and theta_u that record no inputs, so no digest check stands in the
     way."""
     def case(w, tmp):
-        resave_fisher(f"{w}/fisher", f"{tmp}/fisher",
-                      square_blocks(read_fisher(f"{w}/fisher").fisher))
+        fisher = read_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p"))
+        resave(f"{w}/fisher", f"{tmp}/fisher", square_blocks(fisher.fisher))
         if command == "unlearn":
             return tuple(a.format(w=w, tmp=tmp) for a in _UNLEARN_TMP_FISHER)
         return _certify_without_inputs(w, tmp, fisher=tmp)
@@ -598,10 +637,15 @@ def _fisher_zero_samples(w, tmp):
                 _set("layer_dims", [4.0, 8.0, 3.0]), "fisher", "--model",
                 "{tmp}/theta_p", "--data", "{w}/personal.dset",
                 "--out", "{tmp}/f"),
-        _header("layout_size_float", "fisher", _set_layout(-1, "size", 3.0),
+        # the layout's one parameter, the block cap, as a float and a bool
+        _header("layout_size_float", "fisher", _set("block_cap", 256.0),
                 *_UNLEARN_TMP_FISHER),
-        _header("layout_offset_bool", "fisher", _set_layout(0, "offset", False),
+        _header("layout_offset_bool", "fisher", _set("block_cap", False),
                 *_UNLEARN_TMP_FISHER),
+        _fisher_block_cap("unlearn", 67), _fisher_block_cap("certify", 67),
+        _fisher_block_cap("prove", 67), _fisher_block_cap("certify", 8),
+        _evaluate_labels_out_of_range("--forget"),
+        _evaluate_labels_out_of_range("--personal"),
         _public_field("com_theta_p", "upper_case", str.upper),
         _public_field("com_theta_u", "0x_prefix", lambda r: "0x" + r),
         _public_field("com_c_p", "negative", lambda r: "-" + r),
@@ -730,20 +774,12 @@ def _flip_last_block(w, path):
         fh.write(bytes([byte ^ 1]))
 
 
-def _negate_masked_diagonal(w, path):
-    """-1 on the diagonal at the first masked coordinate, which makes the
-    solve fail at that block, before the walk reaches the digest."""
-    fisher = read_fisher(path)
-    first = int(art.load_mask(f"{w}/mask.mask").support[0])
-    at = 0
-    for offset, size, _ in fisher.layout.blocks:
-        if offset <= first < offset + size:
-            at += 8 * int(upper_diagonal(size)[first - offset])
-            break
-        at += 8 * size * (size + 1) // 2
+def _edit_first_row(w, path):
+    """The first stored feature negated in place, its digest not renewed."""
     with open(path + ".bin", "r+b") as fh:
-        fh.seek(at)
-        fh.write(np.array([-1.0], dtype="<f8").tobytes())
+        value = -np.frombuffer(fh.read(8), dtype="<f8")
+        fh.seek(0)
+        fh.write(value.tobytes())
 
 
 def _resize_blob(delta):
@@ -778,14 +814,13 @@ def _old_format_header(w, path):
 
 @pytest.mark.parametrize("command", ["unlearn", "certify"])
 @pytest.mark.parametrize("edit", [
-    _flip_last_block, _negate_masked_diagonal, _resize_blob(-8),
+    _flip_last_block, _edit_first_row, _resize_blob(-8),
     _resize_blob(1), _drop_last_array, _old_format_header,
-], ids=["flipped_last_block", "negated_masked_diagonal", "truncated",
+], ids=["flipped_last_block", "edited_first_row", "truncated",
         "trailing_byte", "one_array_fewer", "old_format_header"])
 def test_bad_fisher_blob_exit_2(workdir, tmp_path, command, edit):
     """A Fisher edited in place with no digest renewed, or written in the
-    older format, exits 2 with one error line, even where the solve would
-    fail first; unlearn writes nothing."""
+    older format, exits 2 with one error line; unlearn writes nothing."""
     w, tmp = workdir, str(tmp_path)
     for suffix in ("", ".bin"):
         shutil.copy(f"{w}/fisher{suffix}", f"{tmp}/fisher{suffix}")
@@ -816,14 +851,23 @@ def test_failed_fisher_writes_nothing(workdir, tmp_path):
 
 
 @pytest.mark.parametrize("on_mask", [True, False], ids=["on-mask", "off-mask"])
-def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, workers, on_mask):
+def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, monkeypatch, workers,
+                                      on_mask):
     """A damped block with a negative diagonal entry, on the mask or off
     it, is not positive definite: unlearn exits 3 with one error line
     naming the block and the coordinate, also from the worker that
-    factored the block, and writes nothing."""
+    factored the block, and writes nothing.  A stored Fisher cannot hold
+    such a block, since its blocks are formed from its rows, so the block
+    enters in memory, through the loader; the mask touches a second block,
+    so that each of two workers factors one."""
     w, tmp = workdir, str(tmp_path)
-    fisher = read_fisher(f"{w}/fisher")
-    support = art.load_mask(f"{w}/mask.mask").support
+    theta_p = art.load_model(f"{w}/theta_p")
+    fisher = read_fisher(f"{w}/fisher", theta_p)
+    d = theta_p.dim
+    support = np.append(art.load_mask(f"{w}/mask.mask").support,
+                        fisher.layout.block_slice("mlp.1.w").start)
+    art.save_mask(f"{tmp}/mask.mask",
+                  make_mask(d, support.size, np.arange(d), support))
     first = int(support[0])
     block = next(b for b in fisher.layout.blocks if b[0] <= first < b[0] + b[1])
     offset, size, label = block
@@ -832,9 +876,12 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, workers, on_mask):
     blocks = [tri.copy() for tri in fisher.fisher.blocks]
     blocks[fisher.layout.blocks.index(block)][
         upper_diagonal(size)[coord - offset]] = -1.0
-    resave_fisher(f"{w}/fisher", f"{tmp}/fisher", blocks)
-    res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
-                 "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
+    tampered = replace(fisher, fisher=BlockDiagMatrix(
+        BlockStream.held(blocks, fisher.layout)))
+    monkeypatch.setattr(art, "load_fisher", lambda *args, **inputs: tampered)
+    res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask",
+                 f"{tmp}/mask.mask", "--fisher", f"{w}/fisher",
+                 "--out-dir", f"{tmp}/u")
     assert res.exit_code == 3, res.output
     lines = res.stderr.splitlines()
     assert len(lines) == 1, res.stderr
@@ -844,21 +891,22 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, workers, on_mask):
 
 
 def _nan_first_entry(w, path):
-    _with_nan(path, path, 0)
+    _fisher_nan_entry(w, os.path.dirname(path))
 
 
 @pytest.mark.parametrize("command", ["unlearn", "certify"])
 @pytest.mark.parametrize("edit, message", [
-    (_flip_last_block, "digest mismatch for array 3 of"),
+    (_flip_last_block, "digest mismatch for array 1 of"),
     (_resize_blob(-8), "header declares"),
-    (_nan_first_entry, "block 'mlp.0.w' has non-finite entries"),
+    (_nan_first_entry, "non-finite features"),
 ], ids=["digest_mismatch", "short_blob", "non_finite_block"])
 def test_bad_fisher_exit_2_with_workers(workdir, tmp_path, workers, command,
                                         edit, message):
-    """A Fisher with a changed byte, one entry short, or a NaN under a
-    renewed digest exits 2 with one error line that names the fault, the
-    same when the workers that read the blocks check them; unlearn writes
-    nothing."""
+    """A Fisher with a changed byte, one entry short, or a NaN feature
+    under a renewed digest exits 2 with one error line that names the
+    fault, whether the blocks would be formed in-process or in workers:
+    the rows are checked where they are read, before any block is formed;
+    unlearn writes nothing."""
     w, tmp = workdir, str(tmp_path)
     for suffix in ("", ".bin"):
         shutil.copy(f"{w}/fisher{suffix}", f"{tmp}/fisher{suffix}")
@@ -966,9 +1014,9 @@ def test_fisher_of_another_model_exit_2(workdir, tmp_path, command):
         args = ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
                 "--fisher", f"{tmp}/fisher", "--out-dir", f"{tmp}/u")
     else:
-        comp, theta_u = compensate(art.load_model(f"{w}/theta_p"),
-                                   art.load_mask(f"{w}/mask.mask"),
-                                   art.load_fisher(f"{tmp}/fisher"))
+        comp, theta_u = compensate(
+            art.load_model(f"{w}/theta_p"), art.load_mask(f"{w}/mask.mask"),
+            art.load_fisher(f"{tmp}/fisher", art.load_model(f"{w}/theta0")))
         inputs = art.input_digests(model=f"{w}/theta_p",
                                    mask=f"{w}/mask.mask", fisher=f"{tmp}/fisher")
         art.save_comp(f"{tmp}/comp", comp, inputs=inputs)
@@ -1043,8 +1091,8 @@ def test_client_bytes_do_not_depend_on_workers(parted, tmp_path, workers):
     certify --json are the same bytes from forked workers as in-process."""
     w, out = parted, str(tmp_path)
     stdout = _client(w, out)
-    assert art.load_fisher(f"{out}/fisher").layout.labels[:2] == [
-        "mlp.0.w/part0", "mlp.0.w/part1"]
+    fisher = art.load_fisher(f"{out}/fisher", art.load_model(f"{w}/theta_p"))
+    assert fisher.layout.labels[:2] == ["mlp.0.w/part0", "mlp.0.w/part1"]
     for name in ("fisher.bin", "comp.bin", "theta_u.bin", "public.pub",
                  "proof.prf"):
         with open(f"{w}/serial/{name}", "rb") as a, open(f"{out}/{name}", "rb") as b:
@@ -1085,10 +1133,16 @@ main(sys.argv[1:])
 def test_killed_worker_exit_2(tmp_path, command):
     """A worker killed by a signal, in a fresh interpreter: the command
     exits 2, not 1 (a rejection), with one error line, and writes
-    nothing."""
+    nothing.  For unlearn, the demo's mask gains a coordinate of a second
+    block, so that its touched blocks are formed in two workers."""
     d, out = tmp_path / "d", tmp_path / "out"
     res = invoke("demo", "--seed", "7", "--out-dir", str(d), "--skip-gold")
     assert res.exit_code == 0, res.output
+    if command == "unlearn":
+        mask = art.load_mask(f"{d}/mask.mask")
+        support = np.append(mask.support, mask.model_dim - 1)
+        art.save_mask(f"{d}/mask.mask", make_mask(
+            mask.model_dim, support.size, np.arange(mask.model_dim), support))
     inputs = ["--mask", f"{d}/mask.mask", "--fisher", f"{d}/fisher",
               "--out-dir", str(out)]
     if command == "prove":

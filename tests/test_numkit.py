@@ -1,4 +1,3 @@
-import contextlib
 import multiprocessing
 import os
 import time
@@ -244,11 +243,12 @@ def _counting_stream(sizes, nan_at=None):
         out.fill(np.nan if i == nan_at else i)
         return out
 
-    return BlockStream(lambda: contextlib.nullcontext(block), layout)
+    return BlockStream(lambda: block, layout)
 
 
 @pytest.mark.parametrize("cpus, threshold, blas_threads, in_parent", [
-    (1, 0, "1", True), (2, numkit.FORK_MIN_ENTRIES, "1", True),
+    # 2^20 stands for any threshold above the 10 entries
+    (1, 0, "1", True), (2, 2**20, "1", True),
     (2, 0, "1", False), (3, 1, "1", False), (2, 0, "2", True),
     (2, 0, None, True),
 ])
@@ -269,6 +269,24 @@ def test_block_map_forks_from_the_threshold(monkeypatch, cpus, threshold,
     assert not any(writeable for _, _, writeable in got)
     assert ({pid for pid, _, _ in got} == {os.getpid()}) == in_parent
     assert multiprocessing.active_children() == []
+
+
+def test_block_map_forms_only_the_blocks_asked_for(workers):
+    """map(fn, only) gives fn those blocks, in the order asked; the source
+    is readied by the process that forms them: a forked worker's, never
+    this one's."""
+    readied = []
+    layout = BlockLayout.from_sizes((2, f"b{i}") for i in range(5))
+
+    def source():
+        readied.append(os.getpid())
+        return lambda i, out: np.full(out.size, float(i))
+
+    stream = BlockStream(source, layout)
+    got = stream.map(lambda i, tri: (i, tri.tolist()), only=(1, 3, 4))
+    assert got == [(1, [1.0] * 3), (3, [3.0] * 3), (4, [4.0] * 3)]
+    assert stream.map(lambda i, tri: i, only=()) == []
+    assert readied == ([os.getpid()] if workers == "in_process" else [])
 
 
 def test_block_map_and_walk_check_each_block(workers):
