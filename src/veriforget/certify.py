@@ -8,7 +8,8 @@ needs each damped curvature block only as a product with the step, on
 the blocks where the step or a multiplier is nonzero.  For a Fisher
 given by its recipe (every Fisher a command reads) it multiplies from
 the layer factors of one backward pass, F_b dw_b = G_b'(G_b dw_b) / n
-(``model.GradBlock.gram``), and forms neither G nor a block; for a
+(``model.GradBlock.gram``), one layer at a time as the pass reaches it
+(``model.layer_grad_blocks``), and forms neither G nor a block; for a
 Fisher given by its blocks, from each upper triangle
 (``numkit.upper_matvec``).  It uses numpy alone, so certifying never
 loads scipy.  forget_gain_report computes the quadratic-model quantities that
@@ -24,7 +25,14 @@ import numpy as np
 
 from .curvature import BlockFisher
 from .masking import MaskArtifact
-from .model import Dataset, MlpModel, batch_grad, mean_loss, per_example_grads
+from .model import (
+    Dataset,
+    MlpModel,
+    batch_grad,
+    layer_grad_blocks,
+    mean_loss,
+    per_example_grads,
+)
 from .numkit import (
     NumericError,
     ParamVector,
@@ -117,9 +125,14 @@ def _damped_products(c_p: BlockFisher, theta_p: ParamVector, dw: np.ndarray,
         return c_p.fisher.map(product, only=blocks)
     if not np.array_equal(recipe.model.params.values, theta_p.values):
         raise StructuralError("the Fisher is taken at another model than theta_p")
-    parts, n = recipe.blocks(), len(recipe.rows)
-    return [parts[b].gram(dw[slices[b]]) / n + c_p.lam * dw[slices[b]]
-            for b in blocks]
+    n, products = len(recipe.rows), {b: None for b in blocks}
+    # one layer's factors at a time, as the backward pass reaches it
+    for layer in layer_grad_blocks(recipe.model, recipe.rows, recipe.block_cap):
+        for b, _, part in layer:
+            if b in products:
+                v = dw[slices[b]]
+                products[b] = part.gram(v) / n + c_p.lam * v
+    return list(products.values())
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +211,9 @@ def forget_gain_report(
     for the update ``comp`` of the personalized model ``model``.
 
     Each Hessian mode supplies a'H_mm a, H_cm a, a matrix with the 2-norm
-    of H_cm and a spectral pair (w, V) of H_cc; the bounds apply powers of
-    Q = H_cc + lam_q I through that pair and never form Q.
+    of H_cm, the eigenvalues of H_cc, and eigenvectors B of H_cc with
+    their eigenvalues w and squared norms; the bounds apply powers of
+    Q = H_cc + lam_q I through B and never form Q.
     """
     if len(d_f) == 0:
         raise StructuralError("empty forget set")
@@ -212,26 +226,30 @@ def forget_gain_report(
         h = exact_hessian(model, d_f)
         h_cm = h[np.ix_(c_idx, m_idx)]
         a_h_a, h_cm_a = a_m @ (h[np.ix_(m_idx, m_idx)] @ a_m), h_cm @ a_m
-        w, vecs = np.linalg.eigh(h[np.ix_(c_idx, c_idx)])
+        w, basis = np.linalg.eigh(h[np.ix_(c_idx, c_idx)])
+        spectrum, norm = w, np.ones_like(w)
     elif hessian_mode == "fisher":
-        # H = G'G, G the per-example gradients over sqrt(n), is never formed:
-        # with the thin SVD G_c = U S V', H_cc = V S^2 V' and H_cm = V S U'G_m
+        # H = G'G, G the per-example gradients over sqrt(n), is never formed,
+        # nor any SVD of G_c: the n x n Gram G_c G_c' = U W U' gives
+        # H_cc = B B' with B = G_c'U and B'B = W, so H_cc's eigenvalues are
+        # the Gram's largest min(n, |C|) and 0 on the rest of C, and
+        # H_cm = B U'G_m has the 2-norm of W^(1/2) U'G_m.
         grads = per_example_grads(model, d_f)
         grads /= np.sqrt(len(d_f))
         g_c, g_m = grads[:, c_idx], grads[:, m_idx]
         del grads  # hold one n x d matrix, split in two
-        left, s, vt = np.linalg.svd(g_c, full_matrices=False)
+        w, left = np.linalg.eigh(g_c @ g_c.T)
+        np.maximum(w, 0.0, out=w)  # the Gram is PSD; below 0 is rounding
+        basis = g_c.T @ left
+        top = w[w.size - min(w.size, c_idx.size):]
+        spectrum, norm = np.append(top, np.zeros(c_idx.size - top.size)), w
         g_a = g_m @ a_m
-        a_h_a, h_cm_a, w, vecs = g_a @ g_a, g_c.T @ g_a, s**2, vt.T
-        h_cm = s[:, None] * (left.T @ g_m)
+        a_h_a, h_cm_a = g_a @ g_a, g_c.T @ g_a
+        h_cm = np.sqrt(w)[:, None] * (left.T @ g_m)
     else:
         raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
 
-    # Q^p x = V (w + lam_q)^p V'x + lam_q^p (x - VV'x), where the second
-    # term exists only when V leaves a complement of the C block
-    complement = vecs.shape[1] < c_idx.size
-    mu = w + lam_q
-    mu_min = float(min(mu.min(), lam_q) if complement else mu.min())
+    mu_min = float(spectrum.min() + lam_q)
     if not mu_min > 0:
         raise NumericError(
             f"Q has min eigenvalue {mu_min:.3e} <= 0; "
@@ -239,9 +257,22 @@ def forget_gain_report(
         )
 
     def q_pow(p: float, x: np.ndarray) -> np.ndarray:
-        y = vecs.T @ x
-        out = vecs @ (mu**p * y)
-        return out + lam_q**p * (x - vecs @ y) if complement else out
+        """Q^p x through the columns b_i of B, each an eigenvector of H_cc
+        at w_i of squared norm ``norm``: Q^p = lam_q^p I + sum_i b_i b_i'
+        ((w_i + lam_q)^p - lam_q^p) / norm_i, the difference computed
+        without cancellation and taken at its limit p lam_q^(p-1) where
+        norm_i = w_i = 0, so a direction B leaves out, or holds at w = 0,
+        is Q's at lam_q exactly.  For lam_q <= 0, Q is positive definite
+        only if H_cc's |C| eigenvectors among the b_i span C, and Q^p is
+        their sum at (w_i + lam_q)^p."""
+        if lam_q > 0:
+            c = lam_q**p * np.expm1(p * np.log1p(w / lam_q))
+            c = np.divide(c, norm, out=np.full_like(c, p * lam_q ** (p - 1)),
+                          where=norm != 0)
+            return lam_q**p * x + basis @ (c * (basis.T @ x))
+        top = slice(w.size - c_idx.size, None)
+        c = (w[top] + lam_q) ** p / norm[top]
+        return basis[:, top] @ (c * (basis[:, top].T @ x))
 
     s_mask = float(-g[m_idx] @ a_m + 0.5 * a_h_a)
     b = g[c_idx] - h_cm_a

@@ -18,7 +18,9 @@ a walk or a ``map`` forms one block at a time per process, and a
 ``map`` over many entries runs the backward pass and forms the blocks
 in forked workers.  A product with a block needs no block:
 ``model.GradBlock.gram`` forms it from the factors, as ``certify``
-does.  A Fisher may also be given by its blocks alone, with no recipe.
+does, and ``obs`` may solve a block through its n x n Gram
+(``model.GradBlock.sample_gram``) without forming it.  A Fisher may also
+be given by its blocks alone, with no recipe.
 """
 
 from __future__ import annotations
@@ -117,6 +119,31 @@ def _subsample(data: Dataset, max_samples: int, seed: int) -> tuple[Dataset, np.
     return data.subset(take), take
 
 
+def block_former(parts: list, n: int, layout: BlockLayout):
+    """``block(i, out)``: the triangle of F_i = G_i'G_i / n, G_i the columns
+    of ``parts[i]``, a ``model.GradBlock`` over n rows, written into
+    ``out`` (a ``numkit.BlockStream`` source's block) through one scratch
+    square for every block of ``layout``."""
+    square = scratch_squares(layout)
+
+    def block(i, out):
+        gb = parts[i].columns()  # n x s
+        if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
+            # numpy hands an n x 1 product to BLAS dot, whose unit-stride
+            # kernel sums in another order than the strided one that a
+            # column of the n x d matrix always took: keep that order
+            wide = np.empty((n, 2))
+            wide[:, :1] = gb
+            gb = wide[:, :1]
+        # numpy computes gb.T @ gb by syrk and mirrors the triangle it
+        # computed, so the product is exactly symmetric: its upper
+        # triangle is the whole block, and only that triangle is divided
+        product = np.matmul(gb.T, gb, out=square(gb.shape[1]))
+        return np.divide(pack_upper(product), n, out=out)
+
+    return block
+
+
 def fisher_from_recipe(recipe: FisherRecipe, lam: float,
                        source_digest: str) -> BlockFisher:
     """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over the recipe's n rows, one
@@ -131,25 +158,7 @@ def fisher_from_recipe(recipe: FisherRecipe, lam: float,
     n = len(recipe.rows)
 
     def form():
-        parts = recipe.blocks()
-        square = scratch_squares(layout)
-
-        def block(i, out):
-            gb = parts[i].columns()  # n x s
-            if gb.shape[1] == 1 and gb.strides[0] == gb.itemsize:
-                # numpy hands an n x 1 product to BLAS dot, whose unit-stride
-                # kernel sums in another order than the strided one that a
-                # column of the n x d matrix always took: keep that order
-                wide = np.empty((n, 2))
-                wide[:, :1] = gb
-                gb = wide[:, :1]
-            # numpy computes gb.T @ gb by syrk and mirrors the triangle it
-            # computed, so the product is exactly symmetric: its upper
-            # triangle is the whole block, and only that triangle is divided
-            product = np.matmul(gb.T, gb, out=square(gb.shape[1]))
-            return np.divide(pack_upper(product), n, out=out)
-
-        return block
+        return block_former(recipe.blocks(), n, layout)
 
     return BlockFisher(
         fisher=BlockDiagMatrix(BlockStream(form, layout)),

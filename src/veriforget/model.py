@@ -225,15 +225,17 @@ def _backprop(layers, x: np.ndarray, y: np.ndarray):
 
     Every yielded array is its own and is never written after it is
     yielded, so a caller may hold them all: the tanh derivative 1 - a^2
-    goes into a scratch array, never into the activations.
+    goes into a scratch array, never into the activations.  A layer's
+    arrays are dropped here once it is yielded, so a caller that drops
+    them too holds one layer's errors at a time.
     """
     z, acts = _forward(layers, x)
     delta = _softmax(z)
     delta[np.arange(x.shape[0]), y] -= 1.0  # dL/dz for summed loss
     for li in range(len(layers) - 1, -1, -1):
-        yield li, acts[li], delta
+        a = acts.pop()  # this generator holds no layer it has passed
+        yield li, a, delta
         if li > 0:
-            a = acts[li]
             slope = np.multiply(a, a)
             np.subtract(1.0, slope, out=slope)
             delta = delta @ layers[li][0].T
@@ -305,27 +307,78 @@ class GradBlock:
 
     def gram(self, v: np.ndarray) -> np.ndarray:
         """G'(G v) for a vector v over the block's columns, straight from
-        the factors, G never formed: (G v)_i = a_i' V delta_i with V the
-        rows of W that v fills, and G'u = A' diag(u) Delta.  Temporaries
-        are O(n * (rows + dout))."""
+        the factors, G never formed (``matvec``, then ``rmatvec``)."""
+        return self.rmatvec(self.matvec(v))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """G v for a vector v over the block's columns: (G v)_i =
+        a_i' V delta_i with V the rows of W that v fills.  Temporaries are
+        O(n * (rows + dout))."""
         if self.a_prev is None:
-            cols = self.delta[:, self.lo : self.hi]
-            return cols.T @ (cols @ v)
+            return self.delta[:, self.lo : self.hi] @ v
         r0, r1, at = self._rows()
         dout = self.delta.shape[1]
         w = np.zeros((r1 - r0) * dout)
         w[at : at + v.size] = v
         a = self.a_prev[:, r0:r1]
-        u = np.einsum("nj,nj->n", a @ w.reshape(r1 - r0, dout), self.delta)
-        out = a.T @ (u[:, None] * self.delta)
-        return out.reshape(-1)[at : at + v.size]
+        return np.einsum("nj,nj->n", a @ w.reshape(r1 - r0, dout), self.delta)
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """G'u for a vector u over the n examples: A' diag(u) Delta, on the
+        rows of W the columns touch."""
+        if self.a_prev is None:
+            return self.delta[:, self.lo : self.hi].T @ u
+        r0, r1, at = self._rows()
+        out = self.a_prev[:, r0:r1].T @ (u[:, None] * self.delta)
+        return out.reshape(-1)[at : at + self.hi - self.lo]
+
+    def columns_at(self, cols: np.ndarray) -> np.ndarray:
+        """The n x len(cols) gradient columns G[:, cols], ``cols`` indices
+        into the block's columns."""
+        c = self.lo + cols
+        if self.a_prev is None:
+            return self.delta[:, c]
+        dout = self.delta.shape[1]
+        return self.a_prev[:, c // dout] * self.delta[:, c % dout]
+
+    def sample_gram(self, outer: np.ndarray, out: np.ndarray,
+                    scratch: np.ndarray) -> np.ndarray:
+        """G G', the n x n Gram of the block's examples, written into
+        ``out``, from the factors: with ``outer`` the layer's Delta Delta',
+        the rows R of W the columns cover whole give (A_R A_R') o outer
+        (o the entrywise product), and a row r the columns cover only in
+        part, at columns J, gives (a_r a_r') o (Delta_J Delta_J'), the
+        Gram of its own columns, formed in ``scratch``.  A bias block's
+        Gram is Delta_J Delta_J'.  Costs O(n^2 * (rows + partial columns));
+        ``outer`` is not read when no row is whole."""
+        if self.a_prev is None:
+            cols = self.delta[:, self.lo : self.hi]
+            return np.matmul(cols, cols.T, out=out)
+        r0, r1, _ = self._rows()
+        dout = self.delta.shape[1]
+        spans = [(r, max(self.lo - r * dout, 0), min(self.hi - r * dout, dout))
+                 for r in range(r0, r1)]
+        whole = [r for r, c0, c1 in spans if c1 - c0 == dout]
+        if whole:
+            a = self.a_prev[:, whole[0] : whole[-1] + 1]
+            np.matmul(a, a.T, out=out)
+            out *= outer
+        else:
+            out.fill(0.0)
+        for r, c0, c1 in spans:
+            if c1 - c0 < dout:
+                g = self.a_prev[:, r, None] * self.delta[:, c0:c1]
+                out += np.matmul(g, g.T, out=scratch)
+        return out
 
 
-def grad_blocks(model: MlpModel, data: Dataset, cap: int) -> list:
-    """(label, ``GradBlock``) for each block of ``column_layout(model,
-    cap)``, in order, from one backward pass, which this runs, so the
-    blocks may be formed in any order, and in any process forked after
-    this returns.  A part of a weight block may start mid-row.
+def layer_grad_blocks(model: MlpModel, data: Dataset, cap: int):
+    """Yield, for each layer from the last to the first, the list of
+    (index, label, ``GradBlock``) of its blocks in ``column_layout(model,
+    cap)``, from one backward pass, which this runs as it goes: it holds
+    no layer's errors past that layer, so a caller that drops each list
+    before taking the next holds one layer's factors at a time.  A part of
+    a weight block may start mid-row.
 
     A weight part's columns are formed from the outer products of only
     the rows of W it touches, so memory is O(n * (cap + 2 * dout)) per
@@ -334,17 +387,29 @@ def grad_blocks(model: MlpModel, data: Dataset, cap: int) -> list:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     check_fits(model, data)
-    factors = list(_backprop(model.weights(), data.features, data.labels))
     blocks = model.params.layout.blocks
-    out = []
-    for (_, a_prev, delta), (_, w_size, w_label), (_, b_size, b_label) in zip(
-        reversed(factors), blocks[0::2], blocks[1::2]
-    ):
-        out += [(label, GradBlock(a_prev, delta, lo, hi))
-                for label, lo, hi in _parts(w_label, w_size, cap)]
-        out += [(label, GradBlock(None, delta, lo, hi))
-                for label, lo, hi in _parts(b_label, b_size, cap)]
-    return out
+    counts = [sum(1 for _ in _parts(label, size, cap))
+              for _, size, label in blocks]
+    for li, a_prev, delta in _backprop(model.weights(), data.features,
+                                       data.labels):
+        (_, w_size, w_label), (_, b_size, b_label) = blocks[2 * li : 2 * li + 2]
+        layer = [(label, GradBlock(a_prev, delta, lo, hi))
+                 for label, lo, hi in _parts(w_label, w_size, cap)]
+        layer += [(label, GradBlock(None, delta, lo, hi))
+                  for label, lo, hi in _parts(b_label, b_size, cap)]
+        first = sum(counts[: 2 * li])
+        yield [(first + j, label, part) for j, (label, part) in enumerate(layer)]
+
+
+def grad_blocks(model: MlpModel, data: Dataset, cap: int) -> list:
+    """(label, ``GradBlock``) for each block of ``column_layout(model,
+    cap)``, in order, from one backward pass (``layer_grad_blocks``),
+    which this runs, so the blocks may be formed in any order, and in any
+    process forked after this returns."""
+    out = {}
+    for layer in layer_grad_blocks(model, data, cap):
+        out.update((i, (label, part)) for i, label, part in layer)
+    return [out[i] for i in range(len(out))]
 
 
 def grad_columns(model: MlpModel, data: Dataset, cap: int):

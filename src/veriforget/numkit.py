@@ -225,7 +225,7 @@ def scratch_squares(layout: BlockLayout):
     return lambda size: buf[: size * size].reshape(size, size)
 
 
-def _check_block(tri, size: int, label: str) -> np.ndarray:
+def check_block(tri, size: int, label: str) -> np.ndarray:
     """``tri`` frozen, once it is checked to be the finite upper triangle
     of a size x size block."""
     tri = _freeze(tri)
@@ -241,18 +241,25 @@ def _check_block(tri, size: int, label: str) -> np.ndarray:
 # forked workers
 # ---------------------------------------------------------------------------
 
-# The least number of triangle entries for which ``BlockStream.map`` forks.
-# On 2 vCPU with one BLAS thread, a Group-OBS solve that forms and factors
-# the touched blocks costs 50-70 ns a triangle entry in one process.  Two
-# forked workers, each of which runs its own backward pass before its
-# first block, cost about 50 ms more than that pass in one process, and
-# save at most half of it, so forking pays from about 2 * 50 ms / 60 ns =
-# 1.7 M entries.  Measured over 32-h-h-8 models (cap 512, n = 560, every
-# block touched), the two took the same time at 2.0 M entries (104 and
-# 102 ms), one process was faster at 1.7 M (110 against 169 ms) and the
-# workers at 2.4 M (158 against 125 ms).  2^21 is the power of two above
-# the crossing: the demo's 32,896 touched entries stay in-process, and
-# staged-wide's 9.8 M fork.  The float certificate forms no block
+# The least number of entries, summed over the indices of one
+# ``fork_blocks`` call, for which it forks.  An index costs
+# ``triangle_entries`` of the side of the system its block is solved
+# through: s_b for a block formed, or solved in coordinate space, and n for
+# one solved in sample space (``obs``), which costs about n^2 / 2 entries
+# whatever its width.  Measured on 2 vCPU with one BLAS thread:
+# group_obs_solve in one process against two forked workers, each of which
+# runs its own backward pass before its first block, on 32-h-h-8 models
+# (cap 512, random weights and rows, a mask holding the first coordinate
+# of every block; medians of 7 calls).  With n = 560, every part of 512 in
+# sample space, one process was faster at 2.05 M entries (57 against
+# 92 ms) and the workers at 2.40 M (66 against 92 ms); with n = 720, every
+# block in coordinate space, one process at 1.03 M (63 against 112 ms) and
+# the workers at 1.71 M (84 against 95 ms).  2^21 is the power of two at
+# the sample side's crossing, above the coordinate side's: the demo's
+# 28,920 entries (one block, in sample space at n = 240) stay in-process,
+# staged-wide's 11.8 M (75 blocks, all in sample space) fork, and so do
+# the 3.9 M of the staged chain at the default cap of 256 (119 blocks, all
+# in coordinate space).  The float certificate forms no block
 # (``certify``): it multiplies from the factors in one process, 15-30 ms
 # on staged-wide.
 FORK_MIN_ENTRIES = 2**21
@@ -331,6 +338,36 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
             proc.join()
 
 
+def triangle_entries(size: int) -> int:
+    """The entries of a size x size symmetric matrix's upper triangle: the
+    one cost measure of a block's work in ``fork_blocks``, size being the
+    side of the system it is solved through."""
+    return size * (size + 1) // 2
+
+
+def fork_blocks(ready, fn, indices, entries) -> list:
+    """[fn(state, i) for i in ``indices``], through ``fork_map``: forked
+    when ``entries``, each index's cost (``triangle_entries``), sum to
+    ``FORK_MIN_ENTRIES`` or more and BLAS runs on one thread.  ``state``
+    is ``ready()``, run by the first index each process is given, so
+    forked workers each run it and this process does not."""
+    indices = list(indices)
+    # A worker runs BLAS on as many threads as this process, since
+    # OpenBLAS reads OPENBLAS_NUM_THREADS (one per CPU when unset) as it
+    # loads.  Two workers of two spinning threads each on 2 vCPU made
+    # unlearn 14 times slower than one process.
+    fork = (sum(entries) >= FORK_MIN_ENTRIES
+            and os.environ.get("OPENBLAS_NUM_THREADS") == "1")
+    state = []
+
+    def task(j):
+        if not state:
+            state.append(ready())
+        return fn(state[0], indices[j])
+
+    return fork_map(task, len(indices), fork=fork)
+
+
 class BlockStream:
     """The blocks of a block-diagonal matrix, reached by index one at a
     time: formed from their inputs, or held in memory (``held``).
@@ -361,35 +398,25 @@ class BlockStream:
         block = self._source()
         for i, (_, size, label) in enumerate(self.layout.blocks):
             out = np.empty(size * (size + 1) // 2)
-            yield _check_block(block(i, out), size, label)
+            yield check_block(block(i, out), size, label)
 
     def map(self, fn, only=None) -> list:
         """[fn(i, block i) for each block i of ``only``, in order (every
-        block when ``only`` is None)], through ``fork_map``: forked when
-        those triangles hold ``FORK_MIN_ENTRIES`` entries or more and BLAS
-        runs on one thread.  The source is readied by the first block a
-        process forms, so forked workers each run it and this process
-        does not.  Each process forms every block it is given into one
-        buffer, so ``fn`` must not keep the block it is passed."""
+        block when ``only`` is None)], through ``fork_blocks``, each block
+        costed at its triangle's entries.  The source is readied by the
+        first block a process forms, so forked workers each run it and
+        this process does not.  Each process forms every block it is given
+        into one buffer, so ``fn`` must not keep the block it is passed."""
         indices = range(len(self)) if only is None else list(only)
-        counts = [size * (size + 1) // 2 for _, size, _ in self.layout.blocks]
+        counts = [triangle_entries(size) for _, size, _ in self.layout.blocks]
         buf = np.empty(max((counts[i] for i in indices), default=0))
-        # A worker runs BLAS on as many threads as this process, since
-        # OpenBLAS reads OPENBLAS_NUM_THREADS (one per CPU when unset) as it
-        # loads.  Two workers of two spinning threads each on 2 vCPU made
-        # unlearn 14 times slower than one process.
-        fork = (sum(counts[i] for i in indices) >= FORK_MIN_ENTRIES
-                and os.environ.get("OPENBLAS_NUM_THREADS") == "1")
-        ready = []
 
-        def task(j):
-            if not ready:
-                ready.append(self._source())
-            i = indices[j]
+        def task(block, i):
             _, size, label = self.layout.blocks[i]
-            return fn(i, _check_block(ready[0](i, buf[: counts[i]]), size, label))
+            return fn(i, check_block(block(i, buf[: counts[i]]), size, label))
 
-        return fork_map(task, len(indices), fork=fork)
+        return fork_blocks(self._source, task, indices,
+                           [counts[i] for i in indices])
 
 
 @dataclass(frozen=True)

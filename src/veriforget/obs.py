@@ -2,15 +2,52 @@
 
     min 0.5 dw' C dw   s.t.  dw_M + theta_M = 0
 
-with block-diagonal damped curvature C.  The solve decouples per block
-and eliminates the masked coordinates, as Optimal Brain Surgeon does:
-each block that holds a masked coordinate is reordered with its
-unmasked coordinates U first and its masked ones M last and factored
-once, C = L L' with L = [[L11, 0], [L21, L22]].  Then dw_M = -theta_M
-exactly, dw_U = L11^-T L21' theta_M, and the multipliers are
+with block-diagonal damped curvature C = F + lam I, F_b = G_b'G_b / n on
+block b, G_b the n x s_b gradient columns of the Fisher's n rows.  The
+solve decouples per block; a block without a masked coordinate has
+dw_b = 0 and is never formed.  A block that holds one, with masked
+coordinates M and unmasked ones U, is solved in one of two spaces, which
+give the same solution up to rounding.
+
+Coordinate space (every Fisher; the only form for one given by its
+blocks alone).  As Optimal Brain Surgeon does, the block is reordered
+with U first and M last and factored once, C = L L' with
+L = [[L11, 0], [L21, L22]].  Then dw_M = -theta_M exactly,
+dw_U = L11^-T L21' theta_M, and the multipliers are
 lam_M = L22 L22' theta_M, the Schur complement of C_UU applied to
-theta_M.  The solve reads only the upper triangle of such a block and
-never forms or factors a block without a masked coordinate.
+theta_M.  It reads only the upper triangle of the block.  Cost: forming
+the block, O(n s_b^2), and its Cholesky, s_b^3 / 3.
+
+Sample space (a Fisher given by its recipe, when ``sample_space(n,
+s_b)``).  By the push-through identity
+
+    C_UU^-1 C_UM theta_M = G_U'(G_U G_U' + n lam I)^-1 G_M theta_M,
+
+with y = G_M theta_M and K = G_U G_U' + n lam I, one n x n Cholesky gives
+z = K^-1 y, and dw_U = G_U'z, dw_M = -theta_M.  Since
+G_b dw_b = G_U G_U'z - y = -n lam z, the multipliers need no second
+solve: lam_M = -(C dw)_M = lam (G_M'z + theta_M), the Schur complement
+(at least lam I) applied to theta_M, so the sum does not cancel.  K is
+formed from the layer's K-FAC factors (``model.GradBlock.sample_gram``):
+G G' = (A_R A_R') o (Delta Delta') over the rows R of W the block covers
+whole, plus each partial row's own Gram, less G_M G_M', plus n lam I;
+each process forms Delta Delta' once per layer, and G'z = A' diag(z)
+Delta.  One step of refinement, on the residual of K z = y taken through
+the factors, recovers what the subtraction of G_M G_M' rounded away.
+When n > |U|, K is rank |U| plus n lam I, so the damping sets its
+conditioning, as it sets C's.  Cost: O(n^2 (rows + |M|)) and n^3 / 3.
+
+The crossover (``SAMPLE_SPACE_RATIO``), measured on 2 vCPU with one BLAS
+thread in one process, on a 32-256-128-8 model with 16 touched parts of
+mlp.1.w, 6 masked coordinates each, the backward pass and Delta Delta'
+counted in: sample-space time over coordinate-space time per block was
+0.67 at (n, s_b) = (560, 512), 0.92 at (680, 512) and 1.05 at
+(720, 512); 0.61 at (240, 256), 0.98 at (320, 256) and 1.34 at
+(400, 256).  The sample form pays up to n = 1.25 s_b at s_b = 256 and
+about 1.35 s_b at 512; the ratio is the smaller crossing.  Both benchmark
+shapes, the demo's (n = 240, s_b = 256) and staged-wide's (560, 512),
+are solved in sample space; the staged chain at the default cap of 256
+(n = 560) and any Fisher over 1,024 rows, in coordinate space.
 """
 
 from __future__ import annotations
@@ -19,18 +56,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import BlockFisher
+from .curvature import BlockFisher, block_former
 from .masking import MaskArtifact
 from .numkit import (
     NumericError,
     ParamVector,
     StructuralError,
+    check_block,
+    fork_blocks,
     scratch_squares,
     touched,
+    triangle_entries,
     upper_mask,
 )
 
 FEASIBILITY_TOL = 1e-9
+# The largest n / s_b at which a block is solved in sample space: the
+# smaller crossing of the two forms' costs (module docstring).
+SAMPLE_SPACE_RATIO = 1.25
 
 
 @dataclass(frozen=True)
@@ -49,19 +92,27 @@ class CompensationResult:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+def sample_space(n: int, size: int) -> bool:
+    """Whether a block of ``size`` coordinates of a Fisher over n rows is
+    solved in sample space: whether n <= SAMPLE_SPACE_RATIO * size."""
+    return n <= SAMPLE_SPACE_RATIO * size
+
+
 def group_obs_solve(
     c_p: BlockFisher,
     theta_p: ParamVector,
     mask: MaskArtifact,
 ) -> CompensationResult:
     """Closed-form KKT solution of the Group-OBS program, block by block:
-    only the blocks that hold a masked coordinate are formed, each solved
-    by the process that forms it (``BlockDiagMatrix.map``).  Its residuals
-    are evaluated in one place, ``certify.check_kkt``."""
+    only the blocks that hold a masked coordinate are solved, each by the
+    process that reaches it (``numkit.fork_blocks``), in coordinate space
+    or, for a Fisher given by its recipe, in sample space when
+    ``sample_space`` says so.  Its residuals are evaluated in one place,
+    ``certify.check_kkt``."""
     # Imported on first use, in this process before any worker is forked:
     # scipy takes longer to load than most commands run.
     from scipy.linalg.blas import dtrmv
-    from scipy.linalg.lapack import dpotrf, dtrtrs
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
     if mask.model_dim != theta_p.dim:
         raise StructuralError("mask dimension does not match parameters")
@@ -70,11 +121,12 @@ def group_obs_solve(
     theta = theta_p.values
     masked = mask.indicator()
     slices = list(c_p.layout.slices())
-    hit = touched([sl.stop - sl.start for sl, _ in slices], mask.support)
+    sizes = [sl.stop - sl.start for sl, _ in slices]
+    hit = touched(sizes, mask.support)
     square, swap = scratch_squares(c_p.layout), scratch_squares(c_p.layout)
 
     def solve(i, tri):
-        """Block i's (dw_b, lam_b)."""
+        """Block i's (dw_b, lam_b) in coordinate space, from its triangle."""
         sl, label = slices[i]
         is_m = masked[sl]
         mloc = np.flatnonzero(is_m)
@@ -114,9 +166,71 @@ def group_obs_solve(
         # lam_M = (C_MM - C_MU C_UU^-1 C_UM) w_M = L22 L22' w_M
         return dw_b, dtrmv(low, t, lower=1)[ku:]
 
+    recipe = c_p.recipe
+    if recipe is None:
+        results = c_p.fisher.map(solve, only=hit)
+    else:
+        n = len(recipe.rows)
+        sampled = {i for i in hit if sample_space(n, sizes[i])}
+        # one n x n square each for Delta Delta', K and a product, reused
+        # by every block; a forked worker faults in only its own pages
+        outer, gram, prod = (np.empty((n, n) if sampled else (0, 0))
+                             for _ in range(3))
+        layer = [None]  # the errors whose Delta Delta' ``outer`` holds
+        buf = np.empty(max((triangle_entries(sizes[i]) for i in hit
+                            if i not in sampled), default=0))
+
+        def sample_solve(i, part):
+            """Block i's (dw_b, lam_b) in sample space, from its factors."""
+            sl, label = slices[i]
+            mloc = np.flatnonzero(masked[sl])
+            w_m = theta[sl][mloc]
+            if part.a_prev is not None and layer[0] is not part.delta:
+                np.matmul(part.delta, part.delta.T, out=outer)
+                layer[0] = part.delta
+            # K = G_U G_U' + n lam I = G G' - G_M G_M' + n lam I
+            g_m = part.columns_at(mloc)
+            part.sample_gram(outer, out=gram, scratch=prod)
+            np.subtract(gram, np.matmul(g_m, g_m.T, out=prod), out=gram)
+            gram.flat[:: n + 1] += n * c_p.lam
+            # K is symmetric: its transpose is the Fortran order potrf reads
+            low, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+            if info > 0:
+                raise NumericError(
+                    f"block {label!r} is not SPD: its sample-space Cholesky "
+                    f"pivot at row {info - 1} is not positive")
+            y = g_m @ w_m
+            z, _ = dpotrs(low, y, lower=1)  # K^-1 G_M theta_M
+            # one step of refinement, on the residual of K z = y taken
+            # through the factors: K lost the digits G_M G_M' took with it
+            h = part.rmatvec(z)
+            h[mloc] = 0.0
+            rho = y - part.matvec(h) - n * c_p.lam * z
+            z += dpotrs(low, rho, lower=1)[0]
+            # dw_U = C_UU^-1 C_UM theta_M = G_U' z, and G_b dw_b = -n lam z
+            # gives lam_M = -(C dw)_M = lam (G_M' z + theta_M)
+            dw_b = part.rmatvec(z)
+            lam_b = c_p.lam * (dw_b[mloc] + w_m)
+            dw_b[mloc] = -w_m
+            return dw_b, lam_b
+
+        def ready():
+            parts = recipe.blocks()
+            return parts, block_former(parts, n, c_p.layout)
+
+        def task(state, i):
+            parts, block = state
+            if i in sampled:
+                return sample_solve(i, parts[i])
+            tri = block(i, buf[: triangle_entries(sizes[i])])
+            return solve(i, check_block(tri, sizes[i], slices[i][1]))
+
+        results = fork_blocks(ready, task, hit, [
+            triangle_entries(n if i in sampled else sizes[i]) for i in hit])
+
     delta = np.zeros(theta_p.dim)
     multipliers = [np.empty(0)]
-    for i, (dw_b, lam_b) in zip(hit, c_p.fisher.map(solve, only=hit)):
+    for i, (dw_b, lam_b) in zip(hit, results):
         # multipliers aligned to global sorted support: blocks are in
         # layout order, so per-block masked coords are already ordered
         delta[slices[i][0]] = dw_b

@@ -170,6 +170,19 @@ def damped(fisher: BlockFisher) -> BlockDiagMatrix:
                          for b in square_blocks(fisher.fisher)], fisher.layout)
 
 
+def dense_oracle(fisher, theta, mask):
+    """Oracle: (dw, lam) from one dense solve of the KKT system
+    [[C, E], [E', 0]] [dw; lam] = [0; -theta_M], C = F + lam * I."""
+    c = dense(damped(fisher))
+    d, k = theta.dim, mask.budget
+    e = np.zeros((d, k))
+    e[mask.support, np.arange(k)] = 1.0
+    kkt = np.block([[c, e], [e.T, np.zeros((k, k))]])
+    rhs = np.concatenate([np.zeros(d), -theta.values[mask.support]])
+    sol = np.linalg.solve(kkt, rhs)
+    return sol[:d], sol[d:]
+
+
 def held(fisher: BlockFisher) -> BlockFisher:
     """``fisher`` with every block formed once and held in memory."""
     return replace(fisher, fisher=BlockDiagMatrix(

@@ -44,6 +44,7 @@ from veriforget.pipeline import demo_config, run_pipeline
 from conftest import (
     damped,
     dense,
+    dense_oracle,
     quadratic_gain,
     random_fisher,
     random_instance,
@@ -83,17 +84,6 @@ def obs_instance(rng):
     k = int(rng.integers(1, max(2, d // 4 + 1)))
     mask = random_mask(rng, layout, k)
     return fisher, theta, mask
-
-
-def dense_oracle(fisher, theta, mask):
-    c = dense(damped(fisher))
-    d, k = theta.dim, mask.budget
-    e = np.zeros((d, k))
-    e[mask.support, np.arange(k)] = 1.0
-    kkt = np.block([[c, e], [e.T, np.zeros((k, k))]])
-    rhs = np.concatenate([np.zeros(d), -theta.values[mask.support]])
-    sol = np.linalg.solve(kkt, rhs)
-    return sol[:d], sol[d:]
 
 
 def test_criterion_1_obs_oracle_equivalence():

@@ -391,6 +391,39 @@ def test_spectral_path_matches_dense_oracle(hessian_mode, square, seed, dims,
             assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want))), name
 
 
+@pytest.mark.parametrize("hessian_mode", ["exact", "fisher"])
+def test_negative_lam_q_matches_dense_oracle(hessian_mode):
+    """A negative lam_q is a valid damping while Q stays positive definite:
+    with the last layer masked, H_cc is, and lam_q at half its smallest
+    eigenvalue, below 0, gives the dense oracle's fields."""
+    rng = np.random.default_rng(171)  # exact H_cc is positive definite too
+    model = init_mlp([2, 2, 2], 0)
+    model = model.with_params(rng.normal(size=model.dim))
+    data = small_dataset(rng, n=60, dim=2, classes=2)
+    mask = make_mask(12, 6, np.arange(12), np.arange(6, 12))
+    comp = CompensationResult(
+        delta_w=model.params.with_values(rng.normal(size=12)),
+        multipliers=np.zeros(6), method="schur",
+    )
+    if hessian_mode == "exact":
+        h = exact_hessian(model, data)
+    else:
+        grads = per_example_grads(model, data) / np.sqrt(60)
+        h = grads.T @ grads
+    lam_q = -0.5 * np.linalg.eigvalsh(h[:6, :6]).min()
+    assert lam_q < 0
+    oracle = dense_oracle(h, batch_grad(model, data).values, model.params, mask,
+                          comp, lam_q)
+    rep = forget_gain_report(model, mask, comp, data, lam_q=lam_q,
+                             hessian_mode=hessian_mode)
+    for name, want in oracle.items():
+        got = getattr(rep, name)
+        if name == "guarantee_flag":
+            assert got == want
+        else:
+            assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want))), name
+
+
 def test_fisher_mode_never_densifies():
     """At d >= 5,000, fisher mode's traced allocations stay below a tenth of
     one dense d x d float64 matrix."""

@@ -27,8 +27,10 @@ from veriforget.numkit import (
     NumericError,
     StructuralError,
     pack_upper,
+    touched,
     upper_diagonal,
 )
+from veriforget.obs import sample_space
 from veriforget.pipeline import compensate, run_pipeline
 from veriforget.zkp.circuit import FAMILIES
 
@@ -858,8 +860,9 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, monkeypatch, workers,
     naming the block and the coordinate, also from the worker that
     factored the block, and writes nothing.  A stored Fisher cannot hold
     such a block, since its blocks are formed from its rows, so the block
-    enters in memory, through the loader; the mask touches a second block,
-    so that each of two workers factors one."""
+    enters in memory, through the loader, in a Fisher given by its blocks
+    alone; the mask touches a second block, so that each of two workers
+    factors one."""
     w, tmp = workdir, str(tmp_path)
     theta_p = art.load_model(f"{w}/theta_p")
     fisher = read_fisher(f"{w}/fisher", theta_p)
@@ -876,7 +879,7 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, monkeypatch, workers,
     blocks = [tri.copy() for tri in fisher.fisher.blocks]
     blocks[fisher.layout.blocks.index(block)][
         upper_diagonal(size)[coord - offset]] = -1.0
-    tampered = replace(fisher, fisher=BlockDiagMatrix(
+    tampered = replace(fisher, recipe=None, fisher=BlockDiagMatrix(
         BlockStream.held(blocks, fisher.layout)))
     monkeypatch.setattr(art, "load_fisher", lambda *args, **inputs: tampered)
     res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask",
@@ -1102,9 +1105,37 @@ def test_client_bytes_do_not_depend_on_workers(parted, tmp_path, workers):
     assert json.loads(stdout)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("data, max_samples, sample", [
+    ("personal", 240, True), ("train", 1024, False)],
+    ids=["sample-space", "coordinate-space"])
+def test_unlearn_then_certify_on_each_side(parted, tmp_path, data, max_samples,
+                                           sample):
+    """On either side of obs.sample_space, unlearn and certify exit 0 and
+    the verdict is pass: 240 personal rows put the 256-wide part of
+    mlp.0.w in sample space, and the 750 training rows every touched
+    block in coordinate space."""
+    w, out = parted, str(tmp_path)
+    res = invoke("fisher", "--model", f"{w}/theta_p", "--data",
+                 f"{w}/{data}.dset", "--max-samples", str(max_samples),
+                 "--seed", "3", "--out", f"{out}/fisher")
+    assert res.exit_code == 0, res.output
+    fisher = art.load_fisher(f"{out}/fisher", art.load_model(f"{w}/theta_p"))
+    sizes = [s for _, s, _ in fisher.layout.blocks]
+    hit = touched(sizes, art.load_mask(f"{w}/mask.mask").support)
+    assert any(sample_space(fisher.sample_count, sizes[i]) for i in hit) == sample
+    res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask",
+                 f"{w}/mask.mask", "--fisher", f"{out}/fisher", "--out-dir", out)
+    assert res.exit_code == 0, res.output
+    res = invoke("certify", "--theta-p", f"{w}/theta_p", "--theta-u",
+                 f"{out}/theta_u", "--comp", f"{out}/comp", "--mask",
+                 f"{w}/mask.mask", "--fisher", f"{out}/fisher", "--json")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["verdict"] == "pass"
+
+
 _KILL_A_WORKER = """
 import os, signal, sys
-from veriforget import numkit
+from veriforget import model, numkit
 from veriforget.cli import main
 from veriforget.zkp import field
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -1118,13 +1149,12 @@ def dying(real):
         return real(*args)
     return fn
 
-# prove's leaf workers die on their first leaf, the Fisher's block workers
-# on their first block
+# prove's leaf workers die on their first leaf, unlearn's block workers as
+# they start the backward pass that readies their blocks
 if sys.argv[1] == "prove":
     field.sponge = dying(field.sponge)
 else:
-    numkit.FORK_MIN_ENTRIES = 0
-    numkit._check_block = dying(numkit._check_block)
+    model._backprop = dying(model._backprop)
 main(sys.argv[1:])
 """
 

@@ -20,6 +20,7 @@ from veriforget.numkit import (
     pack_upper,
     quantize,
     tree_sum,
+    triangle_entries,
     unpack_upper,
     upper_diagonal,
     upper_matvec,
@@ -254,9 +255,12 @@ def _counting_stream(sizes, nan_at=None):
 ])
 def test_block_map_forks_from_the_threshold(monkeypatch, cpus, threshold,
                                             blas_threads, in_parent):
-    """Three blocks of 1 + 3 + 6 entries fork when they reach the threshold,
-    more than one CPU is there and BLAS runs one thread, and map gives fn
-    each block, checked and frozen, in order."""
+    """Three blocks cost triangle_entries(1) + (2) + (3) = 1 + 3 + 6
+    entries, the map's one cost measure (``fork_blocks``): they fork when
+    that sum reaches the threshold, more than one CPU is there and BLAS
+    runs one thread, and map gives fn each block, checked and frozen, in
+    order."""
+    assert [triangle_entries(s) for s in (1, 2, 3)] == [1, 3, 6]
     report_cpus(monkeypatch, cpus)
     monkeypatch.setattr(numkit, "FORK_MIN_ENTRIES", threshold)
     if blas_threads is None:

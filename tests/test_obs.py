@@ -1,13 +1,23 @@
+import math
+import multiprocessing
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from veriforget import numkit, obs
 from veriforget.certify import check_kkt
 from veriforget.curvature import BlockFisher, empirical_fisher_blockwise
 from veriforget.masking import make_mask
 from veriforget.model import init_mlp
-from veriforget.numkit import BlockLayout, NumericError, ParamVector
-from veriforget.obs import apply_unlearn, group_obs_solve
+from veriforget.numkit import (
+    BlockLayout,
+    NumericError,
+    ParamVector,
+    touched,
+    triangle_entries,
+)
+from veriforget.obs import apply_unlearn, group_obs_solve, sample_space
 from veriforget.pipeline import demo_config, run_pipeline
 
 from conftest import (
@@ -16,12 +26,14 @@ from conftest import (
     damped,
     dense,
     dense_kkt_solve,
+    dense_oracle,
     random_fisher,
     random_instance,
     random_mask,
     random_spd_blockdiag,
     reference_fisher_triangles,
     reference_group_obs_solve,
+    report_cpus,
     small_dataset,
 )
 
@@ -37,19 +49,6 @@ def identity_fisher(layout, lam=0.0):
         sample_count=1,
         source_digest="t",
     )
-
-
-def kkt_oracle(fisher, theta, mask):
-    """Independent dense solve of [[C, E], [E^T, 0]] [dw; lam] = [0; -theta_M]."""
-    c = dense(damped(fisher))
-    d = theta.dim
-    k = mask.budget
-    e = np.zeros((d, k))
-    e[mask.support, np.arange(k)] = 1.0
-    kkt = np.block([[c, e], [e.T, np.zeros((k, k))]])
-    rhs = np.concatenate([np.zeros(d), -theta.values[mask.support]])
-    sol = np.linalg.solve(kkt, rhs)
-    return sol[:d], sol[d:]
 
 
 # -- hand and trivial cases ------------------------------------------------------
@@ -113,7 +112,7 @@ def test_schur_matches_dense_oracle_random():
     for trial in range(25):
         fisher, theta, mask = random_instance(rng)
         comp = group_obs_solve(fisher, theta, mask)
-        dw_o, lam_o = kkt_oracle(fisher, theta, mask)
+        dw_o, lam_o = dense_oracle(fisher, theta, mask)
         scale = max(np.abs(dw_o).max(), 1e-12)
         assert np.abs(comp.delta_w.values - dw_o).max() / scale <= 1e-8
         lscale = max(np.abs(lam_o).max(), 1e-12)
@@ -147,7 +146,7 @@ def test_package_dense_oracle_agrees_with_local():
     dw_a, lam_a = dense_kkt_solve(
         dense(damped(fisher)), theta.values, mask.support
     )
-    dw_b, lam_b = kkt_oracle(fisher, theta, mask)
+    dw_b, lam_b = dense_oracle(fisher, theta, mask)
     assert np.abs(dw_a - dw_b).max() <= 1e-10
     assert np.abs(lam_a - lam_b).max() <= 1e-10
 
@@ -326,3 +325,128 @@ def test_elimination_matches_dense_kkt(seed, blocks):
     assert np.abs(comp.delta_w.values - dw_o).max() <= 1e-9 * scale
     lscale = max(np.abs(lam_o).max(initial=0.0), 1e-12)
     assert np.abs(comp.multipliers - lam_o).max(initial=0.0) <= 1e-9 * lscale
+
+
+# -- the sample-space form ---------------------------------------------------------
+
+
+def _solve_in(space, fisher, theta, mask):
+    """group_obs_solve with every touched block solved in ``space``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obs, "SAMPLE_SPACE_RATIO",
+                   math.inf if space == "sample" else 0.0)
+        return group_obs_solve(fisher, theta, mask)
+
+
+def test_sample_space_predicate():
+    """Both benchmark shapes solve their touched weight parts in sample
+    space; the staged chain at the default cap, or a Fisher over 1,024
+    rows, in coordinate space."""
+    assert sample_space(240, 256) and sample_space(560, 512)
+    assert sample_space(320, 256) and not sample_space(321, 256)
+    assert not sample_space(560, 256) and not sample_space(1024, 512)
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(2, 4)),
+       rows=st.integers(1, 40), cap=st.integers(2, 20),
+       lam=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]))
+# parts of 7 of a 3 x 5 weight start mid-row; few rows, so n < u
+@example(seed=0, dims=(3, 5, 3), rows=4, cap=7, lam=1e-8)
+# every block fits the cap, biases included, and n = 40 > u
+@example(seed=1, dims=(2, 3, 2), rows=40, cap=20, lam=1e-8)
+def test_sample_space_matches_dense_oracle_and_coordinate_space(seed, dims,
+                                                                rows, cap, lam):
+    """On random models, rows, caps and masks, each touched block holding
+    1 to s_b - 1 masked coordinates, the sample-space form agrees with the
+    dense KKT oracle and with the coordinate-space form to within the
+    forward-error bound 16 d eps lambda_max(C) / lam, relative: the
+    damping sets the conditioning of both systems.  dw_M = -theta_M
+    exactly, and the certificate passes."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(list(dims), seed % 1000)
+    model = model.with_params(rng.normal(size=model.dim))
+    data = small_dataset(rng, n=rows, dim=dims[0], classes=dims[-1])
+    fisher = empirical_fisher_blockwise(model, data, lam=lam, block_cap=cap,
+                                        max_samples=rows, seed=0)
+    wide = [(o, s) for o, s, _ in fisher.layout.blocks if s >= 2]
+    hit = [b for b in wide if rng.random() < 0.5] or [max(wide, key=lambda b: b[1])]
+    support = np.sort(np.concatenate([
+        o + rng.choice(s, size=int(rng.integers(1, s)), replace=False)
+        for o, s in hit]))
+    d, theta = model.dim, model.params
+    mask = make_mask(d, support.size, np.arange(d), support)
+    kappa = np.linalg.eigvalsh(dense(damped(fisher))).max() / lam
+    tol = 16 * d * np.finfo(np.float64).eps * kappa
+    dw_o, lam_o = dense_oracle(fisher, theta, mask)
+    coordinate = _solve_in("coordinate", fisher, theta, mask)
+    comp = _solve_in("sample", fisher, theta, mask)
+    assert np.array_equal(comp.delta_w.values[support], -theta.values[support])
+    for want in ((dw_o, lam_o),
+                 (coordinate.delta_w.values, coordinate.multipliers)):
+        for got, ref in zip((comp.delta_w.values, comp.multipliers), want):
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+    theta_u = apply_unlearn(theta, comp, mask)
+    assert check_kkt(theta, theta_u, comp, fisher, mask).verdict
+
+
+def _sample_case():
+    """A 6-12-8-3 model at cap 16 over 18 rows: its parts of 16 (those of
+    mlp.0.w start mid-row) are solved in sample space, and its blocks of
+    12, 8 and 3 in coordinate space."""
+    rng = np.random.default_rng(9)
+    model = init_mlp([6, 12, 8, 3], 0)
+    model = model.with_params(0.5 * rng.normal(size=model.dim))
+    data = small_dataset(rng, n=18, dim=6, classes=3)
+    fisher = empirical_fisher_blockwise(model, data, block_cap=16,
+                                        max_samples=18, seed=0)
+    return model.params, fisher, rng
+
+
+def _record_forks(monkeypatch):
+    """The ``fork`` argument of every ``numkit.fork_map`` call, in order."""
+    calls, real = [], numkit.fork_map
+    monkeypatch.setattr(numkit, "fork_map", lambda fn, count, fork=True: (
+        calls.append(fork) or real(fn, count, fork)))
+    return calls
+
+
+def test_sample_space_bytes_forked_as_in_process(monkeypatch):
+    """delta_w and the multipliers are the same bytes from two forked
+    workers as from one process, with blocks in both spaces touched."""
+    theta, fisher, rng = _sample_case()
+    mask = random_mask(rng, theta.layout, 30)
+    sizes = [s for _, s, _ in fisher.layout.blocks]
+    spaces = {sample_space(18, sizes[i]) for i in touched(sizes, mask.support)}
+    assert spaces == {True, False}
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    forks = _record_forks(monkeypatch)
+    monkeypatch.setattr(numkit, "FORK_MIN_ENTRIES", 2**62)
+    serial = group_obs_solve(fisher, theta, mask)
+    monkeypatch.setattr(numkit, "FORK_MIN_ENTRIES", 0)
+    forked = group_obs_solve(fisher, theta, mask)
+    assert forks == [False, True]
+    assert forked.delta_w.values.tobytes() == serial.delta_w.values.tobytes()
+    assert forked.multipliers.tobytes() == serial.multipliers.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("above, forks", [(0, True), (1, False)])
+def test_solve_forks_on_the_entries_of_its_systems(monkeypatch, above, forks):
+    """A block solved in sample space costs n(n+1)/2 entries, one in
+    coordinate space s(s+1)/2; the solve forks from FORK_MIN_ENTRIES of
+    their sum."""
+    theta, fisher, _ = _sample_case()
+    part = fisher.layout.block_slice("mlp.0.w/part1").start
+    bias = fisher.layout.block_slice("mlp.0.b").start
+    d = theta.dim
+    mask = make_mask(d, 2, np.arange(d), np.array([part, bias]))
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    calls = _record_forks(monkeypatch)
+    monkeypatch.setattr(numkit, "FORK_MIN_ENTRIES",
+                        triangle_entries(18) + triangle_entries(12) + above)
+    group_obs_solve(fisher, theta, mask)
+    assert calls == [forks]
