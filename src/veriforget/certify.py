@@ -10,10 +10,10 @@ given by its recipe (every Fisher a command reads) it multiplies from
 the layer factors of one backward pass, F_b dw_b = G_b'(G_b dw_b) / n
 (``model.GradBlock.gram``), one layer at a time as the pass reaches it
 (``model.layer_grad_blocks``), and forms neither G nor a block; for a
-Fisher given by its blocks, from each upper triangle
-(``numkit.upper_matvec``).  It uses numpy alone, so certifying never
-loads scipy.  forget_gain_report computes the quadratic-model quantities that
-bound how much compensation on the unmasked coordinates can offset the
+Fisher given by its blocks, as F_b dw_b + lam dw_b from each square
+block.  It uses numpy alone, so certifying never loads scipy.
+forget_gain_report computes the quadratic-model quantities that bound
+how much compensation on the unmasked coordinates can offset the
 mask-induced forget-loss increase.
 """
 
@@ -37,9 +37,7 @@ from .numkit import (
     NumericError,
     ParamVector,
     StructuralError,
-    scratch_squares,
     touched,
-    upper_matvec,
 )
 from .obs import CompensationResult
 
@@ -112,15 +110,13 @@ def _damped_products(c_p: BlockFisher, theta_p: ParamVector, dw: np.ndarray,
                      blocks: list) -> list:
     """(F_b + lam I) dw_b for each block b of ``blocks``: from the layer
     factors of the Fisher's recipe, which must be taken at ``theta_p``,
-    or from each block's triangle when it has no recipe."""
+    or from each block when it has no recipe."""
     slices = [sl for sl, _ in c_p.layout.slices()]
     recipe = c_p.recipe
     if recipe is None:
-        square = scratch_squares(c_p.layout)
-
-        def product(b, tri):
+        def product(b, block):
             v = dw[slices[b]]
-            return upper_matvec(tri, v, diag=c_p.lam, square=square(v.size))
+            return block @ v + c_p.lam * v
 
         return c_p.fisher.map(product, only=blocks)
     if not np.array_equal(recipe.model.params.values, theta_p.values):

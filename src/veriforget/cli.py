@@ -11,8 +11,8 @@ No command writes or reads a curvature block: ``fisher`` writes the
 estimate's recipe (its seeded sample rows, the damping and a block cap
 of ``curvature.BLOCK_CAPS``), and a command that reads it forms only
 what it needs at theta_p.  ``unlearn`` solves the blocks the mask
-touches, each from its triangle or, when the Fisher's rows are few
-enough, from its n x n Gram in sample space (``obs``), and ``prove``'s
+touches, each from the block, formed as its square, or, when the rows
+are few enough, from its n x n Gram in sample space (``obs``), and ``prove``'s
 witness forms them, one block per process at a time; on
 ``numkit.FORK_MIN_ENTRIES`` entries or more, with
 ``OPENBLAS_NUM_THREADS=1``, in forked workers, one per CPU, each of

@@ -11,13 +11,12 @@ model it is taken at, the rows of its seeded subsample in subsample
 order, and the block cap; the damping rides beside it.  The artifact
 stores the recipe, never a block.  Each block is formed from the
 recipe's per-layer factors (``model.grad_blocks``) as a caller reaches
-it, and held as its upper triangle (``numkit.pack_upper``), gathered
-straight from the exactly symmetric product of the gradient columns in
-one reused square.  The estimate's blocks are a ``numkit.BlockStream``:
-a walk or a ``map`` forms one block at a time per process, and a
-``map`` over many entries runs the backward pass and forms the blocks
-in forked workers.  A product with a block needs no block:
-``model.GradBlock.gram`` forms it from the factors, as ``certify``
+it: the exactly symmetric square that the product of its gradient
+columns gives, divided by n in place.  The estimate's blocks are a
+``numkit.BlockStream``: a walk or a ``map`` forms one block at a time
+per process, and a ``map`` over many entries runs the backward pass and
+forms the blocks in forked workers.  A product with a block needs no
+block: ``model.GradBlock.gram`` forms it from the factors, as ``certify``
 does, and ``obs`` may solve a block through its n x n Gram
 (``model.GradBlock.sample_gram``) without forming it.  A Fisher may also
 be given by its blocks alone, with no recipe.
@@ -44,8 +43,6 @@ from .numkit import (
     BlockStream,
     StructuralError,
     canonical_json,
-    pack_upper,
-    scratch_squares,
     sha256_hex,
 )
 
@@ -119,12 +116,10 @@ def _subsample(data: Dataset, max_samples: int, seed: int) -> tuple[Dataset, np.
     return data.subset(take), take
 
 
-def block_former(parts: list, n: int, layout: BlockLayout):
-    """``block(i, out)``: the triangle of F_i = G_i'G_i / n, G_i the columns
-    of ``parts[i]``, a ``model.GradBlock`` over n rows, written into
-    ``out`` (a ``numkit.BlockStream`` source's block) through one scratch
-    square for every block of ``layout``."""
-    square = scratch_squares(layout)
+def block_former(parts: list, n: int):
+    """``block(i, out)``: F_i = G_i'G_i / n, G_i the columns of
+    ``parts[i]``, a ``model.GradBlock`` over n rows, written into the
+    square ``out`` (a ``numkit.BlockStream`` source's block)."""
 
     def block(i, out):
         gb = parts[i].columns()  # n x s
@@ -136,10 +131,8 @@ def block_former(parts: list, n: int, layout: BlockLayout):
             wide[:, :1] = gb
             gb = wide[:, :1]
         # numpy computes gb.T @ gb by syrk and mirrors the triangle it
-        # computed, so the product is exactly symmetric: its upper
-        # triangle is the whole block, and only that triangle is divided
-        product = np.matmul(gb.T, gb, out=square(gb.shape[1]))
-        return np.divide(pack_upper(product), n, out=out)
+        # computed, so the product, and the block, are exactly symmetric
+        return np.divide(np.matmul(gb.T, gb, out=out), n, out=out)
 
     return block
 
@@ -158,7 +151,7 @@ def fisher_from_recipe(recipe: FisherRecipe, lam: float,
     n = len(recipe.rows)
 
     def form():
-        return block_former(recipe.blocks(), n, layout)
+        return block_former(recipe.blocks(), n)
 
     return BlockFisher(
         fisher=BlockDiagMatrix(BlockStream(form, layout)),

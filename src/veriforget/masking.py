@@ -107,6 +107,14 @@ class MaskArtifact:
         check_ints("mask d, k, support and eligible ranges",
                    (obj["d"], obj["k"], *obj["support"],
                     *(x for r in obj["eligible_ranges"] for x in r)))
+        # each range bounded before any is expanded, so that one of 10^13
+        # coordinates is refused rather than allocated
+        start = 0
+        for r in obj["eligible_ranges"]:
+            if len(r) != 2 or not start <= r[0] < r[1] <= obj["d"]:
+                raise StructuralError(f"eligible range {r} is not a non-empty "
+                                      f"range within [{start}, {obj['d']})")
+            start = r[1]
         eligible = np.concatenate(
             [np.arange(lo, hi) for lo, hi in obj["eligible_ranges"]]
         ) if obj["eligible_ranges"] else np.empty(0, dtype=np.int64)

@@ -1,10 +1,13 @@
 """Deterministic numerical primitives shared by the whole pipeline.
 
 Block-structured flat vectors, block-diagonal symmetric matrices whose
-upper triangles are always a ``BlockStream`` (formed from their inputs
-or held, and reached a block at a time; no block is read from or written
-to disk), fixed-point quantization, reproducible reductions and digests,
-and the package's one pool of forked worker processes (``fork_map``).
+blocks, each an exactly symmetric square, are always a ``BlockStream``
+(formed from their inputs or held, and reached a block at a time; no
+block is read from or written to disk), fixed-point quantization,
+reproducible reductions and digests, and the package's one pool of
+forked worker processes (``fork_map``).  The packed upper triangle
+(``pack_upper``) is the format of the integer blocks the ZK layer
+commits, and no float block's.
 Everything here is pure and immutable after construction; file formats
 live in ``artifacts``.
 """
@@ -178,41 +181,19 @@ def upper_mask(size: int) -> np.ndarray:
 
 
 def pack_upper(block: np.ndarray) -> np.ndarray:
-    """The upper triangle of a square block, row-major: the one form in
-    which the package holds a symmetric block."""
+    """The upper triangle of a square block, row-major: the form in which
+    the ZK layer commits a symmetric block."""
     return block[upper_mask(len(block))]
 
 
-def upper_diagonal(size: int) -> np.ndarray:
-    """The positions of a size x size block's diagonal in its triangle."""
-    i = np.arange(size)
-    return i * size - i * (i - 1) // 2
-
-
-def unpack_upper(tri: np.ndarray, size: int, diag=0) -> np.ndarray:
-    """The symmetric block B with ``pack_upper(B) == tri``, as B + diag * I
-    bit for bit."""
+def unpack_upper(tri: np.ndarray, size: int) -> np.ndarray:
+    """The symmetric block B with ``pack_upper(B) == tri``."""
     if tri.shape != (size * (size + 1) // 2,):
         raise StructuralError(f"a triangle of shape {tri.shape} for size {size}")
     out = np.empty((size, size), dtype=tri.dtype)
     upper = upper_mask(size)
     out[upper] = out.T[upper] = tri
-    out += 0  # -0.0 becomes +0.0, as the zeros of diag * I make it
-    out.flat[:: size + 1] += diag
     return out
-
-
-def upper_matvec(tri: np.ndarray, v: np.ndarray, diag=0,
-                 square: np.ndarray | None = None) -> np.ndarray:
-    """(B + diag * I) v for the symmetric block B with ``pack_upper(B) ==
-    tri``, as U v + U'v + (diag - diag B) v with U the triangle in a
-    square: one scatter and no mirrored copy of the block.  The square is
-    ``square``, overwritten, when one is given."""
-    size = v.size
-    up = np.empty((size, size)) if square is None else square
-    up.fill(0.0)
-    up[upper_mask(size)] = tri
-    return up @ v + up.T @ v + (diag - tri[upper_diagonal(size)]) * v
 
 
 def scratch_squares(layout: BlockLayout):
@@ -225,16 +206,18 @@ def scratch_squares(layout: BlockLayout):
     return lambda size: buf[: size * size].reshape(size, size)
 
 
-def check_block(tri, size: int, label: str) -> np.ndarray:
-    """``tri`` frozen, once it is checked to be the finite upper triangle
-    of a size x size block."""
-    tri = _freeze(tri)
-    if tri.shape != (size * (size + 1) // 2,):
-        raise StructuralError(f"block {label!r} of shape {tri.shape} is "
-                              f"not a {size} x {size} upper triangle")
-    if not np.all(np.isfinite(tri)):
+def check_block(block, size: int, label: str) -> np.ndarray:
+    """``block`` frozen, once it is checked to be a finite, exactly
+    symmetric size x size square."""
+    block = _freeze(block)
+    if block.shape != (size, size):
+        raise StructuralError(f"block {label!r} of shape {block.shape} is "
+                              f"not a {size} x {size} square")
+    if not np.all(np.isfinite(block)):
         raise StructuralError(f"block {label!r} has non-finite entries")
-    return tri
+    if not np.array_equal(block, block.T):
+        raise StructuralError(f"block {label!r} is not symmetric")
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +356,23 @@ class BlockStream:
     time: formed from their inputs, or held in memory (``held``).
 
     ``source()`` readies the blocks (it runs a backward pass) and returns
-    ``block(i, out)``: block i's triangle, written into ``out``, a 1-D f64
-    array of the triangle's length, or held, and returned.  A walk over
-    the stream and ``map`` check each block before anything uses it, and
-    neither forms more than a block per process at a time."""
+    ``block(i, out)``: block i, an exactly symmetric square written into
+    ``out``, a C-order f64 square of its size, or held, and returned.  A
+    walk over the stream and ``map`` check each block (``check_block``)
+    before anything uses it, and neither forms more than a block per
+    process at a time."""
 
     def __init__(self, source, layout: BlockLayout):
         self._source = source
         self.layout = layout
 
     @classmethod
-    def held(cls, triangles, layout: BlockLayout) -> "BlockStream":
-        """A stream of ``triangles``, one per layout block, held in memory."""
-        triangles = tuple(triangles)
-        if len(triangles) != len(layout.blocks):
+    def held(cls, blocks, layout: BlockLayout) -> "BlockStream":
+        """A stream of ``blocks``, one per layout block, held in memory."""
+        blocks = tuple(blocks)
+        if len(blocks) != len(layout.blocks):
             raise StructuralError("block count does not match layout")
-        return cls(lambda: lambda i, _: triangles[i], layout)
+        return cls(lambda: lambda i, _: blocks[i], layout)
 
     def __len__(self) -> int:
         return len(self.layout.blocks)
@@ -397,8 +381,7 @@ class BlockStream:
         """Each block in memory of its own, in order: a walk."""
         block = self._source()
         for i, (_, size, label) in enumerate(self.layout.blocks):
-            out = np.empty(size * (size + 1) // 2)
-            yield check_block(block(i, out), size, label)
+            yield check_block(block(i, np.empty((size, size))), size, label)
 
     def map(self, fn, only=None) -> list:
         """[fn(i, block i) for each block i of ``only``, in order (every
@@ -408,22 +391,23 @@ class BlockStream:
         this process does not.  Each process forms every block it is given
         into one buffer, so ``fn`` must not keep the block it is passed."""
         indices = range(len(self)) if only is None else list(only)
-        counts = [triangle_entries(size) for _, size, _ in self.layout.blocks]
-        buf = np.empty(max((counts[i] for i in indices), default=0))
+        sizes = [size for _, size, _ in self.layout.blocks]
+        buf = np.empty(max((sizes[i] ** 2 for i in indices), default=0))
 
         def task(block, i):
             _, size, label = self.layout.blocks[i]
-            return fn(i, check_block(block(i, buf[: counts[i]]), size, label))
+            out = buf[: size * size].reshape(size, size)
+            return fn(i, check_block(block(i, out), size, label))
 
         return fork_blocks(self._source, task, indices,
-                           [counts[i] for i in indices])
+                           [triangle_entries(sizes[i]) for i in indices])
 
 
 @dataclass(frozen=True)
 class BlockDiagMatrix:
-    """Symmetric block-diagonal matrix, each block held as its upper
-    triangle (``pack_upper``) in the ``BlockStream`` ``blocks``, whose
-    layout is the matrix's."""
+    """Symmetric block-diagonal matrix, each block an exactly symmetric
+    square in the ``BlockStream`` ``blocks``, whose layout is the
+    matrix's."""
 
     blocks: BlockStream
 

@@ -15,8 +15,8 @@ with U first and M last and factored once, C = L L' with
 L = [[L11, 0], [L21, L22]].  Then dw_M = -theta_M exactly,
 dw_U = L11^-T L21' theta_M, and the multipliers are
 lam_M = L22 L22' theta_M, the Schur complement of C_UU applied to
-theta_M.  It reads only the upper triangle of the block.  Cost: forming
-the block, O(n s_b^2), and its Cholesky, s_b^3 / 3.
+theta_M.  Cost: forming the block, O(n s_b^2), and its Cholesky,
+s_b^3 / 3.
 
 Sample space (a Fisher given by its recipe, when ``sample_space(n,
 s_b)``).  By the push-through identity
@@ -67,7 +67,6 @@ from .numkit import (
     scratch_squares,
     touched,
     triangle_entries,
-    upper_mask,
 )
 
 FEASIBILITY_TOL = 1e-9
@@ -125,26 +124,22 @@ def group_obs_solve(
     hit = touched(sizes, mask.support)
     square, swap = scratch_squares(c_p.layout), scratch_squares(c_p.layout)
 
-    def solve(i, tri):
-        """Block i's (dw_b, lam_b) in coordinate space, from its triangle."""
+    def solve(i, block):
+        """Block i's (dw_b, lam_b) in coordinate space, from the block."""
         sl, label = slices[i]
         is_m = masked[sl]
         mloc = np.flatnonzero(is_m)
         d_b = sl.stop - sl.start
         ku = d_b - mloc.size
         order = np.concatenate([np.flatnonzero(~is_m), mloc])
-        # F + lam*I in the upper triangle of a C-order square, damped as
-        # unpack_upper damps it, then reordered to (U, M); a (u, m) entry
-        # with m < u lands below the diagonal and is folded back above it
+        # F reordered to (U, M), its rows and then its columns, and damped
+        # to F + lam*I; -0.0 becomes +0.0, as the zeros of lam*I make it.
+        # "clip" takes the indices as "raise" does; "raise" copies via a buffer
         sq, tmp = square(d_b), swap(d_b)
-        sq.fill(0.0)
-        sq[upper_mask(d_b)] = tri
+        np.take(block, order, axis=0, out=tmp, mode="clip")
+        np.take(tmp, order, axis=1, out=sq, mode="clip")
         sq += 0
         sq.flat[:: d_b + 1] += c_p.lam
-        # "clip" takes the indices as "raise" does; "raise" copies via a buffer
-        np.take(sq, order, axis=0, out=tmp, mode="clip")
-        np.take(tmp, order, axis=1, out=sq, mode="clip")
-        sq[:ku, ku:] += sq[ku:, :ku].T
         # the transpose is the Fortran-order lower triangle potrf reads:
         # L = [[L11, 0], [L21, L22]] with C_UU = L11 L11'
         low, info = dpotrf(sq.T, lower=1, overwrite_a=1, clean=0)
@@ -177,8 +172,8 @@ def group_obs_solve(
         outer, gram, prod = (np.empty((n, n) if sampled else (0, 0))
                              for _ in range(3))
         layer = [None]  # the errors whose Delta Delta' ``outer`` holds
-        buf = np.empty(max((triangle_entries(sizes[i]) for i in hit
-                            if i not in sampled), default=0))
+        buf = np.empty(max((sizes[i] ** 2 for i in hit if i not in sampled),
+                           default=0))
 
         def sample_solve(i, part):
             """Block i's (dw_b, lam_b) in sample space, from its factors."""
@@ -216,14 +211,15 @@ def group_obs_solve(
 
         def ready():
             parts = recipe.blocks()
-            return parts, block_former(parts, n, c_p.layout)
+            return parts, block_former(parts, n)
 
         def task(state, i):
             parts, block = state
             if i in sampled:
                 return sample_solve(i, parts[i])
-            tri = block(i, buf[: triangle_entries(sizes[i])])
-            return solve(i, check_block(tri, sizes[i], slices[i][1]))
+            size = sizes[i]
+            out = block(i, buf[: size * size].reshape(size, size))
+            return solve(i, check_block(out, size, slices[i][1]))
 
         results = fork_blocks(ready, task, hit, [
             triangle_entries(n if i in sampled else sizes[i]) for i in hit])

@@ -87,6 +87,15 @@ def t_int_threshold(f_c: int) -> int:
     return 1 << (f_c + 4)
 
 
+def damp(block: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    """The damped square block B + lam * I's largest absolute row sum and
+    its upper triangle (``numkit.pack_upper``), the form it is committed
+    in."""
+    damped = block + 0  # -0.0 becomes +0.0, as the zeros of lam * I make it
+    damped.flat[:: len(block) + 1] += lam
+    return float(np.abs(damped).sum(axis=1).max()), pack_upper(damped)
+
+
 def encode_fixed_witness(
     theta_p: ParamVector,
     theta_u: ParamVector,
@@ -113,14 +122,8 @@ def encode_fixed_witness(
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
     sizes = [size for _, size, _ in c_p.layout.blocks]
-
-    def damp(i, tri):
-        """A touched block i's largest absolute row sum and its damped
-        triangle."""
-        block = unpack_upper(tri, sizes[i], diag=c_p.lam)
-        return float(np.abs(block).sum(axis=1).max()), pack_upper(block)
-
-    blocks = c_p.fisher.map(damp, only=touched(sizes, mask.support))
+    blocks = c_p.fisher.map(lambda _, block: damp(block, c_p.lam),
+                            only=touched(sizes, mask.support))
     row_max = max([0.0] + [row for row, _ in blocks])
     # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
     # BOUND_C is a power of two, so the division rounds nothing, and

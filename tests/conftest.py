@@ -38,9 +38,7 @@ from veriforget.numkit import (
     NumericError,
     ParamVector,
     canonical_json,
-    pack_upper,
     sha256_hex,
-    unpack_upper,
 )
 from veriforget.pipeline import (
     DEFAULT_PERSONALIZE,
@@ -141,13 +139,12 @@ def dense_kkt_solve(
 
 def block_matrix(blocks, layout) -> BlockDiagMatrix:
     """The block-diagonal matrix of square symmetric ``blocks``."""
-    return BlockDiagMatrix(BlockStream.held(map(pack_upper, blocks), layout))
+    return BlockDiagMatrix(BlockStream.held(blocks, layout))
 
 
 def square_blocks(mat: BlockDiagMatrix) -> list[np.ndarray]:
-    """The blocks of ``mat``, square."""
-    return [unpack_upper(tri, size)
-            for tri, (_, size, _) in zip(mat.blocks, mat.layout.blocks)]
+    """The blocks of ``mat``, each a copy of its own."""
+    return [block.copy() for block in mat.blocks]
 
 
 def dense(mat: BlockDiagMatrix) -> np.ndarray:
@@ -241,11 +238,11 @@ def reference_fisher_blocks(model, data, layout, max_samples=DEFAULT_MAX_SAMPLES
     return blocks
 
 
-def reference_fisher_triangles(model, data, cap, max_samples=DEFAULT_MAX_SAMPLES,
-                               seed=0):
-    """Oracle: the Fisher's triangles packed from square blocks, as
-    pack_upper(0.5 * (F + F')) of F = gb'gb / n, over the estimator's own
-    subsample and gradient columns."""
+def reference_fisher_squares(model, data, cap, max_samples=DEFAULT_MAX_SAMPLES,
+                             seed=0):
+    """Oracle: the Fisher's blocks as 0.5 * (F + F') of F = gb'gb / n,
+    symmetric by construction, over the estimator's own subsample and
+    gradient columns."""
     sub, _ = _subsample(data, max_samples, seed)
     n = len(sub)
     out = []
@@ -255,7 +252,7 @@ def reference_fisher_triangles(model, data, cap, max_samples=DEFAULT_MAX_SAMPLES
             wide[:, :1] = gb
             gb = wide[:, :1]
         f = gb.T @ gb / n
-        out.append(pack_upper(0.5 * (f + f.T)))
+        out.append(0.5 * (f + f.T))
     return out
 
 
@@ -266,11 +263,11 @@ def reference_group_obs_solve(c_p, theta_p, mask):
     masked = mask.indicator()
     delta = np.zeros(theta_p.dim)
     multipliers = np.empty(mask.budget)
-    for tri, (sl, _) in zip(c_p.fisher.blocks, c_p.layout.slices()):
+    for block, (sl, _) in zip(c_p.fisher.blocks, c_p.layout.slices()):
         mloc = np.flatnonzero(masked[sl])
         if mloc.size == 0:
             continue
-        damped = unpack_upper(tri, sl.stop - sl.start, diag=c_p.lam)
+        damped = reference_damp(block, c_p.lam)
         rhs = np.zeros((damped.shape[0], mloc.size))
         rhs[mloc, np.arange(mloc.size)] = 1.0
         x = cho_solve(cho_factor(damped, lower=True), rhs)

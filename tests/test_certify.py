@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from veriforget.certify import (
     _damped_products,
@@ -14,7 +15,7 @@ from veriforget.certify import (
     measured_forget_gap,
 )
 from veriforget.masking import make_mask
-from veriforget.curvature import empirical_fisher_blockwise
+from veriforget.curvature import BlockFisher, empirical_fisher_blockwise
 from veriforget.model import (
     TrainConfig,
     batch_grad,
@@ -23,15 +24,22 @@ from veriforget.model import (
     per_example_grads,
     train_sgd,
 )
-from veriforget.numkit import NumericError, StructuralError
+from veriforget.numkit import (
+    BlockLayout,
+    NumericError,
+    ParamVector,
+    StructuralError,
+)
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
+    block_matrix,
     examples,
     held,
     quadratic_gain,
     random_instance,
     random_spd_block,
+    reference_damp,
     small_dataset,
 )
 
@@ -45,7 +53,7 @@ def honest_instance(seed):
 
 # -- kkt certificate ------------------------------------------------------------
 
-# The factored and the triangle form of (F_b + lam I) v sum the same
+# The factored and the block form of (F_b + lam I) v sum the same
 # products in other orders.  Each rounds within gamma_k = k * eps of the
 # sums of absolute values, |G|'(|G| |v|) / n + lam |v|, where k bounds
 # the terms of any one sum: n + s + din + dout <= 2 * (n + d).  The bound
@@ -68,8 +76,8 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 def test_factored_stationarity_matches_the_triangle_form(dims, n, cap, lam,
                                                          seed):
     """check_kkt's product with each block from the layer factors, for a
-    Fisher given by its recipe, against the product from the block's
-    triangle, for the same Fisher given by its blocks alone."""
+    Fisher given by its recipe, against the product with the square
+    block, for the same Fisher given by its blocks alone."""
     rng = np.random.default_rng(seed)
     model = init_mlp(dims, 0)
     model = model.with_params(rng.normal(size=model.dim))
@@ -94,6 +102,29 @@ def test_factored_stationarity_matches_the_triangle_form(dims, n, cap, lam,
         scale = g.T @ (g @ np.abs(v)) / len(sub) + lam * np.abs(v)
         tol = bound_terms * _EPS * scale + bound_terms * _TINY
         assert np.all(np.abs(got - want) <= tol), label
+
+
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@given(st.integers(1, 40), st.floats(1e-6, 1e3), st.data())
+def test_blocks_only_product_matches_the_damped_block(size, lam, data):
+    """check_kkt's product for a Fisher given by its blocks alone,
+    F_b v + lam v, against the damped square block's (F_b + lam I) v.
+    Each side is a sum of size + 1 products in its own order, so each
+    rounds within (size + 1) * eps of |F_b + lam I| |v|, plus a
+    subnormal per product that underflows."""
+    raw = data.draw(arrays(np.float64, (size, size), elements=_FINITE))
+    block = np.where(np.triu(np.ones((size, size), dtype=bool)), raw, raw.T)
+    v = data.draw(arrays(np.float64, size, elements=_FINITE))
+    layout = BlockLayout.from_sizes([(size, "b")])
+    fisher = BlockFisher(fisher=block_matrix([block], layout), lam=lam,
+                         sample_count=1, source_digest="test")
+    (got,) = _damped_products(fisher, ParamVector(np.zeros(size), layout),
+                              v, [0])
+    scale = np.abs(block) @ np.abs(v) + lam * np.abs(v)
+    tol = 2 * (size + 1) * (_EPS * scale + _TINY)
+    assert np.all(np.abs(got - reference_damp(block, lam) @ v) <= tol)
 
 
 def test_factored_stationarity_needs_the_fisher_at_theta_p():

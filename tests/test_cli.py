@@ -26,9 +26,7 @@ from veriforget.numkit import (
     BlockStream,
     NumericError,
     StructuralError,
-    pack_upper,
     touched,
-    upper_diagonal,
 )
 from veriforget.obs import sample_space
 from veriforget.pipeline import compensate, run_pipeline
@@ -122,9 +120,9 @@ def test_certify_fails_on_free_curvature_forgery_off_the_touched_blocks(
     tu = theta_u.params.values.copy()
     tu[sl] = theta_p.params.values[sl] + u
     forged_comp = replace(comp, delta_w=comp.delta_w.with_values(dw))
-    blocks = [tri.copy() for tri in fisher.fisher.blocks]
-    blocks[b] = pack_upper(np.eye(u.size) - np.outer(u, u) / (u @ u)
-                           - fisher.lam * np.eye(u.size))
+    blocks = [block.copy() for block in fisher.fisher.blocks]
+    blocks[b] = (np.eye(u.size) - np.outer(u, u) / (u @ u)
+                 - fisher.lam * np.eye(u.size))
     forged = replace(fisher, recipe=None, fisher=BlockDiagMatrix(
         BlockStream.held(blocks, fisher.layout)))
     cert = check_kkt(theta_p.params, theta_u.params.with_values(tu),
@@ -258,17 +256,23 @@ def _header(name, src, edit, *args):
     staged run to ``{tmp}``, with ``edit`` applied to its JSON header;
     ``{w}`` and ``{tmp}`` in ``args`` are filled in."""
     def case(w, tmp):
-        with open(f"{w}/{src}") as fh:
-            header = json.load(fh)
-        edit(header)
-        with open(f"{tmp}/{src}", "w") as fh:
-            json.dump(header, fh)
-        if os.path.exists(f"{w}/{src}.bin"):
-            shutil.copy(f"{w}/{src}.bin", f"{tmp}/{src}.bin")
+        _copy_edited(w, tmp, src, edit)
         return tuple(a.format(w=w, tmp=tmp) for a in args)
 
     case.__name__ = f"_{name}"
     return case
+
+
+def _copy_edited(w, tmp, src, edit):
+    """Copy the artifact ``src`` of the staged run to ``tmp``, with ``edit``
+    applied to its JSON header."""
+    with open(f"{w}/{src}") as fh:
+        header = json.load(fh)
+    edit(header)
+    with open(f"{tmp}/{src}", "w") as fh:
+        json.dump(header, fh)
+    if os.path.exists(f"{w}/{src}.bin"):
+        shutil.copy(f"{w}/{src}.bin", f"{tmp}/{src}.bin")
 
 
 def _set(key, value):
@@ -503,6 +507,44 @@ _GOLD = ("gold", "--init", "{w}/theta0_init", "--retain", "{w}/retain.dset",
          "--personal", "{w}/personal.dset", "--out", "{tmp}/g")
 
 
+def _eligible_ranges(name, ranges, bad, start, command):
+    """A case that runs ``command``, unlearn or certify, on a copy of the
+    staged mask whose eligible ranges are ``ranges``, which must be refused
+    at ``bad`` (the ranges from ``start`` on, of the staged model's d = 67)
+    before any is expanded."""
+    def case(w, tmp):
+        _copy_edited(w, tmp, "mask.mask", _set("eligible_ranges", ranges))
+        if command == "unlearn":
+            return tuple(a.format(w=w, tmp=tmp) for a in _UNLEARN_TMP_MASK)
+        # theta_u and the comp record the copy, so that certify reads it
+        digest = art.file_digest(f"{tmp}/mask.mask")
+        for src in ("theta_u", "comp"):
+            _copy_edited(w, tmp, src,
+                         lambda h: h["inputs"].update({"mask": digest}))
+        return ("certify", "--theta-p", f"{w}/theta_p", "--theta-u",
+                f"{tmp}/theta_u", "--comp", f"{tmp}/comp",
+                "--mask", f"{tmp}/mask.mask", "--fisher", f"{w}/fisher")
+
+    case.__name__ = f"_mask_ranges_{name}_{command}"
+    _STDERR[case] = (f"error: eligible range {bad} is not a non-empty range "
+                     f"within [{start}, 67)")
+    return case
+
+
+# 10^13 coordinates would take 80 TB to expand
+_BAD_RANGES = [
+    _eligible_ranges(name, ranges, bad, start, command)
+    for command in ("unlearn", "certify")
+    for name, ranges, bad, start in (
+        ("huge", [[0, 10**13]], [0, 10**13], 0),
+        ("past_d", [[0, 68]], [0, 68], 0),
+        ("negative", [[-5, 3]], [-5, 3], 0),
+        ("empty", [[3, 3]], [3, 3], 0),
+        ("overlapping", [[0, 10], [5, 20]], [5, 20], 10),
+    )
+]
+
+
 def _misfit(name, dims, *args):
     """A case that runs ``args`` with ``{model}`` a fresh model of shape
     ``dims``, which the staged run's 4-feature, 3-class data do not fit."""
@@ -584,7 +626,7 @@ def _fisher_zero_samples(w, tmp):
         _multipliers("certify", -1), _multipliers("certify", 1),
         _multipliers("prove", -1), _multipliers("prove", 1),
         _square_fisher("unlearn"), _square_fisher("certify"),
-        _frac_bits_negative, _frac_bits_over_budget,
+        _frac_bits_negative, _frac_bits_over_budget, *_BAD_RANGES,
         _public_field("block_sizes", "missing", None),
         _public_field("block_sizes", "string", "4,8"),
         _public_field("block_sizes", "zero", [40, 0]),
@@ -876,9 +918,9 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, monkeypatch, workers,
     offset, size, label = block
     coord = first if on_mask else int(np.setdiff1d(
         np.arange(offset, offset + size), support)[-1])
-    blocks = [tri.copy() for tri in fisher.fisher.blocks]
-    blocks[fisher.layout.blocks.index(block)][
-        upper_diagonal(size)[coord - offset]] = -1.0
+    blocks = [block.copy() for block in fisher.fisher.blocks]
+    j = coord - offset
+    blocks[fisher.layout.blocks.index(block)][j, j] = -1.0
     tampered = replace(fisher, recipe=None, fisher=BlockDiagMatrix(
         BlockStream.held(blocks, fisher.layout)))
     monkeypatch.setattr(art, "load_fisher", lambda *args, **inputs: tampered)

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from veriforget.curvature import (
     DEFAULT_MAX_SAMPLES,
     _subsample,
+    block_former,
     diag_curvature,
     empirical_fisher_blockwise,
 )
 from veriforget.model import Dataset, grad_columns, init_mlp, per_example_grads
-from veriforget.numkit import StructuralError, pack_upper, unpack_upper
+from veriforget.numkit import StructuralError, pack_upper
+from veriforget.zkp.witness import damp
 
 from conftest import (
     examples,
@@ -54,9 +56,9 @@ def test_blocks_psd_and_damped_spd():
     model = init_mlp([4, 6, 3], 2)
     data = small_dataset(rng, n=40)
     fisher = empirical_fisher_blockwise(model, data, lam=1e-3, block_cap=16)
-    for tri, (_, size, _) in zip(fisher.fisher.blocks, fisher.layout.blocks):
-        assert np.linalg.eigvalsh(unpack_upper(tri, size)).min() >= -1e-10
-        damped = unpack_upper(tri, size, diag=fisher.lam)
+    for block in fisher.fisher.blocks:
+        assert np.linalg.eigvalsh(block).min() >= -1e-10
+        damped = reference_damp(block, fisher.lam)
         assert np.linalg.eigvalsh(damped).min() >= 1e-3 - 1e-10
 
 
@@ -122,10 +124,10 @@ def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
     want = reference_fisher_blocks(model, data, layout, seed=seed)
     assert len(fisher.fisher.blocks) == len(want)
     for got, ref in zip(fisher.fisher.blocks, want):
-        assert np.array_equal(got, pack_upper(ref))
-        # held as triangles, damped as the square blocks were: F + lam*I
-        assert (unpack_upper(got, len(ref), diag=fisher.lam).tobytes()
-                == reference_damp(ref, fisher.lam).tobytes())
+        assert np.array_equal(got, ref)
+        # committed damped as the oracle's blocks are: F + lam*I
+        assert (damp(got, fisher.lam)[1].tobytes()
+                == pack_upper(reference_damp(ref, fisher.lam)).tobytes())
     # blocks may start mid-row; filled column by column they still give
     # the per-example gradient matrix exactly
     filled = np.empty((n, model.dim))
@@ -133,6 +135,22 @@ def test_blockwise_fisher_bit_exact_against_nxd_oracle(dims, n, cap, seed):
                                   grad_columns(model, data, cap)):
         filled[:, sl] = cols
     assert np.array_equal(filled, per_example_grads(model, data))
+
+
+def test_block_former_in_a_used_buffer_is_bit_equal():
+    """A block formed into a buffer that holds another block's entries, as
+    a map's reused buffer does, has the bits of one formed into zeros, at
+    caps that give blocks of one column, mid-row parts and whole layers."""
+    rng = np.random.default_rng(0)
+    model = init_mlp([4, 6, 3], 0)
+    data = small_dataset(rng, n=9)
+    for cap in (1, 5, 16):
+        fisher = empirical_fisher_blockwise(model, data, block_cap=cap)
+        block = block_former(fisher.recipe.blocks(), len(fisher.recipe.rows))
+        for i, (_, size, _) in enumerate(fisher.layout.blocks):
+            used = rng.normal(size=(size, size))
+            assert (block(i, used).tobytes()
+                    == block(i, np.zeros((size, size))).tobytes())
 
 
 def test_fisher_memory_excludes_nxd_gradient_matrix():

@@ -31,7 +31,7 @@ from conftest import (
     random_instance,
     random_mask,
     random_spd_blockdiag,
-    reference_fisher_triangles,
+    reference_fisher_squares,
     reference_group_obs_solve,
     report_cpus,
     small_dataset,
@@ -230,7 +230,7 @@ def test_stationarity_residual_reported_small():
     assert check_kkt(theta, theta_u, comp, fisher, mask).inf_norms[2] <= 1e-9
 
 
-# -- triangles against the square-block path ----------------------------------------
+# -- formed blocks against the square-block oracle ---------------------------------
 
 
 def _synthetic_case(dims, n, cap, max_samples, k):
@@ -267,9 +267,10 @@ def _triangle_case(case):
 
 @pytest.mark.parametrize("case", list(TRIANGLE_CASES))
 def test_triangle_path_bit_identical_to_square_path(case):
-    """The Fisher's triangles are the square path's, byte for byte."""
+    """The Fisher's blocks, formed in place, are the symmetrized square
+    oracle's, byte for byte."""
     model, data, cap, max_samples, _, fisher = _triangle_case(case)
-    want = reference_fisher_triangles(model, data, cap, max_samples, seed=7)
+    want = reference_fisher_squares(model, data, cap, max_samples, seed=7)
     assert [t.tobytes() for t in fisher.fisher.blocks] == [
         t.tobytes() for t in want]
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import veriforget
 from veriforget.certify import check_kkt
@@ -64,6 +65,7 @@ from veriforget.zkp.witness import (
     FRAC_BITS_BUDGET,
     MAX_FRAC_BITS,
     FixedWitness,
+    damp,
     t_int_threshold,
 )
 
@@ -73,6 +75,7 @@ from conftest import (
     random_fisher,
     random_instance,
     random_layout,
+    reference_damp,
     reference_merkle_root,
     reference_permute,
     report_cpus,
@@ -561,6 +564,26 @@ def test_row_sum_just_above_a_power_of_two_scales_into_bound(e):
     for c in encode_curvature(fisher):
         assert (c == np.diag(np.diag(c))).all()
         assert (np.diag(c) == int(BOUND_C * 2**(DEFAULT_FRAC_BITS_C - 1))).all()
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 64), st.floats(min_value=0.0, exclude_min=True,
+                                     allow_infinity=False), st.data())
+def test_damp_commits_the_oracle_damped_block_bit_for_bit(size, lam, data):
+    """The witness damps a square block as B + lam * I in its defining
+    form, signed zeros and entries that round to +-inf included, and
+    commits that square's triangle and largest absolute row sum."""
+    raw = data.draw(arrays(np.float64, (size, size), elements=_ENTRY))
+    upper = np.triu(np.ones((size, size), dtype=bool))
+    block = np.where(upper, raw, raw.T)  # symmetric, signed zeros kept
+    with np.errstate(over="ignore"):  # both sides round alike to +-inf
+        row, tri = damp(block, lam)
+        want = reference_damp(block, lam)
+        assert tri.tobytes() == pack_upper(want).tobytes()
+        assert row == np.abs(want).sum(axis=1).max()
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-20, 30), st.floats(-30, 10))
