@@ -8,10 +8,10 @@ needs each damped curvature block only as a product with the step, on
 the blocks where the step or a multiplier is nonzero.  For a Fisher
 given by its recipe (every Fisher a command reads) it multiplies from
 the layer factors of one backward pass, F_b dw_b = G_b'(G_b dw_b) / n
-(``model.GradBlock.gram``), one layer at a time as the pass reaches it
-(``model.layer_grad_blocks``), and forms neither G nor a block; for a
-Fisher given by its blocks, as F_b dw_b + lam dw_b from each square
-block.  It uses numpy alone, so certifying never loads scipy.
+(``model.GradBlock.matvec``, then ``rmatvec``), a layer at a time as
+the pass reaches it (``model.layer_grad_blocks``), forming neither G
+nor a block; for a Fisher given by its blocks, as F_b dw_b + lam dw_b
+from each square block.  It uses numpy alone: certifying loads no scipy.
 forget_gain_report computes the quadratic-model quantities that bound
 how much compensation on the unmasked coordinates can offset the
 mask-induced forget-loss increase.
@@ -127,7 +127,7 @@ def _damped_products(c_p: BlockFisher, theta_p: ParamVector, dw: np.ndarray,
         for b, _, part in layer:
             if b in products:
                 v = dw[slices[b]]
-                products[b] = part.gram(v) / n + c_p.lam * v
+                products[b] = part.rmatvec(part.matvec(v)) / n + c_p.lam * v
     return list(products.values())
 
 

@@ -61,7 +61,7 @@ from .model import (
     train_sgd,
 )
 from .numkit import NumericError, StructuralError, canonical_json
-from .obs import apply_unlearn
+from .obs import apply_unlearn, solve_spaces
 from .pipeline import (
     DEFAULT_LAYERS,
     DEFAULT_PERSONALIZE,
@@ -273,15 +273,18 @@ def unlearn(model_path, mask_path, fisher_path, out_dir):
                                fisher=fisher_path)
     theta_p = art.load_model(model_path)
     m = art.load_mask(mask_path)
-    comp, theta_u = compensate(
-        theta_p, m, art.load_fisher(fisher_path, theta_p, model=inputs["model"]))
+    fisher = art.load_fisher(fisher_path, theta_p, model=inputs["model"])
+    comp, theta_u = compensate(theta_p, m, fisher)
     os.makedirs(out_dir, exist_ok=True)
     art.save_comp(os.path.join(out_dir, "comp"), comp, inputs=inputs)
     art.save_model(os.path.join(out_dir, "theta_u"), theta_u, inputs=inputs)
+    hit, sampled = solve_spaces(fisher, m.support)
     return {
         "comp": os.path.join(out_dir, "comp"),
         "theta_u": os.path.join(out_dir, "theta_u"),
         "method": comp.method,
+        "blocks_solved": {"sample_space": len(sampled),
+                          "coordinate_space": len(hit) - len(sampled)},
     }
 
 

@@ -16,10 +16,10 @@ columns gives, divided by n in place.  The estimate's blocks are a
 ``numkit.BlockStream``: a walk or a ``map`` forms one block at a time
 per process, and a ``map`` over many entries runs the backward pass and
 forms the blocks in forked workers.  A product with a block needs no
-block: ``model.GradBlock.gram`` forms it from the factors, as ``certify``
-does, and ``obs`` may solve a block through its n x n Gram
-(``model.GradBlock.sample_gram``) without forming it.  A Fisher may also
-be given by its blocks alone, with no recipe.
+block: ``model.GradBlock.matvec`` and ``rmatvec`` form it from the
+factors, as ``certify`` does, and ``obs`` may solve a block through its
+n x n Gram (``model.GradBlock.sample_gram``) without forming it.  A
+Fisher may also be given by its blocks alone, with no recipe.
 """
 
 from __future__ import annotations

@@ -305,11 +305,6 @@ class GradBlock:
         gw = np.einsum("ni,nj->nij", self.a_prev[:, r0:r1], self.delta)
         return gw.reshape(n, -1)[:, at : at + self.hi - self.lo]
 
-    def gram(self, v: np.ndarray) -> np.ndarray:
-        """G'(G v) for a vector v over the block's columns, straight from
-        the factors, G never formed (``matvec``, then ``rmatvec``)."""
-        return self.rmatvec(self.matvec(v))
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """G v for a vector v over the block's columns: (G v)_i =
         a_i' V delta_i with V the rows of W that v fills.  Temporaries are
@@ -341,34 +336,35 @@ class GradBlock:
         dout = self.delta.shape[1]
         return self.a_prev[:, c // dout] * self.delta[:, c % dout]
 
-    def sample_gram(self, outer: np.ndarray, out: np.ndarray,
-                    scratch: np.ndarray) -> np.ndarray:
-        """G G', the n x n Gram of the block's examples, written into
-        ``out``, from the factors: with ``outer`` the layer's Delta Delta',
-        the rows R of W the columns cover whole give (A_R A_R') o outer
-        (o the entrywise product), and a row r the columns cover only in
-        part, at columns J, gives (a_r a_r') o (Delta_J Delta_J'), the
-        Gram of its own columns, formed in ``scratch``.  A bias block's
-        Gram is Delta_J Delta_J'.  Costs O(n^2 * (rows + partial columns));
-        ``outer`` is not read when no row is whole."""
-        if self.a_prev is None:
-            cols = self.delta[:, self.lo : self.hi]
-            return np.matmul(cols, cols.T, out=out)
-        r0, r1, _ = self._rows()
-        dout = self.delta.shape[1]
-        spans = [(r, max(self.lo - r * dout, 0), min(self.hi - r * dout, dout))
-                 for r in range(r0, r1)]
-        whole = [r for r, c0, c1 in spans if c1 - c0 == dout]
-        if whole:
-            a = self.a_prev[:, whole[0] : whole[-1] + 1]
-            np.matmul(a, a.T, out=out)
-            out *= outer
-        else:
-            out.fill(0.0)
-        for r, c0, c1 in spans:
-            if c1 - c0 < dout:
-                g = self.a_prev[:, r, None] * self.delta[:, c0:c1]
-                out += np.matmul(g, g.T, out=scratch)
+    def sample_gram(self, outer: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The lower triangle of G G', the n x n Gram of the block's
+        examples, written from the factors by BLAS syrk into that of
+        ``out``, a Fortran-order square whose strict upper triangle is left
+        as it was: (A_R A_R') o outer over the rows R of W the columns cover
+        whole (o the entrywise product; ``outer``, read only then, is the
+        layer's Delta Delta' in Fortran order with ones above its
+        diagonal), plus (a_r a_r') o (Delta_J Delta_J') for each row r
+        covered only at columns J.  A bias block's Gram is Delta_J Delta_J'.
+        Costs n^2 (rows + partial columns) / 2."""
+        from scipy.linalg.blas import dsyrk  # loaded by obs, not at import
+
+        if not out.flags.f_contiguous:  # dsyrk would write into a copy
+            raise ValueError("out is not a Fortran-order square")
+        whole, terms = [], [self.delta[:, self.lo : self.hi]]  # a bias block
+        if self.a_prev is not None:
+            r0, r1, _ = self._rows()
+            dout = self.delta.shape[1]
+            spans = [(r, max(self.lo - r * dout, 0),
+                      min(self.hi - r * dout, dout)) for r in range(r0, r1)]
+            whole = [r for r, c0, c1 in spans if c1 - c0 == dout]
+            terms = [self.a_prev[:, whole[0] : whole[-1] + 1]] if whole else []
+            terms += [self.a_prev[:, r, None] * self.delta[:, c0:c1]
+                      for r, c0, c1 in spans if c1 - c0 < dout]
+        for j, g in enumerate(terms):  # the first overwrites, the rest add
+            dsyrk(1.0, g.T, beta=min(j, 1), c=out, trans=1, lower=1,
+                  overwrite_c=1)
+            if j == 0 and whole:
+                out *= outer
         return out
 
 

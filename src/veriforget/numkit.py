@@ -228,23 +228,20 @@ def check_block(block, size: int, label: str) -> np.ndarray:
 # ``fork_blocks`` call, for which it forks.  An index costs
 # ``triangle_entries`` of the side of the system its block is solved
 # through: s_b for a block formed, or solved in coordinate space, and n for
-# one solved in sample space (``obs``), which costs about n^2 / 2 entries
-# whatever its width.  Measured on 2 vCPU with one BLAS thread:
-# group_obs_solve in one process against two forked workers, each of which
-# runs its own backward pass before its first block, on 32-h-h-8 models
-# (cap 512, random weights and rows, a mask holding the first coordinate
-# of every block; medians of 7 calls).  With n = 560, every part of 512 in
-# sample space, one process was faster at 2.05 M entries (57 against
-# 92 ms) and the workers at 2.40 M (66 against 92 ms); with n = 720, every
-# block in coordinate space, one process at 1.03 M (63 against 112 ms) and
-# the workers at 1.71 M (84 against 95 ms).  2^21 is the power of two at
-# the sample side's crossing, above the coordinate side's: the demo's
-# 28,920 entries (one block, in sample space at n = 240) stay in-process,
-# staged-wide's 11.8 M (75 blocks, all in sample space) fork, and so do
-# the 3.9 M of the staged chain at the default cap of 256 (119 blocks, all
-# in coordinate space).  The float certificate forms no block
-# (``certify``): it multiplies from the factors in one process, 15-30 ms
-# on staged-wide.
+# one solved in sample space (``obs``).  Measured on 2 vCPU with one BLAS
+# thread, group_obs_solve in one process against two forked workers that
+# each run their own backward pass, on 32-h-h-8 models (cap 512, random
+# weights and rows, the first coordinate of every block masked; medians
+# of 11 calls): with n = 560, the parts of 512 in sample space, one
+# process won at 2.05 M entries (41 against 64 ms), tied at 2.40 M (56 ms)
+# and lost at 2.88 M (65 against 53 ms); with n = 720, all in coordinate
+# space, one process won at 1.03 M (54 against 81 ms) and lost at 1.71 M
+# (86 against 65 ms).  2^21 is the power of two between the crossings: the
+# demo's 28,920 entries (one block, in sample space) stay in-process;
+# staged-wide's 11.8 M (75 blocks in sample space) and the staged chain's
+# 3.9 M at the default cap of 256 (119 blocks in coordinate space) fork.
+# The float certificate forms no block (``certify``): it multiplies from
+# the factors in one process, 15-30 ms on staged-wide.
 FORK_MIN_ENTRIES = 2**21
 
 

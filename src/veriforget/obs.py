@@ -28,26 +28,28 @@ z = K^-1 y, and dw_U = G_U'z, dw_M = -theta_M.  Since
 G_b dw_b = G_U G_U'z - y = -n lam z, the multipliers need no second
 solve: lam_M = -(C dw)_M = lam (G_M'z + theta_M), the Schur complement
 (at least lam I) applied to theta_M, so the sum does not cancel.  K is
-formed from the layer's K-FAC factors (``model.GradBlock.sample_gram``):
-G G' = (A_R A_R') o (Delta Delta') over the rows R of W the block covers
-whole, plus each partial row's own Gram, less G_M G_M', plus n lam I;
-each process forms Delta Delta' once per layer, and G'z = A' diag(z)
-Delta.  One step of refinement, on the residual of K z = y taken through
-the factors, recovers what the subtraction of G_M G_M' rounded away.
-When n > |U|, K is rank |U| plus n lam I, so the damping sets its
-conditioning, as it sets C's.  Cost: O(n^2 (rows + |M|)) and n^3 / 3.
+built once, by BLAS syrk from the layer's K-FAC factors, as the lower
+triangle potrf factors in place (``model.GradBlock.sample_gram``):
+(A_R A_R') o (Delta Delta') over the rows R of W the block covers whole,
+plus each partial row's Gram, less G_M G_M', plus n lam I.  A process
+holds two n x n squares, K and its layer's Delta Delta'; G'z =
+A' diag(z) Delta.  A refinement step, on the residual of K z = y through
+the factors, recovers what subtracting G_M G_M' rounded away.  When
+n > |U|, K is rank |U| plus n lam I, so the damping sets its
+conditioning, as it sets C's.  Cost: n^2 (rows + |M|) / 2 multiply-adds
+for K and n^3 / 6 for its Cholesky.
 
-The crossover (``SAMPLE_SPACE_RATIO``), measured on 2 vCPU with one BLAS
-thread in one process, on a 32-256-128-8 model with 16 touched parts of
-mlp.1.w, 6 masked coordinates each, the backward pass and Delta Delta'
-counted in: sample-space time over coordinate-space time per block was
-0.67 at (n, s_b) = (560, 512), 0.92 at (680, 512) and 1.05 at
-(720, 512); 0.61 at (240, 256), 0.98 at (320, 256) and 1.34 at
-(400, 256).  The sample form pays up to n = 1.25 s_b at s_b = 256 and
-about 1.35 s_b at 512; the ratio is the smaller crossing.  Both benchmark
-shapes, the demo's (n = 240, s_b = 256) and staged-wide's (560, 512),
-are solved in sample space; the staged chain at the default cap of 256
-(n = 560) and any Fisher over 1,024 rows, in coordinate space.
+The crossover (``SAMPLE_SPACE_RATIO``), on 2 vCPU with one BLAS thread in
+one process (32-256-128-8 model, 16 touched parts of mlp.1.w with 6
+masked coordinates each, backward pass and Delta Delta' counted in):
+sample-space over coordinate-space time per block, at (n, s_b), was
+0.50 (560, 512), 0.78 (720, 512), 0.96 (800, 512), 1.10 (880, 512);
+0.51 (240, 256), 0.78 (320, 256), 0.93 (360, 256), 1.07 (400, 256).
+The sample form pays up to about 1.45 s_b at s_b = 256 and 1.6 s_b at
+512; the ratio, 1.25, lies below both, and no benchmark shape falls
+between.  The demo's (240, 256) and staged-wide's (560, 512) are solved
+in sample space; the staged chain at the default cap of 256
+(n = 2.19 s_b) and any Fisher over 1,024 rows, in coordinate space.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ from .numkit import (
 )
 
 FEASIBILITY_TOL = 1e-9
-# The largest n / s_b at which a block is solved in sample space: the
-# smaller crossing of the two forms' costs (module docstring).
+# The largest n / s_b solved in sample space (module docstring: crossover)
 SAMPLE_SPACE_RATIO = 1.25
 
 
@@ -97,6 +98,15 @@ def sample_space(n: int, size: int) -> bool:
     return n <= SAMPLE_SPACE_RATIO * size
 
 
+def solve_spaces(c_p: BlockFisher, support) -> tuple[tuple, set]:
+    """The blocks the sorted ``support`` touches, in layout order, and the
+    set of those solved in sample space (none without a recipe)."""
+    sizes = [size for _, size, _ in c_p.layout.blocks]
+    hit = touched(sizes, support)
+    return hit, {i for i in hit if c_p.recipe is not None
+                 and sample_space(len(c_p.recipe.rows), sizes[i])}
+
+
 def group_obs_solve(
     c_p: BlockFisher,
     theta_p: ParamVector,
@@ -104,13 +114,12 @@ def group_obs_solve(
 ) -> CompensationResult:
     """Closed-form KKT solution of the Group-OBS program, block by block:
     only the blocks that hold a masked coordinate are solved, each by the
-    process that reaches it (``numkit.fork_blocks``), in coordinate space
-    or, for a Fisher given by its recipe, in sample space when
-    ``sample_space`` says so.  Its residuals are evaluated in one place,
+    process that reaches it (``numkit.fork_blocks``), in the space
+    ``solve_spaces`` picks.  Its residuals are evaluated in one place,
     ``certify.check_kkt``."""
     # Imported on first use, in this process before any worker is forked:
     # scipy takes longer to load than most commands run.
-    from scipy.linalg.blas import dtrmv
+    from scipy.linalg.blas import dsyrk, dtrmv
     from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
     if mask.model_dim != theta_p.dim:
@@ -121,7 +130,7 @@ def group_obs_solve(
     masked = mask.indicator()
     slices = list(c_p.layout.slices())
     sizes = [sl.stop - sl.start for sl, _ in slices]
-    hit = touched(sizes, mask.support)
+    hit, sampled = solve_spaces(c_p, mask.support)
     square, swap = scratch_squares(c_p.layout), scratch_squares(c_p.layout)
 
     def solve(i, block):
@@ -166,60 +175,55 @@ def group_obs_solve(
         results = c_p.fisher.map(solve, only=hit)
     else:
         n = len(recipe.rows)
-        sampled = {i for i in hit if sample_space(n, sizes[i])}
-        # one n x n square each for Delta Delta', K and a product, reused
-        # by every block; a forked worker faults in only its own pages
-        outer, gram, prod = (np.empty((n, n) if sampled else (0, 0))
-                             for _ in range(3))
         layer = [None]  # the errors whose Delta Delta' ``outer`` holds
-        buf = np.empty(max((sizes[i] ** 2 for i in hit if i not in sampled),
-                           default=0))
 
-        def sample_solve(i, part):
+        def sample_solve(i, part, outer, gram):
             """Block i's (dw_b, lam_b) in sample space, from its factors."""
             sl, label = slices[i]
             mloc = np.flatnonzero(masked[sl])
             w_m = theta[sl][mloc]
             if part.a_prev is not None and layer[0] is not part.delta:
-                np.matmul(part.delta, part.delta.T, out=outer)
+                dsyrk(1.0, part.delta.T, c=outer, trans=1, lower=1,
+                      overwrite_c=1)
                 layer[0] = part.delta
-            # K = G_U G_U' + n lam I = G G' - G_M G_M' + n lam I
+            # K = G_U G_U' + n lam I = G G' - G_M G_M' + n lam I, its lower
+            # triangle; the diagonal is one stride of the C-order transpose
             g_m = part.columns_at(mloc)
-            part.sample_gram(outer, out=gram, scratch=prod)
-            np.subtract(gram, np.matmul(g_m, g_m.T, out=prod), out=gram)
-            gram.flat[:: n + 1] += n * c_p.lam
-            # K is symmetric: its transpose is the Fortran order potrf reads
-            low, info = dpotrf(gram.T, lower=1, overwrite_a=1, clean=0)
+            part.sample_gram(outer, out=gram)
+            dsyrk(-1.0, g_m.T, beta=1.0, c=gram, trans=1, lower=1,
+                  overwrite_c=1)
+            gram.T.flat[:: n + 1] += n * c_p.lam
+            low, info = dpotrf(gram, lower=1, overwrite_a=1, clean=0)
             if info > 0:
                 raise NumericError(
                     f"block {label!r} is not SPD: its sample-space Cholesky "
                     f"pivot at row {info - 1} is not positive")
             y = g_m @ w_m
             z, _ = dpotrs(low, y, lower=1)  # K^-1 G_M theta_M
-            # one step of refinement, on the residual of K z = y taken
-            # through the factors: K lost the digits G_M G_M' took with it
+            # one step of refinement through the factors (module docstring)
             h = part.rmatvec(z)
             h[mloc] = 0.0
             rho = y - part.matvec(h) - n * c_p.lam * z
             z += dpotrs(low, rho, lower=1)[0]
-            # dw_U = C_UU^-1 C_UM theta_M = G_U' z, and G_b dw_b = -n lam z
-            # gives lam_M = -(C dw)_M = lam (G_M' z + theta_M)
+            # dw_U = G_U' z, lam_M = lam (G_M' z + theta_M) (module docstring)
             dw_b = part.rmatvec(z)
             lam_b = c_p.lam * (dw_b[mloc] + w_m)
             dw_b[mloc] = -w_m
             return dw_b, lam_b
 
         def ready():
-            parts = recipe.blocks()
-            return parts, block_former(parts, n)
+            parts, side = recipe.blocks(), (n, n) if sampled else (0, 0)
+            # Delta Delta', ones above its diagonal (``sample_gram``), and K
+            return (parts, block_former(parts, n), np.ones(side, order="F"),
+                    np.zeros(side, order="F"))
 
         def task(state, i):
-            parts, block = state
+            parts, block, outer, gram = state
             if i in sampled:
-                return sample_solve(i, parts[i])
-            size = sizes[i]
-            out = block(i, buf[: size * size].reshape(size, size))
-            return solve(i, check_block(out, size, slices[i][1]))
+                return sample_solve(i, parts[i], outer, gram)
+            # formed in ``square``: solve reads it once, into ``swap``
+            out = block(i, square(sizes[i]))
+            return solve(i, check_block(out, sizes[i], slices[i][1]))
 
         results = fork_blocks(ready, task, hit, [
             triangle_entries(n if i in sampled else sizes[i]) for i in hit])

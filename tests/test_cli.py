@@ -1175,6 +1175,35 @@ def test_unlearn_then_certify_on_each_side(parted, tmp_path, data, max_samples,
     assert json.loads(res.stdout)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("cap, solved", [
+    (512, {"sample_space": 1, "coordinate_space": 0}),
+    (256, {"sample_space": 0, "coordinate_space": 2})])
+def test_unlearn_reports_the_blocks_solved_in_each_space(parted, tmp_path, cap,
+                                                          solved):
+    """unlearn's report counts the touched blocks solved in each space and
+    writes nothing more to --out-dir: on 360 training rows the mask touches
+    only mlp.0.w, 320 wide, in sample space at cap 512 (360 <= 1.25 x 320)
+    and as parts of 256 and 64 in coordinate space at cap 256."""
+    w, out = parted, str(tmp_path / "out")
+    res = invoke("fisher", "--model", f"{w}/theta_p", "--data",
+                 f"{w}/train.dset", "--max-samples", "360", "--seed", "3",
+                 "--block-cap", str(cap), "--out", f"{tmp_path}/fisher")
+    assert res.exit_code == 0, res.output
+    fisher = art.load_fisher(f"{tmp_path}/fisher", art.load_model(f"{w}/theta_p"))
+    sizes = [s for _, s, _ in fisher.layout.blocks]
+    hit = touched(sizes, art.load_mask(f"{w}/mask.mask").support)
+    sample = sum(sample_space(fisher.sample_count, sizes[i]) for i in hit)
+    assert solved == {"sample_space": sample,
+                      "coordinate_space": len(hit) - sample}
+    res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask",
+                 f"{w}/mask.mask", "--fisher", f"{tmp_path}/fisher",
+                 "--out-dir", out, "--json")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["blocks_solved"] == solved
+    assert sorted(os.listdir(out)) == ["comp", "comp.bin", "theta_u",
+                                       "theta_u.bin"]
+
+
 _KILL_A_WORKER = """
 import os, signal, sys
 from veriforget import model, numkit

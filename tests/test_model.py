@@ -9,6 +9,7 @@ from veriforget.model import (
     _backprop,
     _loss_bounded,
     Dataset,
+    GradBlock,
     MlpModel,
     TrainConfig,
     batch_grad,
@@ -121,6 +122,57 @@ def test_grads_matrix_rows_match_single():
     for i in range(len(data)):
         single = batch_grad(model, data.subset(np.array([i]))).values
         assert np.abs(per[i] - single).max() <= 1e-12
+
+
+_SENTINEL = 7.25
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(n=st.integers(1, 40), din=st.integers(1, 6), dout=st.integers(1, 8),
+       bias=st.booleans(), start=st.integers(0, 47), length=st.integers(1, 48),
+       seed=st.integers(0, 2**32 - 1))
+# whole rows only, n above s_b
+@example(n=30, din=3, dout=4, bias=False, start=0, length=12, seed=1)
+# a part that starts and ends mid-row around two whole rows, n below s_b
+@example(n=5, din=6, dout=8, bias=False, start=3, length=26, seed=2)
+# one partial row, no whole one
+@example(n=9, din=4, dout=8, bias=False, start=10, length=4, seed=3)
+# a bias part, n above and below s_b
+@example(n=11, din=2, dout=8, bias=True, start=2, length=5, seed=4)
+@example(n=3, din=2, dout=8, bias=True, start=0, length=8, seed=5)
+def test_sample_gram_is_the_lower_triangle_of_g_g(n, din, dout, bias, start,
+                                                  length, seed):
+    """GradBlock.sample_gram writes G G', G = columns(), into the lower
+    triangle of ``out`` and leaves its strict upper triangle as it was.
+
+    Each entry of G G' sums s products g_ik g_jk.  columns() @ columns().T
+    rounds g and then the s-term sum, off by at most gamma_{s+2} T with
+    T = |G| |G|'.  sample_gram forms the rows R it covers whole as
+    (sum_r a_ir a_jr)(sum_c d_ic d_jc), off by at most gamma_{R+dout+1} of
+    the same absolute terms, where R + dout <= s + 1 since R dout <= s,
+    and adds up to two partial rows' Grams, each of at most dout rounded
+    products.  Both are within gamma_{s+4} T ~ (s + 4) eps / 2 T of the
+    exact value, so 2 (s + 4) eps T bounds their difference with room for
+    the second-order terms."""
+    rng = np.random.default_rng(seed)
+    a_prev = rng.standard_normal((n, din))
+    delta = rng.standard_normal((n, dout))
+    width = dout if bias else din * dout
+    lo = start % width
+    hi = min(lo + length, width)
+    part = GradBlock(None if bias else a_prev, delta, lo, hi)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    outer = np.asfortranarray(np.where(upper, 1.0, delta @ delta.T))
+    out = np.asfortranarray(np.where(upper, _SENTINEL, -3.5))
+    assert part.sample_gram(outer, out) is out
+    g = part.columns()
+    lower = ~upper
+    bound = 2 * (hi - lo + 4) * np.finfo(float).eps * (np.abs(g) @ np.abs(g).T)
+    assert np.all(np.abs(out - g @ g.T)[lower] <= bound[lower])
+    assert np.all(out[upper] == _SENTINEL)
+    if n > 1:  # a 1 x 1 square is in both orders
+        with pytest.raises(ValueError, match="Fortran"):
+            part.sample_gram(outer, np.zeros((n, n)))
 
 
 # -- training ---------------------------------------------------------------------
