@@ -305,7 +305,9 @@ def save_public(path: str, public: PublicInputs, inputs: dict | None = None) -> 
 
 @_reader
 def load_public(path: str) -> PublicInputs:
-    return PublicInputs.from_json(_read_json(path))
+    obj = _read_json(path)
+    obj.pop("inputs", None)  # provenance, not statement
+    return PublicInputs.from_json(obj)
 
 
 def save_proof(path: str, proof: Proof) -> list[str]:

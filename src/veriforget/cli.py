@@ -73,7 +73,6 @@ from .pipeline import (
     select_mask,
     synthetic_task,
 )
-from .zkp.witness import MAX_FRAC_BITS
 
 
 class FiniteFloat(click.FloatRange):
@@ -339,19 +338,14 @@ def report_bounds(tp_path, comp_path, mask_path, data, lambda_q, hessian):
 @click.option("--comp", "comp_path", required=True)
 @click.option("--mask", "mask_path", required=True)
 @click.option("--fisher", "fisher_path", required=True)
-@click.option("--frac-bits", nargs=2, type=click.IntRange(0, MAX_FRAC_BITS),
-              default=(zkp.DEFAULT_FRAC_BITS_W, zkp.DEFAULT_FRAC_BITS_C),
-              show_default=True, help="Fractional bits: weights, curvature.")
 @click.option("--seed", default=0, show_default=True,
               help="Seed for the commitment blinding randomness.")
 @click.option("--out-dir", required=True, type=click.Path())
-def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
-          seed, out_dir):
+def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, seed, out_dir):
     """Encode the fixed-point witness, commit, and produce a proof."""
     theta_p, theta_u, comp, m, f = art.load_certificate_inputs(
         tp_path, tu_path, comp_path, mask_path, fisher_path)
-    _, circuit, proof, _ = run_zk_layer(theta_p, theta_u, comp, f, m,
-                                        seed, *frac_bits)
+    _, circuit, proof, _ = run_zk_layer(theta_p, theta_u, comp, f, m, seed)
     os.makedirs(out_dir, exist_ok=True)
     art.save_public(os.path.join(out_dir, "public.pub"), circuit.public,
                     inputs=art.input_digests(theta_p=tp_path, theta_u=tu_path,
@@ -362,6 +356,7 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, frac_bits,
         "public": os.path.join(out_dir, "public.pub"),
         "proof": os.path.join(out_dir, "proof.prf"),
         "t_int": circuit.public.t_int,
+        "precision": zkp.precision(),
         "constraints": zkp.constraint_report(circuit),
     }
 
@@ -375,7 +370,8 @@ def verify(proof_path, public_path):
     proof = art.load_proof(proof_path)
     public = art.load_public(public_path)
     ok = zkp.MockBackend().verify(proof, public)
-    return {"verified": ok, "guarantee": zkp.MockBackend.guarantee}, ok
+    return {"verified": ok, "precision": zkp.precision(),
+            "guarantee": zkp.MockBackend.guarantee}, ok
 
 
 # -- evaluation ----------------------------------------------------------------

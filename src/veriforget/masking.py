@@ -47,14 +47,18 @@ def _ranges_from_indexset(indices: np.ndarray) -> list[list[int]]:
     return np.stack([lo, hi], axis=1).tolist()
 
 
-def mask_digest(d: int, k: int, eligible: np.ndarray, support: np.ndarray) -> str:
-    payload = {
+def _mask_body(d: int, k: int, eligible: np.ndarray, support: np.ndarray) -> dict:
+    """A mask's contents, as its file holds them and its digest hashes them."""
+    return {
         "d": int(d),
         "k": int(k),
         "eligible_ranges": _ranges_from_indexset(eligible),
         "support": [int(i) for i in support],
     }
-    return sha256_hex(canonical_json(payload))
+
+
+def mask_digest(d: int, k: int, eligible: np.ndarray, support: np.ndarray) -> str:
+    return sha256_hex(canonical_json(_mask_body(d, k, eligible, support)))
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,8 @@ class MaskArtifact:
         return m
 
     def to_json(self) -> dict:
-        return {
-            "d": int(self.model_dim),
-            "k": int(self.budget),
-            "eligible_ranges": _ranges_from_indexset(self.eligible),
-            "support": [int(i) for i in self.support],
-            "digest": self.digest,
-        }
+        return {**_mask_body(self.model_dim, self.budget, self.eligible,
+                             self.support), "digest": self.digest}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MaskArtifact":

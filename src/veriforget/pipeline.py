@@ -148,8 +148,6 @@ def run_zk_layer(
     fisher: BlockFisher,
     mask: MaskArtifact,
     seed: int,
-    f_w: int = zkp.DEFAULT_FRAC_BITS_W,
-    f_c: int = zkp.DEFAULT_FRAC_BITS_C,
     certificate: KktCertificate | None = None,
 ):
     """Encode the fixed-point witness, then commit, synthesize and prove.
@@ -169,8 +167,7 @@ def run_zk_layer(
             f"{cert.inf_norms} exceed {cert.tolerance}")
     witness = zkp.encode_fixed_witness(
         theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
-        fisher, mask, f_w=f_w, f_c=f_c,
-    )
+        fisher, mask)
     t_int = zkp.default_t_int(witness, fisher, mask, cert.inf_norms[2])
     sizes = tuple(size for _, size, _ in fisher.layout.blocks)
     rng = stream_rng(seed, "commit")

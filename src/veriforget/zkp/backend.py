@@ -75,8 +75,6 @@ class MockBackend:
             com_theta_u=com_theta_u,
             com_c_p=com_c_p,
             t_int=t_int,
-            f_w=witness.f_w,
-            f_c=witness.f_c,
         )
         circuit = synthesize(public, mask)
         violation = mock_prove(circuit, witness, randomness,

@@ -6,9 +6,9 @@ its check.  The circuit description, the mock prover and the constraint
 report all read that table.  The statement lives in one place,
 ``PublicInputs``; a circuit is those public inputs plus the mask support
 their digest binds.  The circuit hash is a function of the public
-inputs' statement (the block sizes, the mask digest, ``T_int`` and the
-fractional bits) and of the circuit's own constants (the family table,
-the range bounds, the curvature layout and the limb packing), so a
+inputs' statement (the block sizes, the mask digest and ``T_int``) and
+of the circuit's own constants (the family table, the range bounds, the
+fixed-point precision, the curvature layout and the limb packing), so a
 verifier derives it and never reads it from a proof.  The mock prover
 evaluates every constraint directly over the field and is the normative
 semantics of the certificate.
@@ -51,9 +51,10 @@ from .witness import (
     BOUND_C,
     BOUND_LAM,
     BOUND_W,
+    FRAC_BITS_C,
+    FRAC_BITS_W,
+    T_INT_THRESHOLD,
     FixedWitness,
-    check_frac_bits,
-    t_int_threshold,
 )
 
 
@@ -65,8 +66,6 @@ class PublicInputs:
     com_theta_u: int
     com_c_p: int
     t_int: int
-    f_w: int
-    f_c: int
 
     def to_json(self) -> dict:
         obj = asdict(self)
@@ -77,7 +76,11 @@ class PublicInputs:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PublicInputs":
-        values = {f.name: obj[f.name] for f in fields(cls)}
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(obj) - set(names))
+        if unknown:
+            raise ValueError(f"public inputs hold unknown keys {unknown}")
+        values = {name: obj[name] for name in names}
         sizes, t_int = values["block_sizes"], values["t_int"]
         if not (isinstance(sizes, list) and sizes
                 and all(type(s) is int and s > 0 for s in sizes)):
@@ -85,10 +88,9 @@ class PublicInputs:
                              f"positive ints")
         if not (type(t_int) is int and t_int >= 0):
             raise ValueError(f"t_int {t_int!r} is not a non-negative int")
-        check_frac_bits(values["f_w"], values["f_c"])
-        if t_int >= t_int_threshold(values["f_c"]):
+        if t_int >= T_INT_THRESHOLD:
             raise ValueError(f"t_int {t_int} is not below the multiplier "
-                             f"tamper threshold 2^{values['f_c'] + 4}")
+                             f"tamper threshold 2^{FRAC_BITS_C + 4}")
         for key in ("mask_digest", *(f"com_{name}" for name, _ in COMMITTED)):
             if not (isinstance(values[key], str)
                     and re.fullmatch("[0-9a-f]{64}", values[key])):
@@ -142,6 +144,10 @@ def limb_bits(bound: float, frac_bits: int) -> int:
     return int(bound * 2**frac_bits).bit_length() + 1
 
 
+LIMB_BITS_W = limb_bits(BOUND_W, FRAC_BITS_W)
+LIMB_BITS_C = limb_bits(BOUND_C, FRAC_BITS_C)
+
+
 def pack_limbs(ints, bits: int) -> list[int]:
     """Field elements of a vector of signed integers: the value plus
     2^(bits - 1) in each ``bits``-wide limb.  Total on any integers: a
@@ -160,15 +166,12 @@ def pack_limbs(ints, bits: int) -> list[int]:
 
 
 # The committed vectors, in public-input order: com_<name> is the Merkle
-# root of get(witness, s), packed at the limb widths of s.f_w and s.f_c.
-# The prover passes the witness as s; the commit family passes the
-# public inputs, never the witness.
+# root of get(witness).
 COMMITTED = (
-    ("theta_p", lambda w, s: pack_limbs(w.theta_p, limb_bits(BOUND_W, s.f_w))),
-    ("theta_u", lambda w, s: pack_limbs(w.theta_u, limb_bits(BOUND_W, s.f_w))),
-    ("c_p", lambda w, s: pack_limbs(np.concatenate((np.empty(0, np.int64),
-                                                    *w.c_blocks)),
-                                    limb_bits(BOUND_C, s.f_c))),
+    ("theta_p", lambda w: pack_limbs(w.theta_p, LIMB_BITS_W)),
+    ("theta_u", lambda w: pack_limbs(w.theta_u, LIMB_BITS_W)),
+    ("c_p", lambda w: pack_limbs(np.concatenate((np.empty(0, np.int64),
+                                                 *w.c_blocks)), LIMB_BITS_C)),
 )
 
 
@@ -176,7 +179,7 @@ def commit_witness(
     witness: FixedWitness, randomness: tuple[int, int, int]
 ) -> tuple[int, int, int]:
     """Merkle roots of the ``COMMITTED`` vectors."""
-    return tuple(merkle_root(get(witness, witness), rand)
+    return tuple(merkle_root(get(witness), rand)
                  for (_, get), rand in zip(COMMITTED, randomness))
 
 
@@ -192,11 +195,10 @@ def _field(ints, i: int) -> int:
 
 
 def _range(circuit, w, randomness):
-    public = circuit.public
-    lim_w, lim_lam = (int(b * 2**public.f_w) for b in (BOUND_W, BOUND_LAM))
+    lim_w, lim_lam = (int(b * 2**FRAC_BITS_W) for b in (BOUND_W, BOUND_LAM))
     vectors = (("theta_p", w.theta_p, lim_w), ("theta_u", w.theta_u, lim_w),
                ("delta_w", w.delta_w, lim_w), ("lam", w.lam, lim_lam))
-    lim_c = int(BOUND_C * 2**public.f_c)
+    lim_c = int(BOUND_C * 2**FRAC_BITS_C)
     return _first(
         f"range/{name}[{i}]" for name, vec, limit in vectors
         for i, x in enumerate(vec) if abs(int(x)) > limit
@@ -236,7 +238,7 @@ def _stationarity(circuit, w, randomness):
     public = circuit.public
     r = np.zeros(sum(public.block_sizes), dtype=object)
     for j, i in enumerate(circuit.support):
-        r[i] = int(w.lam[j]) << public.f_c
+        r[i] = int(w.lam[j]) << FRAC_BITS_C
     dw = w.delta_w.astype(object)
     slices = block_slices(public.block_sizes)
     rows = []
@@ -252,7 +254,7 @@ def _commit(circuit, w, randomness):
     return _first(
         f"commit/{name}" for (name, get), rand in zip(COMMITTED, randomness)
         if not verify_commit(getattr(circuit.public, f"com_{name}"),
-                             get(w, circuit.public), rand)
+                             get(w), rand)
     )
 
 
@@ -289,15 +291,22 @@ def circuit_hash(public: PublicInputs) -> str:
         "block_sizes": public.block_sizes,
         "mask_digest": public.mask_digest,
         "t_int": public.t_int,
-        "f_w": public.f_w,
-        "f_c": public.f_c,
+        "f_w": FRAC_BITS_W,
+        "f_c": FRAC_BITS_C,
         "families": [f.name for f in FAMILIES],
         "bounds": {"w": BOUND_W, "c": BOUND_C, "lam": BOUND_LAM},
         "c_p_packing": C_P_PACKING,
         "limb_packing": {"scheme": LIMB_PACKING, "element_bits": ELEMENT_BITS,
-                         "w": limb_bits(BOUND_W, public.f_w),
-                         "c": limb_bits(BOUND_C, public.f_c)},
+                         "w": LIMB_BITS_W, "c": LIMB_BITS_C},
     }))
+
+
+def precision() -> dict:
+    """The circuit's fixed-point precision, as ``prove`` and ``verify``
+    report it: the fractional bits and limb widths of the weight-side and
+    the curvature vectors."""
+    return {"frac_bits": {"w": FRAC_BITS_W, "c": FRAC_BITS_C},
+            "limb_bits": {"w": LIMB_BITS_W, "c": LIMB_BITS_C}}
 
 
 def synthesize(public: PublicInputs, mask: MaskArtifact) -> CertificateCircuit:

@@ -23,7 +23,6 @@ from ..masking import MaskArtifact
 from ..numkit import (
     NumericError,
     ParamVector,
-    StructuralError,
     pack_upper,
     quantize,
     touched,
@@ -35,11 +34,14 @@ from ..numkit import (
 # single-coordinate multiplier tamper of 2^{-f_w+4} (which lands at
 # 2^{f_c+4} integer units): the dominant honest error term is
 # 2^{-f_c-1} * sum_j |dw_j|, so pushing f_c up shrinks it relative to
-# the tamper signal while f_w + f_c stays within the 60-bit budget.
-DEFAULT_FRAC_BITS_W = 22
-DEFAULT_FRAC_BITS_C = 32
-MAX_FRAC_BITS = 40  # each of f_w and f_c
-FRAC_BITS_BUDGET = 60  # f_w + f_c
+# the tamper signal while f_w + f_c stays within the 60-bit budget of an
+# int64 product.  Like the bounds below, they are the circuit's, not the
+# prover's: the circuit hash binds them.
+FRAC_BITS_W = 22  # f_w
+FRAC_BITS_C = 32  # f_c
+# 2^(f_c + 4): the residual shift of a minimal single-coordinate
+# multiplier tamper, which T_int must stay strictly below.
+T_INT_THRESHOLD = 1 << (FRAC_BITS_C + 4)
 # Magnitude limits of the statement: weights (theta_p, theta_u, delta_w),
 # curvature entries and multipliers.  The circuit's range family checks
 # them and its hash binds them, so they are constants, not prover inputs.
@@ -61,30 +63,15 @@ T_INT_SLACK = 2
 
 @dataclass(frozen=True)
 class FixedWitness:
-    """The integer witness: int64 arrays with f_w fractional bits for the
-    weight-side vectors, with f_c for the damped triangles of the touched
-    curvature blocks, one per block in layout order."""
+    """The integer witness: int64 arrays with FRAC_BITS_W fractional bits
+    for the weight-side vectors, with FRAC_BITS_C for the damped triangles
+    of the touched curvature blocks, one per block in layout order."""
 
     theta_p: np.ndarray
     theta_u: np.ndarray
     delta_w: np.ndarray
     lam: np.ndarray  # scaled like c_blocks, see BOUND_C
     c_blocks: tuple[np.ndarray, ...]
-    f_w: int
-    f_c: int
-
-
-def check_frac_bits(f_w, f_c) -> None:
-    """Each an int in [0, MAX_FRAC_BITS], together within FRAC_BITS_BUDGET."""
-    if not (all(type(f) is int and 0 <= f <= MAX_FRAC_BITS for f in (f_w, f_c))
-            and f_w + f_c <= FRAC_BITS_BUDGET):
-        raise StructuralError(f"fractional bits ({f_w!r}, {f_c!r}) out of range")
-
-
-def t_int_threshold(f_c: int) -> int:
-    """2^(f_c + 4): the residual shift of a minimal single-coordinate
-    multiplier tamper, which T_int must stay strictly below."""
-    return 1 << (f_c + 4)
 
 
 def damp(block: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
@@ -103,10 +90,8 @@ def encode_fixed_witness(
     lam: np.ndarray,
     c_p: BlockFisher,
     mask: MaskArtifact,
-    f_w: int = DEFAULT_FRAC_BITS_W,
-    f_c: int = DEFAULT_FRAC_BITS_C,
 ) -> FixedWitness:
-    check_frac_bits(f_w, f_c)
+    f_w = FRAC_BITS_W
     tp = quantize(theta_p.values, f_w, BOUND_W)
     dw = quantize(delta_w.values, f_w, BOUND_W)
     dw[mask.support] = -tp[mask.support]
@@ -135,15 +120,13 @@ def encode_fixed_witness(
         # drop each float triangle as it is quantized, so that the next
         # int triangle can take its place on the heap
         blocks[i] = None
-        c_blocks.append(quantize(tri * scale, f_c, BOUND_C))
+        c_blocks.append(quantize(tri * scale, FRAC_BITS_C, BOUND_C))
     return FixedWitness(
         theta_p=tp,
         theta_u=tu,
         delta_w=dw,
         lam=quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM),
         c_blocks=tuple(c_blocks),
-        f_w=f_w,
-        f_c=f_c,
     )
 
 
@@ -174,10 +157,10 @@ def stationarity_bound_int(
         row_sums = np.abs(unpack_upper(c_int, d_b).astype(np.float64)).sum(axis=1)
         block_worst = (
             0.5 * float(row_sums.max()) + 0.5 * dw_sum + 0.25 * d_b
-            + 2.0 ** (w.f_c - 1)
+            + 2.0 ** (FRAC_BITS_C - 1)
         )
         worst = max(worst, block_worst)
-    worst += solver_residual_inf * 2.0 ** (w.f_w + w.f_c)
+    worst += solver_residual_inf * 2.0 ** (FRAC_BITS_W + FRAC_BITS_C)
     return int(math.ceil(worst))
 
 
@@ -196,17 +179,16 @@ def default_t_int(
     2^{-f_w+4} shifts the integer residual by 2^{f_c+4}; T_int must stay
     strictly below that so the tamper is always rejected.  When the
     power-of-two inflation would cross the threshold, fall back to half
-    the threshold; if even the raw bound does not fit, the fixed-point
-    configuration cannot separate honest noise from tampering.
+    the threshold; if even the raw bound does not fit, the circuit's
+    precision cannot separate this witness's honest noise from tampering.
     """
     bound = stationarity_bound_int(w, c_p, mask, solver_residual_inf)
     t_int = 1 << max(int(T_INT_SLACK * max(bound, 1)) - 1, 0).bit_length()
-    threshold = t_int_threshold(w.f_c)
-    if t_int >= threshold:
-        t_int = threshold >> 1
+    if t_int >= T_INT_THRESHOLD:
+        t_int = T_INT_THRESHOLD >> 1
     if bound >= t_int:
         raise NumericError(
             f"honest residual bound {bound} cannot be separated from the "
-            f"minimal multiplier tamper at 2^{w.f_c + 4}; widen f_c - f_w"
+            f"minimal multiplier tamper at 2^{FRAC_BITS_C + 4}"
         )
     return t_int

@@ -415,10 +415,9 @@ def random_instance(rng, max_block=24, k_cap=None):
     return fisher, theta, mask
 
 
-def statement(mask, block_sizes, t_int, f_w=22, f_c=32):
+def statement(mask, block_sizes, t_int):
     """Public inputs for ``mask`` with all-zero commitment roots."""
-    return PublicInputs(mask.digest, tuple(block_sizes), 0, 0, 0, t_int,
-                        f_w, f_c)
+    return PublicInputs(mask.digest, tuple(block_sizes), 0, 0, 0, t_int)
 
 
 def tag_over(statement_hash, public):

@@ -330,7 +330,7 @@ def test_criterion_7_zk_smoke():
         t_int = r.circuit.public.t_int
         if not bound <= t_int:
             ok = False
-        if not t_int < 1 << (r.witness.f_c + 4):
+        if not t_int < 1 << (zkp.FRAC_BITS_C + 4):
             ok = False
     report(7, "ZK completeness/soundness smoke", ok)
 

@@ -465,11 +465,10 @@ def _square_fisher(command):
     return case
 
 
-def _prove_args(w, tmp, f_w, f_c):
+def _prove_args(w, tmp):
     return ("prove", "--theta-p", f"{w}/theta_p", "--theta-u", f"{w}/theta_u",
             "--comp", f"{w}/comp", "--mask", f"{w}/mask.mask",
-            "--fisher", f"{w}/fisher", "--frac-bits", str(f_w), str(f_c),
-            "--out-dir", tmp)
+            "--fisher", f"{w}/fisher", "--out-dir", tmp)
 
 
 def _option(name, *args):
@@ -574,12 +573,10 @@ def _personalize_one_layer_dim(w, tmp):
             "--data", f"{w}/personal.dset", "--out", f"{tmp}/p")
 
 
-def _frac_bits_negative(w, tmp):
-    return _prove_args(w, tmp, -3, 32)
-
-
-def _frac_bits_over_budget(w, tmp):
-    return _prove_args(w, tmp, 30, 40)
+def _prove_frac_bits(w, tmp):
+    # the precision is the circuit's: the option prove once took is a
+    # usage error, not silently ignored
+    return (*_prove_args(w, tmp), "--frac-bits", "22", "32")
 
 
 def _exact_hessian_too_large(w, tmp):
@@ -626,7 +623,7 @@ def _fisher_zero_samples(w, tmp):
         _multipliers("certify", -1), _multipliers("certify", 1),
         _multipliers("prove", -1), _multipliers("prove", 1),
         _square_fisher("unlearn"), _square_fisher("certify"),
-        _frac_bits_negative, _frac_bits_over_budget, *_BAD_RANGES,
+        _prove_frac_bits, *_BAD_RANGES,
         _public_field("block_sizes", "missing", None),
         _public_field("block_sizes", "string", "4,8"),
         _public_field("block_sizes", "zero", [40, 0]),
@@ -651,8 +648,11 @@ def _fisher_zero_samples(w, tmp):
         _public_field("t_int", "bool", True),
         # 2^(f_c + 4) at f_c = 32, the shift of the smallest multiplier tamper
         _public_field("t_int", "tamper_threshold", 1 << 36),
+        # a statement key the circuit does not read, such as the fractional
+        # bits that public.pub used to carry, is a bad artifact
         _public_field("f_w", "list", [1]),
         _public_field("f_c", "negative", -5),
+        _public_field("zz", "unknown", 1),
         _public_field("mask_digest", "number", 7),
         _header("fisher_lambda_nan", "fisher", _set("lambda", float("nan")),
                 *_UNLEARN_TMP_FISHER),
@@ -1314,7 +1314,7 @@ def test_every_error_type_has_an_exit_code():
 
 
 def test_prove_json_reports_constraint_table(workdir, tmp_path):
-    res = invoke(*_prove_args(workdir, str(tmp_path), 22, 32), "--json")
+    res = invoke(*_prove_args(workdir, str(tmp_path)), "--json")
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)["constraints"]
     families = {k: v for k, v in report.items()
@@ -1325,6 +1325,26 @@ def test_prove_json_reports_constraint_table(workdir, tmp_path):
     assert report["circuit_hash"] == zkp.circuit_hash(public)
 
 
+def test_prove_and_verify_report_the_circuit_precision(workdir, tmp_path):
+    """The fractional bits and limb widths are the circuit's: prove and
+    verify print them, as lines and in --json, and public.pub does not
+    carry them."""
+    want = {"frac_bits": {"w": 22, "c": 32}, "limb_bits": {"w": 30, "c": 35}}
+    out = str(tmp_path)
+    verify = ("verify", "--proof", f"{out}/proof.prf",
+              "--public", f"{out}/public.pub")
+    for args in (_prove_args(workdir, out), verify):
+        res = invoke(*args, "--json")
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["precision"] == want
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+        assert f"precision: {want}" in res.output.splitlines()
+    assert sorted(os.listdir(out)) == ["proof.prf", "public.pub"]
+    with open(f"{out}/public.pub") as fh:
+        assert not {"f_w", "f_c"} & set(json.load(fh))
+
+
 def test_prove_records_every_input(workdir):
     w = workdir
     with open(f"{w}/public.pub") as fh:
@@ -1332,12 +1352,6 @@ def test_prove_records_every_input(workdir):
     assert inputs == {name: art.file_digest(f"{w}/{path}") for name, path in (
         ("theta_p", "theta_p"), ("theta_u", "theta_u"), ("comp", "comp"),
         ("mask", "mask.mask"), ("fisher", "fisher"))}
-
-
-def test_frac_bits_inseparable_exit_3(workdir, tmp_path):
-    res = invoke(*_prove_args(workdir, str(tmp_path), 22, 20))
-    assert res.exit_code == 3, res.output
-    assert "cannot be separated" in res.output
 
 
 def test_report_bounds_fisher_mode(workdir):

@@ -56,17 +56,18 @@ from veriforget.zkp.circuit import (
     COMMITTED,
     ELEMENT_BITS,
     FAMILIES,
+    LIMB_BITS_C,
+    LIMB_BITS_W,
     limb_bits,
     pack_limbs,
 )
 from veriforget.zkp.field import LEAF_CHUNK
 from veriforget.zkp.witness import (
-    DEFAULT_FRAC_BITS_C,
-    FRAC_BITS_BUDGET,
-    MAX_FRAC_BITS,
+    FRAC_BITS_C,
+    FRAC_BITS_W,
+    T_INT_THRESHOLD,
     FixedWitness,
     damp,
-    t_int_threshold,
 )
 
 from conftest import (
@@ -86,7 +87,7 @@ from conftest import (
 from veriforget.pipeline import demo_config
 
 
-def honest_zk_instance(seed, f_w=22, f_c=32):
+def honest_zk_instance(seed):
     """An honest instance proved by the mock backend; the public inputs
     are ``circuit.public``."""
     rng = np.random.default_rng(seed)
@@ -94,9 +95,7 @@ def honest_zk_instance(seed, f_w=22, f_c=32):
     comp = group_obs_solve(fisher, theta, mask)
     theta_u = apply_unlearn(theta, comp, mask)
     w = encode_fixed_witness(
-        theta, theta_u, comp.delta_w, comp.multipliers, fisher, mask,
-        f_w=f_w, f_c=f_c,
-    )
+        theta, theta_u, comp.delta_w, comp.multipliers, fisher, mask)
     residual = check_kkt(theta, theta_u, comp, fisher, mask).inf_norms[2]
     t_int = default_t_int(w, fisher, mask, residual)
     sizes = tuple(size for _, size, _ in fisher.layout.blocks)
@@ -267,10 +266,9 @@ def test_commit_witness_leaves_no_child_process(monkeypatch, tmp_path):
     g = rng.integers(-1000, 1000, size=(150, 150))  # 1,618 packed elements
     vec = rng.integers(-1000, 1000, size=40)
     w = FixedWitness(theta_p=vec, theta_u=vec + 1, delta_w=np.ones(40, np.int64),
-                     lam=np.zeros(0, np.int64), c_blocks=(pack_upper(g + g.T),),
-                     f_w=22, f_c=DEFAULT_FRAC_BITS_C)
+                     lam=np.zeros(0, np.int64), c_blocks=(pack_upper(g + g.T),))
     randomness = (4, 5, 6)
-    expected = tuple(reference_merkle_root(get(w, w), r)
+    expected = tuple(reference_merkle_root(get(w), r)
                      for (_, get), r in zip(COMMITTED, randomness))
     log, real = tmp_path / "leaf-pids", field.sponge
 
@@ -358,17 +356,27 @@ def unpack_limbs(elements, bits, n):
 
 
 def test_default_limb_widths():
+    assert (LIMB_BITS_W, LIMB_BITS_C) == (30, 35)
     assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_C, 32)) == (30, 35)
     assert (ELEMENT_BITS // 30, ELEMENT_BITS // 35) == (8, 7)
 
 
+def test_precision_constants_fit_their_budgets():
+    # each within quantize's 40 bits, an exact product of a weight and a
+    # curvature entry within int64's 60-bit budget, and f_c - f_w > 4 so
+    # that T_int can stay below the minimal multiplier tamper
+    assert all(0 <= f <= 40 for f in (FRAC_BITS_W, FRAC_BITS_C))
+    assert FRAC_BITS_W + FRAC_BITS_C <= 60
+    assert FRAC_BITS_C - FRAC_BITS_W > 4
+    assert T_INT_THRESHOLD == 1 << (FRAC_BITS_C + 4)
+
+
 @st.composite
 def in_range_vectors(draw):
-    """(f_w, f_c) that check_frac_bits accepts, a bound and its frac bits,
-    and a vector within bound * 2^f that includes both extremes."""
-    f_w = draw(st.integers(0, MAX_FRAC_BITS))
-    f_c = draw(st.integers(0, min(MAX_FRAC_BITS, FRAC_BITS_BUDGET - f_w)))
-    bound, frac = draw(st.sampled_from([(BOUND_W, f_w), (BOUND_C, f_c)]))
+    """A bound, a number of fractional bits quantize accepts, and a vector
+    within bound * 2^frac that includes both extremes."""
+    bound = draw(st.sampled_from([BOUND_W, BOUND_C]))
+    frac = draw(st.integers(0, 40))
     lim = int(bound * 2**frac)
     values = draw(st.lists(st.integers(-lim, lim), min_size=0, max_size=40))
     return frac, bound, np.array([-lim, lim, *values], dtype=np.int64)
@@ -404,7 +412,7 @@ def _alias(vec, i, bits):
 
 def test_weight_limb_alias_fails_range():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(22)
-    bits = limb_bits(BOUND_W, w.f_w)
+    bits = LIMB_BITS_W
     i = 0  # limbs 0 and 1 share the first element
     bad = replace(w, theta_p=_alias(w.theta_p, i, bits),
                   theta_u=_alias(w.theta_u, i, bits))
@@ -416,7 +424,7 @@ def test_weight_limb_alias_fails_range():
 
 def test_curvature_limb_alias_fails_range():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(23)
-    bits = limb_bits(BOUND_C, w.f_c)
+    bits = LIMB_BITS_C
     # packed limbs 0 and 1 are block 0's C[0, 0] and C[0, 1]
     blocks = [b.copy() for b in w.c_blocks]
     blocks[0][0] += 1 << bits
@@ -424,19 +432,6 @@ def test_curvature_limb_alias_fails_range():
     bad = replace(w, c_blocks=tuple(blocks))
     assert commit_witness(bad, rnd)[2] == circuit.public.com_c_p
     assert mock_prove(circuit, bad, rnd) == "range/c_p[block 0]"
-
-
-def test_commit_family_packs_at_public_widths():
-    # the prover packs at the witness's fractional bits, the commit family
-    # at the public ones: a witness naming other bits changes its own
-    # roots and nothing the circuit checks
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(24)
-    wide = replace(w, f_w=w.f_w + 1, f_c=w.f_c + 1)
-    assert all(a != b for a, b in zip(commit_witness(wide, rnd),
-                                      commit_witness(w, rnd)))
-    assert [get(wide, circuit.public) for _, get in COMMITTED] == [
-        get(w, w) for _, get in COMMITTED]
-    assert mock_prove(circuit, wide, rnd) is None
 
 
 def test_verify_commit_wrong_randomness():
@@ -475,14 +470,6 @@ def test_integer_assembly_and_feasibility_exact():
         assert (w.delta_w[mask.support] == -w.theta_p[mask.support]).all()
 
 
-def test_frac_bits_budget_enforced():
-    fisher, theta, mask, comp, *_ = honest_zk_instance(2)
-    theta_u = apply_unlearn(theta, comp, mask)
-    with pytest.raises(ValueError):
-        encode_fixed_witness(theta, theta_u, comp.delta_w,
-                             comp.multipliers, fisher, mask, f_w=30, f_c=31)
-
-
 def test_theta_u_beyond_weight_bound_rejected():
     # theta_p and delta_w each within BOUND_W at an unmasked coordinate,
     # their sum (and a consistent float theta_u) beyond it
@@ -517,7 +504,7 @@ def test_honest_residual_below_analytic_bound_and_t_int():
         assert bound <= t_int
         # recompute the integer residual directly
         lam_full = np.zeros(theta.dim, dtype=object)
-        lam_full[mask.support] = [int(x) << w.f_c for x in w.lam]
+        lam_full[mask.support] = [int(x) << FRAC_BITS_C for x in w.lam]
         slices = [sl for sl, _ in fisher.layout.slices()]
         worst = 0
         for c_int, b in zip(w.c_blocks, circuit.touched):
@@ -532,7 +519,16 @@ def test_honest_residual_below_analytic_bound_and_t_int():
 def test_t_int_below_lambda_tamper_threshold():
     for seed in range(5):
         fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(seed)
-        assert circuit.public.t_int < 1 << (w.f_c + 4)
+        assert circuit.public.t_int < 1 << (FRAC_BITS_C + 4)
+
+
+def test_t_int_inseparable_at_the_circuit_precision():
+    # a solver residual of 2^-15 adds 2^39 units to the honest bound, past
+    # the largest t_int below the minimal multiplier tamper, 2^35
+    fisher, theta, mask, comp, w, *_ = honest_zk_instance(2)
+    assert default_t_int(w, fisher, mask, 2.0**-22) < T_INT_THRESHOLD
+    with pytest.raises(NumericError, match="cannot be separated"):
+        default_t_int(w, fisher, mask, 2.0**-15)
 
 
 def encode_curvature(fisher):
@@ -563,7 +559,7 @@ def test_row_sum_just_above_a_power_of_two_scales_into_bound(e):
         lam=lam, sample_count=1, source_digest="test")
     for c in encode_curvature(fisher):
         assert (c == np.diag(np.diag(c))).all()
-        assert (np.diag(c) == int(BOUND_C * 2**(DEFAULT_FRAC_BITS_C - 1))).all()
+        assert (np.diag(c) == int(BOUND_C * 2**(FRAC_BITS_C - 1))).all()
 
 
 _ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
@@ -595,7 +591,7 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
     base = random_fisher(rng, layout, lam=2.0**log_lam)
     fisher = replace(base, fisher=BlockDiagMatrix(BlockStream.held(
         (b * 2.0**log_scale for b in base.fisher.blocks), layout)))
-    lim = int(BOUND_C * 2**DEFAULT_FRAC_BITS_C)
+    lim = int(BOUND_C * 2**FRAC_BITS_C)
     assert all(np.abs(c).max() <= lim for c in encode_curvature(fisher))
 
 
@@ -659,7 +655,8 @@ def test_circuit_hash_binds_c_p_packing(monkeypatch):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("LIMB_PACKING", "offset-limbs-msb-first"), ("ELEMENT_BITS", 250)])
+    ("LIMB_PACKING", "offset-limbs-msb-first"), ("ELEMENT_BITS", 250),
+    ("LIMB_BITS_W", LIMB_BITS_W + 1), ("LIMB_BITS_C", LIMB_BITS_C + 1)])
 def test_circuit_hash_binds_limb_packing(monkeypatch, name, value):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
@@ -671,6 +668,14 @@ def test_circuit_hash_binds_range_bounds(monkeypatch):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
     monkeypatch.setattr(circuit_module, "BOUND_C", 2 * BOUND_C)
+    assert circuit_hash(_one_block_statement()) != a
+
+
+@pytest.mark.parametrize("name", ["FRAC_BITS_W", "FRAC_BITS_C"])
+def test_circuit_hash_binds_precision(monkeypatch, name):
+    from veriforget.zkp import circuit as circuit_module
+    a = circuit_hash(_one_block_statement())
+    monkeypatch.setattr(circuit_module, name, getattr(circuit_module, name) + 1)
     assert circuit_hash(_one_block_statement()) != a
 
 
@@ -751,7 +756,7 @@ def test_block_order_independence():
     for bi, b in enumerate(circuit.touched):
         blocks = list(w.c_blocks)
         c = unpack_upper(blocks[bi], circuit.public.block_sizes[b])
-        c[0, 0] += 1 << (w.f_c + 6)
+        c[0, 0] += 1 << (FRAC_BITS_C + 6)
         blocks[bi] = pack_upper(c)
         bad = replace(w, c_blocks=tuple(blocks))
         assert mock_prove(circuit, bad, rnd, check_commitments=False) is not None
@@ -772,7 +777,7 @@ def test_symmetric_pair_tamper_fails_commitment():
 
 def _tamper_range(w, circuit):
     blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0] = int(BOUND_C * 2**w.f_c) + 1  # C[0, 0]
+    blocks[0][0] = int(BOUND_C * 2**FRAC_BITS_C) + 1  # C[0, 0]
     return replace(w, c_blocks=tuple(blocks)), circuit
 
 
@@ -840,7 +845,7 @@ def test_range_bounds_are_circuit_constants():
     # circuit's own BOUND_W can reject them
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(20)
     i = next(i for i in range(theta.dim) if i not in circuit.support)
-    shift = 2 * int(BOUND_W * 2**w.f_w)
+    shift = 2 * int(BOUND_W * 2**FRAC_BITS_W)
     tp, tu = w.theta_p.copy(), w.theta_u.copy()
     tp[i] += shift
     tu[i] += shift
@@ -904,7 +909,7 @@ def single_coordinate_edits(draw):
     else:
         index = draw(st.integers(0, len(circuit.support) - 1))
     bound = BOUND_LAM if field == "lam" else BOUND_W
-    limit = int(bound * 2**w.f_w)
+    limit = int(bound * 2**FRAC_BITS_W)
     delta = draw(st.integers(16 if field == "lam" else 1, 2 * limit))
     delta *= draw(st.sampled_from([1, -1]))
     vec = getattr(w, field)
@@ -936,7 +941,7 @@ def test_backend_prove_verify_round_trip():
     public = circuit.public
     assert public == PublicInputs(
         mask.digest, tuple(s for _, s, _ in fisher.layout.blocks),
-        *commit_witness(w, rnd), public.t_int, w.f_w, w.f_c)
+        *commit_witness(w, rnd), public.t_int)
     assert proof.tag == tag_over(circuit_hash(public), public)
     assert MockBackend().verify(proof, public)
 
@@ -980,7 +985,7 @@ def test_public_inputs_json_round_trip():
 def test_public_inputs_reject_t_int_at_tamper_threshold():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(15)
     obj = circuit.public.to_json()
-    threshold = t_int_threshold(obj["f_c"])
+    threshold = 1 << (FRAC_BITS_C + 4)
     for t_int in (threshold - 1, threshold >> 1):
         assert PublicInputs.from_json({**obj, "t_int": t_int}).t_int == t_int
     for t_int in (threshold, 1 << 200):
@@ -1003,17 +1008,17 @@ def forge_free_curvature(r, untouched_block=None):
     dw = np.zeros_like(w.delta_w)
     for b in free:
         size = slices[b].stop - slices[b].start
-        dw[slices[b]] = np.rint(rng.uniform(-0.5, 0.5, size) * 2**w.f_w)
+        dw[slices[b]] = np.rint(rng.uniform(-0.5, 0.5, size) * 2**FRAC_BITS_W)
     support = list(circuit.support)
     dw[support] = -w.theta_p[support]
     blocks = []
     for b in circuit.touched:
         u = dw[slices[b]].astype(np.float64)
         c = np.eye(u.size) - np.outer(u, u) / (u @ u)
-        blocks.append(pack_upper(np.rint(c * 2**w.f_c).astype(np.int64)))
+        blocks.append(pack_upper(np.rint(c * 2**FRAC_BITS_C).astype(np.int64)))
     forged = FixedWitness(
         theta_p=w.theta_p, theta_u=w.theta_p + dw, delta_w=dw,
-        lam=np.zeros_like(w.lam), c_blocks=tuple(blocks), f_w=w.f_w, f_c=w.f_c)
+        lam=np.zeros_like(w.lam), c_blocks=tuple(blocks))
     roots = commit_witness(forged, rnd)
     assert roots[0] == circuit.public.com_theta_p
     return forged, with_public(circuit, com_theta_u=roots[1], com_c_p=roots[2])
