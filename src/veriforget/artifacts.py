@@ -209,9 +209,18 @@ def save_mask(path: str, mask: MaskArtifact, inputs: dict | None = None) -> list
     return _write_json(path, obj)
 
 
+def _exact_keys(path: str, obj: dict, keys) -> dict:
+    """``obj``, once it holds no key outside ``keys``."""
+    if set(obj) - set(keys):
+        raise StructuralError(f"{path}: unknown keys "
+                              f"{sorted(set(obj) - set(keys))}")
+    return obj
+
+
 @_reader
 def load_mask(path: str) -> MaskArtifact:
-    return MaskArtifact.from_json(_read_json(path))
+    return MaskArtifact.from_json(_exact_keys(path, _read_json(path), (
+        "d", "k", "eligible_ranges", "support", "digest", "inputs")))
 
 
 # -- fisher -----------------------------------------------------------------
@@ -316,8 +325,7 @@ def save_proof(path: str, proof: Proof) -> list[str]:
 
 @_reader
 def load_proof(path: str) -> Proof:
-    obj = _read_json(path)
-    proof = Proof(tag=obj["tag"])
+    proof = Proof(**_exact_keys(path, _read_json(path), ("tag",)))
     if not isinstance(proof.tag, str):
         raise StructuralError(f"{path}: proof tag is not a string")
     return proof

@@ -250,7 +250,8 @@ def forget_gain_report(
         raise NumericError(
             f"Q has min eigenvalue {mu_min:.3e} <= 0; "
             f"increase the damping lam_q (currently {lam_q})"
-        )
+            + (", or use --hessian fisher, positive semi-definite by "
+               "construction" if hessian_mode == "exact" else ""))
 
     def q_pow(p: float, x: np.ndarray) -> np.ndarray:
         """Q^p x through the columns b_i of B, each an eigenvector of H_cc

@@ -12,14 +12,14 @@ estimate's recipe (its seeded sample rows, the damping and a block cap
 of ``curvature.BLOCK_CAPS``), and a command that reads it forms only
 what it needs at theta_p.  ``unlearn`` solves the blocks the mask
 touches, each from the block, formed as its square, or, when the rows
-are few enough, from its n x n Gram in sample space (``obs``), and ``prove``'s
-witness forms them, one block per process at a time; on
-``numkit.FORK_MIN_ENTRIES`` entries or more, with
-``OPENBLAS_NUM_THREADS=1``, in forked workers, one per CPU, each of
+are few enough, from its n x n Gram in sample space (``obs``), one block
+per process at a time; on ``numkit.FORK_MIN_ENTRIES`` entries or more,
+with ``OPENBLAS_NUM_THREADS=1``, in forked workers, one per CPU, each of
 which runs its own backward pass; the outputs are the same bytes
-either way.  ``certify`` forms no block: it multiplies the step by the
-curvature from the layer factors.  ``prove`` and ``demo`` hash the
-Merkle leaves of each commitment of more than one leaf in such
+either way.  ``certify`` and ``prove`` form no block: ``certify``
+multiplies the step by the curvature from the layer factors, and
+``prove`` commits the factors themselves.  ``prove`` and ``demo`` hash
+the Merkle leaves of each commitment of more than one leaf in forked
 workers.
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness

@@ -308,12 +308,12 @@ class GradBlock:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """G v for a vector v over the block's columns: (G v)_i =
         a_i' V delta_i with V the rows of W that v fills.  Temporaries are
-        O(n * (rows + dout))."""
+        O(n * (rows + dout)).  Exact on factors and v of Python ints."""
         if self.a_prev is None:
             return self.delta[:, self.lo : self.hi] @ v
         r0, r1, at = self._rows()
         dout = self.delta.shape[1]
-        w = np.zeros((r1 - r0) * dout)
+        w = np.zeros((r1 - r0) * dout, dtype=v.dtype)
         w[at : at + v.size] = v
         a = self.a_prev[:, r0:r1]
         return np.einsum("nj,nj->n", a @ w.reshape(r1 - r0, dout), self.delta)

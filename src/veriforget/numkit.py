@@ -5,9 +5,7 @@ blocks, each an exactly symmetric square, are always a ``BlockStream``
 (formed from their inputs or held, and reached a block at a time; no
 block is read from or written to disk), fixed-point quantization,
 reproducible reductions and digests, and the package's one pool of
-forked worker processes (``fork_map``).  The packed upper triangle
-(``pack_upper``) is the format of the integer blocks the ZK layer
-commits, and no float block's.
+forked worker processes (``fork_map``).
 Everything here is pure and immutable after construction; file formats
 live in ``artifacts``.
 """
@@ -21,7 +19,6 @@ import os
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -168,32 +165,6 @@ class ParamVector:
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values=values, layout=self.layout)
-
-
-@lru_cache(maxsize=None)
-def upper_mask(size: int) -> np.ndarray:
-    """The boolean mask of a size x size block's upper triangle.  Indexing
-    a block with it gathers the triangle row by row, and assigning through
-    it scatters a triangle back into place."""
-    mask = np.triu(np.ones((size, size), dtype=bool))
-    mask.setflags(write=False)
-    return mask
-
-
-def pack_upper(block: np.ndarray) -> np.ndarray:
-    """The upper triangle of a square block, row-major: the form in which
-    the ZK layer commits a symmetric block."""
-    return block[upper_mask(len(block))]
-
-
-def unpack_upper(tri: np.ndarray, size: int) -> np.ndarray:
-    """The symmetric block B with ``pack_upper(B) == tri``."""
-    if tri.shape != (size * (size + 1) // 2,):
-        raise StructuralError(f"a triangle of shape {tri.shape} for size {size}")
-    out = np.empty((size, size), dtype=tri.dtype)
-    upper = upper_mask(size)
-    out[upper] = out.T[upper] = tri
-    return out
 
 
 def scratch_squares(layout: BlockLayout):

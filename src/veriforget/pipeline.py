@@ -168,11 +168,14 @@ def run_zk_layer(
     witness = zkp.encode_fixed_witness(
         theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
         fisher, mask)
-    t_int = zkp.default_t_int(witness, fisher, mask, cert.inf_norms[2])
-    sizes = tuple(size for _, size, _ in fisher.layout.blocks)
+    statement = zkp.PublicInputs(
+        mask.digest, tuple(size for _, size, _ in fisher.layout.blocks),
+        theta_p.layer_dims, fisher.sample_count, float(fisher.lam),
+        witness.shift, 0, 0, 0,
+        zkp.default_t_int(witness, fisher, mask, cert.inf_norms[2]))
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))
-    circuit, proof = zkp.MockBackend().prove(witness, mask, sizes, t_int,
+    circuit, proof = zkp.MockBackend().prove(witness, mask, statement,
                                              randomness)
     return witness, circuit, proof, randomness
 

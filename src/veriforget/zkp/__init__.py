@@ -20,44 +20,13 @@ from .field import (
     verify_commit,
 )
 from .witness import (
-    BOUND_C,
     BOUND_LAM,
     BOUND_W,
-    FRAC_BITS_C,
     FRAC_BITS_W,
+    T_INT_THRESHOLD,
     FixedWitness,
     default_t_int,
     encode_fixed_witness,
     stationarity_bound_int,
 )
 
-__all__ = [
-    "BOUND_C",
-    "BOUND_LAM",
-    "BOUND_W",
-    "FRAC_BITS_C",
-    "FRAC_BITS_W",
-    "MODULUS",
-    "CertificateCircuit",
-    "FixedWitness",
-    "MockBackend",
-    "Proof",
-    "PublicInputs",
-    "UnsatisfiableWitnessError",
-    "circuit_hash",
-    "commit_witness",
-    "constraint_report",
-    "default_t_int",
-    "encode_fixed_witness",
-    "from_field",
-    "merkle_root",
-    "mock_prove",
-    "permute",
-    "precision",
-    "sponge",
-    "stationarity_bound_int",
-    "synthesize",
-    "to_field",
-    "touched",
-    "verify_commit",
-]

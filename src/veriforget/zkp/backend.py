@@ -1,25 +1,25 @@
 """The mock proof backend: prove and verify over the certificate circuit.
 
-The mock backend commits to the witness once, builds the public inputs
-from those commitments and the statement, synthesizes their circuit and
-binds a proof to the public inputs after the mock prover accepts the
-witness.  The verifier derives the circuit hash from the public inputs,
-so a proof carries only its tag.  That tag is a hash anyone holding the
-public data can compute: the backend checks constraint semantics only
-and gives neither knowledge soundness nor zero knowledge.  Nor does the
-statement bind the curvature of the blocks the mask touches to theta_p or
-to the client's data: the circuit checks only that it is in range (it is
-symmetric by construction), so a prover may choose it.  Every other
-block carries no curvature at all; its step is pinned at zero.
+The mock backend commits to the witness once, puts those roots into the
+statement, synthesizes its circuit and binds a proof to the public
+inputs after the mock prover accepts the witness.  The verifier derives
+the circuit hash from the public inputs, so a proof carries only its
+tag, a hash anyone holding the public data can compute: the backend
+checks constraint semantics only and gives neither knowledge soundness
+nor zero knowledge.  Nor does the statement bind the curvature to
+theta_p or the client's data: the layer factors are a free witness,
+checked only to be in range.  The step of every block the mask does not
+touch is pinned at zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..masking import MaskArtifact
 from ..numkit import canonical_json, sha256_hex
 from .circuit import (
+    COMMITTED,
     CertificateCircuit,
     PublicInputs,
     circuit_hash,
@@ -52,30 +52,23 @@ def _tag(public: PublicInputs) -> str:
 
 class MockBackend:
     guarantee = ("mock: constraint semantics only, no soundness, no zero "
-                 "knowledge; the curvature of the blocks the mask touches is "
-                 "a free witness, bound to neither theta_p nor the data, and "
-                 "every other block's step is pinned at zero")
+                 "knowledge; the layer factors are a free witness, bound to "
+                 "neither theta_p nor the data, and the step of every block "
+                 "the mask does not touch is pinned at zero")
 
     def prove(
         self,
         witness: FixedWitness,
         mask: MaskArtifact,
-        block_sizes: tuple[int, ...],
-        t_int: int,
+        statement: PublicInputs,
         randomness: tuple[int, int, int],
     ) -> tuple[CertificateCircuit, Proof]:
-        """Commit to the witness once, build the public inputs from those
-        roots, synthesize their circuit, then check every other constraint
-        family; the commitments open to the witness by construction."""
-        com_theta_p, com_theta_u, com_c_p = commit_witness(witness, randomness)
-        public = PublicInputs(
-            mask_digest=mask.digest,
-            block_sizes=tuple(block_sizes),
-            com_theta_p=com_theta_p,
-            com_theta_u=com_theta_u,
-            com_c_p=com_c_p,
-            t_int=t_int,
-        )
+        """Commit to the witness once, put the roots into ``statement``,
+        synthesize its circuit, then check every other constraint family;
+        the commitments open to the witness by construction."""
+        roots = commit_witness(witness, randomness)
+        public = replace(statement, **{f"com_{name}": root for (name, _), root
+                                       in zip(COMMITTED, roots)})
         circuit = synthesize(public, mask)
         violation = mock_prove(circuit, witness, randomness,
                                check_commitments=False)

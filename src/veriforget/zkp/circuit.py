@@ -1,32 +1,25 @@
 """Certificate constraint system and the mock prover.
 
-Every constraint family is one entry of the ordered table ``FAMILIES``:
-its row count from (block sizes, touched block sizes, mask budget) and
-its check.  The circuit description, the mock prover and the constraint
-report all read that table.  The statement lives in one place,
-``PublicInputs``; a circuit is those public inputs plus the mask support
-their digest binds.  The circuit hash is a function of the public
-inputs' statement (the block sizes, the mask digest and ``T_int``) and
-of the circuit's own constants (the family table, the range bounds, the
-fixed-point precision, the curvature layout and the limb packing), so a
-verifier derives it and never reads it from a proof.  The mock prover
-evaluates every constraint directly over the field and is the normative
-semantics of the certificate.
+Every constraint family is one entry of the ordered table ``FAMILIES``,
+its row count and its check, which the mock prover and the constraint
+report read.  The statement lives in ``PublicInputs``; a circuit is those
+public inputs plus the mask support their digest binds.  The circuit
+hash is a function of the statement (every public field but the roots)
+and of the circuit's constants, so a verifier derives it and never reads
+it from a proof.  The mock prover evaluates every constraint directly
+over the field and is the normative semantics of the certificate.
 
-The curvature enters the statement only on the touched blocks, those
-that hold a masked coordinate (``numkit.touched``).  Group-OBS decouples
-by block, so every other block's compensation is exactly zero: the
-``untouched`` family states delta_w = 0 there, in place of stationarity
-rows over a curvature the prover would otherwise commit.  A verifier
-derives the touched blocks from the block sizes and the mask its digest
-binds.
+Stationarity has rows only on the touched blocks, those that hold a
+masked coordinate; Group-OBS decouples by block, so ``untouched`` states
+delta_w = 0 on every other block.  The curvature is committed as its
+layer factors (A, Delta), a free witness, and checked in factored form:
+``matvec`` states u_b = G_b dw_b and ``rmatvec`` bounds G_b'u_b +
+n lam dw_b + n E lam_M, n s_b rows each for a block of s_b columns.
 
-Each committed vector is limb-packed before it is hashed: several
-offset fixed-point values share one field element (see ``pack_limbs``).
-Packing adds no constraint family.  Its recomposition is injective
-exactly when every value fits its limb, and that is what the ``range``
-family already proves of every committed value; a packing family would
-only check it again.  So ``commit`` stays one row per committed vector.
+Each committed vector is limb-packed: several offset fixed-point values
+share one field element (``pack_limbs``).  The packing is injective
+exactly when every value fits its limb, which ``range`` already proves,
+so it adds no family and ``commit`` stays one row per committed vector.
 """
 
 from __future__ import annotations
@@ -44,24 +37,38 @@ from ..numkit import (
     canonical_json,
     sha256_hex,
     touched,
-    unpack_upper,
 )
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
 from .witness import (
-    BOUND_C,
+    BOUND_A,
+    BOUND_D,
     BOUND_LAM,
     BOUND_W,
-    FRAC_BITS_C,
+    FRAC_BITS_A,
+    FRAC_BITS_D,
+    FRAC_BITS_G,
+    FRAC_BITS_T,
     FRAC_BITS_W,
+    MAX_SHIFT,
     T_INT_THRESHOLD,
     FixedWitness,
+    block_spans,
+    factor_parts,
 )
 
 
 @dataclass(frozen=True)
 class PublicInputs:
+    """The statement: the mask's digest, the Fisher's block sizes, layer
+    dims, sample count n and damping, the encoder's shift, the roots of
+    the committed vectors and the stationarity window t_int."""
+
     mask_digest: str
     block_sizes: tuple[int, ...]
+    layer_dims: tuple[int, ...]
+    sample_count: int
+    damping: float
+    shift: int
     com_theta_p: int
     com_theta_u: int
     com_c_p: int
@@ -69,7 +76,8 @@ class PublicInputs:
 
     def to_json(self) -> dict:
         obj = asdict(self)
-        obj["block_sizes"] = list(self.block_sizes)
+        obj["block_sizes"], obj["layer_dims"] = map(
+            list, (self.block_sizes, self.layer_dims))
         for name, _ in COMMITTED:
             obj[f"com_{name}"] = f"{obj[f'com_{name}']:064x}"
         return obj
@@ -81,33 +89,33 @@ class PublicInputs:
         if unknown:
             raise ValueError(f"public inputs hold unknown keys {unknown}")
         values = {name: obj[name] for name in names}
-        sizes, t_int = values["block_sizes"], values["t_int"]
-        if not (isinstance(sizes, list) and sizes
-                and all(type(s) is int and s > 0 for s in sizes)):
-            raise ValueError(f"block_sizes {sizes!r} is not a list of "
-                             f"positive ints")
-        if not (type(t_int) is int and t_int >= 0):
-            raise ValueError(f"t_int {t_int!r} is not a non-negative int")
-        if t_int >= T_INT_THRESHOLD:
-            raise ValueError(f"t_int {t_int} is not below the multiplier "
-                             f"tamper threshold 2^{FRAC_BITS_C + 4}")
-        for key in ("mask_digest", *(f"com_{name}" for name, _ in COMMITTED)):
-            if not (isinstance(values[key], str)
-                    and re.fullmatch("[0-9a-f]{64}", values[key])):
-                raise ValueError(f"{key} {values[key]!r} is not 64 lowercase "
-                                 f"hex digits")
-        for name, _ in COMMITTED:
-            root = values[f"com_{name}"] = int(values[f"com_{name}"], 16)
-            if root >= MODULUS:
-                raise ValueError(f"com_{name} is not below the field modulus")
-        values["block_sizes"] = tuple(sizes)
+        sizes = lambda v: isinstance(v, list) and v and all(
+            type(s) is int and s > 0 for s in v)
+        hex64 = lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v)
+        for key, ok, what in (
+            ("block_sizes", sizes, "a list of positive ints"),
+            ("layer_dims", sizes, "a list of positive ints"),
+            ("sample_count", lambda v: type(v) is int and v > 0, "an int > 0"),
+            ("shift", lambda v: type(v) is int and 0 <= v <= MAX_SHIFT,
+             f"an int in [0, {MAX_SHIFT}]"),
+            ("damping", lambda v: type(v) is float and 0 < v <= BOUND_LAM,
+             f"a float in (0, {BOUND_LAM}]"),
+            ("t_int", lambda v: type(v) is int and 0 <= v < T_INT_THRESHOLD,
+             f"an int >= 0 below the multiplier tamper threshold "
+             f"2^{FRAC_BITS_T + 4}"),
+            ("mask_digest", hex64, "64 lowercase hex digits"),
+            *((f"com_{name}", lambda v: hex64(v) and int(v, 16) < MODULUS,
+               "64 lowercase hex digits below the field modulus")
+              for name, _ in COMMITTED),
+        ):
+            if not ok(values[key]):
+                raise ValueError(f"{key} {values[key]!r} is not {what}")
+            if key.startswith("com_"):
+                values[key] = int(values[key], 16)
+        for key in ("block_sizes", "layer_dims"):
+            values[key] = tuple(values[key])
+        block_spans(values["layer_dims"], values["block_sizes"])
         return cls(**values)
-
-
-# How com_c_p lays out the curvature: the witness's triangles (see
-# ``numkit.pack_upper``) of the touched blocks alone, in layout order, so C
-# is symmetric by construction.
-C_P_PACKING = "touched-blocks-upper-triangle-row-major"
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,25 @@ class CertificateCircuit:
         return touched(self.public.block_sizes, self.support)
 
     @property
+    def spans(self) -> list:
+        """Each block's columns of its layer (``witness.block_spans``)."""
+        return block_spans(self.public.layer_dims, self.public.block_sizes)
+
+    @property
+    def layers(self) -> list[int]:
+        """The layers that hold a touched block, in order."""
+        spans = self.spans
+        return sorted({spans[b][0] for b in self.touched})
+
+    @property
     def counts(self) -> dict:
         """Rows per family, in table order."""
-        sizes, k = self.public.block_sizes, len(self.support)
-        hit = tuple(sizes[b] for b in self.touched)
-        return {f.name: int(f.count(sizes, hit, k)) for f in FAMILIES}
+        public, dims = self.public, self.public.layer_dims
+        n = public.sample_count
+        args = (sum(public.block_sizes), len(self.support), n,
+                sum(public.block_sizes[b] for b in self.touched),
+                sum(n * (dims[l] + dims[l + 1]) for l in self.layers))
+        return {f.name: int(f.count(*args)) for f in FAMILIES}
 
 
 # Limb packing of the committed vectors: each element holds
@@ -145,17 +167,18 @@ def limb_bits(bound: float, frac_bits: int) -> int:
 
 
 LIMB_BITS_W = limb_bits(BOUND_W, FRAC_BITS_W)
-LIMB_BITS_C = limb_bits(BOUND_C, FRAC_BITS_C)
+LIMB_BITS_A = limb_bits(BOUND_A, FRAC_BITS_A)
+LIMB_BITS_D = limb_bits(BOUND_D, FRAC_BITS_D)
 
 
 def pack_limbs(ints, bits: int) -> list[int]:
-    """Field elements of a vector of signed integers: the value plus
-    2^(bits - 1) in each ``bits``-wide limb.  Total on any integers: a
-    carry or borrow out of an element's top limb is dropped, and no
-    vector whose values fit their limbs produces one."""
+    """Field elements of an array of signed integers, flattened row by
+    row: the value plus 2^(bits - 1) in each ``bits``-wide limb.  Total
+    on any integers: a carry or borrow out of an element's top limb is
+    dropped, and no vector whose values fit their limbs produces one."""
     per = ELEMENT_BITS // bits
     offset, top = 1 << (bits - 1), (1 << (per * bits)) - 1
-    ints = np.asarray(ints)
+    ints = np.asarray(ints).ravel()
     elements = []
     for start in range(0, ints.size, per):
         element = 0
@@ -166,12 +189,12 @@ def pack_limbs(ints, bits: int) -> list[int]:
 
 
 # The committed vectors, in public-input order: com_<name> is the Merkle
-# root of get(witness).
+# root of get(witness); com_c_p's is A then Delta of each touched layer.
 COMMITTED = (
     ("theta_p", lambda w: pack_limbs(w.theta_p, LIMB_BITS_W)),
     ("theta_u", lambda w: pack_limbs(w.theta_u, LIMB_BITS_W)),
-    ("c_p", lambda w: pack_limbs(np.concatenate((np.empty(0, np.int64),
-                                                 *w.c_blocks)), LIMB_BITS_C)),
+    ("c_p", lambda w: [e for a, d in w.factors for e in (
+        *pack_limbs(a, LIMB_BITS_A), *pack_limbs(d, LIMB_BITS_D))]),
 )
 
 
@@ -196,16 +219,14 @@ def _field(ints, i: int) -> int:
 
 def _range(circuit, w, randomness):
     lim_w, lim_lam = (int(b * 2**FRAC_BITS_W) for b in (BOUND_W, BOUND_LAM))
-    vectors = (("theta_p", w.theta_p, lim_w), ("theta_u", w.theta_u, lim_w),
-               ("delta_w", w.delta_w, lim_w), ("lam", w.lam, lim_lam))
-    lim_c = int(BOUND_C * 2**FRAC_BITS_C)
-    return _first(
-        f"range/{name}[{i}]" for name, vec, limit in vectors
-        for i, x in enumerate(vec) if abs(int(x)) > limit
-    ) or _first(
-        f"range/c_p[block {b}]" for b, tri in zip(circuit.touched, w.c_blocks)
-        if tri.size and (tri.max() > lim_c or tri.min() < -lim_c)
-    )
+    lim_a, lim_d = int(BOUND_A * 2**FRAC_BITS_A), int(BOUND_D * 2**FRAC_BITS_D)
+    vectors = [("theta_p", w.theta_p, lim_w), ("theta_u", w.theta_u, lim_w),
+               ("delta_w", w.delta_w, lim_w), ("lam", w.lam, lim_lam)]
+    for layer, (a, d) in zip(circuit.layers, w.factors):
+        vectors += [(f"a[layer {layer}]", a.ravel(), lim_a),
+                    (f"delta[layer {layer}]", d.ravel(), lim_d)]
+    return _first(f"range/{name}[{i}]" for name, vec, limit in vectors
+                  for i, x in enumerate(vec) if abs(int(x)) > limit)
 
 
 def _assembly(circuit, w, randomness):
@@ -232,22 +253,39 @@ def _untouched(circuit, w, randomness):
                   if _field(w.delta_w, i) % MODULUS)
 
 
-def _stationarity(circuit, w, randomness):
-    """|C dw + 2^{f_c} E lam| <= T_int per row of a touched block, over
-    the field; every masked coordinate lies in one."""
-    public = circuit.public
-    r = np.zeros(sum(public.block_sizes), dtype=object)
-    for j, i in enumerate(circuit.support):
-        r[i] = int(w.lam[j]) << FRAC_BITS_C
+def _products(circuit, w):
+    """(block, slice, exact ``model.GradBlock``) of each touched block."""
+    slices = block_slices(circuit.public.block_sizes)
+    parts = factor_parts(circuit.spans, circuit.touched, circuit.layers,
+                         w.factors, exact=True)
+    return [(b, slices[b], part) for b, part in zip(circuit.touched, parts)]
+
+
+def _matvec(circuit, w, randomness):
+    """u_b == G_b dw_b exactly, per sample of a touched block b."""
     dw = w.delta_w.astype(object)
-    slices = block_slices(public.block_sizes)
-    rows = []
-    for tri, b in zip(w.c_blocks, circuit.touched):
-        sl = slices[b]
-        r[sl] += unpack_upper(tri, sl.stop - sl.start).astype(object) @ dw[sl]
-        rows.extend(range(sl.start, sl.stop))
-    return _first(f"stationarity[{i}]" for i in rows
-                  if abs(from_field(to_field(int(r[i])))) > public.t_int)
+    return _first(f"matvec[block {b}, sample {i}]"
+                  for (b, sl, part), u in zip(_products(circuit, w), w.u)
+                  for i in np.flatnonzero(part.matvec(dw[sl]) != u))
+
+
+def _stationarity(circuit, w, randomness):
+    """|G_b'u_b + n lam dw_b + n E lam_M| <= n t_int 2^(shift + 2 f_g -
+    FRAC_BITS_T) over the field per row of a touched block, lam the public
+    damping at 2 f_g bits and lam_M at f_w bits scaled by 2^-shift."""
+    public = circuit.public
+    n, weight = public.sample_count, 2 * FRAC_BITS_G + public.shift
+    lam = np.zeros(sum(public.block_sizes), dtype=object)
+    for j, i in enumerate(circuit.support):
+        lam[i] = n * int(w.lam[j]) << weight
+    damping = n * round(public.damping * 2.0 ** (2 * FRAC_BITS_G))
+    window = n * public.t_int << (weight - FRAC_BITS_T)
+    dw = w.delta_w.astype(object)
+    return _first(f"stationarity[{sl.start + i}]"
+                  for (_, sl, part), u in zip(_products(circuit, w), w.u)
+                  for i, r in enumerate(part.rmatvec(u) + damping * dw[sl]
+                                        + lam[sl])
+                  if abs(from_field(to_field(int(r)))) > window)
 
 
 def _commit(circuit, w, randomness):
@@ -261,52 +299,43 @@ def _commit(circuit, w, randomness):
 @dataclass(frozen=True)
 class ConstraintFamily:
     name: str
-    # (block sizes, touched block sizes, k) -> rows
-    count: Callable[[tuple[int, ...], tuple[int, ...], int], int]
+    # (d, k, n, columns of the touched blocks, factor values) -> rows
+    count: Callable[[int, int, int, int, int], int]
     check: Callable[..., str | None]  # (circuit, witness, randomness)
 
 
-# Checked in this order.  range bounds theta_p, theta_u, delta_w (d
-# each), lam (k), every committed curvature entry and the stationarity
-# residual, both on the touched blocks alone; matvec computes that
-# residual from the full touched blocks, so its check also bounds it and
-# names the row stationarity[i].  untouched pins every other coordinate.
+# Checked in this order.  range bounds theta_p, theta_u, delta_w, lam,
+# every factor value and the residual of each row of a touched block,
+# which rmatvec computes, checks and names stationarity[i].
 FAMILIES = (
-    ConstraintFamily("range", lambda s, t, k: 3 * sum(s) + k
-                     + sum(b * (b + 1) // 2 + b for b in t), _range),
-    ConstraintFamily("assembly", lambda s, t, k: sum(s), _assembly),
-    ConstraintFamily("feasibility", lambda s, t, k: k, _feasibility),
-    ConstraintFamily("untouched", lambda s, t, k: sum(s) - sum(t), _untouched),
-    ConstraintFamily("matvec", lambda s, t, k: sum(b * b for b in t),
-                     _stationarity),
-    ConstraintFamily("commit", lambda s, t, k: len(COMMITTED), _commit),
+    ConstraintFamily("range", lambda d, k, n, s, v: 3 * d + k + v + s, _range),
+    ConstraintFamily("assembly", lambda d, k, n, s, v: d, _assembly),
+    ConstraintFamily("feasibility", lambda d, k, n, s, v: k, _feasibility),
+    ConstraintFamily("untouched", lambda d, k, n, s, v: d - s, _untouched),
+    ConstraintFamily("matvec", lambda d, k, n, s, v: n * s, _matvec),
+    ConstraintFamily("rmatvec", lambda d, k, n, s, v: n * s, _stationarity),
+    ConstraintFamily("commit", lambda d, k, n, s, v: len(COMMITTED), _commit),
 )
 
 
 def circuit_hash(public: PublicInputs) -> str:
-    """The hash of the certificate circuit for the statement ``public``
-    carries.  The mask digest binds the model dimension, the budget and
-    the support."""
+    """The hash of the circuit of the statement ``public`` carries, every
+    field but the roots; the mask digest binds d, k and the support."""
     return sha256_hex(canonical_json({
-        "block_sizes": public.block_sizes,
-        "mask_digest": public.mask_digest,
-        "t_int": public.t_int,
-        "f_w": FRAC_BITS_W,
-        "f_c": FRAC_BITS_C,
+        **{k: v for k, v in public.to_json().items()
+           if not k.startswith("com_")},
+        **precision(), "t_bits": FRAC_BITS_T,
         "families": [f.name for f in FAMILIES],
-        "bounds": {"w": BOUND_W, "c": BOUND_C, "lam": BOUND_LAM},
-        "c_p_packing": C_P_PACKING,
-        "limb_packing": {"scheme": LIMB_PACKING, "element_bits": ELEMENT_BITS,
-                         "w": LIMB_BITS_W, "c": LIMB_BITS_C},
+        "bounds": {"w": BOUND_W, "a": BOUND_A, "d": BOUND_D, "lam": BOUND_LAM},
+        "limb_packing": {"scheme": LIMB_PACKING, "element_bits": ELEMENT_BITS},
     }))
 
 
 def precision() -> dict:
-    """The circuit's fixed-point precision, as ``prove`` and ``verify``
-    report it: the fractional bits and limb widths of the weight-side and
-    the curvature vectors."""
-    return {"frac_bits": {"w": FRAC_BITS_W, "c": FRAC_BITS_C},
-            "limb_bits": {"w": LIMB_BITS_W, "c": LIMB_BITS_C}}
+    """The fractional bits and limb widths of the weight-side vectors and
+    the layer factors A and Delta, as ``prove`` and ``verify`` report."""
+    return {"frac_bits": {"w": FRAC_BITS_W, "a": FRAC_BITS_A, "d": FRAC_BITS_D},
+            "limb_bits": {"w": LIMB_BITS_W, "a": LIMB_BITS_A, "d": LIMB_BITS_D}}
 
 
 def synthesize(public: PublicInputs, mask: MaskArtifact) -> CertificateCircuit:
@@ -315,10 +344,9 @@ def synthesize(public: PublicInputs, mask: MaskArtifact) -> CertificateCircuit:
     if mask.digest != public.mask_digest:
         raise StructuralError("the mask's digest is not the public mask_digest")
     if sum(public.block_sizes) != mask.model_dim:
-        raise StructuralError(
-            f"block sizes cover {sum(public.block_sizes)} coordinates, "
-            f"the mask {mask.model_dim}"
-        )
+        raise StructuralError(f"block sizes cover {sum(public.block_sizes)} "
+                              f"coordinates, the mask {mask.model_dim}")
+    block_spans(public.layer_dims, public.block_sizes)
     return CertificateCircuit(public, tuple(int(i) for i in mask.support))
 
 
@@ -330,19 +358,20 @@ def constraint_report(circuit: CertificateCircuit) -> dict:
 
 
 def _shape(circuit, w) -> str | None:
-    """shape/<name> for the first witness vector whose shape is not the
-    statement's: d weights each, k multipliers, one triangle per touched
-    block."""
-    sizes, k = circuit.public.block_sizes, len(circuit.support)
-    d = sum(sizes)
-    triangles = [(sizes[b] * (sizes[b] + 1) // 2,) for b in circuit.touched]
+    """shape/<name> of the first witness vector not shaped as the statement
+    says: d weights, k multipliers, A and Delta per layer, u per block."""
+    public = circuit.public
+    d, k, n = sum(public.block_sizes), len(circuit.support), public.sample_count
+    dims = public.layer_dims
     return _first(
         f"shape/{name}" for name, ok in (
             ("theta_p", np.shape(w.theta_p) == (d,)),
             ("theta_u", np.shape(w.theta_u) == (d,)),
             ("delta_w", np.shape(w.delta_w) == (d,)),
             ("lam", np.shape(w.lam) == (k,)),
-            ("c_p", [np.shape(c) for c in w.c_blocks] == triangles),
+            ("factors", [tuple(map(np.shape, f)) for f in w.factors]
+             == [((n, dims[l]), (n, dims[l + 1])) for l in circuit.layers]),
+            ("u", [np.shape(u) for u in w.u] == [(n,)] * len(circuit.touched)),
         ) if not ok
     )
 

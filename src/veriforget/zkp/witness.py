@@ -6,9 +6,13 @@ compensation entries and theta_u are *defined* from those integers.
 All quantization slack therefore lands in the stationarity residual,
 which the circuit checks against an integer tolerance window T_int.
 
-Only the curvature blocks the mask touches enter the witness: Group-OBS
-decouples by block, so a block with no masked coordinate has delta_w = 0
-exactly, and the circuit states that instead of its stationarity rows.
+Only the blocks the mask touches have stationarity rows (Group-OBS
+decouples by block), and no curvature block is formed: a touched block's
+Fisher is G_b'G_b / n with rows a_i (x) delta_i (``model.GradBlock``), so
+the witness holds the layer factors, input activations A (n x din) and
+output errors Delta (n x dout), of each layer that holds a touched block,
+from one backward pass over the Fisher's rows.  The layer factors are a
+free witness: no constraint derives them from theta_p or the data.
 """
 
 from __future__ import annotations
@@ -20,77 +24,131 @@ import numpy as np
 
 from ..curvature import BlockFisher
 from ..masking import MaskArtifact
+from ..model import GradBlock, layer_grad_blocks
 from ..numkit import (
     NumericError,
     ParamVector,
-    pack_upper,
+    StructuralError,
+    block_slices,
     quantize,
     touched,
-    unpack_upper,
 )
 
-# f_c exceeds f_w by more than 4 bits so that the honest stationarity
-# residual window T_int stays below the detectability threshold of a
-# single-coordinate multiplier tamper of 2^{-f_w+4} (which lands at
-# 2^{f_c+4} integer units): the dominant honest error term is
-# 2^{-f_c-1} * sum_j |dw_j|, so pushing f_c up shrinks it relative to
-# the tamper signal while f_w + f_c stays within the 60-bit budget of an
-# int64 product.  Like the bounds below, they are the circuit's, not the
-# prover's: the circuit hash binds them.
+# Fractional bits and magnitude limits, the circuit's and not the
+# prover's: the range family checks the limits and the circuit hash binds
+# them.  Each factor carries 40 bits, the most ``numkit.quantize`` takes,
+# so an entry of G_b is off by at most (max|A| + max|Delta|) 2^-41, under
+# 0.1% of the step's rounding in the honest residual on the demo's and the
+# 4-8-3 shapes.  A is an input feature or a tanh; Delta peaks at 2.1.
 FRAC_BITS_W = 22  # f_w
-FRAC_BITS_C = 32  # f_c
-# 2^(f_c + 4): the residual shift of a minimal single-coordinate
-# multiplier tamper, which T_int must stay strictly below.
-T_INT_THRESHOLD = 1 << (FRAC_BITS_C + 4)
-# Magnitude limits of the statement: weights (theta_p, theta_u, delta_w),
-# curvature entries and multipliers.  The circuit's range family checks
-# them and its hash binds them, so they are constants, not prover inputs.
+FRAC_BITS_A = 40  # f_a
+FRAC_BITS_D = 40  # f_d
+FRAC_BITS_G = FRAC_BITS_A + FRAC_BITS_D  # f_g: an entry a_r delta_c of G_b
 BOUND_W = 64.0
-BOUND_LAM = 64.0
-# The stationarity identity C dw + E lam = 0 is invariant under a joint
-# scaling of C and lam, so the encoder normalizes both by a power of two
-# until every row sum of a touched curvature block is at most BOUND_C;
-# no honest entry then exceeds it.  The dominant honest residual term is
-# (row sum)/2 in units of 2^{f_c}; capping row sums at 2 keeps it at
-# 2^{f_c}, a factor 16 below the 2^{f_c+4} detectability threshold of
-# the minimal multiplier tamper.  At f_c = 32 a curvature limb is 35
-# bits, 7 to a field element; at 4 it would be 36 bits, 6 to an element.
-BOUND_C = 2.0
-
-# default_t_int's factor on the analytic honest residual bound.
-T_INT_SLACK = 2
+BOUND_LAM = 64.0  # the multipliers and the public damping
+BOUND_A = 64.0
+BOUND_D = 16.0
+# t_int bounds the residual R / n in units of 2^(shift - f_w - FRAC_BITS_T),
+# and a multiplier tamper of 16 units, 2^(shift - f_w + 4), moves it by
+# T_INT_THRESHOLD.  The shift is the least >= 0 that brings the row-sum
+# bound S (``_row_sum_bound``) within ROW_SUM_CAP, so the honest rounding
+# terms are at most 2^FRAC_BITS_T units, 16 times below the threshold.
+# An honest S is at most s_b (BOUND_A BOUND_D)^2 + BOUND_LAM, so MAX_SHIFT
+# admits blocks of up to 2^20 columns and keeps residuals below p/2.
+FRAC_BITS_T = 32
+T_INT_THRESHOLD = 1 << (FRAC_BITS_T + 4)
+ROW_SUM_CAP = 2.0
+MAX_SHIFT = 40
 
 
 @dataclass(frozen=True)
 class FixedWitness:
-    """The integer witness: int64 arrays with FRAC_BITS_W fractional bits
-    for the weight-side vectors, with FRAC_BITS_C for the damped triangles
-    of the touched curvature blocks, one per block in layout order."""
+    """The integer witness: the weight-side vectors and the multipliers
+    scaled by 2^-shift (public) at f_w bits, the factors (A, Delta) of each
+    touched layer and u_b = G_b dw_b of each touched block, in order."""
 
     theta_p: np.ndarray
     theta_u: np.ndarray
     delta_w: np.ndarray
-    lam: np.ndarray  # scaled like c_blocks, see BOUND_C
-    c_blocks: tuple[np.ndarray, ...]
+    lam: np.ndarray
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    u: tuple[np.ndarray, ...]
+    shift: int
 
 
-def damp(block: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
-    """The damped square block B + lam * I's largest absolute row sum and
-    its upper triangle (``numkit.pack_upper``), the form it is committed
-    in."""
-    damped = block + 0  # -0.0 becomes +0.0, as the zeros of lam * I make it
-    damped.flat[:: len(block) + 1] += lam
-    return float(np.abs(damped).sum(axis=1).max()), pack_upper(damped)
+def block_spans(layer_dims, block_sizes) -> list[tuple[int, bool, int, int]]:
+    """(layer, bias, lo, hi) of each block: the columns [lo, hi) it covers
+    of its layer's weight W (din x dout, flattened row by row), or of its
+    bias.  StructuralError unless the blocks split each weight and bias
+    of ``model.mlp_layout(layer_dims)`` contiguously, in order."""
+    pieces = [(layer, bias, size) for layer, (din, dout)
+              in enumerate(zip(layer_dims, layer_dims[1:]))
+              for bias, size in ((False, din * dout), (True, dout))]
+    # sums of Python ints, exact where int64 would wrap
+    starts = np.cumsum([0] + [size for *_, size in pieces], dtype=object)
+    cuts = np.cumsum([0, *block_sizes], dtype=object)
+    if not (min(block_sizes) > 0 and set(starts) <= set(cuts)
+            and cuts[-1] == starts[-1]):
+        raise StructuralError(f"block sizes {list(block_sizes)} do not split "
+                              f"the layers {list(layer_dims)}")
+    owner = np.searchsorted(starts, cuts[:-1], side="right") - 1
+    return [(*pieces[p][:2], c - starts[p], c - starts[p] + size)
+            for p, c, size in zip(owner.tolist(), cuts, block_sizes)]
 
 
-def encode_fixed_witness(
-    theta_p: ParamVector,
-    theta_u: ParamVector,
-    delta_w: ParamVector,
-    lam: np.ndarray,
-    c_p: BlockFisher,
-    mask: MaskArtifact,
-) -> FixedWitness:
+def factor_parts(spans, blocks, layers, factors, exact=False) -> list:
+    """The ``model.GradBlock`` of each block of ``blocks`` over the factors
+    (A, Delta) of its layer, ``factors`` being those of ``layers`` (a bias
+    block's A is ones); ``exact``: over integer factors as Python ints."""
+    one = 1 << FRAC_BITS_A if exact else 1.0
+    by_layer = {layer: [f.astype(object) for f in pair] if exact else pair
+                for layer, pair in zip(layers, factors)}
+    parts = []
+    for b in blocks:
+        layer, bias, lo, hi = spans[b]
+        a, d = by_layer[layer]
+        if bias:
+            a = np.full((len(d), 1), one, dtype=d.dtype)
+        parts.append(GradBlock(a, d, lo, hi))
+    return parts
+
+
+def _layout(c_p: BlockFisher, mask: MaskArtifact):
+    """The block slices, touched blocks, spans and touched layers."""
+    if c_p.recipe is None:
+        raise StructuralError("a Fisher given by its blocks has no factors")
+    sizes = [size for _, size, _ in c_p.layout.blocks]
+    hit = touched(sizes, mask.support)
+    spans = block_spans(c_p.recipe.model.layer_dims, sizes)
+    return block_slices(sizes), hit, spans, sorted({spans[b][0] for b in hit})
+
+
+def _row_sum_bound(factors, dw, c_p: BlockFisher, mask: MaskArtifact) -> float:
+    """S = max over touched b of (4 e_b |dw_b|_1 max(Gbar'1) + max(Gbar'Gbar
+    1)) / n + lam + 2^(-2 f_g) max|dw_b|, dw in integer units: per row and
+    sample, in units of 2^(-f_w - 1), the rounding of the factors, of dw
+    through G'G + n lam I and of the damping.  Gbar = (|A| + eps_a) (x)
+    (|Delta| + eps_d), eps = 2^(-f - 1), bounds |G_b| and its quantized
+    |G_b^q|; e_b = max(|A| + eps_a) eps_d + max(|Delta| + eps_d) eps_a bounds
+    |G_b^q - G_b|."""
+    slices, hit, spans, layers = _layout(c_p, mask)
+    eps_a, eps_d = 2.0 ** (-FRAC_BITS_A - 1), 2.0 ** (-FRAC_BITS_D - 1)
+    gbar = [(np.abs(a) * 2.0**-FRAC_BITS_A + eps_a,
+             np.abs(d) * 2.0**-FRAC_BITS_D + eps_d) for a, d in factors]
+    n, worst = c_p.sample_count, 0.0
+    for b, part in zip(hit, factor_parts(spans, hit, layers, gbar)):
+        x = np.abs(dw[slices[b]]).astype(np.float64)
+        e_b = part.a_prev.max() * eps_d + part.delta.max() * eps_a
+        cols = part.rmatvec(np.ones(n)).max()
+        rows = part.rmatvec(part.matvec(np.ones(x.size))).max()
+        worst = max(worst, (4 * e_b * x.sum() * cols + rows) / n + c_p.lam
+                    + 2.0 ** (-2 * FRAC_BITS_G) * x.max())
+    return worst
+
+
+def encode_fixed_witness(theta_p: ParamVector, theta_u: ParamVector,
+                         delta_w: ParamVector, lam: np.ndarray,
+                         c_p: BlockFisher, mask: MaskArtifact) -> FixedWitness:
     f_w = FRAC_BITS_W
     tp = quantize(theta_p.values, f_w, BOUND_W)
     dw = quantize(delta_w.values, f_w, BOUND_W)
@@ -106,89 +164,56 @@ def encode_fixed_witness(
     # within quantization error; a mismatch means inconsistent inputs
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
-    sizes = [size for _, size, _ in c_p.layout.blocks]
-    blocks = c_p.fisher.map(lambda _, block: damp(block, c_p.lam),
-                            only=touched(sizes, mask.support))
-    row_max = max([0.0] + [row for row, _ in blocks])
-    # the least shift >= 0 with row_max * 2^-shift <= BOUND_C, exactly:
-    # BOUND_C is a power of two, so the division rounds nothing, and
-    # frexp's mantissa is 0.5 only on a power of two
-    mantissa, exponent = math.frexp(row_max / BOUND_C)
-    scale = 2.0 ** -max(exponent - (mantissa == 0.5), 0)
-    c_blocks = []
-    for i, (_, tri) in enumerate(blocks):
-        # drop each float triangle as it is quantized, so that the next
-        # int triangle can take its place on the heap
-        blocks[i] = None
-        c_blocks.append(quantize(tri * scale, FRAC_BITS_C, BOUND_C))
-    return FixedWitness(
-        theta_p=tp,
-        theta_u=tu,
-        delta_w=dw,
-        lam=quantize(np.asarray(lam, dtype=np.float64) * scale, f_w, BOUND_LAM),
-        c_blocks=tuple(c_blocks),
-    )
+    if not c_p.lam <= BOUND_LAM:
+        raise NumericError(f"damping {c_p.lam} exceeds its bound {BOUND_LAM}")
+    slices, hit, spans, layers = _layout(c_p, mask)
+    recipe, factors = c_p.recipe, {}
+    for layer in layer_grad_blocks(recipe.model, recipe.rows, recipe.block_cap):
+        b, _, part = layer[0]  # a weight part: it holds both factors
+        if spans[b][0] in layers:
+            factors[spans[b][0]] = tuple(
+                quantize(f, bits, bound).reshape(f.shape) for f, bits, bound in
+                ((part.a_prev, FRAC_BITS_A, BOUND_A),
+                 (part.delta, FRAC_BITS_D, BOUND_D)))
+    factors = tuple(factors[layer] for layer in layers)
+    # the least shift >= 0 with S 2^-shift <= ROW_SUM_CAP, exactly: the cap
+    # is a power of two, and frexp's mantissa is 0.5 only on one
+    mantissa, exponent = math.frexp(_row_sum_bound(factors, dw, c_p, mask)
+                                    / ROW_SUM_CAP)
+    shift = max(exponent - (mantissa == 0.5), 0)
+    parts = factor_parts(spans, hit, layers, factors, exact=True)
+    lam = quantize(np.asarray(lam, dtype=float) * 2.0**-shift, f_w, BOUND_LAM)
+    return FixedWitness(tp, tu, dw, lam, factors, tuple(
+        part.matvec(dw[slices[b]].astype(object))
+        for b, part in zip(hit, parts)), shift)
 
 
-def stationarity_bound_int(
-    w: FixedWitness,
-    c_p: BlockFisher,
-    mask: MaskArtifact,
-    solver_residual_inf: float = 0.0,
-) -> int:
-    """Analytic honest-residual bound, in 2^{-(f_w+f_c)} integer units.
-
-    With per-entry rounding errors eps_w = 2^{-f_w-1} on the weight-side
-    quantities and eps_c = 2^{-f_c-1} on the curvature entries, the
-    integer stationarity residual of an honestly quantized witness obeys
-
-      |r_i| <= sum_j |C_ij^int| / 2 + sum_j |dw_j^int| / 2 + d_b / 4
-               + 2^{f_c - 1} + solver_residual * 2^{f_w + f_c}
-
-    where the sums run over the block containing coordinate i.  Only the
-    touched blocks have stationarity rows, and each holds a multiplier.
-    """
-    slices = [sl for sl, _ in c_p.layout.slices()]
-    sizes = [sl.stop - sl.start for sl in slices]
-    worst = 0.0
-    for c_int, b in zip(w.c_blocks, touched(sizes, mask.support)):
-        sl, d_b = slices[b], sizes[b]
-        dw_sum = float(np.abs(w.delta_w[sl].astype(np.float64)).sum())
-        row_sums = np.abs(unpack_upper(c_int, d_b).astype(np.float64)).sum(axis=1)
-        block_worst = (
-            0.5 * float(row_sums.max()) + 0.5 * dw_sum + 0.25 * d_b
-            + 2.0 ** (FRAC_BITS_C - 1)
-        )
-        worst = max(worst, block_worst)
-    worst += solver_residual_inf * 2.0 ** (FRAC_BITS_W + FRAC_BITS_C)
+def stationarity_bound_int(w: FixedWitness, c_p: BlockFisher,
+                           mask: MaskArtifact,
+                           solver_residual_inf: float = 0.0) -> int:
+    """Analytic honest-residual bound, in t_int's units: the float
+    residual G'G dw / n + lam dw + E lam_M is at most the solver residual,
+    and R / n differs from it by the roundings ``_row_sum_bound`` bounds
+    and the multipliers', 2^(FRAC_BITS_T - 1) units."""
+    rows = _row_sum_bound(w.factors, w.delta_w, c_p, mask)
+    worst = (rows * 2.0 ** (FRAC_BITS_T - 1 - w.shift)
+             + 2.0 ** (FRAC_BITS_T - 1)
+             + solver_residual_inf * 2.0 ** (FRAC_BITS_W + FRAC_BITS_T - w.shift))
     return int(math.ceil(worst))
 
 
-def default_t_int(
-    w: FixedWitness,
-    c_p: BlockFisher,
-    mask: MaskArtifact,
-    solver_residual_inf: float = 0.0,
-) -> int:
-    """Smallest power of two >= T_INT_SLACK * analytic honest bound,
-    clamped strictly below the detectability threshold.
-
-    The analytic bound already dominates every honestly quantized
-    residual, so the factor only absorbs slack in the reported solver
-    residual.  A minimal single-coordinate multiplier tamper of
-    2^{-f_w+4} shifts the integer residual by 2^{f_c+4}; T_int must stay
-    strictly below that so the tamper is always rejected.  When the
-    power-of-two inflation would cross the threshold, fall back to half
-    the threshold; if even the raw bound does not fit, the circuit's
-    precision cannot separate this witness's honest noise from tampering.
-    """
+def default_t_int(w: FixedWitness, c_p: BlockFisher, mask: MaskArtifact,
+                  solver_residual_inf: float = 0.0) -> int:
+    """Smallest power of two >= twice the honest bound (the factor absorbs
+    slack in the solver residual), clamped to half of T_INT_THRESHOLD, the
+    minimal multiplier tamper's shift; a bound that does not fit even so
+    is honest noise the circuit's precision cannot tell from tampering."""
     bound = stationarity_bound_int(w, c_p, mask, solver_residual_inf)
-    t_int = 1 << max(int(T_INT_SLACK * max(bound, 1)) - 1, 0).bit_length()
+    t_int = 1 << max(int(2 * max(bound, 1)) - 1, 0).bit_length()
     if t_int >= T_INT_THRESHOLD:
         t_int = T_INT_THRESHOLD >> 1
     if bound >= t_int:
-        raise NumericError(
-            f"honest residual bound {bound} cannot be separated from the "
-            f"minimal multiplier tamper at 2^{FRAC_BITS_C + 4}"
-        )
+        raise NumericError(f"honest residual bound {bound} cannot be separated "
+                           f"from the minimal multiplier tamper at "
+                           f"2^{FRAC_BITS_T + 4}")
     return t_int

@@ -415,9 +415,12 @@ def random_instance(rng, max_block=24, k_cap=None):
     return fisher, theta, mask
 
 
-def statement(mask, block_sizes, t_int):
-    """Public inputs for ``mask`` with all-zero commitment roots."""
-    return PublicInputs(mask.digest, tuple(block_sizes), 0, 0, 0, t_int)
+def statement(mask, block_sizes, t_int, layer_dims, sample_count=5):
+    """Public inputs for ``mask`` over a Fisher of ``sample_count`` rows of
+    a model of ``layer_dims``, split into ``block_sizes``, with damping
+    1e-3, shift 0 and all-zero commitment roots."""
+    return PublicInputs(mask.digest, tuple(block_sizes), tuple(layer_dims),
+                        sample_count, 1e-3, 0, 0, 0, 0, t_int)
 
 
 def tag_over(statement_hash, public):

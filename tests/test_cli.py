@@ -148,9 +148,9 @@ def test_verify_passes(workdir):
     assert obj["verified"] is True
     assert obj["guarantee"] == (
         "mock: constraint semantics only, no soundness, no zero knowledge; "
-        "the curvature of the blocks the mask touches is a free witness, "
-        "bound to neither theta_p nor the data, and every other block's "
-        "step is pinned at zero")
+        "the layer factors are a free witness, bound to neither theta_p nor "
+        "the data, and the step of every block the mask does not touch is "
+        "pinned at zero")
 
 
 def test_verify_tampered_proof_exit_1(workdir, tmp_path):
@@ -167,13 +167,12 @@ def test_verify_tampered_proof_exit_1(workdir, tmp_path):
 
 def test_verify_foreign_circuit_hash_exit_1(workdir, tmp_path):
     """A tag computed over a circuit hash that public.pub does not
-    determine is rejected, whatever hash the proof file names."""
+    determine is rejected."""
     w = workdir
     public = art.load_public(f"{w}/public.pub")
     for foreign in ("00" * 32, "ef" * 32):
         bad = tmp_path / "forged.prf"
-        bad.write_text(json.dumps({"circuit_hash": foreign,
-                                   "tag": tag_over(foreign, public)}))
+        bad.write_text(json.dumps({"tag": tag_over(foreign, public)}))
         res = invoke("verify", "--proof", str(bad),
                      "--public", f"{w}/public.pub")
         assert res.exit_code == 1, res.output
@@ -654,6 +653,27 @@ def _fisher_zero_samples(w, tmp):
         _public_field("f_c", "negative", -5),
         _public_field("zz", "unknown", 1),
         _public_field("mask_digest", "number", 7),
+        # the Fisher's shape, damping and the encoder's shift, which the
+        # statement names since the curvature is committed as layer factors
+        _public_field("layer_dims", "missing", None),
+        _public_field("layer_dims", "zero", [4, 0, 3]),
+        _public_field("layer_dims", "float", [4.0, 8, 3]),
+        # one block over the whole model, weights and biases of every
+        # layer at once: the blocks must split each layer's weight and bias
+        _public_field("block_sizes", "one_block", lambda s: [sum(s)]),
+        _public_field("sample_count", "zero", 0),
+        _public_field("sample_count", "string", "160"),
+        _public_field("damping", "zero", 0.0),
+        _public_field("damping", "int", 1),
+        _public_field("damping", "above_bound", 65.0),
+        _public_field("damping", "nan", float("nan")),
+        _public_field("shift", "negative", -1),
+        _public_field("shift", "bool", True),
+        _public_field("shift", "above_max", 41),
+        # a proof holds its tag and no other key
+        _header("proof_circuit_hash_added", "proof.prf",
+                _set("circuit_hash", "00" * 32), "verify", "--proof",
+                "{tmp}/proof.prf", "--public", "{w}/public.pub"),
         _header("fisher_lambda_nan", "fisher", _set("lambda", float("nan")),
                 *_UNLEARN_TMP_FISHER),
         _header("fisher_lambda_inf", "fisher", _set("lambda", float("inf")),
@@ -732,6 +752,29 @@ def test_bad_artifact_or_option_exit_2(workdir, tmp_path, case):
     assert res.exit_code == 2, res.output
     if case in _STDERR:
         assert res.stderr.splitlines() == [_STDERR[case]], res.stderr
+
+
+@pytest.mark.parametrize("command", ["certify", "prove"])
+def test_mask_with_an_unknown_key_exit_2(workdir, tmp_path, command):
+    """A mask.mask with a key a mask does not hold is a bad artifact, also
+    when theta_u and the comp record its digest, so that only the key
+    stops the command; the same copies without the key pass."""
+    w, tmp = workdir, str(tmp_path)
+    for key, code in (("zz", 2), (None, 0)):
+        _copy_edited(w, tmp, "mask.mask",
+                     _set(key, 1) if key else lambda header: None)
+        digest = art.file_digest(f"{tmp}/mask.mask")
+        for src in ("theta_u", "comp"):
+            _copy_edited(w, tmp, src,
+                         lambda header: header["inputs"].update(mask=digest))
+        args = [command, "--theta-p", f"{w}/theta_p", "--theta-u",
+                f"{tmp}/theta_u", "--comp", f"{tmp}/comp", "--mask",
+                f"{tmp}/mask.mask", "--fisher", f"{w}/fisher"]
+        res = invoke(*args, *(["--out-dir", f"{tmp}/out"]
+                              if command == "prove" else []))
+        assert res.exit_code == code, res.output
+        if key:
+            assert "unknown keys ['zz']" in res.stderr
 
 
 # The input-artifact options and the output options of every command but
@@ -1329,7 +1372,8 @@ def test_prove_and_verify_report_the_circuit_precision(workdir, tmp_path):
     """The fractional bits and limb widths are the circuit's: prove and
     verify print them, as lines and in --json, and public.pub does not
     carry them."""
-    want = {"frac_bits": {"w": 22, "c": 32}, "limb_bits": {"w": 30, "c": 35}}
+    want = {"frac_bits": {"w": 22, "a": 40, "d": 40},
+            "limb_bits": {"w": 30, "a": 48, "d": 46}}
     out = str(tmp_path)
     verify = ("verify", "--proof", f"{out}/proof.prf",
               "--public", f"{out}/public.pub")
@@ -1366,6 +1410,23 @@ def test_report_bounds_fisher_mode(workdir):
     assert obj["measured"] == measured_forget_gap(
         art.load_model(f"{w}/theta_p"), art.load_model(f"{w}/theta_u"),
         art.load_dataset(f"{w}/forget.dset"), obj["predicted_delta_lf"])
+
+
+def test_report_bounds_exact_mode_names_the_fisher_mode(tmp_path):
+    """On demo --seed 7's own artifacts the exact mode's Q is indefinite:
+    it exits 3 with one stderr line, which names --hessian fisher, the
+    mode that passes on the same artifacts."""
+    out = str(tmp_path)
+    res = invoke("demo", "--seed", "7", "--skip-gold", "--out-dir", out)
+    assert res.exit_code == 0, res.output
+    args = ("report-bounds", "--theta-p", f"{out}/theta_p", "--comp",
+            f"{out}/comp", "--mask", f"{out}/mask.mask",
+            "--data", f"{out}/forget.dset")
+    res = invoke(*args)
+    assert res.exit_code == 3, res.output
+    assert len(res.stderr.splitlines()) == 1
+    assert "--hessian fisher" in res.stderr
+    assert invoke(*args, "--hessian", "fisher").exit_code == 0
 
 
 def test_prove_ignores_a_stored_residual(workdir, tmp_path):

@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from veriforget import numkit
 from veriforget.numkit import (
@@ -17,11 +16,9 @@ from veriforget.numkit import (
     StructuralError,
     canonical_json,
     fork_map,
-    pack_upper,
     quantize,
     tree_sum,
     triangle_entries,
-    unpack_upper,
 )
 
 from conftest import report_cpus
@@ -92,7 +89,8 @@ def test_blockdiag_holds_symmetric_squares():
     # an asymmetric square, the packed triangle of a symmetric one, a
     # square of another size and squares with a NaN or an inf are refused,
     # naming the block, where a walk or a map reaches them
-    for bad in (np.array([[1.0, 2.0], [0.0, 1.0]]), pack_upper(square),
+    for bad in (np.array([[1.0, 2.0], [0.0, 1.0]]),
+                square[np.triu_indices(len(square))],
                 np.eye(3), np.array([[1.0, np.nan], [np.nan, 1.0]]),
                 np.array([[np.inf, 0.0], [0.0, 1.0]])):
         held = BlockDiagMatrix(BlockStream.held((bad,), layout))
@@ -102,43 +100,6 @@ def test_blockdiag_holds_symmetric_squares():
             held.map(lambda i, block: None)
     with pytest.raises(StructuralError, match="block count"):
         BlockStream.held((np.ones(3), np.ones(3)), layout)
-
-
-def test_pack_upper_row_major():
-    block = np.arange(9).reshape(3, 3)
-    assert pack_upper(block).tolist() == [0, 1, 2, 4, 5, 8]
-    assert unpack_upper(pack_upper(block), 3).tolist() == [
-        [0, 1, 2], [1, 4, 5], [2, 5, 8]]
-    for size in (2, 4):
-        with pytest.raises(StructuralError, match="triangle"):
-            unpack_upper(np.arange(6), size)
-
-
-@given(st.integers(1, 64))
-def test_triangle_order_is_row_major(size):
-    block = np.arange(size * size).reshape(size, size)
-    rows = np.concatenate([row[i:] for i, row in enumerate(block)])
-    assert np.array_equal(pack_upper(block), rows)
-    i = np.arange(size)  # row i starts at the diagonal, after i rows
-    assert np.array_equal(pack_upper(block)[i * size - i * (i - 1) // 2],
-                          np.diag(block))
-
-
-_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
-                   st.floats(allow_nan=False, allow_infinity=False))
-
-
-@given(st.integers(1, 64), st.data())
-def test_unpack_upper_damps_as_the_oracle_bit_for_bit(size, data):
-    """A triangle unpacks to the symmetric block it was packed from, bit
-    for bit, signed zeros kept.  Damping moved to ``zkp.witness.damp``:
-    test_zkp.py's test_damp_commits_the_oracle_damped_block_bit_for_bit."""
-    raw = data.draw(arrays(np.float64, (size, size), elements=_ENTRY))
-    upper = np.triu(np.ones((size, size), dtype=bool))
-    block = np.where(upper, raw, raw.T)  # symmetric, signed zeros kept
-    tri = pack_upper(block)
-    assert unpack_upper(tri, size).tobytes() == block.tobytes()
-    assert pack_upper(unpack_upper(tri, size)).tobytes() == tri.tobytes()
 
 
 # -- forked workers --------------------------------------------------------------

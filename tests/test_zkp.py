@@ -10,24 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 import veriforget
 from veriforget.certify import check_kkt
-from veriforget.curvature import BlockFisher
+from veriforget.curvature import empirical_fisher_blockwise
 from veriforget.masking import make_mask
-from veriforget.numkit import (
-    BlockDiagMatrix,
-    BlockStream,
-    NumericError,
-    ParamVector,
-    StructuralError,
-    pack_upper,
-    unpack_upper,
-)
-from veriforget.obs import apply_unlearn, group_obs_solve
+from veriforget.model import init_mlp
+from veriforget.numkit import NumericError, StructuralError, block_slices
+from veriforget.obs import apply_unlearn
+from veriforget.pipeline import compensate, run_zk_layer
 from veriforget.zkp import (
-    BOUND_C,
     BOUND_LAM,
     BOUND_W,
     MODULUS,
@@ -56,30 +48,36 @@ from veriforget.zkp.circuit import (
     COMMITTED,
     ELEMENT_BITS,
     FAMILIES,
-    LIMB_BITS_C,
+    LIMB_BITS_A,
+    LIMB_BITS_D,
     LIMB_BITS_W,
     limb_bits,
     pack_limbs,
 )
 from veriforget.zkp.field import LEAF_CHUNK
 from veriforget.zkp.witness import (
-    FRAC_BITS_C,
+    BOUND_A,
+    BOUND_D,
+    FRAC_BITS_A,
+    FRAC_BITS_D,
+    FRAC_BITS_G,
+    FRAC_BITS_T,
     FRAC_BITS_W,
+    MAX_SHIFT,
+    ROW_SUM_CAP,
     T_INT_THRESHOLD,
     FixedWitness,
-    damp,
+    block_spans,
+    factor_parts,
 )
 
 from conftest import (
     examples,
-    block_matrix,
-    random_fisher,
-    random_instance,
-    random_layout,
-    reference_damp,
+    random_mask,
     reference_merkle_root,
     reference_permute,
     report_cpus,
+    small_dataset,
     statement,
     tag_over,
     tiny_config,
@@ -87,21 +85,62 @@ from conftest import (
 from veriforget.pipeline import demo_config
 
 
-def honest_zk_instance(seed):
-    """An honest instance proved by the mock backend; the public inputs
-    are ``circuit.public``."""
+def honest_zk_instance(seed, dims=(3, 4, 2), cap=4):
+    """An honest instance proved by the mock backend, the public inputs
+    being ``circuit.public``: a random model of ``dims`` and a Fisher over
+    40 random rows at block cap ``cap``, so that weight blocks start
+    mid-row and bias blocks are blocks of their own, with a random mask
+    over every coordinate."""
     rng = np.random.default_rng(seed)
-    fisher, theta, mask = random_instance(rng, max_block=12)
-    comp = group_obs_solve(fisher, theta, mask)
-    theta_u = apply_unlearn(theta, comp, mask)
-    w = encode_fixed_witness(
-        theta, theta_u, comp.delta_w, comp.multipliers, fisher, mask)
-    residual = check_kkt(theta, theta_u, comp, fisher, mask).inf_norms[2]
-    t_int = default_t_int(w, fisher, mask, residual)
-    sizes = tuple(size for _, size, _ in fisher.layout.blocks)
-    randomness = (11, 22, 33)
-    circuit, proof = MockBackend().prove(w, mask, sizes, t_int, randomness)
-    return fisher, theta, mask, comp, w, circuit, proof, randomness
+    model = init_mlp(list(dims), seed)
+    model = model.with_params(rng.normal(0.0, 0.7, model.dim))
+    data = small_dataset(rng, n=40, dim=dims[0], classes=dims[-1])
+    fisher = empirical_fisher_blockwise(model, data, block_cap=cap, seed=seed)
+    mask = random_mask(rng, fisher.layout, int(rng.integers(1, 5)))
+    comp, theta_u = compensate(model, mask, fisher)
+    w, circuit, proof, rnd = run_zk_layer(model, theta_u, comp, fisher, mask,
+                                          seed)
+    return fisher, model.params, mask, comp, w, circuit, proof, rnd
+
+
+def with_u(w, circuit):
+    """``w`` with u recomputed from its factors and delta_w, as an honest
+    prover would after changing either."""
+    parts = factor_parts(circuit.spans, circuit.touched, circuit.layers,
+                         w.factors, exact=True)
+    slices = block_slices(circuit.public.block_sizes)
+    dw = w.delta_w.astype(object)
+    return replace(w, u=tuple(part.matvec(dw[slices[b]]) for b, part
+                              in zip(circuit.touched, parts)))
+
+
+def reference_residual(w, circuit):
+    """Oracle: the integer stationarity residual R of every row of a
+    touched block, by its definition G_b'(G_b dw_b) + n lam dw_b +
+    n E lam_M, with G_b formed entry by entry from the factors,
+    a_r delta_c for a weight block and 2^f_a delta_c for a bias block."""
+    public = circuit.public
+    n, dims = public.sample_count, public.layer_dims
+    factors = dict(zip(circuit.layers, w.factors))
+    lam = np.zeros(w.delta_w.size, dtype=object)
+    lam[list(circuit.support)] = [
+        n * int(x) * 2 ** (2 * FRAC_BITS_G + public.shift) for x in w.lam]
+    damping = n * round(public.damping * 2.0 ** (2 * FRAC_BITS_G))
+    rows = {}
+    for b in circuit.touched:
+        layer, bias, lo, hi = circuit.spans[b]
+        a, d = factors[layer]
+        dout = dims[layer + 1]
+        g = np.empty((n, hi - lo), dtype=object)
+        for j, col in enumerate(range(lo, hi)):
+            for i in range(n):
+                left = 2**FRAC_BITS_A if bias else int(a[i, col // dout])
+                g[i, j] = left * int(d[i, col % dout])
+        sl = block_slices(circuit.public.block_sizes)[b]
+        dw = w.delta_w[sl].astype(object)
+        r = g.T.dot(g.dot(dw)) + damping * dw + lam[sl]
+        rows.update(zip(range(sl.start, sl.stop), r))
+    return rows
 
 
 def with_public(circuit, **changes):
@@ -263,10 +302,12 @@ def test_leaves_hashed_in_process_only_with_one_worker(monkeypatch, cpus,
 
 def test_commit_witness_leaves_no_child_process(monkeypatch, tmp_path):
     rng = np.random.default_rng(0)
-    g = rng.integers(-1000, 1000, size=(150, 150))  # 1,618 packed elements
+    # 6,000 factor values, 1,200 packed elements: two leaves
+    a, d = rng.integers(-1000, 1000, size=(2, 600, 5))
     vec = rng.integers(-1000, 1000, size=40)
     w = FixedWitness(theta_p=vec, theta_u=vec + 1, delta_w=np.ones(40, np.int64),
-                     lam=np.zeros(0, np.int64), c_blocks=(pack_upper(g + g.T),))
+                     lam=np.zeros(0, np.int64), factors=((a, d),), u=(),
+                     shift=0)
     randomness = (4, 5, 6)
     expected = tuple(reference_merkle_root(get(w), r)
                      for (_, get), r in zip(COMMITTED, randomness))
@@ -338,13 +379,14 @@ def test_run_zk_layer_commits_each_vector_once(monkeypatch):
     for module in (field, circuit):
         monkeypatch.setattr(module, "merkle_root", counting)
     pipeline.run_zk_layer(r.theta_p, r.theta_u, r.comp, r.fisher, r.mask, 3)
-    d = r.theta_p.params.dim
+    d, n = r.theta_p.params.dim, r.fisher.sample_count
     sizes = [s for _, s, _ in r.fisher.layout.blocks]
-    # 30-bit weight limbs, 8 per element; 35-bit curvature limbs, 7, of
-    # the touched blocks alone: the 4-8-3 model's first weight block
+    # 30-bit weight limbs, 8 per element; 48- and 46-bit factor limbs, 5
+    # each, of the layer that holds the touched block alone: the 4-8-3
+    # model's first weight block, so A is n x 4 and Delta n x 8
     assert touched(sizes, r.mask.support) == (0,)
-    packed = sizes[0] * (sizes[0] + 1) // 2
-    assert lengths == [-(-d // 8), -(-d // 8), -(-packed // 7)] == [9, 9, 76]
+    assert lengths == [-(-d // 8), -(-d // 8),
+                       -(-n * 4 // 5) - (-n * 8 // 5)] == [9, 9, 384]
 
 
 def unpack_limbs(elements, bits, n):
@@ -356,26 +398,34 @@ def unpack_limbs(elements, bits, n):
 
 
 def test_default_limb_widths():
-    assert (LIMB_BITS_W, LIMB_BITS_C) == (30, 35)
-    assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_C, 32)) == (30, 35)
-    assert (ELEMENT_BITS // 30, ELEMENT_BITS // 35) == (8, 7)
+    assert (LIMB_BITS_W, LIMB_BITS_A, LIMB_BITS_D) == (30, 48, 46)
+    assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_A, 40),
+            limb_bits(BOUND_D, 40)) == (30, 48, 46)
+    assert (ELEMENT_BITS // 30, ELEMENT_BITS // 48, ELEMENT_BITS // 46) == (
+        8, 5, 5)
 
 
 def test_precision_constants_fit_their_budgets():
-    # each within quantize's 40 bits, an exact product of a weight and a
-    # curvature entry within int64's 60-bit budget, and f_c - f_w > 4 so
-    # that T_int can stay below the minimal multiplier tamper
-    assert all(0 <= f <= 40 for f in (FRAC_BITS_W, FRAC_BITS_C))
-    assert FRAC_BITS_W + FRAC_BITS_C <= 60
-    assert FRAC_BITS_C - FRAC_BITS_W > 4
-    assert T_INT_THRESHOLD == 1 << (FRAC_BITS_C + 4)
+    # each within quantize's 40 bits; each factor limb at most 50 bits, 5
+    # to a field element; and the largest residual the circuit forms, at
+    # n = 2^10 rows, blocks of 2^9 columns and MAX_SHIFT, below p/2
+    assert all(0 <= f <= 40 for f in (FRAC_BITS_W, FRAC_BITS_A, FRAC_BITS_D))
+    assert FRAC_BITS_G == FRAC_BITS_A + FRAC_BITS_D
+    assert max(LIMB_BITS_A, LIMB_BITS_D) <= 50
+    assert T_INT_THRESHOLD == 1 << (FRAC_BITS_T + 4)
+    g = int(BOUND_A * 2**FRAC_BITS_A) * int(BOUND_D * 2**FRAC_BITS_D)
+    w, lam = int(BOUND_W * 2**FRAC_BITS_W), int(BOUND_LAM * 2**FRAC_BITS_W)
+    n, s = 2**10, 2**9
+    assert n * s * g * g * w < MODULUS // 8
+    assert n * lam << (2 * FRAC_BITS_G + MAX_SHIFT) < MODULUS // 8
+    assert n * T_INT_THRESHOLD << (2 * FRAC_BITS_G + MAX_SHIFT) < MODULUS // 8
 
 
 @st.composite
 def in_range_vectors(draw):
     """A bound, a number of fractional bits quantize accepts, and a vector
     within bound * 2^frac that includes both extremes."""
-    bound = draw(st.sampled_from([BOUND_W, BOUND_C]))
+    bound = draw(st.sampled_from([BOUND_W, BOUND_A, BOUND_D]))
     frac = draw(st.integers(0, 40))
     lim = int(bound * 2**frac)
     values = draw(st.lists(st.integers(-lim, lim), min_size=0, max_size=40))
@@ -396,7 +446,7 @@ def test_packing_is_injective_in_range(case):
 
 def test_packing_is_total_on_int64():
     extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max] * 9)
-    for bits in (limb_bits(BOUND_W, 22), limb_bits(BOUND_C, 32)):
+    for bits in (LIMB_BITS_W, LIMB_BITS_A, LIMB_BITS_D):
         assert all(0 <= e < 1 << ELEMENT_BITS
                    for e in pack_limbs(extremes, bits))
 
@@ -424,14 +474,15 @@ def test_weight_limb_alias_fails_range():
 
 def test_curvature_limb_alias_fails_range():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(23)
-    bits = LIMB_BITS_C
-    # packed limbs 0 and 1 are block 0's C[0, 0] and C[0, 1]
-    blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0] += 1 << bits
-    blocks[0][1] -= 1
-    bad = replace(w, c_blocks=tuple(blocks))
+    # packed limbs 0 and 1 of the committed factors are the first touched
+    # layer's A[0, 0] and A[0, 1]
+    a, d = w.factors[0]
+    bad = replace(w, factors=(
+        (_alias(a.ravel(), 0, LIMB_BITS_A).reshape(a.shape), d),
+        *w.factors[1:]))
     assert commit_witness(bad, rnd)[2] == circuit.public.com_c_p
-    assert mock_prove(circuit, bad, rnd) == "range/c_p[block 0]"
+    assert (mock_prove(circuit, bad, rnd)
+            == f"range/a[layer {circuit.layers[0]}][0]")
 
 
 def test_verify_commit_wrong_randomness():
@@ -494,6 +545,13 @@ def test_inconsistent_theta_u_rejected():
                              fisher, mask)
 
 
+def window_units(circuit):
+    """One unit of t_int in the circuit's integer residual R."""
+    public = circuit.public
+    return public.sample_count << (public.shift + 2 * FRAC_BITS_G
+                                   - FRAC_BITS_T)
+
+
 def test_honest_residual_below_analytic_bound_and_t_int():
     for seed in range(5):
         fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(seed)
@@ -502,97 +560,90 @@ def test_honest_residual_below_analytic_bound_and_t_int():
         bound = stationarity_bound_int(w, fisher, mask, residual)
         t_int = circuit.public.t_int
         assert bound <= t_int
-        # recompute the integer residual directly
-        lam_full = np.zeros(theta.dim, dtype=object)
-        lam_full[mask.support] = [int(x) << FRAC_BITS_C for x in w.lam]
-        slices = [sl for sl, _ in fisher.layout.slices()]
-        worst = 0
-        for c_int, b in zip(w.c_blocks, circuit.touched):
-            sl = slices[b]
-            c = unpack_upper(c_int, sl.stop - sl.start)
-            r = c.astype(object) @ w.delta_w[sl].astype(object) + lam_full[sl]
-            worst = max(worst, max(abs(int(x)) for x in r))
-        assert worst <= bound
-        assert worst <= t_int
+        worst = max(map(abs, reference_residual(w, circuit).values()))
+        assert worst <= bound * window_units(circuit)
+
+
+@functools.lru_cache(maxsize=None)
+def _pipeline_run(shape, seed):
+    from veriforget import pipeline
+    cfg = {"4-8-3": tiny_config(), "8-32-4": demo_config(run_gold=False)}
+    return pipeline.run_pipeline(seed, cfg[shape])
+
+
+@settings(max_examples=examples(6), deadline=None)
+@given(st.sampled_from(["4-8-3", "8-32-4"]), st.integers(0, 9), st.data())
+def test_honest_window_holds_and_the_minimal_multiplier_tamper_leaves_it(
+        shape, seed, data):
+    """On the tiny and the demo shapes: the honest witness's integer
+    residual, by its definition, is within stationarity_bound_int; that
+    bound is below T_INT_THRESHOLD; and a multiplier moved by 16 units,
+    2^(-f_w + 4) at the witness's scale, is rejected at its row."""
+    r = _pipeline_run(shape, seed)
+    w, circuit = r.witness, r.circuit
+    bound = stationarity_bound_int(w, r.fisher, r.mask,
+                                   r.certificate.inf_norms[2])
+    worst = max(map(abs, reference_residual(w, circuit).values()))
+    assert worst <= bound * window_units(circuit)
+    assert bound < circuit.public.t_int < T_INT_THRESHOLD
+    j = data.draw(st.integers(0, w.lam.size - 1))
+    lam = w.lam.copy()
+    lam[j] += data.draw(st.sampled_from([16, -16]))
+    assert (mock_prove(circuit, replace(w, lam=lam), r.randomness)
+            == f"stationarity[{circuit.support[j]}]")
 
 
 def test_t_int_below_lambda_tamper_threshold():
     for seed in range(5):
         fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(seed)
-        assert circuit.public.t_int < 1 << (FRAC_BITS_C + 4)
+        assert circuit.public.t_int < T_INT_THRESHOLD
 
 
 def test_t_int_inseparable_at_the_circuit_precision():
-    # a solver residual of 2^-15 adds 2^39 units to the honest bound, past
-    # the largest t_int below the minimal multiplier tamper, 2^35
+    # a solver residual of 2^(shift - 17) adds 2^37 units to the honest
+    # bound, past the largest t_int below the minimal multiplier tamper,
+    # 2^35; one of 2^(shift - 26) adds 2^28
     fisher, theta, mask, comp, w, *_ = honest_zk_instance(2)
-    assert default_t_int(w, fisher, mask, 2.0**-22) < T_INT_THRESHOLD
+    assert default_t_int(w, fisher, mask, 2.0 ** (w.shift - 26)) < T_INT_THRESHOLD
     with pytest.raises(NumericError, match="cannot be separated"):
-        default_t_int(w, fisher, mask, 2.0**-15)
-
-
-def encode_curvature(fisher):
-    """The curvature blocks the encoder commits for ``fisher`` at the
-    default fractional bits, with zero weights and multipliers, square:
-    every block, since the mask takes the first coordinate of each."""
-    d = fisher.layout.total_dim
-    zero = ParamVector(values=np.zeros(d), layout=fisher.layout)
-    starts = np.array([start for start, _, _ in fisher.layout.blocks])
-    mask = make_mask(d, starts.size, np.arange(d, dtype=np.int64), starts)
-    w = encode_fixed_witness(zero, zero, zero, np.zeros(starts.size), fisher,
-                             mask)
-    assert len(w.c_blocks) == starts.size
-    return [unpack_upper(tri, size)
-            for tri, (_, size, _) in zip(w.c_blocks, fisher.layout.blocks)]
+        default_t_int(w, fisher, mask, 2.0 ** (w.shift - 17))
 
 
 @pytest.mark.parametrize("e", range(4, 13))
-def test_row_sum_just_above_a_power_of_two_scales_into_bound(e):
-    # a dead unit's damped row holds lambda alone; at BOUND_C * 2^e * (1 +
-    # 2^-52) a log2-derived shift rounded down to e and left the row at
-    # BOUND_C * (1 + 2^-52), beyond the range bound
-    lam = BOUND_C * 2.0**e * (1 + 2.0**-52)
-    layout = random_layout(np.random.default_rng(e), n_blocks=2, max_block=4)
-    fisher = BlockFisher(
-        fisher=block_matrix([np.zeros((s, s)) for _, s, _ in layout.blocks],
-                            layout),
-        lam=lam, sample_count=1, source_digest="test")
-    for c in encode_curvature(fisher):
-        assert (c == np.diag(np.diag(c))).all()
-        assert (np.diag(c) == int(BOUND_C * 2**(FRAC_BITS_C - 1))).all()
+def test_row_sum_just_above_a_power_of_two_scales_into_bound(monkeypatch, e):
+    # a row-sum bound S of ROW_SUM_CAP * 2^e * (1 + 2^-52): a log2-derived
+    # shift rounded down to e would leave it at ROW_SUM_CAP * (1 + 2^-52),
+    # beyond the cap; at ROW_SUM_CAP * 2^e exactly the shift is e
+    from veriforget.zkp import witness
+    fisher, theta, mask, comp, w, *_ = honest_zk_instance(3)
+    for rows, want in ((ROW_SUM_CAP * 2.0**e * (1 + 2.0**-52), e + 1),
+                       (ROW_SUM_CAP * 2.0**e, e)):
+        monkeypatch.setattr(witness, "_row_sum_bound", lambda *a: rows)
+        got = encode_fixed_witness(theta, apply_unlearn(theta, comp, mask),
+                                   comp.delta_w, comp.multipliers, fisher, mask)
+        assert got.shift == want
+        assert rows * 2.0**-got.shift <= ROW_SUM_CAP
 
 
-_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
-                   st.floats(allow_nan=False, allow_infinity=False))
-
-
-@given(st.integers(1, 64), st.floats(min_value=0.0, exclude_min=True,
-                                     allow_infinity=False), st.data())
-def test_damp_commits_the_oracle_damped_block_bit_for_bit(size, lam, data):
-    """The witness damps a square block as B + lam * I in its defining
-    form, signed zeros and entries that round to +-inf included, and
-    commits that square's triangle and largest absolute row sum."""
-    raw = data.draw(arrays(np.float64, (size, size), elements=_ENTRY))
-    upper = np.triu(np.ones((size, size), dtype=bool))
-    block = np.where(upper, raw, raw.T)  # symmetric, signed zeros kept
-    with np.errstate(over="ignore"):  # both sides round alike to +-inf
-        row, tri = damp(block, lam)
-        want = reference_damp(block, lam)
-        assert tri.tobytes() == pack_upper(want).tobytes()
-        assert row == np.abs(want).sum(axis=1).max()
-
-
-@given(st.integers(0, 2**32 - 1), st.floats(-20, 30), st.floats(-30, 10))
-def test_honest_curvature_within_bound(seed, log_scale, log_lam):
-    # every honest damped curvature entry, at any magnitude, fits the
-    # range bound and so its limb
+@settings(max_examples=examples(20), deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(-20, 2))
+def test_honest_curvature_within_bound(seed, log_scale):
+    # the factors of a model's layers, over rows at any scale up to 4 times
+    # the standard normal's, fit their range bounds and so their limbs
     rng = np.random.default_rng(seed)
-    layout = random_layout(rng, max_block=8)
-    base = random_fisher(rng, layout, lam=2.0**log_lam)
-    fisher = replace(base, fisher=BlockDiagMatrix(BlockStream.held(
-        (b * 2.0**log_scale for b in base.fisher.blocks), layout)))
-    lim = int(BOUND_C * 2**FRAC_BITS_C)
-    assert all(np.abs(c).max() <= lim for c in encode_curvature(fisher))
+    model = init_mlp([3, 5, 4, 2], seed)
+    model = model.with_params(rng.normal(0.0, 1.0, model.dim))
+    data = small_dataset(rng, n=30, dim=3, classes=2)
+    data = replace(data, features=data.features * 2.0**log_scale)
+    fisher = empirical_fisher_blockwise(model, data, block_cap=8)
+    mask = make_mask(model.dim, 3, np.arange(model.dim),
+                     np.array([0, 20, 44]))  # a block of every layer
+    zero = model.params.with_values(np.zeros(model.dim))
+    w = encode_fixed_witness(zero, zero, zero, np.zeros(3), fisher, mask)
+    assert len(w.factors) == 3
+    for a, d in w.factors:
+        assert np.abs(a).max() <= int(BOUND_A * 2**FRAC_BITS_A)
+        assert np.abs(d).max() <= int(BOUND_D * 2**FRAC_BITS_D)
 
 
 # -- circuit / constraint counts --------------------------------------------------------
@@ -601,22 +652,23 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
 def test_hand_constraint_count():
     mask = make_mask(12, 2, np.arange(12, dtype=np.int64),
                      np.array([1, 5], dtype=np.int64))
-    circ = synthesize(statement(mask, [8, 4], 1 << 20), mask)
-    # an 8x8 curvature block the mask touches and a 4x4 one it does not
-    # (d = 12), mask budget k = 2:
-    # range: theta_p, theta_u, delta_w 3 * 12 + lam 2 + the committed upper
-    #   triangle of the touched block 8 * 9 / 2 + its stationarity
-    #   residual 8 = 82
+    circ = synthesize(statement(mask, [8, 4], 1 << 20, (2, 4), 5), mask)
+    # a 2-4 layer over n = 5 rows: its weight block of 8 coordinates, which
+    # the mask touches, and its bias of 4, which it does not (d = 12),
+    # mask budget k = 2:
+    # range: theta_p, theta_u, delta_w 3 * 12 + lam 2 + the committed
+    #   factors of the layer, A 5 x 2 and Delta 5 x 4, 30 + the touched
+    #   block's stationarity residual 8 = 76
     # assembly: one row per coordinate, 12; feasibility: one per masked, 2
     # untouched: delta_w = 0 on the 4 coordinates of the untouched block
-    # matvec: C dw on the touched block, 8 * 8 = 64
+    # matvec: u = G dw, n * 8 = 40; rmatvec: G'u, n * 8 = 40
     # commit: theta_p, theta_u, c_p = 3
-    assert circ.touched == (0,)
+    assert circ.touched == (0,) and circ.layers == [0]
     assert list(circ.counts.items()) == [
-        ("range", 82), ("assembly", 12), ("feasibility", 2), ("untouched", 4),
-        ("matvec", 64), ("commit", 3),
+        ("range", 76), ("assembly", 12), ("feasibility", 2), ("untouched", 4),
+        ("matvec", 40), ("rmatvec", 40), ("commit", 3),
     ]
-    assert constraint_report(circ)["total"] == 167
+    assert constraint_report(circ)["total"] == 177
 
 
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.data())
@@ -627,19 +679,43 @@ def test_touched_lists_the_blocks_that_hold_a_masked_coordinate(sizes, data):
     assert touched(sizes, support) == tuple(sorted({owner[i] for i in support}))
 
 
-def test_matvec_quadratic_scaling():
-    def count(db):
-        mask = make_mask(db, 2, np.arange(db, dtype=np.int64),
-                         np.array([0, 1], dtype=np.int64))
-        return synthesize(statement(mask, [db], 1 << 20), mask).counts["matvec"]
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.data())
+def test_block_spans_are_the_contiguous_parts_of_each_layer(dims, data):
+    """Blocks cut anywhere within each layer's weight and bias map to their
+    columns there; blocks whose int64 sums would wrap round to the model's
+    total are refused."""
+    sizes, want = [], []
+    for layer, (din, dout) in enumerate(zip(dims, dims[1:])):
+        for bias, total in ((False, din * dout), (True, dout)):
+            cuts = sorted(data.draw(st.sets(st.integers(1, total - 1)))
+                          if total > 1 else ())
+            for lo, hi in zip([0, *cuts], [*cuts, total]):
+                sizes.append(hi - lo)
+                want.append((layer, bias, lo, hi))
+    assert block_spans(dims, sizes) == want
+    wrapping = [*sizes[:-1], 2**63 - 1, 2**63 - 1, sizes[-1] + 2]
+    with pytest.raises(StructuralError, match="do not split"):
+        block_spans(dims, wrapping)
 
-    assert count(128) == 4 * count(64)
+
+def test_matvec_linear_scaling():
+    # both product families are n s_b rows: linear in the block's columns
+    # and in the rows, where C_b dw_b was s_b^2
+    def count(db, n):
+        mask = make_mask(db + 4, 2, np.arange(db + 4, dtype=np.int64),
+                         np.array([0, 1], dtype=np.int64))
+        circ = synthesize(statement(mask, [db, 4], 1 << 20, (db // 4, 4), n),
+                          mask)
+        assert circ.counts["rmatvec"] == circ.counts["matvec"]
+        return circ.counts["matvec"]
+
+    assert count(128, 10) == 2 * count(64, 10) == count(64, 20) == 1280
 
 
 def _one_block_statement(t_int=1 << 20):
-    mask = make_mask(8, 1, np.arange(8, dtype=np.int64),
+    mask = make_mask(12, 1, np.arange(12, dtype=np.int64),
                      np.array([3], dtype=np.int64))
-    return statement(mask, [8], t_int)
+    return statement(mask, [8, 4], t_int, (2, 4))
 
 
 def test_circuit_hash_sensitive_to_t_int():
@@ -647,16 +723,27 @@ def test_circuit_hash_sensitive_to_t_int():
             != circuit_hash(_one_block_statement(1 << 21)))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("layer_dims", (4, 2)), ("sample_count", 6), ("damping", 2e-3),
+    ("shift", 1)])
+def test_circuit_hash_binds_the_fisher_statement(field, value):
+    a = _one_block_statement()
+    assert circuit_hash(replace(a, **{field: value})) != circuit_hash(a)
+
+
 def test_circuit_hash_binds_c_p_packing(monkeypatch):
+    # com_c_p packs A and Delta, each at its own limb width
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
-    monkeypatch.setattr(circuit_module, "C_P_PACKING", "full-row-major")
-    assert circuit_hash(_one_block_statement()) != a
+    for name in ("LIMB_BITS_A", "LIMB_BITS_D"):
+        with monkeypatch.context() as m:
+            m.setattr(circuit_module, name, getattr(circuit_module, name) + 1)
+            assert circuit_hash(_one_block_statement()) != a
 
 
 @pytest.mark.parametrize("name, value", [
     ("LIMB_PACKING", "offset-limbs-msb-first"), ("ELEMENT_BITS", 250),
-    ("LIMB_BITS_W", LIMB_BITS_W + 1), ("LIMB_BITS_C", LIMB_BITS_C + 1)])
+    ("LIMB_BITS_W", LIMB_BITS_W + 1)])
 def test_circuit_hash_binds_limb_packing(monkeypatch, name, value):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
@@ -667,11 +754,14 @@ def test_circuit_hash_binds_limb_packing(monkeypatch, name, value):
 def test_circuit_hash_binds_range_bounds(monkeypatch):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
-    monkeypatch.setattr(circuit_module, "BOUND_C", 2 * BOUND_C)
-    assert circuit_hash(_one_block_statement()) != a
+    for name in ("BOUND_W", "BOUND_A", "BOUND_D", "BOUND_LAM"):
+        with monkeypatch.context() as m:
+            m.setattr(circuit_module, name, 2 * getattr(circuit_module, name))
+            assert circuit_hash(_one_block_statement()) != a
 
 
-@pytest.mark.parametrize("name", ["FRAC_BITS_W", "FRAC_BITS_C"])
+@pytest.mark.parametrize("name", ["FRAC_BITS_W", "FRAC_BITS_A", "FRAC_BITS_D",
+                                  "FRAC_BITS_T"])
 def test_circuit_hash_binds_precision(monkeypatch, name):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
@@ -695,6 +785,11 @@ def test_synthesize_rejects_block_sizes_not_summing_to_d():
     for bad in ((*sizes, 1), (*sizes[:-1], sizes[-1] - 1)):
         with pytest.raises(StructuralError, match="block sizes cover"):
             synthesize(replace(circuit.public, block_sizes=bad), mask)
+    # the right total, but a block that spans the last weight and its bias
+    # is no part of one layer's weight or bias
+    merged = (*sizes[:-2], sizes[-2] + sizes[-1])
+    with pytest.raises(StructuralError, match="do not split the layers"):
+        synthesize(replace(circuit.public, block_sizes=merged), mask)
 
 
 def test_constraint_report_totals():
@@ -749,36 +844,34 @@ def test_mock_prove_commit_mismatch():
 
 
 def test_block_order_independence():
-    # evaluating with a permuted block order must give the same verdict;
-    # mock_prove iterates blocks in layout order, so instead check that
-    # tampering any single block is caught regardless of which block
+    # tampering the factors of any touched layer is caught, whichever
+    # layer it is
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(10)
-    for bi, b in enumerate(circuit.touched):
-        blocks = list(w.c_blocks)
-        c = unpack_upper(blocks[bi], circuit.public.block_sizes[b])
-        c[0, 0] += 1 << (FRAC_BITS_C + 6)
-        blocks[bi] = pack_upper(c)
-        bad = replace(w, c_blocks=tuple(blocks))
+    for i, (a, d) in enumerate(w.factors):
+        factors = list(w.factors)
+        factors[i] = (a, d + (1 << (FRAC_BITS_D - 4)))
+        bad = replace(w, factors=tuple(factors))
         assert mock_prove(circuit, bad, rnd, check_commitments=False) is not None
 
 
-def test_symmetric_pair_tamper_fails_commitment():
-    # a +-1 change to the triangle entry C[0,1], which is also C[1,0],
-    # moves the residual by |dw| units, far inside T_int; only the
-    # commitment to the upper triangle sees it
+def test_unit_factor_tamper_fails_only_commitment():
+    # a +-1 change to a factor entry, with u recomputed, moves the residual
+    # by far less than T_int; only the commitment to the factors sees it
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(17)
     for sign in (1, -1):
-        blocks = [b.copy() for b in w.c_blocks]
-        blocks[0][1] += sign
-        bad = replace(w, c_blocks=tuple(blocks))
+        a, d = w.factors[0]
+        a = a.copy()
+        a[0, 0] += sign
+        bad = with_u(replace(w, factors=((a, d), *w.factors[1:])), circuit)
         assert mock_prove(circuit, bad, rnd, check_commitments=False) is None
         assert mock_prove(circuit, bad, rnd) == "commit/c_p"
 
 
 def _tamper_range(w, circuit):
-    blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0] = int(BOUND_C * 2**FRAC_BITS_C) + 1  # C[0, 0]
-    return replace(w, c_blocks=tuple(blocks)), circuit
+    a, d = w.factors[0]
+    a = a.copy()
+    a[0, 0] = int(BOUND_A * 2**FRAC_BITS_A) + 1
+    return replace(w, factors=((a, d), *w.factors[1:])), circuit
 
 
 def _tamper_assembly(w, circuit):
@@ -810,6 +903,13 @@ def _tamper_untouched(w, circuit):
 
 
 def _tamper_matvec(w, circuit):
+    u = list(w.u)
+    u[0] = u[0].copy()
+    u[0][0] += 1
+    return replace(w, u=tuple(u)), circuit
+
+
+def _tamper_rmatvec(w, circuit):
     return replace(w, lam=w.lam * 2), circuit
 
 
@@ -824,19 +924,21 @@ TAMPERS = {
     "assembly": (_tamper_assembly, "assembly["),
     "feasibility": (_tamper_feasibility, "feasibility["),
     "untouched": (_tamper_untouched, "untouched["),
-    "matvec": (_tamper_matvec, "stationarity["),
+    "matvec": (_tamper_matvec, "matvec["),
+    "rmatvec": (_tamper_rmatvec, "stationarity["),
     "commit": (_tamper_commit, "commit/"),
 }
 
 
 def test_range_catches_int64_min_curvature():
-    # np.abs(int64 min) is int64 min, which a max-of-abs bound misses
+    # the smallest int64, whose np.abs is itself, as a factor entry
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(19)
-    blocks = [b.copy() for b in w.c_blocks]
-    blocks[0][0] = np.iinfo(np.int64).min  # C[0, 0]
-    bad = replace(w, c_blocks=tuple(blocks))
+    a, d = w.factors[0]
+    d = d.copy()
+    d[0, 0] = np.iinfo(np.int64).min
+    bad = replace(w, factors=((a, d), *w.factors[1:]))
     violation = mock_prove(circuit, bad, rnd, check_commitments=False)
-    assert violation == "range/c_p[block 0]"
+    assert violation == f"range/delta[layer {circuit.layers[0]}][0]"
 
 
 def test_range_bounds_are_circuit_constants():
@@ -860,25 +962,28 @@ def test_range_bounds_are_circuit_constants():
 
 
 def test_counts_follow_family_table():
-    # blocks of 6, 4, 9 and 11 coordinates, the mask in the middle two
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(18)
+    # a 3-4-2 model in blocks of 4, 4, 4, 4, 4, 4 and 2 coordinates over
+    # n = 40 rows: the mask touches the second part of the first weight,
+    # the second part of the last weight and the last bias, so the factors
+    # of both layers are committed
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(1)
     names = [f.name for f in FAMILIES]
     assert list(circuit.counts) == names
     assert list(constraint_report(circuit))[:-2] == names
     assert sorted(TAMPERS) == sorted(names)
-    assert circuit.public.block_sizes == (6, 4, 9, 11)
-    assert circuit.touched == (1, 2)
-    k = mask.budget
+    assert circuit.public.block_sizes == (4, 4, 4, 4, 4, 4, 2)
+    assert (circuit.touched, circuit.layers) == ((1, 5, 6), [0, 1])
+    k, n, s = mask.budget, 40, 4 + 4 + 2
     assert circuit.counts == {
-        "range": 3 * 30 + k + (10 + 4) + (45 + 9), "assembly": 30,
-        "feasibility": k, "untouched": 6 + 11, "matvec": 4 * 4 + 9 * 9,
-        "commit": 3}
+        "range": 3 * 26 + k + n * (3 + 4) + n * (4 + 2) + s, "assembly": 26,
+        "feasibility": k, "untouched": 26 - s, "matvec": n * s,
+        "rmatvec": n * s, "commit": 3}
 
 
 @pytest.mark.parametrize("family", [f.name for f in FAMILIES])
 def test_each_family_catches_its_tamper(family):
-    # blocks 0 and 3 of this instance hold no masked coordinate
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(18)
+    # blocks 0, 2, 3 and 4 of this instance hold no masked coordinate
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(1)
     tamper, prefix = TAMPERS[family]
     bad, bad_circuit = tamper(w, circuit)
     violation = mock_prove(bad_circuit, bad, rnd)
@@ -899,8 +1004,9 @@ def single_coordinate_edits(draw):
     (assembly), a delta_w entry on the mask (feasibility, which assembly
     reports first), and a multiplier by at least 2^(4 - f_w), 16 units
     (stationarity).  An edit past the field's bound is the range family's.
-    The curvature is left out: no family binds it to theta_p or the
-    data, so it is a free witness (test_free_curvature_witness_rejected)."""
+    The layer factors are left out: no family binds them to theta_p or
+    the data, so they are a free witness
+    (test_free_curvature_witness_rejected)."""
     seed = draw(st.integers(0, 5))
     *_, w, circuit, _, _ = _cached_honest_instance(seed)
     field = draw(st.sampled_from(["theta_u", "delta_w", "lam"]))
@@ -940,8 +1046,8 @@ def test_backend_prove_verify_round_trip():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(11)
     public = circuit.public
     assert public == PublicInputs(
-        mask.digest, tuple(s for _, s, _ in fisher.layout.blocks),
-        *commit_witness(w, rnd), public.t_int)
+        mask.digest, tuple(s for _, s, _ in fisher.layout.blocks), (3, 4, 2),
+        40, 1e-3, w.shift, *commit_witness(w, rnd), public.t_int)
     assert proof.tag == tag_over(circuit_hash(public), public)
     assert MockBackend().verify(proof, public)
 
@@ -973,8 +1079,7 @@ def test_backend_refuses_unsatisfiable_witness():
     ints[0] += 12345
     bad = replace(w, theta_u=ints)
     with pytest.raises(UnsatisfiableWitnessError, match="assembly"):
-        MockBackend().prove(bad, mask, circuit.public.block_sizes,
-                            circuit.public.t_int, rnd)
+        MockBackend().prove(bad, mask, circuit.public, rnd)
 
 
 def test_public_inputs_json_round_trip():
@@ -985,7 +1090,7 @@ def test_public_inputs_json_round_trip():
 def test_public_inputs_reject_t_int_at_tamper_threshold():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(15)
     obj = circuit.public.to_json()
-    threshold = 1 << (FRAC_BITS_C + 4)
+    threshold = T_INT_THRESHOLD
     for t_int in (threshold - 1, threshold >> 1):
         assert PublicInputs.from_json({**obj, "t_int": t_int}).t_int == t_int
     for t_int in (threshold, 1 << 200):
@@ -993,43 +1098,68 @@ def test_public_inputs_reject_t_int_at_tamper_threshold():
             PublicInputs.from_json({**obj, "t_int": t_int})
 
 
-def forge_free_curvature(r, untouched_block=None):
+def forge_free_curvature(r, untouched_block=None, t=0.25):
     """The honest tiny-config run ``r``'s witness and circuit, forged: keep
-    theta_p, the mask, the randomness and the honest t_int, set delta_w off
-    the mask to arbitrary values up to 0.5 on every touched block, and on
-    block ``untouched_block`` too when it is given, and pick each touched
-    block C_b = I - u u'/|u|^2 with u = delta_w_b and lam = 0, so that
-    C delta_w = 0 exactly.  Returns the forged witness and its circuit."""
+    theta_p, the mask, the randomness, the public damping, shift and t_int,
+    move delta_w at one unmasked coordinate (r0, c0) of the touched block
+    by ``t`` (and the first coordinate of block ``untouched_block`` too,
+    when given), and pick layer factors that make it stationary.  With one
+    sample row, a = e_r0 and Delta = e_c0 + beta e_c, c a masked column of
+    row r0, G'G dw = g (g'dw) with g = a (x) Delta; beta = t (1 + n lam) /
+    theta_(r0, c) makes row (r0, c0) equal -n lam t, every other unmasked
+    row 0, and the multipliers absorb the masked rows.  Returns the forged
+    witness and its circuit."""
     w, rnd, circuit = r.witness, r.randomness, r.circuit
-    slices = [sl for sl, _ in r.fisher.layout.slices()]
-    free = circuit.touched + (() if untouched_block is None
-                              else (untouched_block,))
-    rng = np.random.default_rng(3)
+    public, support = circuit.public, list(circuit.support)
+    (b,), (layer,) = circuit.touched, circuit.layers
+    n, (din, dout) = public.sample_count, public.layer_dims[layer:layer + 2]
+    _, _, lo, hi = circuit.spans[b]
+    start = block_slices(circuit.public.block_sizes)[b].start
+
+    def coordinate(row, col):
+        return start + row * dout + col - lo
+
+    # the masked coordinate of largest |theta| whose row of W also holds an
+    # unmasked coordinate of the block
+    (r0, c, c0) = max(
+        ((row, col, free) for row in range(din) for col in range(dout)
+         for free in range(dout)
+         if lo <= row * dout + min(col, free) <= row * dout + max(col, free)
+         < hi and coordinate(row, col) in support
+         and coordinate(row, free) not in support),
+        key=lambda x: abs(int(w.theta_p[coordinate(x[0], x[1])])))
+    theta = w.theta_p[coordinate(r0, c)] * 2.0**-FRAC_BITS_W
+    beta = t * (1 + n * public.damping) / theta
+    a, d = np.zeros((n, din)), np.zeros((n, dout))
+    a[0, r0], d[0, c0], d[0, c] = 1.0, 1.0, beta
+    factors = ((np.rint(a * 2**FRAC_BITS_A).astype(np.int64),
+                np.rint(d * 2**FRAC_BITS_D).astype(np.int64)),)
     dw = np.zeros_like(w.delta_w)
-    for b in free:
-        size = slices[b].stop - slices[b].start
-        dw[slices[b]] = np.rint(rng.uniform(-0.5, 0.5, size) * 2**FRAC_BITS_W)
-    support = list(circuit.support)
     dw[support] = -w.theta_p[support]
-    blocks = []
-    for b in circuit.touched:
-        u = dw[slices[b]].astype(np.float64)
-        c = np.eye(u.size) - np.outer(u, u) / (u @ u)
-        blocks.append(pack_upper(np.rint(c * 2**FRAC_BITS_C).astype(np.int64)))
-    forged = FixedWitness(
-        theta_p=w.theta_p, theta_u=w.theta_p + dw, delta_w=dw,
-        lam=np.zeros_like(w.lam), c_blocks=tuple(blocks))
+    dw[coordinate(r0, c0)] = round(t * 2**FRAC_BITS_W)
+    if untouched_block is not None:
+        dw[block_slices(circuit.public.block_sizes)[untouched_block].start] = 1
+    forged = with_u(replace(w, theta_u=w.theta_p + dw, delta_w=dw,
+                            factors=factors), circuit)
+    # the multipliers that zero the masked rows: -(G'u + n lam dw) / n
+    gtu = factor_parts(circuit.spans, (b,), [layer], factors,
+                       exact=True)[0].rmatvec(forged.u[0])
+    damping = n * round(public.damping * 2.0 ** (2 * FRAC_BITS_G))
+    unit = n << (2 * FRAC_BITS_G + public.shift)
+    lam = [round(-(int(gtu[i - start]) + damping * int(dw[i])) / unit)
+           for i in support]
+    forged = replace(forged, lam=np.array(lam, dtype=np.int64))
     roots = commit_witness(forged, rnd)
-    assert roots[0] == circuit.public.com_theta_p
+    assert roots[0] == public.com_theta_p
     return forged, with_public(circuit, com_theta_u=roots[1], com_c_p=roots[2])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the circuit does not bind the touched blocks' "
-                          "curvature to theta_p or the data")
+                   reason="the circuit does not bind the layer factors to "
+                          "theta_p or the data")
 def test_free_curvature_witness_rejected():
-    """Any edit of theta_p off the mask within the touched blocks, with a
-    curvature chosen to make it stationary, must be rejected."""
+    """An edit of theta_p off the mask within a touched block, by 0.25,
+    with layer factors chosen to make it stationary, must be rejected."""
     from veriforget import pipeline
     r = pipeline.run_pipeline(3, tiny_config())
     forged, circuit = forge_free_curvature(r)
@@ -1039,7 +1169,7 @@ def test_free_curvature_witness_rejected():
 def test_free_curvature_forgery_on_an_untouched_block_rejected():
     """The same forgery carried onto a block the mask does not touch, the
     tiny model's output weights, fails at that block's first coordinate:
-    no curvature can make a step there stationary."""
+    no factors can make a step there stationary."""
     from veriforget import pipeline
     r = pipeline.run_pipeline(3, tiny_config())
     labels = r.fisher.layout.labels
@@ -1051,23 +1181,23 @@ def test_free_curvature_forgery_on_an_untouched_block_rejected():
 
 
 def test_mock_prove_rejects_a_truncated_witness():
-    """A witness one curvature triangle short, whose last weight moved by
-    12345 units with theta_u and the curvature recommitted, fails on its
-    shape: no trailing block may go unchecked."""
+    """A witness one layer's factors short, whose last weight moved by
+    12345 units with theta_u and the factors recommitted, fails on its
+    shape: no touched layer may go unchecked."""
     from veriforget import pipeline
     r = pipeline.run_pipeline(7, demo_config(run_gold=False))
     w, rnd = r.witness, r.randomness
     dw, tu = w.delta_w.copy(), w.theta_u.copy()
     dw[-1] += 12345
     tu[-1] += 12345
-    bad = replace(w, c_blocks=w.c_blocks[:-1], delta_w=dw, theta_u=tu)
+    bad = replace(w, factors=w.factors[:-1], delta_w=dw, theta_u=tu)
     _, com_theta_u, com_c_p = commit_witness(bad, rnd)
     circuit = with_public(r.circuit, com_theta_u=com_theta_u, com_c_p=com_c_p)
-    assert mock_prove(circuit, bad, rnd) == "shape/c_p"
+    assert mock_prove(circuit, bad, rnd) == "shape/factors"
 
 
 @pytest.mark.parametrize("name", ["theta_p", "theta_u", "delta_w", "lam"])
 def test_mock_prove_rejects_a_short_vector(name):
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(18)
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(1)
     bad = replace(w, **{name: getattr(w, name)[:-1]})
     assert mock_prove(circuit, bad, rnd) == f"shape/{name}"
