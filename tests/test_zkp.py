@@ -732,18 +732,19 @@ def test_circuit_hash_binds_the_fisher_statement(field, value):
 
 
 def test_circuit_hash_binds_c_p_packing(monkeypatch):
-    # com_c_p packs A and Delta, each at its own limb width
+    # com_c_p packs A and Delta, each at its own limb width: swapping the
+    # two widths is a different packing
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
-    for name in ("LIMB_BITS_A", "LIMB_BITS_D"):
-        with monkeypatch.context() as m:
-            m.setattr(circuit_module, name, getattr(circuit_module, name) + 1)
-            assert circuit_hash(_one_block_statement()) != a
+    monkeypatch.setattr(circuit_module, "LIMB_BITS_A", LIMB_BITS_D)
+    monkeypatch.setattr(circuit_module, "LIMB_BITS_D", LIMB_BITS_A)
+    assert circuit_hash(_one_block_statement()) != a
 
 
 @pytest.mark.parametrize("name, value", [
     ("LIMB_PACKING", "offset-limbs-msb-first"), ("ELEMENT_BITS", 250),
-    ("LIMB_BITS_W", LIMB_BITS_W + 1)])
+    ("LIMB_BITS_W", LIMB_BITS_W + 1), ("LIMB_BITS_A", LIMB_BITS_A + 1),
+    ("LIMB_BITS_D", LIMB_BITS_D + 1)])
 def test_circuit_hash_binds_limb_packing(monkeypatch, name, value):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
