@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -314,7 +314,8 @@ def save_public(path: str, public: PublicInputs, inputs: dict | None = None) -> 
 
 @_reader
 def load_public(path: str) -> PublicInputs:
-    obj = _read_json(path)
+    obj = _exact_keys(path, _read_json(path),
+                      [f.name for f in fields(PublicInputs)] + ["inputs"])
     obj.pop("inputs", None)  # provenance, not statement
     return PublicInputs.from_json(obj)
 

@@ -171,7 +171,7 @@ def run_zk_layer(
     statement = zkp.PublicInputs(
         mask.digest, tuple(size for _, size, _ in fisher.layout.blocks),
         theta_p.layer_dims, fisher.sample_count, float(fisher.lam),
-        witness.shift, 0, 0, 0,
+        witness.shift, witness.factor_shift, 0, 0, 0,
         zkp.default_t_int(witness, fisher, mask, cert.inf_norms[2]))
     rng = stream_rng(seed, "commit")
     randomness = tuple(int(x) for x in rng.integers(0, 2**63, size=3))

@@ -12,7 +12,8 @@ over the field and is the normative semantics of the certificate.
 Stationarity has rows only on the touched blocks, those that hold a
 masked coordinate; Group-OBS decouples by block, so ``untouched`` states
 delta_w = 0 on every other block.  The curvature is committed as its
-layer factors (A, Delta), a free witness, and checked in factored form:
+layer factors (A, Delta), a free witness scaled by the public
+2^-factor_shift, and checked in factored form:
 ``matvec`` states u_b = G_b dw_b and ``rmatvec`` bounds G_b'u_b +
 n lam dw_b + n E lam_M, n s_b rows each for a block of s_b columns.
 
@@ -24,6 +25,7 @@ so it adds no family and ``commit`` stays one row per committed vector.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
@@ -40,13 +42,10 @@ from ..numkit import (
 )
 from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
 from .witness import (
-    BOUND_A,
-    BOUND_D,
+    BOUND_F,
     BOUND_LAM,
     BOUND_W,
-    FRAC_BITS_A,
-    FRAC_BITS_D,
-    FRAC_BITS_G,
+    FRAC_BITS_F,
     FRAC_BITS_T,
     FRAC_BITS_W,
     MAX_SHIFT,
@@ -60,8 +59,9 @@ from .witness import (
 @dataclass(frozen=True)
 class PublicInputs:
     """The statement: the mask's digest, the Fisher's block sizes, layer
-    dims, sample count n and damping, the encoder's shift, the roots of
-    the committed vectors and the stationarity window t_int."""
+    dims, sample count n and damping, the encoder's shifts of the
+    multipliers and of the factors, the roots of the committed vectors and
+    the stationarity window t_int."""
 
     mask_digest: str
     block_sizes: tuple[int, ...]
@@ -69,6 +69,7 @@ class PublicInputs:
     sample_count: int
     damping: float
     shift: int
+    factor_shift: int
     com_theta_p: int
     com_theta_u: int
     com_c_p: int
@@ -84,11 +85,7 @@ class PublicInputs:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PublicInputs":
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(obj) - set(names))
-        if unknown:
-            raise ValueError(f"public inputs hold unknown keys {unknown}")
-        values = {name: obj[name] for name in names}
+        values = {f.name: obj[f.name] for f in fields(cls)}
         sizes = lambda v: isinstance(v, list) and v and all(
             type(s) is int and s > 0 for s in v)
         hex64 = lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v)
@@ -98,8 +95,13 @@ class PublicInputs:
             ("sample_count", lambda v: type(v) is int and v > 0, "an int > 0"),
             ("shift", lambda v: type(v) is int and 0 <= v <= MAX_SHIFT,
              f"an int in [0, {MAX_SHIFT}]"),
-            ("damping", lambda v: type(v) is float and 0 < v <= BOUND_LAM,
-             f"a float in (0, {BOUND_LAM}]"),
+            ("factor_shift",
+             lambda v: type(v) is int and 0 <= v <= FRAC_BITS_F,
+             f"an int in [0, {FRAC_BITS_F}]"),
+            # read after both shifts are checked
+            ("damping", lambda v: type(v) is float and 0 < math.ldexp(
+                v, -4 * values["factor_shift"] - values["shift"]) <= BOUND_LAM,
+             f"a float > 0 within {BOUND_LAM}, scaled as the multipliers"),
             ("t_int", lambda v: type(v) is int and 0 <= v < T_INT_THRESHOLD,
              f"an int >= 0 below the multiplier tamper threshold "
              f"2^{FRAC_BITS_T + 4}"),
@@ -167,8 +169,7 @@ def limb_bits(bound: float, frac_bits: int) -> int:
 
 
 LIMB_BITS_W = limb_bits(BOUND_W, FRAC_BITS_W)
-LIMB_BITS_A = limb_bits(BOUND_A, FRAC_BITS_A)
-LIMB_BITS_D = limb_bits(BOUND_D, FRAC_BITS_D)
+LIMB_BITS_F = limb_bits(BOUND_F, FRAC_BITS_F)
 
 
 def pack_limbs(ints, bits: int) -> list[int]:
@@ -194,7 +195,7 @@ COMMITTED = (
     ("theta_p", lambda w: pack_limbs(w.theta_p, LIMB_BITS_W)),
     ("theta_u", lambda w: pack_limbs(w.theta_u, LIMB_BITS_W)),
     ("c_p", lambda w: [e for a, d in w.factors for e in (
-        *pack_limbs(a, LIMB_BITS_A), *pack_limbs(d, LIMB_BITS_D))]),
+        *pack_limbs(a, LIMB_BITS_F), *pack_limbs(d, LIMB_BITS_F))]),
 )
 
 
@@ -219,12 +220,12 @@ def _field(ints, i: int) -> int:
 
 def _range(circuit, w, randomness):
     lim_w, lim_lam = (int(b * 2**FRAC_BITS_W) for b in (BOUND_W, BOUND_LAM))
-    lim_a, lim_d = int(BOUND_A * 2**FRAC_BITS_A), int(BOUND_D * 2**FRAC_BITS_D)
+    lim_f = int(BOUND_F * 2**FRAC_BITS_F)
     vectors = [("theta_p", w.theta_p, lim_w), ("theta_u", w.theta_u, lim_w),
                ("delta_w", w.delta_w, lim_w), ("lam", w.lam, lim_lam)]
     for layer, (a, d) in zip(circuit.layers, w.factors):
-        vectors += [(f"a[layer {layer}]", a.ravel(), lim_a),
-                    (f"delta[layer {layer}]", d.ravel(), lim_d)]
+        vectors += [(f"a[layer {layer}]", a.ravel(), lim_f),
+                    (f"delta[layer {layer}]", d.ravel(), lim_f)]
     return _first(f"range/{name}[{i}]" for name, vec, limit in vectors
                   for i, x in enumerate(vec) if abs(int(x)) > limit)
 
@@ -257,7 +258,7 @@ def _products(circuit, w):
     """(block, slice, exact ``model.GradBlock``) of each touched block."""
     slices = block_slices(circuit.public.block_sizes)
     parts = factor_parts(circuit.spans, circuit.touched, circuit.layers,
-                         w.factors, exact=True)
+                         w.factors, circuit.public.factor_shift, exact=True)
     return [(b, slices[b], part) for b, part in zip(circuit.touched, parts)]
 
 
@@ -270,15 +271,18 @@ def _matvec(circuit, w, randomness):
 
 
 def _stationarity(circuit, w, randomness):
-    """|G_b'u_b + n lam dw_b + n E lam_M| <= n t_int 2^(shift + 2 f_g -
-    FRAC_BITS_T) over the field per row of a touched block, lam the public
-    damping at 2 f_g bits and lam_M at f_w bits scaled by 2^-shift."""
+    """|G_b'u_b + n lam dw_b + n E lam_M| <= n t_int 2^(shift + 4 f_f -
+    FRAC_BITS_T) over the field per row of a touched block, G_b over the
+    factors scaled by 2^-factor_shift, lam the public damping scaled by
+    2^(-4 factor_shift) at 4 f_f bits and lam_M at f_w bits scaled by
+    2^-shift further."""
     public = circuit.public
-    n, weight = public.sample_count, 2 * FRAC_BITS_G + public.shift
+    n, weight = public.sample_count, 4 * FRAC_BITS_F + public.shift
     lam = np.zeros(sum(public.block_sizes), dtype=object)
     for j, i in enumerate(circuit.support):
         lam[i] = n * int(w.lam[j]) << weight
-    damping = n * round(public.damping * 2.0 ** (2 * FRAC_BITS_G))
+    damping = n * round(math.ldexp(public.damping,
+                                   4 * (FRAC_BITS_F - public.factor_shift)))
     window = n * public.t_int << (weight - FRAC_BITS_T)
     dw = w.delta_w.astype(object)
     return _first(f"stationarity[{sl.start + i}]"
@@ -326,16 +330,16 @@ def circuit_hash(public: PublicInputs) -> str:
            if not k.startswith("com_")},
         **precision(), "t_bits": FRAC_BITS_T,
         "families": [f.name for f in FAMILIES],
-        "bounds": {"w": BOUND_W, "a": BOUND_A, "d": BOUND_D, "lam": BOUND_LAM},
+        "bounds": {"w": BOUND_W, "f": BOUND_F, "lam": BOUND_LAM},
         "limb_packing": {"scheme": LIMB_PACKING, "element_bits": ELEMENT_BITS},
     }))
 
 
 def precision() -> dict:
     """The fractional bits and limb widths of the weight-side vectors and
-    the layer factors A and Delta, as ``prove`` and ``verify`` report."""
-    return {"frac_bits": {"w": FRAC_BITS_W, "a": FRAC_BITS_A, "d": FRAC_BITS_D},
-            "limb_bits": {"w": LIMB_BITS_W, "a": LIMB_BITS_A, "d": LIMB_BITS_D}}
+    of the layer factors A and Delta, as ``prove`` and ``verify`` report."""
+    return {"frac_bits": {"w": FRAC_BITS_W, "f": FRAC_BITS_F},
+            "limb_bits": {"w": LIMB_BITS_W, "f": LIMB_BITS_F}}
 
 
 def synthesize(public: PublicInputs, mask: MaskArtifact) -> CertificateCircuit:

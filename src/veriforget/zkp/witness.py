@@ -13,6 +13,9 @@ the witness holds the layer factors, input activations A (n x din) and
 output errors Delta (n x dout), of each layer that holds a touched block,
 from one backward pass over the Fisher's rows.  The layer factors are a
 free witness: no constraint derives them from theta_p or the data.
+Stationarity is homogeneous: factors scaled by 2^-e scale G'G by 2^-4e,
+and the damping and multipliers scaled alike keep it, so the factors are
+scaled into BOUND_F by the least such e, the public ``factor_shift``.
 """
 
 from __future__ import annotations
@@ -36,25 +39,24 @@ from ..numkit import (
 
 # Fractional bits and magnitude limits, the circuit's and not the
 # prover's: the range family checks the limits and the circuit hash binds
-# them.  Each factor carries 40 bits, the most ``numkit.quantize`` takes,
-# so an entry of G_b is off by at most (max|A| + max|Delta|) 2^-41, under
-# 0.1% of the step's rounding in the honest residual on the demo's and the
-# 4-8-3 shapes.  A is an input feature or a tanh; Delta peaks at 2.1.
+# them.  Both factors, A and Delta, are held at 40 bits, the most
+# ``numkit.quantize`` takes, after the public scaling by 2^-factor_shift
+# that brings them within BOUND_F: an entry of G_b is then off by at most
+# (max|A| + max|Delta|) 2^-41, under 0.1% of the step's rounding in the
+# honest residual on the demo's and the 4-8-3 shapes.
 FRAC_BITS_W = 22  # f_w
-FRAC_BITS_A = 40  # f_a
-FRAC_BITS_D = 40  # f_d
-FRAC_BITS_G = FRAC_BITS_A + FRAC_BITS_D  # f_g: an entry a_r delta_c of G_b
+FRAC_BITS_F = 40  # f_f: A and Delta, so an entry a_r delta_c of G_b at 2 f_f
 BOUND_W = 64.0
-BOUND_LAM = 64.0  # the multipliers and the public damping
-BOUND_A = 64.0
-BOUND_D = 16.0
+BOUND_LAM = 64.0  # the multipliers, and the damping scaled as they are
+BOUND_F = 64.0
 # t_int bounds the residual R / n in units of 2^(shift - f_w - FRAC_BITS_T),
 # and a multiplier tamper of 16 units, 2^(shift - f_w + 4), moves it by
 # T_INT_THRESHOLD.  The shift is the least >= 0 that brings the row-sum
 # bound S (``_row_sum_bound``) within ROW_SUM_CAP, so the honest rounding
 # terms are at most 2^FRAC_BITS_T units, 16 times below the threshold.
-# An honest S is at most s_b (BOUND_A BOUND_D)^2 + BOUND_LAM, so MAX_SHIFT
-# admits blocks of up to 2^20 columns and keeps residuals below p/2.
+# An honest S is at most s_b BOUND_F^4 plus the scaled damping, so
+# MAX_SHIFT admits blocks of up to 2^17 columns at the factors' bound,
+# and keeps residuals below p/2.
 FRAC_BITS_T = 32
 T_INT_THRESHOLD = 1 << (FRAC_BITS_T + 4)
 ROW_SUM_CAP = 2.0
@@ -64,8 +66,9 @@ MAX_SHIFT = 40
 @dataclass(frozen=True)
 class FixedWitness:
     """The integer witness: the weight-side vectors and the multipliers
-    scaled by 2^-shift (public) at f_w bits, the factors (A, Delta) of each
-    touched layer and u_b = G_b dw_b of each touched block, in order."""
+    scaled by 2^-(4 factor_shift + shift) at f_w bits, the factors (A,
+    Delta) of each touched layer scaled by 2^-factor_shift at f_f bits and
+    u_b = G_b dw_b of each touched block, in order; both shifts public."""
 
     theta_p: np.ndarray
     theta_u: np.ndarray
@@ -74,6 +77,7 @@ class FixedWitness:
     factors: tuple[tuple[np.ndarray, np.ndarray], ...]
     u: tuple[np.ndarray, ...]
     shift: int
+    factor_shift: int
 
 
 def block_spans(layer_dims, block_sizes) -> list[tuple[int, bool, int, int]]:
@@ -96,11 +100,14 @@ def block_spans(layer_dims, block_sizes) -> list[tuple[int, bool, int, int]]:
             for p, c, size in zip(owner.tolist(), cuts, block_sizes)]
 
 
-def factor_parts(spans, blocks, layers, factors, exact=False) -> list:
+def factor_parts(spans, blocks, layers, factors, factor_shift,
+                 exact=False) -> list:
     """The ``model.GradBlock`` of each block of ``blocks`` over the factors
-    (A, Delta) of its layer, ``factors`` being those of ``layers`` (a bias
-    block's A is ones); ``exact``: over integer factors as Python ints."""
-    one = 1 << FRAC_BITS_A if exact else 1.0
+    (A, Delta) of its layer, ``factors`` being those of ``layers`` scaled by
+    2^-factor_shift (a bias block's A is ones, scaled alike); ``exact``:
+    over integer factors at f_f bits as Python ints."""
+    one = (1 << (FRAC_BITS_F - factor_shift) if exact
+           else 2.0**-factor_shift)
     by_layer = {layer: [f.astype(object) for f in pair] if exact else pair
                 for layer, pair in zip(layers, factors)}
     parts = []
@@ -123,27 +130,37 @@ def _layout(c_p: BlockFisher, mask: MaskArtifact):
     return block_slices(sizes), hit, spans, sorted({spans[b][0] for b in hit})
 
 
-def _row_sum_bound(factors, dw, c_p: BlockFisher, mask: MaskArtifact) -> float:
+def _row_sum_bound(factors, dw, factor_shift, c_p: BlockFisher,
+                   mask: MaskArtifact) -> float:
     """S = max over touched b of (4 e_b |dw_b|_1 max(Gbar'1) + max(Gbar'Gbar
-    1)) / n + lam + 2^(-2 f_g) max|dw_b|, dw in integer units: per row and
-    sample, in units of 2^(-f_w - 1), the rounding of the factors, of dw
-    through G'G + n lam I and of the damping.  Gbar = (|A| + eps_a) (x)
-    (|Delta| + eps_d), eps = 2^(-f - 1), bounds |G_b| and its quantized
-    |G_b^q|; e_b = max(|A| + eps_a) eps_d + max(|Delta| + eps_d) eps_a bounds
-    |G_b^q - G_b|."""
+    1)) / n + lam + 2^(-4 f_f) max|dw_b|, and at least lam, the damping
+    scaled by 2^(-4 factor_shift), dw in integer units: per row and sample,
+    in units of 2^(-f_w - 1), the rounding of the factors, of dw through
+    G'G + n lam I and of the damping.  Gbar = (|A| + eps) (x) (|Delta| +
+    eps), eps = 2^(-f_f - 1), bounds |G_b| and its quantized |G_b^q|; e_b =
+    (max(|A| + eps) + max(|Delta| + eps)) eps bounds |G_b^q - G_b|."""
     slices, hit, spans, layers = _layout(c_p, mask)
-    eps_a, eps_d = 2.0 ** (-FRAC_BITS_A - 1), 2.0 ** (-FRAC_BITS_D - 1)
-    gbar = [(np.abs(a) * 2.0**-FRAC_BITS_A + eps_a,
-             np.abs(d) * 2.0**-FRAC_BITS_D + eps_d) for a, d in factors]
-    n, worst = c_p.sample_count, 0.0
-    for b, part in zip(hit, factor_parts(spans, hit, layers, gbar)):
+    eps = 2.0 ** (-FRAC_BITS_F - 1)
+    gbar = [(np.abs(a) * 2.0**-FRAC_BITS_F + eps,
+             np.abs(d) * 2.0**-FRAC_BITS_F + eps) for a, d in factors]
+    n, lam = c_p.sample_count, math.ldexp(c_p.lam, -4 * factor_shift)
+    worst = lam
+    for b, part in zip(hit, factor_parts(spans, hit, layers, gbar,
+                                         factor_shift)):
         x = np.abs(dw[slices[b]]).astype(np.float64)
-        e_b = part.a_prev.max() * eps_d + part.delta.max() * eps_a
+        e_b = (part.a_prev.max() + part.delta.max()) * eps
         cols = part.rmatvec(np.ones(n)).max()
         rows = part.rmatvec(part.matvec(np.ones(x.size))).max()
-        worst = max(worst, (4 * e_b * x.sum() * cols + rows) / n + c_p.lam
-                    + 2.0 ** (-2 * FRAC_BITS_G) * x.max())
+        worst = max(worst, (4 * e_b * x.sum() * cols + rows) / n + lam
+                    + 2.0 ** (-4 * FRAC_BITS_F) * x.max())
     return worst
+
+
+def _least_shift(x: float, cap: float) -> int:
+    """The least e >= 0 with x 2^-e <= cap, exactly: the cap is a power of
+    two, and frexp's mantissa is 0.5 only on one."""
+    mantissa, exponent = math.frexp(x / cap)
+    return max(exponent - (mantissa == 0.5), 0)
 
 
 def encode_fixed_witness(theta_p: ParamVector, theta_u: ParamVector,
@@ -164,28 +181,32 @@ def encode_fixed_witness(theta_p: ParamVector, theta_u: ParamVector,
     # within quantization error; a mismatch means inconsistent inputs
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
-    if not c_p.lam <= BOUND_LAM:
-        raise NumericError(f"damping {c_p.lam} exceeds its bound {BOUND_LAM}")
     slices, hit, spans, layers = _layout(c_p, mask)
-    recipe, factors = c_p.recipe, {}
-    for layer in layer_grad_blocks(recipe.model, recipe.rows, recipe.block_cap):
-        b, _, part = layer[0]  # a weight part: it holds both factors
-        if spans[b][0] in layers:
-            factors[spans[b][0]] = tuple(
-                quantize(f, bits, bound).reshape(f.shape) for f, bits, bound in
-                ((part.a_prev, FRAC_BITS_A, BOUND_A),
-                 (part.delta, FRAC_BITS_D, BOUND_D)))
-    factors = tuple(factors[layer] for layer in layers)
-    # the least shift >= 0 with S 2^-shift <= ROW_SUM_CAP, exactly: the cap
-    # is a power of two, and frexp's mantissa is 0.5 only on one
-    mantissa, exponent = math.frexp(_row_sum_bound(factors, dw, c_p, mask)
-                                    / ROW_SUM_CAP)
-    shift = max(exponent - (mantissa == 0.5), 0)
-    parts = factor_parts(spans, hit, layers, factors, exact=True)
-    lam = quantize(np.asarray(lam, dtype=float) * 2.0**-shift, f_w, BOUND_LAM)
+    recipe = c_p.recipe
+    # the layers come last first; each one's first part is its weight's,
+    # which holds both factors
+    factors = [(part.a_prev, part.delta) for (b, _, part), *_ in
+               layer_grad_blocks(recipe.model, recipe.rows, recipe.block_cap)
+               if spans[b][0] in layers][::-1]
+    # quantize refuses NaN, infinities and entries past BOUND_F 2^f_f,
+    # where a bias block's ones would need negative fractional bits
+    factor_shift = min(_least_shift(max(
+        [0.0] + [float(np.abs(f).max()) for pair in factors for f in pair]),
+        BOUND_F), FRAC_BITS_F)
+    factors = tuple(tuple(
+        quantize(f * 2.0**-factor_shift, FRAC_BITS_F, BOUND_F).reshape(f.shape)
+        for f in pair) for pair in factors)
+    shift = _least_shift(_row_sum_bound(factors, dw, factor_shift, c_p, mask),
+                         ROW_SUM_CAP)
+    if shift > MAX_SHIFT:
+        raise NumericError(f"the row-sum bound needs a shift of {shift}, "
+                           f"beyond MAX_SHIFT {MAX_SHIFT}")
+    parts = factor_parts(spans, hit, layers, factors, factor_shift, exact=True)
+    lam = quantize(np.ldexp(np.asarray(lam, dtype=float),
+                            -4 * factor_shift - shift), f_w, BOUND_LAM)
     return FixedWitness(tp, tu, dw, lam, factors, tuple(
         part.matvec(dw[slices[b]].astype(object))
-        for b, part in zip(hit, parts)), shift)
+        for b, part in zip(hit, parts)), shift, factor_shift)
 
 
 def stationarity_bound_int(w: FixedWitness, c_p: BlockFisher,
@@ -193,12 +214,14 @@ def stationarity_bound_int(w: FixedWitness, c_p: BlockFisher,
                            solver_residual_inf: float = 0.0) -> int:
     """Analytic honest-residual bound, in t_int's units: the float
     residual G'G dw / n + lam dw + E lam_M is at most the solver residual,
-    and R / n differs from it by the roundings ``_row_sum_bound`` bounds
-    and the multipliers', 2^(FRAC_BITS_T - 1) units."""
-    rows = _row_sum_bound(w.factors, w.delta_w, c_p, mask)
+    scaled by 2^(-4 factor_shift) with the statement, and R / n differs
+    from it by the roundings ``_row_sum_bound`` bounds and the
+    multipliers', 2^(FRAC_BITS_T - 1) units."""
+    rows = _row_sum_bound(w.factors, w.delta_w, w.factor_shift, c_p, mask)
     worst = (rows * 2.0 ** (FRAC_BITS_T - 1 - w.shift)
              + 2.0 ** (FRAC_BITS_T - 1)
-             + solver_residual_inf * 2.0 ** (FRAC_BITS_W + FRAC_BITS_T - w.shift))
+             + solver_residual_inf * 2.0 ** (FRAC_BITS_W + FRAC_BITS_T
+                                             - 4 * w.factor_shift - w.shift))
     return int(math.ceil(worst))
 
 

@@ -37,6 +37,7 @@ from veriforget.numkit import (
     BlockStream,
     NumericError,
     ParamVector,
+    block_slices,
     canonical_json,
     sha256_hex,
 )
@@ -46,6 +47,7 @@ from veriforget.pipeline import (
     PipelineConfig,
 )
 from veriforget.zkp import PublicInputs
+from veriforget.zkp.witness import FRAC_BITS_F, factor_parts
 from veriforget.zkp.field import (
     _MDS,
     _RC,
@@ -418,9 +420,52 @@ def random_instance(rng, max_block=24, k_cap=None):
 def statement(mask, block_sizes, t_int, layer_dims, sample_count=5):
     """Public inputs for ``mask`` over a Fisher of ``sample_count`` rows of
     a model of ``layer_dims``, split into ``block_sizes``, with damping
-    1e-3, shift 0 and all-zero commitment roots."""
+    1e-3, both shifts 0 and all-zero commitment roots."""
     return PublicInputs(mask.digest, tuple(block_sizes), tuple(layer_dims),
-                        sample_count, 1e-3, 0, 0, 0, 0, t_int)
+                        sample_count, 1e-3, 0, 0, 0, 0, 0, t_int)
+
+
+def with_u(w, circuit):
+    """``w`` with u recomputed from its factors and delta_w, as an honest
+    prover would after changing either."""
+    parts = factor_parts(circuit.spans, circuit.touched, circuit.layers,
+                         w.factors, circuit.public.factor_shift, exact=True)
+    slices = block_slices(circuit.public.block_sizes)
+    dw = w.delta_w.astype(object)
+    return replace(w, u=tuple(part.matvec(dw[slices[b]]) for b, part
+                              in zip(circuit.touched, parts)))
+
+
+def reference_residual(w, circuit):
+    """Oracle: the integer stationarity residual R of every row of a
+    touched block, by its definition G_b'(G_b dw_b) + n lam dw_b +
+    n E lam_M, with G_b formed entry by entry from the factors scaled by
+    2^-e, e the factor shift: a_r delta_c for a weight block and
+    2^(f_f - e) delta_c for a bias block, and lam the damping scaled by
+    2^-4e."""
+    public = circuit.public
+    n, dims, e = public.sample_count, public.layer_dims, public.factor_shift
+    factors = dict(zip(circuit.layers, w.factors))
+    lam = np.zeros(w.delta_w.size, dtype=object)
+    lam[list(circuit.support)] = [
+        n * int(x) * 2 ** (4 * FRAC_BITS_F + public.shift) for x in w.lam]
+    damping = n * round(public.damping * 2.0 ** (4 * (FRAC_BITS_F - e)))
+    rows = {}
+    for b in circuit.touched:
+        layer, bias, lo, hi = circuit.spans[b]
+        a, d = factors[layer]
+        dout = dims[layer + 1]
+        g = np.empty((n, hi - lo), dtype=object)
+        for j, col in enumerate(range(lo, hi)):
+            for i in range(n):
+                left = (2 ** (FRAC_BITS_F - e) if bias
+                        else int(a[i, col // dout]))
+                g[i, j] = left * int(d[i, col % dout])
+        sl = block_slices(public.block_sizes)[b]
+        dw = w.delta_w[sl].astype(object)
+        r = g.T.dot(g.dot(dw)) + damping * dw + lam[sl]
+        rows.update(zip(range(sl.start, sl.stop), r))
+    return rows
 
 
 def tag_over(statement_hash, public):

@@ -38,6 +38,7 @@ from veriforget.obs import (
     group_obs_solve,
 )
 from veriforget.pipeline import demo_config, run_pipeline
+from veriforget.zkp.witness import FRAC_BITS_F, FRAC_BITS_T
 
 from conftest import (
     damped,
@@ -47,10 +48,12 @@ from conftest import (
     random_fisher,
     random_instance,
     random_mask,
+    reference_residual,
     small_dataset,
     square_blocks,
     statement,
     tiny_config,
+    with_u,
 )
 
 
@@ -268,6 +271,33 @@ def test_criterion_6_desk_scale_direction():
     report(6, "desk-scale unlearning direction", ok)
 
 
+def _factor_tamper(w, circ, trial):
+    """``w`` with the output error of sample ``trial`` mod n in the column
+    of the first touched block's first masked coordinate moved by the
+    least power of two units that takes a row's residual past 4 t_int,
+    and u recomputed, as a prover that keeps matvec honest would."""
+    public = circ.public
+    b = circ.touched[0]
+    layer, bias, lo, _ = circ.spans[b]
+    start = sum(public.block_sizes[:b])
+    j = next(i for i in circ.support if i >= start)
+    col = lo + j - start
+    c = col if bias else col % public.layer_dims[layer + 1]
+    k = circ.layers.index(layer)
+    a, d = w.factors[k]
+    window = 4 * public.t_int * (public.sample_count << (
+        public.shift + 4 * FRAC_BITS_F - FRAC_BITS_T))
+    for bits in range(FRAC_BITS_F + 6):
+        moved = d.copy()
+        moved[trial % len(d), c] += 1 << bits
+        factors = list(w.factors)
+        factors[k] = (a, moved)
+        bad = with_u(replace(w, factors=tuple(factors)), circ)
+        if max(map(abs, reference_residual(bad, circ).values())) > window:
+            return bad
+    raise AssertionError("no output error moves a residual past 4 t_int")
+
+
 def test_criterion_7_zk_smoke():
     cfg = tiny_config()
     ok = True
@@ -294,11 +324,12 @@ def test_criterion_7_zk_smoke():
             ints = w.lam.copy()
             ints[trial % ints.size] += 16
             bad = dict(lam=ints)
-        else:  # an output error of the touched layer, one unit of f_d
-            a, d = w.factors[0]
-            d = d.copy()
-            d[trial % d.shape[0], trial % d.shape[1]] += 1
-            bad = dict(factors=((a, d), *w.factors[1:]))
+        else:  # an output error of a touched block's masked column
+            violation = zkp.mock_prove(circ, _factor_tamper(w, circ, trial),
+                                       rnd, check_commitments=False)
+            if not (violation or "").startswith("stationarity["):
+                ok = False
+            continue
         tampered = replace(w, **bad)
         if zkp.mock_prove(circ, tampered, rnd, check_commitments=False) is None:
             ok = False

@@ -63,8 +63,8 @@ def sample(kind, bump=0.0):
     if kind == "mask":
         return random_mask(rng, layout, 3)
     if kind == "public":
-        return PublicInputs("cd" * 32, (4, 2), (2, 2), 7, 1e-3, 0, 1, 2, 3,
-                            1 << 30)
+        return PublicInputs("cd" * 32, (4, 2), (2, 2), 7, 1e-3, 0, 0, 1, 2,
+                            3, 1 << 30)
     return Proof(tag="01" * 32)
 
 

@@ -665,11 +665,17 @@ def _fisher_zero_samples(w, tmp):
         _public_field("sample_count", "string", "160"),
         _public_field("damping", "zero", 0.0),
         _public_field("damping", "int", 1),
-        _public_field("damping", "above_bound", 65.0),
+        # a damping beyond the multipliers' bound 64 even scaled as they
+        # are by the largest shifts, 2^-(4 * 40 + 40)
+        _public_field("damping", "above_bound", 2.0**207),
         _public_field("damping", "nan", float("nan")),
         _public_field("shift", "negative", -1),
         _public_field("shift", "bool", True),
         _public_field("shift", "above_max", 41),
+        _public_field("factor_shift", "missing", None),
+        _public_field("factor_shift", "negative", -1),
+        _public_field("factor_shift", "float", 0.0),
+        _public_field("factor_shift", "above_max", 41),
         # a proof holds its tag and no other key
         _header("proof_circuit_hash_added", "proof.prf",
                 _set("circuit_hash", "00" * 32), "verify", "--proof",
@@ -1372,8 +1378,7 @@ def test_prove_and_verify_report_the_circuit_precision(workdir, tmp_path):
     """The fractional bits and limb widths are the circuit's: prove and
     verify print them, as lines and in --json, and public.pub does not
     carry them."""
-    want = {"frac_bits": {"w": 22, "a": 40, "d": 40},
-            "limb_bits": {"w": 30, "a": 48, "d": 46}}
+    want = {"frac_bits": {"w": 22, "f": 40}, "limb_bits": {"w": 30, "f": 48}}
     out = str(tmp_path)
     verify = ("verify", "--proof", f"{out}/proof.prf",
               "--public", f"{out}/public.pub")
@@ -1387,6 +1392,28 @@ def test_prove_and_verify_report_the_circuit_precision(workdir, tmp_path):
     assert sorted(os.listdir(out)) == ["proof.prf", "public.pub"]
     with open(f"{out}/public.pub") as fh:
         assert not {"f_w", "f_c"} & set(json.load(fh))
+
+
+def test_prove_at_a_large_damping(workdir, tmp_path):
+    """A Fisher at damping 100, which fisher accepts, certifies, proves and
+    verifies: the statement scales the damping as it scales the
+    multipliers, so no damping is too large for the circuit."""
+    w, out = workdir, str(tmp_path)
+    for args in (
+        ("fisher", "--model", f"{w}/theta_p", "--data", f"{w}/personal.dset",
+         "--lambda", "100", "--seed", "3", "--out", f"{out}/fisher"),
+        ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+         "--fisher", f"{out}/fisher", "--out-dir", out),
+        _certify_args(w, theta_u=out, comp=out, fisher=out),
+        ("prove", *_certify_args(w, theta_u=out, comp=out, fisher=out)[1:],
+         "--out-dir", out),
+        ("verify", "--proof", f"{out}/proof.prf",
+         "--public", f"{out}/public.pub"),
+    ):
+        res = invoke(*args)
+        assert res.exit_code == 0, res.output
+    public = art.load_public(f"{out}/public.pub")
+    assert public.damping == 100.0 and public.shift >= 6
 
 
 def test_prove_records_every_input(workdir):

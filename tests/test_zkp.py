@@ -1,4 +1,5 @@
 import functools
+import math
 import multiprocessing
 import os
 import random
@@ -48,19 +49,15 @@ from veriforget.zkp.circuit import (
     COMMITTED,
     ELEMENT_BITS,
     FAMILIES,
-    LIMB_BITS_A,
-    LIMB_BITS_D,
+    LIMB_BITS_F,
     LIMB_BITS_W,
     limb_bits,
     pack_limbs,
 )
 from veriforget.zkp.field import LEAF_CHUNK
 from veriforget.zkp.witness import (
-    BOUND_A,
-    BOUND_D,
-    FRAC_BITS_A,
-    FRAC_BITS_D,
-    FRAC_BITS_G,
+    BOUND_F,
+    FRAC_BITS_F,
     FRAC_BITS_T,
     FRAC_BITS_W,
     MAX_SHIFT,
@@ -76,11 +73,13 @@ from conftest import (
     random_mask,
     reference_merkle_root,
     reference_permute,
+    reference_residual,
     report_cpus,
     small_dataset,
     statement,
     tag_over,
     tiny_config,
+    with_u,
 )
 from veriforget.pipeline import demo_config
 
@@ -101,46 +100,6 @@ def honest_zk_instance(seed, dims=(3, 4, 2), cap=4):
     w, circuit, proof, rnd = run_zk_layer(model, theta_u, comp, fisher, mask,
                                           seed)
     return fisher, model.params, mask, comp, w, circuit, proof, rnd
-
-
-def with_u(w, circuit):
-    """``w`` with u recomputed from its factors and delta_w, as an honest
-    prover would after changing either."""
-    parts = factor_parts(circuit.spans, circuit.touched, circuit.layers,
-                         w.factors, exact=True)
-    slices = block_slices(circuit.public.block_sizes)
-    dw = w.delta_w.astype(object)
-    return replace(w, u=tuple(part.matvec(dw[slices[b]]) for b, part
-                              in zip(circuit.touched, parts)))
-
-
-def reference_residual(w, circuit):
-    """Oracle: the integer stationarity residual R of every row of a
-    touched block, by its definition G_b'(G_b dw_b) + n lam dw_b +
-    n E lam_M, with G_b formed entry by entry from the factors,
-    a_r delta_c for a weight block and 2^f_a delta_c for a bias block."""
-    public = circuit.public
-    n, dims = public.sample_count, public.layer_dims
-    factors = dict(zip(circuit.layers, w.factors))
-    lam = np.zeros(w.delta_w.size, dtype=object)
-    lam[list(circuit.support)] = [
-        n * int(x) * 2 ** (2 * FRAC_BITS_G + public.shift) for x in w.lam]
-    damping = n * round(public.damping * 2.0 ** (2 * FRAC_BITS_G))
-    rows = {}
-    for b in circuit.touched:
-        layer, bias, lo, hi = circuit.spans[b]
-        a, d = factors[layer]
-        dout = dims[layer + 1]
-        g = np.empty((n, hi - lo), dtype=object)
-        for j, col in enumerate(range(lo, hi)):
-            for i in range(n):
-                left = 2**FRAC_BITS_A if bias else int(a[i, col // dout])
-                g[i, j] = left * int(d[i, col % dout])
-        sl = block_slices(circuit.public.block_sizes)[b]
-        dw = w.delta_w[sl].astype(object)
-        r = g.T.dot(g.dot(dw)) + damping * dw + lam[sl]
-        rows.update(zip(range(sl.start, sl.stop), r))
-    return rows
 
 
 def with_public(circuit, **changes):
@@ -307,7 +266,7 @@ def test_commit_witness_leaves_no_child_process(monkeypatch, tmp_path):
     vec = rng.integers(-1000, 1000, size=40)
     w = FixedWitness(theta_p=vec, theta_u=vec + 1, delta_w=np.ones(40, np.int64),
                      lam=np.zeros(0, np.int64), factors=((a, d),), u=(),
-                     shift=0)
+                     shift=0, factor_shift=0)
     randomness = (4, 5, 6)
     expected = tuple(reference_merkle_root(get(w), r)
                      for (_, get), r in zip(COMMITTED, randomness))
@@ -398,34 +357,33 @@ def unpack_limbs(elements, bits, n):
 
 
 def test_default_limb_widths():
-    assert (LIMB_BITS_W, LIMB_BITS_A, LIMB_BITS_D) == (30, 48, 46)
-    assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_A, 40),
-            limb_bits(BOUND_D, 40)) == (30, 48, 46)
-    assert (ELEMENT_BITS // 30, ELEMENT_BITS // 48, ELEMENT_BITS // 46) == (
-        8, 5, 5)
+    assert (LIMB_BITS_W, LIMB_BITS_F) == (30, 48)
+    assert (limb_bits(BOUND_W, 22), limb_bits(BOUND_F, 40)) == (30, 48)
+    assert (ELEMENT_BITS // 30, ELEMENT_BITS // 48) == (8, 5)
 
 
 def test_precision_constants_fit_their_budgets():
-    # each within quantize's 40 bits; each factor limb at most 50 bits, 5
-    # to a field element; and the largest residual the circuit forms, at
-    # n = 2^10 rows, blocks of 2^9 columns and MAX_SHIFT, below p/2
-    assert all(0 <= f <= 40 for f in (FRAC_BITS_W, FRAC_BITS_A, FRAC_BITS_D))
-    assert FRAC_BITS_G == FRAC_BITS_A + FRAC_BITS_D
-    assert max(LIMB_BITS_A, LIMB_BITS_D) <= 50
+    # each within quantize's 40 bits; the factor limb at most 50 bits, 5
+    # to a field element; and each term of the largest residual the
+    # circuit forms, at n = 2^10 rows, blocks of 2^9 columns and MAX_SHIFT,
+    # the damping scaled as the multipliers within BOUND_LAM, below p/8
+    assert all(0 <= f <= 40 for f in (FRAC_BITS_W, FRAC_BITS_F))
+    assert LIMB_BITS_F <= 50
     assert T_INT_THRESHOLD == 1 << (FRAC_BITS_T + 4)
-    g = int(BOUND_A * 2**FRAC_BITS_A) * int(BOUND_D * 2**FRAC_BITS_D)
+    g = int(BOUND_F * 2**FRAC_BITS_F) ** 2
     w, lam = int(BOUND_W * 2**FRAC_BITS_W), int(BOUND_LAM * 2**FRAC_BITS_W)
-    n, s = 2**10, 2**9
+    n, s, weight = 2**10, 2**9, 4 * FRAC_BITS_F + MAX_SHIFT
     assert n * s * g * g * w < MODULUS // 8
-    assert n * lam << (2 * FRAC_BITS_G + MAX_SHIFT) < MODULUS // 8
-    assert n * T_INT_THRESHOLD << (2 * FRAC_BITS_G + MAX_SHIFT) < MODULUS // 8
+    assert n * lam << weight < MODULUS // 8
+    assert n * (int(BOUND_LAM) << weight) * w < MODULUS // 8
+    assert n * T_INT_THRESHOLD << weight < MODULUS // 8
 
 
 @st.composite
 def in_range_vectors(draw):
     """A bound, a number of fractional bits quantize accepts, and a vector
     within bound * 2^frac that includes both extremes."""
-    bound = draw(st.sampled_from([BOUND_W, BOUND_A, BOUND_D]))
+    bound = draw(st.sampled_from([BOUND_W, BOUND_F]))
     frac = draw(st.integers(0, 40))
     lim = int(bound * 2**frac)
     values = draw(st.lists(st.integers(-lim, lim), min_size=0, max_size=40))
@@ -446,7 +404,7 @@ def test_packing_is_injective_in_range(case):
 
 def test_packing_is_total_on_int64():
     extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max] * 9)
-    for bits in (LIMB_BITS_W, LIMB_BITS_A, LIMB_BITS_D):
+    for bits in (LIMB_BITS_W, LIMB_BITS_F):
         assert all(0 <= e < 1 << ELEMENT_BITS
                    for e in pack_limbs(extremes, bits))
 
@@ -478,7 +436,7 @@ def test_curvature_limb_alias_fails_range():
     # layer's A[0, 0] and A[0, 1]
     a, d = w.factors[0]
     bad = replace(w, factors=(
-        (_alias(a.ravel(), 0, LIMB_BITS_A).reshape(a.shape), d),
+        (_alias(a.ravel(), 0, LIMB_BITS_F).reshape(a.shape), d),
         *w.factors[1:]))
     assert commit_witness(bad, rnd)[2] == circuit.public.com_c_p
     assert (mock_prove(circuit, bad, rnd)
@@ -548,7 +506,7 @@ def test_inconsistent_theta_u_rejected():
 def window_units(circuit):
     """One unit of t_int in the circuit's integer residual R."""
     public = circuit.public
-    return public.sample_count << (public.shift + 2 * FRAC_BITS_G
+    return public.sample_count << (public.shift + 4 * FRAC_BITS_F
                                    - FRAC_BITS_T)
 
 
@@ -626,24 +584,31 @@ def test_row_sum_just_above_a_power_of_two_scales_into_bound(monkeypatch, e):
 
 
 @settings(max_examples=examples(20), deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(-20, 2))
-def test_honest_curvature_within_bound(seed, log_scale):
-    # the factors of a model's layers, over rows at any scale up to 4 times
-    # the standard normal's, fit their range bounds and so their limbs
+@given(st.integers(0, 2**32 - 1), st.floats(-20, 15), st.floats(-30, 10))
+def test_honest_curvature_within_bound(seed, log_scale, log_lam):
+    # an honest instance over rows at any feature scale from 2^-20 to 2^15
+    # and any damping from 2^-30 to 2^10 proves: its factors, scaled by
+    # the public factor shift, fit their range bound and so their limbs,
+    # and verify loads its statement
     rng = np.random.default_rng(seed)
     model = init_mlp([3, 5, 4, 2], seed)
     model = model.with_params(rng.normal(0.0, 1.0, model.dim))
     data = small_dataset(rng, n=30, dim=3, classes=2)
     data = replace(data, features=data.features * 2.0**log_scale)
-    fisher = empirical_fisher_blockwise(model, data, block_cap=8)
+    fisher = empirical_fisher_blockwise(model, data, lam=2.0**log_lam,
+                                        block_cap=8)
     mask = make_mask(model.dim, 3, np.arange(model.dim),
                      np.array([0, 20, 44]))  # a block of every layer
-    zero = model.params.with_values(np.zeros(model.dim))
-    w = encode_fixed_witness(zero, zero, zero, np.zeros(3), fisher, mask)
+    comp, theta_u = compensate(model, mask, fisher)
+    w, circuit, proof, rnd = run_zk_layer(model, theta_u, comp, fisher, mask,
+                                          seed)
     assert len(w.factors) == 3
     for a, d in w.factors:
-        assert np.abs(a).max() <= int(BOUND_A * 2**FRAC_BITS_A)
-        assert np.abs(d).max() <= int(BOUND_D * 2**FRAC_BITS_D)
+        assert np.abs(a).max() <= int(BOUND_F * 2**FRAC_BITS_F)
+        assert np.abs(d).max() <= int(BOUND_F * 2**FRAC_BITS_F)
+    public = circuit.public
+    assert PublicInputs.from_json(public.to_json()) == public
+    assert MockBackend().verify(proof, public)
 
 
 # -- circuit / constraint counts --------------------------------------------------------
@@ -725,26 +690,30 @@ def test_circuit_hash_sensitive_to_t_int():
 
 @pytest.mark.parametrize("field, value", [
     ("layer_dims", (4, 2)), ("sample_count", 6), ("damping", 2e-3),
-    ("shift", 1)])
+    ("shift", 1), ("factor_shift", 1)])
 def test_circuit_hash_binds_the_fisher_statement(field, value):
     a = _one_block_statement()
     assert circuit_hash(replace(a, **{field: value})) != circuit_hash(a)
 
 
-def test_circuit_hash_binds_c_p_packing(monkeypatch):
-    # com_c_p packs A and Delta, each at its own limb width: swapping the
-    # two widths is a different packing
-    from veriforget.zkp import circuit as circuit_module
-    a = circuit_hash(_one_block_statement())
-    monkeypatch.setattr(circuit_module, "LIMB_BITS_A", LIMB_BITS_D)
-    monkeypatch.setattr(circuit_module, "LIMB_BITS_D", LIMB_BITS_A)
-    assert circuit_hash(_one_block_statement()) != a
+def test_circuit_hash_binds_c_p_packing():
+    # the packing the circuit hash's factor limb width binds: com_c_p's
+    # vector is A then Delta of each touched layer, row by row, each
+    # packed at LIMB_BITS_F from an element boundary
+    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(24)
+    elements, at = dict(COMMITTED)["c_p"](w), 0
+    for f in (f for pair in w.factors for f in pair):
+        count = -(-f.size // (ELEMENT_BITS // LIMB_BITS_F))
+        assert (unpack_limbs(elements[at : at + count], LIMB_BITS_F, f.size)
+                == f.ravel().tolist())
+        at += count
+    assert at == len(elements)
+    assert merkle_root(elements, rnd[2]) == circuit.public.com_c_p
 
 
 @pytest.mark.parametrize("name, value", [
     ("LIMB_PACKING", "offset-limbs-msb-first"), ("ELEMENT_BITS", 250),
-    ("LIMB_BITS_W", LIMB_BITS_W + 1), ("LIMB_BITS_A", LIMB_BITS_A + 1),
-    ("LIMB_BITS_D", LIMB_BITS_D + 1)])
+    ("LIMB_BITS_W", LIMB_BITS_W + 1), ("LIMB_BITS_F", LIMB_BITS_F + 1)])
 def test_circuit_hash_binds_limb_packing(monkeypatch, name, value):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
@@ -755,14 +724,13 @@ def test_circuit_hash_binds_limb_packing(monkeypatch, name, value):
 def test_circuit_hash_binds_range_bounds(monkeypatch):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
-    for name in ("BOUND_W", "BOUND_A", "BOUND_D", "BOUND_LAM"):
+    for name in ("BOUND_W", "BOUND_F", "BOUND_LAM"):
         with monkeypatch.context() as m:
             m.setattr(circuit_module, name, 2 * getattr(circuit_module, name))
             assert circuit_hash(_one_block_statement()) != a
 
 
-@pytest.mark.parametrize("name", ["FRAC_BITS_W", "FRAC_BITS_A", "FRAC_BITS_D",
-                                  "FRAC_BITS_T"])
+@pytest.mark.parametrize("name", ["FRAC_BITS_W", "FRAC_BITS_F", "FRAC_BITS_T"])
 def test_circuit_hash_binds_precision(monkeypatch, name):
     from veriforget.zkp import circuit as circuit_module
     a = circuit_hash(_one_block_statement())
@@ -845,14 +813,17 @@ def test_mock_prove_commit_mismatch():
 
 
 def test_block_order_independence():
-    # tampering the factors of any touched layer is caught, whichever
-    # layer it is
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(10)
-    for i, (a, d) in enumerate(w.factors):
-        factors = list(w.factors)
-        factors[i] = (a, d + (1 << (FRAC_BITS_D - 4)))
-        bad = replace(w, factors=tuple(factors))
-        assert mock_prove(circuit, bad, rnd, check_commitments=False) is not None
+    # moving every output error of any touched layer by 1/16, with u
+    # recomputed, is caught by the stationarity rows, whichever layer it
+    # is: instance 10 touches one layer, 11 two
+    for seed in (10, 11):
+        *_, w, circuit, proof, rnd = honest_zk_instance(seed)
+        for i, (a, d) in enumerate(w.factors):
+            factors = list(w.factors)
+            factors[i] = (a, d + (1 << (FRAC_BITS_F - 4)))
+            bad = with_u(replace(w, factors=tuple(factors)), circuit)
+            violation = mock_prove(circuit, bad, rnd, check_commitments=False)
+            assert violation.startswith("stationarity[")
 
 
 def test_unit_factor_tamper_fails_only_commitment():
@@ -871,7 +842,7 @@ def test_unit_factor_tamper_fails_only_commitment():
 def _tamper_range(w, circuit):
     a, d = w.factors[0]
     a = a.copy()
-    a[0, 0] = int(BOUND_A * 2**FRAC_BITS_A) + 1
+    a[0, 0] = int(BOUND_F * 2**FRAC_BITS_F) + 1
     return replace(w, factors=((a, d), *w.factors[1:])), circuit
 
 
@@ -1048,7 +1019,8 @@ def test_backend_prove_verify_round_trip():
     public = circuit.public
     assert public == PublicInputs(
         mask.digest, tuple(s for _, s, _ in fisher.layout.blocks), (3, 4, 2),
-        40, 1e-3, w.shift, *commit_witness(w, rnd), public.t_int)
+        40, 1e-3, w.shift, w.factor_shift, *commit_witness(w, rnd),
+        public.t_int)
     assert proof.tag == tag_over(circuit_hash(public), public)
     assert MockBackend().verify(proof, public)
 
@@ -1101,15 +1073,16 @@ def test_public_inputs_reject_t_int_at_tamper_threshold():
 
 def forge_free_curvature(r, untouched_block=None, t=0.25):
     """The honest tiny-config run ``r``'s witness and circuit, forged: keep
-    theta_p, the mask, the randomness, the public damping, shift and t_int,
+    theta_p, the mask, the randomness, the public damping, shifts and t_int,
     move delta_w at one unmasked coordinate (r0, c0) of the touched block
     by ``t`` (and the first coordinate of block ``untouched_block`` too,
     when given), and pick layer factors that make it stationary.  With one
     sample row, a = e_r0 and Delta = e_c0 + beta e_c, c a masked column of
     row r0, G'G dw = g (g'dw) with g = a (x) Delta; beta = t (1 + n lam) /
     theta_(r0, c) makes row (r0, c0) equal -n lam t, every other unmasked
-    row 0, and the multipliers absorb the masked rows.  Returns the forged
-    witness and its circuit."""
+    row 0, and the multipliers absorb the masked rows; lam and the factors
+    are those of the statement scaled by its factor shift.  Returns the
+    forged witness and its circuit."""
     w, rnd, circuit = r.witness, r.randomness, r.circuit
     public, support = circuit.public, list(circuit.support)
     (b,), (layer,) = circuit.touched, circuit.layers
@@ -1130,11 +1103,12 @@ def forge_free_curvature(r, untouched_block=None, t=0.25):
          and coordinate(row, free) not in support),
         key=lambda x: abs(int(w.theta_p[coordinate(x[0], x[1])])))
     theta = w.theta_p[coordinate(r0, c)] * 2.0**-FRAC_BITS_W
-    beta = t * (1 + n * public.damping) / theta
+    beta = t * (1 + n * math.ldexp(public.damping,
+                                   -4 * public.factor_shift)) / theta
     a, d = np.zeros((n, din)), np.zeros((n, dout))
     a[0, r0], d[0, c0], d[0, c] = 1.0, 1.0, beta
-    factors = ((np.rint(a * 2**FRAC_BITS_A).astype(np.int64),
-                np.rint(d * 2**FRAC_BITS_D).astype(np.int64)),)
+    factors = tuple(np.rint(f * 2**FRAC_BITS_F).astype(np.int64)
+                    for f in (a, d)),
     dw = np.zeros_like(w.delta_w)
     dw[support] = -w.theta_p[support]
     dw[coordinate(r0, c0)] = round(t * 2**FRAC_BITS_W)
@@ -1144,9 +1118,10 @@ def forge_free_curvature(r, untouched_block=None, t=0.25):
                             factors=factors), circuit)
     # the multipliers that zero the masked rows: -(G'u + n lam dw) / n
     gtu = factor_parts(circuit.spans, (b,), [layer], factors,
-                       exact=True)[0].rmatvec(forged.u[0])
-    damping = n * round(public.damping * 2.0 ** (2 * FRAC_BITS_G))
-    unit = n << (2 * FRAC_BITS_G + public.shift)
+                       public.factor_shift, exact=True)[0].rmatvec(forged.u[0])
+    damping = n * round(math.ldexp(public.damping,
+                                   4 * (FRAC_BITS_F - public.factor_shift)))
+    unit = n << (4 * FRAC_BITS_F + public.shift)
     lam = [round(-(int(gtu[i - start]) + damping * int(dw[i])) / unit)
            for i in support]
     forged = replace(forged, lam=np.array(lam, dtype=np.int64))
