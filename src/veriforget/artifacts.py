@@ -6,14 +6,18 @@ artifacts it was computed from) and each array's dtype, shape and
 sha256; and ``P.bin``, the arrays back to back, little-endian, written
 by one writer, ``_save``.  The header's digest binds the whole artifact.
 One reader, ``_load``, first checks the header in one place,
-``_checked``: it must declare exactly the arrays its kind holds, which
-its loader names, and each input it records that the caller names must
+``_checked``: it must hold no key but its kind's, which its loader
+names, and ``arrays`` and ``inputs``; it must declare exactly the arrays
+its kind holds; and each input it records that the caller names must
 carry the caller's digest.  It then checks the blob's length and reads
 each array, checked against its digest.  The Fisher artifact holds the
 estimate's recipe (``curvature.FisherRecipe``), never a curvature
-block: its sample rows, the damping, the row count, the block cap and
-the source digest.  Masks, public inputs and proofs are single JSON
-files.  Every writer returns the paths it wrote; every reader raises
+block: its sample rows, the damping, the block cap and the source
+digest.  No header restates what a blob or the model determines: n is
+the count of the Fisher's rows, its layout is ``model.column_layout`` of
+theta_p at the cap, and the compensation's layout is theta_p's.  Masks,
+public inputs and proofs are single JSON files, also of exactly their
+keys.  Every writer returns the paths it wrote; every reader raises
 ``numkit.StructuralError`` on a missing, truncated or malformed artifact.
 """
 
@@ -37,7 +41,6 @@ from .curvature import (
 from .masking import MaskArtifact
 from .model import Dataset, MlpModel, mlp_layout
 from .numkit import (
-    BlockLayout,
     ParamVector,
     StructuralError,
     canonical_json,
@@ -97,11 +100,21 @@ def _save(path: str, header: dict, arrays) -> list[str]:
         for a in arrays]})
 
 
-def _checked(path: str, header: dict, arrays, inputs: dict) -> list[dict]:
-    """The array specs of the header at ``path``, once they are exactly
-    ``arrays`` (dtype and shape, in blob order; a name in a shape is a
-    length the header sets), each with a string sha256, and each input it
-    records that ``inputs`` names has the digest ``inputs`` gives."""
+def _exact_keys(path: str, obj: dict, keys) -> dict:
+    """``obj``, once it holds no key outside ``keys``."""
+    if set(obj) - set(keys):
+        raise StructuralError(f"{path}: unknown keys "
+                              f"{sorted(set(obj) - set(keys))}")
+    return obj
+
+
+def _checked(path: str, header: dict, keys, arrays, inputs: dict) -> list[dict]:
+    """The array specs of the header at ``path``, once it holds no key but
+    ``keys``, ``arrays`` and ``inputs``, its specs are exactly ``arrays``
+    (dtype and shape, in blob order; a name in a shape is a length the
+    header sets), each with a string sha256, and each input it records
+    that ``inputs`` names has the digest ``inputs`` gives."""
+    _exact_keys(path, header, (*keys, "arrays", "inputs"))
     specs = header["arrays"]
     if not isinstance(specs, list) or len(specs) != len(arrays):
         raise StructuralError(f"{path}: header does not declare {len(arrays)} arrays")
@@ -124,12 +137,13 @@ def _checked(path: str, header: dict, arrays, inputs: dict) -> list[dict]:
     return specs
 
 
-def _load(path: str, arrays, inputs: dict) -> tuple[dict, list[np.ndarray]]:
+def _load(path: str, keys, arrays,
+          inputs: dict) -> tuple[dict, list[np.ndarray]]:
     """The header at ``path`` and its arrays, all checked: the header by
     ``_checked``, then the blob's length, before any array is read, then
     each array against its digest."""
     header = _read_json(path)
-    specs = _checked(path, header, arrays, inputs)
+    specs = _checked(path, header, keys, arrays, inputs)
     declared = 8 * sum(math.prod(spec["shape"]) for spec in specs)
     out = []
     with open(path + ".bin", "rb") as fh:
@@ -178,7 +192,8 @@ def save_model(path: str, model: MlpModel, inputs: dict | None = None) -> list[s
 
 @_reader
 def load_model(path: str, **inputs: str) -> MlpModel:
-    header, (values,) = _load(path, [("<f8", ("d",))], inputs)
+    header, (values,) = _load(path, ("layer_dims",), [("<f8", ("d",))],
+                              inputs)
     layer_dims = tuple(header["layer_dims"])
     check_ints("layer_dims", layer_dims)
     return MlpModel(
@@ -196,7 +211,8 @@ def save_dataset(path: str, data: Dataset) -> list[str]:
 
 @_reader
 def load_dataset(path: str) -> Dataset:
-    header, (x, y) = _load(path, [("<f8", ("n", "m")), ("<i8", ("n",))], {})
+    header, (x, y) = _load(path, ("name",),
+                           [("<f8", ("n", "m")), ("<i8", ("n",))], {})
     return Dataset(features=x, labels=y, name=header["name"])
 
 
@@ -207,14 +223,6 @@ def save_mask(path: str, mask: MaskArtifact, inputs: dict | None = None) -> list
     obj = mask.to_json()
     obj["inputs"] = inputs or {}
     return _write_json(path, obj)
-
-
-def _exact_keys(path: str, obj: dict, keys) -> dict:
-    """``obj``, once it holds no key outside ``keys``."""
-    if set(obj) - set(keys):
-        raise StructuralError(f"{path}: unknown keys "
-                              f"{sorted(set(obj) - set(keys))}")
-    return obj
 
 
 @_reader
@@ -228,8 +236,8 @@ def load_mask(path: str) -> MaskArtifact:
 
 def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> list[str]:
     """Write the Fisher as its recipe: the sample rows in subsample order,
-    with the damping, their count, the block cap and the source digest.
-    No block is formed or written."""
+    with the damping, the block cap and the source digest.  No block is
+    formed or written."""
     recipe = fisher.recipe
     if recipe is None:
         raise StructuralError("a Fisher given by its blocks alone has no "
@@ -237,7 +245,6 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> l
     check_block_cap(recipe.block_cap)
     return _save(path, {
         "lambda": fisher.lam,
-        "n": fisher.sample_count,
         "block_cap": recipe.block_cap,
         "source_digest": fisher.source_digest,
         "inputs": inputs or {},
@@ -249,17 +256,14 @@ def load_fisher(path: str, theta_p: MlpModel, **inputs: str) -> BlockFisher:
     """The Fisher artifact at ``path``, taken at ``theta_p``: its
     recipe, checked, whose blocks are formed as they are reached
     (``curvature.fisher_from_recipe``).  The header must name one of
-    ``curvature.BLOCK_CAPS`` and count the rows it stores, and the rows
-    must fit the model.  The layout is ``column_layout(theta_p, cap)``: no
-    header supplies it."""
+    ``curvature.BLOCK_CAPS``, and the rows must fit the model.  The layout
+    is ``column_layout(theta_p, cap)`` and n is the blob's row count: no
+    header supplies either."""
     header, (features, labels) = _load(
-        path, [("<f8", ("n", "m")), ("<i8", ("n",))], inputs)
+        path, ("lambda", "block_cap", "source_digest"),
+        [("<f8", ("n", "m")), ("<i8", ("n",))], inputs)
     check_number("fisher lambda", header["lambda"])
-    check_ints("fisher n", [header["n"]])
     check_block_cap(header["block_cap"])
-    if header["n"] != labels.size:
-        raise StructuralError(f"{path}: header counts {header['n']} rows, "
-                              f"the blob holds {labels.size}")
     if not isinstance(header["source_digest"], str):
         raise StructuralError(f"{path}: source digest is not a string")
     recipe = FisherRecipe(theta_p, Dataset(features=features, labels=labels),
@@ -273,19 +277,18 @@ def load_fisher(path: str, theta_p: MlpModel, **inputs: str) -> BlockFisher:
 def save_comp(path: str, comp: CompensationResult, inputs: dict | None = None) -> list[str]:
     return _save(path, {
         "method": comp.method,
-        "layout": comp.delta_w.layout.to_json(),
         "inputs": inputs or {},
     }, [comp.delta_w.values, comp.multipliers])
 
 
 @_reader
-def load_comp(path: str, **inputs: str) -> CompensationResult:
+def load_comp(path: str, theta_p: MlpModel, **inputs: str) -> CompensationResult:
+    """The compensation at ``path`` for ``theta_p``, whose layout its step
+    takes: no header supplies it."""
     header, (dw, multipliers) = _load(
-        path, [("<f8", ("d",)), ("<f8", ("k",))], inputs)
+        path, ("method",), [("<f8", ("d",)), ("<f8", ("k",))], inputs)
     return CompensationResult(
-        delta_w=ParamVector(
-            values=dw, layout=BlockLayout.from_json(header["layout"])
-        ),
+        delta_w=theta_p.params.with_values(dw),
         multipliers=multipliers,
         method=header["method"],
     )
@@ -299,7 +302,7 @@ def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
     given = input_digests(model=theta_p, mask=mask, fisher=fisher)
     model = load_model(theta_p)
     return (model, load_model(theta_u, **given),
-            load_comp(comp, **given), load_mask(mask),
+            load_comp(comp, model, **given), load_mask(mask),
             load_fisher(fisher, model, model=given["model"]))
 
 

@@ -312,14 +312,14 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau):
 @click.option("--mask", "mask_path", required=True)
 @click.option("--data", required=True, help="Forget-set .dset.")
 @click.option("--lambda-q", default=DEFAULT_LAM_Q, show_default=True, type=FiniteFloat())
-@click.option("--hessian", default="exact", show_default=True,
+@click.option("--hessian", default="fisher", show_default=True,
               type=click.Choice(["exact", "fisher"]))
 def report_bounds(tp_path, comp_path, mask_path, data, lambda_q, hessian):
     """Forget-loss gain bounds for the compensated update, and the
     measured forget-loss change it gives."""
     theta_p = art.load_model(tp_path)
-    comp = art.load_comp(comp_path, **art.input_digests(model=tp_path,
-                                                        mask=mask_path))
+    comp = art.load_comp(comp_path, theta_p, **art.input_digests(
+        model=tp_path, mask=mask_path))
     m = art.load_mask(mask_path)
     d_f = art.load_dataset(data)
     theta_u = theta_p.with_params(apply_unlearn(theta_p.params, comp, m).values)

@@ -3,8 +3,10 @@
 The Fisher's blocks are the model's blocks (``mlp.<i>.w``, ``mlp.<i>.b``)
 in layout order, each split contiguously at the block cap (``--block-cap``)
 into parts ``<label>/part<j>`` of ``cap`` coordinates and a shorter last
-one; a part of a weight block may start mid-row.  So the layout of a
-Fisher is ``model.column_layout(model, cap)``.
+one; a part of a weight block may start mid-row.  That rule is
+``model.column_blocks``, the one the certificate's statement derives its
+blocks by from the same cap, so the layout of a Fisher is
+``model.column_layout(model, cap)`` and no artifact lists it.
 
 An estimate is a fixed function of its **recipe**, ``FisherRecipe``: the
 model it is taken at, the rows of its seeded subsample in subsample
@@ -49,9 +51,10 @@ from .numkit import (
 DEFAULT_DAMPING = 1e-3
 DEFAULT_MAX_SAMPLES = 1024
 DEFAULT_BLOCK_CAP = 256
-# The block caps a Fisher artifact may name, so that a client cannot
-# choose the layout (one block of d coordinates makes every coordinate
-# touched).  An estimate in memory may use any cap.
+# The block caps a Fisher artifact or a statement (``zkp.PublicInputs``)
+# may name, so that a client cannot choose the layout (one block of d
+# coordinates makes every coordinate touched).  An estimate or a statement
+# in memory may use any cap.
 BLOCK_CAPS = (256, 512)
 
 

@@ -7,6 +7,7 @@ weight matrix / bias vector ("mlp.{i}.w", "mlp.{i}.b").
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +97,38 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def mlp_layout(layer_dims: list[int]) -> BlockLayout:
-    sizes = []
-    for i, (din, dout) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-        sizes.append((din * dout, f"mlp.{i}.w"))
-        sizes.append((dout, f"mlp.{i}.b"))
-    return BlockLayout.from_sizes(sizes)
+def column_blocks(layer_dims, cap) -> list[tuple[str, int, bool, int, int]]:
+    """(label, layer, bias, lo, hi) of each block of a model of
+    ``layer_dims`` split at ``cap``, in layout order: the weight W of each
+    layer (din x dout, flattened row by row), ``mlp.<i>.w``, then its bias,
+    ``mlp.<i>.b``, each whole when it fits ``cap``, else in parts
+    ``<label>/part<j>`` of ``cap`` columns and a shorter last one, a part
+    of W possibly starting mid-row; [lo, hi) are the block's columns of its
+    weight or bias.  The one split rule: of the parameters, of the Fisher's
+    blocks and of the statement's."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    blocks = []
+    for layer, (din, dout) in enumerate(zip(layer_dims, layer_dims[1:])):
+        for bias, size in ((False, din * dout), (True, dout)):
+            label = f"mlp.{layer}.{'b' if bias else 'w'}"
+            if size <= cap:
+                blocks.append((label, layer, bias, 0, size))
+            else:
+                blocks += [(f"{label}/part{j}", layer, bias, lo,
+                            min(lo + cap, size))
+                           for j, lo in enumerate(range(0, size, cap))]
+    return blocks
+
+
+def _layout(blocks) -> BlockLayout:
+    return BlockLayout.from_sizes((hi - lo, label)
+                                  for label, *_, lo, hi in blocks)
+
+
+def mlp_layout(layer_dims) -> BlockLayout:
+    """The parameters' layout: each weight and bias one block."""
+    return _layout(column_blocks(layer_dims, math.inf))
 
 
 @dataclass(frozen=True)
@@ -251,26 +278,10 @@ def _backward(layers, x: np.ndarray, y: np.ndarray, grads) -> None:
         np.add.reduce(delta, axis=0, out=gb)
 
 
-def _parts(label: str, size: int, cap: int):
-    """(label, lo, hi) of each part of a block of ``size`` split
-    contiguously at ``cap``: the block itself when it fits, else parts
-    ``<label>/part<j>`` of ``cap`` columns and a shorter last one."""
-    if size <= cap:
-        yield label, 0, size
-        return
-    for j, lo in enumerate(range(0, size, cap)):
-        yield f"{label}/part{j}", lo, min(lo + cap, size)
-
-
 def column_layout(model: MlpModel, cap: int) -> BlockLayout:
     """The labels and widths of the blocks ``grad_columns(model, ., cap)``
-    yields, known before any gradient is formed."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    return BlockLayout.from_sizes(
-        (hi - lo, label)
-        for _, size, block in model.params.layout.blocks
-        for label, lo, hi in _parts(block, size, cap))
+    yields (``column_blocks``), known before any gradient is formed."""
+    return _layout(column_blocks(model.layer_dims, cap))
 
 
 @dataclass(frozen=True)
@@ -380,21 +391,12 @@ def layer_grad_blocks(model: MlpModel, data: Dataset, cap: int):
     the rows of W it touches, so memory is O(n * (cap + 2 * dout)) per
     part and no n x d matrix is built.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    blocks = list(enumerate(column_blocks(model.layer_dims, cap)))
     check_fits(model, data)
-    blocks = model.params.layout.blocks
-    counts = [sum(1 for _ in _parts(label, size, cap))
-              for _, size, label in blocks]
     for li, a_prev, delta in _backprop(model.weights(), data.features,
                                        data.labels):
-        (_, w_size, w_label), (_, b_size, b_label) = blocks[2 * li : 2 * li + 2]
-        layer = [(label, GradBlock(a_prev, delta, lo, hi))
-                 for label, lo, hi in _parts(w_label, w_size, cap)]
-        layer += [(label, GradBlock(None, delta, lo, hi))
-                  for label, lo, hi in _parts(b_label, b_size, cap)]
-        first = sum(counts[: 2 * li])
-        yield [(first + j, label, part) for j, (label, part) in enumerate(layer)]
+        yield [(i, label, GradBlock(None if bias else a_prev, delta, lo, hi))
+               for i, (label, layer, bias, lo, hi) in blocks if layer == li]
 
 
 def grad_blocks(model: MlpModel, data: Dataset, cap: int) -> list:
@@ -410,8 +412,8 @@ def grad_blocks(model: MlpModel, data: Dataset, cap: int) -> list:
 
 def grad_columns(model: MlpModel, data: Dataset, cap: int):
     """Yield (label, n x s per-example gradient columns) for each block of
-    the model's layout, in order, split at ``cap`` as by ``_parts``, from
-    one backward pass (``grad_blocks``)."""
+    ``column_layout(model, cap)``, in order, from one backward pass
+    (``grad_blocks``)."""
     for label, block in grad_blocks(model, data, cap):
         yield label, block.columns()
 

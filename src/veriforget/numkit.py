@@ -110,18 +110,6 @@ class BlockLayout:
                 return slice(offset, offset + size)
         raise KeyError(label)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"offset": o, "size": s, "label": l} for o, s, l in self.blocks
-        ]
-
-    @classmethod
-    def from_json(cls, entries) -> "BlockLayout":
-        blocks = tuple((e["offset"], e["size"], e["label"]) for e in entries)
-        check_ints("layout offsets and sizes", (x for b in blocks for x in b[:2]))
-        total = blocks[-1][0] + blocks[-1][1] if blocks else 0
-        return cls(blocks=blocks, total_dim=total)
-
 
 def block_slices(sizes) -> list[slice]:
     """The coordinate slice of each block of ``sizes``, in layout order."""

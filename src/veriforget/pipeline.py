@@ -169,7 +169,7 @@ def run_zk_layer(
         theta_p.params, theta_u.params, comp.delta_w, comp.multipliers,
         fisher, mask)
     statement = zkp.PublicInputs(
-        mask.digest, tuple(size for _, size, _ in fisher.layout.blocks),
+        mask.digest, fisher.recipe.block_cap,
         theta_p.layer_dims, fisher.sample_count, float(fisher.lam),
         witness.shift, witness.factor_shift, 0, 0, 0,
         zkp.default_t_int(witness, fisher, mask, cert.inf_norms[2]))

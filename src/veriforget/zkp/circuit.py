@@ -3,11 +3,15 @@
 Every constraint family is one entry of the ordered table ``FAMILIES``,
 its row count and its check, which the mock prover and the constraint
 report read.  The statement lives in ``PublicInputs``; a circuit is those
-public inputs plus the mask support their digest binds.  The circuit
-hash is a function of the statement (every public field but the roots)
-and of the circuit's constants, so a verifier derives it and never reads
-it from a proof.  The mock prover evaluates every constraint directly
-over the field and is the normative semantics of the certificate.
+public inputs plus the mask support their digest binds.  The statement
+names the Fisher's block cap, not its blocks: the blocks, their sizes and
+their columns of each layer are ``model.column_blocks`` of the layer dims
+at that cap, derived by the circuit and never read from a file.  The
+circuit hash is a function of the statement (every public field but the
+roots) and of the circuit's constants, so a verifier derives it and never
+reads it from a proof, and neither it nor the verifier lists a block.
+The mock prover evaluates every constraint directly over the field and
+is the normative semantics of the certificate.
 
 Stationarity has rows only on the touched blocks, those that hold a
 masked coordinate; Group-OBS decouples by block, so ``untouched`` states
@@ -32,7 +36,9 @@ from typing import Callable
 
 import numpy as np
 
+from ..curvature import BLOCK_CAPS
 from ..masking import MaskArtifact
+from ..model import column_blocks, mlp_layout
 from ..numkit import (
     StructuralError,
     block_slices,
@@ -51,20 +57,21 @@ from .witness import (
     MAX_SHIFT,
     T_INT_THRESHOLD,
     FixedWitness,
-    block_spans,
     factor_parts,
 )
 
 
 @dataclass(frozen=True)
 class PublicInputs:
-    """The statement: the mask's digest, the Fisher's block sizes, layer
+    """The statement: the mask's digest, the Fisher's block cap, layer
     dims, sample count n and damping, the encoder's shifts of the
     multipliers and of the factors, the roots of the committed vectors and
-    the stationarity window t_int."""
+    the stationarity window t_int.  On disk the cap is one of
+    ``curvature.BLOCK_CAPS``; in memory it may be any int >= 1, as a
+    Fisher's may."""
 
     mask_digest: str
-    block_sizes: tuple[int, ...]
+    block_cap: int
     layer_dims: tuple[int, ...]
     sample_count: int
     damping: float
@@ -77,8 +84,7 @@ class PublicInputs:
 
     def to_json(self) -> dict:
         obj = asdict(self)
-        obj["block_sizes"], obj["layer_dims"] = map(
-            list, (self.block_sizes, self.layer_dims))
+        obj["layer_dims"] = list(self.layer_dims)
         for name, _ in COMMITTED:
             obj[f"com_{name}"] = f"{obj[f'com_{name}']:064x}"
         return obj
@@ -86,12 +92,13 @@ class PublicInputs:
     @classmethod
     def from_json(cls, obj: dict) -> "PublicInputs":
         values = {f.name: obj[f.name] for f in fields(cls)}
-        sizes = lambda v: isinstance(v, list) and v and all(
-            type(s) is int and s > 0 for s in v)
         hex64 = lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v)
         for key, ok, what in (
-            ("block_sizes", sizes, "a list of positive ints"),
-            ("layer_dims", sizes, "a list of positive ints"),
+            ("block_cap", lambda v: type(v) is int and v in BLOCK_CAPS,
+             f"one of {BLOCK_CAPS}"),
+            ("layer_dims", lambda v: isinstance(v, list) and v and all(
+                type(s) is int and s > 0 for s in v),
+             "a list of positive ints"),
             ("sample_count", lambda v: type(v) is int and v > 0, "an int > 0"),
             ("shift", lambda v: type(v) is int and 0 <= v <= MAX_SHIFT,
              f"an int in [0, {MAX_SHIFT}]"),
@@ -114,9 +121,7 @@ class PublicInputs:
                 raise ValueError(f"{key} {values[key]!r} is not {what}")
             if key.startswith("com_"):
                 values[key] = int(values[key], 16)
-        for key in ("block_sizes", "layer_dims"):
-            values[key] = tuple(values[key])
-        block_spans(values["layer_dims"], values["block_sizes"])
+        values["layer_dims"] = tuple(values["layer_dims"])
         return cls(**values)
 
 
@@ -129,14 +134,21 @@ class CertificateCircuit:
     support: tuple[int, ...]
 
     @property
-    def touched(self) -> tuple[int, ...]:
-        """The blocks that hold a masked coordinate, in layout order."""
-        return touched(self.public.block_sizes, self.support)
+    def spans(self) -> list:
+        """(layer, bias, lo, hi) of each block, in layout order: its columns
+        [lo, hi) of its layer's weight or bias (``model.column_blocks``)."""
+        return [tuple(span) for _, *span in column_blocks(
+            self.public.layer_dims, self.public.block_cap)]
 
     @property
-    def spans(self) -> list:
-        """Each block's columns of its layer (``witness.block_spans``)."""
-        return block_spans(self.public.layer_dims, self.public.block_sizes)
+    def sizes(self) -> list[int]:
+        """Each block's number of coordinates, in layout order."""
+        return [hi - lo for *_, lo, hi in self.spans]
+
+    @property
+    def touched(self) -> tuple[int, ...]:
+        """The blocks that hold a masked coordinate, in layout order."""
+        return touched(self.sizes, self.support)
 
     @property
     def layers(self) -> list[int]:
@@ -147,10 +159,10 @@ class CertificateCircuit:
     @property
     def counts(self) -> dict:
         """Rows per family, in table order."""
-        public, dims = self.public, self.public.layer_dims
-        n = public.sample_count
-        args = (sum(public.block_sizes), len(self.support), n,
-                sum(public.block_sizes[b] for b in self.touched),
+        sizes, dims = self.sizes, self.public.layer_dims
+        n = self.public.sample_count
+        args = (sum(sizes), len(self.support), n,
+                sum(sizes[b] for b in self.touched),
                 sum(n * (dims[l] + dims[l + 1]) for l in self.layers))
         return {f.name: int(f.count(*args)) for f in FAMILIES}
 
@@ -233,8 +245,7 @@ def _range(circuit, w, randomness):
 def _assembly(circuit, w, randomness):
     """theta_u - theta_p - delta_w == 0 over the field."""
     tp, tu, dw = w.theta_p, w.theta_u, w.delta_w
-    d = sum(circuit.public.block_sizes)
-    return _first(f"assembly[{i}]" for i in range(d)
+    return _first(f"assembly[{i}]" for i in range(sum(circuit.sizes))
                   if (_field(tu, i) - _field(tp, i) - _field(dw, i)) % MODULUS)
 
 
@@ -247,7 +258,7 @@ def _feasibility(circuit, w, randomness):
 def _untouched(circuit, w, randomness):
     """delta_w == 0 over the field on every coordinate of a block the mask
     does not touch."""
-    slices = block_slices(circuit.public.block_sizes)
+    slices = block_slices(circuit.sizes)
     hit = set(circuit.touched)
     return _first(f"untouched[{i}]" for b, sl in enumerate(slices)
                   if b not in hit for i in range(sl.start, sl.stop)
@@ -256,7 +267,7 @@ def _untouched(circuit, w, randomness):
 
 def _products(circuit, w):
     """(block, slice, exact ``model.GradBlock``) of each touched block."""
-    slices = block_slices(circuit.public.block_sizes)
+    slices = block_slices(circuit.sizes)
     parts = factor_parts(circuit.spans, circuit.touched, circuit.layers,
                          w.factors, circuit.public.factor_shift, exact=True)
     return [(b, slices[b], part) for b, part in zip(circuit.touched, parts)]
@@ -278,7 +289,7 @@ def _stationarity(circuit, w, randomness):
     2^-shift further."""
     public = circuit.public
     n, weight = public.sample_count, 4 * FRAC_BITS_F + public.shift
-    lam = np.zeros(sum(public.block_sizes), dtype=object)
+    lam = np.zeros(sum(circuit.sizes), dtype=object)
     for j, i in enumerate(circuit.support):
         lam[i] = n * int(w.lam[j]) << weight
     damping = n * round(math.ldexp(public.damping,
@@ -344,13 +355,14 @@ def precision() -> dict:
 
 def synthesize(public: PublicInputs, mask: MaskArtifact) -> CertificateCircuit:
     """The circuit of ``public``, from the mask its digest names: all an
-    auditor holding public.pub and the mask needs."""
+    auditor holding public.pub and the mask needs.  The layer dims must
+    give the mask's d, counted per layer before any block is formed."""
     if mask.digest != public.mask_digest:
         raise StructuralError("the mask's digest is not the public mask_digest")
-    if sum(public.block_sizes) != mask.model_dim:
-        raise StructuralError(f"block sizes cover {sum(public.block_sizes)} "
-                              f"coordinates, the mask {mask.model_dim}")
-    block_spans(public.layer_dims, public.block_sizes)
+    d = mlp_layout(public.layer_dims).total_dim
+    if d != mask.model_dim:
+        raise StructuralError(f"layer dims {list(public.layer_dims)} give "
+                              f"{d} coordinates, the mask {mask.model_dim}")
     return CertificateCircuit(public, tuple(int(i) for i in mask.support))
 
 
@@ -365,7 +377,7 @@ def _shape(circuit, w) -> str | None:
     """shape/<name> of the first witness vector not shaped as the statement
     says: d weights, k multipliers, A and Delta per layer, u per block."""
     public = circuit.public
-    d, k, n = sum(public.block_sizes), len(circuit.support), public.sample_count
+    d, k, n = sum(circuit.sizes), len(circuit.support), public.sample_count
     dims = public.layer_dims
     return _first(
         f"shape/{name}" for name, ok in (

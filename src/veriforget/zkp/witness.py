@@ -7,7 +7,9 @@ All quantization slack therefore lands in the stationarity residual,
 which the circuit checks against an integer tolerance window T_int.
 
 Only the blocks the mask touches have stationarity rows (Group-OBS
-decouples by block), and no curvature block is formed: a touched block's
+decouples by block).  The blocks are the model's split at the Fisher's
+block cap (``model.column_blocks``), which the statement derives from the
+cap it names, and no curvature block is formed: a touched block's
 Fisher is G_b'G_b / n with rows a_i (x) delta_i (``model.GradBlock``), so
 the witness holds the layer factors, input activations A (n x din) and
 output errors Delta (n x dout), of each layer that holds a touched block,
@@ -27,7 +29,7 @@ import numpy as np
 
 from ..curvature import BlockFisher
 from ..masking import MaskArtifact
-from ..model import GradBlock, layer_grad_blocks
+from ..model import GradBlock, column_blocks, layer_grad_blocks
 from ..numkit import (
     NumericError,
     ParamVector,
@@ -80,26 +82,6 @@ class FixedWitness:
     factor_shift: int
 
 
-def block_spans(layer_dims, block_sizes) -> list[tuple[int, bool, int, int]]:
-    """(layer, bias, lo, hi) of each block: the columns [lo, hi) it covers
-    of its layer's weight W (din x dout, flattened row by row), or of its
-    bias.  StructuralError unless the blocks split each weight and bias
-    of ``model.mlp_layout(layer_dims)`` contiguously, in order."""
-    pieces = [(layer, bias, size) for layer, (din, dout)
-              in enumerate(zip(layer_dims, layer_dims[1:]))
-              for bias, size in ((False, din * dout), (True, dout))]
-    # sums of Python ints, exact where int64 would wrap
-    starts = np.cumsum([0] + [size for *_, size in pieces], dtype=object)
-    cuts = np.cumsum([0, *block_sizes], dtype=object)
-    if not (min(block_sizes) > 0 and set(starts) <= set(cuts)
-            and cuts[-1] == starts[-1]):
-        raise StructuralError(f"block sizes {list(block_sizes)} do not split "
-                              f"the layers {list(layer_dims)}")
-    owner = np.searchsorted(starts, cuts[:-1], side="right") - 1
-    return [(*pieces[p][:2], c - starts[p], c - starts[p] + size)
-            for p, c, size in zip(owner.tolist(), cuts, block_sizes)]
-
-
 def factor_parts(spans, blocks, layers, factors, factor_shift,
                  exact=False) -> list:
     """The ``model.GradBlock`` of each block of ``blocks`` over the factors
@@ -121,12 +103,14 @@ def factor_parts(spans, blocks, layers, factors, factor_shift,
 
 
 def _layout(c_p: BlockFisher, mask: MaskArtifact):
-    """The block slices, touched blocks, spans and touched layers."""
+    """The block slices, touched blocks, spans (layer, bias, lo, hi) of
+    ``model.column_blocks`` and touched layers."""
     if c_p.recipe is None:
         raise StructuralError("a Fisher given by its blocks has no factors")
     sizes = [size for _, size, _ in c_p.layout.blocks]
     hit = touched(sizes, mask.support)
-    spans = block_spans(c_p.recipe.model.layer_dims, sizes)
+    spans = [span for _, *span in column_blocks(c_p.recipe.model.layer_dims,
+                                                c_p.recipe.block_cap)]
     return block_slices(sizes), hit, spans, sorted({spans[b][0] for b in hit})
 
 

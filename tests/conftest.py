@@ -417,11 +417,11 @@ def random_instance(rng, max_block=24, k_cap=None):
     return fisher, theta, mask
 
 
-def statement(mask, block_sizes, t_int, layer_dims, sample_count=5):
+def statement(mask, cap, t_int, layer_dims, sample_count=5):
     """Public inputs for ``mask`` over a Fisher of ``sample_count`` rows of
-    a model of ``layer_dims``, split into ``block_sizes``, with damping
+    a model of ``layer_dims``, split at the block cap ``cap``, with damping
     1e-3, both shifts 0 and all-zero commitment roots."""
-    return PublicInputs(mask.digest, tuple(block_sizes), tuple(layer_dims),
+    return PublicInputs(mask.digest, cap, tuple(layer_dims),
                         sample_count, 1e-3, 0, 0, 0, 0, 0, t_int)
 
 
@@ -430,7 +430,7 @@ def with_u(w, circuit):
     prover would after changing either."""
     parts = factor_parts(circuit.spans, circuit.touched, circuit.layers,
                          w.factors, circuit.public.factor_shift, exact=True)
-    slices = block_slices(circuit.public.block_sizes)
+    slices = block_slices(circuit.sizes)
     dw = w.delta_w.astype(object)
     return replace(w, u=tuple(part.matvec(dw[slices[b]]) for b, part
                               in zip(circuit.touched, parts)))
@@ -461,7 +461,7 @@ def reference_residual(w, circuit):
                 left = (2 ** (FRAC_BITS_F - e) if bias
                         else int(a[i, col // dout]))
                 g[i, j] = left * int(d[i, col % dout])
-        sl = block_slices(public.block_sizes)[b]
+        sl = block_slices(circuit.sizes)[b]
         dw = w.delta_w[sl].astype(object)
         r = g.T.dot(g.dot(dw)) + damping * dw + lam[sl]
         rows.update(zip(range(sl.start, sl.stop), r))

@@ -279,7 +279,7 @@ def _factor_tamper(w, circ, trial):
     public = circ.public
     b = circ.touched[0]
     layer, bias, lo, _ = circ.spans[b]
-    start = sum(public.block_sizes[:b])
+    start = sum(circ.sizes[:b])
     j = next(i for i in circ.support if i >= start)
     col = lo + j - start
     c = col if bias else col % public.layer_dims[layer + 1]
@@ -347,8 +347,9 @@ def test_criterion_7_zk_smoke():
 
 
 def test_criterion_8_constraint_scaling():
-    # one layer of db // 4 inputs and 4 outputs, its weight block of db
-    # coordinates touched, over n = 16 rows: the factored products are
+    # one layer of db // 4 inputs and 4 outputs split at a cap of db, its
+    # weight block of db coordinates touched and its bias of 4 not, over
+    # n = 16 rows: the factored products are
     # n * db rows each, linear in the block where C_b dw_b was db^2
     sizes = [64, 128, 256, 512]
     counts = []
@@ -358,7 +359,7 @@ def test_criterion_8_constraint_scaling():
         mask = make_mask(db + 4, k, np.arange(db + 4, dtype=np.int64),
                          np.arange(k, dtype=np.int64))
         circ = zkp.synthesize(
-            statement(mask, [db, 4], 1 << 30, (db // 4, 4), n), mask)
+            statement(mask, db, 1 << 30, (db // 4, 4), n), mask)
         counts.append(circ.counts["matvec"])
         if (circ.counts["assembly"] != db + 4 or circ.counts["feasibility"] != k
                 or not circ.counts["matvec"] == circ.counts["rmatvec"] == n * db):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from veriforget import artifacts as art
 from veriforget.curvature import BLOCK_CAPS, empirical_fisher_blockwise
 from veriforget.model import Dataset, column_layout, init_mlp
-from veriforget.numkit import ParamVector, StructuralError
+from veriforget.numkit import StructuralError
 from veriforget.obs import CompensationResult
 from veriforget.zkp import Proof, PublicInputs
 
@@ -29,7 +29,8 @@ from conftest import (
 ARRAY_KINDS = ("model", "dataset", "fisher", "comp")
 JSON_KINDS = ("mask", "public", "proof")
 INPUTS = {"model": "ab" * 32}
-# The model the sample Fisher is taken at, which its loader is given.
+# The model the sample Fisher and compensation are taken at, which their
+# loaders are given.
 FISHER_MODEL = init_mlp([3, 4, 2], 1)
 
 
@@ -54,16 +55,16 @@ def sample(kind, bump=0.0):
         return empirical_fisher_blockwise(
             FISHER_MODEL, Dataset(features=x, labels=data.labels), seed=4)
     if kind == "comp":
-        dw = rng.normal(size=layout.total_dim)
+        dw = rng.normal(size=FISHER_MODEL.dim)
         dw[0] += bump
         return CompensationResult(
-            delta_w=ParamVector(values=dw, layout=layout),
+            delta_w=FISHER_MODEL.params.with_values(dw),
             multipliers=rng.normal(size=3), method="schur",
         )
     if kind == "mask":
         return random_mask(rng, layout, 3)
     if kind == "public":
-        return PublicInputs("cd" * 32, (4, 2), (2, 2), 7, 1e-3, 0, 0, 1, 2,
+        return PublicInputs("cd" * 32, 256, (2, 2), 7, 1e-3, 0, 0, 1, 2,
                             3, 1 << 30)
     return Proof(tag="01" * 32)
 
@@ -76,9 +77,9 @@ def save(kind, path, obj):
 
 def loader(kind):
     """The loader of ``kind``, taking the path and the caller's digests."""
-    if kind == "fisher":
-        return lambda path, **inputs: art.load_fisher(path, FISHER_MODEL,
-                                                      **inputs)
+    if kind in ("fisher", "comp"):
+        return lambda path, **inputs: getattr(art, f"load_{kind}")(
+            path, FISHER_MODEL, **inputs)
     return getattr(art, f"load_{kind}")
 
 
@@ -218,16 +219,19 @@ def test_header_must_describe_blob(tmp_path, edit):
 @pytest.mark.parametrize("kind, key, value", [
     ("model", "activation", "tanh"),
     ("comp", "kkt_residual_inf", 1e-6),
+    ("comp", "layout", []),
+    ("fisher", "n", 30),
+    ("dataset", "zz", 1),
 ])
-def test_older_header_keys_still_load(tmp_path, kind, key, value):
-    """Older headers also stored a value the code determines; the key is
-    ignored."""
+def test_stale_header_keys_are_refused(tmp_path, kind, key, value):
+    """A header holds its kind's keys and no other: a key that older
+    headers stored, a value the code or the blob determines, is refused
+    like any unknown one."""
     p = str(tmp_path / kind)
-    obj = sample(kind)
-    save(kind, p, obj)
+    save(kind, p, sample(kind))
     _rewrite_header(p, lambda h: h.update({key: value}))
-    for a, b in zip(arrays_of(kind, obj), arrays_of(kind, load(kind, p))):
-        assert np.array_equal(a, b)
+    with pytest.raises(StructuralError, match=rf"unknown keys \['{key}'\]"):
+        load(kind, p)
 
 
 def test_check_input_digests(tmp_path):
@@ -452,8 +456,8 @@ def test_fisher_block_cap_is_one_of_the_allowed(tmp_path):
     """An estimate in memory may use any cap, but only one of BLOCK_CAPS
     is written or read, and the layout is always the model's own split at
     the cap: a header that declares one block of all d coordinates (the
-    layout that makes every coordinate touched) changes nothing, and a cap
-    of d is refused."""
+    layout that makes every coordinate touched) is refused, as is a cap
+    of d."""
     p = str(tmp_path / "fisher")
     fisher = sample("fisher")
     odd = empirical_fisher_blockwise(FISHER_MODEL, fisher.recipe.rows,
@@ -465,10 +469,13 @@ def test_fisher_block_cap_is_one_of_the_allowed(tmp_path):
         art.save_fisher(p, empirical_fisher_blockwise(
             FISHER_MODEL, fisher.recipe.rows, block_cap=cap))
         assert art.load_fisher(p, FISHER_MODEL).recipe.block_cap == cap
-    one_block = [{"offset": 0, "size": FISHER_MODEL.dim, "label": "all"}]
-    _rewrite_header(p, lambda h: h.update(layout=one_block))
     assert art.load_fisher(p, FISHER_MODEL).layout == column_layout(
         FISHER_MODEL, BLOCK_CAPS[-1])
+    one_block = [{"offset": 0, "size": FISHER_MODEL.dim, "label": "all"}]
+    _rewrite_header(p, lambda h: h.update(layout=one_block))
+    with pytest.raises(StructuralError, match="unknown keys"):
+        art.load_fisher(p, FISHER_MODEL)
+    _rewrite_header(p, lambda h: h.pop("layout"))
     for cap in (FISHER_MODEL.dim, 8, 256.0, True, "256", None):
         _rewrite_header(p, lambda h: h.update(block_cap=cap))
         with pytest.raises(StructuralError):
@@ -483,9 +490,11 @@ def test_fisher_given_by_blocks_alone_is_not_saved(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+# n is the blob's row count: a header that counts the rows too, as it once
+# did, is refused whatever the count
 @pytest.mark.parametrize("edit", [
-    lambda h: h.update(n=h["n"] - 1),
-    lambda h: h.update(n=float(h["n"])),
+    lambda h: h.update(n=h["arrays"][1]["shape"][0] - 1),
+    lambda h: h.update(n=float(h["arrays"][1]["shape"][0])),
     lambda h: h.update(source_digest=7),
     lambda h: h.pop("block_cap"),
 ], ids=["n_short", "n_float", "source_digest_number", "no_block_cap"])

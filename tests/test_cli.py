@@ -7,6 +7,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -74,6 +75,11 @@ def invoke(*args):
     return CliRunner().invoke(main, list(args))
 
 
+def _staged_comp(w):
+    """The staged run's compensation, read at its theta_p."""
+    return art.load_comp(f"{w}/comp", art.load_model(f"{w}/theta_p"))
+
+
 def test_certify_passes(workdir):
     w = workdir
     res = invoke("certify", "--theta-p", f"{w}/theta_p",
@@ -111,7 +117,8 @@ def test_certify_fails_on_free_curvature_forgery_off_the_touched_blocks(
     fisher = read_fisher(f"{w}/fisher", theta_p)
     b = fisher.layout.labels.index("mlp.1.w")
     sl = list(fisher.layout.slices())[b][0]
-    comp, theta_u = art.load_comp(f"{w}/comp"), art.load_model(f"{w}/theta_u")
+    comp, theta_u = art.load_comp(f"{w}/comp", theta_p), art.load_model(
+        f"{w}/theta_u")
     mask = art.load_mask(f"{w}/mask.mask")
     u = np.random.default_rng(7).uniform(-0.5, 0.5, sl.stop - sl.start)
     dw = comp.delta_w.values.copy()
@@ -354,7 +361,7 @@ def _certify_theta_u_records_another_fisher(w, tmp):
     res = invoke("fisher", "--model", f"{w}/theta_p", "--data",
                  f"{w}/personal.dset", "--seed", "4", "--out", f"{tmp}/fisher")
     assert res.exit_code == 0, res.output
-    art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
+    art.save_comp(f"{tmp}/comp", _staged_comp(w))
     return _certify_args(w, comp=tmp, fisher=tmp)
 
 
@@ -370,17 +377,20 @@ def _certify_without_inputs(w, tmp, fisher=None):
     """certify on the staged run's theta_u and comp, re-saved to ``tmp``
     with no inputs recorded, as the demo writes them, so that only the
     Fisher's own checks stand between the command and its certificate."""
-    art.save_comp(f"{tmp}/comp", art.load_comp(f"{w}/comp"))
+    art.save_comp(f"{tmp}/comp", _staged_comp(w))
     art.save_model(f"{tmp}/theta_u", art.load_model(f"{w}/theta_u"))
     return _certify_args(w, theta_u=tmp, comp=tmp, fisher=fisher)
 
 
 def _certify_truncated_fisher(w, tmp):
-    # the stored rows cut to the first, under renewed digests, while the
-    # header still counts them all; the comp and theta_u record no inputs,
-    # as the demo writes them, so only the Fisher's own check stands
-    rows = art.load_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p")).recipe.rows
-    resave(f"{w}/fisher", f"{tmp}/fisher", [rows.features[:1], rows.labels[:1]])
+    # the stored blob cut to its first row's bytes under the header as it
+    # was; the comp and theta_u record no inputs, as the demo writes them,
+    # so only the Fisher's own check of the blob's length stands
+    shutil.copy(f"{w}/fisher", f"{tmp}/fisher")
+    width = 8 * (art.load_dataset(f"{w}/personal.dset").features.shape[1] + 1)
+    with open(f"{w}/fisher.bin", "rb") as src, \
+            open(f"{tmp}/fisher.bin", "wb") as dst:
+        dst.write(src.read(width))
     return _certify_without_inputs(w, tmp, fisher=tmp)
 
 
@@ -434,7 +444,7 @@ def _multipliers(command, extra):
     """A case that runs ``command`` on a comp with ``extra`` multipliers
     more than the mask's budget, or fewer when ``extra`` is negative."""
     def case(w, tmp):
-        comp = art.load_comp(f"{w}/comp")
+        comp = _staged_comp(w)
         lam = comp.multipliers
         lam = lam[:extra] if extra < 0 else np.append(lam, np.ones(extra))
         art.save_comp(f"{tmp}/comp", replace(comp, multipliers=lam),
@@ -501,6 +511,9 @@ _UNLEARN_TMP_FISHER = ("unlearn", "--model", "{w}/theta_p", "--mask",
 _PROVE_TMP_COMP = ("prove", "--theta-p", "{w}/theta_p", "--theta-u",
                    "{w}/theta_u", "--comp", "{tmp}/comp", "--mask",
                    "{w}/mask.mask", "--fisher", "{w}/fisher", "--out-dir", "{tmp}")
+_CERTIFY_TMP_COMP = ("certify", "--theta-p", "{w}/theta_p", "--theta-u",
+                     "{w}/theta_u", "--comp", "{tmp}/comp", "--mask",
+                     "{w}/mask.mask", "--fisher", "{w}/fisher")
 _GOLD = ("gold", "--init", "{w}/theta0_init", "--retain", "{w}/retain.dset",
          "--personal", "{w}/personal.dset", "--out", "{tmp}/g")
 
@@ -566,8 +579,8 @@ def _on_file(name, *args):
 
 
 def _personalize_one_layer_dim(w, tmp):
-    art._save(f"{tmp}/model", {"layer_dims": [4], "activation": "tanh",
-                               "inputs": {}}, [np.zeros(0)])
+    art._save(f"{tmp}/model", {"layer_dims": [4], "inputs": {}},
+              [np.zeros(0)])
     return ("personalize", "--model", f"{tmp}/model",
             "--data", f"{w}/personal.dset", "--out", f"{tmp}/p")
 
@@ -592,7 +605,7 @@ def _exact_hessian_too_large(w, tmp):
         assert res.exit_code == 0, res.output
     return ("report-bounds", "--theta-p", f"{tmp}/big", "--comp",
             f"{tmp}/comp", "--mask", f"{tmp}/big.mask",
-            "--data", f"{w}/forget.dset")
+            "--data", f"{w}/forget.dset", "--hessian", "exact")
 
 
 def _mask_k_above_eligible(w, tmp):
@@ -623,11 +636,27 @@ def _fisher_zero_samples(w, tmp):
         _multipliers("prove", -1), _multipliers("prove", 1),
         _square_fisher("unlearn"), _square_fisher("certify"),
         _prove_frac_bits, *_BAD_RANGES,
-        _public_field("block_sizes", "missing", None),
+        # the statement names the Fisher's block cap, one of BLOCK_CAPS as
+        # in a Fisher artifact, and derives its blocks from it
+        _public_field("block_cap", "missing", None),
+        _public_field("block_cap", "8192", 8192),
+        _public_field("block_cap", "float", 256.0),
+        # block_sizes, the list public.pub held before the cap, is an
+        # unknown key whatever it holds
         _public_field("block_sizes", "string", "4,8"),
         _public_field("block_sizes", "zero", [40, 0]),
         _public_field("block_sizes", "float", [40, 2.5]),
+        _public_field("block_sizes", "readded", [32, 8, 24, 3]),
         _personalize_one_layer_dim,
+        # a comp header holds its method and inputs, and no residual: t_int's
+        # solver slack is computed from the artifacts
+        _header("comp_residual", "comp", _set("kkt_residual_inf", 1e-6),
+                *_PROVE_TMP_COMP),
+        _header("comp_unknown", "comp", _set("zz", 1), *_CERTIFY_TMP_COMP),
+        _header("theta_u_unknown", "theta_u", _set("zz", 1), "certify",
+                "--theta-p", "{w}/theta_p", "--theta-u", "{tmp}/theta_u",
+                "--comp", "{w}/comp", "--mask", "{w}/mask.mask",
+                "--fisher", "{w}/fisher"),
         _option("train_one_class", *_TRAIN, "--layers", "4,8,1"),
         _option("train_lr_zero", *_TRAIN, "--lr", "0"),
         _option("train_batch_zero", *_TRAIN, "--batch", "0"),
@@ -659,8 +688,8 @@ def _fisher_zero_samples(w, tmp):
         _public_field("layer_dims", "zero", [4, 0, 3]),
         _public_field("layer_dims", "float", [4.0, 8, 3]),
         # one block over the whole model, weights and biases of every
-        # layer at once: the blocks must split each layer's weight and bias
-        _public_field("block_sizes", "one_block", lambda s: [sum(s)]),
+        # layer at once
+        _public_field("block_sizes", "one_block", [67]),
         _public_field("sample_count", "zero", 0),
         _public_field("sample_count", "string", "160"),
         _public_field("damping", "zero", 0.0),
@@ -1061,7 +1090,7 @@ def _resaved(src, dst, arrays):
 
 
 def _integer_multipliers(w, tmp):
-    comp = art.load_comp(f"{w}/comp")
+    comp = _staged_comp(w)
     _resaved(f"{w}/comp", f"{tmp}/comp", [
         comp.delta_w.values, np.round(comp.multipliers).astype(np.int64)])
     return _certify_args(w, comp=tmp)
@@ -1339,7 +1368,7 @@ def test_prove_perturbed_multipliers_exit_1(workdir, tmp_path):
     """A comp whose multipliers are moved, with their count and recorded
     inputs kept, is a genuine rejection: its KKT certificate fails."""
     w = workdir
-    comp = art.load_comp(f"{w}/comp")
+    comp = _staged_comp(w)
     art.save_comp(f"{tmp_path}/comp",
                   replace(comp, multipliers=comp.multipliers + 1e-3),
                   inputs=_recorded_inputs(f"{w}/comp"))
@@ -1449,24 +1478,29 @@ def test_report_bounds_exact_mode_names_the_fisher_mode(tmp_path):
     args = ("report-bounds", "--theta-p", f"{out}/theta_p", "--comp",
             f"{out}/comp", "--mask", f"{out}/mask.mask",
             "--data", f"{out}/forget.dset")
-    res = invoke(*args)
+    res = invoke(*args, "--hessian", "exact")
     assert res.exit_code == 3, res.output
     assert len(res.stderr.splitlines()) == 1
     assert "--hessian fisher" in res.stderr
-    assert invoke(*args, "--hessian", "fisher").exit_code == 0
+    assert invoke(*args).exit_code == 0  # the default mode is fisher
 
 
-def test_prove_ignores_a_stored_residual(workdir, tmp_path):
-    """t_int's solver slack is recomputed from the artifacts: a residual
-    the comp header also carries, as older headers did, does not widen
-    it."""
+def test_verify_lists_no_block_of_a_statement(workdir, tmp_path):
+    """A public.pub of layer dims 2^40 by 2^40, which would split into 2^72
+    blocks at its cap, is rejected by its tag alone, within a second:
+    verify derives the circuit hash without listing a block."""
     w = workdir
-    case = _header("comp_residual", "comp", _set("kkt_residual_inf", 1e-6),
-                   *_PROVE_TMP_COMP)
-    res = invoke(*case(w, str(tmp_path)))
-    assert res.exit_code == 0, res.output
-    assert (art.load_public(f"{tmp_path}/public.pub").t_int
-            == art.load_public(f"{w}/public.pub").t_int)
+    with open(f"{w}/public.pub") as fh:
+        obj = json.load(fh)
+    obj["layer_dims"] = [2**40, 2**40]
+    with open(f"{tmp_path}/public.pub", "w") as fh:
+        json.dump(obj, fh)
+    start = time.perf_counter()
+    res = invoke("verify", "--proof", f"{w}/proof.prf", "--public",
+                 f"{tmp_path}/public.pub", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["verified"] is False
 
 
 def test_gold_and_evaluate(workdir, tmp_path):

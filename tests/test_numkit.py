@@ -59,11 +59,6 @@ def test_layout_partition_property(sizes):
     assert (seen == 1).all()
 
 
-def test_layout_json_round_trip():
-    layout = BlockLayout.from_sizes([(3, "x"), (4, "y")])
-    assert BlockLayout.from_json(layout.to_json()) == layout
-
-
 # -- vectors / matrices ---------------------------------------------------------
 
 

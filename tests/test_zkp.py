@@ -14,9 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import veriforget
 from veriforget.certify import check_kkt
-from veriforget.curvature import empirical_fisher_blockwise
+from veriforget.curvature import BLOCK_CAPS, empirical_fisher_blockwise
 from veriforget.masking import make_mask
-from veriforget.model import init_mlp
+from veriforget.model import column_layout, init_mlp, layer_grad_blocks
 from veriforget.numkit import NumericError, StructuralError, block_slices
 from veriforget.obs import apply_unlearn
 from veriforget.pipeline import compensate, run_zk_layer
@@ -64,7 +64,6 @@ from veriforget.zkp.witness import (
     ROW_SUM_CAP,
     T_INT_THRESHOLD,
     FixedWitness,
-    block_spans,
     factor_parts,
 )
 
@@ -72,6 +71,7 @@ from conftest import (
     examples,
     random_mask,
     reference_merkle_root,
+    reference_curvature_layout,
     reference_permute,
     reference_residual,
     report_cpus,
@@ -589,7 +589,7 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
     # an honest instance over rows at any feature scale from 2^-20 to 2^15
     # and any damping from 2^-30 to 2^10 proves: its factors, scaled by
     # the public factor shift, fit their range bound and so their limbs,
-    # and verify loads its statement
+    # and verify loads its statement at a cap a file may name
     rng = np.random.default_rng(seed)
     model = init_mlp([3, 5, 4, 2], seed)
     model = model.with_params(rng.normal(0.0, 1.0, model.dim))
@@ -607,7 +607,8 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
         assert np.abs(a).max() <= int(BOUND_F * 2**FRAC_BITS_F)
         assert np.abs(d).max() <= int(BOUND_F * 2**FRAC_BITS_F)
     public = circuit.public
-    assert PublicInputs.from_json(public.to_json()) == public
+    on_disk = replace(public, block_cap=BLOCK_CAPS[0])
+    assert PublicInputs.from_json(on_disk.to_json()) == on_disk
     assert MockBackend().verify(proof, public)
 
 
@@ -617,7 +618,7 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
 def test_hand_constraint_count():
     mask = make_mask(12, 2, np.arange(12, dtype=np.int64),
                      np.array([1, 5], dtype=np.int64))
-    circ = synthesize(statement(mask, [8, 4], 1 << 20, (2, 4), 5), mask)
+    circ = synthesize(statement(mask, 8, 1 << 20, (2, 4), 5), mask)
     # a 2-4 layer over n = 5 rows: its weight block of 8 coordinates, which
     # the mask touches, and its bias of 4, which it does not (d = 12),
     # mask budget k = 2:
@@ -644,23 +645,30 @@ def test_touched_lists_the_blocks_that_hold_a_masked_coordinate(sizes, data):
     assert touched(sizes, support) == tuple(sorted({owner[i] for i in support}))
 
 
-@given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.data())
-def test_block_spans_are_the_contiguous_parts_of_each_layer(dims, data):
-    """Blocks cut anywhere within each layer's weight and bias map to their
-    columns there; blocks whose int64 sums would wrap round to the model's
-    total are refused."""
-    sizes, want = [], []
-    for layer, (din, dout) in enumerate(zip(dims, dims[1:])):
-        for bias, total in ((False, din * dout), (True, dout)):
-            cuts = sorted(data.draw(st.sets(st.integers(1, total - 1)))
-                          if total > 1 else ())
-            for lo, hi in zip([0, *cuts], [*cuts, total]):
-                sizes.append(hi - lo)
-                want.append((layer, bias, lo, hi))
-    assert block_spans(dims, sizes) == want
-    wrapping = [*sizes[:-1], 2**63 - 1, 2**63 - 1, sizes[-1] + 2]
-    with pytest.raises(StructuralError, match="do not split"):
-        block_spans(dims, wrapping)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       st.integers(1, 12))
+def test_the_fisher_and_the_statement_split_the_model_alike(dims, cap):
+    """One split rule: the blocks of ``column_layout``, those
+    ``layer_grad_blocks`` yields and those a statement's circuit derives
+    from the same cap agree on label, columns and size, each block a part
+    of one layer's weight or bias, as an independent splitter gives."""
+    model = init_mlp(dims, 0)
+    rows = small_dataset(np.random.default_rng(0), n=3, dim=dims[0],
+                         classes=dims[-1])
+    layout = column_layout(model, cap)
+    assert layout == reference_curvature_layout(model.params.layout, cap)
+    yielded = sorted(
+        (i, label, layer, part.a_prev is None, part.lo, part.hi)
+        for layer, blocks in zip(range(len(dims) - 2, -1, -1),
+                                 layer_grad_blocks(model, rows, cap))
+        for i, label, part in blocks)
+    mask = make_mask(model.dim, 1, np.arange(model.dim), np.array([0]))
+    circuit = synthesize(statement(mask, cap, 0, dims), mask)
+    assert [i for i, *_ in yielded] == list(range(len(layout.blocks)))
+    assert [(label, size) for _, size, label in layout.blocks] == [
+        (label, hi - lo) for _, label, *_, lo, hi in yielded]
+    assert circuit.spans == [tuple(span) for _, _, *span in yielded]
+    assert circuit.sizes == [size for _, size, _ in layout.blocks]
 
 
 def test_matvec_linear_scaling():
@@ -669,7 +677,7 @@ def test_matvec_linear_scaling():
     def count(db, n):
         mask = make_mask(db + 4, 2, np.arange(db + 4, dtype=np.int64),
                          np.array([0, 1], dtype=np.int64))
-        circ = synthesize(statement(mask, [db, 4], 1 << 20, (db // 4, 4), n),
+        circ = synthesize(statement(mask, db, 1 << 20, (db // 4, 4), n),
                           mask)
         assert circ.counts["rmatvec"] == circ.counts["matvec"]
         return circ.counts["matvec"]
@@ -680,7 +688,7 @@ def test_matvec_linear_scaling():
 def _one_block_statement(t_int=1 << 20):
     mask = make_mask(12, 1, np.arange(12, dtype=np.int64),
                      np.array([3], dtype=np.int64))
-    return statement(mask, [8, 4], t_int, (2, 4))
+    return statement(mask, 8, t_int, (2, 4))
 
 
 def test_circuit_hash_sensitive_to_t_int():
@@ -690,7 +698,7 @@ def test_circuit_hash_sensitive_to_t_int():
 
 @pytest.mark.parametrize("field, value", [
     ("layer_dims", (4, 2)), ("sample_count", 6), ("damping", 2e-3),
-    ("shift", 1), ("factor_shift", 1)])
+    ("shift", 1), ("factor_shift", 1), ("block_cap", 4)])
 def test_circuit_hash_binds_the_fisher_statement(field, value):
     a = _one_block_statement()
     assert circuit_hash(replace(a, **{field: value})) != circuit_hash(a)
@@ -748,17 +756,14 @@ def test_synthesize_rejects_mask_of_another_digest():
     assert synthesize(circuit.public, mask) == circuit
 
 
-def test_synthesize_rejects_block_sizes_not_summing_to_d():
+def test_synthesize_rejects_layer_dims_not_giving_d():
+    """The layer dims must give the mask's d; they are counted per layer,
+    so dims of 2^40 are refused at once, before any block is formed."""
     fisher, theta, mask, comp, w, circuit, *_ = honest_zk_instance(4)
-    sizes = circuit.public.block_sizes
-    for bad in ((*sizes, 1), (*sizes[:-1], sizes[-1] - 1)):
-        with pytest.raises(StructuralError, match="block sizes cover"):
-            synthesize(replace(circuit.public, block_sizes=bad), mask)
-    # the right total, but a block that spans the last weight and its bias
-    # is no part of one layer's weight or bias
-    merged = (*sizes[:-2], sizes[-2] + sizes[-1])
-    with pytest.raises(StructuralError, match="do not split the layers"):
-        synthesize(replace(circuit.public, block_sizes=merged), mask)
+    dims = circuit.public.layer_dims
+    for bad in ((*dims[:-1], dims[-1] + 1), (2**40, 2**40)):
+        with pytest.raises(StructuralError, match="coordinates, the mask"):
+            synthesize(replace(circuit.public, layer_dims=bad), mask)
 
 
 def test_constraint_report_totals():
@@ -865,7 +870,7 @@ def _tamper_feasibility(w, circuit):
 def _tamper_untouched(w, circuit):
     # move delta_w and theta_u together on the first coordinate of a block
     # the mask does not touch: assembly holds, and no curvature row sees it
-    sizes = circuit.public.block_sizes
+    sizes = circuit.sizes
     b = next(b for b in range(len(sizes)) if b not in circuit.touched)
     i = sum(sizes[:b])
     dw, tu = w.delta_w.copy(), w.theta_u.copy()
@@ -943,7 +948,8 @@ def test_counts_follow_family_table():
     assert list(circuit.counts) == names
     assert list(constraint_report(circuit))[:-2] == names
     assert sorted(TAMPERS) == sorted(names)
-    assert circuit.public.block_sizes == (4, 4, 4, 4, 4, 4, 2)
+    assert circuit.public.block_cap == 4
+    assert circuit.sizes == [4, 4, 4, 4, 4, 4, 2]
     assert (circuit.touched, circuit.layers) == ((1, 5, 6), [0, 1])
     k, n, s = mask.budget, 40, 4 + 4 + 2
     assert circuit.counts == {
@@ -1018,8 +1024,7 @@ def test_backend_prove_verify_round_trip():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(11)
     public = circuit.public
     assert public == PublicInputs(
-        mask.digest, tuple(s for _, s, _ in fisher.layout.blocks), (3, 4, 2),
-        40, 1e-3, w.shift, w.factor_shift, *commit_witness(w, rnd),
+        mask.digest, 4, (3, 4, 2), 40, 1e-3, w.shift, w.factor_shift, *commit_witness(w, rnd),
         public.t_int)
     assert proof.tag == tag_over(circuit_hash(public), public)
     assert MockBackend().verify(proof, public)
@@ -1055,14 +1060,23 @@ def test_backend_refuses_unsatisfiable_witness():
         MockBackend().prove(bad, mask, circuit.public, rnd)
 
 
+def _on_disk_public(seed):
+    """An honest instance's statement at a block cap a file may name: the
+    instance's own cap of 4 is in memory only."""
+    circuit = honest_zk_instance(seed)[5]
+    return replace(circuit.public, block_cap=BLOCK_CAPS[0])
+
+
 def test_public_inputs_json_round_trip():
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(15)
-    assert PublicInputs.from_json(circuit.public.to_json()) == circuit.public
+    public = _on_disk_public(15)
+    assert PublicInputs.from_json(public.to_json()) == public
+    for cap in (4, 8192, 256.0, True):
+        with pytest.raises(ValueError, match="block_cap"):
+            PublicInputs.from_json({**public.to_json(), "block_cap": cap})
 
 
 def test_public_inputs_reject_t_int_at_tamper_threshold():
-    fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(15)
-    obj = circuit.public.to_json()
+    obj = _on_disk_public(15).to_json()
     threshold = T_INT_THRESHOLD
     for t_int in (threshold - 1, threshold >> 1):
         assert PublicInputs.from_json({**obj, "t_int": t_int}).t_int == t_int
@@ -1088,7 +1102,7 @@ def forge_free_curvature(r, untouched_block=None, t=0.25):
     (b,), (layer,) = circuit.touched, circuit.layers
     n, (din, dout) = public.sample_count, public.layer_dims[layer:layer + 2]
     _, _, lo, hi = circuit.spans[b]
-    start = block_slices(circuit.public.block_sizes)[b].start
+    start = block_slices(circuit.sizes)[b].start
 
     def coordinate(row, col):
         return start + row * dout + col - lo
@@ -1113,7 +1127,7 @@ def forge_free_curvature(r, untouched_block=None, t=0.25):
     dw[support] = -w.theta_p[support]
     dw[coordinate(r0, c0)] = round(t * 2**FRAC_BITS_W)
     if untouched_block is not None:
-        dw[block_slices(circuit.public.block_sizes)[untouched_block].start] = 1
+        dw[block_slices(circuit.sizes)[untouched_block].start] = 1
     forged = with_u(replace(w, theta_u=w.theta_p + dw, delta_w=dw,
                             factors=factors), circuit)
     # the multipliers that zero the masked rows: -(G'u + n lam dw) / n
