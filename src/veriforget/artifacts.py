@@ -17,12 +17,14 @@ digest.  No header restates what a blob or the model determines: n is
 the count of the Fisher's rows, its layout is ``model.column_layout`` of
 theta_p at the cap, and the compensation's layout is theta_p's.  Masks,
 public inputs and proofs are single JSON files, also of exactly their
-keys.  Every writer returns the paths it wrote; every reader raises
-``numkit.StructuralError`` on a missing, truncated or malformed artifact.
+keys.  Every writer returns the paths it wrote and leaves no file when a
+write fails; every reader raises ``numkit.StructuralError`` on a
+missing, truncated or malformed artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -36,7 +38,7 @@ from .curvature import (
     BlockFisher,
     FisherRecipe,
     check_block_cap,
-    fisher_from_recipe,
+    check_damping,
 )
 from .masking import MaskArtifact
 from .model import Dataset, MlpModel, mlp_layout
@@ -45,7 +47,6 @@ from .numkit import (
     StructuralError,
     canonical_json,
     check_ints,
-    check_number,
     sha256_hex,
 )
 from .obs import CompensationResult
@@ -70,10 +71,32 @@ def _reader(fn):
     return wrapper
 
 
-def _write_json(path: str, obj: dict) -> list[str]:
-    with open(path, "wb") as fh:
-        fh.write(canonical_json(obj))
-    return [path]
+@contextlib.contextmanager
+def removed_on_failure():
+    """A list for the paths a run writes: when the block raises, each is
+    removed, so that a run that fails leaves no file of its own."""
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+
+
+def _write(path: str, chunks) -> list[str]:
+    """The one file writer: the byte ``chunks`` back to back at ``path``,
+    which is removed if a write fails."""
+    with removed_on_failure() as written, open(path, "wb") as fh:
+        written.append(path)
+        for chunk in chunks:
+            fh.write(chunk)
+    return written
+
+
+def write_json(path: str, obj: dict) -> list[str]:
+    """``obj`` as canonical JSON at ``path``; returns ``[path]``."""
+    return _write(path, [canonical_json(obj)])
 
 
 def _read_json(path: str) -> dict:
@@ -84,20 +107,17 @@ def _read_json(path: str) -> dict:
 def _save(path: str, header: dict, arrays) -> list[str]:
     """The one blob writer: ``arrays``, as i64 when integral and f64
     otherwise, back to back in ``path.bin``, then ``header`` with each
-    array's dtype, shape and sha256.  When a write fails, ``path.bin`` is
-    removed instead."""
+    array's dtype, shape and sha256.  When a write fails, neither file is
+    left."""
     arrays = [np.ascontiguousarray(a, dtype="<i8" if a.dtype.kind == "i" else "<f8")
               for a in arrays]
-    try:
-        with open(path + ".bin", "wb") as fh:
-            for a in arrays:
-                fh.write(memoryview(a.reshape(-1)).cast("B"))
-    except BaseException:
-        os.remove(path + ".bin")
-        raise
-    return [path + ".bin"] + _write_json(path, {**header, "arrays": [
-        {"dtype": a.dtype.str, "shape": list(a.shape), "sha256": sha256_hex(a)}
-        for a in arrays]})
+    with removed_on_failure() as written:
+        written += _write(path + ".bin",
+                          (memoryview(a.reshape(-1)).cast("B") for a in arrays))
+        written += write_json(path, {**header, "arrays": [
+            {"dtype": a.dtype.str, "shape": list(a.shape), "sha256": sha256_hex(a)}
+            for a in arrays]})
+    return written
 
 
 def _exact_keys(path: str, obj: dict, keys) -> dict:
@@ -222,7 +242,7 @@ def load_dataset(path: str) -> Dataset:
 def save_mask(path: str, mask: MaskArtifact, inputs: dict | None = None) -> list[str]:
     obj = mask.to_json()
     obj["inputs"] = inputs or {}
-    return _write_json(path, obj)
+    return write_json(path, obj)
 
 
 @_reader
@@ -237,12 +257,11 @@ def load_mask(path: str) -> MaskArtifact:
 def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> list[str]:
     """Write the Fisher as its recipe: the sample rows in subsample order,
     with the damping, the block cap and the source digest.  No block is
-    formed or written."""
+    formed or written.  The cap must be one of ``curvature.BLOCK_CAPS``
+    and the damping at most ``curvature.MAX_DAMPING``."""
     recipe = fisher.recipe
-    if recipe is None:
-        raise StructuralError("a Fisher given by its blocks alone has no "
-                              "recipe to write")
     check_block_cap(recipe.block_cap)
+    check_damping(fisher.lam)
     return _save(path, {
         "lambda": fisher.lam,
         "block_cap": recipe.block_cap,
@@ -253,22 +272,21 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> l
 
 @_reader
 def load_fisher(path: str, theta_p: MlpModel, **inputs: str) -> BlockFisher:
-    """The Fisher artifact at ``path``, taken at ``theta_p``: its
-    recipe, checked, whose blocks are formed as they are reached
-    (``curvature.fisher_from_recipe``).  The header must name one of
-    ``curvature.BLOCK_CAPS``, and the rows must fit the model.  The layout
-    is ``column_layout(theta_p, cap)`` and n is the blob's row count: no
-    header supplies either."""
+    """The Fisher artifact at ``path``, taken at ``theta_p``: its recipe,
+    checked.  The header must name one of ``curvature.BLOCK_CAPS`` and a
+    damping of at most ``curvature.MAX_DAMPING``, and the rows must fit
+    the model.  The layout is ``column_layout(theta_p, cap)`` and n is the
+    blob's row count: no header supplies either."""
     header, (features, labels) = _load(
         path, ("lambda", "block_cap", "source_digest"),
         [("<f8", ("n", "m")), ("<i8", ("n",))], inputs)
-    check_number("fisher lambda", header["lambda"])
+    check_damping(header["lambda"])
     check_block_cap(header["block_cap"])
     if not isinstance(header["source_digest"], str):
         raise StructuralError(f"{path}: source digest is not a string")
     recipe = FisherRecipe(theta_p, Dataset(features=features, labels=labels),
                           header["block_cap"])
-    return fisher_from_recipe(recipe, header["lambda"], header["source_digest"])
+    return BlockFisher(recipe, header["lambda"], header["source_digest"])
 
 
 # -- compensation -----------------------------------------------------------
@@ -312,7 +330,7 @@ def load_certificate_inputs(theta_p: str, theta_u: str, comp: str, mask: str,
 def save_public(path: str, public: PublicInputs, inputs: dict | None = None) -> list[str]:
     obj = public.to_json()
     obj["inputs"] = inputs or {}
-    return _write_json(path, obj)
+    return write_json(path, obj)
 
 
 @_reader
@@ -324,7 +342,7 @@ def load_public(path: str) -> PublicInputs:
 
 
 def save_proof(path: str, proof: Proof) -> list[str]:
-    return _write_json(path, asdict(proof))
+    return write_json(path, asdict(proof))
 
 
 @_reader

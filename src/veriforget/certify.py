@@ -5,13 +5,10 @@ feasibility, stationarity) that uniquely characterize the Group-OBS
 solution; feasibility also holds the step to zero on every block the
 mask does not touch, where the solution is exactly zero.  Stationarity
 needs each damped curvature block only as a product with the step, on
-the blocks where the step or a multiplier is nonzero.  For a Fisher
-given by its recipe (every Fisher a command reads) it multiplies from
-the layer factors of one backward pass, F_b dw_b = G_b'(G_b dw_b) / n
-(``model.GradBlock.matvec``, then ``rmatvec``), a layer at a time as
-the pass reaches it (``model.layer_grad_blocks``), forming neither G
-nor a block; for a Fisher given by its blocks, as F_b dw_b + lam dw_b
-from each square block.  It uses numpy alone: certifying loads no scipy.
+the blocks where the step or a multiplier is nonzero, which the Fisher
+multiplies from the layer factors of one backward pass, forming neither
+G nor a block (``curvature.BlockFisher.damped_products``).  It uses
+numpy alone: certifying loads no scipy.
 forget_gain_report computes the quadratic-model quantities that bound
 how much compensation on the unmasked coordinates can offset the
 mask-induced forget-loss increase.
@@ -29,7 +26,6 @@ from .model import (
     Dataset,
     MlpModel,
     batch_grad,
-    layer_grad_blocks,
     mean_loss,
     per_example_grads,
 )
@@ -96,7 +92,7 @@ def check_kkt(
     # a block with no step and no multiplier has a residual of exactly 0
     moved = [b for b, sl in enumerate(slices) if dw[sl].any() or lam_full[sl].any()]
     r_stat = np.zeros(theta_p.dim)
-    for b, product in zip(moved, _damped_products(c_p, theta_p, dw, moved)):
+    for b, product in zip(moved, c_p.damped_products(theta_p, dw, moved)):
         r_stat[slices[b]] = product + lam_full[slices[b]]
     norms = (_inf(r_asm), _inf(r_feas), _inf(r_stat))
     return KktCertificate(
@@ -104,31 +100,6 @@ def check_kkt(
         tolerance=tau_real,
         verdict=all(n <= tau_real for n in norms),
     )
-
-
-def _damped_products(c_p: BlockFisher, theta_p: ParamVector, dw: np.ndarray,
-                     blocks: list) -> list:
-    """(F_b + lam I) dw_b for each block b of ``blocks``: from the layer
-    factors of the Fisher's recipe, which must be taken at ``theta_p``,
-    or from each block when it has no recipe."""
-    slices = [sl for sl, _ in c_p.layout.slices()]
-    recipe = c_p.recipe
-    if recipe is None:
-        def product(b, block):
-            v = dw[slices[b]]
-            return block @ v + c_p.lam * v
-
-        return c_p.fisher.map(product, only=blocks)
-    if not np.array_equal(recipe.model.params.values, theta_p.values):
-        raise StructuralError("the Fisher is taken at another model than theta_p")
-    n, products = len(recipe.rows), {b: None for b in blocks}
-    # one layer's factors at a time, as the backward pass reaches it
-    for layer in layer_grad_blocks(recipe.model, recipe.rows, recipe.block_cap):
-        for b, _, part in layer:
-            if b in products:
-                v = dw[slices[b]]
-                products[b] = part.rmatvec(part.matvec(v)) / n + c_p.lam * v
-    return list(products.values())
 
 
 # ---------------------------------------------------------------------------

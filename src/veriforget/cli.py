@@ -4,17 +4,19 @@ Every command is a ``ReportCommand``: its callback returns its report
 (with whether the verdict passed, if it gives one) and prints nothing,
 and the command class adds ``--json``, prints the report and sets the
 exit code.  A command reads and checks all its inputs, and computes its
-results, before it creates any output, so one that fails writes nothing.
+results, before it creates any output, and when a write fails it removes
+the files it already wrote, so one that fails leaves no file of its run.
 A command digests the files it was given once, and the loaders check
 each input a derived artifact records against those digests.
 No command writes or reads a curvature block: ``fisher`` writes the
-estimate's recipe (its seeded sample rows, the damping and a block cap
-of ``curvature.BLOCK_CAPS``), and a command that reads it forms only
-what it needs at theta_p.  ``unlearn`` solves the blocks the mask
-touches, each from the block, formed as its square, or, when the rows
-are few enough, from its n x n Gram in sample space (``obs``), one block
-per process at a time; on ``numkit.FORK_MIN_ENTRIES`` entries or more,
-with ``OPENBLAS_NUM_THREADS=1``, in forked workers, one per CPU, each of
+estimate's recipe (its seeded sample rows, a damping of at most
+``curvature.MAX_DAMPING`` and a block cap of ``curvature.BLOCK_CAPS``),
+and a command that reads it forms only what it needs at theta_p.
+``unlearn`` solves the blocks the mask touches, each from the block,
+formed as its square, or, when the rows are few enough, from its n x n
+Gram in sample space (``obs``), one block per process at a time; on
+``numkit.FORK_MIN_ENTRIES`` entries or more, with
+``OPENBLAS_NUM_THREADS=1``, in forked workers, one per CPU, each of
 which runs its own backward pass; the outputs are the same bytes
 either way.  ``certify`` and ``prove`` form no block: ``certify``
 multiplies the step by the curvature from the layer factors, and
@@ -24,8 +26,9 @@ workers.
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
 unsatisfiable, 2 usage error, bad or missing artifact, unwritable
-output or a worker process that died (``StructuralError``, ``OSError``,
-``BrokenProcessPool``), 3 numeric failure (``NumericError``).
+output, a damping above ``curvature.MAX_DAMPING`` or a worker process
+that died (``StructuralError``, ``OSError``, ``BrokenProcessPool``),
+3 numeric failure (``NumericError``).
 """
 
 from __future__ import annotations
@@ -124,17 +127,15 @@ class ReportGroup(click.Group):
     command_class = ReportCommand
 
 
-def _save_splits(out_dir: str, task) -> list[str]:
-    """The six dataset splits of a synthetic task, as ``<split>.dset``;
-    returns the paths written."""
-    written = []
+def _save_splits(out_dir: str, task, written: list) -> None:
+    """The six dataset splits of a synthetic task, as ``<split>.dset``,
+    each path added to ``written`` as it is written."""
     for name in (
         "train", "forget", "retain", "personal",
         "holdout_forget", "holdout_personal",
     ):
         written += art.save_dataset(os.path.join(out_dir, name + ".dset"),
                                     getattr(task, name))
-    return written
 
 
 def _parse_layers(text: str) -> tuple[int, ...]:
@@ -180,12 +181,13 @@ def train(out_dir, seed, layers, data, lr, epochs, batch):
     cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch, seed=seed)
     model = train_sgd(init, train_set, cfg)  # checks that the data fit
     os.makedirs(out_dir, exist_ok=True)
-    if data is None:
-        _save_splits(out_dir, task)
-        data = os.path.join(out_dir, "train.dset")
-    art.save_model(os.path.join(out_dir, "theta0_init"), init)
-    art.save_model(os.path.join(out_dir, "theta0"), model,
-                   inputs=art.input_digests(data=data))
+    with art.removed_on_failure() as written:
+        if data is None:
+            _save_splits(out_dir, task, written)
+            data = os.path.join(out_dir, "train.dset")
+        written += art.save_model(os.path.join(out_dir, "theta0_init"), init)
+        written += art.save_model(os.path.join(out_dir, "theta0"), model,
+                                  inputs=art.input_digests(data=data))
     return {"model": os.path.join(out_dir, "theta0"), "seed": seed}
 
 
@@ -275,8 +277,11 @@ def unlearn(model_path, mask_path, fisher_path, out_dir):
     fisher = art.load_fisher(fisher_path, theta_p, model=inputs["model"])
     comp, theta_u = compensate(theta_p, m, fisher)
     os.makedirs(out_dir, exist_ok=True)
-    art.save_comp(os.path.join(out_dir, "comp"), comp, inputs=inputs)
-    art.save_model(os.path.join(out_dir, "theta_u"), theta_u, inputs=inputs)
+    with art.removed_on_failure() as written:
+        written += art.save_comp(os.path.join(out_dir, "comp"), comp,
+                                 inputs=inputs)
+        written += art.save_model(os.path.join(out_dir, "theta_u"), theta_u,
+                                  inputs=inputs)
     hit, sampled = solve_spaces(fisher, m.support)
     return {
         "comp": os.path.join(out_dir, "comp"),
@@ -347,11 +352,13 @@ def prove(tp_path, tu_path, comp_path, mask_path, fisher_path, seed, out_dir):
         tp_path, tu_path, comp_path, mask_path, fisher_path)
     _, circuit, proof, _ = run_zk_layer(theta_p, theta_u, comp, f, m, seed)
     os.makedirs(out_dir, exist_ok=True)
-    art.save_public(os.path.join(out_dir, "public.pub"), circuit.public,
-                    inputs=art.input_digests(theta_p=tp_path, theta_u=tu_path,
-                                             comp=comp_path, mask=mask_path,
-                                             fisher=fisher_path))
-    art.save_proof(os.path.join(out_dir, "proof.prf"), proof)
+    with art.removed_on_failure() as written:
+        written += art.save_public(
+            os.path.join(out_dir, "public.pub"), circuit.public,
+            inputs=art.input_digests(theta_p=tp_path, theta_u=tu_path,
+                                     comp=comp_path, mask=mask_path,
+                                     fisher=fisher_path))
+        written += art.save_proof(os.path.join(out_dir, "proof.prf"), proof)
     return {
         "public": os.path.join(out_dir, "public.pub"),
         "proof": os.path.join(out_dir, "proof.prf"),
@@ -457,18 +464,18 @@ def demo(seed, out_dir, skip_gold):
         "reports": {k: v.to_json() for k, v in result.reports.items()},
     }
     os.makedirs(out_dir, exist_ok=True)
-    written = _save_splits(out_dir, result.task)
-    for save, name, obj in saves:
-        if obj is not None:
-            written += save(os.path.join(out_dir, name), obj)
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "wb") as fh:
-        fh.write(canonical_json(summary))
-    written.append(summary_path)
-    # the files this run wrote, not whatever else the directory holds
-    digests = {os.path.relpath(p, out_dir): art.file_digest(p) for p in written}
-    with open(os.path.join(out_dir, "digests.json"), "wb") as fh:
-        fh.write(canonical_json(digests))
+    with art.removed_on_failure() as written:
+        _save_splits(out_dir, result.task, written)
+        for save, name, obj in saves:
+            if obj is not None:
+                written += save(os.path.join(out_dir, name), obj)
+        written += art.write_json(os.path.join(out_dir, "summary.json"),
+                                  summary)
+        # the files this run wrote, not whatever else the directory holds
+        digests = {os.path.relpath(p, out_dir): art.file_digest(p)
+                   for p in written}
+        written += art.write_json(os.path.join(out_dir, "digests.json"),
+                                  digests)
     return summary, (result.certificate.verdict
                      and result.verified in (True, None))
 

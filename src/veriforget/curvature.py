@@ -11,22 +11,21 @@ blocks by from the same cap, so the layout of a Fisher is
 An estimate is a fixed function of its **recipe**, ``FisherRecipe``: the
 model it is taken at, the rows of its seeded subsample in subsample
 order, and the block cap; the damping rides beside it.  The artifact
-stores the recipe, never a block.  Each block is formed from the
-recipe's per-layer factors (``model.grad_blocks``) as a caller reaches
-it: the exactly symmetric square that the product of its gradient
-columns gives, divided by n in place.  The estimate's blocks are a
-``numkit.BlockStream``: a walk or a ``map`` forms one block at a time
-per process, and a ``map`` over many entries runs the backward pass and
-forms the blocks in forked workers.  A product with a block needs no
-block: ``model.GradBlock.matvec`` and ``rmatvec`` form it from the
-factors, as ``certify`` does, and ``obs`` may solve a block through its
-n x n Gram (``model.GradBlock.sample_gram``) without forming it.  A
-Fisher may also be given by its blocks alone, with no recipe.
+stores the recipe, never a block.  A process readies the blocks with
+one backward pass (``BlockFisher.ready``), which gives each block's
+per-layer factors (``model.GradBlock``) and forms a block from them as a
+caller reaches it: the exactly symmetric square that the product of its
+gradient columns gives, divided by n in place.  A product with a block
+needs no block: ``BlockFisher.damped_products`` forms it from the
+factors (``model.GradBlock.matvec`` and ``rmatvec``), and ``obs`` may
+solve a block through its n x n Gram (``model.GradBlock.sample_gram``)
+without forming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +36,17 @@ from .model import (
     column_layout,
     grad_blocks,
     grad_columns,
+    layer_grad_blocks,
     stream_rng,
 )
 from .numkit import (
     BlockDiagMatrix,
     BlockLayout,
     BlockStream,
+    ParamVector,
     StructuralError,
     canonical_json,
+    check_number,
     sha256_hex,
 )
 
@@ -56,12 +58,28 @@ DEFAULT_BLOCK_CAP = 256
 # coordinates makes every coordinate touched).  An estimate or a statement
 # in memory may use any cap.
 BLOCK_CAPS = (256, 512)
+# The largest damping a Fisher artifact may name.  ``certify``'s tolerance
+# is absolute, and an honest step's stationarity residual grows like
+# lam eps |theta_M|: on the demo's theta_p, mask and rows, lam = 1e10 fails
+# both certify and prove.  2^10 is the top of the range over which
+# test_honest_curvature_within_bound proves.  An estimate in memory may use
+# any damping, as it may any cap.
+MAX_DAMPING = 2**10
 
 
 def check_block_cap(cap) -> None:
     """Raise StructuralError unless ``cap`` is one of ``BLOCK_CAPS``."""
     if type(cap) is not int or cap not in BLOCK_CAPS:
         raise StructuralError(f"block cap {cap!r} is not one of {BLOCK_CAPS}")
+
+
+def check_damping(lam) -> None:
+    """Raise StructuralError unless ``lam`` is a number in (0,
+    MAX_DAMPING]."""
+    check_number("damping", lam)
+    if not 0 < lam <= MAX_DAMPING:
+        raise StructuralError(
+            f"damping {lam!r} is not in (0, MAX_DAMPING = {MAX_DAMPING}]")
 
 
 @dataclass(frozen=True)
@@ -81,23 +99,62 @@ class FisherRecipe:
 
 @dataclass(frozen=True)
 class BlockFisher:
-    """Empirical Fisher F stored per block; damping applied lazily as +lam*I.
-    ``recipe`` is the estimate's inputs, or None for a Fisher given by its
-    blocks alone."""
+    """The empirical Fisher F of ``recipe``, damped lazily as F + lam*I.
+    The recipe's rows must fit its model (StructuralError) and its cap be
+    at least 1 (ValueError)."""
 
-    fisher: BlockDiagMatrix
+    recipe: FisherRecipe
     lam: float
-    sample_count: int
     source_digest: str
-    recipe: FisherRecipe | None = None
 
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
             raise ValueError("damping must be finite and > 0")
+        check_fits(self.recipe.model, self.recipe.rows)
+        self.layout  # built here, so that a bad cap fails at construction
+
+    @cached_property
+    def layout(self) -> BlockLayout:
+        return column_layout(self.recipe.model, self.recipe.block_cap)
 
     @property
-    def layout(self) -> BlockLayout:
-        return self.fisher.layout
+    def sample_count(self) -> int:
+        return len(self.recipe.rows)
+
+    def ready(self) -> tuple[list, object]:
+        """This process's blocks, from one backward pass: each block's
+        ``model.GradBlock``, and ``block(i, out)``, block i formed into the
+        square ``out`` (``block_former``)."""
+        parts = self.recipe.blocks()
+        return parts, block_former(parts, self.sample_count)
+
+    @property
+    def fisher(self) -> BlockDiagMatrix:
+        """F's blocks for a walk, formed one at a time as it reaches them."""
+        return BlockDiagMatrix(BlockStream(lambda: self.ready()[1], self.layout))
+
+    def damped_products(self, theta_p: ParamVector, dw: np.ndarray,
+                        blocks) -> list:
+        """(F_b + lam I) dw_b for each block b of ``blocks``, in order,
+        from the layer factors of one backward pass, F_b v = G_b'(G_b v) / n
+        (``model.GradBlock.matvec``, then ``rmatvec``), a layer at a time
+        as the pass reaches it (``model.layer_grad_blocks``), forming
+        neither G nor a block.  The recipe must be taken at ``theta_p``
+        (StructuralError)."""
+        recipe = self.recipe
+        if not np.array_equal(recipe.model.params.values, theta_p.values):
+            raise StructuralError(
+                "the Fisher is taken at another model than theta_p")
+        slices = [sl for sl, _ in self.layout.slices()]
+        products = dict.fromkeys(blocks)
+        for layer in layer_grad_blocks(recipe.model, recipe.rows,
+                                       recipe.block_cap):
+            for b, _, part in layer:
+                if b in products:
+                    v = dw[slices[b]]
+                    products[b] = (part.rmatvec(part.matvec(v))
+                                   / self.sample_count + self.lam * v)
+        return list(products.values())
 
 
 @dataclass(frozen=True)
@@ -122,7 +179,7 @@ def _subsample(data: Dataset, max_samples: int, seed: int) -> tuple[Dataset, np.
 def block_former(parts: list, n: int):
     """``block(i, out)``: F_i = G_i'G_i / n, G_i the columns of
     ``parts[i]``, a ``model.GradBlock`` over n rows, written into the
-    square ``out`` (a ``numkit.BlockStream`` source's block)."""
+    square ``out``, a C-order f64 square of its size."""
 
     def block(i, out):
         gb = parts[i].columns()  # n x s
@@ -140,31 +197,6 @@ def block_former(parts: list, n: int):
     return block
 
 
-def fisher_from_recipe(recipe: FisherRecipe, lam: float,
-                       source_digest: str) -> BlockFisher:
-    """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over the recipe's n rows, one
-    block per ``column_layout(model, cap)`` block, streamed: the process
-    that forms the first block it is given runs the backward pass, and
-    forms each block from its factors as it is reached.  The rows must fit
-    the model (StructuralError)."""
-    if not 0 < lam < np.inf:
-        raise ValueError("damping must be finite and > 0")
-    check_fits(recipe.model, recipe.rows)
-    layout = column_layout(recipe.model, recipe.block_cap)
-    n = len(recipe.rows)
-
-    def form():
-        return block_former(recipe.blocks(), n)
-
-    return BlockFisher(
-        fisher=BlockDiagMatrix(BlockStream(form, layout)),
-        lam=lam,
-        sample_count=n,
-        source_digest=source_digest,
-        recipe=recipe,
-    )
-
-
 def empirical_fisher_blockwise(
     model: MlpModel,
     data: Dataset,
@@ -173,9 +205,10 @@ def empirical_fisher_blockwise(
     max_samples: int = DEFAULT_MAX_SAMPLES,
     seed: int = 0,
 ) -> BlockFisher:
-    """The estimate over a seeded subsample of ``data`` of at most
-    ``max_samples`` rows (``fisher_from_recipe``); no block is formed
-    until a walk or a ``map`` reaches it."""
+    """F^(b) = (1/n) sum_i g_i^(b) g_i^(b)T over a seeded subsample of
+    ``data`` of n <= ``max_samples`` rows, one block per
+    ``column_layout(model, block_cap)`` block; no block is formed until a
+    caller reaches it."""
     if len(data) == 0:
         raise StructuralError("empty dataset")
     if max_samples < 1:
@@ -190,7 +223,7 @@ def empirical_fisher_blockwise(
             }
         )
     )
-    return fisher_from_recipe(FisherRecipe(model, sub, block_cap), lam, digest)
+    return BlockFisher(FisherRecipe(model, sub, block_cap), lam, digest)
 
 
 def diag_curvature(

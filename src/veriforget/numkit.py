@@ -1,11 +1,11 @@
 """Deterministic numerical primitives shared by the whole pipeline.
 
 Block-structured flat vectors, block-diagonal symmetric matrices whose
-blocks, each an exactly symmetric square, are always a ``BlockStream``
-(formed from their inputs or held, and reached a block at a time; no
-block is read from or written to disk), fixed-point quantization,
-reproducible reductions and digests, and the package's one pool of
-forked worker processes (``fork_map``).
+blocks, each an exactly symmetric square, are a ``BlockStream`` (formed
+from their inputs a block at a time, for a walk; no block is read from
+or written to disk), fixed-point quantization, reproducible reductions
+and digests, and the package's one pool of forked worker processes
+(``fork_map``, and ``fork_blocks`` over a matrix's blocks).
 Everything here is pure and immutable after construction; file formats
 live in ``artifacts``.
 """
@@ -308,27 +308,18 @@ def fork_blocks(ready, fn, indices, entries) -> list:
 
 
 class BlockStream:
-    """The blocks of a block-diagonal matrix, reached by index one at a
-    time: formed from their inputs, or held in memory (``held``).
+    """The blocks of a block-diagonal matrix, formed from their inputs and
+    reached by index one at a time.
 
     ``source()`` readies the blocks (it runs a backward pass) and returns
     ``block(i, out)``: block i, an exactly symmetric square written into
-    ``out``, a C-order f64 square of its size, or held, and returned.  A
-    walk over the stream and ``map`` check each block (``check_block``)
-    before anything uses it, and neither forms more than a block per
-    process at a time."""
+    ``out``, a C-order f64 square of its size, and returned.  A walk over
+    the stream checks each block (``check_block``) before anything uses
+    it, and forms one block at a time."""
 
     def __init__(self, source, layout: BlockLayout):
         self._source = source
         self.layout = layout
-
-    @classmethod
-    def held(cls, blocks, layout: BlockLayout) -> "BlockStream":
-        """A stream of ``blocks``, one per layout block, held in memory."""
-        blocks = tuple(blocks)
-        if len(blocks) != len(layout.blocks):
-            raise StructuralError("block count does not match layout")
-        return cls(lambda: lambda i, _: blocks[i], layout)
 
     def __len__(self) -> int:
         return len(self.layout.blocks)
@@ -338,25 +329,6 @@ class BlockStream:
         block = self._source()
         for i, (_, size, label) in enumerate(self.layout.blocks):
             yield check_block(block(i, np.empty((size, size))), size, label)
-
-    def map(self, fn, only=None) -> list:
-        """[fn(i, block i) for each block i of ``only``, in order (every
-        block when ``only`` is None)], through ``fork_blocks``, each block
-        costed at its triangle's entries.  The source is readied by the
-        first block a process forms, so forked workers each run it and
-        this process does not.  Each process forms every block it is given
-        into one buffer, so ``fn`` must not keep the block it is passed."""
-        indices = range(len(self)) if only is None else list(only)
-        sizes = [size for _, size, _ in self.layout.blocks]
-        buf = np.empty(max((sizes[i] ** 2 for i in indices), default=0))
-
-        def task(block, i):
-            _, size, label = self.layout.blocks[i]
-            out = buf[: size * size].reshape(size, size)
-            return fn(i, check_block(block(i, out), size, label))
-
-        return fork_blocks(self._source, task, indices,
-                           [triangle_entries(sizes[i]) for i in indices])
 
 
 @dataclass(frozen=True)
@@ -370,11 +342,6 @@ class BlockDiagMatrix:
     @property
     def layout(self) -> BlockLayout:
         return self.blocks.layout
-
-    def map(self, fn, only=None) -> list:
-        """[fn(i, block i) for each block i of ``only``, or every block], in
-        order: ``BlockStream.map``."""
-        return self.blocks.map(fn, only)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ dw_b = 0 and is never formed.  A block that holds one, with masked
 coordinates M and unmasked ones U, is solved in one of two spaces, which
 give the same solution up to rounding.
 
-Coordinate space (every Fisher; the only form for one given by its
-blocks alone).  As Optimal Brain Surgeon does, the block is reordered
+Coordinate space.  As Optimal Brain Surgeon does, the block is reordered
 with U first and M last and factored once, C = L L' with
 L = [[L11, 0], [L21, L22]].  Then dw_M = -theta_M exactly,
 dw_U = L11^-T L21' theta_M, and the multipliers are
@@ -18,8 +17,8 @@ lam_M = L22 L22' theta_M, the Schur complement of C_UU applied to
 theta_M.  Cost: forming the block, O(n s_b^2), and its Cholesky,
 s_b^3 / 3.
 
-Sample space (a Fisher given by its recipe, when ``sample_space(n,
-s_b)``).  By the push-through identity
+Sample space (when ``sample_space(n, s_b)``).  By the push-through
+identity
 
     C_UU^-1 C_UM theta_M = G_U'(G_U G_U' + n lam I)^-1 G_M theta_M,
 
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import BlockFisher, block_former
+from .curvature import BlockFisher
 from .masking import MaskArtifact
 from .numkit import (
     NumericError,
@@ -100,11 +99,10 @@ def sample_space(n: int, size: int) -> bool:
 
 def solve_spaces(c_p: BlockFisher, support) -> tuple[tuple, set]:
     """The blocks the sorted ``support`` touches, in layout order, and the
-    set of those solved in sample space (none without a recipe)."""
+    set of those solved in sample space."""
     sizes = [size for _, size, _ in c_p.layout.blocks]
     hit = touched(sizes, support)
-    return hit, {i for i in hit if c_p.recipe is not None
-                 and sample_space(len(c_p.recipe.rows), sizes[i])}
+    return hit, {i for i in hit if sample_space(c_p.sample_count, sizes[i])}
 
 
 def group_obs_solve(
@@ -170,63 +168,59 @@ def group_obs_solve(
         # lam_M = (C_MM - C_MU C_UU^-1 C_UM) w_M = L22 L22' w_M
         return dw_b, dtrmv(low, t, lower=1)[ku:]
 
-    recipe = c_p.recipe
-    if recipe is None:
-        results = c_p.fisher.map(solve, only=hit)
-    else:
-        n = len(recipe.rows)
-        layer = [None]  # the errors whose Delta Delta' ``outer`` holds
+    n = c_p.sample_count
+    layer = [None]  # the errors whose Delta Delta' ``outer`` holds
 
-        def sample_solve(i, part, outer, gram):
-            """Block i's (dw_b, lam_b) in sample space, from its factors."""
-            sl, label = slices[i]
-            mloc = np.flatnonzero(masked[sl])
-            w_m = theta[sl][mloc]
-            if part.a_prev is not None and layer[0] is not part.delta:
-                dsyrk(1.0, part.delta.T, c=outer, trans=1, lower=1,
-                      overwrite_c=1)
-                layer[0] = part.delta
-            # K = G_U G_U' + n lam I = G G' - G_M G_M' + n lam I, its lower
-            # triangle; the diagonal is one stride of the C-order transpose
-            g_m = part.columns_at(mloc)
-            part.sample_gram(outer, out=gram)
-            dsyrk(-1.0, g_m.T, beta=1.0, c=gram, trans=1, lower=1,
+    def sample_solve(i, part, outer, gram):
+        """Block i's (dw_b, lam_b) in sample space, from its factors."""
+        sl, label = slices[i]
+        mloc = np.flatnonzero(masked[sl])
+        w_m = theta[sl][mloc]
+        if part.a_prev is not None and layer[0] is not part.delta:
+            dsyrk(1.0, part.delta.T, c=outer, trans=1, lower=1,
                   overwrite_c=1)
-            gram.T.flat[:: n + 1] += n * c_p.lam
-            low, info = dpotrf(gram, lower=1, overwrite_a=1, clean=0)
-            if info > 0:
-                raise NumericError(
-                    f"block {label!r} is not SPD: its sample-space Cholesky "
-                    f"pivot at row {info - 1} is not positive")
-            y = g_m @ w_m
-            z, _ = dpotrs(low, y, lower=1)  # K^-1 G_M theta_M
-            # one step of refinement through the factors (module docstring)
-            h = part.rmatvec(z)
-            h[mloc] = 0.0
-            rho = y - part.matvec(h) - n * c_p.lam * z
-            z += dpotrs(low, rho, lower=1)[0]
-            # dw_U = G_U' z, lam_M = lam (G_M' z + theta_M) (module docstring)
-            dw_b = part.rmatvec(z)
-            lam_b = c_p.lam * (dw_b[mloc] + w_m)
-            dw_b[mloc] = -w_m
-            return dw_b, lam_b
+            layer[0] = part.delta
+        # K = G_U G_U' + n lam I = G G' - G_M G_M' + n lam I, its lower
+        # triangle; the diagonal is one stride of the C-order transpose
+        g_m = part.columns_at(mloc)
+        part.sample_gram(outer, out=gram)
+        dsyrk(-1.0, g_m.T, beta=1.0, c=gram, trans=1, lower=1,
+              overwrite_c=1)
+        gram.T.flat[:: n + 1] += n * c_p.lam
+        low, info = dpotrf(gram, lower=1, overwrite_a=1, clean=0)
+        if info > 0:
+            raise NumericError(
+                f"block {label!r} is not SPD: its sample-space Cholesky "
+                f"pivot at row {info - 1} is not positive")
+        y = g_m @ w_m
+        z, _ = dpotrs(low, y, lower=1)  # K^-1 G_M theta_M
+        # one step of refinement through the factors (module docstring)
+        h = part.rmatvec(z)
+        h[mloc] = 0.0
+        rho = y - part.matvec(h) - n * c_p.lam * z
+        z += dpotrs(low, rho, lower=1)[0]
+        # dw_U = G_U' z, lam_M = lam (G_M' z + theta_M) (module docstring)
+        dw_b = part.rmatvec(z)
+        lam_b = c_p.lam * (dw_b[mloc] + w_m)
+        dw_b[mloc] = -w_m
+        return dw_b, lam_b
 
-        def ready():
-            parts, side = recipe.blocks(), (n, n) if sampled else (0, 0)
-            # Delta Delta', ones above its diagonal (``sample_gram``), and K
-            return (parts, block_former(parts, n), np.ones(side, order="F"),
-                    np.zeros(side, order="F"))
+    def ready():
+        side = (n, n) if sampled else (0, 0)
+        # Delta Delta', ones above its diagonal (``sample_gram``), and K
+        return (*c_p.ready(), np.ones(side, order="F"),
+                np.zeros(side, order="F"))
 
-        def task(state, i):
-            parts, block, outer, gram = state
-            if i in sampled:
-                return sample_solve(i, parts[i], outer, gram)
-            # formed in ``square``: solve reads it once, into ``swap``
-            out = block(i, square(sizes[i]))
-            return solve(i, check_block(out, sizes[i], slices[i][1]))
+    def task(state, i):
+        parts, block, outer, gram = state
+        if i in sampled:
+            return sample_solve(i, parts[i], outer, gram)
+        # formed in ``square``: solve reads it once, into ``swap``
+        out = block(i, square(sizes[i]))
+        return solve(i, check_block(out, sizes[i], slices[i][1]))
 
-        results = fork_blocks(ready, task, hit, [
-            triangle_entries(n if i in sampled else sizes[i]) for i in hit])
+    results = fork_blocks(ready, task, hit, [
+        triangle_entries(n if i in sampled else sizes[i]) for i in hit])
 
     delta = np.zeros(theta_p.dim)
     multipliers = [np.empty(0)]

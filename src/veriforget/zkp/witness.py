@@ -33,7 +33,6 @@ from ..model import GradBlock, column_blocks, layer_grad_blocks
 from ..numkit import (
     NumericError,
     ParamVector,
-    StructuralError,
     block_slices,
     quantize,
     touched,
@@ -105,8 +104,6 @@ def factor_parts(spans, blocks, layers, factors, factor_shift,
 def _layout(c_p: BlockFisher, mask: MaskArtifact):
     """The block slices, touched blocks, spans (layer, bias, lo, hi) of
     ``model.column_blocks`` and touched layers."""
-    if c_p.recipe is None:
-        raise StructuralError("a Fisher given by its blocks has no factors")
     sizes = [size for _, size, _ in c_p.layout.blocks]
     hit = touched(sizes, mask.support)
     spans = [span for _, *span in column_blocks(c_p.recipe.model.layer_dims,

@@ -2,9 +2,10 @@
 only tests use."""
 
 import json
+import math
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -140,8 +141,37 @@ def dense_kkt_solve(
 
 
 def block_matrix(blocks, layout) -> BlockDiagMatrix:
-    """The block-diagonal matrix of square symmetric ``blocks``."""
-    return BlockDiagMatrix(BlockStream.held(blocks, layout))
+    """The block-diagonal matrix of square symmetric ``blocks``, one per
+    layout block, held in memory."""
+    blocks = tuple(blocks)
+    return BlockDiagMatrix(BlockStream(lambda: lambda i, _: blocks[i], layout))
+
+
+@dataclass(frozen=True)
+class HeldFisher:
+    """A test double of ``curvature.BlockFisher``: an arbitrary curvature
+    given by its square ``blocks`` alone, held in memory, with the members
+    ``obs`` and ``certify`` read.  Its sample count is infinite, so
+    ``obs`` solves every block from its square, and ``ready`` gives no
+    factors."""
+
+    blocks: list
+    layout: BlockLayout
+    lam: float
+    sample_count: float = math.inf
+
+    @property
+    def fisher(self) -> BlockDiagMatrix:
+        return block_matrix(self.blocks, self.layout)
+
+    def ready(self):
+        return None, lambda i, _: self.blocks[i]
+
+    def damped_products(self, theta_p, dw, blocks) -> list:
+        """Oracle: F_b dw_b + lam dw_b from each square block b."""
+        slices = [sl for sl, _ in self.layout.slices()]
+        return [self.blocks[b] @ dw[slices[b]] + self.lam * dw[slices[b]]
+                for b in blocks]
 
 
 def square_blocks(mat: BlockDiagMatrix) -> list[np.ndarray]:
@@ -182,16 +212,10 @@ def dense_oracle(fisher, theta, mask):
     return sol[:d], sol[d:]
 
 
-def held(fisher: BlockFisher) -> BlockFisher:
-    """``fisher`` with every block formed once and held in memory."""
-    return replace(fisher, fisher=BlockDiagMatrix(
-        BlockStream.held(fisher.fisher.blocks, fisher.layout)))
-
-
-def read_fisher(path, theta_p) -> BlockFisher:
-    """The Fisher artifact at ``path``, taken at the model ``theta_p``,
-    with every block formed once and held in memory."""
-    return held(art.load_fisher(path, theta_p))
+def held(fisher: BlockFisher) -> HeldFisher:
+    """The double of ``fisher``: its blocks formed once and held in
+    memory, at its damping."""
+    return HeldFisher(square_blocks(fisher.fisher), fisher.layout, fisher.lam)
 
 
 def resave(src, dst, arrays, **header_edits):
@@ -384,19 +408,10 @@ def random_spd_block(rng, size, damping=0.1):
     return (a + a.T) / 2.0
 
 
-def random_spd_blockdiag(rng, layout, damping=0.1):
-    return block_matrix(
-        [random_spd_block(rng, size, damping) for _, size, _ in layout.blocks],
-        layout,
-    )
-
-
 def random_fisher(rng, layout, lam=1e-3, damping=0.1):
     """SPD F so that F + lam*I has well-understood conditioning."""
-    mat = random_spd_blockdiag(rng, layout, damping)
-    return BlockFisher(
-        fisher=mat, lam=lam, sample_count=17, source_digest="test"
-    )
+    return HeldFisher([random_spd_block(rng, size, damping)
+                       for _, size, _ in layout.blocks], layout, lam)
 
 
 def random_mask(rng, layout, k):

@@ -18,10 +18,8 @@ from veriforget.zkp import Proof, PublicInputs
 
 from conftest import (
     examples,
-    random_fisher,
     random_layout,
     random_mask,
-    read_fisher,
     resave,
     small_dataset,
 )
@@ -85,7 +83,7 @@ def loader(kind):
 
 def load(kind, path):
     if kind == "fisher":
-        return read_fisher(path, FISHER_MODEL)
+        return art.load_fisher(path, FISHER_MODEL)
     return loader(kind)(path)
 
 
@@ -480,14 +478,6 @@ def test_fisher_block_cap_is_one_of_the_allowed(tmp_path):
         _rewrite_header(p, lambda h: h.update(block_cap=cap))
         with pytest.raises(StructuralError):
             art.load_fisher(p, FISHER_MODEL)
-
-
-def test_fisher_given_by_blocks_alone_is_not_saved(tmp_path):
-    rng = np.random.default_rng(2)
-    with pytest.raises(StructuralError, match="no recipe"):
-        art.save_fisher(str(tmp_path / "fisher"),
-                        random_fisher(rng, random_layout(rng)))
-    assert os.listdir(tmp_path) == []
 
 
 # n is the blob's row count: a header that counts the rows too, as it once

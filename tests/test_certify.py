@@ -1,21 +1,17 @@
 import tracemalloc
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from veriforget.certify import (
-    _damped_products,
     check_kkt,
     exact_hessian,
     forget_gain_report,
     measured_forget_gap,
 )
 from veriforget.masking import make_mask
-from veriforget.curvature import BlockFisher, empirical_fisher_blockwise
+from veriforget.curvature import empirical_fisher_blockwise
 from veriforget.model import (
     TrainConfig,
     batch_grad,
@@ -24,22 +20,15 @@ from veriforget.model import (
     per_example_grads,
     train_sgd,
 )
-from veriforget.numkit import (
-    BlockLayout,
-    NumericError,
-    ParamVector,
-    StructuralError,
-)
+from veriforget.numkit import NumericError, StructuralError
 from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
-    block_matrix,
     examples,
     held,
     quadratic_gain,
     random_instance,
     random_spd_block,
-    reference_damp,
     small_dataset,
 )
 
@@ -75,9 +64,9 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 @example(dims=[5, 7, 3], n=4, cap=10, lam=1e-3, seed=3)
 def test_factored_stationarity_matches_the_triangle_form(dims, n, cap, lam,
                                                          seed):
-    """check_kkt's product with each block from the layer factors, for a
-    Fisher given by its recipe, against the product with the square
-    block, for the same Fisher given by its blocks alone."""
+    """check_kkt's product with each block from the layer factors against
+    the product with the square block, F_b v + lam v, for the same
+    curvature held as its blocks (``conftest.HeldFisher``)."""
     rng = np.random.default_rng(seed)
     model = init_mlp(dims, 0)
     model = model.with_params(rng.normal(size=model.dim))
@@ -85,12 +74,12 @@ def test_factored_stationarity_matches_the_triangle_form(dims, n, cap, lam,
     data = small_dataset(rng, n=n, dim=dims[0], classes=dims[-1])
     fisher = empirical_fisher_blockwise(model, data, lam=lam, block_cap=cap,
                                         seed=seed)
-    blocks_only = replace(held(fisher), recipe=None)
+    blocks_only = held(fisher)
     dw = rng.normal(size=theta.dim) * rng.integers(0, 2, size=theta.dim)
     moved = sorted(set(rng.choice(len(fisher.layout.blocks),
                                   size=int(rng.integers(0, 4))).tolist()))
-    factored = _damped_products(fisher, theta, dw, moved)
-    oracle = _damped_products(blocks_only, theta, dw, moved)
+    factored = fisher.damped_products(theta, dw, moved)
+    oracle = blocks_only.damped_products(theta, dw, moved)
     sub = fisher.recipe.rows
     cols = dict(grad_columns(model, sub, cap))
     slices = list(fisher.layout.slices())
@@ -104,29 +93,6 @@ def test_factored_stationarity_matches_the_triangle_form(dims, n, cap, lam,
         assert np.all(np.abs(got - want) <= tol), label
 
 
-_FINITE = st.floats(-1e6, 1e6)
-
-
-@given(st.integers(1, 40), st.floats(1e-6, 1e3), st.data())
-def test_blocks_only_product_matches_the_damped_block(size, lam, data):
-    """check_kkt's product for a Fisher given by its blocks alone,
-    F_b v + lam v, against the damped square block's (F_b + lam I) v.
-    Each side is a sum of size + 1 products in its own order, so each
-    rounds within (size + 1) * eps of |F_b + lam I| |v|, plus a
-    subnormal per product that underflows."""
-    raw = data.draw(arrays(np.float64, (size, size), elements=_FINITE))
-    block = np.where(np.triu(np.ones((size, size), dtype=bool)), raw, raw.T)
-    v = data.draw(arrays(np.float64, size, elements=_FINITE))
-    layout = BlockLayout.from_sizes([(size, "b")])
-    fisher = BlockFisher(fisher=block_matrix([block], layout), lam=lam,
-                         sample_count=1, source_digest="test")
-    (got,) = _damped_products(fisher, ParamVector(np.zeros(size), layout),
-                              v, [0])
-    scale = np.abs(block) @ np.abs(v) + lam * np.abs(v)
-    tol = 2 * (size + 1) * (_EPS * scale + _TINY)
-    assert np.all(np.abs(got - reference_damp(block, lam) @ v) <= tol)
-
-
 def test_factored_stationarity_needs_the_fisher_at_theta_p():
     rng = np.random.default_rng(5)
     model = init_mlp([3, 4, 2], 0)
@@ -134,7 +100,7 @@ def test_factored_stationarity_needs_the_fisher_at_theta_p():
     fisher = empirical_fisher_blockwise(model, data)
     other = model.params.with_values(model.params.values + 1.0)
     with pytest.raises(StructuralError, match="another model"):
-        _damped_products(fisher, other, np.ones(model.dim), [0])
+        fisher.damped_products(other, np.ones(model.dim), [0])
 
 
 def test_honest_run_passes_tightly():

@@ -20,11 +20,10 @@ from veriforget import artifacts as art
 from veriforget import zkp
 from veriforget.certify import check_kkt, measured_forget_gap
 from veriforget.cli import main
+from veriforget.curvature import MAX_DAMPING
 from veriforget.masking import make_mask
 from veriforget.model import init_mlp
 from veriforget.numkit import (
-    BlockDiagMatrix,
-    BlockStream,
     NumericError,
     StructuralError,
     touched,
@@ -34,7 +33,7 @@ from veriforget.pipeline import compensate, run_pipeline
 from veriforget.zkp.circuit import FAMILIES
 
 from conftest import (
-    read_fisher,
+    HeldFisher,
     report_cpus,
     resave,
     square_blocks,
@@ -114,7 +113,7 @@ def test_certify_fails_on_free_curvature_forgery_off_the_touched_blocks(
     stored rows, and fails the same step."""
     w, tmp = workdir, str(tmp_path)
     theta_p = art.load_model(f"{w}/theta_p")
-    fisher = read_fisher(f"{w}/fisher", theta_p)
+    fisher = art.load_fisher(f"{w}/fisher", theta_p)
     b = fisher.layout.labels.index("mlp.1.w")
     sl = list(fisher.layout.slices())[b][0]
     comp, theta_u = art.load_comp(f"{w}/comp", theta_p), art.load_model(
@@ -130,8 +129,7 @@ def test_certify_fails_on_free_curvature_forgery_off_the_touched_blocks(
     blocks = [block.copy() for block in fisher.fisher.blocks]
     blocks[b] = (np.eye(u.size) - np.outer(u, u) / (u @ u)
                  - fisher.lam * np.eye(u.size))
-    forged = replace(fisher, recipe=None, fisher=BlockDiagMatrix(
-        BlockStream.held(blocks, fisher.layout)))
+    forged = HeldFisher(blocks, fisher.layout, fisher.lam)
     cert = check_kkt(theta_p.params, theta_u.params.with_values(tu),
                      forged_comp, forged, mask)
     assert not cert.verdict
@@ -464,7 +462,7 @@ def _square_fisher(command):
     and theta_u that record no inputs, so no digest check stands in the
     way."""
     def case(w, tmp):
-        fisher = read_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p"))
+        fisher = art.load_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p"))
         resave(f"{w}/fisher", f"{tmp}/fisher", square_blocks(fisher.fisher))
         if command == "unlearn":
             return tuple(a.format(w=w, tmp=tmp) for a in _UNLEARN_TMP_FISHER)
@@ -714,6 +712,8 @@ def _fisher_zero_samples(w, tmp):
         _header("fisher_lambda_inf", "fisher", _set("lambda", float("inf")),
                 *_UNLEARN_TMP_FISHER),
         _header("fisher_lambda_bool", "fisher", _set("lambda", True),
+                *_UNLEARN_TMP_FISHER),
+        _header("fisher_lambda_above_max", "fisher", _set("lambda", 1e10),
                 *_UNLEARN_TMP_FISHER),
         _option("report_bounds_lambda_q_nan", *_REPORT_BOUNDS, "--lambda-q", "nan"),
         _option("report_bounds_lambda_q_inf", *_REPORT_BOUNDS, "--lambda-q", "inf"),
@@ -969,6 +969,33 @@ def test_failed_fisher_writes_nothing(workdir, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["model", "model.bin"]
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("unlearn", "comp"), ("unlearn", "theta_u.bin"), ("prove", "proof.prf"),
+    ("train", "theta0"), ("demo", "digests.json"),
+])
+def test_failed_write_leaves_no_file_of_the_run(workdir, tmp_path, command,
+                                                blocked):
+    """A command whose write fails, here at a path that is a directory,
+    exits 2 and removes each file it wrote before, its blob's or those of
+    an earlier artifact: the output directory holds only the directory."""
+    w, out = workdir, str(tmp_path)
+    os.mkdir(f"{out}/{blocked}")
+    args = {
+        "unlearn": ("unlearn", "--model", f"{w}/theta_p", "--mask",
+                    f"{w}/mask.mask", "--fisher", f"{w}/fisher",
+                    "--out-dir", out),
+        "prove": _prove_args(w, out),
+        "train": ("train", "--out-dir", out, "--seed", "3", "--layers",
+                  "4,8,3", "--epochs", "1"),
+        "demo": ("demo", "--skip-gold", "--out-dir", out),
+    }[command]
+    res = invoke(*args)
+    assert res.exit_code == 2, res.output
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert os.listdir(out) == [blocked]
+    assert os.listdir(f"{out}/{blocked}") == []
+
+
 # -- the per-block passes, in-process and in forked workers --------------------
 
 
@@ -980,12 +1007,12 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, monkeypatch, workers,
     naming the block and the coordinate, also from the worker that
     factored the block, and writes nothing.  A stored Fisher cannot hold
     such a block, since its blocks are formed from its rows, so the block
-    enters in memory, through the loader, in a Fisher given by its blocks
-    alone; the mask touches a second block, so that each of two workers
-    factors one."""
+    enters in memory, through the loader, in a curvature held as its
+    blocks (``conftest.HeldFisher``); the mask touches a second block, so
+    that each of two workers factors one."""
     w, tmp = workdir, str(tmp_path)
     theta_p = art.load_model(f"{w}/theta_p")
-    fisher = read_fisher(f"{w}/fisher", theta_p)
+    fisher = art.load_fisher(f"{w}/fisher", theta_p)
     d = theta_p.dim
     support = np.append(art.load_mask(f"{w}/mask.mask").support,
                         fisher.layout.block_slice("mlp.1.w").start)
@@ -999,8 +1026,7 @@ def test_unlearn_non_spd_block_exit_3(workdir, tmp_path, monkeypatch, workers,
     blocks = [block.copy() for block in fisher.fisher.blocks]
     j = coord - offset
     blocks[fisher.layout.blocks.index(block)][j, j] = -1.0
-    tampered = replace(fisher, recipe=None, fisher=BlockDiagMatrix(
-        BlockStream.held(blocks, fisher.layout)))
+    tampered = HeldFisher(blocks, fisher.layout, fisher.lam)
     monkeypatch.setattr(art, "load_fisher", lambda *args, **inputs: tampered)
     res = invoke("unlearn", "--model", f"{w}/theta_p", "--mask",
                  f"{tmp}/mask.mask", "--fisher", f"{w}/fisher",
@@ -1424,25 +1450,43 @@ def test_prove_and_verify_report_the_circuit_precision(workdir, tmp_path):
 
 
 def test_prove_at_a_large_damping(workdir, tmp_path):
-    """A Fisher at damping 100, which fisher accepts, certifies, proves and
-    verifies: the statement scales the damping as it scales the
-    multipliers, so no damping is too large for the circuit."""
-    w, out = workdir, str(tmp_path)
-    for args in (
-        ("fisher", "--model", f"{w}/theta_p", "--data", f"{w}/personal.dset",
-         "--lambda", "100", "--seed", "3", "--out", f"{out}/fisher"),
-        ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
-         "--fisher", f"{out}/fisher", "--out-dir", out),
-        _certify_args(w, theta_u=out, comp=out, fisher=out),
-        ("prove", *_certify_args(w, theta_u=out, comp=out, fisher=out)[1:],
-         "--out-dir", out),
-        ("verify", "--proof", f"{out}/proof.prf",
-         "--public", f"{out}/public.pub"),
-    ):
-        res = invoke(*args)
-        assert res.exit_code == 0, res.output
-    public = art.load_public(f"{out}/public.pub")
-    assert public.damping == 100.0 and public.shift >= 6
+    """A Fisher at damping 100, and at MAX_DAMPING, the largest that fisher
+    accepts, certifies, proves and verifies: the statement scales the
+    damping as it scales the multipliers."""
+    w = workdir
+    for lam, shift in ((100, 6), (MAX_DAMPING, 10)):
+        out = f"{tmp_path}/{lam}"
+        os.mkdir(out)
+        for args in (
+            ("fisher", "--model", f"{w}/theta_p", "--data",
+             f"{w}/personal.dset", "--lambda", str(lam), "--seed", "3",
+             "--out", f"{out}/fisher"),
+            ("unlearn", "--model", f"{w}/theta_p", "--mask", f"{w}/mask.mask",
+             "--fisher", f"{out}/fisher", "--out-dir", out),
+            _certify_args(w, theta_u=out, comp=out, fisher=out),
+            ("prove", *_certify_args(w, theta_u=out, comp=out, fisher=out)[1:],
+             "--out-dir", out),
+            ("verify", "--proof", f"{out}/proof.prf",
+             "--public", f"{out}/public.pub"),
+        ):
+            res = invoke(*args)
+            assert res.exit_code == 0, res.output
+        public = art.load_public(f"{out}/public.pub")
+        assert public.damping == lam and public.shift >= shift
+
+
+def test_fisher_refuses_a_damping_above_the_ceiling(workdir, tmp_path):
+    """A damping past MAX_DAMPING, where certify's absolute tolerance
+    would reject an honest step, exits 2 with one error line and writes
+    no fisher."""
+    res = invoke("fisher", "--model", f"{workdir}/theta_p", "--data",
+                 f"{workdir}/personal.dset", "--lambda", str(MAX_DAMPING + 1),
+                 "--out", f"{tmp_path}/fisher")
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == [
+        f"error: damping {MAX_DAMPING + 1.0} is not in (0, MAX_DAMPING = "
+        f"{MAX_DAMPING}]"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_prove_records_every_input(workdir):

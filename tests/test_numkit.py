@@ -8,20 +8,21 @@ from hypothesis import given, strategies as st
 
 from veriforget import numkit
 from veriforget.numkit import (
-    BlockDiagMatrix,
     BlockLayout,
     BlockStream,
     NumericError,
     ParamVector,
     StructuralError,
     canonical_json,
+    check_block,
+    fork_blocks,
     fork_map,
     quantize,
     tree_sum,
     triangle_entries,
 )
 
-from conftest import report_cpus
+from conftest import block_matrix, report_cpus
 
 
 def single_block_layout(d, label="b"):
@@ -77,24 +78,18 @@ def test_paramvector_immutable():
 def test_blockdiag_holds_symmetric_squares():
     layout = single_block_layout(2, "b0")
     square = np.array([[0.0, 1.0], [1.0, 2.0]])
-    mat = BlockDiagMatrix(BlockStream.held((square,), layout))
+    mat = block_matrix((square,), layout)
     assert mat.layout == layout
     assert [block.tolist() for block in mat.blocks] == [square.tolist()]
-    assert mat.map(lambda i, block: (i, block.shape)) == [(0, (2, 2))]
     # an asymmetric square, the packed triangle of a symmetric one, a
     # square of another size and squares with a NaN or an inf are refused,
-    # naming the block, where a walk or a map reaches them
+    # naming the block, where a walk reaches them
     for bad in (np.array([[1.0, 2.0], [0.0, 1.0]]),
                 square[np.triu_indices(len(square))],
                 np.eye(3), np.array([[1.0, np.nan], [np.nan, 1.0]]),
                 np.array([[np.inf, 0.0], [0.0, 1.0]])):
-        held = BlockDiagMatrix(BlockStream.held((bad,), layout))
         with pytest.raises(StructuralError, match="block 'b0'"):
-            list(held.blocks)
-        with pytest.raises(StructuralError, match="block 'b0'"):
-            held.map(lambda i, block: None)
-    with pytest.raises(StructuralError, match="block count"):
-        BlockStream.held((np.ones(3), np.ones(3)), layout)
+            list(block_matrix((bad,), layout).blocks)
 
 
 # -- forked workers --------------------------------------------------------------
@@ -178,11 +173,11 @@ def _counting_stream(sizes, nan_at=None):
 ])
 def test_block_map_forks_from_the_threshold(monkeypatch, cpus, threshold,
                                             blas_threads, in_parent):
-    """Three blocks cost triangle_entries(1) + (2) + (3) = 1 + 3 + 6
-    entries, the map's one cost measure (``fork_blocks``): they fork when
+    """Blocks of sizes 1, 2 and 3 cost triangle_entries(1) + (2) + (3) =
+    1 + 3 + 6 entries, ``fork_blocks``'s one cost measure: they fork when
     that sum reaches the threshold, more than one CPU is there and BLAS
-    runs one thread, and map gives fn each block, checked and frozen, in
-    order."""
+    runs one thread, and fn gets each index with the state ``ready``
+    gave, in order."""
     assert [triangle_entries(s) for s in (1, 2, 3)] == [1, 3, 6]
     report_cpus(monkeypatch, cpus)
     monkeypatch.setattr(numkit, "FORK_MIN_ENTRIES", threshold)
@@ -190,37 +185,46 @@ def test_block_map_forks_from_the_threshold(monkeypatch, cpus, threshold,
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-    got = _counting_stream([1, 2, 3]).map(
-        lambda i, block: (os.getpid(), block.tolist(), block.flags.writeable))
-    assert [block for _, block, _ in got] == [
-        [[float(i)] * (i + 1)] * (i + 1) for i in range(3)]
-    assert not any(writeable for _, _, writeable in got)
+    got = fork_blocks(lambda: "ready", lambda state, i: (os.getpid(), state, i),
+                      range(3), [triangle_entries(s) for s in (1, 2, 3)])
+    assert [(state, i) for _, state, i in got] == [("ready", i) for i in range(3)]
     assert ({pid for pid, _, _ in got} == {os.getpid()}) == in_parent
     assert multiprocessing.active_children() == []
 
 
 def test_block_map_forms_only_the_blocks_asked_for(workers):
-    """map(fn, only) gives fn those blocks, in the order asked; the source
-    is readied by the process that forms them: a forked worker's, never
-    this one's."""
+    """fork_blocks gives fn the indices asked for, in the order asked;
+    ``ready`` is run by the process that takes them: a forked worker's,
+    never this one's."""
     readied = []
-    layout = BlockLayout.from_sizes((2, f"b{i}") for i in range(5))
 
-    def source():
+    def ready():
         readied.append(os.getpid())
-        return lambda i, out: np.full(out.shape, float(i))
+        return lambda i: np.full((2, 2), float(i))
 
-    stream = BlockStream(source, layout)
-    got = stream.map(lambda i, block: (i, block.tolist()), only=(1, 3, 4))
-    assert got == [(i, [[float(i)] * 2] * 2) for i in (1, 3, 4)]
-    assert stream.map(lambda i, block: i, only=()) == []
+    got = fork_blocks(ready, lambda block, i: (i, block(i).tolist()),
+                      (3, 1, 4), [triangle_entries(2)] * 3)
+    assert got == [(i, [[float(i)] * 2] * 2) for i in (3, 1, 4)]
+    assert fork_blocks(ready, lambda block, i: i, (), []) == []
     assert readied == ([os.getpid()] if workers == "in_process" else [])
 
 
 def test_block_map_and_walk_check_each_block(workers):
+    """A pass through ``fork_blocks`` that checks each block it forms
+    (``check_block``, as the solves in ``obs`` do), in-process or forked,
+    and a walk both refuse block b1's NaN, naming it."""
     stream = _counting_stream([2, 2, 2], nan_at=1)
+    blocks = stream.layout.blocks
+
+    def ready():
+        return lambda i, out: out.fill(np.nan if i == 1 else i) or out
+
+    def check(block, i):
+        _, size, label = blocks[i]
+        return check_block(block(i, np.empty((size, size))), size, label)
+
     with pytest.raises(StructuralError, match="block 'b1' has non-finite"):
-        stream.map(lambda i, block: None)
+        fork_blocks(ready, check, range(3), [triangle_entries(2)] * 3)
     with pytest.raises(StructuralError, match="block 'b1' has non-finite"):
         list(stream)
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from veriforget import numkit, obs
 from veriforget.certify import check_kkt
-from veriforget.curvature import BlockFisher, empirical_fisher_blockwise
+from veriforget.curvature import empirical_fisher_blockwise
 from veriforget.masking import make_mask
 from veriforget.model import init_mlp
 from veriforget.numkit import (
@@ -21,8 +21,8 @@ from veriforget.obs import apply_unlearn, group_obs_solve, sample_space
 from veriforget.pipeline import demo_config, run_pipeline
 
 from conftest import (
+    HeldFisher,
     examples,
-    block_matrix,
     damped,
     dense,
     dense_kkt_solve,
@@ -30,7 +30,7 @@ from conftest import (
     random_fisher,
     random_instance,
     random_mask,
-    random_spd_blockdiag,
+    random_spd_block,
     reference_fisher_squares,
     reference_group_obs_solve,
     report_cpus,
@@ -43,12 +43,7 @@ def identity_fisher(layout, lam=0.0):
     blocks = tuple(
         (1.0 - lam) * np.eye(s) for _, s, _ in layout.blocks
     )
-    return BlockFisher(
-        fisher=block_matrix(blocks, layout),
-        lam=lam if lam > 0 else 1e-12,
-        sample_count=1,
-        source_digest="t",
-    )
+    return HeldFisher(blocks, layout, lam if lam > 0 else 1e-12)
 
 
 # -- hand and trivial cases ------------------------------------------------------
@@ -85,10 +80,7 @@ def test_empty_mask():
 def test_hand_2x2_kkt():
     layout = BlockLayout.from_sizes([(2, "b")])
     c = np.array([[2.0, 1.0], [1.0, 2.0]])
-    fisher = BlockFisher(
-        fisher=block_matrix([c - 1e-9 * np.eye(2)], layout),
-        lam=1e-9, sample_count=1, source_digest="t",
-    )
+    fisher = HeldFisher([c - 1e-9 * np.eye(2)], layout, 1e-9)
     theta = ParamVector(values=np.array([1.0, 1.0]), layout=layout)
     mask = make_mask(2, 1, np.arange(2, dtype=np.int64),
                      np.array([0], dtype=np.int64))
@@ -123,10 +115,8 @@ def test_large_block_matches_dense_oracle():
     # larger than any block --block-cap produces (at most 512)
     rng = np.random.default_rng(2)
     layout = BlockLayout.from_sizes([(600, "b")])
-    fisher = BlockFisher(
-        fisher=random_spd_blockdiag(rng, layout, damping=0.5),
-        lam=1e-3, sample_count=1, source_digest="t",
-    )
+    fisher = HeldFisher([random_spd_block(rng, 600, damping=0.5)], layout,
+                        1e-3)
     theta = ParamVector(values=rng.normal(size=600), layout=layout)
     mask = random_mask(rng, layout, 40)
     comp = group_obs_solve(fisher, theta, mask)
@@ -211,10 +201,7 @@ def test_apply_unlearn_rejects_large_residue():
 
 def test_non_spd_block_named():
     layout = BlockLayout.from_sizes([(2, "good"), (2, "bad")])
-    fisher = BlockFisher(
-        fisher=block_matrix([np.eye(2), np.diag([1.0, -1.0])], layout),
-        lam=1e-3, sample_count=1, source_digest="t",
-    )
+    fisher = HeldFisher([np.eye(2), np.diag([1.0, -1.0])], layout, 1e-3)
     theta = ParamVector(values=np.ones(4), layout=layout)
     mask = make_mask(4, 2, np.arange(4, dtype=np.int64),
                      np.array([0, 2], dtype=np.int64))
