@@ -258,7 +258,8 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> l
     """Write the Fisher as its recipe: the sample rows in subsample order,
     with the damping, the block cap and the source digest.  No block is
     formed or written.  The cap must be one of ``curvature.BLOCK_CAPS``
-    and the damping at most ``curvature.MAX_DAMPING``."""
+    and the damping within [``curvature.MIN_DAMPING``,
+    ``curvature.MAX_DAMPING``]."""
     recipe = fisher.recipe
     check_block_cap(recipe.block_cap)
     check_damping(fisher.lam)
@@ -274,9 +275,9 @@ def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> l
 def load_fisher(path: str, theta_p: MlpModel, **inputs: str) -> BlockFisher:
     """The Fisher artifact at ``path``, taken at ``theta_p``: its recipe,
     checked.  The header must name one of ``curvature.BLOCK_CAPS`` and a
-    damping of at most ``curvature.MAX_DAMPING``, and the rows must fit
-    the model.  The layout is ``column_layout(theta_p, cap)`` and n is the
-    blob's row count: no header supplies either."""
+    damping within [``curvature.MIN_DAMPING``, ``curvature.MAX_DAMPING``],
+    and the rows must fit the model.  The layout is ``column_layout(theta_p,
+    cap)`` and n is the blob's row count: no header supplies either."""
     header, (features, labels) = _load(
         path, ("lambda", "block_cap", "source_digest"),
         [("<f8", ("n", "m")), ("<i8", ("n",))], inputs)

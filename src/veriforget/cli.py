@@ -9,9 +9,10 @@ the files it already wrote, so one that fails leaves no file of its run.
 A command digests the files it was given once, and the loaders check
 each input a derived artifact records against those digests.
 No command writes or reads a curvature block: ``fisher`` writes the
-estimate's recipe (its seeded sample rows, a damping of at most
-``curvature.MAX_DAMPING`` and a block cap of ``curvature.BLOCK_CAPS``),
-and a command that reads it forms only what it needs at theta_p.
+estimate's recipe (its seeded sample rows, a damping within
+[``curvature.MIN_DAMPING``, ``curvature.MAX_DAMPING``] and a block cap of
+``curvature.BLOCK_CAPS``), and a command that reads it forms only what
+it needs at theta_p.
 ``unlearn`` solves the blocks the mask touches, each from the block,
 formed as its square, or, when the rows are few enough, from its n x n
 Gram in sample space (``obs``), one block per process at a time; on
@@ -21,14 +22,17 @@ which runs its own backward pass; the outputs are the same bytes
 either way.  ``certify`` and ``prove`` form no block: ``certify``
 multiplies the step by the curvature from the layer factors, and
 ``prove`` commits the factors themselves.  ``prove`` and ``demo`` hash
-the Merkle leaves of each commitment of more than one leaf in forked
-workers.
+the Merkle leaves of every commitment in one pass of forked workers,
+while the mock prover checks the other constraint families, and
+``demo`` trains the gold standard in a worker beside the client, when
+BLAS runs on one thread.
 
 Exit codes: 0 success (or verdict passed), 1 verdict failed or witness
 unsatisfiable, 2 usage error, bad or missing artifact, unwritable
-output, a damping above ``curvature.MAX_DAMPING`` or a worker process
-that died (``StructuralError``, ``OSError``, ``BrokenProcessPool``),
-3 numeric failure (``NumericError``).
+output, a damping outside [``curvature.MIN_DAMPING``,
+``curvature.MAX_DAMPING``] or a worker process that died
+(``StructuralError``, ``OSError``, ``BrokenProcessPool``), 3 numeric
+failure (``NumericError``).
 """
 
 from __future__ import annotations

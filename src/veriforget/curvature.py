@@ -65,6 +65,13 @@ BLOCK_CAPS = (256, 512)
 # test_honest_curvature_within_bound proves.  An estimate in memory may use
 # any damping, as it may any cap.
 MAX_DAMPING = 2**10
+# The least damping a Fisher artifact may name.  Below it an honest
+# client's request stops certifying: on the demo's theta_p, mask and
+# rows, lam = 1e-20 unlearns but fails certify's stationarity (6.5e-3
+# against 1e-6) and prove, and lam = 1e-24 leaves a block whose
+# sample-space Cholesky pivot is not positive; 1e-12 certifies and proves.
+# 2^-40 is the power of two just below 1e-12.
+MIN_DAMPING = 2**-40
 
 
 def check_block_cap(cap) -> None:
@@ -74,12 +81,13 @@ def check_block_cap(cap) -> None:
 
 
 def check_damping(lam) -> None:
-    """Raise StructuralError unless ``lam`` is a number in (0,
+    """Raise StructuralError unless ``lam`` is a number in [MIN_DAMPING,
     MAX_DAMPING]."""
     check_number("damping", lam)
-    if not 0 < lam <= MAX_DAMPING:
+    if not MIN_DAMPING <= lam <= MAX_DAMPING:
         raise StructuralError(
-            f"damping {lam!r} is not in (0, MAX_DAMPING = {MAX_DAMPING}]")
+            f"damping {lam!r} is not in [MIN_DAMPING = {MIN_DAMPING}, "
+            f"MAX_DAMPING = {MAX_DAMPING}]")
 
 
 @dataclass(frozen=True)

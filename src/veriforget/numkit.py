@@ -4,10 +4,12 @@ Block-structured flat vectors, block-diagonal symmetric matrices whose
 blocks, each an exactly symmetric square, are a ``BlockStream`` (formed
 from their inputs a block at a time, for a walk; no block is read from
 or written to disk), fixed-point quantization, reproducible reductions
-and digests, and the package's one pool of forked worker processes
-(``fork_map``, and ``fork_blocks`` over a matrix's blocks).
-Everything here is pure and immutable after construction; file formats
-live in ``artifacts``.
+and digests, and the package's one pool of forked worker processes:
+``fork_start``, whose workers run while the caller works on until it
+collects them, ``fork_map``, which waits for them at once, and
+``fork_blocks`` over a matrix's blocks.  Everything here but the
+workers is pure and immutable after construction; file formats live in
+``artifacts``.
 """
 
 from __future__ import annotations
@@ -218,11 +220,16 @@ def _work(fn, first: int, step: int, count: int, fd: int) -> None:
         pickle.dump(out, fh)
 
 
-def fork_map(fn, count: int, fork: bool = True) -> list:
-    """[fn(i) for i in range(count)], computed in W worker processes, one
-    per CPU this process may run on and no more than ``count``, or
-    in-process when W is one or ``fork`` is false.
-    Worker w takes indices w, w + W, w + 2W, ... in turn.
+class fork_start:
+    """[fn(i) for i in range(count)], started in forked worker processes
+    as a ``with`` block is entered and collected by ``result()``.
+
+    Entering the block forks W workers, one per CPU this process may run
+    on and no more than ``count``, when it may run on more than one and
+    ``fork`` is true; otherwise W is zero and ``result`` computes every
+    index in-process.  Worker w takes indices w, w + W, w + 2W, ... in
+    turn, so indices ordered by falling cost put the costliest first in
+    every worker.  The caller runs on while they work.
 
     Workers are forked: they start at once, without re-importing the
     package, and inherit ``fn`` and everything it refers to.  Only the
@@ -230,28 +237,43 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
     through a pipe, so fn need not pickle, and what it writes stays in its
     worker.  A fork copies only the calling thread, so no other thread of
     the caller may hold a lock the workers need; the package starts no
-    thread.  The first exception in index order reaches the caller with
-    its type, as soon as every index below it has come back; a worker that
-    dies raises ``BrokenProcessPool``.  Every worker has exited when this
-    returns or raises."""
-    workers = min(len(os.sched_getaffinity(0)), count) if fork else 1
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    context = multiprocessing.get_context("fork")
-    procs, pipes = [], []
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            proc = context.Process(target=_work,
-                                   args=(fn, w, workers, count, write_fd))
-            try:
-                proc.start()
-            finally:
-                os.close(write_fd)  # so the pipe ends when the worker exits
-            procs.append(proc)
-        results, raised = [None] * count, {}
-        for w, (proc, pipe) in enumerate(zip(procs, pipes)):
+    thread.  Leaving the block kills and reaps every worker not yet
+    collected, so the caller may raise while they run."""
+
+    def __init__(self, fn, count: int, fork: bool = True):
+        cpus = len(os.sched_getaffinity(0))
+        self._fn, self._count = fn, count
+        self._workers = min(cpus, count) if fork and cpus > 1 else 0
+        self._procs, self._pipes = [], []
+
+    def __enter__(self) -> "fork_start":
+        context = multiprocessing.get_context("fork")
+        try:
+            for w in range(self._workers):
+                read_fd, write_fd = os.pipe()
+                self._pipes.append(open(read_fd, "rb"))
+                proc = context.Process(target=_work, args=(
+                    self._fn, w, self._workers, self._count, write_fd))
+                try:
+                    proc.start()
+                finally:
+                    os.close(write_fd)  # so the pipe ends when the worker exits
+                self._procs.append(proc)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def result(self) -> list:
+        """[fn(i) for i in range(count)], once.  The first exception in
+        index order reaches the caller with its type, as soon as every
+        index below it has come back; a worker that dies raises
+        ``BrokenProcessPool``.  Every worker has exited when this returns
+        or raises."""
+        if not self._procs:
+            return [self._fn(i) for i in range(self._count)]
+        results, raised = [None] * self._count, {}
+        for w, (proc, pipe) in enumerate(zip(self._procs, self._pipes)):
             data = pipe.read()
             proc.join()
             if proc.exitcode != 0:
@@ -268,13 +290,30 @@ def fork_map(fn, count: int, fork: bool = True) -> list:
         if raised:
             raise raised[min(raised)]
         return results
-    finally:
-        for pipe in pipes:
+
+    def __exit__(self, *exc) -> None:
+        for pipe in self._pipes:
             pipe.close()
-        for proc in procs:
+        for proc in self._procs:
             if proc.is_alive():
                 proc.kill()
             proc.join()
+
+
+def fork_map(fn, count: int, fork: bool = True) -> list:
+    """[fn(i) for i in range(count)], through ``fork_start`` and waited
+    for: in-process when one worker would take every index."""
+    with fork_start(fn, count, fork and count > 1) as pending:
+        return pending.result()
+
+
+def blas_one_thread() -> bool:
+    """Whether BLAS runs on one thread, the condition for forking a worker
+    that calls it.  A worker runs BLAS on as many threads as this process,
+    since OpenBLAS reads OPENBLAS_NUM_THREADS (one per CPU when unset) as
+    it loads.  Two workers of two spinning threads each on 2 vCPU made
+    unlearn 14 times slower than one process."""
+    return os.environ.get("OPENBLAS_NUM_THREADS") == "1"
 
 
 def triangle_entries(size: int) -> int:
@@ -291,12 +330,7 @@ def fork_blocks(ready, fn, indices, entries) -> list:
     is ``ready()``, run by the first index each process is given, so
     forked workers each run it and this process does not."""
     indices = list(indices)
-    # A worker runs BLAS on as many threads as this process, since
-    # OpenBLAS reads OPENBLAS_NUM_THREADS (one per CPU when unset) as it
-    # loads.  Two workers of two spinning threads each on 2 vCPU made
-    # unlearn 14 times slower than one process.
-    fork = (sum(entries) >= FORK_MIN_ENTRIES
-            and os.environ.get("OPENBLAS_NUM_THREADS") == "1")
+    fork = sum(entries) >= FORK_MIN_ENTRIES and blas_one_thread()
     state = []
 
     def task(j):

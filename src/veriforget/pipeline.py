@@ -5,7 +5,8 @@ against the retrain-then-personalize gold standard.  Each stage is one
 function, here or, when it is one call, in the module that computes it
 (the Fisher is ``curvature.empirical_fisher_blockwise``); a CLI command
 loads its artifacts, calls the stage and saves the result, while
-``run_pipeline`` chains the stages in memory."""
+``run_pipeline`` chains the stages in memory, the gold standard in a
+background worker beside the client's stages."""
 
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .model import (
     stream_rng,
     train_sgd,
 )
-from .numkit import StructuralError
+from .numkit import StructuralError, blas_one_thread, fork_start
 from .obs import CompensationResult, apply_unlearn, group_obs_solve
 
 # Defaults of the demo pipeline, which the CLI options share.
@@ -181,69 +182,89 @@ def run_zk_layer(
 
 
 def run_pipeline(seed: int, cfg: PipelineConfig) -> PipelineResult:
+    """Every stage in memory.  The gold standard needs only theta0_init
+    and the task, so with ``run_gold`` it trains in one background worker
+    (``numkit.fork_start``) while the client's stages run, and is
+    collected before evaluation.  It forks only when the process may use
+    more than one CPU and BLAS runs on one thread
+    (``numkit.blas_one_thread``), and otherwise trains in-process when
+    collected."""
     task = synthetic_task(seed, cfg.layer_dims)
 
     theta0_init = init_mlp(list(cfg.layer_dims), seed)
-    theta0 = train_sgd(theta0_init, task.train, replace(cfg.pretrain, seed=seed))
-    theta_p = personalize(theta0, task.personal, replace(cfg.personalize, seed=seed))
 
-    mask, s0 = select_mask(theta0, task.forget, seed, k=cfg.mask_k)
-
-    # diagnostic: how stable is the provider-side saliency under drift
-    sp = saliency_at(theta_p, task.forget, seed)
-    drift_l2 = float(np.linalg.norm(theta_p.params.values - theta0.params.values))
-    drift = saliency_drift_report(
-        s0, sp, mask.budget, mask.eligible, theta_drift_l2=drift_l2
-    )
-
-    fisher = empirical_fisher_blockwise(theta_p, task.personal, seed=seed)
-    comp, theta_u = compensate(theta_p, mask, fisher)
-    certificate = check_kkt(theta_p.params, theta_u.params, comp, fisher, mask)
-
-    result = PipelineResult(
-        task=task,
-        theta0_init=theta0_init,
-        theta0=theta0,
-        theta_p=theta_p,
-        mask=mask,
-        fisher=fisher,
-        comp=comp,
-        theta_u=theta_u,
-        certificate=certificate,
-        drift_report=drift,
-    )
-
-    if cfg.run_zk:
-        (result.witness, result.circuit, result.proof,
-         result.randomness) = run_zk_layer(
-            theta_p, theta_u, comp, fisher, mask, seed,
-            certificate=certificate,
-        )
-        result.verified = zkp.MockBackend().verify(result.proof,
-                                                   result.circuit.public)
-
-    if cfg.run_gold:
-        gold = gold_standard(
+    def train_gold(_):
+        return gold_standard(
             theta0_init,
             task.retain,
             task.personal,
             replace(cfg.pretrain, seed=seed),
             replace(cfg.personalize, seed=seed),
+        ).params.values
+
+    with fork_start(train_gold, int(cfg.run_gold),
+                    blas_one_thread()) as pending_gold:
+        theta0 = train_sgd(theta0_init, task.train,
+                           replace(cfg.pretrain, seed=seed))
+        theta_p = personalize(theta0, task.personal,
+                              replace(cfg.personalize, seed=seed))
+
+        mask, s0 = select_mask(theta0, task.forget, seed, k=cfg.mask_k)
+
+        # diagnostic: how stable is the provider-side saliency under drift
+        sp = saliency_at(theta_p, task.forget, seed)
+        drift_l2 = float(np.linalg.norm(theta_p.params.values
+                                        - theta0.params.values))
+        drift = saliency_drift_report(
+            s0, sp, mask.budget, mask.eligible, theta_drift_l2=drift_l2
         )
-        result.gold = gold
-        for name, model in (
-            ("personalized", theta_p),
-            ("mask_only", mask_only_model(theta_p, mask)),
-            ("unlearned", theta_u),
-            ("gold", gold),
-        ):
-            result.reports[name] = evaluate(
-                model,
-                gold,
-                task.holdout_forget,
-                task.holdout_personal,
-                mia_members=task.forget,
-                mia_nonmembers=task.holdout_forget,
-                seeds=[seed],
+
+        fisher = empirical_fisher_blockwise(theta_p, task.personal, seed=seed)
+        comp, theta_u = compensate(theta_p, mask, fisher)
+        certificate = check_kkt(theta_p.params, theta_u.params, comp, fisher,
+                                mask)
+
+        result = PipelineResult(
+            task=task,
+            theta0_init=theta0_init,
+            theta0=theta0,
+            theta_p=theta_p,
+            mask=mask,
+            fisher=fisher,
+            comp=comp,
+            theta_u=theta_u,
+            certificate=certificate,
+            drift_report=drift,
+        )
+
+        if cfg.run_zk:
+            (result.witness, result.circuit, result.proof,
+             result.randomness) = run_zk_layer(
+                theta_p, theta_u, comp, fisher, mask, seed,
+                certificate=certificate,
             )
+            result.verified = zkp.MockBackend().verify(result.proof,
+                                                       result.circuit.public)
+
+        if not cfg.run_gold:
+            return result
+        # rebuilt from its values, so that they are read-only as a model's
+        gold = theta0_init.with_params(*pending_gold.result())
+
+    result.gold = gold
+    for name, model in (
+        ("personalized", theta_p),
+        ("mask_only", mask_only_model(theta_p, mask)),
+        ("unlearned", theta_u),
+        ("gold", gold),
+    ):
+        result.reports[name] = evaluate(
+            model,
+            gold,
+            task.holdout_forget,
+            task.holdout_personal,
+            mia_members=task.forget,
+            mia_nonmembers=task.holdout_forget,
+            seeds=[seed],
+        )
     return result

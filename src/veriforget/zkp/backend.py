@@ -1,12 +1,14 @@
 """The mock proof backend: prove and verify over the certificate circuit.
 
-The mock backend commits to the witness once, puts those roots into the
-statement, synthesizes its circuit and binds a proof to the public
-inputs after the mock prover accepts the witness.  The verifier derives
-the circuit hash from the public inputs, so a proof carries only its
-tag, a hash anyone holding the public data can compute: the backend
-checks constraint semantics only and gives neither knowledge soundness
-nor zero knowledge.  Nor does the statement bind the curvature to
+The mock backend synthesizes the statement's circuit and starts
+committing to the witness once, in one pass of forked workers over
+every leaf; meanwhile it runs the mock prover's other families, and
+once they accept the witness it puts the roots into the statement and
+binds a proof to the public inputs.  The verifier derives the circuit
+hash from the public inputs, so a proof carries only its tag, a hash
+anyone holding the public data can compute: the backend checks
+constraint semantics only and gives neither knowledge soundness nor
+zero knowledge.  Nor does the statement bind the curvature to
 theta_p or the client's data: the layer factors are a free witness,
 checked only to be in range.  The step of every block the mask does not
 touch is pinned at zero.
@@ -23,7 +25,7 @@ from .circuit import (
     CertificateCircuit,
     PublicInputs,
     circuit_hash,
-    commit_witness,
+    committing,
     mock_prove,
     synthesize,
 )
@@ -63,20 +65,22 @@ class MockBackend:
         statement: PublicInputs,
         randomness: tuple[int, int, int],
     ) -> tuple[CertificateCircuit, Proof]:
-        """Commit to the witness once, put the roots into ``statement``,
-        synthesize its circuit, then check every other constraint family;
-        the commitments open to the witness by construction."""
-        roots = commit_witness(witness, randomness)
-        public = replace(statement, **{f"com_{name}": root for (name, _), root
-                                       in zip(COMMITTED, roots)})
-        circuit = synthesize(public, mask)
-        violation = mock_prove(circuit, witness, randomness,
-                               check_commitments=False)
-        if violation:
-            raise UnsatisfiableWitnessError(
-                f"witness violates constraint {violation}"
-            )
-        return circuit, Proof(_tag(public))
+        """Synthesize the statement's circuit and start hashing the
+        witness's commitments; while the leaves hash, check every other
+        constraint family, and only once they pass put the roots into the
+        statement.  The commitments open to the witness by construction."""
+        circuit = synthesize(statement, mask)
+        with committing(witness, randomness) as roots:
+            violation = mock_prove(circuit, witness, randomness,
+                                   check_commitments=False)
+            if violation:
+                raise UnsatisfiableWitnessError(
+                    f"witness violates constraint {violation}"
+                )
+            public = replace(statement, **{
+                f"com_{name}": root
+                for (name, _), root in zip(COMMITTED, roots())})
+        return replace(circuit, public=public), Proof(_tag(public))
 
     def verify(self, proof: Proof, public: PublicInputs) -> bool:
         """Accept when the tag binds the public inputs to the circuit

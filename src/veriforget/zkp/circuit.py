@@ -46,7 +46,7 @@ from ..numkit import (
     sha256_hex,
     touched,
 )
-from .field import MODULUS, from_field, merkle_root, to_field, verify_commit
+from .field import MODULUS, from_field, hashing, to_field, verify_commit
 from .witness import (
     BOUND_F,
     BOUND_LAM,
@@ -211,12 +211,20 @@ COMMITTED = (
 )
 
 
+def committing(witness: FixedWitness, randomness: tuple[int, int, int]):
+    """``field.hashing`` of the ``COMMITTED`` vectors: their leaves hash in
+    one pass while the caller runs the ``with`` block, and ``roots()``
+    gives their Merkle roots, in order."""
+    return hashing([(get(witness), rand)
+                    for (_, get), rand in zip(COMMITTED, randomness)])
+
+
 def commit_witness(
     witness: FixedWitness, randomness: tuple[int, int, int]
 ) -> tuple[int, int, int]:
     """Merkle roots of the ``COMMITTED`` vectors."""
-    return tuple(merkle_root(get(witness), rand)
-                 for (_, get), rand in zip(COMMITTED, randomness))
+    with committing(witness, randomness) as roots:
+        return tuple(roots())
 
 
 # -- constraint families: each check returns its first violation or None ----

@@ -15,20 +15,25 @@ the output is unscaled once.  The constants are derived from the round
 constants and the MDS matrix, and the tests check the result against
 the permutation's defining form.
 
-``merkle_root`` hashes the leaves of a vector with more than one leaf
-in forked worker processes (``numkit.fork_map``), one per CPU the
-process may run on, since each leaf is an independent sponge; the tree
-above the leaves is hashed in the caller.
+Each leaf is an independent sponge, so ``hashing`` hashes the leaves of
+several vectors in one pass of forked worker processes
+(``numkit.fork_start``), one per CPU the process may run on, longest
+leaf first, while its caller works on; every chunk is built and checked
+in the caller before the fork, and the trees above the leaves are
+hashed in the caller once the leaves come back.  ``merkle_root`` is that
+pass over one vector, whose single leaf, if it has only one, is hashed
+in-process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from ..numkit import NumericError, fork_map
+from ..numkit import NumericError, fork_start
 
 try:
     from gmpy2 import mpz
@@ -143,16 +148,10 @@ def _blinding(randomness: int, index: int) -> int:
     return _nums_constant(f"veriforget/blind/{randomness}/{index}")
 
 
-def _hash_leaves(chunks) -> list[int]:
-    """The leaf digests of ``chunks``, in order, hashed by
-    ``numkit.fork_map`` in min(CPUs available, leaves) forked workers, or
-    in-process when that is one."""
-    return fork_map(lambda i: sponge(chunks[i], "leaf"), len(chunks))
-
-
-def merkle_root(ints, randomness: int) -> int:
-    """Binding, hiding commitment to a vector of signed integers: the
-    Merkle root over blinded leaf chunks of LEAF_CHUNK field elements."""
+def _leaf_chunks(ints, randomness: int) -> list[list[int]]:
+    """The blinded leaf chunks of a vector of signed integers: LEAF_CHUNK
+    field elements each, raising NumericError on a value that would wrap,
+    then the chunk's blinding element."""
     if isinstance(ints, np.ndarray):
         ints = [int(x) for x in ints.ravel()]
     chunks = []
@@ -160,7 +159,12 @@ def merkle_root(ints, randomness: int) -> int:
         chunk = [to_field(x) for x in ints[li : li + LEAF_CHUNK]]
         chunk.append(_blinding(randomness, li // LEAF_CHUNK))
         chunks.append(chunk)
-    leaves = _hash_leaves(chunks)
+    return chunks
+
+
+def _tree_root(leaves: list[int]) -> int:
+    """The root of the arity-2 Merkle tree over the leaf digests; an odd
+    node is carried up a level unhashed."""
     level = 0
     while len(leaves) > 1:
         nxt = []
@@ -171,6 +175,38 @@ def merkle_root(ints, randomness: int) -> int:
         leaves = nxt
         level += 1
     return leaves[0]
+
+
+@contextmanager
+def hashing(vectors):
+    """Start hashing the leaves of every (ints, randomness) of ``vectors``
+    in one ``numkit.fork_start`` pass, longest leaf first, once every
+    chunk is built and checked; yield ``roots()``, which waits for the
+    leaves and returns each vector's Merkle root, in order.  A single leaf
+    is hashed in-process, when ``roots`` is called.  Leaving the block
+    stops every worker not yet collected."""
+    chunks = [_leaf_chunks(ints, randomness) for ints, randomness in vectors]
+    flat = [chunk for vector in chunks for chunk in vector]
+    order = sorted(range(len(flat)), key=lambda j: -len(flat[j]))
+
+    def roots() -> list[int]:
+        leaves = [0] * len(flat)
+        for j, leaf in zip(order, pending.result()):
+            leaves[j] = leaf
+        in_order = iter(leaves)
+        return [_tree_root([next(in_order) for _ in vector])
+                for vector in chunks]
+
+    with fork_start(lambda i: sponge(flat[order[i]], "leaf"), len(flat),
+                    fork=len(flat) > 1) as pending:
+        yield roots
+
+
+def merkle_root(ints, randomness: int) -> int:
+    """Binding, hiding commitment to a vector of signed integers: the
+    Merkle root over blinded leaf chunks of LEAF_CHUNK field elements."""
+    with hashing([(ints, randomness)]) as roots:
+        return roots()[0]
 
 
 def verify_commit(digest: int, ints, randomness: int) -> bool:

@@ -144,12 +144,24 @@ def _least_shift(x: float, cap: float) -> int:
     return max(exponent - (mantissa == 0.5), 0)
 
 
+def _fixed(name: str, x: np.ndarray, bound: float, bound_name: str):
+    """``x`` at f_w bits, once every value is within the circuit's
+    ``bound``; the first that is not is refused by its vector's name and
+    the bound's."""
+    over = ~(np.abs(x) <= bound)  # NaN is out of range too
+    if over.any():
+        i = int(np.argmax(over))
+        raise NumericError(f"{name}[{i}] = {x[i]} exceeds the circuit's "
+                           f"{bound_name} = {bound:g}")
+    return quantize(x, FRAC_BITS_W, bound)
+
+
 def encode_fixed_witness(theta_p: ParamVector, theta_u: ParamVector,
                          delta_w: ParamVector, lam: np.ndarray,
                          c_p: BlockFisher, mask: MaskArtifact) -> FixedWitness:
     f_w = FRAC_BITS_W
-    tp = quantize(theta_p.values, f_w, BOUND_W)
-    dw = quantize(delta_w.values, f_w, BOUND_W)
+    tp = _fixed("theta_p", theta_p.values, BOUND_W, "weight bound BOUND_W")
+    dw = _fixed("delta_w", delta_w.values, BOUND_W, "weight bound BOUND_W")
     dw[mask.support] = -tp[mask.support]
     tu = tp + dw
     # theta_p and delta_w are each in range, but their sum off the mask
@@ -183,8 +195,9 @@ def encode_fixed_witness(theta_p: ParamVector, theta_u: ParamVector,
         raise NumericError(f"the row-sum bound needs a shift of {shift}, "
                            f"beyond MAX_SHIFT {MAX_SHIFT}")
     parts = factor_parts(spans, hit, layers, factors, factor_shift, exact=True)
-    lam = quantize(np.ldexp(np.asarray(lam, dtype=float),
-                            -4 * factor_shift - shift), f_w, BOUND_LAM)
+    lam = _fixed("lam", np.ldexp(np.asarray(lam, dtype=float),
+                                 -4 * factor_shift - shift),
+                 BOUND_LAM, "multiplier bound BOUND_LAM")
     return FixedWitness(tp, tu, dw, lam, factors, tuple(
         part.matvec(dw[slices[b]].astype(object))
         for b, part in zip(hit, parts)), shift, factor_shift)

@@ -83,8 +83,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+def assert_no_child_process():
+    """No worker is left: none that multiprocessing tracks, and no child
+    of this process at all, running or exited and unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def report_cpus(monkeypatch, n):
-    """Make ``numkit.fork_map`` see n CPUs, so a 1-CPU runner still forks."""
+    """Make ``numkit.fork_start`` see n CPUs, so a 1-CPU runner still forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 

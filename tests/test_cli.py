@@ -20,7 +20,7 @@ from veriforget import artifacts as art
 from veriforget import zkp
 from veriforget.certify import check_kkt, measured_forget_gap
 from veriforget.cli import main
-from veriforget.curvature import MAX_DAMPING
+from veriforget.curvature import MAX_DAMPING, MIN_DAMPING
 from veriforget.masking import make_mask
 from veriforget.model import init_mlp
 from veriforget.numkit import (
@@ -714,6 +714,8 @@ def _fisher_zero_samples(w, tmp):
         _header("fisher_lambda_bool", "fisher", _set("lambda", True),
                 *_UNLEARN_TMP_FISHER),
         _header("fisher_lambda_above_max", "fisher", _set("lambda", 1e10),
+                *_UNLEARN_TMP_FISHER),
+        _header("fisher_lambda_below_min", "fisher", _set("lambda", 1e-24),
                 *_UNLEARN_TMP_FISHER),
         _option("report_bounds_lambda_q_nan", *_REPORT_BOUNDS, "--lambda-q", "nan"),
         _option("report_bounds_lambda_q_inf", *_REPORT_BOUNDS, "--lambda-q", "inf"),
@@ -1484,8 +1486,21 @@ def test_fisher_refuses_a_damping_above_the_ceiling(workdir, tmp_path):
                  "--out", f"{tmp_path}/fisher")
     assert res.exit_code == 2, res.output
     assert res.stderr.splitlines() == [
-        f"error: damping {MAX_DAMPING + 1.0} is not in (0, MAX_DAMPING = "
-        f"{MAX_DAMPING}]"]
+        f"error: damping {MAX_DAMPING + 1.0} is not in [MIN_DAMPING = "
+        f"{MIN_DAMPING}, MAX_DAMPING = {MAX_DAMPING}]"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_fisher_refuses_a_damping_below_the_floor(workdir, tmp_path):
+    """A damping below MIN_DAMPING, at which an honest step fails to
+    certify, exits 2 with one error line and writes no fisher."""
+    res = invoke("fisher", "--model", f"{workdir}/theta_p", "--data",
+                 f"{workdir}/personal.dset", "--lambda", "1e-24",
+                 "--out", f"{tmp_path}/fisher")
+    assert res.exit_code == 2, res.output
+    assert res.stderr.splitlines() == [
+        f"error: damping 1e-24 is not in [MIN_DAMPING = {MIN_DAMPING}, "
+        f"MAX_DAMPING = {MAX_DAMPING}]"]
     assert os.listdir(tmp_path) == []
 
 

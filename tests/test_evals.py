@@ -1,10 +1,13 @@
+import os
+import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from veriforget import evals
+from veriforget import evals, pipeline
 from veriforget.evals import (
     evaluate,
     evaluate_accuracy,
@@ -21,7 +24,14 @@ from veriforget.model import (
 )
 from veriforget.numkit import StructuralError
 
-from conftest import examples, reference_mia_auc, small_dataset
+from conftest import (
+    assert_no_child_process,
+    examples,
+    reference_mia_auc,
+    report_cpus,
+    small_dataset,
+    tiny_config,
+)
 
 
 # -- forward KL ---------------------------------------------------------------
@@ -174,6 +184,68 @@ def test_gold_forgets_the_class(tiny_task):
     )
     # never saw class 2: forget accuracy should be near zero
     assert evaluate_accuracy(gold, tiny_task.holdout_forget) <= 1 / 3 + 0.15
+
+
+# -- the gold standard beside the client -------------------------------------------
+
+
+class ClientFault(RuntimeError):
+    """Raised by a patched client stage."""
+
+
+def test_client_failure_while_gold_trains_leaves_no_child(monkeypatch,
+                                                          tmp_path):
+    """check_kkt raises once the gold standard's worker has started (and
+    sleeps a minute): run_pipeline re-raises at once, and the worker is
+    killed and reaped."""
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    started = tmp_path / "gold-pid"
+
+    def slow_gold(*args):
+        (tmp_path / "pid").write_text(str(os.getpid()))
+        os.rename(tmp_path / "pid", started)
+        time.sleep(60)
+
+    def failing_check(*args):
+        deadline = time.monotonic() + 10
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ClientFault("check_kkt")
+
+    monkeypatch.setattr(pipeline, "gold_standard", slow_gold)
+    monkeypatch.setattr(pipeline, "check_kkt", failing_check)
+    start = time.monotonic()
+    with pytest.raises(ClientFault):
+        pipeline.run_pipeline(3, tiny_config(run_gold=True, run_zk=False))
+    assert time.monotonic() - start < 30
+    assert int(started.read_text()) != os.getpid()
+    assert_no_child_process()
+
+
+class NoRows:
+    """A retain set of no rows, which a ``Dataset`` cannot be."""
+
+    def __len__(self):
+        return 0
+
+
+def test_gold_error_reaches_run_pipeline_with_its_type(monkeypatch, workers):
+    task = pipeline.synthetic_task(3, (4, 8, 3))
+    monkeypatch.setattr(pipeline, "synthetic_task",
+                        lambda seed, dims: replace(task, retain=NoRows()))
+    with pytest.raises(StructuralError, match="empty retain set"):
+        pipeline.run_pipeline(3, tiny_config(run_gold=True, run_zk=False))
+
+
+def test_gold_from_its_worker_is_the_gold_standard(workers):
+    cfg = tiny_config(run_gold=True, run_zk=False)
+    r = pipeline.run_pipeline(3, cfg)
+    direct = gold_standard(r.theta0_init, r.task.retain, r.task.personal,
+                           replace(cfg.pretrain, seed=3),
+                           replace(cfg.personalize, seed=3))
+    assert np.array_equal(r.gold.params.values, direct.params.values)
+    assert not r.gold.params.values.flags.writeable
 
 
 def test_evaluate_report_fields(tiny_task):

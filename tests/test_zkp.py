@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,7 @@ from veriforget.zkp.witness import (
 )
 
 from conftest import (
+    assert_no_child_process,
     examples,
     random_mask,
     reference_merkle_root,
@@ -246,13 +248,36 @@ def test_merkle_root_matches_in_process_oracle(n, randomness, seed):
     assert root == reference_merkle_root(ints, randomness)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@settings(max_examples=examples(4), deadline=None)
+@given(st.lists(st.integers(0, LEAF_CHUNK + 1), min_size=1, max_size=4),
+       st.integers(0, 2**32))
+@example([1, LEAF_CHUNK + 1, 0, LEAF_CHUNK], 0)
+def test_one_pass_roots_match_in_process_oracle(cpus, lengths, seed):
+    """The leaves of 1-4 vectors hashed in one pass, longest first, give
+    each vector its own root."""
+    rng = random.Random(seed)
+    half = MODULUS // 2
+    vectors = [([rng.randrange(-half + 1, half) for _ in range(n)],
+                rng.randrange(2**63)) for n in lengths]
+    with pytest.MonkeyPatch.context() as mp:
+        report_cpus(mp, cpus)
+        with field.hashing(vectors) as roots:
+            got = roots()
+    assert got == [reference_merkle_root(ints, r) for ints, r in vectors]
+    assert_no_child_process()
+
+
 @pytest.mark.parametrize("cpus, leaves, in_parent",
                          [(1, 3, True), (4, 1, True), (2, 3, False)])
-def test_leaves_hashed_in_process_only_with_one_worker(monkeypatch, cpus,
-                                                       leaves, in_parent):
+def test_one_pass_hashes_in_process_only_with_one_worker(monkeypatch, cpus,
+                                                         leaves, in_parent):
+    # one-leaf vectors, whose roots are their leaves: here the pid of the
+    # process that hashed each
     report_cpus(monkeypatch, cpus)
     monkeypatch.setattr(field, "sponge", lambda elements, domain: os.getpid())
-    pids = set(field._hash_leaves([[i] for i in range(leaves)]))
+    with field.hashing([([i], i) for i in range(leaves)]) as roots:
+        pids = set(roots())
     if in_parent:
         assert pids == {os.getpid()}
     else:
@@ -324,19 +349,20 @@ def test_killed_worker_raises_instead_of_hanging():
     assert proc.stdout.split() == ["broken", "0"], proc.stderr
 
 
-def test_run_zk_layer_commits_each_vector_once(monkeypatch):
+def test_run_zk_layer_hashes_each_vector_once(monkeypatch):
     from veriforget import pipeline
     from veriforget.zkp import circuit, field
     r = pipeline.run_pipeline(3, tiny_config(run_zk=False))
-    lengths = []
-    real = field.merkle_root
+    passes = []
+    real = field.hashing
 
-    def counting(ints, randomness):
-        lengths.append(len(ints))
-        return real(ints, randomness)
+    def counting(vectors):
+        passes.append([len(ints) for ints, _ in vectors])
+        return real(vectors)
 
+    # field's own, so that a merkle_root call is counted too
     for module in (field, circuit):
-        monkeypatch.setattr(module, "merkle_root", counting)
+        monkeypatch.setattr(module, "hashing", counting)
     pipeline.run_zk_layer(r.theta_p, r.theta_u, r.comp, r.fisher, r.mask, 3)
     d, n = r.theta_p.params.dim, r.fisher.sample_count
     sizes = [s for _, s, _ in r.fisher.layout.blocks]
@@ -344,8 +370,55 @@ def test_run_zk_layer_commits_each_vector_once(monkeypatch):
     # each, of the layer that holds the touched block alone: the 4-8-3
     # model's first weight block, so A is n x 4 and Delta n x 8
     assert touched(sizes, r.mask.support) == (0,)
-    assert lengths == [-(-d // 8), -(-d // 8),
-                       -(-n * 4 // 5) - (-n * 8 // 5)] == [9, 9, 384]
+    assert passes == [[-(-d // 8), -(-d // 8),
+                       -(-n * 4 // 5) - (-n * 8 // 5)]] == [[9, 9, 384]]
+
+
+def tampered_proof_inputs():
+    """A tiny pipeline's witness with delta_w[0] moved by one unit, its
+    mask, statement and randomness: the witness fails assembly[0]."""
+    from veriforget import pipeline
+    r = pipeline.run_pipeline(3, tiny_config())
+    dw = r.witness.delta_w.copy()
+    dw[0] += 1
+    return replace(r.witness, delta_w=dw), r.mask, r.circuit.public, r.randomness
+
+
+def test_prove_rejection_stops_the_hashing_workers(monkeypatch):
+    """The mock prover's rejection reaches the caller at once while the
+    leaves, made to take a minute each, still hash; no worker is left."""
+    args = tampered_proof_inputs()
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setattr(field, "sponge", lambda elements, domain: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(UnsatisfiableWitnessError, match=r"assembly\[0\]"):
+        MockBackend().prove(*args)
+    assert time.monotonic() - start < 30
+    assert_no_child_process()
+
+
+def test_killed_hashing_worker_fails_prove_instead_of_hanging():
+    # A fresh interpreter, so that a hang fails on the timeout.
+    script = textwrap.dedent("""
+        import multiprocessing, os, signal
+        from concurrent.futures.process import BrokenProcessPool
+        from veriforget.pipeline import demo_config, run_pipeline
+        from veriforget.zkp import MockBackend, field
+        r = run_pipeline(3, demo_config(layer_dims=(4, 8, 3), mask_k=12,
+                                        run_gold=False))
+        os.sched_getaffinity = lambda pid: {0, 1}
+        field.sponge = lambda e, d: os.kill(os.getpid(), signal.SIGKILL)
+        try:
+            MockBackend().prove(r.witness, r.mask, r.circuit.public,
+                                r.randomness)
+        except BrokenProcessPool:
+            print("broken", len(multiprocessing.active_children()))
+    """)
+    src = os.path.dirname(os.path.dirname(veriforget.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["broken", "0"], proc.stderr
 
 
 def unpack_limbs(elements, bits, n):
@@ -583,13 +656,10 @@ def test_row_sum_just_above_a_power_of_two_scales_into_bound(monkeypatch, e):
         assert rows * 2.0**-got.shift <= ROW_SUM_CAP
 
 
-@settings(max_examples=examples(20), deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(-20, 15), st.floats(-30, 10))
-def test_honest_curvature_within_bound(seed, log_scale, log_lam):
-    # an honest instance over rows at any feature scale from 2^-20 to 2^15
-    # and any damping from 2^-30 to 2^10 proves: its factors, scaled by
-    # the public factor shift, fit their range bound and so their limbs,
-    # and verify loads its statement at a cap a file may name
+def scaled_instance(seed, log_scale, log_lam):
+    """A random 3-5-4-2 model, its Fisher over 30 random rows scaled by
+    2^log_scale at damping 2^log_lam and block cap 8, a mask of a block of
+    every layer, and the compensation and theta_u."""
     rng = np.random.default_rng(seed)
     model = init_mlp([3, 5, 4, 2], seed)
     model = model.with_params(rng.normal(0.0, 1.0, model.dim))
@@ -600,6 +670,18 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
     mask = make_mask(model.dim, 3, np.arange(model.dim),
                      np.array([0, 20, 44]))  # a block of every layer
     comp, theta_u = compensate(model, mask, fisher)
+    return model, fisher, mask, comp, theta_u
+
+
+@settings(max_examples=examples(20), deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-20, 15), st.floats(-30, 10))
+def test_honest_curvature_within_bound(seed, log_scale, log_lam):
+    # an honest instance over rows at any feature scale from 2^-20 to 2^15
+    # and any damping from 2^-30 to 2^10 proves: its factors, scaled by
+    # the public factor shift, fit their range bound and so their limbs,
+    # and verify loads its statement at a cap a file may name
+    model, fisher, mask, comp, theta_u = scaled_instance(seed, log_scale,
+                                                         log_lam)
     w, circuit, proof, rnd = run_zk_layer(model, theta_u, comp, fisher, mask,
                                           seed)
     assert len(w.factors) == 3
@@ -610,6 +692,29 @@ def test_honest_curvature_within_bound(seed, log_scale, log_lam):
     on_disk = replace(public, block_cap=BLOCK_CAPS[0])
     assert PublicInputs.from_json(on_disk.to_json()) == on_disk
     assert MockBackend().verify(proof, public)
+
+
+# An instance test_honest_curvature_within_bound once drew: its KKT
+# certificate passes, but its step's delta_w[22] is -72.14, past BOUND_W.
+BEYOND_BOUND_W = (298046, -0.5, -21.0)
+
+
+def test_a_step_beyond_the_weight_bound_is_named():
+    model, fisher, mask, comp, theta_u = scaled_instance(*BEYOND_BOUND_W)
+    assert check_kkt(model.params, theta_u.params, comp, fisher, mask).verdict
+    with pytest.raises(NumericError, match=r"^delta_w\[22\] = -72\.144\d* "
+                       r"exceeds the circuit's weight bound BOUND_W = 64$"):
+        run_zk_layer(model, theta_u, comp, fisher, mask, BEYOND_BOUND_W[0])
+
+
+@pytest.mark.xfail(strict=True, raises=NumericError,
+                   reason="the circuit bounds every weight-side value by "
+                          "BOUND_W, an honest step's too")
+def test_honest_step_beyond_the_weight_bound_proves():
+    model, fisher, mask, comp, theta_u = scaled_instance(*BEYOND_BOUND_W)
+    w, circuit, proof, rnd = run_zk_layer(model, theta_u, comp, fisher, mask,
+                                          BEYOND_BOUND_W[0])
+    assert MockBackend().verify(proof, circuit.public)
 
 
 # -- circuit / constraint counts --------------------------------------------------------
