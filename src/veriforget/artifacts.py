@@ -11,15 +11,15 @@ names, and ``arrays`` and ``inputs``; it must declare exactly the arrays
 its kind holds; and each input it records that the caller names must
 carry the caller's digest.  It then checks the blob's length and reads
 each array, checked against its digest.  The Fisher artifact holds the
-estimate's recipe (``curvature.FisherRecipe``), never a curvature
-block: its sample rows, the damping, the block cap and the source
-digest.  No header restates what a blob or the model determines: n is
-the count of the Fisher's rows, its layout is ``model.column_layout`` of
-theta_p at the cap, and the compensation's layout is theta_p's.  Masks,
-public inputs and proofs are single JSON files, also of exactly their
-keys.  Every writer returns the paths it wrote and leaves no file when a
-write fails; every reader raises ``numkit.StructuralError`` on a
-missing, truncated or malformed artifact.
+estimate's inputs (``curvature.BlockFisher``), never a curvature block:
+its sample rows, the damping, the block cap and the source digest.  No
+header restates what a blob or the model determines: n is the count of
+the Fisher's rows, its layout is ``model.column_layout`` of theta_p at
+the cap, and the compensation's layout is theta_p's.  Masks, public
+inputs and proofs are single JSON files, also of exactly their keys.
+Every writer returns the paths it wrote and leaves no file when a write
+fails; every reader raises ``numkit.StructuralError`` on a missing,
+truncated or malformed artifact.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from .curvature import (
     BlockFisher,
-    FisherRecipe,
     check_block_cap,
     check_damping,
 )
@@ -255,25 +254,24 @@ def load_mask(path: str) -> MaskArtifact:
 
 
 def save_fisher(path: str, fisher: BlockFisher, inputs: dict | None = None) -> list[str]:
-    """Write the Fisher as its recipe: the sample rows in subsample order,
+    """Write the Fisher as its inputs: the sample rows in subsample order,
     with the damping, the block cap and the source digest.  No block is
     formed or written.  The cap must be one of ``curvature.BLOCK_CAPS``
     and the damping within [``curvature.MIN_DAMPING``,
     ``curvature.MAX_DAMPING``]."""
-    recipe = fisher.recipe
-    check_block_cap(recipe.block_cap)
+    check_block_cap(fisher.block_cap)
     check_damping(fisher.lam)
     return _save(path, {
         "lambda": fisher.lam,
-        "block_cap": recipe.block_cap,
+        "block_cap": fisher.block_cap,
         "source_digest": fisher.source_digest,
         "inputs": inputs or {},
-    }, [recipe.rows.features, recipe.rows.labels])
+    }, [fisher.rows.features, fisher.rows.labels])
 
 
 @_reader
 def load_fisher(path: str, theta_p: MlpModel, **inputs: str) -> BlockFisher:
-    """The Fisher artifact at ``path``, taken at ``theta_p``: its recipe,
+    """The Fisher artifact at ``path``, taken at ``theta_p``: its inputs,
     checked.  The header must name one of ``curvature.BLOCK_CAPS`` and a
     damping within [``curvature.MIN_DAMPING``, ``curvature.MAX_DAMPING``],
     and the rows must fit the model.  The layout is ``column_layout(theta_p,
@@ -285,9 +283,8 @@ def load_fisher(path: str, theta_p: MlpModel, **inputs: str) -> BlockFisher:
     check_block_cap(header["block_cap"])
     if not isinstance(header["source_digest"], str):
         raise StructuralError(f"{path}: source digest is not a string")
-    recipe = FisherRecipe(theta_p, Dataset(features=features, labels=labels),
-                          header["block_cap"])
-    return BlockFisher(recipe, header["lambda"], header["source_digest"])
+    return BlockFisher(theta_p, Dataset(features, labels), header["block_cap"],
+                       header["lambda"], header["source_digest"])
 
 
 # -- compensation -----------------------------------------------------------

@@ -8,17 +8,18 @@ one; a part of a weight block may start mid-row.  That rule is
 blocks by from the same cap, so the layout of a Fisher is
 ``model.column_layout(model, cap)`` and no artifact lists it.
 
-An estimate is a fixed function of its **recipe**, ``FisherRecipe``: the
-model it is taken at, the rows of its seeded subsample in subsample
-order, and the block cap; the damping rides beside it.  The artifact
-stores the recipe, never a block.  A process readies the blocks with
-one backward pass (``BlockFisher.ready``), which gives each block's
-per-layer factors (``model.GradBlock``) and forms a block from them as a
-caller reaches it: the exactly symmetric square that the product of its
-gradient columns gives, divided by n in place.  A product with a block
-needs no block: ``BlockFisher.damped_products`` forms it from the
-factors (``model.GradBlock.matvec`` and ``rmatvec``), and ``obs`` may
-solve a block through its n x n Gram (``model.GradBlock.sample_gram``)
+An estimate, ``BlockFisher``, holds its inputs and no block: the model
+it is taken at, the rows of its seeded subsample in subsample order, the
+block cap and the damping.  The artifact stores those inputs, never a
+block.  A process readies the blocks with one backward pass
+(``BlockFisher.ready``), which gives each block's layer factors
+(``model.GradBlock``; a bias block's input is a column of ones) and
+forms a block from them as a caller reaches it: the exactly symmetric
+square that the product of its gradient columns gives, divided by n in
+place.  A product with a block needs no block:
+``BlockFisher.damped_products`` forms it from the factors
+(``model.GradBlock.matvec`` and ``rmatvec``), and ``obs`` may solve a
+block through its n x n Gram (``model.GradBlock.sample_gram``)
 without forming it.
 """
 
@@ -91,49 +92,38 @@ def check_damping(lam) -> None:
 
 
 @dataclass(frozen=True)
-class FisherRecipe:
-    """The exact inputs of an estimate: the model it is taken at, its
-    sample rows in subsample order, and the block cap."""
+class BlockFisher:
+    """The empirical Fisher F of ``model`` over ``rows``, its sample rows in
+    subsample order, split at ``block_cap``, damped lazily as F + lam*I.
+    The rows must fit the model (StructuralError) and the cap be at least 1
+    (ValueError)."""
 
     model: MlpModel
     rows: Dataset
     block_cap: int
-
-    def blocks(self) -> list:
-        """Each block's ``model.GradBlock``, from one backward pass."""
-        return [block for _, block in grad_blocks(self.model, self.rows,
-                                                  self.block_cap)]
-
-
-@dataclass(frozen=True)
-class BlockFisher:
-    """The empirical Fisher F of ``recipe``, damped lazily as F + lam*I.
-    The recipe's rows must fit its model (StructuralError) and its cap be
-    at least 1 (ValueError)."""
-
-    recipe: FisherRecipe
     lam: float
     source_digest: str
 
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
             raise ValueError("damping must be finite and > 0")
-        check_fits(self.recipe.model, self.recipe.rows)
+        check_fits(self.model, self.rows)
         self.layout  # built here, so that a bad cap fails at construction
 
     @cached_property
     def layout(self) -> BlockLayout:
-        return column_layout(self.recipe.model, self.recipe.block_cap)
+        return column_layout(self.model, self.block_cap)
 
     @property
     def sample_count(self) -> int:
-        return len(self.recipe.rows)
+        return len(self.rows)
 
     def ready(self) -> tuple[list, object]:
         """This process's blocks, from one backward pass: each block's
         ``model.GradBlock``, and ``block(i, out)``, block i formed into the
         square ``out`` (``block_former``)."""
-        parts = self.recipe.blocks()
+        parts = [part for _, part in grad_blocks(self.model, self.rows,
+                                                 self.block_cap)]
         return parts, block_former(parts, self.sample_count)
 
     @property
@@ -147,16 +137,15 @@ class BlockFisher:
         from the layer factors of one backward pass, F_b v = G_b'(G_b v) / n
         (``model.GradBlock.matvec``, then ``rmatvec``), a layer at a time
         as the pass reaches it (``model.layer_grad_blocks``), forming
-        neither G nor a block.  The recipe must be taken at ``theta_p``
+        neither G nor a block.  F must be taken at ``theta_p``
         (StructuralError)."""
-        recipe = self.recipe
-        if not np.array_equal(recipe.model.params.values, theta_p.values):
+        if not np.array_equal(self.model.params.values, theta_p.values):
             raise StructuralError(
                 "the Fisher is taken at another model than theta_p")
         slices = [sl for sl, _ in self.layout.slices()]
         products = dict.fromkeys(blocks)
-        for layer in layer_grad_blocks(recipe.model, recipe.rows,
-                                       recipe.block_cap):
+        for layer in layer_grad_blocks(self.model, self.rows,
+                                       self.block_cap):
             for b, _, part in layer:
                 if b in products:
                     v = dw[slices[b]]
@@ -231,7 +220,7 @@ def empirical_fisher_blockwise(
             }
         )
     )
-    return BlockFisher(FisherRecipe(model, sub, block_cap), lam, digest)
+    return BlockFisher(model, sub, block_cap, lam, digest)
 
 
 def diag_curvature(

@@ -288,13 +288,13 @@ def column_layout(model: MlpModel, cap: int) -> BlockLayout:
 class GradBlock:
     """Columns [lo, hi) of one layer's per-example gradient, held as that
     layer's factors from one backward pass: its output errors ``delta``
-    (n x dout) and, for a weight block, its input activations ``a_prev``
-    (n x din), the weight W being din x dout and flattened row by row.  A
-    bias block has ``a_prev`` None.  This is the K-FAC structure (Martens
-    and Grosse, ICML 2015): the gradient of example i with respect to W is
-    a_i delta_i'."""
+    (n x dout) and its input activations ``a_prev`` (n x din), the weight
+    W being din x dout and flattened row by row.  A bias block is the
+    weight block of a constant input: its ``a_prev`` is an n x 1 column of
+    ones.  This is the K-FAC structure (Martens and Grosse, ICML 2015):
+    the gradient of example i with respect to W is a_i delta_i'."""
 
-    a_prev: np.ndarray | None
+    a_prev: np.ndarray
     delta: np.ndarray
     lo: int
     hi: int
@@ -307,10 +307,8 @@ class GradBlock:
         return r0, -(-self.hi // dout), self.lo - r0 * dout
 
     def columns(self) -> np.ndarray:
-        """The n x s gradient columns G, a weight block's from the outer
-        products of only the rows of W it touches."""
-        if self.a_prev is None:
-            return self.delta[:, self.lo : self.hi]
+        """The n x s gradient columns G, from the outer products of only
+        the rows of W the block touches."""
         r0, r1, at = self._rows()
         n = self.delta.shape[0]
         gw = np.einsum("ni,nj->nij", self.a_prev[:, r0:r1], self.delta)
@@ -320,8 +318,6 @@ class GradBlock:
         """G v for a vector v over the block's columns: (G v)_i =
         a_i' V delta_i with V the rows of W that v fills.  Temporaries are
         O(n * (rows + dout)).  Exact on factors and v of Python ints."""
-        if self.a_prev is None:
-            return self.delta[:, self.lo : self.hi] @ v
         r0, r1, at = self._rows()
         dout = self.delta.shape[1]
         w = np.zeros((r1 - r0) * dout, dtype=v.dtype)
@@ -332,8 +328,6 @@ class GradBlock:
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """G'u for a vector u over the n examples: A' diag(u) Delta, on the
         rows of W the columns touch."""
-        if self.a_prev is None:
-            return self.delta[:, self.lo : self.hi].T @ u
         r0, r1, at = self._rows()
         out = self.a_prev[:, r0:r1].T @ (u[:, None] * self.delta)
         return out.reshape(-1)[at : at + self.hi - self.lo]
@@ -342,8 +336,6 @@ class GradBlock:
         """The n x len(cols) gradient columns G[:, cols], ``cols`` indices
         into the block's columns."""
         c = self.lo + cols
-        if self.a_prev is None:
-            return self.delta[:, c]
         dout = self.delta.shape[1]
         return self.a_prev[:, c // dout] * self.delta[:, c % dout]
 
@@ -355,22 +347,19 @@ class GradBlock:
         whole (o the entrywise product; ``outer``, read only then, is the
         layer's Delta Delta' in Fortran order with ones above its
         diagonal), plus (a_r a_r') o (Delta_J Delta_J') for each row r
-        covered only at columns J.  A bias block's Gram is Delta_J Delta_J'.
-        Costs n^2 (rows + partial columns) / 2."""
+        covered only at columns J.  Costs n^2 (rows + partial columns) / 2."""
         from scipy.linalg.blas import dsyrk  # loaded by obs, not at import
 
         if not out.flags.f_contiguous:  # dsyrk would write into a copy
             raise ValueError("out is not a Fortran-order square")
-        whole, terms = [], [self.delta[:, self.lo : self.hi]]  # a bias block
-        if self.a_prev is not None:
-            r0, r1, _ = self._rows()
-            dout = self.delta.shape[1]
-            spans = [(r, max(self.lo - r * dout, 0),
-                      min(self.hi - r * dout, dout)) for r in range(r0, r1)]
-            whole = [r for r, c0, c1 in spans if c1 - c0 == dout]
-            terms = [self.a_prev[:, whole[0] : whole[-1] + 1]] if whole else []
-            terms += [self.a_prev[:, r, None] * self.delta[:, c0:c1]
-                      for r, c0, c1 in spans if c1 - c0 < dout]
+        r0, r1, _ = self._rows()
+        dout = self.delta.shape[1]
+        spans = [(r, max(self.lo - r * dout, 0),
+                  min(self.hi - r * dout, dout)) for r in range(r0, r1)]
+        whole = [r for r, c0, c1 in spans if c1 - c0 == dout]
+        terms = [self.a_prev[:, whole[0] : whole[-1] + 1]] if whole else []
+        terms += [self.a_prev[:, r, None] * self.delta[:, c0:c1]
+                  for r, c0, c1 in spans if c1 - c0 < dout]
         for j, g in enumerate(terms):  # the first overwrites, the rest add
             dsyrk(1.0, g.T, beta=min(j, 1), c=out, trans=1, lower=1,
                   overwrite_c=1)
@@ -385,17 +374,18 @@ def layer_grad_blocks(model: MlpModel, data: Dataset, cap: int):
     cap)``, from one backward pass, which this runs as it goes: it holds
     no layer's errors past that layer, so a caller that drops each list
     before taking the next holds one layer's factors at a time.  A part of
-    a weight block may start mid-row.
+    a weight block may start mid-row; a bias block's input is ones.
 
-    A weight part's columns are formed from the outer products of only
-    the rows of W it touches, so memory is O(n * (cap + 2 * dout)) per
-    part and no n x d matrix is built.
+    A part's columns are formed from the outer products of only the rows
+    of W it touches, so memory is O(n * (cap + 2 * dout)) per part and no
+    n x d matrix is built.
     """
     blocks = list(enumerate(column_blocks(model.layer_dims, cap)))
     check_fits(model, data)
+    ones = np.ones((len(data), 1))
     for li, a_prev, delta in _backprop(model.weights(), data.features,
                                        data.labels):
-        yield [(i, label, GradBlock(None if bias else a_prev, delta, lo, hi))
+        yield [(i, label, GradBlock(ones if bias else a_prev, delta, lo, hi))
                for i, (label, layer, bias, lo, hi) in blocks if layer == li]
 
 

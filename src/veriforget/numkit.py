@@ -232,7 +232,8 @@ class fork_start:
     every worker.  The caller runs on while they work.
 
     Workers are forked: they start at once, without re-importing the
-    package, and inherit ``fn`` and everything it refers to.  Only the
+    package, and inherit ``fn`` and everything it refers to; this object
+    then drops fn, so what only fn held is freed in the caller.  Only the
     values fn returns cross between processes, each worker's in one pickle
     through a pipe, so fn need not pickle, and what it writes stays in its
     worker.  A fork copies only the calling thread, so no other thread of
@@ -262,6 +263,8 @@ class fork_start:
         except BaseException:
             self.__exit__()
             raise
+        if self._procs:
+            self._fn = None  # each worker holds its own; result() reads pipes
         return self
 
     def result(self) -> list:

@@ -176,7 +176,7 @@ def group_obs_solve(
         sl, label = slices[i]
         mloc = np.flatnonzero(masked[sl])
         w_m = theta[sl][mloc]
-        if part.a_prev is not None and layer[0] is not part.delta:
+        if layer[0] is not part.delta:
             dsyrk(1.0, part.delta.T, c=outer, trans=1, lower=1,
                   overwrite_c=1)
             layer[0] = part.delta

@@ -4,7 +4,6 @@ from .circuit import (
     CertificateCircuit,
     PublicInputs,
     circuit_hash,
-    commit_witness,
     constraint_report,
     mock_prove,
     precision,

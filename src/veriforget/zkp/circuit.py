@@ -214,17 +214,10 @@ COMMITTED = (
 def committing(witness: FixedWitness, randomness: tuple[int, int, int]):
     """``field.hashing`` of the ``COMMITTED`` vectors: their leaves hash in
     one pass while the caller runs the ``with`` block, and ``roots()``
-    gives their Merkle roots, in order."""
-    return hashing([(get(witness), rand)
-                    for (_, get), rand in zip(COMMITTED, randomness)])
-
-
-def commit_witness(
-    witness: FixedWitness, randomness: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """Merkle roots of the ``COMMITTED`` vectors."""
-    with committing(witness, randomness) as roots:
-        return tuple(roots())
+    gives their Merkle roots, in order; each vector is packed as the pass
+    reaches it."""
+    return hashing((get(witness), rand)
+                   for (_, get), rand in zip(COMMITTED, randomness))
 
 
 # -- constraint families: each check returns its first violation or None ----

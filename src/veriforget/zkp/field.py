@@ -19,10 +19,10 @@ Each leaf is an independent sponge, so ``hashing`` hashes the leaves of
 several vectors in one pass of forked worker processes
 (``numkit.fork_start``), one per CPU the process may run on, longest
 leaf first, while its caller works on; every chunk is built and checked
-in the caller before the fork, and the trees above the leaves are
-hashed in the caller once the leaves come back.  ``merkle_root`` is that
-pass over one vector, whose single leaf, if it has only one, is hashed
-in-process.
+in the caller before the fork and dropped there after it, and the trees
+above the leaves are hashed in the caller once the leaves come back.
+``merkle_root`` is that pass over one vector, whose single leaf, if it
+has only one, is hashed in-process.
 """
 
 from __future__ import annotations
@@ -177,28 +177,38 @@ def _tree_root(leaves: list[int]) -> int:
     return leaves[0]
 
 
+def _leaves(vectors):
+    """Each vector's leaf count, the leaves' indices longest first, and
+    ``leaf(i)``, the i-th of those leaves' digest: only ``leaf`` holds
+    the chunks."""
+    chunks = [_leaf_chunks(ints, randomness) for ints, randomness in vectors]
+    flat = [chunk for vector in chunks for chunk in vector]
+    order = sorted(range(len(flat)), key=lambda j: -len(flat[j]))
+    return ([len(vector) for vector in chunks], order,
+            lambda i: sponge(flat[order[i]], "leaf"))
+
+
 @contextmanager
 def hashing(vectors):
     """Start hashing the leaves of every (ints, randomness) of ``vectors``
     in one ``numkit.fork_start`` pass, longest leaf first, once every
     chunk is built and checked; yield ``roots()``, which waits for the
     leaves and returns each vector's Merkle root, in order.  A single leaf
-    is hashed in-process, when ``roots`` is called.  Leaving the block
-    stops every worker not yet collected."""
-    chunks = [_leaf_chunks(ints, randomness) for ints, randomness in vectors]
-    flat = [chunk for vector in chunks for chunk in vector]
-    order = sorted(range(len(flat)), key=lambda j: -len(flat[j]))
+    is hashed in-process, when ``roots`` is called.  Once workers are
+    forked, this process holds no chunk, nor any vector ``vectors``
+    generates.  Leaving the block stops every worker not yet collected."""
+    counts, order, leaf = _leaves(vectors)
 
     def roots() -> list[int]:
-        leaves = [0] * len(flat)
-        for j, leaf in zip(order, pending.result()):
-            leaves[j] = leaf
+        leaves = [0] * len(order)
+        for j, digest in zip(order, pending.result()):
+            leaves[j] = digest
         in_order = iter(leaves)
-        return [_tree_root([next(in_order) for _ in vector])
-                for vector in chunks]
+        return [_tree_root([next(in_order) for _ in range(count)])
+                for count in counts]
 
-    with fork_start(lambda i: sponge(flat[order[i]], "leaf"), len(flat),
-                    fork=len(flat) > 1) as pending:
+    with fork_start(leaf, len(order), fork=len(order) > 1) as pending:
+        del leaf
         yield roots
 
 

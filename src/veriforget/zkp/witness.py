@@ -106,8 +106,8 @@ def _layout(c_p: BlockFisher, mask: MaskArtifact):
     ``model.column_blocks`` and touched layers."""
     sizes = [size for _, size, _ in c_p.layout.blocks]
     hit = touched(sizes, mask.support)
-    spans = [span for _, *span in column_blocks(c_p.recipe.model.layer_dims,
-                                                c_p.recipe.block_cap)]
+    spans = [span for _, *span in column_blocks(c_p.model.layer_dims,
+                                                c_p.block_cap)]
     return block_slices(sizes), hit, spans, sorted({spans[b][0] for b in hit})
 
 
@@ -175,11 +175,10 @@ def encode_fixed_witness(theta_p: ParamVector, theta_u: ParamVector,
     if np.abs(tu * 2.0**-f_w - theta_u.values).max() > 2.0 ** (-f_w + 1):
         raise NumericError("theta_u inconsistent with theta_p + delta_w")
     slices, hit, spans, layers = _layout(c_p, mask)
-    recipe = c_p.recipe
     # the layers come last first; each one's first part is its weight's,
-    # which holds both factors
+    # whose input is the layer's activations
     factors = [(part.a_prev, part.delta) for (b, _, part), *_ in
-               layer_grad_blocks(recipe.model, recipe.rows, recipe.block_cap)
+               layer_grad_blocks(c_p.model, c_p.rows, c_p.block_cap)
                if spans[b][0] in layers][::-1]
     # quantize refuses NaN, infinities and entries past BOUND_F 2^f_f,
     # where a bias block's ones would need negative fractional bits

@@ -93,7 +93,7 @@ def arrays_of(kind, obj):
     if kind == "dataset":
         return [obj.features, obj.labels]
     if kind == "fisher":
-        return [obj.recipe.rows.features, obj.recipe.rows.labels,
+        return [obj.rows.features, obj.rows.labels,
                 *obj.fisher.blocks]
     return [obj.delta_w.values, obj.multipliers]
 
@@ -115,7 +115,7 @@ def test_round_trip(tmp_path, kind):
     elif kind == "fisher":
         assert (back.lam, back.sample_count, back.source_digest) == (
             obj.lam, obj.sample_count, obj.source_digest)
-        assert back.recipe.block_cap == obj.recipe.block_cap
+        assert back.block_cap == obj.block_cap
         assert back.layout == obj.layout == column_layout(FISHER_MODEL, 256)
     else:
         assert back.delta_w.layout == obj.delta_w.layout
@@ -458,15 +458,15 @@ def test_fisher_block_cap_is_one_of_the_allowed(tmp_path):
     of d."""
     p = str(tmp_path / "fisher")
     fisher = sample("fisher")
-    odd = empirical_fisher_blockwise(FISHER_MODEL, fisher.recipe.rows,
+    odd = empirical_fisher_blockwise(FISHER_MODEL, fisher.rows,
                                      block_cap=FISHER_MODEL.dim)
     with pytest.raises(StructuralError, match="block cap"):
         art.save_fisher(p, odd)
     assert os.listdir(tmp_path) == []
     for cap in BLOCK_CAPS:
         art.save_fisher(p, empirical_fisher_blockwise(
-            FISHER_MODEL, fisher.recipe.rows, block_cap=cap))
-        assert art.load_fisher(p, FISHER_MODEL).recipe.block_cap == cap
+            FISHER_MODEL, fisher.rows, block_cap=cap))
+        assert art.load_fisher(p, FISHER_MODEL).block_cap == cap
     assert art.load_fisher(p, FISHER_MODEL).layout == column_layout(
         FISHER_MODEL, BLOCK_CAPS[-1])
     one_block = [{"offset": 0, "size": FISHER_MODEL.dim, "label": "all"}]
@@ -501,7 +501,7 @@ def test_fisher_rows_must_fit_the_model(tmp_path):
     NaN feature, each under a renewed digest, do not load."""
     p = str(tmp_path / "fisher")
     art.save_fisher(p, sample("fisher"))
-    rows = art.load_fisher(p, FISHER_MODEL).recipe.rows
+    rows = art.load_fisher(p, FISHER_MODEL).rows
     x, y = rows.features, rows.labels
     nan = x.copy()
     nan[3, 1] = np.nan

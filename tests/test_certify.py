@@ -80,7 +80,7 @@ def test_factored_stationarity_matches_the_triangle_form(dims, n, cap, lam,
                                   size=int(rng.integers(0, 4))).tolist()))
     factored = fisher.damped_products(theta, dw, moved)
     oracle = blocks_only.damped_products(theta, dw, moved)
-    sub = fisher.recipe.rows
+    sub = fisher.rows
     cols = dict(grad_columns(model, sub, cap))
     slices = list(fisher.layout.slices())
     bound_terms = 2 * (len(sub) + theta.dim)

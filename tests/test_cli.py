@@ -310,7 +310,7 @@ def _with_nan(src, dst, index):
 
 def _fisher_nan_entry(w, tmp):
     """The Fisher's first stored feature set to NaN, its digest renewed."""
-    rows = art.load_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p")).recipe.rows
+    rows = art.load_fisher(f"{w}/fisher", art.load_model(f"{w}/theta_p")).rows
     features = rows.features.copy()
     features[0, 0] = np.nan
     resave(f"{w}/fisher", f"{tmp}/fisher", [features, rows.labels])

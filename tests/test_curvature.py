@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from veriforget.curvature import (
     DEFAULT_MAX_SAMPLES,
     _subsample,
-    block_former,
     diag_curvature,
     empirical_fisher_blockwise,
 )
@@ -142,7 +141,7 @@ def test_block_former_in_a_used_buffer_is_bit_equal():
     data = small_dataset(rng, n=9)
     for cap in (1, 5, 16):
         fisher = empirical_fisher_blockwise(model, data, block_cap=cap)
-        block = block_former(fisher.recipe.blocks(), len(fisher.recipe.rows))
+        block = fisher.ready()[1]
         for i, (_, size, _) in enumerate(fisher.layout.blocks):
             used = rng.normal(size=(size, size))
             assert (block(i, used).tobytes()

@@ -124,6 +124,38 @@ def test_grads_matrix_rows_match_single():
         assert np.abs(per[i] - single).max() <= 1e-12
 
 
+@settings(max_examples=examples(100), deadline=None)
+@given(n=st.integers(1, 12), dout=st.integers(1, 10), start=st.integers(0, 9),
+       length=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+@example(n=1, dout=1, start=0, length=1, seed=0)  # a 1 x 1 bias
+@example(n=7, dout=9, start=4, length=10, seed=1)  # a last part
+def test_a_bias_block_is_the_weight_block_of_a_ones_column(n, dout, start,
+                                                           length, seed):
+    """A bias part over columns [lo, hi), held as the weight part of an
+    n x 1 input of ones (``layer_grad_blocks``), gives exactly what the
+    slice Delta[:, lo:hi] gives: on Python-int factors its columns, G v,
+    G'u and G[:, cols], each summed term by term; on floats, its columns'
+    bits."""
+    lo = start % dout
+    hi = min(lo + length, dout)
+    rng = np.random.default_rng(seed)
+    delta = rng.integers(-2**40, 2**40, size=(n, dout)).astype(object)
+    part = GradBlock(np.full((n, 1), 1, dtype=object), delta, lo, hi)
+    g = delta[:, lo:hi]
+    v = rng.integers(-2**40, 2**40, size=hi - lo).astype(object)
+    u = rng.integers(-2**40, 2**40, size=n).astype(object)
+    cols = rng.integers(0, hi - lo, size=3)
+    assert np.array_equal(part.columns(), g)
+    assert part.matvec(v).tolist() == [
+        sum(g[i, j] * v[j] for j in range(hi - lo)) for i in range(n)]
+    assert part.rmatvec(u).tolist() == [
+        sum(g[i, j] * u[i] for i in range(n)) for j in range(hi - lo)]
+    assert np.array_equal(part.columns_at(cols), g[:, cols])
+    floats = delta.astype(np.float64) * 2.0**-40
+    part = GradBlock(np.ones((n, 1)), floats, lo, hi)
+    assert part.columns().tobytes() == floats[:, lo:hi].tobytes()
+
+
 _SENTINEL = 7.25
 
 
@@ -160,7 +192,7 @@ def test_sample_gram_is_the_lower_triangle_of_g_g(n, din, dout, bias, start,
     width = dout if bias else din * dout
     lo = start % width
     hi = min(lo + length, width)
-    part = GradBlock(None if bias else a_prev, delta, lo, hi)
+    part = GradBlock(np.ones((n, 1)) if bias else a_prev, delta, lo, hi)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     outer = np.asfortranarray(np.where(upper, 1.0, delta @ delta.T))
     out = np.asfortranarray(np.where(upper, _SENTINEL, -3.5))

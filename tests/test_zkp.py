@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 import multiprocessing
 import os
@@ -7,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +33,6 @@ from veriforget.zkp import (
     PublicInputs,
     UnsatisfiableWitnessError,
     circuit_hash,
-    commit_witness,
     constraint_report,
     default_t_int,
     encode_fixed_witness,
@@ -52,6 +54,7 @@ from veriforget.zkp.circuit import (
     FAMILIES,
     LIMB_BITS_F,
     LIMB_BITS_W,
+    committing,
     limb_bits,
     pack_limbs,
 )
@@ -224,6 +227,12 @@ def test_commit_multi_chunk_tree():
     assert not verify_commit(root, v2, 9)
 
 
+def committed_roots(witness, randomness) -> tuple[int, int, int]:
+    """The Merkle roots of the witness's ``COMMITTED`` vectors."""
+    with committing(witness, randomness) as roots:
+        return tuple(roots())
+
+
 # -- leaves hashed in worker processes ---------------------------------------
 
 
@@ -284,7 +293,39 @@ def test_one_pass_hashes_in_process_only_with_one_worker(monkeypatch, cpus,
         assert os.getpid() not in pids and len(pids) <= cpus
 
 
-def test_commit_witness_leaves_no_child_process(monkeypatch, tmp_path):
+def test_no_chunk_is_held_once_the_workers_fork(monkeypatch):
+    """Inside ``hashing``'s block, once the workers have forked, this
+    process holds neither the leaf function nor the chunks it held, nor a
+    vector passed as a generator: what it has allocated since entering is
+    a small part of the chunks' 4 x 1,025 field elements of 254 bits."""
+    report_cpus(monkeypatch, 2)
+    leaf_fns, real = [], field.fork_start
+
+    def spy(fn, count, fork=True):
+        leaf_fns.append(weakref.ref(fn))
+        return real(fn, count, fork)
+
+    monkeypatch.setattr(field, "fork_start", spy)
+    rng = np.random.default_rng(0)
+    # negative values, so that each field element is an int of its own
+    data = [(rng.integers(-2**62, 0, size=2 * LEAF_CHUNK), r) for r in (3, 4)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with field.hashing((v.tolist(), r) for v, r in data) as roots:
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+            freed = leaf_fns[0]() is None
+            got = roots()
+    finally:
+        tracemalloc.stop()
+    assert got == [reference_merkle_root(v, r) for v, r in data]
+    assert freed
+    assert held < 64 * 1024
+    assert_no_child_process()
+
+
+def test_committing_leaves_no_child_process(monkeypatch, tmp_path):
     rng = np.random.default_rng(0)
     # 6,000 factor values, 1,200 packed elements: two leaves
     a, d = rng.integers(-1000, 1000, size=(2, 600, 5))
@@ -305,7 +346,7 @@ def test_commit_witness_leaves_no_child_process(monkeypatch, tmp_path):
 
     report_cpus(monkeypatch, 2)
     monkeypatch.setattr(field, "sponge", logging_sponge)
-    assert commit_witness(w, randomness) == expected
+    assert committed_roots(w, randomness) == expected
     assert multiprocessing.active_children() == []
     assert set(map(int, log.read_text().split())) - {os.getpid()}
 
@@ -498,8 +539,8 @@ def test_weight_limb_alias_fails_range():
     bad = replace(w, theta_p=_alias(w.theta_p, i, bits),
                   theta_u=_alias(w.theta_u, i, bits))
     public = circuit.public
-    assert commit_witness(bad, rnd) == (public.com_theta_p, public.com_theta_u,
-                                        public.com_c_p)
+    assert committed_roots(bad, rnd) == (
+        public.com_theta_p, public.com_theta_u, public.com_c_p)
     assert mock_prove(circuit, bad, rnd) == f"range/theta_p[{i}]"
 
 
@@ -511,7 +552,7 @@ def test_curvature_limb_alias_fails_range():
     bad = replace(w, factors=(
         (_alias(a.ravel(), 0, LIMB_BITS_F).reshape(a.shape), d),
         *w.factors[1:]))
-    assert commit_witness(bad, rnd)[2] == circuit.public.com_c_p
+    assert committed_roots(bad, rnd)[2] == circuit.public.com_c_p
     assert (mock_prove(circuit, bad, rnd)
             == f"range/a[layer {circuit.layers[0]}][0]")
 
@@ -763,7 +804,8 @@ def test_the_fisher_and_the_statement_split_the_model_alike(dims, cap):
     layout = column_layout(model, cap)
     assert layout == reference_curvature_layout(model.params.layout, cap)
     yielded = sorted(
-        (i, label, layer, part.a_prev is None, part.lo, part.hi)
+        (i, label, layer, np.array_equal(part.a_prev, np.ones((3, 1))),
+         part.lo, part.hi)
         for layer, blocks in zip(range(len(dims) - 2, -1, -1),
                                  layer_grad_blocks(model, rows, cap))
         for i, label, part in blocks)
@@ -1034,7 +1076,7 @@ def test_range_bounds_are_circuit_constants():
     tp[i] += shift
     tu[i] += shift
     bad = replace(w, theta_p=tp, theta_u=tu)
-    roots = commit_witness(bad, rnd)
+    roots = committed_roots(bad, rnd)
     bad_circuit = with_public(circuit, com_theta_p=roots[0],
                               com_theta_u=roots[1], com_c_p=roots[2])
     for family in FAMILIES:
@@ -1129,8 +1171,8 @@ def test_backend_prove_verify_round_trip():
     fisher, theta, mask, comp, w, circuit, proof, rnd = honest_zk_instance(11)
     public = circuit.public
     assert public == PublicInputs(
-        mask.digest, 4, (3, 4, 2), 40, 1e-3, w.shift, w.factor_shift, *commit_witness(w, rnd),
-        public.t_int)
+        mask.digest, 4, (3, 4, 2), 40, 1e-3, w.shift, w.factor_shift,
+        *committed_roots(w, rnd), public.t_int)
     assert proof.tag == tag_over(circuit_hash(public), public)
     assert MockBackend().verify(proof, public)
 
@@ -1244,7 +1286,7 @@ def forge_free_curvature(r, untouched_block=None, t=0.25):
     lam = [round(-(int(gtu[i - start]) + damping * int(dw[i])) / unit)
            for i in support]
     forged = replace(forged, lam=np.array(lam, dtype=np.int64))
-    roots = commit_witness(forged, rnd)
+    roots = committed_roots(forged, rnd)
     assert roots[0] == public.com_theta_p
     return forged, with_public(circuit, com_theta_u=roots[1], com_c_p=roots[2])
 
@@ -1286,7 +1328,7 @@ def test_mock_prove_rejects_a_truncated_witness():
     dw[-1] += 12345
     tu[-1] += 12345
     bad = replace(w, factors=w.factors[:-1], delta_w=dw, theta_u=tu)
-    _, com_theta_u, com_c_p = commit_witness(bad, rnd)
+    _, com_theta_u, com_c_p = committed_roots(bad, rnd)
     circuit = with_public(r.circuit, com_theta_u=com_theta_u, com_c_p=com_c_p)
     assert mock_prove(circuit, bad, rnd) == "shape/factors"
 
