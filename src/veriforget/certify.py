@@ -11,7 +11,8 @@ G nor a block (``curvature.BlockFisher.damped_products``).  It uses
 numpy alone: certifying loads no scipy.
 forget_gain_report computes the quadratic-model quantities that bound
 how much compensation on the unmasked coordinates can offset the
-mask-induced forget-loss increase.
+mask-induced forget-loss increase, with the forget set's empirical
+Fisher as the curvature.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .obs import CompensationResult
 
 DEFAULT_TAU_REAL = 1e-6
 DEFAULT_LAM_Q = 1e-3
-MAX_EXACT_HESSIAN_DIM = 2000
-FD_STEP = 1e-4  # relative step of exact_hessian's central differences
 
 
 @dataclass(frozen=True)
@@ -145,42 +144,20 @@ class ForgetBudget:
         }
 
 
-def exact_hessian(model: MlpModel, data: Dataset) -> np.ndarray:
-    """Central finite differences of the analytic gradient, symmetrized."""
-    d = model.dim
-    if d > MAX_EXACT_HESSIAN_DIM:
-        raise StructuralError(
-            f"exact Hessian limited to d <= {MAX_EXACT_HESSIAN_DIM}, got {d}"
-        )
-    theta = model.params.values
-    cols = np.empty((d, d))
-    for i in range(d):
-        h = FD_STEP * (1.0 + abs(theta[i]))
-        tp = theta.copy()
-        tp[i] += h
-        tm = theta.copy()
-        tm[i] -= h
-        gp = batch_grad(model.with_params(tp), data).values
-        gm = batch_grad(model.with_params(tm), data).values
-        cols[:, i] = (gp - gm) / (2.0 * h)
-    return 0.5 * (cols + cols.T)
-
-
 def forget_gain_report(
     model: MlpModel,
     mask: MaskArtifact,
     comp: CompensationResult,
     d_f: Dataset,
     lam_q: float = DEFAULT_LAM_Q,
-    hessian_mode: str = "exact",
 ) -> ForgetBudget:
     """Compute the mask gain, compensation contribution, and its bounds
     for the update ``comp`` of the personalized model ``model``.
 
-    Each Hessian mode supplies a'H_mm a, H_cm a, a matrix with the 2-norm
-    of H_cm, the eigenvalues of H_cc, and eigenvectors B of H_cc with
-    their eigenvalues w and squared norms; the bounds apply powers of
-    Q = H_cc + lam_q I through B and never form Q.
+    The curvature is the forget set's empirical Fisher H = G'G, G its
+    per-example gradients over sqrt(n).  The bounds apply powers of
+    Q = H_cc + lam_q I through eigenvectors of H_cc taken from the n x n
+    Gram of G_c, and form neither H nor Q.
     """
     if len(d_f) == 0:
         raise StructuralError("empty forget set")
@@ -189,57 +166,45 @@ def forget_gain_report(
     m_idx = mask.support
     c_idx = np.setdiff1d(np.arange(theta_p.dim), m_idx)
     a_m = theta_p.values[m_idx]
-    if hessian_mode == "exact":
-        h = exact_hessian(model, d_f)
-        h_cm = h[np.ix_(c_idx, m_idx)]
-        a_h_a, h_cm_a = a_m @ (h[np.ix_(m_idx, m_idx)] @ a_m), h_cm @ a_m
-        w, basis = np.linalg.eigh(h[np.ix_(c_idx, c_idx)])
-        spectrum, norm = w, np.ones_like(w)
-    elif hessian_mode == "fisher":
-        # H = G'G, G the per-example gradients over sqrt(n), is never formed,
-        # nor any SVD of G_c: the n x n Gram G_c G_c' = U W U' gives
-        # H_cc = B B' with B = G_c'U and B'B = W, so H_cc's eigenvalues are
-        # the Gram's largest min(n, |C|) and 0 on the rest of C, and
-        # H_cm = B U'G_m has the 2-norm of W^(1/2) U'G_m.
-        grads = per_example_grads(model, d_f)
-        grads /= np.sqrt(len(d_f))
-        g_c, g_m = grads[:, c_idx], grads[:, m_idx]
-        del grads  # hold one n x d matrix, split in two
-        w, left = np.linalg.eigh(g_c @ g_c.T)
-        np.maximum(w, 0.0, out=w)  # the Gram is PSD; below 0 is rounding
-        basis = g_c.T @ left
-        top = w[w.size - min(w.size, c_idx.size):]
-        spectrum, norm = np.append(top, np.zeros(c_idx.size - top.size)), w
-        g_a = g_m @ a_m
-        a_h_a, h_cm_a = g_a @ g_a, g_c.T @ g_a
-        h_cm = np.sqrt(w)[:, None] * (left.T @ g_m)
-    else:
-        raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
+    # Nor is any SVD of G_c taken: the Gram G_c G_c' = U W U' gives
+    # H_cc = B B' with B = G_c'U and B'B = W, so H_cc's eigenvalues are
+    # the Gram's largest min(n, |C|) and 0 on the rest of C, and
+    # H_cm = B U'G_m has the 2-norm of W^(1/2) U'G_m.
+    grads = per_example_grads(model, d_f)
+    grads /= np.sqrt(len(d_f))
+    g_c, g_m = grads[:, c_idx], grads[:, m_idx]
+    del grads  # hold one n x d matrix, split in two
+    w, left = np.linalg.eigh(g_c @ g_c.T)
+    np.maximum(w, 0.0, out=w)  # the Gram is PSD; below 0 is rounding
+    basis = g_c.T @ left
+    g_a = g_m @ a_m
+    a_h_a, h_cm_a = g_a @ g_a, g_c.T @ g_a
+    h_cm = np.sqrt(w)[:, None] * (left.T @ g_m)
 
-    mu_min = float(spectrum.min() + lam_q)
+    # w ascends, so H_cc's least eigenvalue is w[-|C|] when n >= |C| and
+    # 0 otherwise; an empty C is taken at lam_q, as is the rest of C
+    mu_min = float(lam_q + (w[-c_idx.size] if 0 < c_idx.size <= w.size else 0.0))
     if not mu_min > 0:
         raise NumericError(
             f"Q has min eigenvalue {mu_min:.3e} <= 0; "
-            f"increase the damping lam_q (currently {lam_q})"
-            + (", or use --hessian fisher, positive semi-definite by "
-               "construction" if hessian_mode == "exact" else ""))
+            f"increase the damping lam_q (currently {lam_q})")
 
     def q_pow(p: float, x: np.ndarray) -> np.ndarray:
         """Q^p x through the columns b_i of B, each an eigenvector of H_cc
-        at w_i of squared norm ``norm``: Q^p = lam_q^p I + sum_i b_i b_i'
-        ((w_i + lam_q)^p - lam_q^p) / norm_i, the difference computed
+        at w_i of squared norm w_i: Q^p = lam_q^p I + sum_i b_i b_i'
+        ((w_i + lam_q)^p - lam_q^p) / w_i, the difference computed
         without cancellation and taken at its limit p lam_q^(p-1) where
-        norm_i = w_i = 0, so a direction B leaves out, or holds at w = 0,
-        is Q's at lam_q exactly.  For lam_q <= 0, Q is positive definite
-        only if H_cc's |C| eigenvectors among the b_i span C, and Q^p is
-        their sum at (w_i + lam_q)^p."""
+        w_i = 0, so a direction B leaves out, or holds at w = 0, is Q's
+        at lam_q exactly.  For lam_q <= 0, Q is positive definite only if
+        H_cc's |C| eigenvectors among the b_i span C, and Q^p is their
+        sum at (w_i + lam_q)^p."""
         if lam_q > 0:
             c = lam_q**p * np.expm1(p * np.log1p(w / lam_q))
-            c = np.divide(c, norm, out=np.full_like(c, p * lam_q ** (p - 1)),
-                          where=norm != 0)
+            c = np.divide(c, w, out=np.full_like(c, p * lam_q ** (p - 1)),
+                          where=w != 0)
             return lam_q**p * x + basis @ (c * (basis.T @ x))
         top = slice(w.size - c_idx.size, None)
-        c = (w[top] + lam_q) ** p / norm[top]
+        c = (w[top] + lam_q) ** p / w[top]
         return basis[:, top] @ (c * (basis[:, top].T @ x))
 
     s_mask = float(-g[m_idx] @ a_m + 0.5 * a_h_a)

@@ -321,9 +321,7 @@ def certify(tp_path, tu_path, comp_path, mask_path, fisher_path, tau):
 @click.option("--mask", "mask_path", required=True)
 @click.option("--data", required=True, help="Forget-set .dset.")
 @click.option("--lambda-q", default=DEFAULT_LAM_Q, show_default=True, type=FiniteFloat())
-@click.option("--hessian", default="fisher", show_default=True,
-              type=click.Choice(["exact", "fisher"]))
-def report_bounds(tp_path, comp_path, mask_path, data, lambda_q, hessian):
+def report_bounds(tp_path, comp_path, mask_path, data, lambda_q):
     """Forget-loss gain bounds for the compensated update, and the
     measured forget-loss change it gives."""
     theta_p = art.load_model(tp_path)
@@ -332,8 +330,7 @@ def report_bounds(tp_path, comp_path, mask_path, data, lambda_q, hessian):
     m = art.load_mask(mask_path)
     d_f = art.load_dataset(data)
     theta_u = theta_p.with_params(apply_unlearn(theta_p.params, comp, m).values)
-    budget = forget_gain_report(theta_p, m, comp, d_f, lam_q=lambda_q,
-                                hessian_mode=hessian)
+    budget = forget_gain_report(theta_p, m, comp, d_f, lam_q=lambda_q)
     return {**budget.to_json(), "measured": measured_forget_gap(
         theta_p, theta_u, d_f, budget.predicted_delta_lf)}
 

@@ -130,6 +130,23 @@ def quadratic_gain(b: np.ndarray, q: np.ndarray, dw_c: np.ndarray) -> float:
     return float(b @ dw_c + 0.5 * dw_c @ (q @ dw_c))
 
 
+def exact_hessian(model, data, step=1e-4):
+    """Oracle: the d x d Hessian of the mean loss, by central differences
+    of the analytic gradient at a relative ``step``, symmetrized."""
+    theta = model.params.values
+    cols = np.empty((model.dim, model.dim))
+    for i in range(model.dim):
+        h = step * (1.0 + abs(theta[i]))
+        tp = theta.copy()
+        tp[i] += h
+        tm = theta.copy()
+        tm[i] -= h
+        gp = batch_grad(model.with_params(tp), data).values
+        gm = batch_grad(model.with_params(tm), data).values
+        cols[:, i] = (gp - gm) / (2.0 * h)
+    return 0.5 * (cols + cols.T)
+
+
 def dense_kkt_solve(
     c_dense: np.ndarray, theta: np.ndarray, support: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

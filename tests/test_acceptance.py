@@ -14,7 +14,7 @@ import numpy as np
 
 from veriforget import artifacts as art
 from veriforget import zkp
-from veriforget.certify import check_kkt, exact_hessian
+from veriforget.certify import check_kkt
 from veriforget.curvature import empirical_fisher_blockwise
 from veriforget.evals import forward_kl_alignment
 from veriforget.masking import make_mask
@@ -44,6 +44,7 @@ from conftest import (
     damped,
     dense,
     dense_oracle,
+    exact_hessian,
     quadratic_gain,
     random_fisher,
     random_instance,

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from veriforget.certify import (
     check_kkt,
-    exact_hessian,
     forget_gain_report,
     measured_forget_gap,
 )
@@ -25,6 +24,7 @@ from veriforget.obs import CompensationResult, apply_unlearn, group_obs_solve
 
 from conftest import (
     examples,
+    exact_hessian,
     held,
     quadratic_gain,
     random_instance,
@@ -176,20 +176,12 @@ def test_exact_hessian_symmetric_and_matches_double_fd():
         assert abs(h[i, j] - fd) <= 1e-4 * (1 + abs(fd))
 
 
-def test_exact_hessian_dim_cap():
-    rng = np.random.default_rng(1)
-    model = init_mlp([50, 50, 10], 0)
-    data = small_dataset(rng, n=2, dim=50, classes=10)
-    with pytest.raises(ValueError):
-        exact_hessian(model, data)
-
-
 def test_fisher_mode_q_min_eig_at_least_lam_q():
     # H = G'G is PSD by construction, so Q = H_cc + lam_q I has no
     # eigenvalue below lam_q
     for seed in range(5):
         for lam_q in (1e-6, 1e-3, 0.5):
-            rep, *_ = pipeline_report(seed, hessian_mode="fisher", lam_q=lam_q)
+            rep, *_ = pipeline_report(seed, lam_q=lam_q)
             assert rep.q_min_eig >= lam_q
 
 
@@ -237,7 +229,7 @@ def test_lower_bound_never_violated():
         assert quadratic_gain(b, q, x) >= worst - 1e-10
 
 
-def pipeline_report(seed, hessian_mode="exact", lam_q=0.5):
+def pipeline_report(seed, lam_q=0.5):
     rng = np.random.default_rng(seed)
     model0 = init_mlp([3, 6, 2], seed)
     data = small_dataset(rng, n=30, dim=3, classes=2)
@@ -249,8 +241,7 @@ def pipeline_report(seed, hessian_mode="exact", lam_q=0.5):
     support = np.sort(rng.choice(d, size=4, replace=False)).astype(np.int64)
     mask = make_mask(d, 4, elig, support)
     comp = group_obs_solve(fisher, model.params, mask)
-    rep = forget_gain_report(model, mask, comp, data, lam_q=lam_q,
-                             hessian_mode=hessian_mode)
+    rep = forget_gain_report(model, mask, comp, data, lam_q=lam_q)
     return rep, model, comp, mask, data
 
 
@@ -346,17 +337,29 @@ def dense_oracle(h, g, theta_p, mask, comp, lam_q):
     }
 
 
-@pytest.mark.parametrize("hessian_mode", ["exact", "fisher"])
+def assert_matches_dense_oracle(model, mask, comp, data, lam_q):
+    """Every field of forget_gain_report against the dense oracle at
+    H = G'G, G the per-example gradients over sqrt(n)."""
+    grads = per_example_grads(model, data) / np.sqrt(len(data))
+    oracle = dense_oracle(grads.T @ grads, batch_grad(model, data).values,
+                          model.params, mask, comp, lam_q)
+    rep = forget_gain_report(model, mask, comp, data, lam_q=lam_q)
+    for name, want in oracle.items():
+        got = getattr(rep, name)
+        if name == "guarantee_flag":
+            assert got == want
+        else:
+            assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want))), name
+
+
 @pytest.mark.parametrize("square", [False, True], ids=["complement", "square"])
 @settings(max_examples=examples(15), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        dims=st.tuples(st.integers(2, 4), st.integers(2, 6), st.integers(2, 3)),
        shift=st.floats(1e-3, 2.0))
-def test_spectral_path_matches_dense_oracle(hessian_mode, square, seed, dims,
-                                            shift):
-    """Both modes against the dense oracle.  Fisher mode's V has
-    min(n, d - k) columns, so n < d - k leaves a complement and n >= d - k
-    makes V square; exact mode's V is always square."""
+def test_spectral_path_matches_dense_oracle(square, seed, dims, shift):
+    """H_cc's eigenvectors from the Gram number min(n, d - k), so
+    n < d - k leaves a complement at lam_q and n >= d - k spans C."""
     rng = np.random.default_rng(seed)
     model = init_mlp(list(dims), seed % 1000)
     d = model.dim
@@ -369,31 +372,14 @@ def test_spectral_path_matches_dense_oracle(hessian_mode, square, seed, dims,
         delta_w=model.params.with_values(rng.normal(size=d)),
         multipliers=np.zeros(k), method="schur",
     )
-    if hessian_mode == "exact":
-        h = exact_hessian(model, data)
-        c_idx = np.setdiff1d(np.arange(d), mask.support)
-        shift += max(0.0, -np.linalg.eigvalsh(h[np.ix_(c_idx, c_idx)]).min())
-    else:
-        grads = per_example_grads(model, data) / np.sqrt(n)
-        h = grads.T @ grads
-    oracle = dense_oracle(h, batch_grad(model, data).values, model.params, mask,
-                          comp, shift)
-    rep = forget_gain_report(model, mask, comp, data, lam_q=shift,
-                             hessian_mode=hessian_mode)
-    for name, want in oracle.items():
-        got = getattr(rep, name)
-        if name == "guarantee_flag":
-            assert got == want
-        else:
-            assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want))), name
+    assert_matches_dense_oracle(model, mask, comp, data, shift)
 
 
-@pytest.mark.parametrize("hessian_mode", ["exact", "fisher"])
-def test_negative_lam_q_matches_dense_oracle(hessian_mode):
+def test_negative_lam_q_matches_dense_oracle():
     """A negative lam_q is a valid damping while Q stays positive definite:
     with the last layer masked, H_cc is, and lam_q at half its smallest
     eigenvalue, below 0, gives the dense oracle's fields."""
-    rng = np.random.default_rng(171)  # exact H_cc is positive definite too
+    rng = np.random.default_rng(171)
     model = init_mlp([2, 2, 2], 0)
     model = model.with_params(rng.normal(size=model.dim))
     data = small_dataset(rng, n=60, dim=2, classes=2)
@@ -402,28 +388,15 @@ def test_negative_lam_q_matches_dense_oracle(hessian_mode):
         delta_w=model.params.with_values(rng.normal(size=12)),
         multipliers=np.zeros(6), method="schur",
     )
-    if hessian_mode == "exact":
-        h = exact_hessian(model, data)
-    else:
-        grads = per_example_grads(model, data) / np.sqrt(60)
-        h = grads.T @ grads
-    lam_q = -0.5 * np.linalg.eigvalsh(h[:6, :6]).min()
+    grads = per_example_grads(model, data) / np.sqrt(60)
+    lam_q = -0.5 * np.linalg.eigvalsh(grads[:, :6].T @ grads[:, :6]).min()
     assert lam_q < 0
-    oracle = dense_oracle(h, batch_grad(model, data).values, model.params, mask,
-                          comp, lam_q)
-    rep = forget_gain_report(model, mask, comp, data, lam_q=lam_q,
-                             hessian_mode=hessian_mode)
-    for name, want in oracle.items():
-        got = getattr(rep, name)
-        if name == "guarantee_flag":
-            assert got == want
-        else:
-            assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want))), name
+    assert_matches_dense_oracle(model, mask, comp, data, lam_q)
 
 
 def test_fisher_mode_never_densifies():
-    """At d >= 5,000, fisher mode's traced allocations stay below a tenth of
-    one dense d x d float64 matrix."""
+    """At d >= 5,000, forget_gain_report's traced allocations stay below a
+    tenth of one dense d x d float64 matrix."""
     rng = np.random.default_rng(8)
     model = init_mlp([20, 200, 5], 8)
     d = model.dim
@@ -437,7 +410,7 @@ def test_fisher_mode_never_densifies():
     )
     tracemalloc.start()
     try:
-        rep = forget_gain_report(model, mask, comp, data, hessian_mode="fisher")
+        rep = forget_gain_report(model, mask, comp, data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
